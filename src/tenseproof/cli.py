@@ -6,7 +6,8 @@ validity search, and ``corpus`` to run the bundled derivations through the
 whole pipeline.
 
 Exit codes: 0 all pass, 1 check failure, 2 normalization failure,
-3 semantic (probe or validity) failure, 4 I/O or parse error.
+3 semantic (probe or validity) failure, 4 input error (I/O, parse,
+malformed file, or a world bound out of range).
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ def _profile(text: str):
     return parse_profile(text)
 
 
+def _at_least(value: int, least: int, flag: str) -> int:
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, not {value}")
+    return value
+
+
 def cmd_check(args) -> int:
+    _at_least(args.probe, 0, "--probe")
     d = load(args.file)
     profile = _profile(args.profile)
     report = check(d, profile)
@@ -58,6 +66,14 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+class _PrintedTrace:
+    """A trace sink that prints each record as its step happens, so the
+    steps before a failure are still shown."""
+
+    def append(self, record: dict) -> None:
+        print(json.dumps(record), flush=True)
+
+
 def cmd_normalize(args) -> int:
     d = load(args.file)
     profile = _profile(args.profile)
@@ -66,15 +82,11 @@ def cmd_normalize(args) -> int:
         for v in report.violations:
             print(str(v), file=sys.stderr)
         return EXIT_CHECK
-    trace = [] if args.trace else None
     try:
-        nf = normalize(d, trace=trace)
+        nf = normalize(d, trace=_PrintedTrace() if args.trace else None)
     except NonTermination as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NORMALIZE
-    if trace is not None:
-        for record in trace:
-            print(json.dumps(record))
     if args.output:
         dump(nf, args.output)
     else:
@@ -100,6 +112,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_valid(args) -> int:
+    _at_least(args.max_worlds, 1, "--max-worlds")
     phi = parse("any", args.formula)
     profile = _profile(args.profile)
     try:
@@ -115,6 +128,7 @@ def cmd_valid(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    _at_least(args.max_worlds, 1, "--max-worlds")
     _, code = run_corpus(args.prefix, args.max_worlds, emit=print)
     return code
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .derivation import Derivation, from_json
-from .kernel import check, expand_derived, open_assumptions
+from .kernel import check, open_assumptions
 from .normalize import NonTermination, is_normal, normalize
 from .parser import parse
 from .rules import LogicProfile, parse_profile
@@ -84,7 +84,7 @@ def run_entry(entry: CorpusEntry, max_worlds: int = 4) -> EntryResult:
     nf = None
     if report.ok:
         try:
-            nf = normalize(expand_derived(entry.derivation))
+            nf = normalize(entry.derivation)
             preserved = nf.conclusion == entry.derivation.conclusion
             before = {c for c in open_assumptions(entry.derivation)}
             after = {c for c in open_assumptions(nf)}

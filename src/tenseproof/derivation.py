@@ -36,7 +36,12 @@ class Derivation:
         return self.rule == ASSUME
 
     def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.premises)
+        count, stack = 0, [self]
+        while stack:
+            n = stack.pop()
+            count += 1
+            stack.extend(n.premises)
+        return count
 
     def at(self, path: Path) -> "Derivation":
         node = self
@@ -45,10 +50,15 @@ class Derivation:
         return node
 
     def walk(self, path: Path = ()) -> Iterator[tuple]:
-        """Yield ``(path, node)`` pairs, root first, premises left to right."""
-        yield path, self
-        for i, p in enumerate(self.premises):
-            yield from p.walk(path + (i,))
+        """Yield ``(path, node)`` pairs, root first, premises left to right
+        (so paths come in lexicographic order)."""
+        stack = [(path, self)]
+        while stack:
+            path, n = stack.pop()
+            yield path, n
+            premises = n.premises
+            for i in range(len(premises) - 1, -1, -1):
+                stack.append((path + (i,), premises[i]))
 
 
 def assume(conclusion: Conclusion, marker: Optional[int] = None) -> Derivation:
@@ -64,12 +74,14 @@ def node(rule: str, conclusion: Conclusion, *premises: Derivation,
 
 
 def replace_at(d: Derivation, path: Path, new: Derivation) -> Derivation:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    premises = list(d.premises)
-    premises[i] = replace_at(premises[i], rest, new)
-    return replace(d, premises=tuple(premises))
+    spine = [d]
+    for i in path[:-1]:
+        spine.append(spine[-1].premises[i])
+    for t, i in zip(reversed(spine), reversed(path)):
+        new = Derivation(t.rule, t.conclusion,
+                         t.premises[:i] + (new,) + t.premises[i + 1:],
+                         t.marker, t.discharges, t.fresh, t.position)
+    return new
 
 
 def map_leaves(d: Derivation, fn: Callable[[Derivation], Derivation]) -> Derivation:
@@ -197,15 +209,30 @@ def to_json(d: Derivation) -> dict:
     return out
 
 
+def _field(obj: dict, key: str, kind: type):
+    """``obj[key]`` if absent or exactly of ``kind`` (so no bool for int)."""
+    value = obj.get(key)
+    if value is not None and type(value) is not kind:
+        raise ValueError(f"derivation field {key!r} must be {kind.__name__}, "
+                         f"not {value!r}")
+    return value
+
+
 def from_json(obj: dict) -> Derivation:
     from .rules import RULES
+    if not isinstance(obj, dict):
+        raise ValueError(f"derivation node must be a JSON object, not {obj!r:.40}")
     rule = obj.get("rule")
     if not isinstance(rule, str):
         raise ValueError("derivation node lacks a 'rule' string")
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    premises = tuple(from_json(p) for p in obj.get("premises", []))
-    text = obj.get("conclusion")
+    discharges = _field(obj, "discharges", list) or ()
+    if not all(type(m) is int for m in discharges):
+        raise ValueError(f"derivation field 'discharges' must list ints, "
+                         f"not {discharges!r}")
+    premises = tuple(from_json(p) for p in _field(obj, "premises", list) or ())
+    text = _field(obj, "conclusion", str)
     if text is None:
         template = RULES[rule].axiom_template
         if template is None:
@@ -215,10 +242,10 @@ def from_json(obj: dict) -> Derivation:
         conclusion = parse_conclusion(text)
     return Derivation(
         rule, conclusion, premises,
-        marker=obj.get("marker"),
-        discharges=frozenset(obj.get("discharges", [])),
-        fresh=obj.get("fresh"),
-        position=obj.get("position"),
+        marker=_field(obj, "marker", int),
+        discharges=frozenset(discharges),
+        fresh=_field(obj, "fresh", str),
+        position=_field(obj, "position", int),
     )
 
 

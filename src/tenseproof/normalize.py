@@ -2,15 +2,25 @@
 elimination, ordering and composition of monotonicity chains, and removal of
 redundant falsum chains.
 
-The engine is a single redex scanner plus one-step reducers.  ``restrict``
-runs only the restriction redexes; ``normalize`` runs everything to a
-fixpoint under a deterministic strategy: restriction sites first, then the
-maximal formula of highest grade having no equally-high maximal formula
-above it, then chain permutations, compositions and falsum collapses.
+The engine is a per-node redex test plus one-step reducers, run by one
+driver.  ``restrict`` runs only the restriction redexes; ``normalize`` runs
+everything to a fixpoint under a deterministic strategy: restriction sites
+first, then the maximal formula of highest grade having no equally-high
+maximal formula above it, then chain permutations, compositions and falsum
+collapses.
+
+The reductions are local, and so is the driver's bookkeeping.  A node's
+redexes read only the node, its premises and the premises of its first
+premise (a dependency radius of 2).  So after a step replaces the subtree at
+path ``p``, only that subtree and the nodes at ``p[:-1]`` and ``p[:-2]`` are
+scanned again; the redex index keyed by path keeps everything else.
+``find_redexes`` and ``reduce_step`` stay as the full-scan public API.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import os
 from dataclasses import dataclass, replace
@@ -90,41 +100,46 @@ def _mon_position(n: Derivation):
 # ---------------------------------------------------------------------------
 # Redex search
 
-def find_redexes(d: Derivation) -> list:
+def _node_redexes(n: Derivation, path: tuple) -> list:
+    """The redexes at one node.  They read only the node, its premises and
+    the premises of ``premises[0]``: the dependency radius is 2."""
+    if not n.premises:
+        return []
     out = []
-    for path, n in d.walk():
-        if not n.premises:
-            continue
-        p0 = n.premises[0]
+    p0 = n.premises[0]
 
-        if DETOUR_PAIRS.get(n.rule) == p0.rule:
-            out.append(Redex("MaximalFormula", path, f"{p0.rule}/{n.rule}"))
+    if DETOUR_PAIRS.get(n.rule) == p0.rule:
+        out.append(Redex("MaximalFormula", path, f"{p0.rule}/{n.rule}"))
 
-        if n.rule == "raa_bot" and not isinstance(_xf(n.conclusion), (Atom, Falsum)):
-            out.append(Redex("UnrestrictedRAA", path, "raa_bot"))
-        if n.rule == "raa_empty":
-            core = expand(n.conclusion)
-            if isinstance(core, Empty) or not isinstance(core, (Less, Eq)):
-                out.append(Redex("UnrestrictedRAA", path, "raa_empty"))
+    if n.rule == "raa_bot" and not isinstance(_xf(n.conclusion), (Atom, Falsum)):
+        out.append(Redex("UnrestrictedRAA", path, "raa_bot"))
+    if n.rule == "raa_empty":
+        core = expand(n.conclusion)
+        if isinstance(core, Empty) or not isinstance(core, (Less, Eq)):
+            out.append(Redex("UnrestrictedRAA", path, "raa_empty"))
 
-        if n.rule == "mon":
-            kind, _ = _mon_class(n)
-            if kind != "ok":
-                out.append(Redex("UnrestrictedMon", path, kind))
-            elif p0.rule == "mon":
-                pu = _mon_position(p0)
-                pl = _mon_position(n)
-                if pu is not None and pl is not None:
-                    if pu == pl:
-                        out.append(Redex("RedundantMon", path))
-                    elif pu == 2 and pl == 1:
-                        out.append(Redex("MonDisorder", path))
+    if n.rule == "mon":
+        kind, _ = _mon_class(n)
+        if kind != "ok":
+            out.append(Redex("UnrestrictedMon", path, kind))
+        elif p0.rule == "mon":
+            pu = _mon_position(p0)
+            pl = _mon_position(n)
+            if pu is not None and pl is not None:
+                if pu == pl:
+                    out.append(Redex("RedundantMon", path))
+                elif pu == 2 and pl == 1:
+                    out.append(Redex("MonDisorder", path))
 
-        if n.rule in FALSUM_RULES and p0.rule in FALSUM_RULES:
-            pair = f"{p0.rule};{n.rule}"
-            if pair in ("raa_bot;raa_bot", "raa_bot;uf1", "uf1;uf2", "uf2;uf1"):
-                out.append(Redex("RedundantFalsum", path, pair))
+    if n.rule in FALSUM_RULES and p0.rule in FALSUM_RULES:
+        pair = f"{p0.rule};{n.rule}"
+        if pair in ("raa_bot;raa_bot", "raa_bot;uf1", "uf1;uf2", "uf2;uf1"):
+            out.append(Redex("RedundantFalsum", path, pair))
     return out
+
+
+def find_redexes(d: Derivation) -> list:
+    return [r for path, n in d.walk() for r in _node_redexes(n, path)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +150,27 @@ def reduce_step(d: Derivation, r: Redex) -> Derivation:
         n = d.at(r.path)
     except IndexError:
         raise RedexStale(r) from None
-    if not any(r2 == r for r2 in find_redexes(d)):
+    if r not in _node_redexes(n, r.path):
         raise RedexStale(r)
-
-    mgen = MarkerGen(all_markers(d))
-    lgen = LabelGen(all_labels(d))
-    if r.kind == "MaximalFormula":
-        new = _reduce_detour(n, mgen, lgen)
-    elif r.kind == "MonDisorder":
-        new = _reduce_disorder(n, mgen)
-    elif r.kind == "RedundantMon":
-        new = _reduce_mon_pair(n, mgen)
-    elif r.kind == "RedundantFalsum":
-        new = _reduce_falsum(n, mgen)
-    elif r.kind == "UnrestrictedRAA":
-        new = _restrict_raa(n, mgen, lgen)
-    elif r.kind == "UnrestrictedMon":
-        new = _restrict_mon(n, mgen, lgen)
-    else:
-        raise ValueError(f"unknown redex kind {r.kind}")
+    new = _rewrite(n, r.kind, MarkerGen(all_markers(d)), LabelGen(all_labels(d)))
     return replace_at(d, r.path, new)
+
+
+def _rewrite(n: Derivation, kind: str, mgen, lgen) -> Derivation:
+    """The subtree that replaces redex site ``n``."""
+    if kind == "MaximalFormula":
+        return _reduce_detour(n, mgen, lgen)
+    if kind == "MonDisorder":
+        return _reduce_disorder(n, mgen)
+    if kind == "RedundantMon":
+        return _reduce_mon_pair(n, mgen)
+    if kind == "RedundantFalsum":
+        return _reduce_falsum(n, mgen)
+    if kind == "UnrestrictedRAA":
+        return _restrict_raa(n, mgen, lgen)
+    if kind == "UnrestrictedMon":
+        return _restrict_mon(n, mgen, lgen)
+    raise ValueError(f"unknown redex kind {kind}")
 
 
 def _override_conclusion(t: Derivation, conclusion) -> Derivation:
@@ -584,67 +600,132 @@ _PRIORITY = {
 }
 
 
-def _select(d: Derivation, redexes: list) -> Redex:
-    best_class = min(_PRIORITY[r.kind] for r in redexes)
-    pool = [r for r in redexes if _PRIORITY[r.kind] == best_class]
-    if best_class == 1:
-        # highest grade whose premise subtrees hold no equally-high maximal
-        # formula; ties innermost then leftmost
-        graded = [(grade(d.at(r.path).premises[0].conclusion), r) for r in pool]
-        eligible = []
-        for g, r in graded:
-            above = r.path + (0,)
-            dominated = any(
-                g2 >= g and r2.path[:len(above)] == above and r2 is not r
-                for g2, r2 in graded)
-            if not dominated:
-                eligible.append((g, r))
-        top = max(g for g, _ in eligible)
-        candidates = [r for g, r in eligible if g == top]
-        return min(candidates, key=lambda r: (-len(r.path), r.path))
-    return min(pool, key=lambda r: r.path)
+def _priority(r: Redex, n: Derivation) -> tuple:
+    """Sort key of redex ``r`` at node ``n``; the driver reduces the least.
+
+    Within a class the leftmost site (least path) goes first, except for
+    maximal formulas: there it is the highest grade, then the innermost
+    site, then the leftmost.  That is exactly "the highest grade having no
+    equally-high maximal formula above it": an innermost maximal formula of
+    the highest grade has none above it, as any would be deeper still."""
+    cls = _PRIORITY[r.kind]
+    if cls == 1:
+        return (1, -grade(n.premises[0].conclusion), -len(r.path), r.path)
+    return (cls, 0, 0, r.path)
+
+
+class _RedexIndex:
+    """The redexes of a tree, kept current across ``replace_at`` by
+    rescanning only the replaced subtree and the two nodes above it.
+
+    ``sites`` lists the paths holding redexes in lexicographic order, so a
+    subtree's sites form one slice; ``live`` maps each such path to its
+    redexes; ``heap`` orders the redexes by ``_priority`` and drops stale
+    entries lazily."""
+
+    def __init__(self, d: Derivation):
+        self.live: dict = {}
+        self.heap: list = []
+        self._seq = itertools.count()
+        self.sites = self._scan(d, ())
+
+    def _scan(self, t: Derivation, base: tuple) -> list:
+        """Index the redexes of subtree ``t`` at ``base``; returns their
+        paths in order."""
+        found = []
+        for path, n in t.walk(base):
+            rs = self._add(n, path)
+            if rs:
+                found.append(path)
+        return found
+
+    def _add(self, n: Derivation, path: tuple) -> list:
+        rs = _node_redexes(n, path)
+        if rs:
+            self.live[path] = rs
+            for r in rs:
+                heapq.heappush(self.heap, (_priority(r, n), next(self._seq), r))
+        return rs
+
+    def _is_live(self, r: Redex) -> bool:
+        return any(x is r for x in self.live.get(r.path, ()))
+
+    def first(self) -> Redex | None:
+        heap = self.heap
+        while heap:
+            r = heap[0][2]
+            if self._is_live(r):
+                return r
+            heapq.heappop(heap)
+        return None
+
+    def replaced(self, d: Derivation, path: tuple, new: Derivation) -> None:
+        """Update for ``d``, in which the subtree at ``path`` is now ``new``."""
+        sites = self.sites
+        lo = bisect.bisect_left(sites, path)
+        if path:
+            hi = bisect.bisect_left(sites, path[:-1] + (path[-1] + 1,), lo)
+        else:
+            hi = len(sites)
+        for p in sites[lo:hi]:
+            del self.live[p]
+        sites[lo:hi] = self._scan(new, path)
+        for anc in (path[:-1], path[:-2])[:len(path)]:
+            if self.live.pop(anc, None) is not None:
+                del sites[bisect.bisect_left(sites, anc)]
+            if self._add(d.at(anc), anc):
+                bisect.insort(sites, anc)
+        if len(self.heap) > 4 * len(sites) + 64:
+            self.heap = [e for e in self.heap if self._is_live(e[2])]
+            heapq.heapify(self.heap)
+
+
+def _drive(d: Derivation, bound: int | None, last_class: int,
+           trace=None) -> Derivation:
+    """Reduce the least redex of class at most ``last_class`` until none is
+    left.  One marker and one label generator serve the whole run: what
+    they hand out is new to the tree at every step."""
+    limit = step_bound() if bound is None else bound
+    index = _RedexIndex(d)
+    mgen = MarkerGen(all_markers(d))
+    lgen = LabelGen(all_labels(d))
+    nodes = d.node_count() if trace is not None else 0
+    steps = 0
+    while True:
+        r = index.first()
+        if r is None or _PRIORITY[r.kind] > last_class:
+            return d
+        if steps >= limit:
+            raise NonTermination(steps)
+        old = d.at(r.path)
+        new = _rewrite(old, r.kind, mgen, lgen)
+        d = replace_at(d, r.path, new)
+        index.replaced(d, r.path, new)
+        steps += 1
+        if trace is not None:
+            nodes += new.node_count() - old.node_count()
+            trace.append({
+                "step": steps,
+                "kind": r.kind,
+                "detail": r.detail,
+                "site": list(r.path),
+                "nodes": nodes,
+            })
 
 
 def restrict(d: Derivation, bound: int | None = None) -> Derivation:
     """Rewrite until every falsum-rule conclusion is atomic (and never the
     relational falsum), and every mon is a positional application to an
     atomic major premise."""
-    limit = step_bound() if bound is None else bound
-    steps = 0
-    while True:
-        redexes = [r for r in find_redexes(d) if r.kind.startswith("Unrestricted")]
-        if not redexes:
-            return d
-        if steps >= limit:
-            raise NonTermination(steps)
-        d = reduce_step(d, min(redexes, key=lambda r: r.path))
-        steps += 1
+    return _drive(d, bound, 0)
 
 
 def normalize(d: Derivation, bound: int | None = None, trace=None) -> Derivation:
     """Full pipeline: expand derived rules, restrict, then reduce to normal
-    form under the deterministic strategy."""
+    form under the deterministic strategy.  ``trace`` is anything with an
+    ``append`` method; it gets one record per step as the step happens."""
     from .kernel import expand_derived
-    limit = step_bound() if bound is None else bound
-    d = expand_derived(d)
-    steps = 0
-    while True:
-        redexes = find_redexes(d)
-        if not redexes:
-            return d
-        if steps >= limit:
-            raise NonTermination(steps)
-        r = _select(d, redexes)
-        d = reduce_step(d, r)
-        steps += 1
-        if trace is not None:
-            trace.append({
-                "step": steps,
-                "kind": r.kind,
-                "detail": r.detail,
-                "site": list(r.path),
-                "nodes": d.node_count(),
-            })
+    return _drive(expand_derived(d), bound, max(_PRIORITY.values()), trace)
 
 
 @dataclass(frozen=True)

@@ -107,3 +107,75 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["check", str(bad)]) == 4
     missing = tmp_path / "missing.json"
     assert main(["check", str(missing)]) == 4
+
+
+def _nested_detours_file(tmp_path, k):
+    """k identity detours on ``x : p``, nested through the minor premise."""
+    tree = {"rule": "assume", "conclusion": "x : p"}
+    for m in range(1, k + 1):
+        tree = {"rule": "imp_e", "conclusion": "x : p", "premises": [
+            {"rule": "imp_i", "conclusion": "x : p -> p", "discharges": [m],
+             "premises": [{"rule": "assume", "conclusion": "x : p",
+                           "marker": m}]},
+            tree]}
+    path = tmp_path / "detours.json"
+    path.write_text(json.dumps(tree))
+    return str(path)
+
+
+def test_normalize_trace_streams_before_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TENSEPROOF_STEP_BOUND", "2")
+    assert main(["normalize", _nested_detours_file(tmp_path, 4), "--trace"]) == 2
+    records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [r["step"] for r in records] == [1, 2]
+
+
+def test_normalize_trace_then_normal_form(tmp_path, capsys):
+    assert main(["normalize", _nested_detours_file(tmp_path, 3), "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(l)["step"] for l in lines[:3]] == [1, 2, 3]
+    assert json.loads("\n".join(lines[3:])) == {"rule": "assume",
+                                                "conclusion": "x : p"}
+
+
+def _check_text(tmp_path, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return main(["check", str(path)])
+
+
+def test_top_level_array_is_an_input_error(tmp_path):
+    assert _check_text(tmp_path, [{"rule": "assume", "conclusion": "x : p"}]) == 4
+
+
+def test_discharges_must_be_a_list(tmp_path):
+    assert _check_text(tmp_path, {
+        "rule": "imp_i", "conclusion": "x : p -> p", "discharges": 5,
+        "premises": [{"rule": "assume", "conclusion": "x : p", "marker": 5}]}) == 4
+
+
+def test_discharged_markers_must_be_ints(tmp_path, capsys):
+    assert _check_text(tmp_path, {
+        "rule": "imp_i", "conclusion": "x : p -> p", "discharges": ["1"],
+        "premises": [{"rule": "assume", "conclusion": "x : p", "marker": 1}]}) == 4
+    assert "theorem" not in capsys.readouterr().out
+
+
+def test_node_fields_must_have_their_types(tmp_path):
+    leaf = {"rule": "assume", "conclusion": "x : p"}
+    assert _check_text(tmp_path, {**leaf, "marker": "1"}) == 4
+    assert _check_text(tmp_path, {**leaf, "marker": True}) == 4
+    assert _check_text(tmp_path, {**leaf, "fresh": 3}) == 4
+    assert _check_text(tmp_path, {**leaf, "position": 1.0}) == 4
+    assert _check_text(tmp_path, {**leaf, "conclusion": 7}) == 4
+    assert _check_text(tmp_path, {**leaf, "premises": {"rule": "assume"}}) == 4
+    assert _check_text(tmp_path, {"rule": "imp_e", "conclusion": "x : p",
+                                  "premises": [3, leaf]}) == 4
+
+
+def test_world_bounds_must_be_positive(g3_file, capsys):
+    assert main(["valid", "x : p -> p", "--max-worlds", "-3"]) == 4
+    assert main(["valid", "x : p -> p", "--max-worlds", "0"]) == 4
+    assert main(["corpus", "g1", "--max-worlds", "-2"]) == 4
+    assert main(["check", g3_file, "--probe", "-2"]) == 4
+    assert capsys.readouterr().out == ""

@@ -3,15 +3,17 @@ import random
 import pytest
 
 from helpers import DerivationGen
-from tenseproof.derivation import assume, node
-from tenseproof.kernel import check, open_assumptions
+from tenseproof.derivation import (
+    all_labels, all_markers, assume, node, replace_at,
+)
+from tenseproof.kernel import _expand_entity, check, expand_derived, open_assumptions
 from tenseproof.normalize import (
-    NonTermination, RedexStale, canonical_form, find_redexes, is_normal,
-    normalize, reduce_step, restrict,
+    NonTermination, RedexStale, _RedexIndex, canonical_form, find_redexes,
+    is_normal, normalize, reduce_step, restrict,
 )
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import KL
-from tenseproof.syntax import Empty, core_eq
+from tenseproof.syntax import Empty, core_eq, grade
 
 E = Empty()
 
@@ -349,3 +351,217 @@ def test_nested_detours_all_eliminated():
     assert is_normal(nf).normal
     assert check(nf, KL).ok
     assert nf == assume(pl("x : p"))
+
+
+# ---------------------------------------------------------------------------
+# The indexed driver against a full-rescan reference
+
+_REFERENCE_CLASS = {
+    "UnrestrictedRAA": 0, "UnrestrictedMon": 0, "MaximalFormula": 1,
+    "MonDisorder": 2, "RedundantMon": 3, "RedundantFalsum": 4,
+}
+
+
+def _reference_select(d, redexes):
+    """The strategy spelled out: least class; among maximal formulas the
+    highest grade with no equally-high one above, innermost then leftmost;
+    otherwise leftmost."""
+    best = min(_REFERENCE_CLASS[r.kind] for r in redexes)
+    pool = [r for r in redexes if _REFERENCE_CLASS[r.kind] == best]
+    if best != 1:
+        return min(pool, key=lambda r: r.path)
+    graded = [(grade(d.at(r.path).premises[0].conclusion), r) for r in pool]
+    eligible = []
+    for g, r in graded:
+        above = r.path + (0,)
+        if not any(g2 >= g and r2.path[:len(above)] == above and r2 is not r
+                   for g2, r2 in graded):
+            eligible.append((g, r))
+    top = max(g for g, _ in eligible)
+    return min((r for g, r in eligible if g == top),
+               key=lambda r: (-len(r.path), r.path))
+
+
+def _reference_run(d, restrict_only=False):
+    """Rescan the whole tree before every step; returns (tree, trace)."""
+    trace = []
+    while True:
+        redexes = find_redexes(d)
+        if restrict_only:
+            redexes = [r for r in redexes if r.kind.startswith("Unrestricted")]
+        if not redexes:
+            return d, trace
+        r = _reference_select(d, redexes)
+        d = reduce_step(d, r)
+        trace.append({"step": len(trace) + 1, "kind": r.kind,
+                      "detail": r.detail, "site": list(r.path),
+                      "nodes": d.node_count()})
+
+
+def _assert_same_as_reference(d):
+    expected, expected_trace = _reference_run(expand_derived(d))
+    trace = []
+    nf = normalize(d, trace=trace)
+    assert trace == expected_trace
+    assert canonical_form(nf) == canonical_form(expected)
+    assert is_normal(nf).normal
+    expected_r, _ = _reference_run(d, restrict_only=True)
+    assert canonical_form(restrict(d)) == canonical_form(expected_r)
+    return len(trace)
+
+
+def _nested_imp(k, formulas, through_body):
+    """k detours nested in the body of the next one, ``F -> p`` applied to
+    ``x : F`` with F cycling through ``formulas`` so that the grades differ
+    from level to level; or k identity detours ``p -> p``, each nested in
+    the minor premise of the next one."""
+    a = pl("x : p")
+    d = assume(a, 1)
+    for i in range(k):
+        f = formulas[i % len(formulas)]
+        m = i + 2
+        if through_body:
+            intro = node("imp_i", pl(f"x : ({f}) -> p"), d, discharges={m})
+            d = node("imp_e", a, intro, assume(pl(f"x : {f}"), 1000 + i))
+        else:
+            intro = node("imp_i", pl("x : p -> p"), assume(a, m), discharges={m})
+            d = node("imp_e", a, intro, d)
+    return d
+
+
+def _nested_temporal(k, op):
+    """k nested ``g_i/g_e`` (or ``h_i/h_e``) detours closed by one more
+    elimination."""
+    rule_i, rule_e = f"{op}_i", f"{op}_e"
+    boxed = pl(f"x : {op.upper()} p")
+    d = assume(boxed, 1)
+    for i in range(k):
+        y = f"y{i}"
+        rel = pr(f"x < {y}") if op == "g" else pr(f"{y} < x")
+        inner = node(rule_e, pl(f"{y} : p"), d, assume(rel, i + 2))
+        d = node(rule_i, boxed, inner, discharges={i + 2}, fresh=y)
+    rel = pr("x < z") if op == "g" else pr("z < x")
+    return node(rule_e, pl("z : p"), d, assume(rel, 999))
+
+
+def _mon_chain(k, disorder):
+    """k mon steps: alternating positions 2, 1, ... on ``l0 < r0`` (every
+    adjacent pair out of order), or renamings of ``l0 : p`` (every adjacent
+    pair redundant)."""
+    if disorder:
+        left, right = "l0", "r0"
+        d = assume(pr("l0 < r0"), 1)
+        for i in range(1, k + 1):
+            if i % 2:
+                d = node("mon", pr(f"{left} < r{i}"), d,
+                         assume(pr(f"{right} = r{i}"), i + 1), position=2)
+                right = f"r{i}"
+            else:
+                d = node("mon", pr(f"l{i} < {right}"), d,
+                         assume(pr(f"{left} = l{i}"), i + 1), position=1)
+                left = f"l{i}"
+        return d
+    d = assume(pl("l0 : p"), 1)
+    for i in range(1, k + 1):
+        d = node("mon", pl(f"l{i} : p"), d, assume(pr(f"l{i - 1} = l{i}"), i + 1),
+                 position=1)
+    return d
+
+
+def _falsum_chain(k):
+    """k falsum rules in the repeating order uf1, uf2, raa_bot."""
+    d = assume(pl("x0 : false"))
+    for i in range(1, k):
+        if i % 3 == 1:
+            d = node("uf1", E, d)
+        else:
+            d = node("uf2" if i % 3 == 2 else "raa_bot", pl(f"x{i} : false"), d)
+    if d.rule == "uf1":
+        d = node("uf2", pl(f"x{k} : false"), d)
+    return node("raa_bot", pl("z : p"), d)
+
+
+def test_driver_matches_reference_on_corpus():
+    from tenseproof.corpus import corpus_entries
+    for entry in corpus_entries():
+        _assert_same_as_reference(entry.derivation)
+
+
+def test_driver_matches_reference_on_families():
+    trees = [_nested_imp(k, ["q", "q -> q", "G q", "q"], body)
+             for k in (1, 4, 9) for body in (True, False)]
+    trees += [_nested_temporal(k, op) for k in (1, 5) for op in ("g", "h")]
+    trees += [_mon_chain(k, dis) for k in (3, 8) for dis in (True, False)]
+    trees += [_falsum_chain(k) for k in (4, 11, 20)]
+    for d in trees:
+        assert check(d, KL).ok
+        assert _assert_same_as_reference(d) > 0
+
+
+def test_driver_matches_reference_on_random_trees():
+    gen = DerivationGen(random.Random(99))
+    steps = sum(_assert_same_as_reference(gen.derivation()) for _ in range(200))
+    assert steps > 200
+
+
+def _assert_index_current(index, d):
+    expected = find_redexes(d)
+    assert {r for rs in index.live.values() for r in rs} == set(expected)
+    assert index.sites == sorted({r.path for r in expected})
+    first = index.first()
+    if expected:
+        assert first == _reference_select(d, expected)
+    else:
+        assert first is None
+
+
+def _replace_and_check(index, d, path, new):
+    d = replace_at(d, path, new)
+    index.replaced(d, path, new)
+    _assert_index_current(index, d)
+    return d
+
+
+def test_index_follows_any_replacement():
+    # the index must stay exact even when a replacement changes what the
+    # node two levels above it sees (a reduction never does)
+    base = assume(pl("x : p"))
+    m1 = node("mon", pl("y : p"), base, assume(pr("x = y")), position=1)
+    m2 = node("mon", pl("z : p"), m1, assume(pr("y = z")), position=1)
+    d = m2
+    index = _RedexIndex(d)
+    _assert_index_current(index, d)
+    assert [r.kind for r in find_redexes(d)] == ["RedundantMon"]
+    d = _replace_and_check(index, d, (0, 0), assume(pl("x : G p")))
+    assert [r.kind for r in find_redexes(d)] == ["UnrestrictedMon"]
+    d = _replace_and_check(index, d, (0, 0), base)
+    d = _replace_and_check(index, d, (0, 1), assume(pr("x = w")))
+    d = _replace_and_check(index, d, (), g_detour())
+
+    # random grafts of subtrees whose conclusions have the same shape
+    rng = random.Random(5)
+    gen = DerivationGen(rng)
+    trees = [gen.derivation() for _ in range(30)]
+    shape = lambda t: type(_expand_entity(t.conclusion))
+    parts = [t for d in trees for _, t in d.walk()]
+    for d in trees:
+        index = _RedexIndex(d)
+        for _ in range(8):
+            path, old = rng.choice(list(d.walk()))
+            new = rng.choice([t for t in parts if shape(t) is shape(old)])
+            d = _replace_and_check(index, d, path, new)
+
+
+def test_deep_tree_traversal():
+    # 3000 nested detours, each through the minor premise of the next
+    a = pl("x : p")
+    d = assume(a, 1)
+    for i in range(3000):
+        m = i + 2
+        d = node("imp_e", a, node("imp_i", pl("x : p -> p"), assume(a, m),
+                                  discharges={m}), d)
+    assert sum(1 for _ in d.walk()) == 3 * 3000 + 1
+    assert len(find_redexes(d)) == 3000
+    assert not is_normal(d).normal
+    assert all_labels(d) == {"x"}
+    assert all_markers(d) == set(range(1, 3002))
