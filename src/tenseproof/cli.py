@@ -58,7 +58,7 @@ def cmd_check(args) -> int:
     if not report.ok:
         return EXIT_CHECK
     if args.probe:
-        probe = soundness_probe(d, args.probe, profile)
+        probe = soundness_probe(report, args.probe, profile)
         print(f"probe({args.probe}): {probe.status}")
         if probe.status == "FAIL":
             print(json.dumps(probe.countermodel.to_json()))

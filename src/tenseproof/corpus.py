@@ -112,7 +112,7 @@ def run_entry(entry: CorpusEntry, max_worlds: int = 4) -> EntryResult:
         stages["normal_form"] = stages["tracks"] = stages["audit"] = "FAIL:unchecked"
 
     if report.ok:
-        probe = soundness_probe(entry.derivation, max_worlds, entry.profile)
+        probe = soundness_probe(report, max_worlds, entry.profile)
         stages["probe"] = probe.status if probe.status != "FAIL" \
             else "FAIL:countermodel"
     else:

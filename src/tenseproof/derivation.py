@@ -143,10 +143,6 @@ class MarkerGen:
         return m
 
 
-def leaves_with_marker(d: Derivation, marker: int) -> list:
-    return [p for p, n in d.walk() if n.is_assumption() and n.marker == marker]
-
-
 def substitute_label_deriv(d: Derivation, new: str, old: str) -> Derivation:
     """Apply a label substitution to every formula in the tree."""
     if new == old:
@@ -259,19 +255,3 @@ def dump(d: Derivation, path: str) -> None:
         json.dump(to_json(d), fh, indent=1)
         fh.write("\n")
 
-
-def pretty(d: Derivation, indent: int = 0) -> str:
-    """Indented text rendering of a proof tree."""
-    pad = "  " * indent
-    bits = [d.rule]
-    if d.marker is not None:
-        bits.append(f"[{d.marker}]")
-    if d.discharges:
-        bits.append("discharges " + ",".join(map(str, sorted(d.discharges))))
-    if d.fresh:
-        bits.append(f"fresh {d.fresh}")
-    head = f"{pad}{parser.render(d.conclusion)}   ({' '.join(bits)})"
-    lines = [head]
-    for p in d.premises:
-        lines.append(pretty(p, indent + 1))
-    return "\n".join(lines)

@@ -3,16 +3,29 @@
 ``check`` validates a derivation tree node by node: premise/conclusion
 patterns, discharge bookkeeping, freshness side conditions, and profile
 gating for axiom rules.  It never raises on a bad proof; it collects
-violations with node paths.  ``expand_derived`` rewrites every derived-rule
-node into its core template, preserving conclusion and open assumptions.
+violations with node paths.
+
+Each derived rule is stated once, as an expander that rewrites its node
+into a core template.  ``expand_derived`` applies the expanders to the whole
+tree, preserving conclusion and open assumptions.  ``check`` validates a
+derived node through the same expander: it runs it over stand-ins for the
+premises and checks the template's core nodes, reporting every violation at
+the derived node.  A node whose formulas lack the shape its rule needs is a
+``PatternMismatch``.
+
+The checker is one iterative post-order pass.  It computes each subtree's
+open leaves once (a leaf is closed by any ancestor naming its marker); the
+freshness conditions, the stand-ins and the report's open context all read
+that result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .derivation import (
-    Derivation, MarkerGen, all_markers, assume, map_leaves, node,
+    Derivation, MarkerGen, all_markers, assume, map_leaves, node, replace_at,
 )
 from .rules import KL, RULES, LogicProfile
 from .syntax import (
@@ -55,28 +68,59 @@ class CheckReport:
 def open_assumptions(d: Derivation) -> ProofContext:
     """Leaf formulas whose markers are never discharged on their root path,
     split into labeled and relational parts (set semantics)."""
+    return _context(_open_fold(d))
+
+
+def _context(opens) -> ProofContext:
     gamma, delta = set(), set()
-    for path in _open_leaf_paths(d):
-        c = d.at(path).conclusion
-        if isinstance(c, Lwff):
-            gamma.add(c)
-        else:
-            delta.add(c)
+    for _, leaf in opens:
+        c = leaf.conclusion
+        (gamma if isinstance(c, Lwff) else delta).add(c)
     return ProofContext.make(gamma, delta)
 
 
-def _open_leaf_paths(d: Derivation, prefix: tuple = ()) -> set:
-    if d.is_assumption():
-        return {prefix}
-    opens: set = set()
-    for i, p in enumerate(d.premises):
-        opens |= _open_leaf_paths(p, prefix + (i,))
-    if d.discharges:
-        def live(path: tuple) -> bool:
-            leaf = d.at(path[len(prefix):])
-            return leaf.marker not in d.discharges
-        opens = {p for p in opens if live(p)}
-    return opens
+# rule of the node standing in for premise ``marker`` of a derived node
+# while its template is checked; no rule name can equal it
+_STANDIN = object()
+
+
+def _post_order(d: Derivation):
+    """Yield ``(path, node)`` pairs, premises left to right before their
+    node; stand-ins are not entered."""
+    stack = [((), d, False)]
+    while stack:
+        path, n, ready = stack.pop()
+        if ready or not n.premises or n.rule == _STANDIN:
+            yield path, n
+            continue
+        stack.append((path, n, True))
+        for i in range(len(n.premises) - 1, -1, -1):
+            stack.append((path + (i,), n.premises[i], False))
+
+
+def _open_fold(d: Derivation, visit=None, standins=()) -> list:
+    """The open leaves of ``d`` as ``(path, leaf)`` pairs.  Each subtree's
+    open leaves are computed once, bottom-up; ``visit(path, node, below)``
+    sees every node with the open leaves of each of its premises.  A
+    stand-in's open leaves are ``standins[stand-in.marker]``."""
+    done: list = []
+    for path, n in _post_order(d):
+        if n.rule == _STANDIN:
+            done.append(standins[n.marker])
+            continue
+        k = len(n.premises)
+        below = done[len(done) - k:]
+        del done[len(done) - k:]
+        if visit is not None:
+            visit(path, n, below)
+        if n.is_assumption():
+            opens = [(path, n)]
+        else:
+            opens = below[0] if k == 1 else list(chain.from_iterable(below))
+            if n.discharges:
+                opens = [e for e in opens if e[1].marker not in n.discharges]
+        done.append(opens)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -93,69 +137,6 @@ def match_instantiation(body, var, target):
     for w in sorted(candidates):
         if core_eq(substitute_label(body, w, var), target):
             return w
-    return None
-
-
-def _and_parts(core):
-    if (isinstance(core, Implies) and isinstance(core.right, Falsum)
-            and isinstance(core.left, Implies)
-            and isinstance(core.left.right, Implies)
-            and isinstance(core.left.right.right, Falsum)):
-        return core.left.left, core.left.right.left
-    return None
-
-
-def _or_parts(core):
-    if (isinstance(core, Implies) and isinstance(core.left, Implies)
-            and isinstance(core.left.right, Falsum)):
-        return core.left.left, core.right
-    return None
-
-
-def _f_part(core):
-    if (isinstance(core, Implies) and isinstance(core.right, Falsum)
-            and isinstance(core.left, G) and isinstance(core.left.body, Implies)
-            and isinstance(core.left.body.right, Falsum)):
-        return core.left.body.left
-    return None
-
-
-def _p_part(core):
-    if (isinstance(core, Implies) and isinstance(core.right, Falsum)
-            and isinstance(core.left, H) and isinstance(core.left.body, Implies)
-            and isinstance(core.left.body.right, Falsum)):
-        return core.left.body.left
-    return None
-
-
-def _x_part(core):
-    if isinstance(core, X):
-        return core.body
-    return None
-
-
-def _rand_parts(core):
-    if (isinstance(core, RImplies) and isinstance(core.right, Empty)
-            and isinstance(core.left, RImplies)
-            and isinstance(core.left.right, RImplies)
-            and isinstance(core.left.right.right, Empty)):
-        return core.left.left, core.left.right.left
-    return None
-
-
-def _ror_parts(core):
-    if (isinstance(core, RImplies) and isinstance(core.left, RImplies)
-            and isinstance(core.left.right, Empty)):
-        return core.left.left, core.right
-    return None
-
-
-def _exists_parts(core):
-    if (isinstance(core, RImplies) and isinstance(core.right, Empty)
-            and isinstance(core.left, Forall)
-            and isinstance(core.left.body, RImplies)
-            and isinstance(core.left.body.right, Empty)):
-        return core.left.var, core.left.body.left
     return None
 
 
@@ -205,67 +186,75 @@ def _expand_entity(c):
 def check(d: Derivation, profile: LogicProfile = KL) -> CheckReport:
     violations: list[Violation] = []
     marker_leaves: dict[int, list] = {}
+    dischargers: set = set()
     for path, n in d.walk():
         if n.is_assumption() and n.marker is not None:
-            marker_leaves.setdefault(n.marker, []).append(path)
-
-    dischargers: dict[int, tuple] = {}
-    for path, n in d.walk():
+            marker_leaves.setdefault(n.marker, []).append((path, n))
         for m in n.discharges:
             if m in dischargers:
                 violations.append(Violation(
                     path, "BadDischarge",
                     f"marker {m} already discharged at another node"))
             else:
-                dischargers[m] = path
+                dischargers.add(m)
 
-    checker = _Checker(d, profile, violations, marker_leaves)
-    checker.visit((), d)
-
-    open_ctx = open_assumptions(d)
+    top = max(chain(marker_leaves, dischargers), default=0)
+    checker = _Checker(profile, violations, marker_leaves, top)
+    open_ctx = _context(_open_fold(d, checker.visit))
     ok = not violations
     return CheckReport(tuple(violations), open_ctx, d.conclusion,
                        ok and open_ctx.is_empty())
 
 
 class _Checker:
-    def __init__(self, root, profile, violations, marker_leaves):
-        self.root = root
+    """Validates nodes one at a time.  ``marker_leaves`` maps each marker to
+    the ``(path, leaf)`` pairs of its leaves, path ``None`` for a leaf
+    outside the tree being checked.  The checker of a derived node's
+    template reports every violation at that node's path ``at``; a leaf of
+    one of the template's ``own`` markers that does not fit is a
+    ``PatternMismatch``, because the node's formulas do not fit its rule."""
+
+    def __init__(self, profile, violations, marker_leaves, top=0,
+                 at=None, own=frozenset()):
         self.profile = profile
         self.violations = violations
         self.marker_leaves = marker_leaves
+        # the markers a template makes lie above ``top``, every marker of
+        # the tree, so none closes a leaf of the tree by accident
+        self.top = top
+        self.at = at
+        self.own = own
+        self.below = ()      # open leaves of each premise of the node at hand
 
     def bad(self, path, kind, message):
+        if self.at is not None:
+            path, message = self.at, f"in the core expansion: {message}"
         self.violations.append(Violation(path, kind, message))
 
     # -- traversal -----------------------------------------------------
 
-    def visit(self, path, n) -> frozenset:
-        """Validate the subtree and return its open leaf paths."""
-        opens = frozenset()
-        for i, p in enumerate(n.premises):
-            opens |= self.visit(path + (i,), p)
-
+    def visit(self, path, n, below) -> None:
+        """Validate one node; ``below`` holds its premises' open leaves."""
         if n.is_assumption():
             if n.premises:
                 self.bad(path, "StructuralError", "assumption with premises")
             if n.discharges or n.fresh is not None or n.position is not None:
                 self.bad(path, "StructuralError",
                          "assumption carries rule annotations")
-            return frozenset({path})
+            return
 
         schema = RULES.get(n.rule)
         if schema is None:
             self.bad(path, "StructuralError", f"unknown rule {n.rule!r}")
-            return opens
+            return
         if len(n.premises) != schema.n_premises:
             self.bad(path, "StructuralError",
                      f"{n.rule} takes {schema.n_premises} premises, "
                      f"got {len(n.premises)}")
-            return opens
+            return
         if n.marker is not None:
             self.bad(path, "StructuralError", "marker on a non-assumption node")
-        if (n.fresh is None) != (schema.fresh_spec is None):
+        if (n.fresh is None) == schema.fresh:
             what = "missing" if n.fresh is None else "unexpected"
             self.bad(path, "StructuralError", f"{what} fresh label on {n.rule}")
         if n.discharges and not schema.discharging:
@@ -276,37 +265,75 @@ class _Checker:
             self.bad(path, "AxiomNotInProfile",
                      f"{n.rule} needs profile extra '{schema.requires}'")
 
+        if schema.kind != "derived":
+            self.core(path, n, below)
+            return
+        # a missing fresh label is reported above and leaves no template
+        checked = ((n.fresh is not None or not schema.fresh)
+                   and self._template(path, n, below))
+        if not (checked and schema.discharging):
+            # no template discharges the markers this node names
+            self._check_discharges(path, n, {})
+
+    def core(self, path, n, below) -> None:
+        """Validate a core node (or a leaf) against its rule."""
+        self.below = below
         validator = getattr(self, f"rule_{n.rule}", None)
-        allowed = {}
-        if validator is not None:
-            allowed = validator(path, n) or {}
+        allowed = validator(path, n) if validator is not None else None
+        self._check_discharges(path, n, allowed or {})
 
-        discharged_here = self._check_discharges(path, n, allowed)
-        return opens - discharged_here
-
-    def _check_discharges(self, path, n, allowed) -> frozenset:
-        """Validate markers named at ``n``; return leaf paths they close."""
-        closed: set = set()
+    def _template(self, path, n, below) -> bool:
+        """Check derived node ``n`` through its core template.  Stand-ins
+        for the premises carry their conclusions and, as premises, the
+        leaves under them that ``n`` discharges; the template's core nodes
+        are then checked as usual.  False when ``n`` lacks the shape its
+        rule needs."""
+        depth = len(path)
+        held: list = [[] for _ in n.premises]
+        index: dict = {}
         for m in sorted(n.discharges):
-            for leaf_path in self.marker_leaves.get(m, []):
-                ok_premise = False
-                for i, patterns in allowed.items():
-                    if leaf_path[:len(path) + 1] == path + (i,):
-                        ok_premise = True
-                        leaf = self.root.at(leaf_path)
-                        if not any(core_eq(leaf.conclusion, pat)
-                                   for pat in patterns):
-                            self.bad(path, "BadDischarge",
-                                     f"marker {m} leaf does not match the "
-                                     f"dischargeable shape of {n.rule}")
-                        break
-                if not ok_premise:
-                    self.bad(path, "BadDischarge",
+            for lp, leaf in self.marker_leaves.get(m, ()):
+                if len(lp) > depth and lp[:depth] == path:
+                    held[lp[depth]].append(leaf)
+                else:
+                    index.setdefault(m, []).append((None, leaf))
+        standins = tuple(Derivation(_STANDIN, p.conclusion, tuple(h), marker=i)
+                         for i, (p, h) in enumerate(zip(n.premises, held)))
+        try:
+            template = _EXPANDERS[n.rule](replace(n, premises=standins),
+                                          MarkerGen((self.top,)))
+        except _Mismatch as exc:
+            self.bad(path, "PatternMismatch", f"{n.rule} needs {exc}")
+            return False
+        own, named = set(), set(n.discharges)
+        for tp, t in template.walk():
+            if t.is_assumption() and t.marker is not None:
+                index.setdefault(t.marker, []).append((tp, t))
+            if t.rule == _STANDIN:
+                named.update(leaf.marker for leaf in t.premises)
+            own |= t.discharges
+        sub = _Checker(self.profile, self.violations, index, at=path,
+                       own=own - named)
+        _open_fold(template, sub.core, below)
+        return True
+
+    def _check_discharges(self, path, n, allowed) -> None:
+        """Every leaf carrying a marker ``n`` discharges must lie in a
+        premise ``allowed`` names and have one of its shapes."""
+        depth = len(path)
+        for m in sorted(n.discharges):
+            kind = "PatternMismatch" if m in self.own else "BadDischarge"
+            for lp, leaf in self.marker_leaves.get(m, ()):
+                inside = lp is not None and len(lp) > depth and lp[:depth] == path
+                patterns = allowed.get(lp[depth]) if inside else None
+                if patterns is None:
+                    self.bad(path, kind,
                              f"marker {m} leaf lies outside the premise "
                              f"{n.rule} may discharge from")
-                else:
-                    closed.add(leaf_path)
-        return frozenset(closed)
+                elif not any(core_eq(leaf.conclusion, pat) for pat in patterns):
+                    self.bad(path, kind,
+                             f"marker {m} leaf does not match the "
+                             f"dischargeable shape of {n.rule}")
 
     def _fresh_ok(self, path, n, y, minor_index, extra_forbidden=()):
         """Freshness: ``y`` differs from the given labels and occurs in no
@@ -317,9 +344,7 @@ class _Checker:
                 self.bad(path, "FreshnessViolation",
                          f"fresh label {y} must differ from {lbl}")
                 return
-        base = path + (minor_index,)
-        for leaf_path in _open_leaf_paths(n.premises[minor_index], base):
-            leaf = self.root.at(leaf_path)
+        for leaf_path, leaf in self.below[minor_index]:
             if leaf.marker is not None and leaf.marker in n.discharges:
                 continue
             concl = leaf.conclusion
@@ -558,256 +583,10 @@ class _Checker:
             self.bad(path, "PatternMismatch", "uf2 concludes falsum at some label")
         return {}
 
-    # -- derived labeled rules ---------------------------------------------
-
-    def rule_not_i(self, path, n):
-        allowed = self.rule_imp_i(path, n)
-        core = _xf(n.conclusion) if isinstance(n.conclusion, Lwff) else None
-        if isinstance(core, Implies) and not isinstance(core.right, Falsum):
-            self.bad(path, "PatternMismatch", "not_i concludes a negation")
-        return allowed
-
-    def rule_not_e(self, path, n):
-        self.rule_imp_e(path, n)
-        if isinstance(n.conclusion, Lwff) and not isinstance(_xf(n.conclusion), Falsum):
-            self.bad(path, "PatternMismatch", "not_e concludes falsum")
-        return {}
-
-    def _binary_shape(self, path, n, source, extractor, what):
-        """Extract (A, B) from the expanded ``source`` conclusion."""
-        parts = extractor(_xf(source) if isinstance(source, Lwff) else expand(source))
-        if parts is None:
-            self.bad(path, "PatternMismatch", f"{n.rule} needs a {what} shape")
-        return parts
-
-    def rule_and_i(self, path, n):
-        c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not all(self._lwff(path, v, r) for v, r in
-                   [(c, "conclusion"), (p0, "first premise"), (p1, "second premise")]):
-            return {}
-        parts = self._binary_shape(path, n, c, _and_parts, "conjunction")
-        if parts is None:
-            return {}
-        a, b = parts
-        if not (p0.label == p1.label == c.label
-                and core_eq(p0.formula, a) and core_eq(p1.formula, b)):
-            self.bad(path, "PatternMismatch", "and_i premises must be the conjuncts")
-        return {}
-
-    def _and_elim(self, path, n, pick):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._lwff(path, c, "conclusion") and self._lwff(path, p0, "premise")):
-            return {}
-        parts = self._binary_shape(path, n, p0, _and_parts, "conjunction")
-        if parts is None:
-            return {}
-        if c.label != p0.label or not core_eq(c.formula, pick(parts)):
-            self.bad(path, "PatternMismatch", f"{n.rule} conclusion must be a conjunct")
-        return {}
-
-    def rule_and_e1(self, path, n):
-        return self._and_elim(path, n, lambda ab: ab[0])
-
-    def rule_and_e2(self, path, n):
-        return self._and_elim(path, n, lambda ab: ab[1])
-
-    def _or_intro(self, path, n, pick):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._lwff(path, c, "conclusion") and self._lwff(path, p0, "premise")):
-            return {}
-        parts = self._binary_shape(path, n, c, _or_parts, "disjunction")
-        if parts is None:
-            return {}
-        if c.label != p0.label or not core_eq(p0.formula, pick(parts)):
-            self.bad(path, "PatternMismatch", f"{n.rule} premise must be a disjunct")
-        return {}
-
-    def rule_or_i1(self, path, n):
-        return self._or_intro(path, n, lambda ab: ab[0])
-
-    def rule_or_i2(self, path, n):
-        return self._or_intro(path, n, lambda ab: ab[1])
-
-    def rule_or_e(self, path, n):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        p1, p2 = n.premises[1].conclusion, n.premises[2].conclusion
-        if not self._lwff(path, p0, "major premise"):
-            return {}
-        parts = self._binary_shape(path, n, p0, _or_parts, "disjunction")
-        if parts is None:
-            return {}
-        a, b = parts
-        for v, role in [(p1, "first minor"), (p2, "second minor")]:
-            if isinstance(v, Lwff) != isinstance(c, Lwff) or not core_eq(v, c):
-                self.bad(path, "PatternMismatch",
-                         f"or_e {role} premise must conclude the conclusion")
-        return {1: [Lwff(p0.label, a)], 2: [Lwff(p0.label, b)]}
-
-    def _fp_intro(self, path, n, part_of, rel_of):
-        c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not (self._lwff(path, c, "conclusion") and self._lwff(path, p0, "premise")
-                and self._rwff(path, p1, "minor premise")):
-            return {}
-        a = part_of(_xf(c))
-        if a is None:
-            self.bad(path, "PatternMismatch", f"{n.rule} conclusion has the wrong shape")
-            return {}
-        if not core_eq(p0.formula, a):
-            self.bad(path, "PatternMismatch", f"{n.rule} premise must assert the body")
-        if not core_eq(p1, rel_of(c.label, p0.label)):
-            self.bad(path, "PatternMismatch", f"{n.rule} minor premise must relate the labels")
-        return {}
-
-    def rule_f_i(self, path, n):
-        return self._fp_intro(path, n, _f_part, lambda x, y: Less(x, y))
-
-    def rule_p_i(self, path, n):
-        return self._fp_intro(path, n, _p_part, lambda x, y: Less(y, x))
-
-    def _fp_elim(self, path, n, part_of, rel_of):
-        c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not self._lwff(path, p0, "major premise"):
-            return {}
-        a = part_of(_xf(p0))
-        if a is None:
-            self.bad(path, "PatternMismatch", f"{n.rule} major premise has the wrong shape")
-            return {}
-        if isinstance(p1, Lwff) != isinstance(c, Lwff) or not core_eq(p1, c):
-            self.bad(path, "PatternMismatch",
-                     f"{n.rule} minor premise must conclude the conclusion")
-        y = n.fresh
-        if y is None:
-            return {}
-        x = p0.label
-        forbidden = [x]
-        forbidden += ([c.label] if isinstance(c, Lwff) else sorted(labels_of(c)))
-        self._fresh_ok(path, n, y, 1, extra_forbidden=forbidden)
-        return {1: [Lwff(y, a), rel_of(x, y)]}
-
-    def rule_f_e(self, path, n):
-        return self._fp_elim(path, n, _f_part, lambda x, y: Less(x, y))
-
-    def rule_p_e(self, path, n):
-        return self._fp_elim(path, n, _p_part, lambda x, y: Less(y, x))
-
-    # -- derived relational rules -------------------------------------------
-
-    def rule_rnot_i(self, path, n):
-        allowed = self.rule_rimp_i(path, n)
-        core = expand(n.conclusion) if not isinstance(n.conclusion, Lwff) else None
-        if isinstance(core, RImplies) and not isinstance(core.right, Empty):
-            self.bad(path, "PatternMismatch", "rnot_i concludes a relational negation")
-        return allowed
-
-    def rule_rnot_e(self, path, n):
-        self.rule_rimp_e(path, n)
-        if not isinstance(n.conclusion, Lwff) and not isinstance(expand(n.conclusion), Empty):
-            self.bad(path, "PatternMismatch", "rnot_e concludes empty")
-        return {}
-
-    def rule_rand_i(self, path, n):
-        c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not all(self._rwff(path, v, r) for v, r in
-                   [(c, "conclusion"), (p0, "first premise"), (p1, "second premise")]):
-            return {}
-        parts = self._binary_shape(path, n, c, _rand_parts, "relational conjunction")
-        if parts is None:
-            return {}
-        a, b = parts
-        if not (core_eq(p0, a) and core_eq(p1, b)):
-            self.bad(path, "PatternMismatch", "rand_i premises must be the conjuncts")
-        return {}
-
-    def _rand_elim(self, path, n, pick):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._rwff(path, c, "conclusion") and self._rwff(path, p0, "premise")):
-            return {}
-        parts = self._binary_shape(path, n, p0, _rand_parts, "relational conjunction")
-        if parts is None:
-            return {}
-        if not core_eq(c, pick(parts)):
-            self.bad(path, "PatternMismatch", f"{n.rule} conclusion must be a conjunct")
-        return {}
-
-    def rule_rand_e1(self, path, n):
-        return self._rand_elim(path, n, lambda ab: ab[0])
-
-    def rule_rand_e2(self, path, n):
-        return self._rand_elim(path, n, lambda ab: ab[1])
-
-    def _ror_intro(self, path, n, pick):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._rwff(path, c, "conclusion") and self._rwff(path, p0, "premise")):
-            return {}
-        parts = self._binary_shape(path, n, c, _ror_parts, "relational disjunction")
-        if parts is None:
-            return {}
-        if not core_eq(p0, pick(parts)):
-            self.bad(path, "PatternMismatch", f"{n.rule} premise must be a disjunct")
-        return {}
-
-    def rule_ror_i1(self, path, n):
-        return self._ror_intro(path, n, lambda ab: ab[0])
-
-    def rule_ror_i2(self, path, n):
-        return self._ror_intro(path, n, lambda ab: ab[1])
-
-    def rule_ror_e(self, path, n):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        p1, p2 = n.premises[1].conclusion, n.premises[2].conclusion
-        if not self._rwff(path, p0, "major premise"):
-            return {}
-        parts = self._binary_shape(path, n, p0, _ror_parts, "relational disjunction")
-        if parts is None:
-            return {}
-        a, b = parts
-        for v, role in [(p1, "first minor"), (p2, "second minor")]:
-            if isinstance(v, Lwff) != isinstance(c, Lwff) or not core_eq(v, c):
-                self.bad(path, "PatternMismatch",
-                         f"ror_e {role} premise must conclude the conclusion")
-        return {1: [a], 2: [b]}
-
-    def rule_ex_i(self, path, n):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._rwff(path, c, "conclusion") and self._rwff(path, p0, "premise")):
-            return {}
-        parts = _exists_parts(expand(c))
-        if parts is None:
-            self.bad(path, "PatternMismatch", "ex_i concludes an existential")
-            return {}
-        var, body = parts
-        if match_instantiation(body, var, p0) is None:
-            self.bad(path, "PatternMismatch",
-                     "ex_i premise is not an instance of the body")
-        return {}
-
-    def rule_ex_e(self, path, n):
-        c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not self._rwff(path, p0, "major premise"):
-            return {}
-        parts = _exists_parts(expand(p0))
-        if parts is None:
-            self.bad(path, "PatternMismatch", "ex_e major premise must be existential")
-            return {}
-        var, body = parts
-        if isinstance(p1, Lwff) != isinstance(c, Lwff) or not core_eq(p1, c):
-            self.bad(path, "PatternMismatch",
-                     "ex_e minor premise must conclude the conclusion")
-        y = n.fresh
-        if y is None:
-            return {}
-        forbidden = sorted(labels_of(p0))
-        forbidden += ([c.label] if isinstance(c, Lwff) else sorted(labels_of(c)))
-        self._fresh_ok(path, n, y, 1, extra_forbidden=forbidden)
-        return {1: [substitute_label(body, y, var)]}
 
 
 # ---------------------------------------------------------------------------
 # Derived-rule expansion
-
-class ExpansionUnavailable(Exception):
-    pass
-
 
 def expand_derived(d: Derivation) -> Derivation:
     """Replace every derived-rule node by its core template.
@@ -816,22 +595,94 @@ def expand_derived(d: Derivation) -> Derivation:
     input does, and has exactly the same conclusion and open assumptions.
     """
     mgen = MarkerGen(all_markers(d))
-
-    def rec(n: Derivation) -> Derivation:
-        n = replace(n, premises=tuple(rec(p) for p in n.premises))
-        schema = RULES[n.rule]
-        if schema.kind != "derived":
-            return n
-        expander = _EXPANDERS.get(n.rule)
-        if expander is None:
-            raise ExpansionUnavailable(n.rule)
-        return expander(n, mgen)
-
-    return rec(d)
+    done: list = []
+    for _, n in _post_order(d):
+        k = len(n.premises)
+        n = replace(n, premises=tuple(done[len(done) - k:]))
+        del done[len(done) - k:]
+        if RULES[n.rule].kind == "derived":
+            n = _EXPANDERS[n.rule](n, mgen)
+        done.append(n)
+    return done[0]
 
 
-def _conclusion_core(c):
-    return Lwff(c.label, expand(c.formula)) if isinstance(c, Lwff) else expand(c)
+class _Mismatch(Exception):
+    """A derived node's formulas lack the shape its rule needs; the message
+    names the shape."""
+
+
+def _need(ok: bool, what: str) -> None:
+    if not ok:
+        raise _Mismatch(what)
+
+
+def _labeled(c):
+    """Label and expanded formula of a labeled conclusion."""
+    _need(isinstance(c, Lwff), "a labeled formula")
+    return c.label, expand(c.formula)
+
+
+def _relational(c):
+    _need(not isinstance(c, Lwff), "a relational formula")
+    return expand(c)
+
+
+def _and_parts(core):
+    _need(isinstance(core, Implies) and isinstance(core.right, Falsum)
+          and isinstance(core.left, Implies)
+          and isinstance(core.left.right, Implies)
+          and isinstance(core.left.right.right, Falsum), "a conjunction")
+    return core.left.left, core.left.right.left
+
+
+def _or_parts(core):
+    _need(isinstance(core, Implies) and isinstance(core.left, Implies)
+          and isinstance(core.left.right, Falsum), "a disjunction")
+    return core.left.left, core.right
+
+
+def _f_part(core):
+    _need(isinstance(core, Implies) and isinstance(core.right, Falsum)
+          and isinstance(core.left, G) and isinstance(core.left.body, Implies)
+          and isinstance(core.left.body.right, Falsum), "an F-formula")
+    return core.left.body.left
+
+
+def _p_part(core):
+    _need(isinstance(core, Implies) and isinstance(core.right, Falsum)
+          and isinstance(core.left, H) and isinstance(core.left.body, Implies)
+          and isinstance(core.left.body.right, Falsum), "a P-formula")
+    return core.left.body.left
+
+
+def _rand_parts(core):
+    _need(isinstance(core, RImplies) and isinstance(core.right, Empty)
+          and isinstance(core.left, RImplies)
+          and isinstance(core.left.right, RImplies)
+          and isinstance(core.left.right.right, Empty),
+          "a relational conjunction")
+    return core.left.left, core.left.right.left
+
+
+def _ror_parts(core):
+    _need(isinstance(core, RImplies) and isinstance(core.left, RImplies)
+          and isinstance(core.left.right, Empty), "a relational disjunction")
+    return core.left.left, core.right
+
+
+def _exists_parts(core):
+    _need(isinstance(core, RImplies) and isinstance(core.right, Empty)
+          and isinstance(core.left, Forall)
+          and isinstance(core.left.body, RImplies)
+          and isinstance(core.left.body.right, Empty), "an existential")
+    return core.left.var, core.left.body.left
+
+
+def _refutation(c, k: int) -> Derivation:
+    """The leaf assuming the negation of ``c``, with marker ``k``."""
+    if isinstance(c, Lwff):
+        return assume(Lwff(c.label, Implies(c.formula, F_)), k)
+    return assume(RImplies(c, E_), k)
 
 
 def _split_marker_shapes(p1: Derivation, markers, first_shape, mgen):
@@ -848,7 +699,7 @@ def _split_marker_shapes(p1: Derivation, markers, first_shape, mgen):
             fresh_m = mgen()
             for p in match:
                 leaf = tree.at(p)
-                tree = _replace_path(tree, p, replace(leaf, marker=fresh_m))
+                tree = replace_at(tree, p, replace(leaf, marker=fresh_m))
             firsts.add(fresh_m)
             seconds.add(m)
         elif match:
@@ -858,30 +709,33 @@ def _split_marker_shapes(p1: Derivation, markers, first_shape, mgen):
     return tree, firsts, seconds
 
 
-def _replace_path(d, path, new):
-    from .derivation import replace_at
-    return replace_at(d, path, new)
-
-
 def _exp_not_i(n, mgen):
+    core = _labeled(n.conclusion)[1]
+    _need(isinstance(core, Implies) and isinstance(core.right, Falsum),
+          "a negation")
     return replace(n, rule="imp_i")
 
 
 def _exp_not_e(n, mgen):
+    _need(isinstance(_labeled(n.conclusion)[1], Falsum), "falsum")
     return replace(n, rule="imp_e")
 
 
 def _exp_rnot_i(n, mgen):
+    core = _relational(n.conclusion)
+    _need(isinstance(core, RImplies) and isinstance(core.right, Empty),
+          "a relational negation")
     return replace(n, rule="rimp_i")
 
 
 def _exp_rnot_e(n, mgen):
+    _need(isinstance(_relational(n.conclusion), Empty), "empty")
     return replace(n, rule="rimp_e")
 
 
 def _exp_and_i(n, mgen):
-    x = n.conclusion.label
-    a, b = _and_parts(_xf(n.conclusion))
+    x, core = _labeled(n.conclusion)
+    a, b = _and_parts(core)
     m = mgen()
     leaf = assume(Lwff(x, Implies(a, Implies(b, F_))), m)
     t1 = node("imp_e", Lwff(x, Implies(b, F_)), leaf, n.premises[0])
@@ -891,8 +745,8 @@ def _exp_and_i(n, mgen):
 
 def _exp_and_e1(n, mgen):
     p0 = n.premises[0]
-    x = p0.conclusion.label
-    a, b = _and_parts(_xf(p0.conclusion))
+    x, core = _labeled(p0.conclusion)
+    a, b = _and_parts(core)
     m1, m2 = mgen(), mgen()
     leaf_na = assume(Lwff(x, Implies(a, F_)), m1)
     leaf_a = assume(Lwff(x, a), m2)
@@ -905,8 +759,8 @@ def _exp_and_e1(n, mgen):
 
 def _exp_and_e2(n, mgen):
     p0 = n.premises[0]
-    x = p0.conclusion.label
-    a, b = _and_parts(_xf(p0.conclusion))
+    x, core = _labeled(p0.conclusion)
+    a, b = _and_parts(core)
     m1, m2 = mgen(), mgen()
     leaf_nb = assume(Lwff(x, Implies(b, F_)), m1)
     t3 = node("imp_i", Lwff(x, Implies(a, Implies(b, F_))), leaf_nb, discharges={m2})
@@ -915,8 +769,8 @@ def _exp_and_e2(n, mgen):
 
 
 def _exp_or_i1(n, mgen):
-    x = n.conclusion.label
-    a, b = _or_parts(_xf(n.conclusion))
+    x, core = _labeled(n.conclusion)
+    a, b = _or_parts(core)
     m = mgen()
     leaf = assume(Lwff(x, Implies(a, F_)), m)
     t1 = node("imp_e", Lwff(x, F_), leaf, n.premises[0])
@@ -925,18 +779,18 @@ def _exp_or_i1(n, mgen):
 
 
 def _exp_or_i2(n, mgen):
+    _or_parts(_labeled(n.conclusion)[1])
     m = mgen()
     return node("imp_i", n.conclusion, n.premises[0], discharges={m})
 
 
 def _to_empty(t: Derivation, leaf_k: Derivation) -> Derivation:
-    """Continue a minor branch to the relational falsum: labeled conclusions
-    contradict via the k-leaf then export with uf1; relational ones
-    contradict directly."""
-    c = t.conclusion
+    """Continue a minor branch to the relational falsum: against a labeled
+    refutation leaf, contradict then export with uf1; against a relational
+    one, contradict directly."""
+    c = leaf_k.conclusion
     if isinstance(c, Lwff):
-        z = leaf_k.conclusion.label
-        t1 = node("imp_e", Lwff(z, F_), leaf_k, t)
+        t1 = node("imp_e", Lwff(c.label, F_), leaf_k, t)
         return node("uf1", E_, t1)
     return node("rimp_e", E_, leaf_k, t)
 
@@ -967,11 +821,10 @@ def _split_markers_by_branch(n: Derivation, mgen) -> tuple:
 def _branch_to_bottom(branch: Derivation, leaf_k: Derivation, x: str) -> Derivation:
     """From a minor branch concluding the case conclusion, reach ``x : false``
     via the discharged refutation leaf."""
-    c = branch.conclusion
+    c = leaf_k.conclusion
     if isinstance(c, Lwff):
-        z = leaf_k.conclusion.label
-        t = node("imp_e", Lwff(z, F_), leaf_k, branch)
-        if z == x:
+        t = node("imp_e", Lwff(c.label, F_), leaf_k, branch)
+        if c.label == x:
             return t
         return node("raa_bot", Lwff(x, F_), t)
     t = node("rimp_e", E_, leaf_k, branch)
@@ -979,15 +832,11 @@ def _branch_to_bottom(branch: Derivation, leaf_k: Derivation, x: str) -> Derivat
 
 
 def _exp_or_e(n, mgen):
+    x, core = _labeled(n.premises[0].conclusion)
+    a, b = _or_parts(core)
     (p0, p1, p2), m1, m2 = _split_markers_by_branch(n, mgen)
-    x = p0.conclusion.label
-    a, b = _or_parts(_xf(p0.conclusion))
     c = n.conclusion
-    k = mgen()
-    if isinstance(c, Lwff):
-        leaf_k = assume(Lwff(c.label, Implies(c.formula, F_)), k)
-    else:
-        leaf_k = assume(RImplies(c, E_), k)
+    leaf_k = _refutation(c, mgen())
     t3 = node("imp_i", Lwff(x, Implies(a, F_)),
               _branch_to_bottom(p1, leaf_k, x), discharges=m1)
     t4 = node("imp_e", Lwff(x, b), p0, t3)
@@ -995,71 +844,60 @@ def _exp_or_e(n, mgen):
               _branch_to_bottom(p2, leaf_k, x), discharges=m2)
     v4 = node("imp_e", Lwff(x, F_), v3, t4)
     if isinstance(c, Lwff):
-        return node("raa_bot", c, v4, discharges={k})
+        return node("raa_bot", c, v4, discharges={leaf_k.marker})
     t5 = node("uf1", E_, v4)
-    return node("raa_empty", c, t5, discharges={k})
+    return node("raa_empty", c, t5, discharges={leaf_k.marker})
 
 
 def _exp_ror_e(n, mgen):
+    a, b = _ror_parts(_relational(n.premises[0].conclusion))
     (p0, p1, p2), m1, m2 = _split_markers_by_branch(n, mgen)
-    a, b = _ror_parts(expand(p0.conclusion))
     c = n.conclusion
-    k = mgen()
-    if isinstance(c, Lwff):
-        leaf_k = assume(Lwff(c.label, Implies(c.formula, F_)), k)
-    else:
-        leaf_k = assume(RImplies(c, E_), k)
+    leaf_k = _refutation(c, mgen())
     t3 = node("rimp_i", RImplies(a, E_), _to_empty(p1, leaf_k), discharges=m1)
     t4 = node("rimp_e", b, p0, t3)
     v3 = node("rimp_i", RImplies(b, E_), _to_empty(p2, leaf_k), discharges=m2)
     v4 = node("rimp_e", E_, v3, t4)
     if isinstance(c, Lwff):
         t5 = node("uf2", Lwff(c.label, F_), v4)
-        return node("raa_bot", c, t5, discharges={k})
-    return node("raa_empty", c, v4, discharges={k})
+        return node("raa_bot", c, t5, discharges={leaf_k.marker})
+    return node("raa_empty", c, v4, discharges={leaf_k.marker})
+
+
+def _exp_fp_intro(n, mgen, part_of, op_cls, elim_rule):
+    p0, p1 = n.premises
+    x, core = _labeled(n.conclusion)
+    a = part_of(core)
+    y = _labeled(p0.conclusion)[0]
+    m = mgen()
+    leaf = assume(Lwff(x, op_cls(Implies(a, F_))), m)
+    t1 = node(elim_rule, Lwff(y, Implies(a, F_)), leaf, p1)
+    t2 = node("imp_e", Lwff(y, F_), t1, p0)
+    t3 = node("raa_bot", Lwff(x, F_), t2)
+    return node("imp_i", n.conclusion, t3, discharges={m})
 
 
 def _exp_f_i(n, mgen):
-    p0, p1 = n.premises
-    x = n.conclusion.label
-    y = p0.conclusion.label
-    a = _f_part(_xf(n.conclusion))
-    m = mgen()
-    leaf = assume(Lwff(x, G(Implies(a, F_))), m)
-    t1 = node("g_e", Lwff(y, Implies(a, F_)), leaf, p1)
-    t2 = node("imp_e", Lwff(y, F_), t1, p0)
-    t3 = node("raa_bot", Lwff(x, F_), t2)
-    return node("imp_i", n.conclusion, t3, discharges={m})
+    return _exp_fp_intro(n, mgen, _f_part, G, "g_e")
 
 
 def _exp_p_i(n, mgen):
-    p0, p1 = n.premises
-    x = n.conclusion.label
-    y = p0.conclusion.label
-    a = _p_part(_xf(n.conclusion))
-    m = mgen()
-    leaf = assume(Lwff(x, H(Implies(a, F_))), m)
-    t1 = node("h_e", Lwff(y, Implies(a, F_)), leaf, p1)
-    t2 = node("imp_e", Lwff(y, F_), t1, p0)
-    t3 = node("raa_bot", Lwff(x, F_), t2)
-    return node("imp_i", n.conclusion, t3, discharges={m})
+    return _exp_fp_intro(n, mgen, _p_part, H, "h_e")
 
 
 def _exp_fp_elim(n, mgen, part_of, op_cls, intro_rule):
     p0, p1 = n.premises
-    x = p0.conclusion.label
+    x, core = _labeled(p0.conclusion)
+    a = part_of(core)
     y = n.fresh
-    a = part_of(_xf(p0.conclusion))
     c = n.conclusion
     body_shape = Lwff(y, a)
     p1, m_body, m_rel = _split_marker_shapes(p1, n.discharges, body_shape, mgen)
-    k = mgen()
+    leaf_k = _refutation(c, mgen())
     if isinstance(c, Lwff):
-        leaf_k = assume(Lwff(c.label, Implies(c.formula, F_)), k)
         t1 = node("imp_e", Lwff(c.label, F_), leaf_k, p1)
         t2 = node("raa_bot", Lwff(y, F_), t1)
     else:
-        leaf_k = assume(RImplies(c, E_), k)
         t1 = node("rimp_e", E_, leaf_k, p1)
         t2 = node("uf2", Lwff(y, F_), t1)
     t3 = node("imp_i", Lwff(y, Implies(a, F_)), t2, discharges=m_body)
@@ -1067,9 +905,9 @@ def _exp_fp_elim(n, mgen, part_of, op_cls, intro_rule):
               discharges=m_rel, fresh=y)
     t5 = node("imp_e", Lwff(x, F_), p0, t4)
     if isinstance(c, Lwff):
-        return node("raa_bot", c, t5, discharges={k})
+        return node("raa_bot", c, t5, discharges={leaf_k.marker})
     t6 = node("uf1", E_, t5)
-    return node("raa_empty", c, t6, discharges={k})
+    return node("raa_empty", c, t6, discharges={leaf_k.marker})
 
 
 def _exp_f_e(n, mgen):
@@ -1081,7 +919,7 @@ def _exp_p_e(n, mgen):
 
 
 def _exp_rand_i(n, mgen):
-    a, b = _rand_parts(expand(n.conclusion))
+    a, b = _rand_parts(_relational(n.conclusion))
     m = mgen()
     leaf = assume(RImplies(a, RImplies(b, E_)), m)
     t1 = node("rimp_e", RImplies(b, E_), leaf, n.premises[0])
@@ -1091,7 +929,7 @@ def _exp_rand_i(n, mgen):
 
 def _exp_rand_e1(n, mgen):
     p0 = n.premises[0]
-    a, b = _rand_parts(expand(p0.conclusion))
+    a, b = _rand_parts(_relational(p0.conclusion))
     m1, m2 = mgen(), mgen()
     leaf_na = assume(RImplies(a, E_), m1)
     leaf_a = assume(a, m2)
@@ -1104,7 +942,7 @@ def _exp_rand_e1(n, mgen):
 
 def _exp_rand_e2(n, mgen):
     p0 = n.premises[0]
-    a, b = _rand_parts(expand(p0.conclusion))
+    a, b = _rand_parts(_relational(p0.conclusion))
     m1, m2 = mgen(), mgen()
     leaf_nb = assume(RImplies(b, E_), m1)
     t3 = node("rimp_i", RImplies(a, RImplies(b, E_)), leaf_nb, discharges={m2})
@@ -1113,7 +951,7 @@ def _exp_rand_e2(n, mgen):
 
 
 def _exp_ror_i1(n, mgen):
-    a, b = _ror_parts(expand(n.conclusion))
+    a, b = _ror_parts(_relational(n.conclusion))
     m = mgen()
     leaf = assume(RImplies(a, E_), m)
     t1 = node("rimp_e", E_, leaf, n.premises[0])
@@ -1122,13 +960,15 @@ def _exp_ror_i1(n, mgen):
 
 
 def _exp_ror_i2(n, mgen):
+    _ror_parts(_relational(n.conclusion))
     m = mgen()
     return node("rimp_i", n.conclusion, n.premises[0], discharges={m})
 
 
 def _exp_ex_i(n, mgen):
-    var, body = _exists_parts(expand(n.conclusion))
+    var, body = _exists_parts(_relational(n.conclusion))
     w = match_instantiation(body, var, n.premises[0].conclusion)
+    _need(w is not None, "a premise that instantiates the body")
     m = mgen()
     leaf = assume(Forall(var, RImplies(body, E_)), m)
     inst = substitute_label(RImplies(body, E_), w, var)
@@ -1139,14 +979,10 @@ def _exp_ex_i(n, mgen):
 
 def _exp_ex_e(n, mgen):
     p0, p1 = n.premises
-    var, body = _exists_parts(expand(p0.conclusion))
+    var, body = _exists_parts(_relational(p0.conclusion))
     y = n.fresh
     c = n.conclusion
-    k = mgen()
-    if isinstance(c, Lwff):
-        leaf_k = assume(Lwff(c.label, Implies(c.formula, F_)), k)
-    else:
-        leaf_k = assume(RImplies(c, E_), k)
+    leaf_k = _refutation(c, mgen())
     t1 = _to_empty(p1, leaf_k)
     t2 = node("rimp_i", substitute_label(RImplies(body, E_), y, var), t1,
               discharges=n.discharges)
@@ -1155,8 +991,8 @@ def _exp_ex_e(n, mgen):
     t4 = node("rimp_e", E_, p0, t3)
     if isinstance(c, Lwff):
         t5 = node("uf2", Lwff(c.label, F_), t4)
-        return node("raa_bot", c, t5, discharges={k})
-    return node("raa_empty", c, t4, discharges={k})
+        return node("raa_bot", c, t5, discharges={leaf_k.marker})
+    return node("raa_empty", c, t4, discharges={leaf_k.marker})
 
 
 _EXPANDERS = {

@@ -2,7 +2,7 @@
 
 The checker in :mod:`tenseproof.kernel` owns the actual matching logic; this
 module is the single place that says which rules exist, how many premises
-they take, what they discharge, whether they carry a freshness side
+they take, whether they discharge, whether they carry a freshness side
 condition, and which logic profile admits them.
 """
 
@@ -99,138 +99,85 @@ AXIOMS: dict[str, RFormula] = {
 class RuleSchema:
     name: str
     kind: str                 # "core" | "axiom" | "derived"
-    system: str               # "labeled" | "relational" | "general"
     n_premises: int
-    premise_patterns: tuple = ()
-    conclusion_pattern: str = ""
-    discharge_spec: tuple = ()     # (premise index, pattern text) pairs
-    fresh_spec: str | None = None
+    discharging: bool = False      # may close assumption markers
+    fresh: bool = False            # introduces a fresh label
     requires: str | None = None    # profile extra gating the rule
     axiom_template: RFormula | None = field(default=None)
-    expansion: bool = False        # has a core expansion template
-
-    @property
-    def discharging(self) -> bool:
-        return bool(self.discharge_spec)
 
 
-def _schema(name, kind, system, n, prem=(), concl="", disch=(), fresh=None,
-            requires=None, expansion=False):
-    return RuleSchema(name, kind, system, n, tuple(prem), concl, tuple(disch),
-                      fresh, requires,
-                      AXIOMS.get(name), expansion)
+def _schema(name, kind, n, disch=False, fresh=False, requires=None):
+    return RuleSchema(name, kind, n, disch, fresh, requires, AXIOMS.get(name))
 
 
+# The shapes each rule admits live in the checker (core and axiom rules)
+# and in the expanders (derived rules) of :mod:`tenseproof.kernel`.
 RULES: dict[str, RuleSchema] = {s.name: s for s in [
-    _schema("assume", "core", "general", 0, concl="any formula"),
+    _schema("assume", "core", 0),
 
     # labeled sub-system
-    _schema("raa_bot", "core", "labeled", 1, ["y : false"], "x : A",
-            disch=[(0, "x : A -> false")]),
-    _schema("imp_i", "core", "labeled", 1, ["x : B"], "x : A -> B",
-            disch=[(0, "x : A")]),
-    _schema("imp_e", "core", "labeled", 2, ["x : A -> B", "x : A"], "x : B"),
-    _schema("g_i", "core", "labeled", 1, ["y : A"], "x : G A",
-            disch=[(0, "x < y")], fresh="y"),
-    _schema("g_e", "core", "labeled", 2, ["x : G A", "x < y"], "y : A"),
-    _schema("h_i", "core", "labeled", 1, ["y : A"], "x : H A",
-            disch=[(0, "y < x")], fresh="y"),
-    _schema("h_e", "core", "labeled", 2, ["x : H A", "y < x"], "y : A"),
+    _schema("raa_bot", "core", 1, disch=True),
+    _schema("imp_i", "core", 1, disch=True),
+    _schema("imp_e", "core", 2),
+    _schema("g_i", "core", 1, disch=True, fresh=True),
+    _schema("g_e", "core", 2),
+    _schema("h_i", "core", 1, disch=True, fresh=True),
+    _schema("h_e", "core", 2),
 
     # relational sub-system
-    _schema("raa_empty", "core", "relational", 1, ["empty"], "r",
-            disch=[(0, "r => empty")]),
-    _schema("rimp_i", "core", "relational", 1, ["s"], "r => s",
-            disch=[(0, "r")]),
-    _schema("rimp_e", "core", "relational", 2, ["r => s", "r"], "s"),
-    _schema("all_i", "core", "relational", 1, ["r"], "forall x. r", fresh="x"),
-    _schema("all_e", "core", "relational", 1, ["forall x. r"], "r[y/x]"),
-    _schema("refl_eq", "axiom", "relational", 0, concl="forall x. x = x"),
-    _schema("irrefl_lt", "axiom", "relational", 0, concl="forall x. !(x < x)"),
-    _schema("trans_lt", "axiom", "relational", 0,
-            concl="forall x. forall y. forall z. (x < y /\\ y < z) => x < z"),
-    _schema("conn", "axiom", "relational", 0,
-            concl="forall x. forall y. x < y \\/ x = y \\/ y < x"),
+    _schema("raa_empty", "core", 1, disch=True),
+    _schema("rimp_i", "core", 1, disch=True),
+    _schema("rimp_e", "core", 2),
+    _schema("all_i", "core", 1, fresh=True),
+    _schema("all_e", "core", 1),
+    _schema("refl_eq", "axiom", 0),
+    _schema("irrefl_lt", "axiom", 0),
+    _schema("trans_lt", "axiom", 0),
+    _schema("conn", "axiom", 0),
 
     # general rules bridging the two sub-systems
-    _schema("mon", "core", "general", 2, ["phi", "x = y"], "phi[y/x]"),
-    _schema("uf1", "core", "general", 1, ["x : false"], "empty"),
-    _schema("uf2", "core", "general", 1, ["empty"], "x : false"),
+    _schema("mon", "core", 2),
+    _schema("uf1", "core", 1),
+    _schema("uf2", "core", 1),
 
     # relational axioms for extensions
-    _schema("first", "axiom", "relational", 0,
-            concl="exists x. forall y. !(y < x)", requires="first"),
-    _schema("final", "axiom", "relational", 0,
-            concl="exists x. forall y. !(x < y)", requires="final"),
-    _schema("lser", "axiom", "relational", 0,
-            concl="forall x. exists y. y < x", requires="lser"),
-    _schema("rser", "axiom", "relational", 0,
-            concl="forall x. exists y. x < y", requires="rser"),
-    _schema("dens", "axiom", "relational", 0,
-            concl="forall x. forall y. x < y => exists z. x < z /\\ z < y",
-            requires="dens"),
-    _schema("ldiscr", "axiom", "relational", 0,
-            concl="forall x. forall y. x < y => "
-                  "exists z. z < y /\\ !exists u. z < u /\\ u < y",
-            requires="ldiscr"),
-    _schema("rdiscr", "axiom", "relational", 0,
-            concl="forall x. forall y. x < y => "
-                  "exists z. x < z /\\ !exists u. x < u /\\ u < z",
-            requires="rdiscr"),
+    _schema("first", "axiom", 0, requires="first"),
+    _schema("final", "axiom", 0, requires="final"),
+    _schema("lser", "axiom", 0, requires="lser"),
+    _schema("rser", "axiom", 0, requires="rser"),
+    _schema("dens", "axiom", 0, requires="dens"),
+    _schema("ldiscr", "axiom", 0, requires="ldiscr"),
+    _schema("rdiscr", "axiom", 0, requires="rdiscr"),
 
     # next-step rules (core once the profile enables them)
-    _schema("x_i", "core", "labeled", 1, ["y : A"], "x : X A",
-            disch=[(0, "x <. y")], fresh="y", requires="mtl"),
-    _schema("x_e", "core", "labeled", 2, ["x : X A", "x <. y"], "y : A",
-            requires="mtl"),
+    _schema("x_i", "core", 1, disch=True, fresh=True, requires="mtl"),
+    _schema("x_e", "core", 2, requires="mtl"),
 
     # derived labeled rules
-    _schema("not_i", "derived", "labeled", 1, ["x : false"], "x : ~A",
-            disch=[(0, "x : A")], expansion=True),
-    _schema("not_e", "derived", "labeled", 2, ["x : ~A", "x : A"], "x : false",
-            expansion=True),
-    _schema("and_i", "derived", "labeled", 2, ["x : A", "x : B"], "x : A & B",
-            expansion=True),
-    _schema("and_e1", "derived", "labeled", 1, ["x : A & B"], "x : A",
-            expansion=True),
-    _schema("and_e2", "derived", "labeled", 1, ["x : A & B"], "x : B",
-            expansion=True),
-    _schema("or_i1", "derived", "labeled", 1, ["x : A"], "x : A | B",
-            expansion=True),
-    _schema("or_i2", "derived", "labeled", 1, ["x : B"], "x : A | B",
-            expansion=True),
-    _schema("or_e", "derived", "labeled", 3, ["x : A | B", "phi", "phi"], "phi",
-            disch=[(1, "x : A"), (2, "x : B")], expansion=True),
-    _schema("f_i", "derived", "labeled", 2, ["y : A", "x < y"], "x : F A",
-            expansion=True),
-    _schema("f_e", "derived", "labeled", 2, ["x : F A", "phi"], "phi",
-            disch=[(1, "y : A"), (1, "x < y")], fresh="y", expansion=True),
-    _schema("p_i", "derived", "labeled", 2, ["y : A", "y < x"], "x : P A",
-            expansion=True),
-    _schema("p_e", "derived", "labeled", 2, ["x : P A", "phi"], "phi",
-            disch=[(1, "y : A"), (1, "y < x")], fresh="y", expansion=True),
+    _schema("not_i", "derived", 1, disch=True),
+    _schema("not_e", "derived", 2),
+    _schema("and_i", "derived", 2),
+    _schema("and_e1", "derived", 1),
+    _schema("and_e2", "derived", 1),
+    _schema("or_i1", "derived", 1),
+    _schema("or_i2", "derived", 1),
+    _schema("or_e", "derived", 3, disch=True),
+    _schema("f_i", "derived", 2),
+    _schema("f_e", "derived", 2, disch=True, fresh=True),
+    _schema("p_i", "derived", 2),
+    _schema("p_e", "derived", 2, disch=True, fresh=True),
 
     # derived relational rules
-    _schema("rnot_i", "derived", "relational", 1, ["empty"], "!r",
-            disch=[(0, "r")], expansion=True),
-    _schema("rnot_e", "derived", "relational", 2, ["!r", "r"], "empty",
-            expansion=True),
-    _schema("rand_i", "derived", "relational", 2, ["r", "s"], "r /\\ s",
-            expansion=True),
-    _schema("rand_e1", "derived", "relational", 1, ["r /\\ s"], "r",
-            expansion=True),
-    _schema("rand_e2", "derived", "relational", 1, ["r /\\ s"], "s",
-            expansion=True),
-    _schema("ror_i1", "derived", "relational", 1, ["r"], "r \\/ s",
-            expansion=True),
-    _schema("ror_i2", "derived", "relational", 1, ["s"], "r \\/ s",
-            expansion=True),
-    _schema("ror_e", "derived", "relational", 3, ["r \\/ s", "phi", "phi"], "phi",
-            disch=[(1, "r"), (2, "s")], expansion=True),
-    _schema("ex_i", "derived", "relational", 1, ["r[y/x]"], "exists x. r",
-            expansion=True),
-    _schema("ex_e", "derived", "relational", 2, ["exists x. r", "phi"], "phi",
-            disch=[(1, "r[y/x]")], fresh="y", expansion=True),
+    _schema("rnot_i", "derived", 1, disch=True),
+    _schema("rnot_e", "derived", 2),
+    _schema("rand_i", "derived", 2),
+    _schema("rand_e1", "derived", 1),
+    _schema("rand_e2", "derived", 1),
+    _schema("ror_i1", "derived", 1),
+    _schema("ror_i2", "derived", 1),
+    _schema("ror_e", "derived", 3, disch=True),
+    _schema("ex_i", "derived", 1),
+    _schema("ex_e", "derived", 2, disch=True, fresh=True),
 ]}
 
 

@@ -14,8 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .derivation import Derivation
-from .kernel import check
+from .kernel import CheckReport
 from .rules import KL, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, ProofContext,
@@ -301,16 +300,17 @@ class ProbeReport:
     countermodel: Countermodel | None = None
 
 
-def soundness_probe(d: Derivation, max_worlds: int = 4,
+def soundness_probe(report: CheckReport, max_worlds: int = 4,
                     profile: LogicProfile = KL) -> ProbeReport:
-    """Search for a countermodel to a checked derivation's entailment; any
-    hit would expose a kernel bug.  Profiles without useful finite frames
-    are reported as skipped."""
-    report = check(d, profile)
+    """Search for a countermodel to the entailment of a derivation that
+    ``check`` accepted under ``profile`` (its ``report``); any hit would
+    expose a kernel bug.  Profiles without useful finite frames are
+    reported as skipped."""
     if not report.ok:
         raise ValueError("soundness probe needs a valid derivation")
     try:
-        cm = find_countermodel(report.open, d.conclusion, max_worlds, profile)
+        cm = find_countermodel(report.open, report.conclusion, max_worlds,
+                               profile)
     except FinitelyVacuous:
         return ProbeReport("SKIPPED-SEMANTICS", max_worlds)
     if cm is None:

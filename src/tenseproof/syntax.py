@@ -289,10 +289,6 @@ def expand(phi):
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def is_core(phi) -> bool:
-    return expand(phi) == phi
-
-
 def is_atomic(phi) -> bool:
     """Atomic after expansion: a propositional variable or falsum for lwffs;
     ``empty``, ``x < y`` or ``x = y`` for rwffs."""

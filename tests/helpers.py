@@ -204,7 +204,8 @@ class DerivationGen:
         return assume(c, next(self.marker))
 
     def _opens(self, d):
-        return list(open_assumptions(d))
+        # sorted, so the trees do not depend on set order (PYTHONHASHSEED)
+        return sorted(open_assumptions(d), key=repr)
 
     def _try_extend(self, d: Derivation) -> Derivation | None:
         rng = self.rng

@@ -73,8 +73,9 @@ def test_probe_verdict_unchanged_by_normalize():
     for e in corpus_entries():
         if not e.profile.finitely_modelable():
             continue
-        before = soundness_probe(e.derivation, 3, e.profile).status
-        after = soundness_probe(normalize(e.derivation), 3, e.profile).status
+        nf = normalize(e.derivation)
+        before = soundness_probe(check(e.derivation, e.profile), 3, e.profile).status
+        after = soundness_probe(check(nf, e.profile), 3, e.profile).status
         assert before == after == "PASS", e.id
 
 

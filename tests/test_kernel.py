@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import pytest
 
 from tenseproof.derivation import (
-    all_markers, assume, from_json, node, to_json,
+    all_markers, assume, from_json, node, replace_at, to_json,
 )
 from tenseproof.kernel import check, expand_derived, open_assumptions
 from tenseproof.normalize import canonical_form
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
-from tenseproof.rules import AXIOMS, KL, parse_profile
-from tenseproof.syntax import Empty, ProofContext, core_eq
+from tenseproof.rules import AXIOMS, KL, RULES, parse_profile
+from tenseproof.syntax import (
+    Empty, ProofContext, core_eq, labels_of, substitute_label,
+)
 
 E = Empty()
 
@@ -48,7 +52,6 @@ def test_freshness_violation_minimal_tree():
 
 
 def test_fresh_annotation_is_structural():
-    from dataclasses import replace
     missing = node("g_i", pl("x : G p"), assume(pl("y : p")))
     assert any(v.kind == "StructuralError" for v in check(missing, KL).violations)
     extra = replace(node("imp_e", pl("x : q"), assume(pl("x : p -> q")),
@@ -227,7 +230,7 @@ def test_fe_expansion_rechecks():
                      "h_e", "uf1", "uf2"}
 
 
-@pytest.mark.parametrize("rule,tree", [
+DERIVED_TREES = [
     ("and_i", lambda: node("and_i", pl("x : p & q"),
                            assume(pl("x : p")), assume(pl("x : q")))),
     ("and_e1", lambda: node("and_e1", pl("x : p"), assume(pl("x : p & q")))),
@@ -255,7 +258,10 @@ def test_fe_expansion_rechecks():
     ("ex_i", lambda: node("ex_i", pr("exists z. x < z"), assume(pr("x < y")))),
     ("p_i", lambda: node("p_i", pl("x : P p"),
                          assume(pl("y : p")), assume(pr("y < x")))),
-])
+]
+
+
+@pytest.mark.parametrize("rule,tree", DERIVED_TREES)
 def test_each_derived_rule_checks_and_expands(rule, tree):
     d = tree()
     report = check(d, KL)
@@ -265,7 +271,6 @@ def test_each_derived_rule_checks_and_expands(rule, tree):
     assert report2.ok, (rule, [str(v) for v in report2.violations])
     assert expanded.conclusion == d.conclusion
     assert open_assumptions(expanded) == open_assumptions(d)
-    from tenseproof.rules import RULES
     assert all(RULES[n.rule].kind != "derived" for _, n in expanded.walk())
 
 
@@ -296,6 +301,132 @@ def test_or_elim_with_labeled_conclusion_expands():
     expanded = expand_derived(ore)
     assert check(expanded, KL).ok
     assert open_assumptions(expanded) == open_assumptions(ore)
+
+
+def _kinds_at(report, path):
+    return {v.kind for v in report.violations if v.path == path}
+
+
+def test_derived_discharge_of_a_leaf_outside_the_node():
+    # markers are global: the or_e at (0,) discharges marker 4, which also
+    # labels the leaf at (1,), outside the or_e
+    major = assume(pl("x : p | q"), 1)
+    br1 = node("imp_e", pl("x : false"), assume(pl("x : ~p"), 2),
+               assume(pl("x : p"), 4))
+    br2 = node("imp_e", pl("x : false"), assume(pl("x : ~q"), 3),
+               assume(pl("x : q"), 4))
+    ore = node("or_e", pl("x : false"), major, br1, br2, discharges={4})
+    d = node("and_i", pl("x : false & p"), ore, assume(pl("x : p"), 4))
+    assert _kinds_at(check(d, KL), (0,)) == {"BadDischarge"}
+
+
+@pytest.mark.parametrize("tree", [
+    # a case rule whose minor premise has the wrong kind
+    lambda: node("or_e", pl("x : false"), assume(pl("x : p | q")),
+                 assume(pr("x < y")), assume(pl("x : false"))),
+    lambda: node("or_e", pr("x < y"), assume(pl("x : p | q")),
+                 assume(pr("x < y")), assume(pl("x : p"))),
+    lambda: node("ror_e", pr("x < y"), assume(pr("x < y \\/ x = y")),
+                 assume(pl("x : p")), assume(pr("x < y"))),
+    # or_i2 needs a disjunction, not just an implication
+    lambda: node("or_i2", pl("x : p -> q"), assume(pl("x : q"))),
+    # the premise of ex_i must instantiate the body
+    lambda: node("ex_i", pr("exists z. x < z"), assume(pr("y < x"))),
+])
+def test_derived_shape_mismatch(tree):
+    report = check(tree(), KL)
+    assert {v.kind for v in report.violations} == {"PatternMismatch"}
+    assert all(v.path == () for v in report.violations)
+
+
+def test_derived_freshness_sees_every_open_leaf():
+    # f_e gives its y : p leaves of marker 2 a new marker, apart from its
+    # x < y leaf; the open leaf at marker 3 still mentions the fresh label
+    body, order = assume(pl("y : p"), 2), assume(pr("x < y"), 2)
+    bot = node("imp_e", pl("y : false"), assume(pl("y : p -> false"), 3), body)
+    both = node("rand_i", pr("x < y /\\ empty"), order, node("uf1", E, bot))
+    minor = node("uf2", pl("z : false"), node("rand_e2", E, both))
+    fe = node("f_e", pl("z : false"), assume(pl("x : F p"), 1), minor,
+              discharges={2}, fresh="y")
+    assert _kinds_at(check(fe, KL), ()) == {"FreshnessViolation"}
+
+
+def test_deep_tree_check():
+    # 3000 nested detours, each through the minor premise of the next
+    a = pl("x : p")
+    d = assume(a, 1)
+    for i in range(3000):
+        m = i + 2
+        d = node("imp_e", a, node("imp_i", pl("x : p -> p"), assume(a, m),
+                                  discharges={m}), d)
+    report = check(d, KL)
+    assert report.ok and report.open == ProofContext.make([a], [])
+    assert open_assumptions(d) == report.open
+    # and 3000 derived nodes deep: conjunctions built and taken apart
+    d = assume(a, 1)
+    for _ in range(1500):
+        d = node("and_e1", a, node("and_i", pl("x : p & q"), d,
+                                   assume(pl("x : q"))))
+    report = check(d, KL)
+    assert report.ok
+    assert report.open == open_assumptions(d) == ProofContext.make(
+        [a, pl("x : q")], [])
+
+
+def _mutant(rng, d):
+    """``d`` with one field of one node changed, or None."""
+    nodes = list(d.walk())
+    path, n = rng.choice(nodes)
+    labels = sorted(set().union(*(labels_of(m.conclusion) for _, m in nodes)))
+    markers = sorted(all_markers(d) | {0})
+    field = rng.choice(["rule", "conclusion", "label", "marker", "discharges",
+                        "fresh", "position", "premises"])
+    if field == "rule":
+        new = replace(n, rule=rng.choice(sorted(
+            r for r, s in RULES.items() if s.n_premises == len(n.premises))))
+    elif field == "conclusion":
+        new = replace(n, conclusion=rng.choice(nodes)[1].conclusion)
+    elif field == "label" and labels:
+        new = replace(n, conclusion=substitute_label(
+            n.conclusion, rng.choice(labels), rng.choice(labels)))
+    elif field == "marker":
+        new = replace(n, marker=rng.choice(markers + [None]))
+    elif field == "discharges":
+        new = replace(n, discharges=n.discharges ^ {rng.choice(markers)})
+    elif field == "fresh":
+        new = replace(n, fresh=rng.choice(labels + [None]))
+    elif field == "position":
+        new = replace(n, position=rng.choice([None, 1, 2]))
+    elif field == "premises" and len(n.premises) > 1:
+        new = replace(n, premises=n.premises[::-1])
+    else:
+        return None
+    return None if new == n else replace_at(d, path, new)
+
+
+def test_checked_mutants_expand_and_survive_the_probe():
+    import random
+    from tenseproof.corpus import corpus_entries
+    from tenseproof.semantics import soundness_probe
+    trees = [(e.derivation, e.profile) for e in corpus_entries()]
+    trees += [(tree(), KL) for _, tree in DERIVED_TREES] + [(fi_tree(), KL)]
+    rng = random.Random(31)
+    accepted = 0
+    for _ in range(1500):
+        d, profile = rng.choice(trees)
+        mutant = _mutant(rng, d)
+        if mutant is None:
+            continue
+        report = check(mutant, profile)
+        if not report.ok:
+            continue
+        accepted += 1
+        expanded = expand_derived(mutant)
+        assert check(expanded, profile).ok, mutant
+        assert expanded.conclusion == mutant.conclusion
+        assert open_assumptions(expanded) == report.open
+        assert soundness_probe(report, 3, profile).status != "FAIL", mutant
+    assert accepted >= 20
 
 
 def test_json_round_trip():

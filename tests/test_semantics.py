@@ -6,6 +6,7 @@ import pytest
 from helpers import all_interpretations, all_models
 from tenseproof.corpus import corpus_entries
 from tenseproof.derivation import assume, node
+from tenseproof.kernel import check
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import AXIOMS, parse_profile
 from tenseproof.semantics import (
@@ -236,20 +237,21 @@ def test_countermodel_refutes_as_packaged():
 
 def test_probe_passes_on_theorem():
     entry = corpus_entries("g1")[0]
-    report = soundness_probe(entry.derivation, 4)
+    report = soundness_probe(check(entry.derivation), 4)
     assert report.status == "PASS"
 
 
 def test_probe_skips_serial_profile():
     entry = corpus_entries("rser")[0]
-    report = soundness_probe(entry.derivation, 4, entry.profile)
+    report = soundness_probe(check(entry.derivation, entry.profile), 4,
+                             entry.profile)
     assert report.status == "SKIPPED-SEMANTICS"
 
 
 def test_probe_requires_valid_derivation():
     bad = node("imp_e", pl("x : q"), assume(pl("x : p -> q")), assume(pl("x : r")))
     with pytest.raises(ValueError):
-        soundness_probe(bad, 3)
+        soundness_probe(check(bad), 3)
 
 
 def test_corrupted_elimination_caught_by_probe():
