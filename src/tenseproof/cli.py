@@ -100,7 +100,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    lam = load_interpretation(args.interpretation)
+    lam = load_interpretation(args.interpretation, model)
     phi = parse("any", args.formula)
     try:
         value = eval_entity(model, lam, phi)

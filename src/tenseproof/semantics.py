@@ -4,10 +4,24 @@ validity search, and the semantic probe for checked derivations.
 Finite frames for the base logic are strict linear orders, one per size up
 to isomorphism, so the search enumerates a canonical chain per world count,
 then all valuations over the occurring atoms and all label interpretations,
-in a fixed deterministic order (smallest frame first, then lexicographic).
-Serial and dense profiles have no useful finite frames and are rejected.
-"""
+in a fixed deterministic order (smallest frame first, then lexicographic),
+and returns the first refutation in that order.  Serial and dense profiles
+have no useful finite frames and are rejected.
 
+The search is the labeling algorithm of explicit-state model checking
+(Clarke, Emerson & Sistla, 1986) on int bitmasks of worlds.  The labelled
+formulas of the context and the goal are expanded and compiled once into
+one post-order program in which equal subformulas share a slot.  Per frame
+the search builds each world's successor, predecessor and
+immediate-successor mask, and evaluates the relational formulas once per
+interpretation, since they do not depend on the valuation.  Per valuation
+one run of the program gives the set of worlds where each subformula holds
+(``A -> B`` is ``~A | B``; ``G``, ``H`` and ``X`` test each world's
+relation mask against the body's), and the first refuting interpretation
+is read off those sets.  ``eval_entity`` and ``entails`` evaluate one
+formula recursively in any model: ``tenseproof eval`` uses them, and they
+are the reference the search is tested against.
+"""
 from __future__ import annotations
 
 import itertools
@@ -71,11 +85,35 @@ class Model:
 
     @staticmethod
     def from_json(obj: dict) -> "Model":
+        """Read the wire form; anything but an object with a positive
+        integer ``n``, ``prec`` pairs of worlds and a valuation mapping
+        atoms to lists of worlds is a ``ValueError``."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a model must be a JSON object, not {obj!r:.40}")
+        n = obj.get("n")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"model 'n' must be a positive integer, not {n!r}")
+        prec = obj.get("prec", [])
+        if not isinstance(prec, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in prec):
+            raise ValueError(f"model 'prec' must list world pairs, not {prec!r:.40}")
+        valuation = obj.get("valuation", {})
+        if not isinstance(valuation, dict) or not all(
+                isinstance(ws, list) for ws in valuation.values()):
+            raise ValueError("model 'valuation' must map atoms to lists of "
+                             f"worlds, not {valuation!r:.40}")
         return Model(
-            int(obj["n"]),
-            frozenset((int(i), int(j)) for i, j in obj.get("prec", [])),
-            {a: frozenset(ws) for a, ws in obj.get("valuation", {}).items()},
+            n,
+            frozenset((_world_of(n, i), _world_of(n, j)) for i, j in prec),
+            {a: frozenset(_world_of(n, w) for w in ws)
+             for a, ws in valuation.items()},
         )
+
+
+def _world_of(n: int, w) -> int:
+    if type(w) is not int or not 0 <= w < n:
+        raise ValueError(f"{w!r} is not a world of a model with n = {n}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -237,7 +275,7 @@ def entails(m: Model, lam: Interpretation, ctx: ProofContext, phi) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bounded search
+# Bounded search: the labeling algorithm on world bitmasks
 
 def _require_finite(profile: LogicProfile) -> None:
     if not profile.finitely_modelable():
@@ -246,21 +284,101 @@ def _require_finite(profile: LogicProfile) -> None:
             f"profile extras {bad} admit no useful finite frames")
 
 
-def _atoms_of(entity) -> set:
-    out = set()
-    stack = [entity]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Lwff):
-            stack.append(e.formula)
-        elif isinstance(e, Atom):
-            out.add(e.name)
+def _children(phi) -> tuple:
+    if isinstance(phi, Implies):
+        return (phi.left, phi.right)
+    if isinstance(phi, (G, H, X)):
+        return (phi.body,)
+    if isinstance(phi, (Atom, Falsum)):
+        return ()
+    raise TypeError(f"not a core formula: {phi!r}")
+
+
+def _compile(formulas):
+    """One post-order program for the core ``formulas``: instruction ``i``
+    is ``(kind, a, b)`` and computes slot ``i`` from earlier slots ``a``
+    and ``b`` (an atom's ``a`` is its name).  Equal subformulas share a
+    slot.  Returns the program and each formula's slot."""
+    slot: dict = {}
+    program = []
+    for root in formulas:
+        stack = [root]
+        while stack:
+            phi = stack[-1]
+            if phi in slot:
+                stack.pop()
+                continue
+            todo = [c for c in _children(phi) if c not in slot]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            kind = type(phi)
+            operands = ([phi.name] if kind is Atom
+                        else [slot[c] for c in _children(phi)])
+            slot[phi] = len(program)
+            program.append((kind, *(operands + [None, None])[:2]))
+    return program, [slot[f] for f in formulas]
+
+
+def _relation_masks(m: Model) -> dict:
+    """Per operator, ``(world bit, relation mask)`` for every world: the
+    worlds ``G``, ``H`` and ``X`` quantify over (successors, predecessors,
+    immediate successors)."""
+    succ, pred = [0] * m.n, [0] * m.n
+    for i, j in m.prec:
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
+    imm = []
+    for s in succ:
+        beyond = 0
+        for u in m.worlds:
+            if s >> u & 1:
+                beyond |= succ[u]
+        imm.append(s & ~beyond)
+    bits = [1 << w for w in m.worlds]
+    return {G: list(zip(bits, succ)), H: list(zip(bits, pred)),
+            X: list(zip(bits, imm))}
+
+
+def _label(program, atom_masks: dict, rel, full: int) -> list:
+    """The world mask of every slot: bit ``w`` of slot ``i`` is the truth
+    of instruction ``i``'s formula at world ``w``."""
+    masks: list = []
+    for kind, a, b in program:
+        if kind is Implies:
+            m = (full & ~masks[a]) | masks[b]
+        elif kind is Atom:
+            m = atom_masks[a]
+        elif kind is Falsum:
+            m = 0
         else:
-            for attr in ("left", "right", "body"):
-                v = getattr(e, attr, None)
-                if v is not None and not isinstance(v, str):
-                    stack.append(v)
-    return out
+            # G, H, X: the worlds whose related worlds all satisfy the body
+            out = full & ~masks[a]
+            m = 0
+            for bit, related in rel[kind]:
+                if not related & out:
+                    m |= bit
+        masks.append(m)
+    return masks
+
+
+def _split(entity):
+    """The expanded core of a context member or goal, as ``(lwff, None)``
+    or ``(None, rwff)``."""
+    if isinstance(entity, Lwff):
+        return expand(entity), None
+    if is_formula(entity):
+        raise TypeError("a bare tense formula needs a label; evaluate an lwff")
+    return None, expand(entity)
+
+
+def _relational_part_refutes(m: Model, lam: Interpretation, rels,
+                             goal_rel) -> bool:
+    """The relational hypotheses hold and a relational goal, if any,
+    fails."""
+    return (all(_eval_rwff(m, lam, r) for r in rels)
+            and (goal_rel is None or not _eval_rwff(m, lam, goal_rel)))
 
 
 def find_countermodel(ctx: ProofContext, phi, max_worlds: int = 5,
@@ -268,28 +386,66 @@ def find_countermodel(ctx: ProofContext, phi, max_worlds: int = 5,
     """Exhaustive refutation search over canonical chains of up to
     ``max_worlds`` worlds; returns the first countermodel or None."""
     _require_finite(profile)
-    atoms = set(_atoms_of(phi))
-    for e in ctx:
-        atoms |= _atoms_of(e)
-    atoms = sorted(atoms)
     labels = sorted(labels_of(ctx) | labels_of(phi))
+    index = {x: i for i, x in enumerate(labels)}
+
+    hyps = [_split(e) for e in ctx]
+    goal, goal_rel = _split(phi)
+    lwffs = [h for h, _ in hyps if h is not None]
+    if goal is not None:
+        lwffs.append(goal)
+    program, slots = _compile([h.formula for h in lwffs])
+    atoms = sorted({a for kind, a, _ in program if kind is Atom})
+    # (label index, slot) per labelled hypothesis; the goal's comes last
+    tests = [(index[h.label], s) for h, s in zip(lwffs, slots)]
+    goal_test = tests.pop() if goal is not None else None
+    rels = [r for _, r in hyps if r is not None]
+    relational = bool(rels) or goal_rel is not None
 
     for n in range(1, max_worlds + 1):
         frame = Model.chain(n)
         if not check_frame(frame, profile)["ok"]:
             continue
-        cells = [(a, w) for a in atoms for w in range(n)]
-        for bits in itertools.product((False, True), repeat=len(cells)):
-            valuation: dict = {a: set() for a in atoms}
-            for (a, w), bit in zip(cells, bits):
-                if bit:
-                    valuation[a].add(w)
-            m = Model(frame.n, frame.prec,
-                      {a: frozenset(ws) for a, ws in valuation.items()})
-            for assignment in itertools.product(range(n), repeat=len(labels)):
-                lam = dict(zip(labels, assignment))
-                if not entails(m, lam, ctx, phi):
-                    return Countermodel(m, lam, phi)
+        full = (1 << n) - 1
+        rel = _relation_masks(frame)
+        if relational:
+            # the relational part sees only the frame and the labels
+            lams = [a for a in itertools.product(range(n), repeat=len(labels))
+                    if _relational_part_refutes(frame, dict(zip(labels, a)),
+                                                rels, goal_rel)]
+            if not lams:
+                continue
+        # atom k's mask has bit w for cell (k, w); itertools.product over
+        # per_atom runs the valuations in the order of the cells' truth
+        # values, atom-major, world by world, False before True
+        per_atom = [sum(1 << w for w in range(n) if c >> (n - 1 - w) & 1)
+                    for c in range(1 << n)]
+        for valuation in itertools.product(per_atom, repeat=len(atoms)):
+            masks = _label(program, dict(zip(atoms, valuation)), rel, full)
+            # the worlds each label may take: the labelled hypotheses hold
+            # there and a labelled goal fails there
+            allowed = [full] * len(labels)
+            for i, s in tests:
+                allowed[i] &= masks[s]
+            if goal_test is not None:
+                i, s = goal_test
+                allowed[i] &= ~masks[s]
+            if not all(allowed):
+                continue
+            # the first interpretation in itertools.product order whose
+            # worlds are all allowed: the least world per label, unless the
+            # relational part rules some out
+            if not relational:
+                hit = tuple((m & -m).bit_length() - 1 for m in allowed)
+            else:
+                hit = next((a for a in lams
+                            if all(m >> w & 1 for m, w in zip(allowed, a))),
+                           None)
+            if hit is not None:
+                worlds = {a: frozenset(w for w in range(n) if m >> w & 1)
+                          for a, m in zip(atoms, valuation)}
+                return Countermodel(Model(n, frame.prec, worlds),
+                                    dict(zip(labels, hit)), phi)
     return None
 
 
@@ -323,7 +479,11 @@ def load_model(path: str) -> Model:
         return Model.from_json(json.load(fh))
 
 
-def load_interpretation(path: str) -> Interpretation:
+def load_interpretation(path: str, model: Model) -> Interpretation:
+    """An object mapping labels to worlds of ``model``."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return {str(k): int(v) for k, v in obj.items()}
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"an interpretation must be a JSON object, not {obj!r:.40}")
+    return {k: _world_of(model.n, w) for k, w in obj.items()}

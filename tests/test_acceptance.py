@@ -10,7 +10,7 @@ from importlib import resources
 from helpers import DerivationGen, random_entity
 from tenseproof.corpus import corpus_entries
 from tenseproof.derivation import assume, node
-from tenseproof.kernel import check, expand_derived, open_assumptions
+from tenseproof.kernel import check, open_assumptions
 from tenseproof.normalize import (
     canonical_form, find_redexes, is_normal, normalize, reduce_step,
 )
@@ -46,7 +46,7 @@ def test_criterion_1_corpus_check():
 
 def test_criterion_2_normalization():
     for e in corpus_entries():
-        nf = normalize(expand_derived(e.derivation))
+        nf = normalize(e.derivation)
         assert is_normal(nf).normal, e.id
         audit = audit_subformula(nf)
         assert audit.ok, (e.id, audit.violations)
@@ -62,7 +62,7 @@ def test_criterion_3_track_structure():
     total_tracks = 0
     cross_links = 0
     for e in corpus_entries():
-        nf = normalize(expand_derived(e.derivation))
+        nf = normalize(e.derivation)
         report = tracks(nf)     # StructureViolation would fail the test
         total_tracks += len(report.tracks)
         for t in report.tracks:

@@ -179,3 +179,52 @@ def test_world_bounds_must_be_positive(g3_file, capsys):
     assert main(["corpus", "g1", "--max-worlds", "-2"]) == 4
     assert main(["check", g3_file, "--probe", "-2"]) == 4
     assert capsys.readouterr().out == ""
+
+
+def _eval_text(tmp_path, model, lam):
+    model_file, lam_file = tmp_path / "model.json", tmp_path / "lam.json"
+    model_file.write_text(json.dumps(model))
+    lam_file.write_text(json.dumps(lam))
+    return main(["eval", str(model_file), str(lam_file), "x : p"])
+
+
+def test_model_must_be_an_object(tmp_path, capsys):
+    assert _eval_text(tmp_path, [{"n": 2}], {"x": 0}) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_model_valuation_must_be_an_object(tmp_path, capsys):
+    assert _eval_text(tmp_path, {"n": 2, "valuation": [["p", 0]]}, {"x": 0}) == 4
+    assert _eval_text(tmp_path, {"n": 2, "valuation": {"p": 1}}, {"x": 0}) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_model_size_must_be_a_positive_integer(tmp_path, capsys):
+    for n in (-1, 0, "2", 1.5, True, None):
+        assert _eval_text(tmp_path, {"n": n}, {"x": 0}) == 4, n
+    assert _eval_text(tmp_path, {}, {"x": 0}) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_model_worlds_must_lie_in_the_model(tmp_path, capsys):
+    assert _eval_text(tmp_path, {"n": 2, "prec": [[0, 5]]}, {"x": 0}) == 4
+    assert _eval_text(tmp_path, {"n": 2, "prec": [[0, 1, 1]]}, {"x": 0}) == 4
+    assert _eval_text(tmp_path, {"n": 2, "prec": [[-1, 1]]}, {"x": 0}) == 4
+    assert _eval_text(tmp_path, {"n": 3, "valuation": {"p": [7]}}, {"x": 0}) == 4
+    assert _eval_text(tmp_path, {"n": 3, "valuation": {"p": ["1"]}}, {"x": 0}) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_interpretation_must_be_an_object(tmp_path, capsys):
+    assert _eval_text(tmp_path, {"n": 2}, [["x", 0]]) == 4
+    assert _eval_text(tmp_path, {"n": 2}, 0) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_interpretation_worlds_must_lie_in_the_model(tmp_path, capsys):
+    assert _eval_text(tmp_path, {"n": 2}, {"x": 9}) == 4
+    assert _eval_text(tmp_path, {"n": 2}, {"x": "1"}) == 4
+    assert _eval_text(tmp_path, {"n": 2}, {"x": 1.0}) == 4
+    assert capsys.readouterr().out == ""
+    assert _eval_text(tmp_path, {"n": 2, "valuation": {"p": [1]}}, {"x": 1}) == 0
+    assert capsys.readouterr().out.strip() == "true"

@@ -1,19 +1,23 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from helpers import all_interpretations, all_models
+from helpers import (
+    all_interpretations, all_models, atoms_of, random_formula, random_rwff,
+)
 from tenseproof.corpus import corpus_entries
 from tenseproof.derivation import assume, node
 from tenseproof.kernel import check
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
-from tenseproof.rules import AXIOMS, parse_profile
+from tenseproof.rules import AXIOMS, KL, parse_profile
 from tenseproof.semantics import (
-    FinitelyVacuous, Model, UnboundLabel, check_frame, entails, eval_entity,
+    Countermodel, FinitelyVacuous, Model, UnboundLabel, _compile, _label,
+    _relation_masks, _require_finite, check_frame, entails, eval_entity,
     find_countermodel, soundness_probe,
 )
-from tenseproof.syntax import Eq, Less, Lwff, ProofContext
+from tenseproof.syntax import Eq, Less, Lwff, ProofContext, X, expand, labels_of
 
 
 def test_chain_is_a_frame():
@@ -274,3 +278,103 @@ def test_random_checked_derivations_never_refuted():
     for _ in range(100):
         d = gen.derivation(max_nodes=25, steps=14)
         assert find_countermodel(open_assumptions(d), d.conclusion, 3) is None
+
+
+# ---------------------------------------------------------------------------
+# mask labeling against the reference evaluator and the former search
+
+def _with_next(rng, phi):
+    """``phi`` with random subformulas wrapped in ``X``."""
+    kids = {f: _with_next(rng, getattr(phi, f)) for f in ("left", "right", "body")
+            if hasattr(phi, f)}
+    out = dataclasses.replace(phi, **kids) if kids else phi
+    return X(out) if rng.random() < 0.25 else out
+
+
+def test_mask_labeling_agrees_with_eval_entity():
+    rng = random.Random(4242)
+    atoms = ["p", "q"]
+    formulas = [_with_next(rng, random_formula(rng, 4, atoms)) for _ in range(40)]
+    program, slots = _compile([expand(f) for f in formulas])
+    for m in all_models(4, atoms):
+        atom_masks = {a: sum(1 << w for w in ws) for a, ws in m.valuation.items()}
+        masks = _label(program, atom_masks, _relation_masks(m), (1 << m.n) - 1)
+        for f, s in zip(formulas, slots):
+            for w in m.worlds:
+                expected = eval_entity(m, {"x": w}, Lwff("x", f))
+                assert bool(masks[s] >> w & 1) == expected, (m, w, f)
+
+
+def _reference_find_countermodel(ctx, phi, max_worlds=5, profile=KL):
+    """The search before mask labeling, verbatim but for the atom
+    collector (now ``helpers.atoms_of``): ``entails`` for every frame,
+    valuation and interpretation."""
+    _require_finite(profile)
+    atoms = set(atoms_of(phi))
+    for e in ctx:
+        atoms |= atoms_of(e)
+    atoms = sorted(atoms)
+    labels = sorted(labels_of(ctx) | labels_of(phi))
+
+    for n in range(1, max_worlds + 1):
+        frame = Model.chain(n)
+        if not check_frame(frame, profile)["ok"]:
+            continue
+        cells = [(a, w) for a in atoms for w in range(n)]
+        for bits in itertools.product((False, True), repeat=len(cells)):
+            valuation: dict = {a: set() for a in atoms}
+            for (a, w), bit in zip(cells, bits):
+                if bit:
+                    valuation[a].add(w)
+            m = Model(frame.n, frame.prec,
+                      {a: frozenset(ws) for a, ws in valuation.items()})
+            for assignment in itertools.product(range(n), repeat=len(labels)):
+                lam = dict(zip(labels, assignment))
+                if not entails(m, lam, ctx, phi):
+                    return Countermodel(m, lam, phi)
+    return None
+
+
+def _same_search(ctx, phi, max_worlds, profile=KL):
+    got = find_countermodel(ctx, phi, max_worlds, profile)
+    want = _reference_find_countermodel(ctx, phi, max_worlds, profile)
+    assert (got and got.to_json()) == (want and want.to_json()), (ctx, phi)
+    return want
+
+
+PROFILES = ("kl", "kl+first", "kl+final", "kl+ldiscr", "kl+rdiscr")
+
+
+def test_search_matches_former_search_on_random_contexts():
+    rng = random.Random(9090)
+    atoms, labels = ("p", "q"), ("x", "y", "z")
+    found = 0
+    for i in range(150):
+        gamma = [Lwff(rng.choice(labels),
+                      _with_next(rng, random_formula(rng, 3, atoms)))
+                 for _ in range(rng.randrange(3))]
+        delta = [random_rwff(rng, 2, labels) for _ in range(rng.randrange(3))]
+        if rng.random() < 0.8:
+            goal = Lwff(rng.choice(labels),
+                        _with_next(rng, random_formula(rng, 3, atoms)))
+        else:
+            goal = random_rwff(rng, 2, labels)
+        worlds = rng.randint(1, 4 if i % 3 == 0 else 3)
+        ctx = ProofContext.make(gamma, delta)
+        found += _same_search(ctx, goal, worlds,
+                              parse_profile(PROFILES[i % len(PROFILES)])) is not None
+    assert 20 < found < 130       # both outcomes are exercised
+
+
+def test_search_matches_former_search_on_corpus():
+    for entry in corpus_entries():
+        report = check(entry.derivation, entry.profile)
+        try:
+            assert _same_search(report.open, report.conclusion, 4,
+                                entry.profile) is None
+        except FinitelyVacuous:
+            continue
+    for name in PROFILES[1:]:
+        for entry in corpus_entries("g"):
+            report = check(entry.derivation)
+            _same_search(report.open, report.conclusion, 3, parse_profile(name))
