@@ -10,7 +10,7 @@ premise indices from the root.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from . import parser
@@ -73,21 +73,65 @@ def node(rule: str, conclusion: Conclusion, *premises: Derivation,
                       position=position)
 
 
+def with_premise(t: Derivation, i: int, p: Derivation) -> Derivation:
+    """``t`` with ``p`` as its premise ``i``; ``t`` itself if ``p`` is
+    already there."""
+    return _with_premises(t, t.premises[:i] + (p,) + t.premises[i + 1:])
+
+
+def _with_premises(n: Derivation, premises: list) -> Derivation:
+    """``n`` over ``premises``; ``n`` itself if they are its own."""
+    old = n.premises
+    for i, p in enumerate(premises):
+        if p is not old[i]:
+            return Derivation(n.rule, n.conclusion, tuple(premises), n.marker,
+                              n.discharges, n.fresh, n.position)
+    return n
+
+
 def replace_at(d: Derivation, path: Path, new: Derivation) -> Derivation:
     spine = [d]
     for i in path[:-1]:
         spine.append(spine[-1].premises[i])
     for t, i in zip(reversed(spine), reversed(path)):
-        new = Derivation(t.rule, t.conclusion,
-                         t.premises[:i] + (new,) + t.premises[i + 1:],
-                         t.marker, t.discharges, t.fresh, t.position)
+        new = with_premise(t, i, new)
     return new
 
 
+def _own_premises(t: Derivation) -> tuple:
+    return t, t.premises
+
+
+def fold(root, combine: Callable, visit: Callable = _own_premises):
+    """Fold a tree bottom-up without recursion.  ``visit(t)`` is called on
+    each node in pre-order, left to right, and returns the node to keep and
+    its children; ``combine(node, results)`` then gets the list of the
+    children's results, in order.  Nodes must not be tuples: a tuple on
+    the stack is a ``(node, child count)`` waiting for its results."""
+    results: list = []
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is tuple:
+            n, k = t
+            if k:
+                value = combine(n, results[-k:])
+                del results[-k:]
+            else:
+                value = combine(n, [])
+            results.append(value)
+        else:
+            n, kids = visit(t)
+            stack.append((n, len(kids)))
+            stack += kids[::-1]
+    return results[0]
+
+
 def map_leaves(d: Derivation, fn: Callable[[Derivation], Derivation]) -> Derivation:
-    if d.is_assumption():
-        return fn(d)
-    return replace(d, premises=tuple(map_leaves(p, fn) for p in d.premises))
+    """``d`` with every assumption leaf replaced by ``fn(leaf)``.  A subtree
+    in which nothing changes is returned as the same object."""
+    return fold(d, lambda n, premises: fn(n) if n.is_assumption()
+                else _with_premises(n, premises))
 
 
 def all_labels(d: Derivation) -> set:
@@ -144,33 +188,56 @@ class MarkerGen:
 
 
 def substitute_label_deriv(d: Derivation, new: str, old: str) -> Derivation:
-    """Apply a label substitution to every formula in the tree."""
+    """Apply a label substitution to every formula in the tree.  A subtree
+    in which ``old`` does not occur is returned as the same object."""
     if new == old:
         return d
-    c = d.conclusion
-    c2 = substitute_label(c, new, old)
-    fresh = new if d.fresh == old else d.fresh
-    return replace(d, conclusion=c2, fresh=fresh,
-                   premises=tuple(substitute_label_deriv(p, new, old)
-                                  for p in d.premises))
+
+    def subst(n: Derivation, premises: list) -> Derivation:
+        c = substitute_label(n.conclusion, new, old)
+        if n.fresh != old and c == n.conclusion:
+            return _with_premises(n, premises)
+        return Derivation(n.rule, c, tuple(premises), n.marker, n.discharges,
+                          new if n.fresh == old else n.fresh, n.position)
+
+    return fold(d, subst)
+
+
+def rename_freshes(d: Derivation, rename: Callable[[str], Optional[str]]) -> Derivation:
+    """Top-down, for each node whose fresh label ``rename`` maps to a name
+    (not ``None``), substitute that name for the label throughout the node's
+    subtree, then go on into its premises.  ``d`` itself if nothing is
+    renamed."""
+    def visit(t: Derivation) -> tuple:
+        if t.fresh is not None:
+            label = rename(t.fresh)
+            if label is not None:
+                t = substitute_label_deriv(t, label, t.fresh)
+        return t, t.premises
+    return fold(d, _with_premises, visit)
 
 
 def refresh_internal_markers(d: Derivation, gen: MarkerGen) -> Derivation:
     """Rename markers that are discharged *within* ``d`` so a copied subtree
-    cannot collide with its siblings; markers discharged outside stay put."""
+    cannot collide with its siblings; markers discharged outside stay put.
+    ``d`` itself if it discharges nothing."""
     internal: dict[int, int] = {}
     for _, n in d.walk():
         for m in n.discharges:
             if m not in internal:
                 internal[m] = gen()
+    if not internal:
+        return d
 
-    def rewrite(n: Derivation) -> Derivation:
-        premises = tuple(rewrite(p) for p in n.premises)
-        marker = internal.get(n.marker, n.marker)
-        discharges = frozenset(internal.get(m, m) for m in n.discharges)
-        return replace(n, premises=premises, marker=marker, discharges=discharges)
+    def rewrite(n: Derivation, premises: list) -> Derivation:
+        if n.marker not in internal and not any(m in internal for m in n.discharges):
+            return _with_premises(n, premises)
+        return Derivation(n.rule, n.conclusion, tuple(premises),
+                          internal.get(n.marker, n.marker),
+                          frozenset(internal.get(m, m) for m in n.discharges),
+                          n.fresh, n.position)
 
-    return rewrite(d)
+    return fold(d, rewrite)
 
 
 def graft(d: Derivation, marker: int, replacement: Derivation,
@@ -191,18 +258,20 @@ def parse_conclusion(text: str) -> Conclusion:
 
 
 def to_json(d: Derivation) -> dict:
-    out: dict = {"rule": d.rule, "conclusion": parser.render(d.conclusion)}
-    if d.premises:
-        out["premises"] = [to_json(p) for p in d.premises]
-    if d.marker is not None:
-        out["marker"] = d.marker
-    if d.discharges:
-        out["discharges"] = sorted(d.discharges)
-    if d.fresh is not None:
-        out["fresh"] = d.fresh
-    if d.position is not None:
-        out["position"] = d.position
-    return out
+    def encode(n: Derivation, premises: list) -> dict:
+        out: dict = {"rule": n.rule, "conclusion": parser.render(n.conclusion)}
+        if premises:
+            out["premises"] = premises
+        if n.marker is not None:
+            out["marker"] = n.marker
+        if n.discharges:
+            out["discharges"] = sorted(n.discharges)
+        if n.fresh is not None:
+            out["fresh"] = n.fresh
+        if n.position is not None:
+            out["position"] = n.position
+        return out
+    return fold(d, encode)
 
 
 def _field(obj: dict, key: str, kind: type):
@@ -215,43 +284,56 @@ def _field(obj: dict, key: str, kind: type):
 
 
 def from_json(obj: dict) -> Derivation:
+    """The derivation a JSON object describes.  A node's own fields are
+    checked before its premises are read, its conclusion after."""
     from .rules import RULES
-    if not isinstance(obj, dict):
-        raise ValueError(f"derivation node must be a JSON object, not {obj!r:.40}")
-    rule = obj.get("rule")
-    if not isinstance(rule, str):
-        raise ValueError("derivation node lacks a 'rule' string")
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}")
-    discharges = _field(obj, "discharges", list) or ()
-    if not all(type(m) is int for m in discharges):
-        raise ValueError(f"derivation field 'discharges' must list ints, "
-                         f"not {discharges!r}")
-    premises = tuple(from_json(p) for p in _field(obj, "premises", list) or ())
-    text = _field(obj, "conclusion", str)
-    if text is None:
-        template = RULES[rule].axiom_template
-        if template is None:
-            raise ValueError(f"node for rule {rule!r} lacks a conclusion")
-        conclusion: Conclusion = template
-    else:
-        conclusion = parse_conclusion(text)
-    return Derivation(
-        rule, conclusion, premises,
-        marker=_field(obj, "marker", int),
-        discharges=frozenset(discharges),
-        fresh=_field(obj, "fresh", str),
-        position=_field(obj, "position", int),
-    )
+
+    def visit(obj) -> tuple:
+        if not isinstance(obj, dict):
+            raise ValueError(f"derivation node must be a JSON object, not {obj!r:.40}")
+        rule = obj.get("rule")
+        if not isinstance(rule, str):
+            raise ValueError("derivation node lacks a 'rule' string")
+        if rule not in RULES:
+            raise ValueError(f"unknown rule {rule!r}")
+        discharges = _field(obj, "discharges", list) or ()
+        if not all(type(m) is int for m in discharges):
+            raise ValueError(f"derivation field 'discharges' must list ints, "
+                             f"not {discharges!r}")
+        return obj, _field(obj, "premises", list) or ()
+
+    def build(obj: dict, premises: list) -> Derivation:
+        rule = obj["rule"]
+        text = _field(obj, "conclusion", str)
+        if text is None:
+            template = RULES[rule].axiom_template
+            if template is None:
+                raise ValueError(f"node for rule {rule!r} lacks a conclusion")
+            conclusion: Conclusion = template
+        else:
+            conclusion = parse_conclusion(text)
+        return Derivation(
+            rule, conclusion, tuple(premises),
+            marker=_field(obj, "marker", int),
+            discharges=frozenset(obj.get("discharges") or ()),
+            fresh=_field(obj, "fresh", str),
+            position=_field(obj, "position", int),
+        )
+
+    return fold(obj, build, visit)
 
 
 def load(path: str) -> Derivation:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested deeper than the decoder "
+                             f"can read") from None
+    return from_json(obj)
 
 
 def dump(d: Derivation, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_json(d), fh, indent=1)
         fh.write("\n")
-

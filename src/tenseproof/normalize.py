@@ -9,12 +9,20 @@ first, then the maximal formula of highest grade having no equally-high
 maximal formula above it, then chain permutations, compositions and falsum
 collapses.
 
-The reductions are local, and so is the driver's bookkeeping.  A node's
-redexes read only the node, its premises and the premises of its first
-premise (a dependency radius of 2).  So after a step replaces the subtree at
-path ``p``, only that subtree and the nodes at ``p[:-1]`` and ``p[:-2]`` are
-scanned again; the redex index keyed by path keeps everything else.
-``find_redexes`` and ``reduce_step`` stay as the full-scan public API.
+The reductions are local, and a step costs about the nodes it creates.  A
+node's redexes read only the node, its premises and the premises of its
+first premise (a dependency radius of 2), all inside its own immutable
+subtree.  The tree surgery returns every subtree it does not change as the
+same object, so the redex index tests each node object once (a memo keyed
+by identity, dropped with the node) and, where the replacement holds the
+very subtree that was at the same path, keeps that subtree's sites without
+looking at them.  After a step at path ``p`` only the new nodes and the
+nodes at ``p[:-1]`` and ``p[:-2]`` are tested; a subtree moved to another
+path is walked for its new paths but not tested again.  The driver holds
+the tree as a zipper on the current site: it rebuilds the two nodes above
+a rewritten site at once and the rest of the spine only as it moves up
+through it.  ``find_redexes`` and ``reduce_step`` stay as the full-scan
+public API.
 """
 
 from __future__ import annotations
@@ -26,8 +34,9 @@ import os
 from dataclasses import dataclass, replace
 
 from .derivation import (
-    Derivation, MarkerGen, all_labels, all_markers, assume, graft, node,
-    refresh_internal_markers, replace_at, substitute_label_deriv,
+    Derivation, MarkerGen, all_labels, all_markers, assume, fold, graft, node,
+    refresh_internal_markers, rename_freshes, replace_at,
+    substitute_label_deriv, with_premise,
 )
 from .kernel import (
     _expand_entity, _xf, match_instantiation, mon_positions, replace_position,
@@ -92,50 +101,50 @@ def _mon_class(n: Derivation):
     return ("multi", None)
 
 
-def _mon_position(n: Derivation):
-    kind, pos = _mon_class(n)
-    return pos if kind == "ok" else None
-
-
 # ---------------------------------------------------------------------------
 # Redex search
 
-def _node_redexes(n: Derivation, path: tuple) -> list:
-    """The redexes at one node.  They read only the node, its premises and
-    the premises of ``premises[0]``: the dependency radius is 2."""
+def _redex_kinds(n: Derivation, mon_class) -> tuple:
+    """The redexes at one node, as ``(kind, detail)`` pairs.  They read only
+    the node, its premises and the premises of ``premises[0]``: the
+    dependency radius is 2.  ``mon_class`` is ``_mon_class`` or a memo of
+    it."""
     if not n.premises:
-        return []
+        return ()
     out = []
     p0 = n.premises[0]
 
     if DETOUR_PAIRS.get(n.rule) == p0.rule:
-        out.append(Redex("MaximalFormula", path, f"{p0.rule}/{n.rule}"))
+        out.append(("MaximalFormula", f"{p0.rule}/{n.rule}"))
 
     if n.rule == "raa_bot" and not isinstance(_xf(n.conclusion), (Atom, Falsum)):
-        out.append(Redex("UnrestrictedRAA", path, "raa_bot"))
+        out.append(("UnrestrictedRAA", "raa_bot"))
     if n.rule == "raa_empty":
         core = expand(n.conclusion)
         if isinstance(core, Empty) or not isinstance(core, (Less, Eq)):
-            out.append(Redex("UnrestrictedRAA", path, "raa_empty"))
+            out.append(("UnrestrictedRAA", "raa_empty"))
 
     if n.rule == "mon":
-        kind, _ = _mon_class(n)
+        kind, pl = mon_class(n)
         if kind != "ok":
-            out.append(Redex("UnrestrictedMon", path, kind))
+            out.append(("UnrestrictedMon", kind))
         elif p0.rule == "mon":
-            pu = _mon_position(p0)
-            pl = _mon_position(n)
-            if pu is not None and pl is not None:
+            kind_u, pu = mon_class(p0)
+            if kind_u == "ok":
                 if pu == pl:
-                    out.append(Redex("RedundantMon", path))
+                    out.append(("RedundantMon", ""))
                 elif pu == 2 and pl == 1:
-                    out.append(Redex("MonDisorder", path))
+                    out.append(("MonDisorder", ""))
 
     if n.rule in FALSUM_RULES and p0.rule in FALSUM_RULES:
         pair = f"{p0.rule};{n.rule}"
         if pair in ("raa_bot;raa_bot", "raa_bot;uf1", "uf1;uf2", "uf2;uf1"):
-            out.append(Redex("RedundantFalsum", path, pair))
-    return out
+            out.append(("RedundantFalsum", pair))
+    return tuple(out)
+
+
+def _node_redexes(n: Derivation, path: tuple) -> list:
+    return [Redex(kind, path, detail) for kind, detail in _redex_kinds(n, _mon_class)]
 
 
 def find_redexes(d: Derivation) -> list:
@@ -183,10 +192,7 @@ def _override_conclusion(t: Derivation, conclusion) -> Derivation:
 
 
 def _rename_colliding_freshes(t: Derivation, avoid: set, lgen) -> Derivation:
-    if t.fresh is not None and t.fresh in avoid:
-        t = substitute_label_deriv(t, lgen(), t.fresh)
-    return replace(t, premises=tuple(
-        _rename_colliding_freshes(p, avoid, lgen) for p in t.premises))
+    return rename_freshes(t, lambda label: lgen() if label in avoid else None)
 
 
 def _reduce_detour(n: Derivation, mgen, lgen) -> Derivation:
@@ -240,7 +246,7 @@ def _reduce_mon_pair(n: Derivation, mgen) -> Derivation:
     upper = n.premises[0]
     base, e1 = upper.premises
     e2 = n.premises[1]
-    pos = _mon_position(n)
+    _, pos = _mon_class(n)
     eq1 = expand(e1.conclusion)
     eq2 = expand(e2.conclusion)
     composed = node("mon", Eq(eq1.x, eq2.y), e1, e2, position=2)
@@ -600,52 +606,97 @@ _PRIORITY = {
 }
 
 
-def _priority(r: Redex, n: Derivation) -> tuple:
-    """Sort key of redex ``r`` at node ``n``; the driver reduces the least.
+def _priority(kind: str, path: tuple, grade: int | None) -> tuple:
+    """Sort key of a redex; the driver reduces the least.
 
     Within a class the leftmost site (least path) goes first, except for
     maximal formulas: there it is the highest grade, then the innermost
     site, then the leftmost.  That is exactly "the highest grade having no
     equally-high maximal formula above it": an innermost maximal formula of
     the highest grade has none above it, as any would be deeper still."""
-    cls = _PRIORITY[r.kind]
+    cls = _PRIORITY[kind]
     if cls == 1:
-        return (1, -grade(n.premises[0].conclusion), -len(r.path), r.path)
-    return (cls, 0, 0, r.path)
+        return (1, -grade, -len(path), path)
+    return (cls, 0, 0, path)
+
+
+def _subtree_end(sites: list, path: tuple, lo: int) -> int:
+    """The index in sorted ``sites`` past the last path under ``path``."""
+    if not path:
+        return len(sites)
+    return bisect.bisect_left(sites, path[:-1] + (path[-1] + 1,), lo)
+
+
+class _Facts:
+    """What the index knows of one node object: its redex kinds, the grade
+    of its maximal formula, its mon class.  Each is computed at most once."""
+
+    __slots__ = ("node", "kinds", "grade", "mon")
+
+    def __init__(self, node: Derivation):
+        self.node = node          # holds the object, so its id stays unique
+        self.kinds = None
+        self.grade = None
+        self.mon = None
 
 
 class _RedexIndex:
-    """The redexes of a tree, kept current across ``replace_at`` by
-    rescanning only the replaced subtree and the two nodes above it.
+    """The redexes of a tree, kept current across replacements of one
+    subtree at a time.
 
     ``sites`` lists the paths holding redexes in lexicographic order, so a
     subtree's sites form one slice; ``live`` maps each such path to its
     redexes; ``heap`` orders the redexes by ``_priority`` and drops stale
-    entries lazily."""
+    entries lazily.  ``memo`` maps the id of each node object of the tree
+    to its ``_Facts``: a node's redexes read only its own immutable
+    subtree, so they hold wherever the object sits, and a subtree that a
+    step moves is not tested again.  Entries of the objects a step discards
+    are dropped, so the memo never outgrows the tree."""
 
     def __init__(self, d: Derivation):
         self.live: dict = {}
         self.heap: list = []
+        self.memo: dict = {}
         self._seq = itertools.count()
-        self.sites = self._scan(d, ())
+        self.sites = [path for path, n in d.walk() if self._add(n, path)]
 
-    def _scan(self, t: Derivation, base: tuple) -> list:
-        """Index the redexes of subtree ``t`` at ``base``; returns their
-        paths in order."""
-        found = []
-        for path, n in t.walk(base):
-            rs = self._add(n, path)
-            if rs:
-                found.append(path)
-        return found
+    def _facts(self, n: Derivation) -> _Facts:
+        f = self.memo.get(id(n))
+        if f is None:
+            f = self.memo[id(n)] = _Facts(n)
+        return f
 
-    def _add(self, n: Derivation, path: tuple) -> list:
-        rs = _node_redexes(n, path)
-        if rs:
-            self.live[path] = rs
-            for r in rs:
-                heapq.heappush(self.heap, (_priority(r, n), next(self._seq), r))
+    def _mon(self, n: Derivation):
+        f = self._facts(n)
+        if f.mon is None:
+            f.mon = _mon_class(n)
+        return f.mon
+
+    def _tested(self, n: Derivation) -> _Facts:
+        f = self._facts(n)
+        if f.kinds is None:
+            f.kinds = _redex_kinds(n, self._mon)
+            if any(kind == "MaximalFormula" for kind, _ in f.kinds):
+                f.grade = grade(n.premises[0].conclusion)
+        return f
+
+    def _redexes(self, f: _Facts, path: tuple) -> list:
+        """The redexes ``f`` describes at ``path``, pushed on the heap."""
+        rs = [Redex(kind, path, detail) for kind, detail in f.kinds]
+        for r in rs:
+            heapq.heappush(self.heap, (_priority(r.kind, path, f.grade),
+                                       next(self._seq), r))
         return rs
+
+    def _add(self, n: Derivation, path: tuple) -> bool:
+        f = self._tested(n)
+        if f.kinds:
+            self.live[path] = self._redexes(f, path)
+        return bool(f.kinds)
+
+    def forget(self, n: Derivation) -> None:
+        """Drop the entry of a node object the tree no longer holds."""
+        self.memo.pop(id(n), None)
 
     def _is_live(self, r: Redex) -> bool:
         return any(x is r for x in self.live.get(r.path, ()))
@@ -659,25 +710,128 @@ class _RedexIndex:
             heapq.heappop(heap)
         return None
 
-    def replaced(self, d: Derivation, path: tuple, new: Derivation) -> None:
-        """Update for ``d``, in which the subtree at ``path`` is now ``new``."""
-        sites = self.sites
+    def replaced(self, path: tuple, old: Derivation, new: Derivation,
+                 ancestors: list) -> None:
+        """Update for the subtree at ``path`` having become ``new`` (it was
+        ``old``); ``ancestors`` are the ``(old, new)`` nodes at
+        ``path[:-1]`` and ``path[:-2]``, nearest first, rebuilt over it.
+
+        ``new`` is walked beside ``old``: where it holds the very object
+        ``old`` held at the same path, that subtree's sites, live entries
+        and heap entries stay as they are, and the walk goes no deeper."""
+        sites, live, memo = self.sites, self.live, self.memo
         lo = bisect.bisect_left(sites, path)
-        if path:
-            hi = bisect.bisect_left(sites, path[:-1] + (path[-1] + 1,), lo)
-        else:
-            hi = len(sites)
-        for p in sites[lo:hi]:
-            del self.live[p]
-        sites[lo:hi] = self._scan(new, path)
-        for anc in (path[:-1], path[:-2])[:len(path)]:
-            if self.live.pop(anc, None) is not None:
+        before = sites[lo:_subtree_end(sites, path, lo)]
+        after = []          # the sites under ``path`` from now on, in order
+        added = []          # (path, redexes) of the new ones
+        dropped = []        # the paths in ``before`` that lose their entries
+        kept = set()        # ids of the objects ``new`` holds
+        pos = 0
+        stack = [(path, new, old)]
+        while stack:
+            q, n, o = stack.pop()
+            kept.add(id(n))
+            if n is o:
+                a = bisect.bisect_left(before, q, pos)
+                b = _subtree_end(before, q, a)
+                dropped += before[pos:a]
+                after += before[a:b]
+                pos = b
+                continue
+            f = memo.get(id(n))
+            if f is None or f.kinds is None:
+                f = self._tested(n)
+            if f.kinds:
+                after.append(q)
+                added.append((q, self._redexes(f, q)))
+            premises = n.premises
+            if premises:
+                olds = o.premises if o is not None else ()
+                for i in range(len(premises) - 1, -1, -1):
+                    stack.append((q + (i,), premises[i],
+                                  olds[i] if i < len(olds) else None))
+        dropped += before[pos:]
+        for q in dropped:
+            del live[q]
+        live.update(added)
+        sites[lo:lo + len(before)] = after
+
+        stack = [old]
+        while stack:
+            o = stack.pop()
+            if id(o) not in kept:
+                self.forget(o)
+                stack.extend(o.premises)
+
+        for (o, n), anc in zip(ancestors, (path[:-1], path[:-2])):
+            self.forget(o)
+            if live.pop(anc, None) is not None:
                 del sites[bisect.bisect_left(sites, anc)]
-            if self._add(d.at(anc), anc):
+            if self._add(n, anc):
                 bisect.insort(sites, anc)
         if len(self.heap) > 4 * len(sites) + 64:
             self.heap = [e for e in self.heap if self._is_live(e[2])]
             heapq.heapify(self.heap)
+
+
+def _common_prefix(a: tuple, b: tuple) -> int:
+    """The length of the longest common prefix of two paths (a binary
+    search on slices, which compare at C speed)."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+class _Zipper:
+    """A tree held open at one subtree (Huet's zipper): ``focus`` is the
+    subtree at ``path``, and ``frames`` are the ``(node, premise index)``
+    pairs from the root down to it.  A node in ``frames`` keeps its old
+    premise at that index until ``up`` passes through it; ``replace``
+    rebuilds the two nearest at once, because the index tests them again.
+    It tells ``index`` of every node it replaces."""
+
+    def __init__(self, d: Derivation, index: _RedexIndex):
+        self.focus, self.path, self.frames = d, (), []
+        self.index = index
+
+    def up(self, depth: int) -> None:
+        t, frames = self.focus, self.frames
+        while len(frames) > depth:
+            parent, i = frames.pop()
+            t = with_premise(parent, i, t)
+            if t is not parent:
+                self.index.forget(parent)
+        self.focus, self.path = t, self.path[:depth]
+
+    def go(self, path: tuple) -> Derivation:
+        """Move the focus to ``path``, up only as far as the two paths
+        share; returns the subtree there."""
+        k = _common_prefix(self.path, path)
+        self.up(k)
+        for i in path[k:]:
+            self.frames.append((self.focus, i))
+            self.focus = self.focus.premises[i]
+        self.path = path
+        return self.focus
+
+    def replace(self, new: Derivation) -> None:
+        old, self.focus = self.focus, new
+        frames, rebuilt, t = self.frames, [], new
+        for j in range(len(frames) - 1, max(len(frames) - 3, -1), -1):
+            parent, i = frames[j]
+            t = with_premise(parent, i, t)
+            frames[j] = (t, i)
+            rebuilt.append((parent, t))
+        self.index.replaced(self.path, old, new, rebuilt)
+
+    def root(self) -> Derivation:
+        self.up(0)
+        return self.focus
 
 
 def _drive(d: Derivation, bound: int | None, last_class: int,
@@ -687,6 +841,7 @@ def _drive(d: Derivation, bound: int | None, last_class: int,
     they hand out is new to the tree at every step."""
     limit = step_bound() if bound is None else bound
     index = _RedexIndex(d)
+    tree = _Zipper(d, index)
     mgen = MarkerGen(all_markers(d))
     lgen = LabelGen(all_labels(d))
     nodes = d.node_count() if trace is not None else 0
@@ -694,13 +849,12 @@ def _drive(d: Derivation, bound: int | None, last_class: int,
     while True:
         r = index.first()
         if r is None or _PRIORITY[r.kind] > last_class:
-            return d
+            return tree.root()
         if steps >= limit:
             raise NonTermination(steps)
-        old = d.at(r.path)
+        old = tree.go(r.path)
         new = _rewrite(old, r.kind, mgen, lgen)
-        d = replace_at(d, r.path, new)
-        index.replaced(d, r.path, new)
+        tree.replace(new)
         steps += 1
         if trace is not None:
             nodes += new.node_count() - old.node_count()
@@ -748,29 +902,21 @@ def is_normal(d: Derivation) -> NormalReport:
 def canonical_form(d: Derivation) -> Derivation:
     """Rename markers to 1.. in first-mention order, fresh labels to a
     reserved sequence, and conclusions to expanded alpha-canonical form."""
-    order: list = []
+    order: dict = {}
     for _, n in d.walk():
         for m in sorted(n.discharges):
-            if m not in order:
-                order.append(m)
-        if n.marker is not None and n.marker not in order:
-            order.append(n.marker)
-    mmap = {m: i + 1 for i, m in enumerate(order)}
+            order.setdefault(m, len(order) + 1)
+        if n.marker is not None:
+            order.setdefault(n.marker, len(order) + 1)
     counter = itertools.count(1)
 
-    def rename_fresh(t: Derivation) -> Derivation:
-        if t.fresh is not None:
-            t = substitute_label_deriv(t, f"·f{next(counter)}", t.fresh)
-        return replace(t, premises=tuple(rename_fresh(p) for p in t.premises))
-
-    def squash(t: Derivation) -> Derivation:
+    def squash(t: Derivation, premises: list) -> Derivation:
         return Derivation(
-            t.rule, canon(t.conclusion),
-            tuple(squash(p) for p in t.premises),
-            marker=mmap.get(t.marker),
-            discharges=frozenset(mmap[m] for m in t.discharges),
+            t.rule, canon(t.conclusion), tuple(premises),
+            marker=order.get(t.marker),
+            discharges=frozenset(order[m] for m in t.discharges),
             fresh=t.fresh,
             position=t.position,
         )
 
-    return squash(rename_fresh(d))
+    return fold(rename_freshes(d, lambda label: f"·f{next(counter)}"), squash)

@@ -110,16 +110,18 @@ def test_parse_error_exit_code(tmp_path):
 
 
 def _nested_detours_file(tmp_path, k):
-    """k identity detours on ``x : p``, nested through the minor premise."""
-    tree = {"rule": "assume", "conclusion": "x : p"}
-    for m in range(1, k + 1):
-        tree = {"rule": "imp_e", "conclusion": "x : p", "premises": [
-            {"rule": "imp_i", "conclusion": "x : p -> p", "discharges": [m],
-             "premises": [{"rule": "assume", "conclusion": "x : p",
-                           "marker": m}]},
-            tree]}
+    """k identity detours on ``x : p``, nested through the minor premise
+    (written as text: ``json.dumps`` cannot nest that deep)."""
+    levels = []
+    for m in range(k, 0, -1):
+        intro = {"rule": "imp_i", "conclusion": "x : p -> p", "discharges": [m],
+                 "premises": [{"rule": "assume", "conclusion": "x : p",
+                               "marker": m}]}
+        levels.append('{"rule": "imp_e", "conclusion": "x : p", "premises": ['
+                      + json.dumps(intro) + ", ")
+    leaf = json.dumps({"rule": "assume", "conclusion": "x : p"})
     path = tmp_path / "detours.json"
-    path.write_text(json.dumps(tree))
+    path.write_text("".join(levels) + leaf + "]}" * k)
     return str(path)
 
 
@@ -136,6 +138,15 @@ def test_normalize_trace_then_normal_form(tmp_path, capsys):
     assert [json.loads(l)["step"] for l in lines[:3]] == [1, 2, 3]
     assert json.loads("\n".join(lines[3:])) == {"rule": "assume",
                                                 "conclusion": "x : p"}
+
+
+def test_input_too_deep_to_decode_is_an_input_error(tmp_path, capsys):
+    path = _nested_detours_file(tmp_path, 700)
+    for verb in ("check", "normalize"):
+        assert main([verb, path]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "nested" in captured.err
+        assert captured.out == ""
 
 
 def _check_text(tmp_path, obj):

@@ -1,21 +1,27 @@
+import importlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from helpers import DerivationGen
 from tenseproof.derivation import (
-    all_labels, all_markers, assume, node, replace_at,
+    MarkerGen, all_labels, all_markers, assume, from_json, graft, map_leaves,
+    node, refresh_internal_markers, rename_freshes, substitute_label_deriv,
+    to_json, with_premise,
 )
 from tenseproof.kernel import _expand_entity, check, expand_derived, open_assumptions
 from tenseproof.normalize import (
-    NonTermination, RedexStale, _RedexIndex, canonical_form, find_redexes,
-    is_normal, normalize, reduce_step, restrict,
+    NonTermination, RedexStale, _RedexIndex, _Zipper, _rename_colliding_freshes,
+    canonical_form, find_redexes, is_normal, normalize, reduce_step, restrict,
 )
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import KL
-from tenseproof.syntax import Empty, core_eq, grade
+from tenseproof.syntax import Empty, LabelGen, core_eq, grade, substitute_label
 
 E = Empty()
+# the module, not the function of that name the package exports
+nz = importlib.import_module("tenseproof.normalize")
 
 
 def g_detour():
@@ -489,10 +495,10 @@ def test_driver_matches_reference_on_corpus():
 
 def test_driver_matches_reference_on_families():
     trees = [_nested_imp(k, ["q", "q -> q", "G q", "q"], body)
-             for k in (1, 4, 9) for body in (True, False)]
-    trees += [_nested_temporal(k, op) for k in (1, 5) for op in ("g", "h")]
-    trees += [_mon_chain(k, dis) for k in (3, 8) for dis in (True, False)]
-    trees += [_falsum_chain(k) for k in (4, 11, 20)]
+             for k in (1, 4, 9, 20) for body in (True, False)]
+    trees += [_nested_temporal(k, op) for k in (1, 5, 12) for op in ("g", "h")]
+    trees += [_mon_chain(k, dis) for k in (3, 8, 33) for dis in (True, False)]
+    trees += [_falsum_chain(k) for k in (4, 11, 20, 64)]
     for d in trees:
         assert check(d, KL).ok
         assert _assert_same_as_reference(d) > 0
@@ -515,10 +521,16 @@ def _assert_index_current(index, d):
         assert first is None
 
 
-def _replace_and_check(index, d, path, new):
-    d = replace_at(d, path, new)
-    index.replaced(d, path, new)
-    _assert_index_current(index, d)
+def _replace_and_check(tree, path, new):
+    """Replace through the driver's zipper; check the index against a full
+    scan of the tree, zipped up aside so the zipper stays where it is."""
+    tree.go(path)
+    tree.replace(new)
+    d = tree.focus
+    for parent, i in reversed(tree.frames):
+        d = with_premise(parent, i, d)
+    _assert_index_current(tree.index, d)
+    assert len(tree.index.memo) <= d.node_count()
     return d
 
 
@@ -529,27 +541,161 @@ def test_index_follows_any_replacement():
     m1 = node("mon", pl("y : p"), base, assume(pr("x = y")), position=1)
     m2 = node("mon", pl("z : p"), m1, assume(pr("y = z")), position=1)
     d = m2
-    index = _RedexIndex(d)
-    _assert_index_current(index, d)
+    tree = _Zipper(d, _RedexIndex(d))
+    _assert_index_current(tree.index, d)
     assert [r.kind for r in find_redexes(d)] == ["RedundantMon"]
-    d = _replace_and_check(index, d, (0, 0), assume(pl("x : G p")))
+    d = _replace_and_check(tree, (0, 0), assume(pl("x : G p")))
     assert [r.kind for r in find_redexes(d)] == ["UnrestrictedMon"]
-    d = _replace_and_check(index, d, (0, 0), base)
-    d = _replace_and_check(index, d, (0, 1), assume(pr("x = w")))
-    d = _replace_and_check(index, d, (), g_detour())
+    d = _replace_and_check(tree, (0, 0), base)
+    d = _replace_and_check(tree, (0, 1), assume(pr("x = w")))
+    # the same object again, and a new node over the old premises
+    d = _replace_and_check(tree, (0,), d.at((0,)))
+    d = _replace_and_check(tree, (), replace(d, conclusion=pl("w : p")))
+    d = _replace_and_check(tree, (), g_detour())
 
-    # random grafts of subtrees whose conclusions have the same shape
+    # random grafts of subtrees whose conclusions have the same shape: as
+    # they are, in place of one premise of the old node (the others stay
+    # at their paths), or over the old node
     rng = random.Random(5)
     gen = DerivationGen(rng)
     trees = [gen.derivation() for _ in range(30)]
     shape = lambda t: type(_expand_entity(t.conclusion))
     parts = [t for d in trees for _, t in d.walk()]
     for d in trees:
-        index = _RedexIndex(d)
-        for _ in range(8):
+        tree = _Zipper(d, _RedexIndex(d))
+        for _ in range(12):
             path, old = rng.choice(list(d.walk()))
             new = rng.choice([t for t in parts if shape(t) is shape(old)])
-            d = _replace_and_check(index, d, path, new)
+            how = rng.randrange(4)
+            if how == 1 and old.premises:
+                i = rng.randrange(len(old.premises))
+                p = old.premises[i]
+                swap = rng.choice([t for t in parts if shape(t) is shape(p)])
+                new = with_premise(old, i, swap)
+            elif how == 2:
+                new = old
+            elif how == 3:
+                new = node("mon", old.conclusion, old, assume(pr("x = x")))
+            d = _replace_and_check(tree, path, new)
+
+
+def test_steps_test_only_the_nodes_they_create(monkeypatch):
+    # a mon-disorder step keeps the chain below it where it was: it tests
+    # the two nodes it builds and the two above them, not the chain again
+    calls = {"_redex_kinds": 0, "_mon_class": 0}
+    for name in calls:
+        def counted(*args, real=getattr(nz, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(nz, name, counted)
+    indexes = []
+
+    class Recorded(_RedexIndex):
+        def __init__(self, d):
+            super().__init__(d)
+            indexes.append(self)
+
+    class Trace(list):
+        def append(self, record):
+            # the memo holds no node the tree has dropped
+            assert len(indexes[0].memo) <= record["nodes"]
+            super().append(record)
+
+    monkeypatch.setattr(nz, "_RedexIndex", Recorded)
+    trace = Trace()
+    nf = normalize(_mon_chain(64, True), trace=trace)
+    assert is_normal(nf).normal
+    assert len(trace) == 590
+    assert calls["_redex_kinds"] <= 8 * len(trace)
+    assert calls["_mon_class"] <= 8 * len(trace)
+
+
+# ---------------------------------------------------------------------------
+# Tree surgery: share what does not change, else as the rebuilding versions
+
+def _rebuilt_map_leaves(d, fn):
+    if d.is_assumption():
+        return fn(d)
+    return replace(d, premises=tuple(_rebuilt_map_leaves(p, fn) for p in d.premises))
+
+
+def _rebuilt_substitute(d, new, old):
+    return replace(d, conclusion=substitute_label(d.conclusion, new, old),
+                   fresh=new if d.fresh == old else d.fresh,
+                   premises=tuple(_rebuilt_substitute(p, new, old)
+                                  for p in d.premises))
+
+
+def _rebuilt_refresh(d, gen):
+    internal = {}
+    for _, n in d.walk():
+        for m in n.discharges:
+            if m not in internal:
+                internal[m] = gen()
+
+    def rewrite(n):
+        return replace(n, premises=tuple(rewrite(p) for p in n.premises),
+                       marker=internal.get(n.marker, n.marker),
+                       discharges=frozenset(internal.get(m, m) for m in n.discharges))
+    return rewrite(d)
+
+
+def _rebuilt_graft(d, marker, replacement, gen):
+    return _rebuilt_map_leaves(d, lambda leaf: _rebuilt_refresh(replacement, gen)
+                               if leaf.marker == marker else leaf)
+
+
+def _rebuilt_rename_colliding(t, avoid, lgen):
+    if t.fresh is not None and t.fresh in avoid:
+        t = _rebuilt_substitute(t, lgen(), t.fresh)
+    return replace(t, premises=tuple(_rebuilt_rename_colliding(p, avoid, lgen)
+                                     for p in t.premises))
+
+
+def test_surgery_shares_unchanged_subtrees():
+    gen = DerivationGen(random.Random(31))
+    changed = 0
+    for _ in range(120):
+        d = gen.derivation()
+        markers, labels = all_markers(d), all_labels(d)
+        unused = max(markers, default=0) + 1
+        assert map_leaves(d, lambda leaf: leaf) is d
+        assert graft(d, unused, d, MarkerGen(markers)) is d
+        assert substitute_label_deriv(d, "v0", "absent") is d
+        assert rename_freshes(d, lambda label: None) is d
+        assert _rename_colliding_freshes(d, set(), LabelGen(labels)) is d
+        if not any(n.discharges for _, n in d.walk()):
+            assert refresh_internal_markers(d, MarkerGen(markers)) is d
+
+        for m in sorted(markers):
+            g1, g2 = MarkerGen(markers), MarkerGen(markers)
+            out = graft(d, m, d, g1)
+            assert out == _rebuilt_graft(d, m, d, g2) and g1.next == g2.next
+            for p, q in zip(d.premises, out.premises):
+                if all(n.marker != m for _, n in p.walk()):
+                    assert q is p
+        for y in sorted(labels):
+            out = substitute_label_deriv(d, "v0", y)
+            assert out == _rebuilt_substitute(d, "v0", y)
+            changed += out is not d
+        g1, g2 = MarkerGen(markers), MarkerGen(markers)
+        assert refresh_internal_markers(d, g1) == _rebuilt_refresh(d, g2)
+        assert g1.next == g2.next
+        l1, l2 = LabelGen(labels), LabelGen(labels)
+        assert (_rename_colliding_freshes(d, labels, l1)
+                == _rebuilt_rename_colliding(d, labels, l2))
+        assert l1() == l2()
+    assert changed > 100
+
+
+def _same_tree(a, b):
+    """``a == b`` without recursion."""
+    fields = lambda n: (n.rule, n.conclusion, n.marker, n.discharges, n.fresh,
+                        n.position, len(n.premises))
+    walk_a, walk_b = list(a.walk()), list(b.walk())
+    return len(walk_a) == len(walk_b) and all(
+        pa == pb and fields(x) == fields(y)
+        for (pa, x), (pb, y) in zip(walk_a, walk_b))
 
 
 def test_deep_tree_traversal():
@@ -565,3 +711,12 @@ def test_deep_tree_traversal():
     assert not is_normal(d).normal
     assert all_labels(d) == {"x"}
     assert all_markers(d) == set(range(1, 3002))
+    assert _same_tree(from_json(to_json(d)), d)
+    canonical = canonical_form(d)
+    assert _same_tree(canonical_form(canonical), canonical)
+    assert all_markers(canonical) == set(range(1, 3002))
+    assert substitute_label_deriv(d, "y", "w") is d
+    assert all_labels(substitute_label_deriv(d, "y", "x")) == {"y"}
+    grafted = graft(d, 1, g_detour(), MarkerGen(all_markers(d)))
+    assert grafted.node_count() == d.node_count() + g_detour().node_count() - 1
+    assert grafted.premises[0] is d.premises[0]
