@@ -17,7 +17,7 @@ import json
 import sys
 
 from .corpus import run_corpus
-from .derivation import dump, load, to_json
+from .derivation import dump, dumps, load
 from .kernel import check
 from .normalize import NonTermination, is_normal, normalize
 from .parser import ParseError, parse, render
@@ -90,7 +90,7 @@ def cmd_normalize(args) -> int:
     if args.output:
         dump(nf, args.output)
     else:
-        print(json.dumps(to_json(nf), indent=1))
+        print(dumps(nf))
     if not is_normal(nf).normal or not check(nf, profile).ok:
         print("normalization produced a non-normal or invalid tree",
               file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .derivation import Derivation, from_json
-from .kernel import check, open_assumptions
+from .kernel import check
 from .normalize import NonTermination, is_normal, normalize
 from .parser import parse
 from .rules import LogicProfile, parse_profile
@@ -86,11 +86,10 @@ def run_entry(entry: CorpusEntry, max_worlds: int = 4) -> EntryResult:
         try:
             nf = normalize(entry.derivation)
             preserved = nf.conclusion == entry.derivation.conclusion
-            before = {c for c in open_assumptions(entry.derivation)}
-            after = {c for c in open_assumptions(nf)}
-            shrunk = all(any(core_eq(a, b) for b in before) for a in after)
-            recheck = check(nf, entry.profile).ok
-            if preserved and shrunk and recheck:
+            recheck = check(nf, entry.profile)
+            before = set(report.open)
+            shrunk = all(any(core_eq(a, b) for b in before) for a in recheck.open)
+            if preserved and shrunk and recheck.ok:
                 stages["normalize"] = "PASS"
             else:
                 stages["normalize"] = "FAIL:invariants"

@@ -5,6 +5,16 @@ so ``premises[i]`` is drawn *above* the node in the usual proof-tree picture.
 Assumption leaves may carry an integer marker; rule nodes may discharge a set
 of markers and may introduce a fresh label.  Paths address nodes as tuples of
 premise indices from the root.
+
+There are three traversals, none recursive; use the cheapest that serves:
+
+- ``fold`` computes bottom-up: each node's value from its premises' values.
+  Every rebuilding helper below is a fold.
+- ``Derivation.nodes`` yields the nodes, root first, premises left to right,
+  for a scan that needs no addresses.
+- ``Derivation.walk`` yields the same nodes in the same order with their
+  root paths; building a path costs its length, so use it only where a path
+  is kept or reported.
 """
 
 from __future__ import annotations
@@ -36,18 +46,22 @@ class Derivation:
         return self.rule == ASSUME
 
     def node_count(self) -> int:
-        count, stack = 0, [self]
-        while stack:
-            n = stack.pop()
-            count += 1
-            stack.extend(n.premises)
-        return count
+        return sum(1 for _ in self.nodes())
 
     def at(self, path: Path) -> "Derivation":
         node = self
         for i in path:
             node = node.premises[i]
         return node
+
+    def nodes(self) -> Iterator["Derivation"]:
+        """Yield every node, root first, premises left to right (the order
+        of ``walk``)."""
+        stack = [self]
+        while stack:
+            n = stack.pop()
+            yield n
+            stack += n.premises[::-1]
 
     def walk(self, path: Path = ()) -> Iterator[tuple]:
         """Yield ``(path, node)`` pairs, root first, premises left to right
@@ -76,10 +90,10 @@ def node(rule: str, conclusion: Conclusion, *premises: Derivation,
 def with_premise(t: Derivation, i: int, p: Derivation) -> Derivation:
     """``t`` with ``p`` as its premise ``i``; ``t`` itself if ``p`` is
     already there."""
-    return _with_premises(t, t.premises[:i] + (p,) + t.premises[i + 1:])
+    return with_premises(t, t.premises[:i] + (p,) + t.premises[i + 1:])
 
 
-def _with_premises(n: Derivation, premises: list) -> Derivation:
+def with_premises(n: Derivation, premises: list) -> Derivation:
     """``n`` over ``premises``; ``n`` itself if they are its own."""
     old = n.premises
     for i, p in enumerate(premises):
@@ -131,14 +145,14 @@ def map_leaves(d: Derivation, fn: Callable[[Derivation], Derivation]) -> Derivat
     """``d`` with every assumption leaf replaced by ``fn(leaf)``.  A subtree
     in which nothing changes is returned as the same object."""
     return fold(d, lambda n, premises: fn(n) if n.is_assumption()
-                else _with_premises(n, premises))
+                else with_premises(n, premises))
 
 
 def all_labels(d: Derivation) -> set:
     """Every label mentioned anywhere: conclusions, bound variables, fresh
     annotations.  Superset of the free labels; safe avoid-set for fresh names."""
     out: set = set()
-    for _, n in d.walk():
+    for n in d.nodes():
         c = n.conclusion
         if isinstance(c, Lwff):
             out.add(c.label)
@@ -170,7 +184,7 @@ def _deep_labels(phi) -> set:
 
 def all_markers(d: Derivation) -> set:
     out: set = set()
-    for _, n in d.walk():
+    for n in d.nodes():
         if n.marker is not None:
             out.add(n.marker)
         out |= n.discharges
@@ -196,7 +210,7 @@ def substitute_label_deriv(d: Derivation, new: str, old: str) -> Derivation:
     def subst(n: Derivation, premises: list) -> Derivation:
         c = substitute_label(n.conclusion, new, old)
         if n.fresh != old and c == n.conclusion:
-            return _with_premises(n, premises)
+            return with_premises(n, premises)
         return Derivation(n.rule, c, tuple(premises), n.marker, n.discharges,
                           new if n.fresh == old else n.fresh, n.position)
 
@@ -214,7 +228,7 @@ def rename_freshes(d: Derivation, rename: Callable[[str], Optional[str]]) -> Der
             if label is not None:
                 t = substitute_label_deriv(t, label, t.fresh)
         return t, t.premises
-    return fold(d, _with_premises, visit)
+    return fold(d, with_premises, visit)
 
 
 def refresh_internal_markers(d: Derivation, gen: MarkerGen) -> Derivation:
@@ -222,7 +236,7 @@ def refresh_internal_markers(d: Derivation, gen: MarkerGen) -> Derivation:
     cannot collide with its siblings; markers discharged outside stay put.
     ``d`` itself if it discharges nothing."""
     internal: dict[int, int] = {}
-    for _, n in d.walk():
+    for n in d.nodes():
         for m in n.discharges:
             if m not in internal:
                 internal[m] = gen()
@@ -231,7 +245,7 @@ def refresh_internal_markers(d: Derivation, gen: MarkerGen) -> Derivation:
 
     def rewrite(n: Derivation, premises: list) -> Derivation:
         if n.marker not in internal and not any(m in internal for m in n.discharges):
-            return _with_premises(n, premises)
+            return with_premises(n, premises)
         return Derivation(n.rule, n.conclusion, tuple(premises),
                           internal.get(n.marker, n.marker),
                           frozenset(internal.get(m, m) for m in n.discharges),
@@ -333,7 +347,34 @@ def load(path: str) -> Derivation:
     return from_json(obj)
 
 
+def dumps(d: Derivation) -> str:
+    """``json.dumps(to_json(d), indent=1)``, written without recursion so a
+    derivation of any depth can be written."""
+    out: list = []
+    stack: list = [(to_json(d), "")]
+    while stack:
+        value, pad = stack.pop()
+        if pad is None:                   # text between the values
+            out.append(value)
+        elif value and value.__class__ in (dict, list):
+            if value.__class__ is dict:
+                items = [(json.dumps(k) + ": ", v) for k, v in value.items()]
+                out.append("{")
+                stack.append(("\n" + pad + "}", None))
+            else:
+                items = [("", v) for v in value]
+                out.append("[")
+                stack.append(("\n" + pad + "]", None))
+            inner = pad + " "
+            for i in range(len(items) - 1, -1, -1):
+                key, v = items[i]
+                stack.append((v, inner))
+                stack.append(((",\n" if i else "\n") + inner + key, None))
+        else:
+            out.append(json.dumps(value))
+    return "".join(out)
+
+
 def dump(d: Derivation, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json(d), fh, indent=1)
-        fh.write("\n")
+        fh.write(dumps(d) + "\n")

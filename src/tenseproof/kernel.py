@@ -13,10 +13,15 @@ premises and checks the template's core nodes, reporting every violation at
 the derived node.  A node whose formulas lack the shape its rule needs is a
 ``PatternMismatch``.
 
-The checker is one iterative post-order pass.  It computes each subtree's
-open leaves once (a leaf is closed by any ancestor naming its marker); the
-freshness conditions, the stand-ins and the report's open context all read
-that result.
+``check`` makes two passes over the tree, neither recursive.  A ``walk``
+indexes each marker's leaves by root path and finds markers discharged at
+two nodes.  Then ``_open_fold``, one post-order pass that keeps root paths,
+computes each subtree's open leaves once (a leaf is closed by any ancestor
+naming its marker) and validates each node with its premises' open leaves
+in hand; the freshness conditions, the stand-ins and the report's open
+context all read that result.  A derived node's template gets its own
+``_open_fold``, which stops at the stand-ins and takes their open leaves
+from the premises'.  ``expand_derived`` is a ``fold``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 from .derivation import (
-    Derivation, MarkerGen, all_markers, assume, map_leaves, node, replace_at,
+    Derivation, MarkerGen, all_markers, assume, fold, map_leaves, node,
+    with_premises,
 )
 from .rules import KL, RULES, LogicProfile
 from .syntax import (
@@ -84,31 +90,25 @@ def _context(opens) -> ProofContext:
 _STANDIN = object()
 
 
-def _post_order(d: Derivation):
-    """Yield ``(path, node)`` pairs, premises left to right before their
-    node; stand-ins are not entered."""
+def _open_fold(d: Derivation, visit=None, standins=()) -> list:
+    """The open leaves of ``d`` as ``(path, leaf)`` pairs.  Each subtree's
+    open leaves are computed once, in post-order, premises left to right;
+    ``visit(path, node, below)`` sees every node with the open leaves of
+    each of its premises.  A stand-in is not entered: its open leaves are
+    ``standins[stand-in.marker]``."""
+    done: list = []
     stack = [((), d, False)]
     while stack:
         path, n, ready = stack.pop()
-        if ready or not n.premises or n.rule == _STANDIN:
-            yield path, n
-            continue
-        stack.append((path, n, True))
-        for i in range(len(n.premises) - 1, -1, -1):
-            stack.append((path + (i,), n.premises[i], False))
-
-
-def _open_fold(d: Derivation, visit=None, standins=()) -> list:
-    """The open leaves of ``d`` as ``(path, leaf)`` pairs.  Each subtree's
-    open leaves are computed once, bottom-up; ``visit(path, node, below)``
-    sees every node with the open leaves of each of its premises.  A
-    stand-in's open leaves are ``standins[stand-in.marker]``."""
-    done: list = []
-    for path, n in _post_order(d):
         if n.rule == _STANDIN:
             done.append(standins[n.marker])
             continue
         k = len(n.premises)
+        if k and not ready:
+            stack.append((path, n, True))
+            for i in range(k - 1, -1, -1):
+                stack.append((path + (i,), n.premises[i], False))
+            continue
         below = done[len(done) - k:]
         del done[len(done) - k:]
         if visit is not None:
@@ -261,7 +261,7 @@ class _Checker:
             self.bad(path, "StructuralError", f"{n.rule} cannot discharge")
         if n.position is not None and n.rule != "mon":
             self.bad(path, "StructuralError", "position only applies to mon")
-        if schema.requires and schema.requires not in self.profile.extras:
+        if not self.profile.allows(n.rule):
             self.bad(path, "AxiomNotInProfile",
                      f"{n.rule} needs profile extra '{schema.requires}'")
 
@@ -595,15 +595,14 @@ def expand_derived(d: Derivation) -> Derivation:
     input does, and has exactly the same conclusion and open assumptions.
     """
     mgen = MarkerGen(all_markers(d))
-    done: list = []
-    for _, n in _post_order(d):
-        k = len(n.premises)
-        n = replace(n, premises=tuple(done[len(done) - k:]))
-        del done[len(done) - k:]
+
+    def expand_node(n: Derivation, premises: list) -> Derivation:
+        n = with_premises(n, premises)
         if RULES[n.rule].kind == "derived":
-            n = _EXPANDERS[n.rule](n, mgen)
-        done.append(n)
-    return done[0]
+            return _EXPANDERS[n.rule](n, mgen)
+        return n
+
+    return fold(d, expand_node)
 
 
 class _Mismatch(Exception):
@@ -685,27 +684,35 @@ def _refutation(c, k: int) -> Derivation:
     return assume(RImplies(c, E_), k)
 
 
+def _renamed(t: Derivation, renames: dict, only=lambda leaf: True) -> Derivation:
+    """``t`` with each leaf that ``only`` admits renamed by ``renames``."""
+    if not renames:
+        return t
+    return map_leaves(t, lambda leaf: replace(leaf, marker=renames[leaf.marker])
+                      if leaf.marker in renames and only(leaf) else leaf)
+
+
 def _split_marker_shapes(p1: Derivation, markers, first_shape, mgen):
     """Give leaves matching ``first_shape`` their own markers when a marker
     mixes the two dischargeable shapes of a two-pattern rule."""
-    firsts, seconds = set(), set()
-    tree = p1
+    shapes: dict = {}     # marker -> which of the shapes its leaves have
+    for t in p1.nodes():
+        if t.is_assumption() and t.marker in markers:
+            shapes.setdefault(t.marker, set()).add(
+                core_eq(t.conclusion, first_shape))
+    firsts, seconds, renames = set(), set(), {}
     for m in sorted(markers):
-        paths = [p for p, nd in tree.walk()
-                 if nd.is_assumption() and nd.marker == m]
-        match = [p for p in paths if core_eq(tree.at(p).conclusion, first_shape)]
-        rest = [p for p in paths if p not in match]
-        if match and rest:
-            fresh_m = mgen()
-            for p in match:
-                leaf = tree.at(p)
-                tree = replace_at(tree, p, replace(leaf, marker=fresh_m))
-            firsts.add(fresh_m)
+        kinds = shapes.get(m, ())
+        if len(kinds) == 2:
+            renames[m] = mgen()
+            firsts.add(renames[m])
             seconds.add(m)
-        elif match:
+        elif True in kinds:
             firsts.add(m)
         else:
             seconds.add(m)
+    tree = _renamed(p1, renames,
+                    lambda leaf: core_eq(leaf.conclusion, first_shape))
     return tree, firsts, seconds
 
 
@@ -800,22 +807,20 @@ def _split_markers_by_branch(n: Derivation, mgen) -> tuple:
     each branch's leaves carry their own marker.  Returns the rewritten
     premises tuple plus the marker sets for branch 1 and branch 2."""
     p1, p2 = n.premises[1], n.premises[2]
-    m1, m2 = set(), set()
+    in1, in2 = ({t.marker for t in p.nodes() if t.is_assumption()}
+                for p in (p1, p2))
+    m1, m2, renames = set(), set(), {}
     for m in sorted(n.discharges):
-        in1 = any(nd.marker == m for _, nd in p1.walk() if nd.is_assumption())
-        in2 = any(nd.marker == m for _, nd in p2.walk() if nd.is_assumption())
-        if in1 and in2:
-            fresh = mgen()
-            def rename(leaf, m=m, fresh=fresh):
-                return replace(leaf, marker=fresh) if leaf.marker == m else leaf
-            p2 = map_leaves(p2, rename)
+        if m in in1 and m in in2:
+            renames[m] = mgen()
             m1.add(m)
-            m2.add(fresh)
-        elif in2:
+            m2.add(renames[m])
+        elif m in in2:
             m2.add(m)
         else:
             m1.add(m)
-    return (n.premises[0], p1, p2), frozenset(m1), frozenset(m2)
+    return ((n.premises[0], p1, _renamed(p2, renames)),
+            frozenset(m1), frozenset(m2))
 
 
 def _branch_to_bottom(branch: Derivation, leaf_k: Derivation, x: str) -> Derivation:

@@ -383,40 +383,24 @@ def _restrict_raa_empty(n: Derivation, mgen, lgen) -> Derivation:
 # ---------------------------------------------------------------------------
 # Mon restriction: positional transport through arbitrary formulas
 
-class _EqSupply:
-    """Hand out usable copies of the equality subderivation: the original
-    first, then marker-refreshed copies."""
+class _Supply:
+    """Hand out usable copies of an equality subderivation, which ``build``
+    makes on first use: that derivation first, then marker-refreshed
+    copies."""
 
-    def __init__(self, eqd: Derivation, mgen):
-        self.eqd = eqd
-        self.mgen = mgen
-        self.used = False
-
-    def __call__(self) -> Derivation:
-        if not self.used:
-            self.used = True
-            return self.eqd
-        return refresh_internal_markers(self.eqd, self.mgen)
-
-
-class _LazySymSupply:
-    """Like ``_EqSupply`` for the symmetric equality, but the underlying
-    derivation is only built on first use."""
-
-    def __init__(self, eq_supply: _EqSupply, a: str, b: str, mgen):
-        self.eq_supply = eq_supply
-        self.a, self.b = a, b
+    def __init__(self, build, mgen):
+        self.build = build
         self.mgen = mgen
         self.built: Derivation | None = None
 
     def __call__(self) -> Derivation:
         if self.built is None:
-            self.built = sym_deriv(self.eq_supply, self.a, self.b, self.mgen)
+            self.built = self.build()
             return self.built
         return refresh_internal_markers(self.built, self.mgen)
 
 
-def sym_deriv(eq_supply: _EqSupply, a: str, b: str, mgen) -> Derivation:
+def sym_deriv(eq_supply: _Supply, a: str, b: str, mgen) -> Derivation:
     """Derive ``b = a`` from a derivation of ``a = b`` using connectedness
     and irreflexivity (restriction-clean: all new mons are positional)."""
     conn = node("conn", AXIOMS["conn"])
@@ -582,8 +566,8 @@ def _restrict_mon(n: Derivation, mgen, lgen) -> Derivation:
 
     # two interchangeable sources of equality evidence: copies of the given
     # a = b subderivation, and copies of the derived symmetric b = a
-    eq_ab = _EqSupply(eqd, mgen)
-    eq_ba = _LazySymSupply(eq_ab, a, b, mgen)
+    eq_ab = _Supply(lambda: eqd, mgen)
+    eq_ba = _Supply(lambda: sym_deriv(eq_ab, a, b, mgen), mgen)
 
     if isinstance(n.conclusion, Lwff):
         occs = frozenset({("F",)})
@@ -903,7 +887,7 @@ def canonical_form(d: Derivation) -> Derivation:
     """Rename markers to 1.. in first-mention order, fresh labels to a
     reserved sequence, and conclusions to expanded alpha-canonical form."""
     order: dict = {}
-    for _, n in d.walk():
+    for n in d.nodes():
         for m in sorted(n.discharges):
             order.setdefault(m, len(order) + 1)
         if n.marker is not None:

@@ -15,6 +15,7 @@ from .syntax import (
 )
 
 EXTRAS = ("first", "final", "lser", "rser", "dens", "ldiscr", "rdiscr", "mtl")
+INFINITE_EXTRAS = frozenset({"lser", "rser", "dens", "mtl"})
 
 
 @dataclass(frozen=True)
@@ -34,21 +35,13 @@ class LogicProfile:
             xs |= {"rser", "rdiscr"}
         return LogicProfile(frozenset(xs))
 
-    @property
-    def name(self) -> str:
-        if "mtl" in self.extras:
-            return "mtl"
-        if not self.extras:
-            return "kl"
-        return "kl+" + "+".join(sorted(self.extras))
-
     def allows(self, rule_id: str) -> bool:
         req = RULES[rule_id].requires
         return req is None or req in self.extras
 
     def finitely_modelable(self) -> bool:
         """Serial or dense profiles have no useful finite frames."""
-        return not (self.extras & {"lser", "rser", "dens", "mtl"})
+        return not (self.extras & INFINITE_EXTRAS)
 
 
 KL = LogicProfile.make()

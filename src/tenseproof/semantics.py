@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 from .kernel import CheckReport
-from .rules import KL, LogicProfile
+from .rules import INFINITE_EXTRAS, KL, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, ProofContext,
     RImplies, X, expand, is_formula, labels_of,
@@ -279,7 +279,7 @@ def entails(m: Model, lam: Interpretation, ctx: ProofContext, phi) -> bool:
 
 def _require_finite(profile: LogicProfile) -> None:
     if not profile.finitely_modelable():
-        bad = sorted(profile.extras & {"lser", "rser", "dens", "mtl"})
+        bad = sorted(profile.extras & INFINITE_EXTRAS)
         raise FinitelyVacuous(
             f"profile extras {bad} admit no useful finite frames")
 

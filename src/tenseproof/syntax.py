@@ -21,75 +21,65 @@ Label = str
 @dataclass(frozen=True)
 class Atom:
     name: str
-    derived = False
 
 
 @dataclass(frozen=True)
 class Falsum:
-    derived = False
+    pass
 
 
 @dataclass(frozen=True)
 class Implies:
     left: "Formula"
     right: "Formula"
-    derived = False
 
 
 @dataclass(frozen=True)
 class G:
     body: "Formula"
-    derived = False
 
 
 @dataclass(frozen=True)
 class H:
     body: "Formula"
-    derived = False
 
 
 @dataclass(frozen=True)
 class X:
     # Core only when the logic profile enables the next-step fragment.
     body: "Formula"
-    derived = False
 
 
 @dataclass(frozen=True)
 class Not:
     body: "Formula"
-    derived = True
 
 
 @dataclass(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
-    derived = True
 
 
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
-    derived = True
 
 
 @dataclass(frozen=True)
 class Top:
-    derived = True
+    pass
 
 
 @dataclass(frozen=True)
 class F:
     body: "Formula"
-    derived = True
 
 
 @dataclass(frozen=True)
 class P:
     body: "Formula"
-    derived = True
 
 
 Formula = Union[Atom, Falsum, Implies, G, H, X, Not, And, Or, Top, F, P]
@@ -102,60 +92,52 @@ Formula = Union[Atom, Falsum, Implies, G, H, X, Not, And, Or, Top, F, P]
 class Less:
     x: Label
     y: Label
-    derived = False
 
 
 @dataclass(frozen=True)
 class Eq:
     x: Label
     y: Label
-    derived = False
 
 
 @dataclass(frozen=True)
 class Empty:
-    derived = False
+    pass
 
 
 @dataclass(frozen=True)
 class RImplies:
     left: "RFormula"
     right: "RFormula"
-    derived = False
 
 
 @dataclass(frozen=True)
 class Forall:
     var: Label
     body: "RFormula"
-    derived = False
 
 
 @dataclass(frozen=True)
 class RNot:
     body: "RFormula"
-    derived = True
 
 
 @dataclass(frozen=True)
 class RAnd:
     left: "RFormula"
     right: "RFormula"
-    derived = True
 
 
 @dataclass(frozen=True)
 class ROr:
     left: "RFormula"
     right: "RFormula"
-    derived = True
 
 
 @dataclass(frozen=True)
 class Exists:
     var: Label
     body: "RFormula"
-    derived = True
 
 
 @dataclass(frozen=True)
@@ -163,7 +145,6 @@ class Prec:
     # "immediately precedes": x < y with no point strictly in between.
     x: Label
     y: Label
-    derived = True
 
 
 RFormula = Union[Less, Eq, Empty, RImplies, Forall, RNot, RAnd, ROr, Exists, Prec]
@@ -192,18 +173,11 @@ class ProofContext:
         return not self.gamma and not self.delta
 
 
-Entity = Union[Formula, RFormula, Lwff]
-
 FORMULA_TYPES = (Atom, Falsum, Implies, G, H, X, Not, And, Or, Top, F, P)
-RFORMULA_TYPES = (Less, Eq, Empty, RImplies, Forall, RNot, RAnd, ROr, Exists, Prec)
 
 
 def is_formula(e) -> bool:
     return isinstance(e, FORMULA_TYPES)
-
-
-def is_rformula(e) -> bool:
-    return isinstance(e, RFORMULA_TYPES)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .kernel import _xf
 from .normalize import is_normal
 from .rules import ELIM_RULES, FALSUM_RULES, INTRO_RULES, RULES
 from .syntax import (
-    Atom, Empty, Eq, Falsum, Implies, Less, Lwff, RImplies, canon, expand,
+    Empty, Falsum, Implies, Lwff, RImplies, canon, expand, is_atomic,
     is_subformula_instance, subformulas,
 )
 
@@ -59,12 +59,6 @@ class TrackReport:
 
 def _is_axiom(n: Derivation) -> bool:
     return RULES[n.rule].kind == "axiom"
-
-
-def _atomic(c) -> bool:
-    if isinstance(c, Lwff):
-        return isinstance(_xf(c), (Atom, Falsum))
-    return isinstance(expand(c), (Less, Eq, Empty))
 
 
 def tracks(d: Derivation) -> TrackReport:
@@ -147,7 +141,7 @@ def _decompose(nodes, chain, kind, origin, terminus) -> Track:
         is_mon = b.rule == "mon"
         if (in_track and (is_falsum or is_mon)) or (
                 not in_track and terminus == "uf-premise"):
-            if not _atomic(nodes[chain[j]].conclusion):
+            if not is_atomic(nodes[chain[j]].conclusion):
                 raise StructureViolation(
                     f"central formula at {chain[j]} is not atomic")
             if is_falsum:
@@ -241,6 +235,7 @@ def audit_subformula(d: Derivation) -> AuditReport:
 
     ctx = open_assumptions(d)
     nodes = dict(d.walk())
+    leaf_markers = {n.marker for n in nodes.values() if n.is_assumption()}
 
     s_l = [x.formula for x in ctx.gamma]
     if isinstance(d.conclusion, Lwff):
@@ -288,7 +283,7 @@ def audit_subformula(d: Derivation) -> AuditReport:
                         and isinstance(mcore.right, Falsum)
                         and in_sl(mcore.left)):
                     return "1iii"
-            if n.rule == "raa_bot" and not _discharges_leaves(d, n):
+            if n.rule == "raa_bot" and n.discharges.isdisjoint(leaf_markers):
                 return "1iv"
             if n.rule == "uf2":
                 return "1v"
@@ -330,12 +325,3 @@ def audit_subformula(d: Derivation) -> AuditReport:
         else:
             justifications[path] = tag
     return AuditReport(not violations, justifications, tuple(sorted(violations)))
-
-
-def _discharges_leaves(d: Derivation, n: Derivation) -> bool:
-    if not n.discharges:
-        return False
-    for _, leaf in d.walk():
-        if leaf.is_assumption() and leaf.marker in n.discharges:
-            return True
-    return False

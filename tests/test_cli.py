@@ -1,10 +1,16 @@
 import json
+import random
+import sys
 
 import pytest
 
+from helpers import DerivationGen
 from tenseproof.cli import main
 from tenseproof.corpus import corpus_entries
-from tenseproof.derivation import dump, load
+from tenseproof.derivation import assume, dump, dumps, from_json, load, node, to_json
+from tenseproof.kernel import check
+from tenseproof.parser import parse_lwff as pl
+from tenseproof.rules import KL
 
 
 @pytest.fixture
@@ -138,6 +144,39 @@ def test_normalize_trace_then_normal_form(tmp_path, capsys):
     assert [json.loads(l)["step"] for l in lines[:3]] == [1, 2, 3]
     assert json.loads("\n".join(lines[3:])) == {"rule": "assume",
                                                 "conclusion": "x : p"}
+
+
+def test_normalize_writes_a_deep_normal_form(tmp_path, capsys):
+    # 300 case splits, each in the second branch of the next: the normal
+    # form nests 600 deep, too deep for ``json.dumps`` with an indent
+    pa = pl("x : p")
+    d = assume(pa, 1)
+    for m in range(2, 302):
+        d = node("or_e", pa, assume(pl("x : p | q")), assume(pa, m), d,
+                 discharges={m})
+    path, out_file = tmp_path / "or_chain.json", tmp_path / "nf.json"
+    dump(d, str(path))
+    assert main(["normalize", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["normalize", str(path), "-o", str(out_file)]) == 0
+    assert out_file.read_text() == printed
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)        # the JSON decoder recurses
+    try:
+        nf = from_json(json.loads(printed))
+    finally:
+        sys.setrecursionlimit(limit)
+    report = check(nf, KL)
+    assert report.ok and report.is_theorem == check(d, KL).is_theorem
+    assert nf.conclusion == d.conclusion
+
+
+def test_derivation_text_is_the_json_encoders():
+    trees = [e.derivation for e in corpus_entries()]
+    gen = DerivationGen(random.Random(47))
+    trees += [gen.derivation() for _ in range(150)]
+    for d in trees:
+        assert dumps(d) == json.dumps(to_json(d), indent=1)
 
 
 def test_input_too_deep_to_decode_is_an_input_error(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 from tenseproof.corpus import corpus_entries, run_corpus, run_entry
 from tenseproof.kernel import check, expand_derived
 from tenseproof.normalize import canonical_form
@@ -86,3 +89,18 @@ def test_run_corpus_summary():
     assert len(results) == len(EXPECTED_IDS)
     assert len(lines) == len(EXPECTED_IDS) + 1
     assert all(r.ok for r in results)
+
+
+def test_bundled_files_are_what_the_builder_writes():
+    # a kernel or serializer change that alters the corpus shows here
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "build_corpus", root / "tools" / "build_corpus.py")
+    builder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(builder)
+    texts = {entry_id: text for entry_id, _, _, text in builder.build_entries()}
+    bundled = {p.stem: p.read_text(encoding="utf-8")
+               for p in (root / "src" / "tenseproof" / "corpus").glob("*.json")}
+    assert set(texts) == set(bundled) == EXPECTED_IDS
+    for entry_id, text in texts.items():
+        assert text == bundled[entry_id], entry_id

@@ -3,7 +3,8 @@ from dataclasses import replace
 import pytest
 
 from tenseproof.derivation import (
-    all_markers, assume, from_json, node, replace_at, to_json,
+    MarkerGen, all_markers, assume, from_json, map_leaves, node, replace_at,
+    to_json,
 )
 from tenseproof.kernel import check, expand_derived, open_assumptions
 from tenseproof.normalize import canonical_form
@@ -427,6 +428,172 @@ def test_checked_mutants_expand_and_survive_the_probe():
         assert open_assumptions(expanded) == report.open
         assert soundness_probe(report, 3, profile).status != "FAIL", mutant
     assert accepted >= 20
+
+
+# ---------------------------------------------------------------------------
+# Case-split expanders: one pass per branch, as the per-marker versions
+
+def _split_shapes_per_marker(p1, markers, first_shape, mgen):
+    """The per-marker version of ``kernel._split_marker_shapes``."""
+    firsts, seconds = set(), set()
+    tree = p1
+    for m in sorted(markers):
+        paths = [p for p, nd in tree.walk()
+                 if nd.is_assumption() and nd.marker == m]
+        match = [p for p in paths if core_eq(tree.at(p).conclusion, first_shape)]
+        rest = [p for p in paths if p not in match]
+        if match and rest:
+            fresh_m = mgen()
+            for p in match:
+                tree = replace_at(tree, p, replace(tree.at(p), marker=fresh_m))
+            firsts.add(fresh_m)
+            seconds.add(m)
+        elif match:
+            firsts.add(m)
+        else:
+            seconds.add(m)
+    return tree, firsts, seconds
+
+
+def _split_branches_per_marker(n, mgen):
+    """The per-marker version of ``kernel._split_markers_by_branch``."""
+    p1, p2 = n.premises[1], n.premises[2]
+    m1, m2 = set(), set()
+    for m in sorted(n.discharges):
+        in1 = any(nd.marker == m for _, nd in p1.walk() if nd.is_assumption())
+        in2 = any(nd.marker == m for _, nd in p2.walk() if nd.is_assumption())
+        if in1 and in2:
+            fresh = mgen()
+            p2 = map_leaves(p2, lambda leaf, m=m, fresh=fresh:
+                            replace(leaf, marker=fresh) if leaf.marker == m
+                            else leaf)
+            m1.add(m)
+            m2.add(fresh)
+        elif in2:
+            m2.add(m)
+        else:
+            m1.add(m)
+    return (n.premises[0], p1, p2), frozenset(m1), frozenset(m2)
+
+
+def _hand_built_splits():
+    """Case splits with markers in both branches, in one, and in none, and
+    temporal eliminations with a marker mixing both shapes."""
+    ore = node("or_e", pl("x : r"), assume(pl("x : p | q")),
+               node("imp_e", pl("x : r"), assume(pl("x : p -> r"), 1),
+                    assume(pl("x : p"), 2)),
+               node("imp_e", pl("x : r"), assume(pl("x : q -> r"), 1),
+                    node("imp_e", pl("x : q"), assume(pl("x : q -> q"), 3),
+                         assume(pl("x : q"), 2))),
+               discharges={1, 2, 3, 4})
+    ror = node("ror_e", pl("t : false"), assume(pr("x < y \\/ x = y")),
+               node("uf2", pl("t : false"), node(
+                   "rimp_e", E, assume(pr("!(x < y)"), 5), assume(pr("x < y"), 1))),
+               node("uf2", pl("t : false"), node(
+                   "rimp_e", E, assume(pr("!(x = y)"), 5), assume(pr("x = y"), 1))),
+               discharges={1, 5, 6})
+    minor = node("imp_e", pl("x : q"),
+                 node("imp_e", pl("x : p -> q"), assume(pl("y : p -> p -> q"), 1),
+                      assume(pl("y : p"), 1)),
+                 node("g_e", pl("y : p"), assume(pl("x : G p"), 2),
+                      assume(pr("x < y"), 1)))
+    mixed = minor.premises[0]
+    splits = [ore, ror]
+    shapes = [(minor, {1, 2, 3}, pl("y : p")), (mixed, {1, 4}, pl("y : p")),
+              (minor, {1}, pr("x < y")), (minor, {1, 2}, pl("y : q"))]
+    return splits, shapes
+
+
+def _random_splits(count):
+    """Pairs of generated trees whose leaf markers are folded onto 1..5, so
+    markers are shared between branches and mix shapes."""
+    import random
+    from helpers import DerivationGen
+    rng = random.Random(41)
+    gen = DerivationGen(rng)
+    fold5 = lambda leaf: replace(leaf, marker=leaf.marker % 5 + 1) \
+        if leaf.marker is not None else leaf
+    splits, shapes = [], []
+    for _ in range(count):
+        p1 = map_leaves(gen.derivation(), fold5)
+        p2 = map_leaves(gen.derivation(), fold5)
+        discharges = set(rng.sample(range(1, 8), rng.randint(1, 6)))
+        splits.append(node("or_e", p1.conclusion, assume(pl("x : p | q")),
+                           p1, p2, discharges=discharges))
+        leaves = [n for n in p1.nodes() if n.is_assumption()]
+        shapes.append((p1, discharges, rng.choice(leaves).conclusion))
+    return splits, shapes
+
+
+def test_case_splits_match_the_per_marker_versions():
+    from tenseproof.kernel import _split_marker_shapes, _split_markers_by_branch
+    hand_splits, hand_shapes = _hand_built_splits()
+    rand_splits, rand_shapes = _random_splits(150)
+    renamed = 0
+    for n in hand_splits + rand_splits:
+        g1, g2 = MarkerGen((100,)), MarkerGen((100,))
+        assert _split_markers_by_branch(n, g1) == _split_branches_per_marker(n, g2)
+        assert g1.next == g2.next
+        renamed += g1.next > 101
+    for p1, markers, shape in hand_shapes + rand_shapes:
+        g1, g2 = MarkerGen((100,)), MarkerGen((100,))
+        assert (_split_marker_shapes(p1, frozenset(markers), shape, g1)
+                == _split_shapes_per_marker(p1, markers, shape, g2))
+        assert g1.next == g2.next
+        renamed += g1.next > 101
+    assert renamed > 50
+    # markers 1 and 2 are in both branches, 3 in the second, 4 in neither
+    assert _split_markers_by_branch(hand_splits[0], MarkerGen((100,)))[1:] \
+        == ({1, 2, 4}, {101, 102, 3})
+    # marker 1 has leaves of both shapes, 2 of the second, 3 none
+    p1, markers, shape = hand_shapes[0]
+    assert _split_marker_shapes(p1, frozenset(markers), shape,
+                                MarkerGen((100,)))[1:] == ({101}, {1, 2, 3})
+
+
+def _or_chain(k):
+    """``k`` case splits, each nested in the second branch of the next, with
+    a marker of its own in each branch."""
+    pa = pl("x : p")
+    d = assume(pa, 1)
+    for i in range(k):
+        m1, m2 = 2 * i + 2, 2 * i + 3
+        minor = node("imp_e", pa, node("imp_i", pl("x : p -> p"), d),
+                     assume(pa, m2))
+        d = node("or_e", pa, assume(pl("x : p | p")), assume(pa, m1), minor,
+                 discharges={m1, m2})
+    return d
+
+
+def _f_chain(k):
+    """``k`` F-eliminations, each with the one below as its minor premise."""
+    fa = pl("x : F p")
+    markers = iter(range(1, 2 * k + 3))
+
+    def intro(y):
+        ma, mb = next(markers), next(markers)
+        return node("f_i", fa, assume(pl(f"{y} : p"), ma),
+                    assume(pr(f"x < {y}"), mb)), {ma, mb}
+
+    d, opened = intro("y0")
+    for i in range(1, k + 1):
+        major, new_open = intro(f"y{i}")
+        d = node("f_e", fa, major, d, discharges=opened, fresh=f"y{i - 1}")
+        opened = new_open
+    return d
+
+
+@pytest.mark.parametrize("chain", [lambda: _or_chain(500), lambda: _f_chain(300)],
+                         ids=["or_e-500", "f_e-300"])
+def test_deep_case_splits_expand(chain):
+    d = chain()
+    report = check(d, KL)
+    assert report.ok
+    expanded = expand_derived(d)
+    assert expanded.conclusion == d.conclusion
+    expanded_report = check(expanded, KL)
+    assert expanded_report.ok
+    assert expanded_report.open == report.open
 
 
 def test_json_round_trip():

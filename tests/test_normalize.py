@@ -698,6 +698,22 @@ def _same_tree(a, b):
         for (pa, x), (pb, y) in zip(walk_a, walk_b))
 
 
+def _same_order(d):
+    """``d.nodes()`` yields the very nodes of ``d.walk()``, in its order."""
+    walked = [n for _, n in d.walk()]
+    listed = list(d.nodes())
+    return len(listed) == len(walked) and all(
+        a is b for a, b in zip(listed, walked))
+
+
+def test_nodes_follow_walk():
+    gen = DerivationGen(random.Random(43))
+    for _ in range(150):
+        d = gen.derivation()
+        assert _same_order(d)
+        assert d.node_count() == len(list(d.walk()))
+
+
 def test_deep_tree_traversal():
     # 3000 nested detours, each through the minor premise of the next
     a = pl("x : p")
@@ -707,6 +723,7 @@ def test_deep_tree_traversal():
         d = node("imp_e", a, node("imp_i", pl("x : p -> p"), assume(a, m),
                                   discharges={m}), d)
     assert sum(1 for _ in d.walk()) == 3 * 3000 + 1
+    assert _same_order(d)
     assert len(find_redexes(d)) == 3000
     assert not is_normal(d).normal
     assert all_labels(d) == {"x"}

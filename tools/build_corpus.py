@@ -301,8 +301,10 @@ ENTRIES = [
 ]
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def build_entries():
+    """Build and check every entry.  Yields ``(entry_id, derivation, report,
+    text)`` in id order; ``text`` is the file's content, ``None`` for an
+    entry that does not check."""
     built = {}
     for entry_id, profile_name, source, builder in ENTRIES:
         d = builder()
@@ -318,26 +320,34 @@ def main():
                       "(duality instance)",
                       expand_derived(built["h2"][2]))
 
-    failures = 0
     for entry_id, (profile_name, source, d) in sorted(built.items()):
-        profile = parse_profile(profile_name)
-        report = check(d, profile)
-        status = "theorem" if report.is_theorem else report.status
-        if not report.ok:
+        report = check(d, parse_profile(profile_name))
+        text = None
+        if report.ok:
+            payload = {
+                "id": entry_id,
+                "profile": profile_name,
+                "source": source,
+                "conclusion": render(d.conclusion),
+                "derivation": to_json(d),
+            }
+            text = json.dumps(payload, indent=1) + "\n"
+        yield entry_id, d, report, text
+
+
+def main():
+    OUT.mkdir(parents=True, exist_ok=True)
+    failures = 0
+    for entry_id, d, report, text in build_entries():
+        if text is None:
             failures += 1
             print(f"{entry_id}: INVALID")
             for v in report.violations[:8]:
                 print(f"    {v}")
             continue
-        payload = {
-            "id": entry_id,
-            "profile": profile_name,
-            "source": source,
-            "conclusion": render(d.conclusion),
-            "derivation": to_json(d),
-        }
+        status = "theorem" if report.is_theorem else report.status
         path = OUT / f"{entry_id}.json"
-        path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         print(f"{entry_id}: {status}, {d.node_count()} nodes -> {path.name}")
     return 1 if failures else 0
 
