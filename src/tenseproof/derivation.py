@@ -20,6 +20,7 @@ There are three traversals, none recursive; use the cheapest that serves:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
@@ -155,11 +156,9 @@ def all_labels(d: Derivation) -> set:
     for n in d.nodes():
         c = n.conclusion
         if isinstance(c, Lwff):
-            out.add(c.label)
+            out.add(c.label)          # a tense formula holds no labels
         else:
             out |= _deep_labels(c)
-        if isinstance(c, Lwff):
-            out |= _deep_labels(c.formula)
         if n.fresh:
             out.add(n.fresh)
     return out
@@ -288,12 +287,19 @@ def to_json(d: Derivation) -> dict:
     return fold(d, encode)
 
 
+def brief_repr(value, width: Optional[int] = 40) -> str:
+    """``repr(value)``, cut to ``width`` characters, of a value read from
+    JSON; built without recursion, so a value of any depth can be named in
+    an error message."""
+    return _text(value, repr, False)[:width]
+
+
 def _field(obj: dict, key: str, kind: type):
     """``obj[key]`` if absent or exactly of ``kind`` (so no bool for int)."""
     value = obj.get(key)
     if value is not None and type(value) is not kind:
         raise ValueError(f"derivation field {key!r} must be {kind.__name__}, "
-                         f"not {value!r}")
+                         f"not {brief_repr(value)}")
     return value
 
 
@@ -304,7 +310,7 @@ def from_json(obj: dict) -> Derivation:
 
     def visit(obj) -> tuple:
         if not isinstance(obj, dict):
-            raise ValueError(f"derivation node must be a JSON object, not {obj!r:.40}")
+            raise ValueError(f"derivation node must be a JSON object, not {brief_repr(obj)}")
         rule = obj.get("rule")
         if not isinstance(rule, str):
             raise ValueError("derivation node lacks a 'rule' string")
@@ -313,7 +319,7 @@ def from_json(obj: dict) -> Derivation:
         discharges = _field(obj, "discharges", list) or ()
         if not all(type(m) is int for m in discharges):
             raise ValueError(f"derivation field 'discharges' must list ints, "
-                             f"not {discharges!r}")
+                             f"not {brief_repr(discharges)}")
         return obj, _field(obj, "premises", list) or ()
 
     def build(obj: dict, premises: list) -> Derivation:
@@ -337,41 +343,114 @@ def from_json(obj: dict) -> Derivation:
     return fold(obj, build, visit)
 
 
+_SKIP = re.compile(r"[ \t\n\r]*").match      # the whitespace ``json`` skips
+_SCALAR = json.JSONDecoder().scan_once
+_CLOSER = {"{": "}", "[": "]"}
+
+
+def decode(text: str):
+    """``json.loads(text)``, read without recursion so a document of any
+    depth can be read.  Arrays and objects are kept on an explicit stack;
+    every other value is decoded by the ``json`` module, so exactly the
+    same texts are accepted."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using "
+                                   "utf-8-sig)", text, 0)
+    stack: list = []        # [container, key] of each open array or object
+    i = _SKIP(text, 0).end()
+    while True:
+        c = text[i:i + 1]
+        if c in _CLOSER:
+            value = {} if c == "{" else []
+            i = _SKIP(text, i + 1).end()
+            if text[i:i + 1] != _CLOSER[c]:
+                top = [value, None]
+                if c == "{":
+                    top[1], i = _key(text, i)
+                stack.append(top)
+                continue
+            i += 1
+        else:
+            try:
+                value, i = _SCALAR(text, i)
+            except StopIteration as stop:
+                raise json.JSONDecodeError("Expecting value", text,
+                                           stop.value) from None
+        while True:                       # put ``value`` in its container
+            i = _SKIP(text, i).end()
+            if not stack:
+                if i != len(text):
+                    raise json.JSONDecodeError("Extra data", text, i)
+                return value
+            top = stack[-1]
+            container, key = top
+            if key is None:
+                container.append(value)
+            else:
+                container[key] = value
+            c = text[i:i + 1]
+            if c == ",":
+                i = _SKIP(text, i + 1).end()
+                if key is not None:
+                    top[1], i = _key(text, i)
+                break
+            if c != ("]" if key is None else "}"):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+            stack.pop()
+            value, i = container, i + 1
+
+
+def _key(text: str, i: int) -> tuple:
+    """The object key at ``i`` and the index past its colon."""
+    if text[i:i + 1] != '"':
+        raise json.JSONDecodeError(
+            "Expecting property name enclosed in double quotes", text, i)
+    key, i = json.decoder.scanstring(text, i + 1)
+    i = _SKIP(text, i).end()
+    if text[i:i + 1] != ":":
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+    return key, _SKIP(text, i + 1).end()
+
+
 def load(path: str) -> Derivation:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested deeper than the decoder "
-                             f"can read") from None
-    return from_json(obj)
+        return from_json(decode(fh.read()))
 
 
 def dumps(d: Derivation) -> str:
     """``json.dumps(to_json(d), indent=1)``, written without recursion so a
     derivation of any depth can be written."""
+    return _text(to_json(d), json.dumps, True)
+
+
+def _text(value, scalar, indent: bool) -> str:
+    """``value`` as text, written without recursion: lists and dicts as
+    ``json.dumps`` writes them (with ``indent=1`` if ``indent``), every
+    other value, and each key, by ``scalar``."""
     out: list = []
-    stack: list = [(to_json(d), "")]
+    stack: list = [(value, "")]
     while stack:
         value, pad = stack.pop()
         if pad is None:                   # text between the values
             out.append(value)
         elif value and value.__class__ in (dict, list):
             if value.__class__ is dict:
-                items = [(json.dumps(k) + ": ", v) for k, v in value.items()]
+                items = [(scalar(k) + ": ", v) for k, v in value.items()]
                 out.append("{")
-                stack.append(("\n" + pad + "}", None))
+                close = "}"
             else:
                 items = [("", v) for v in value]
                 out.append("[")
-                stack.append(("\n" + pad + "]", None))
+                close = "]"
             inner = pad + " "
+            comma, first = (",\n" + inner, "\n" + inner) if indent else (", ", "")
+            stack.append((("\n" + pad if indent else "") + close, None))
             for i in range(len(items) - 1, -1, -1):
                 key, v = items[i]
                 stack.append((v, inner))
-                stack.append(((",\n" if i else "\n") + inner + key, None))
+                stack.append(((comma if i else first) + key, None))
         else:
-            out.append(json.dumps(value))
+            out.append(scalar(value))
     return "".join(out)
 
 

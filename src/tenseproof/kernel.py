@@ -13,6 +13,16 @@ premises and checks the template's core nodes, reporting every violation at
 the derived node.  A node whose formulas lack the shape its rule needs is a
 ``PatternMismatch``.
 
+The calculus is two copies of one minimal propositional calculus, joined
+only by uf1 and uf2: a labeled copy (``imp_i``, ``imp_e``, ``raa_bot``,
+falsum ``x : false``) and a relational copy (``rimp_i``, ``rimp_e``,
+``raa_empty``, falsum ``empty``).  A ``_Sort`` record (``LAB``, ``REL``)
+holds what tells them apart, and each rule they share is written once over
+it: one validator serves ``imp_i`` and ``rimp_i``, one expander serves
+``and_i`` and ``rand_i``, and so on.  ``_falsum_at`` carries a falsum
+between the sorts and labels, and ``_conclude`` ends a case split by the
+reductio of its conclusion's sort.
+
 ``check`` makes two passes over the tree, neither recursive.  A ``walk``
 indexes each marker's leaves by root path and finds markers discharged at
 two nodes.  Then ``_open_fold``, one post-order pass that keeps root paths,
@@ -27,7 +37,10 @@ from the premises'.  ``expand_derived`` is a ``fold``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain
+from operator import attrgetter
+from typing import Callable
 
 from .derivation import (
     Derivation, MarkerGen, all_markers, assume, fold, map_leaves, node,
@@ -41,6 +54,48 @@ from .syntax import (
 
 F_ = Falsum()
 E_ = Empty()
+
+
+@dataclass(frozen=True)
+class _Sort:
+    """One of the two copies of the minimal propositional calculus: its
+    implication and falsum, its three rules, and how it states a formula
+    ``a`` at a label ``x``.  ``LAB`` states ``x : a``; ``REL`` states ``a``
+    itself, and its label is ``None``.  The rules the copies share are
+    written once over this record; ``at``, ``split`` and ``neg`` are plain
+    callables, as cheap as the constructors they stand for."""
+    labeled: bool
+    name: str          # "a {name} formula"
+    shape: str         # prefix of the connectives' names in messages
+    imp: type          # Implies | RImplies
+    falsum: object     # F_ | E_
+    bottom: str        # the falsum's name in messages
+    imp_i: str
+    imp_e: str
+    raa: str
+    at: Callable       # at(x, a): ``a`` stated in this sort, at ``x`` if labeled
+    split: Callable    # split(c): the label and the formula part of ``c``
+    neg: Callable      # neg(a): ``a`` implies this sort's falsum
+
+
+LAB = _Sort(True, "labeled", "", Implies, F_, "falsum", "imp_i", "imp_e",
+            "raa_bot", Lwff, attrgetter("label", "formula"),
+            partial(Implies, right=F_))
+REL = _Sort(False, "relational", "relational ", RImplies, E_, "empty",
+            "rimp_i", "rimp_e", "raa_empty", lambda x, a: a, lambda c: (None, c),
+            partial(RImplies, right=E_))
+_SORT_OF_RULE = {r: s for s in (LAB, REL) for r in (s.imp_i, s.imp_e, s.raa)}
+
+# each temporal rule: its operator, and the relation from the label of the
+# operator formula to the label of the body
+_TEMPORAL = {
+    "g_i": (G, Less), "h_i": (H, lambda x, y: Less(y, x)), "x_i": (X, Prec),
+    "g_e": (G, Less), "h_e": (H, lambda x, y: Less(y, x)), "x_e": (X, Prec),
+}
+
+
+def _sort(c) -> _Sort:
+    return LAB if isinstance(c, Lwff) else REL
 
 
 @dataclass(frozen=True)
@@ -166,7 +221,7 @@ def replace_position(core, pos: int, new: str):
 def mon_positions(major, minor_eq, conclusion):
     """Which single atomic position could this mon application have used?
     Returns a list of positions, or None when only replace-all explains it."""
-    core = _expand_entity(major)
+    core = expand(major)
     a = minor_eq.x
     b = minor_eq.y
     positions = _atomic_positions(core, a)
@@ -174,10 +229,6 @@ def mon_positions(major, minor_eq, conclusion):
         return None
     return [p for p in positions
             if core_eq(replace_position(core, p, b), conclusion)]
-
-
-def _expand_entity(c):
-    return Lwff(c.label, expand(c.formula)) if isinstance(c, Lwff) else expand(c)
 
 
 # ---------------------------------------------------------------------------
@@ -356,59 +407,69 @@ class _Checker:
                          f"at {'/'.join(map(str, leaf_path))}")
                 return
 
-    # -- labeled core rules ---------------------------------------------
+    # -- the rules both sorts share --------------------------------------
 
-    def _lwff(self, path, c, role) -> bool:
-        if not isinstance(c, Lwff):
-            self.bad(path, "PatternMismatch", f"{role} must be a labeled formula")
+    def _of(self, s, path, c, role) -> bool:
+        """Is ``c`` a formula of sort ``s``?  Reported if not."""
+        if isinstance(c, Lwff) is not s.labeled:
+            self.bad(path, "PatternMismatch", f"{role} must be a {s.name} formula")
             return False
         return True
 
-    def _rwff(self, path, c, role) -> bool:
-        if isinstance(c, Lwff):
-            self.bad(path, "PatternMismatch", f"{role} must be a relational formula")
-            return False
-        return True
-
-    def rule_raa_bot(self, path, n):
+    def _raa(self, path, n):
+        s = _SORT_OF_RULE[n.rule]
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._lwff(path, c, "conclusion") and self._lwff(path, p0, "premise")):
+        if not (self._of(s, path, c, "conclusion") and self._of(s, path, p0, "premise")):
             return {}
-        if not isinstance(expand(p0.formula), Falsum):
-            self.bad(path, "PatternMismatch", "premise of raa_bot must be falsum")
-        return {0: [Lwff(c.label, Implies(c.formula, F_))]}
-
-    def rule_imp_i(self, path, n):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._lwff(path, c, "conclusion") and self._lwff(path, p0, "premise")):
-            return {}
-        core = _xf(c)
-        if not isinstance(core, Implies):
-            self.bad(path, "PatternMismatch", "imp_i concludes an implication")
-            return {}
-        if p0.label != c.label or not core_eq(p0.formula, core.right):
+        if not isinstance(expand(s.split(p0)[1]), type(s.falsum)):
             self.bad(path, "PatternMismatch",
-                     "imp_i premise must be the consequent at the same label")
-        return {0: [Lwff(c.label, core.left)]}
+                     f"premise of {n.rule} must be {s.bottom}")
+        x, a = s.split(c)
+        return {0: [s.at(x, s.neg(a))]}
 
-    def rule_imp_e(self, path, n):
+    def _imp_i(self, path, n):
+        s = _SORT_OF_RULE[n.rule]
+        c, p0 = n.conclusion, n.premises[0].conclusion
+        if not (self._of(s, path, c, "conclusion") and self._of(s, path, p0, "premise")):
+            return {}
+        x, a = s.split(c)
+        core = expand(a)
+        if not isinstance(core, s.imp):
+            self.bad(path, "PatternMismatch", f"{n.rule} concludes an implication")
+            return {}
+        y, b = s.split(p0)
+        if y != x or not core_eq(b, core.right):
+            self.bad(path, "PatternMismatch",
+                     f"{n.rule} premise must be the consequent")
+        return {0: [s.at(x, core.left)]}
+
+    def _imp_e(self, path, n):
+        s = _SORT_OF_RULE[n.rule]
         c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not all(self._lwff(path, v, r) for v, r in
+        if not all(self._of(s, path, v, r) for v, r in
                    [(c, "conclusion"), (p0, "major premise"), (p1, "minor premise")]):
             return {}
-        core = _xf(p0)
-        if not isinstance(core, Implies):
-            self.bad(path, "PatternMismatch", "imp_e major premise must be an implication")
+        x, a = s.split(p0)
+        core = expand(a)
+        if not isinstance(core, s.imp):
+            self.bad(path, "PatternMismatch",
+                     f"{n.rule} major premise must be an implication")
             return {}
-        if not (p1.label == p0.label == c.label
-                and core_eq(p1.formula, core.left)
-                and core_eq(c.formula, core.right)):
-            self.bad(path, "PatternMismatch", "imp_e premises do not fit")
+        (y, b), (z, d) = s.split(p1), s.split(c)
+        if not (y == x == z and core_eq(b, core.left) and core_eq(d, core.right)):
+            self.bad(path, "PatternMismatch", f"{n.rule} premises do not fit")
         return {}
 
-    def _temporal_intro(self, path, n, op, discharged_rel):
+    rule_raa_bot = rule_raa_empty = _raa
+    rule_imp_i = rule_rimp_i = _imp_i
+    rule_imp_e = rule_rimp_e = _imp_e
+
+    # -- labeled core rules ---------------------------------------------
+
+    def _temporal_intro(self, path, n):
+        op, discharged_rel = _TEMPORAL[n.rule]
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._lwff(path, c, "conclusion") and self._lwff(path, p0, "premise")):
+        if not (self._of(LAB, path, c, "conclusion") and self._of(LAB, path, p0, "premise")):
             return {}
         core = _xf(c)
         if not isinstance(core, op):
@@ -424,19 +485,12 @@ class _Checker:
         self._fresh_ok(path, n, y, 0, extra_forbidden=[c.label])
         return {0: [discharged_rel(c.label, y)]}
 
-    def rule_g_i(self, path, n):
-        return self._temporal_intro(path, n, G, lambda x, y: Less(x, y))
-
-    def rule_h_i(self, path, n):
-        return self._temporal_intro(path, n, H, lambda x, y: Less(y, x))
-
-    def rule_x_i(self, path, n):
-        return self._temporal_intro(path, n, X, lambda x, y: Prec(x, y))
-
-    def _temporal_elim(self, path, n, op, rel_of):
+    def _temporal_elim(self, path, n):
+        op, rel_of = _TEMPORAL[n.rule]
         c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not (self._lwff(path, c, "conclusion") and self._lwff(path, p0, "major premise")
-                and self._rwff(path, p1, "minor premise")):
+        if not (self._of(LAB, path, c, "conclusion")
+                and self._of(LAB, path, p0, "major premise")
+                and self._of(REL, path, p1, "minor premise")):
             return {}
         core = _xf(p0)
         if not isinstance(core, op):
@@ -451,53 +505,14 @@ class _Checker:
                      f"{n.rule} minor premise must relate the two labels")
         return {}
 
-    def rule_g_e(self, path, n):
-        return self._temporal_elim(path, n, G, lambda x, y: Less(x, y))
-
-    def rule_h_e(self, path, n):
-        return self._temporal_elim(path, n, H, lambda x, y: Less(y, x))
-
-    def rule_x_e(self, path, n):
-        return self._temporal_elim(path, n, X, lambda x, y: Prec(x, y))
+    rule_g_i = rule_h_i = rule_x_i = _temporal_intro
+    rule_g_e = rule_h_e = rule_x_e = _temporal_elim
 
     # -- relational core rules -------------------------------------------
 
-    def rule_raa_empty(self, path, n):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._rwff(path, c, "conclusion") and self._rwff(path, p0, "premise")):
-            return {}
-        if not isinstance(expand(p0), Empty):
-            self.bad(path, "PatternMismatch", "premise of raa_empty must be empty")
-        return {0: [RImplies(c, E_)]}
-
-    def rule_rimp_i(self, path, n):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._rwff(path, c, "conclusion") and self._rwff(path, p0, "premise")):
-            return {}
-        core = expand(c)
-        if not isinstance(core, RImplies):
-            self.bad(path, "PatternMismatch", "rimp_i concludes a relational implication")
-            return {}
-        if not core_eq(p0, core.right):
-            self.bad(path, "PatternMismatch", "rimp_i premise must be the consequent")
-        return {0: [core.left]}
-
-    def rule_rimp_e(self, path, n):
-        c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not all(self._rwff(path, v, r) for v, r in
-                   [(c, "conclusion"), (p0, "major premise"), (p1, "minor premise")]):
-            return {}
-        core = expand(p0)
-        if not isinstance(core, RImplies):
-            self.bad(path, "PatternMismatch", "rimp_e major premise must be an implication")
-            return {}
-        if not (core_eq(p1, core.left) and core_eq(c, core.right)):
-            self.bad(path, "PatternMismatch", "rimp_e premises do not fit")
-        return {}
-
     def rule_all_i(self, path, n):
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._rwff(path, c, "conclusion") and self._rwff(path, p0, "premise")):
+        if not (self._of(REL, path, c, "conclusion") and self._of(REL, path, p0, "premise")):
             return {}
         v = n.fresh
         if v is None:
@@ -511,7 +526,7 @@ class _Checker:
 
     def rule_all_e(self, path, n):
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._rwff(path, c, "conclusion") and self._rwff(path, p0, "premise")):
+        if not (self._of(REL, path, c, "conclusion") and self._of(REL, path, p0, "premise")):
             return {}
         core = expand(p0)
         if not isinstance(core, Forall):
@@ -537,7 +552,7 @@ class _Checker:
 
     def rule_mon(self, path, n):
         c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not self._rwff(path, p1, "minor premise"):
+        if not self._of(REL, path, p1, "minor premise"):
             return {}
         eq = expand(p1)
         if not isinstance(eq, Eq):
@@ -552,7 +567,7 @@ class _Checker:
                 self.bad(path, "PatternMismatch",
                          f"mon at position {n.position} does not yield the conclusion")
             return {}
-        replaced_all = substitute_label(_expand_entity(p0), eq.y, eq.x)
+        replaced_all = substitute_label(expand(p0), eq.y, eq.x)
         if core_eq(replaced_all, c):
             return {}
         positions = mon_positions(p0, eq, c)
@@ -565,7 +580,7 @@ class _Checker:
 
     def rule_uf1(self, path, n):
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._rwff(path, c, "conclusion") and self._lwff(path, p0, "premise")):
+        if not (self._of(REL, path, c, "conclusion") and self._of(LAB, path, p0, "premise")):
             return {}
         if not isinstance(expand(p0.formula), Falsum):
             self.bad(path, "PatternMismatch", "uf1 premise must be falsum")
@@ -575,7 +590,7 @@ class _Checker:
 
     def rule_uf2(self, path, n):
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._lwff(path, c, "conclusion") and self._rwff(path, p0, "premise")):
+        if not (self._of(LAB, path, c, "conclusion") and self._of(REL, path, p0, "premise")):
             return {}
         if not isinstance(expand(p0), Empty):
             self.bad(path, "PatternMismatch", "uf2 premise must be empty")
@@ -615,58 +630,36 @@ def _need(ok: bool, what: str) -> None:
         raise _Mismatch(what)
 
 
-def _labeled(c):
-    """Label and expanded formula of a labeled conclusion."""
-    _need(isinstance(c, Lwff), "a labeled formula")
-    return c.label, expand(c.formula)
+def _parts(s: _Sort, c) -> tuple:
+    """Label and expanded formula part of ``c``, which must be of sort ``s``."""
+    _need(isinstance(c, Lwff) is s.labeled, f"a {s.name} formula")
+    x, a = s.split(c)
+    return x, expand(a)
 
 
-def _relational(c):
-    _need(not isinstance(c, Lwff), "a relational formula")
-    return expand(c)
-
-
-def _and_parts(core):
-    _need(isinstance(core, Implies) and isinstance(core.right, Falsum)
-          and isinstance(core.left, Implies)
-          and isinstance(core.left.right, Implies)
-          and isinstance(core.left.right.right, Falsum), "a conjunction")
+def _and_parts(s: _Sort, core):
+    imp, bot = s.imp, type(s.falsum)
+    _need(isinstance(core, imp) and isinstance(core.right, bot)
+          and isinstance(core.left, imp)
+          and isinstance(core.left.right, imp)
+          and isinstance(core.left.right.right, bot), f"a {s.shape}conjunction")
     return core.left.left, core.left.right.left
 
 
-def _or_parts(core):
-    _need(isinstance(core, Implies) and isinstance(core.left, Implies)
-          and isinstance(core.left.right, Falsum), "a disjunction")
+def _or_parts(s: _Sort, core):
+    imp = s.imp
+    _need(isinstance(core, imp) and isinstance(core.left, imp)
+          and isinstance(core.left.right, type(s.falsum)),
+          f"a {s.shape}disjunction")
     return core.left.left, core.right
 
 
-def _f_part(core):
+def _fp_part(op, what: str, core):
+    """``a`` of the expanded ``F a`` (``op`` is G) or ``P a`` (H)."""
     _need(isinstance(core, Implies) and isinstance(core.right, Falsum)
-          and isinstance(core.left, G) and isinstance(core.left.body, Implies)
-          and isinstance(core.left.body.right, Falsum), "an F-formula")
+          and isinstance(core.left, op) and isinstance(core.left.body, Implies)
+          and isinstance(core.left.body.right, Falsum), what)
     return core.left.body.left
-
-
-def _p_part(core):
-    _need(isinstance(core, Implies) and isinstance(core.right, Falsum)
-          and isinstance(core.left, H) and isinstance(core.left.body, Implies)
-          and isinstance(core.left.body.right, Falsum), "a P-formula")
-    return core.left.body.left
-
-
-def _rand_parts(core):
-    _need(isinstance(core, RImplies) and isinstance(core.right, Empty)
-          and isinstance(core.left, RImplies)
-          and isinstance(core.left.right, RImplies)
-          and isinstance(core.left.right.right, Empty),
-          "a relational conjunction")
-    return core.left.left, core.left.right.left
-
-
-def _ror_parts(core):
-    _need(isinstance(core, RImplies) and isinstance(core.left, RImplies)
-          and isinstance(core.left.right, Empty), "a relational disjunction")
-    return core.left.left, core.right
 
 
 def _exists_parts(core):
@@ -679,9 +672,39 @@ def _exists_parts(core):
 
 def _refutation(c, k: int) -> Derivation:
     """The leaf assuming the negation of ``c``, with marker ``k``."""
-    if isinstance(c, Lwff):
-        return assume(Lwff(c.label, Implies(c.formula, F_)), k)
-    return assume(RImplies(c, E_), k)
+    s = _sort(c)
+    x, a = s.split(c)
+    return assume(s.at(x, s.neg(a)), k)
+
+
+def _contradict(leaf_k: Derivation, t: Derivation) -> Derivation:
+    """The falsum of ``leaf_k``'s sort, from the refutation leaf ``leaf_k``
+    of what ``t`` derives."""
+    s = _sort(leaf_k.conclusion)
+    return node(s.imp_e, s.at(s.split(leaf_k.conclusion)[0], s.falsum),
+                leaf_k, t)
+
+
+def _falsum_at(t: Derivation, s: _Sort, x, always: bool = False) -> Derivation:
+    """``t``, which derives the falsum of either sort, carried to the falsum
+    of sort ``s`` at label ``x``: across the sorts by uf1 or uf2, across
+    labels by raa_bot (``always``: from ``x`` too)."""
+    c = t.conclusion
+    if isinstance(c, Lwff) is not s.labeled:
+        return node("uf2", Lwff(x, F_), t) if s.labeled else node("uf1", E_, t)
+    if s.labeled and (always or c.label != x):
+        return node("raa_bot", Lwff(x, F_), t)
+    return t
+
+
+def _conclude(c, t: Derivation, k: int) -> Derivation:
+    """``c`` by the reductio of its sort from ``t``, which derives the
+    falsum of either sort, discharging the refutation leaf ``k``.  raa_bot
+    takes falsum at any label, so ``t`` only crosses sorts."""
+    s = _sort(c)
+    if isinstance(t.conclusion, Lwff) is not s.labeled:
+        t = _falsum_at(t, s, s.split(c)[0])
+    return node(s.raa, c, t, discharges={k})
 
 
 def _renamed(t: Derivation, renames: dict, only=lambda leaf: True) -> Derivation:
@@ -716,90 +739,67 @@ def _split_marker_shapes(p1: Derivation, markers, first_shape, mgen):
     return tree, firsts, seconds
 
 
-def _exp_not_i(n, mgen):
-    core = _labeled(n.conclusion)[1]
-    _need(isinstance(core, Implies) and isinstance(core.right, Falsum),
-          "a negation")
-    return replace(n, rule="imp_i")
+def _exp_not_i(s: _Sort, n, mgen):
+    core = _parts(s, n.conclusion)[1]
+    _need(isinstance(core, s.imp) and isinstance(core.right, type(s.falsum)),
+          f"a {s.shape}negation")
+    return replace(n, rule=s.imp_i)
 
 
-def _exp_not_e(n, mgen):
-    _need(isinstance(_labeled(n.conclusion)[1], Falsum), "falsum")
-    return replace(n, rule="imp_e")
+def _exp_not_e(s: _Sort, n, mgen):
+    _need(isinstance(_parts(s, n.conclusion)[1], type(s.falsum)), s.bottom)
+    return replace(n, rule=s.imp_e)
 
 
-def _exp_rnot_i(n, mgen):
-    core = _relational(n.conclusion)
-    _need(isinstance(core, RImplies) and isinstance(core.right, Empty),
-          "a relational negation")
-    return replace(n, rule="rimp_i")
-
-
-def _exp_rnot_e(n, mgen):
-    _need(isinstance(_relational(n.conclusion), Empty), "empty")
-    return replace(n, rule="rimp_e")
-
-
-def _exp_and_i(n, mgen):
-    x, core = _labeled(n.conclusion)
-    a, b = _and_parts(core)
+def _exp_and_i(s: _Sort, n, mgen):
+    x, core = _parts(s, n.conclusion)
+    a, b = _and_parts(s, core)
     m = mgen()
-    leaf = assume(Lwff(x, Implies(a, Implies(b, F_))), m)
-    t1 = node("imp_e", Lwff(x, Implies(b, F_)), leaf, n.premises[0])
-    t2 = node("imp_e", Lwff(x, F_), t1, n.premises[1])
-    return node("imp_i", n.conclusion, t2, discharges={m})
+    leaf = assume(s.at(x, s.imp(a, s.neg(b))), m)
+    t1 = node(s.imp_e, s.at(x, s.neg(b)), leaf, n.premises[0])
+    t2 = node(s.imp_e, s.at(x, s.falsum), t1, n.premises[1])
+    return node(s.imp_i, n.conclusion, t2, discharges={m})
 
 
-def _exp_and_e1(n, mgen):
+def _exp_and_e1(s: _Sort, n, mgen):
     p0 = n.premises[0]
-    x, core = _labeled(p0.conclusion)
-    a, b = _and_parts(core)
+    x, core = _parts(s, p0.conclusion)
+    a, b = _and_parts(s, core)
     m1, m2 = mgen(), mgen()
-    leaf_na = assume(Lwff(x, Implies(a, F_)), m1)
-    leaf_a = assume(Lwff(x, a), m2)
-    t1 = node("imp_e", Lwff(x, F_), leaf_na, leaf_a)
-    t2 = node("raa_bot", Lwff(x, Implies(b, F_)), t1)
-    t3 = node("imp_i", Lwff(x, Implies(a, Implies(b, F_))), t2, discharges={m2})
-    t4 = node("imp_e", Lwff(x, F_), p0, t3)
-    return node("raa_bot", n.conclusion, t4, discharges={m1})
+    leaf_na = assume(s.at(x, s.neg(a)), m1)
+    leaf_a = assume(s.at(x, a), m2)
+    t1 = node(s.imp_e, s.at(x, s.falsum), leaf_na, leaf_a)
+    t2 = node(s.raa, s.at(x, s.neg(b)), t1)
+    t3 = node(s.imp_i, s.at(x, s.imp(a, s.neg(b))), t2, discharges={m2})
+    t4 = node(s.imp_e, s.at(x, s.falsum), p0, t3)
+    return node(s.raa, n.conclusion, t4, discharges={m1})
 
 
-def _exp_and_e2(n, mgen):
+def _exp_and_e2(s: _Sort, n, mgen):
     p0 = n.premises[0]
-    x, core = _labeled(p0.conclusion)
-    a, b = _and_parts(core)
+    x, core = _parts(s, p0.conclusion)
+    a, b = _and_parts(s, core)
     m1, m2 = mgen(), mgen()
-    leaf_nb = assume(Lwff(x, Implies(b, F_)), m1)
-    t3 = node("imp_i", Lwff(x, Implies(a, Implies(b, F_))), leaf_nb, discharges={m2})
-    t4 = node("imp_e", Lwff(x, F_), p0, t3)
-    return node("raa_bot", n.conclusion, t4, discharges={m1})
+    leaf_nb = assume(s.at(x, s.neg(b)), m1)
+    t3 = node(s.imp_i, s.at(x, s.imp(a, s.neg(b))), leaf_nb, discharges={m2})
+    t4 = node(s.imp_e, s.at(x, s.falsum), p0, t3)
+    return node(s.raa, n.conclusion, t4, discharges={m1})
 
 
-def _exp_or_i1(n, mgen):
-    x, core = _labeled(n.conclusion)
-    a, b = _or_parts(core)
+def _exp_or_i1(s: _Sort, n, mgen):
+    x, core = _parts(s, n.conclusion)
+    a, b = _or_parts(s, core)
     m = mgen()
-    leaf = assume(Lwff(x, Implies(a, F_)), m)
-    t1 = node("imp_e", Lwff(x, F_), leaf, n.premises[0])
-    t2 = node("raa_bot", Lwff(x, b), t1)
-    return node("imp_i", n.conclusion, t2, discharges={m})
+    leaf = assume(s.at(x, s.neg(a)), m)
+    t1 = node(s.imp_e, s.at(x, s.falsum), leaf, n.premises[0])
+    t2 = node(s.raa, s.at(x, b), t1)
+    return node(s.imp_i, n.conclusion, t2, discharges={m})
 
 
-def _exp_or_i2(n, mgen):
-    _or_parts(_labeled(n.conclusion)[1])
+def _exp_or_i2(s: _Sort, n, mgen):
+    _or_parts(s, _parts(s, n.conclusion)[1])
     m = mgen()
-    return node("imp_i", n.conclusion, n.premises[0], discharges={m})
-
-
-def _to_empty(t: Derivation, leaf_k: Derivation) -> Derivation:
-    """Continue a minor branch to the relational falsum: against a labeled
-    refutation leaf, contradict then export with uf1; against a relational
-    one, contradict directly."""
-    c = leaf_k.conclusion
-    if isinstance(c, Lwff):
-        t1 = node("imp_e", Lwff(c.label, F_), leaf_k, t)
-        return node("uf1", E_, t1)
-    return node("rimp_e", E_, leaf_k, t)
+    return node(s.imp_i, n.conclusion, n.premises[0], discharges={m})
 
 
 def _split_markers_by_branch(n: Derivation, mgen) -> tuple:
@@ -823,57 +823,26 @@ def _split_markers_by_branch(n: Derivation, mgen) -> tuple:
             frozenset(m1), frozenset(m2))
 
 
-def _branch_to_bottom(branch: Derivation, leaf_k: Derivation, x: str) -> Derivation:
-    """From a minor branch concluding the case conclusion, reach ``x : false``
-    via the discharged refutation leaf."""
-    c = leaf_k.conclusion
-    if isinstance(c, Lwff):
-        t = node("imp_e", Lwff(c.label, F_), leaf_k, branch)
-        if c.label == x:
-            return t
-        return node("raa_bot", Lwff(x, F_), t)
-    t = node("rimp_e", E_, leaf_k, branch)
-    return node("uf2", Lwff(x, F_), t)
-
-
-def _exp_or_e(n, mgen):
-    x, core = _labeled(n.premises[0].conclusion)
-    a, b = _or_parts(core)
+def _exp_or_e(s: _Sort, n, mgen):
+    x, core = _parts(s, n.premises[0].conclusion)
+    a, b = _or_parts(s, core)
     (p0, p1, p2), m1, m2 = _split_markers_by_branch(n, mgen)
     c = n.conclusion
     leaf_k = _refutation(c, mgen())
-    t3 = node("imp_i", Lwff(x, Implies(a, F_)),
-              _branch_to_bottom(p1, leaf_k, x), discharges=m1)
-    t4 = node("imp_e", Lwff(x, b), p0, t3)
-    v3 = node("imp_i", Lwff(x, Implies(b, F_)),
-              _branch_to_bottom(p2, leaf_k, x), discharges=m2)
-    v4 = node("imp_e", Lwff(x, F_), v3, t4)
-    if isinstance(c, Lwff):
-        return node("raa_bot", c, v4, discharges={leaf_k.marker})
-    t5 = node("uf1", E_, v4)
-    return node("raa_empty", c, t5, discharges={leaf_k.marker})
+    t3 = node(s.imp_i, s.at(x, s.neg(a)),
+              _falsum_at(_contradict(leaf_k, p1), s, x), discharges=m1)
+    t4 = node(s.imp_e, s.at(x, b), p0, t3)
+    v3 = node(s.imp_i, s.at(x, s.neg(b)),
+              _falsum_at(_contradict(leaf_k, p2), s, x), discharges=m2)
+    v4 = node(s.imp_e, s.at(x, s.falsum), v3, t4)
+    return _conclude(c, v4, leaf_k.marker)
 
 
-def _exp_ror_e(n, mgen):
-    a, b = _ror_parts(_relational(n.premises[0].conclusion))
-    (p0, p1, p2), m1, m2 = _split_markers_by_branch(n, mgen)
-    c = n.conclusion
-    leaf_k = _refutation(c, mgen())
-    t3 = node("rimp_i", RImplies(a, E_), _to_empty(p1, leaf_k), discharges=m1)
-    t4 = node("rimp_e", b, p0, t3)
-    v3 = node("rimp_i", RImplies(b, E_), _to_empty(p2, leaf_k), discharges=m2)
-    v4 = node("rimp_e", E_, v3, t4)
-    if isinstance(c, Lwff):
-        t5 = node("uf2", Lwff(c.label, F_), v4)
-        return node("raa_bot", c, t5, discharges={leaf_k.marker})
-    return node("raa_empty", c, v4, discharges={leaf_k.marker})
-
-
-def _exp_fp_intro(n, mgen, part_of, op_cls, elim_rule):
+def _exp_fp_intro(op_cls, what, elim_rule, n, mgen):
     p0, p1 = n.premises
-    x, core = _labeled(n.conclusion)
-    a = part_of(core)
-    y = _labeled(p0.conclusion)[0]
+    x, core = _parts(LAB, n.conclusion)
+    a = _fp_part(op_cls, what, core)
+    y = _parts(LAB, p0.conclusion)[0]
     m = mgen()
     leaf = assume(Lwff(x, op_cls(Implies(a, F_))), m)
     t1 = node(elim_rule, Lwff(y, Implies(a, F_)), leaf, p1)
@@ -882,96 +851,27 @@ def _exp_fp_intro(n, mgen, part_of, op_cls, elim_rule):
     return node("imp_i", n.conclusion, t3, discharges={m})
 
 
-def _exp_f_i(n, mgen):
-    return _exp_fp_intro(n, mgen, _f_part, G, "g_e")
-
-
-def _exp_p_i(n, mgen):
-    return _exp_fp_intro(n, mgen, _p_part, H, "h_e")
-
-
-def _exp_fp_elim(n, mgen, part_of, op_cls, intro_rule):
+def _exp_fp_elim(op_cls, what, intro_rule, n, mgen):
     p0, p1 = n.premises
-    x, core = _labeled(p0.conclusion)
-    a = part_of(core)
+    x, core = _parts(LAB, p0.conclusion)
+    a = _fp_part(op_cls, what, core)
     y = n.fresh
     c = n.conclusion
     body_shape = Lwff(y, a)
     p1, m_body, m_rel = _split_marker_shapes(p1, n.discharges, body_shape, mgen)
     leaf_k = _refutation(c, mgen())
-    if isinstance(c, Lwff):
-        t1 = node("imp_e", Lwff(c.label, F_), leaf_k, p1)
-        t2 = node("raa_bot", Lwff(y, F_), t1)
-    else:
-        t1 = node("rimp_e", E_, leaf_k, p1)
-        t2 = node("uf2", Lwff(y, F_), t1)
+    # y is fresh, so it is not the label of ``c`` in a tree that checks;
+    # the raa_bot stays in the others' expansions too
+    t2 = _falsum_at(_contradict(leaf_k, p1), LAB, y, always=True)
     t3 = node("imp_i", Lwff(y, Implies(a, F_)), t2, discharges=m_body)
     t4 = node(intro_rule, Lwff(x, op_cls(Implies(a, F_))), t3,
               discharges=m_rel, fresh=y)
     t5 = node("imp_e", Lwff(x, F_), p0, t4)
-    if isinstance(c, Lwff):
-        return node("raa_bot", c, t5, discharges={leaf_k.marker})
-    t6 = node("uf1", E_, t5)
-    return node("raa_empty", c, t6, discharges={leaf_k.marker})
-
-
-def _exp_f_e(n, mgen):
-    return _exp_fp_elim(n, mgen, _f_part, G, "g_i")
-
-
-def _exp_p_e(n, mgen):
-    return _exp_fp_elim(n, mgen, _p_part, H, "h_i")
-
-
-def _exp_rand_i(n, mgen):
-    a, b = _rand_parts(_relational(n.conclusion))
-    m = mgen()
-    leaf = assume(RImplies(a, RImplies(b, E_)), m)
-    t1 = node("rimp_e", RImplies(b, E_), leaf, n.premises[0])
-    t2 = node("rimp_e", E_, t1, n.premises[1])
-    return node("rimp_i", n.conclusion, t2, discharges={m})
-
-
-def _exp_rand_e1(n, mgen):
-    p0 = n.premises[0]
-    a, b = _rand_parts(_relational(p0.conclusion))
-    m1, m2 = mgen(), mgen()
-    leaf_na = assume(RImplies(a, E_), m1)
-    leaf_a = assume(a, m2)
-    t1 = node("rimp_e", E_, leaf_na, leaf_a)
-    t2 = node("raa_empty", RImplies(b, E_), t1)
-    t3 = node("rimp_i", RImplies(a, RImplies(b, E_)), t2, discharges={m2})
-    t4 = node("rimp_e", E_, p0, t3)
-    return node("raa_empty", n.conclusion, t4, discharges={m1})
-
-
-def _exp_rand_e2(n, mgen):
-    p0 = n.premises[0]
-    a, b = _rand_parts(_relational(p0.conclusion))
-    m1, m2 = mgen(), mgen()
-    leaf_nb = assume(RImplies(b, E_), m1)
-    t3 = node("rimp_i", RImplies(a, RImplies(b, E_)), leaf_nb, discharges={m2})
-    t4 = node("rimp_e", E_, p0, t3)
-    return node("raa_empty", n.conclusion, t4, discharges={m1})
-
-
-def _exp_ror_i1(n, mgen):
-    a, b = _ror_parts(_relational(n.conclusion))
-    m = mgen()
-    leaf = assume(RImplies(a, E_), m)
-    t1 = node("rimp_e", E_, leaf, n.premises[0])
-    t2 = node("raa_empty", b, t1)
-    return node("rimp_i", n.conclusion, t2, discharges={m})
-
-
-def _exp_ror_i2(n, mgen):
-    _ror_parts(_relational(n.conclusion))
-    m = mgen()
-    return node("rimp_i", n.conclusion, n.premises[0], discharges={m})
+    return _conclude(c, t5, leaf_k.marker)
 
 
 def _exp_ex_i(n, mgen):
-    var, body = _exists_parts(_relational(n.conclusion))
+    var, body = _exists_parts(_parts(REL, n.conclusion)[1])
     w = match_instantiation(body, var, n.premises[0].conclusion)
     _need(w is not None, "a premise that instantiates the body")
     m = mgen()
@@ -984,29 +884,31 @@ def _exp_ex_i(n, mgen):
 
 def _exp_ex_e(n, mgen):
     p0, p1 = n.premises
-    var, body = _exists_parts(_relational(p0.conclusion))
+    var, body = _exists_parts(_parts(REL, p0.conclusion)[1])
     y = n.fresh
     c = n.conclusion
     leaf_k = _refutation(c, mgen())
-    t1 = _to_empty(p1, leaf_k)
+    t1 = _falsum_at(_contradict(leaf_k, p1), REL, None)
     t2 = node("rimp_i", substitute_label(RImplies(body, E_), y, var), t1,
               discharges=n.discharges)
     t3 = node("all_i", Forall(y, substitute_label(RImplies(body, E_), y, var)),
               t2, fresh=y)
     t4 = node("rimp_e", E_, p0, t3)
-    if isinstance(c, Lwff):
-        t5 = node("uf2", Lwff(c.label, F_), t4)
-        return node("raa_bot", c, t5, discharges={leaf_k.marker})
-    return node("raa_empty", c, t4, discharges={leaf_k.marker})
+    return _conclude(c, t4, leaf_k.marker)
 
 
+# the derived rules both sorts share: ``rule`` and its relational twin
+_SHARED = {
+    "not_i": _exp_not_i, "not_e": _exp_not_e, "and_i": _exp_and_i,
+    "and_e1": _exp_and_e1, "and_e2": _exp_and_e2, "or_i1": _exp_or_i1,
+    "or_i2": _exp_or_i2, "or_e": _exp_or_e,
+}
 _EXPANDERS = {
-    "not_i": _exp_not_i, "not_e": _exp_not_e,
-    "rnot_i": _exp_rnot_i, "rnot_e": _exp_rnot_e,
-    "and_i": _exp_and_i, "and_e1": _exp_and_e1, "and_e2": _exp_and_e2,
-    "or_i1": _exp_or_i1, "or_i2": _exp_or_i2, "or_e": _exp_or_e,
-    "f_i": _exp_f_i, "f_e": _exp_f_e, "p_i": _exp_p_i, "p_e": _exp_p_e,
-    "rand_i": _exp_rand_i, "rand_e1": _exp_rand_e1, "rand_e2": _exp_rand_e2,
-    "ror_i1": _exp_ror_i1, "ror_i2": _exp_ror_i2, "ror_e": _exp_ror_e,
+    "f_i": partial(_exp_fp_intro, G, "an F-formula", "g_e"),
+    "p_i": partial(_exp_fp_intro, H, "a P-formula", "h_e"),
+    "f_e": partial(_exp_fp_elim, G, "an F-formula", "g_i"),
+    "p_e": partial(_exp_fp_elim, H, "a P-formula", "h_i"),
     "ex_i": _exp_ex_i, "ex_e": _exp_ex_e,
+    **{prefix + rule: partial(exp, s) for s, prefix in ((LAB, ""), (REL, "r"))
+       for rule, exp in _SHARED.items()},
 }

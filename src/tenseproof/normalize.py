@@ -39,12 +39,14 @@ from .derivation import (
     substitute_label_deriv, with_premise,
 )
 from .kernel import (
-    _expand_entity, _xf, match_instantiation, mon_positions, replace_position,
+    LAB, REL, _falsum_at, _sort, _xf, match_instantiation, mon_positions,
+    replace_position,
 )
 from .rules import AXIOMS, DETOUR_PAIRS, FALSUM_RULES
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, LabelGen, Less, Lwff,
-    Prec, RImplies, X, canon, core_eq, expand, grade, substitute_label,
+    Prec, RImplies, X, canon, core_eq, expand, fresh_label, grade,
+    substitute_label,
 )
 
 F_ = Falsum()
@@ -86,7 +88,7 @@ def _mon_class(n: Derivation):
     application on an atomic major premise, else the restriction case."""
     p0 = n.premises[0].conclusion
     eq = expand(n.premises[1].conclusion)
-    core0 = _expand_entity(p0)
+    core0 = expand(p0)
     if isinstance(core0, Lwff) and isinstance(core0.formula, Falsum):
         return ("bot", None)
     if core_eq(p0, n.conclusion):
@@ -167,19 +169,7 @@ def reduce_step(d: Derivation, r: Redex) -> Derivation:
 
 def _rewrite(n: Derivation, kind: str, mgen, lgen) -> Derivation:
     """The subtree that replaces redex site ``n``."""
-    if kind == "MaximalFormula":
-        return _reduce_detour(n, mgen, lgen)
-    if kind == "MonDisorder":
-        return _reduce_disorder(n, mgen)
-    if kind == "RedundantMon":
-        return _reduce_mon_pair(n, mgen)
-    if kind == "RedundantFalsum":
-        return _reduce_falsum(n, mgen)
-    if kind == "UnrestrictedRAA":
-        return _restrict_raa(n, mgen, lgen)
-    if kind == "UnrestrictedMon":
-        return _restrict_mon(n, mgen, lgen)
-    raise ValueError(f"unknown redex kind {kind}")
+    return _REWRITES[kind](n, mgen, lgen)
 
 
 def _override_conclusion(t: Derivation, conclusion) -> Derivation:
@@ -232,17 +222,17 @@ def _reduce_detour(n: Derivation, mgen, lgen) -> Derivation:
     raise RedexStale(n.rule)
 
 
-def _reduce_disorder(n: Derivation, mgen) -> Derivation:
+def _reduce_disorder(n: Derivation, mgen, lgen) -> Derivation:
     upper = n.premises[0]
     base, e_upper = upper.premises
     e_lower = n.premises[1]
     eq_low = expand(e_lower.conclusion)
-    mid = replace_position(_expand_entity(base.conclusion), 1, eq_low.y)
+    mid = replace_position(expand(base.conclusion), 1, eq_low.y)
     new_upper = node("mon", mid, base, e_lower, position=1)
     return node("mon", n.conclusion, new_upper, e_upper, position=2)
 
 
-def _reduce_mon_pair(n: Derivation, mgen) -> Derivation:
+def _reduce_mon_pair(n: Derivation, mgen, lgen) -> Derivation:
     upper = n.premises[0]
     base, e1 = upper.premises
     e2 = n.premises[1]
@@ -271,51 +261,37 @@ def _strip_upper_falsum_discharges(f1: Derivation, mgen) -> Derivation:
     return body
 
 
-def _reduce_falsum(n: Derivation, mgen) -> Derivation:
+def _reduce_falsum(n: Derivation, mgen, lgen) -> Derivation:
     f1 = n.premises[0]
-    pair = f"{f1.rule};{n.rule}"
-    if pair == "raa_bot;raa_bot":
-        body = _strip_upper_falsum_discharges(f1, mgen)
-        return replace(n, premises=(body,))
-    if pair == "raa_bot;uf1":
-        body = _strip_upper_falsum_discharges(f1, mgen)
-        return replace(n, premises=(body,))
-    if pair == "uf1;uf2":
-        body = f1.premises[0]
-        if body.conclusion.label == n.conclusion.label:
-            return _override_conclusion(body, n.conclusion)
-        return node("raa_bot", n.conclusion, body)
-    if pair == "uf2;uf1":
-        return _override_conclusion(f1.premises[0], n.conclusion)
-    raise RedexStale(pair)
+    if f1.rule == "raa_bot":            # raa_bot;raa_bot or raa_bot;uf1
+        return replace(n, premises=(_strip_upper_falsum_discharges(f1, mgen),))
+    # uf1;uf2 or uf2;uf1: there and back across the sorts
+    s = _sort(n.conclusion)
+    return _falsum_at(f1.premises[0], s, s.split(n.conclusion)[0])
 
 
 # ---------------------------------------------------------------------------
 # Restriction of raa_bot / raa_empty / mon to atomic conclusions
 
 def _restrict_raa(n: Derivation, mgen, lgen) -> Derivation:
-    if n.rule == "raa_bot":
-        return _restrict_raa_bot(n, mgen, lgen)
-    return _restrict_raa_empty(n, mgen, lgen)
-
-
-def _restrict_raa_bot(n: Derivation, mgen, lgen) -> Derivation:
-    x = n.conclusion.label
-    core = _xf(n.conclusion)
+    s = LAB if n.rule == "raa_bot" else REL
+    x, a = s.split(n.conclusion)
+    core = expand(a)
     body = n.premises[0]
 
-    if isinstance(core, Implies):
+    if isinstance(core, s.imp):
         b, c = core.left, core.right
         m1, m2, m3 = mgen(), mgen(), mgen()
-        inner = node("imp_e", Lwff(x, c),
-                     assume(Lwff(x, Implies(b, c)), m1), assume(Lwff(x, b), m3))
-        bot = node("imp_e", Lwff(x, F_), assume(Lwff(x, Implies(c, F_)), m2), inner)
-        refutation = node("imp_i", Lwff(x, Implies(Implies(b, c), F_)), bot,
+        inner = node(s.imp_e, s.at(x, c), assume(s.at(x, s.imp(b, c)), m1),
+                     assume(s.at(x, b), m3))
+        bot = node(s.imp_e, s.at(x, s.falsum), assume(s.at(x, s.neg(c)), m2),
+                   inner)
+        refutation = node(s.imp_i, s.at(x, s.neg(s.imp(b, c))), bot,
                           discharges={m1})
         for m in sorted(n.discharges):
             body = graft(body, m, refutation, mgen)
-        out = node("raa_bot", Lwff(x, c), body, discharges={m2})
-        return node("imp_i", n.conclusion, out, discharges={m3})
+        out = node(s.raa, s.at(x, c), body, discharges={m2})
+        return node(s.imp_i, n.conclusion, out, discharges={m3})
 
     if isinstance(core, (G, H, X)):
         b = core.body
@@ -338,13 +314,6 @@ def _restrict_raa_bot(n: Derivation, mgen, lgen) -> Derivation:
         out = node("raa_bot", Lwff(z, b), body, discharges={m2})
         return node(i_rule, n.conclusion, out, discharges={m3}, fresh=z)
 
-    raise RedexStale("raa_bot")
-
-
-def _restrict_raa_empty(n: Derivation, mgen, lgen) -> Derivation:
-    core = expand(n.conclusion)
-    body = n.premises[0]
-
     if isinstance(core, Empty):
         # close the discharged [empty => empty] leaves with the identity
         k = mgen()
@@ -352,18 +321,6 @@ def _restrict_raa_empty(n: Derivation, mgen, lgen) -> Derivation:
         for m in sorted(n.discharges):
             body = graft(body, m, identity, mgen)
         return _override_conclusion(body, n.conclusion)
-
-    if isinstance(core, RImplies):
-        b, c = core.left, core.right
-        m1, m2, m3 = mgen(), mgen(), mgen()
-        inner = node("rimp_e", c, assume(RImplies(b, c), m1), assume(b, m3))
-        bot = node("rimp_e", E_, assume(RImplies(c, E_), m2), inner)
-        refutation = node("rimp_i", RImplies(RImplies(b, c), E_), bot,
-                          discharges={m1})
-        for m in sorted(n.discharges):
-            body = graft(body, m, refutation, mgen)
-        out = node("raa_empty", c, body, discharges={m2})
-        return node("rimp_i", n.conclusion, out, discharges={m3})
 
     if isinstance(core, Forall):
         v2 = lgen()
@@ -377,7 +334,7 @@ def _restrict_raa_empty(n: Derivation, mgen, lgen) -> Derivation:
         out = node("raa_empty", inst, body, discharges={m1})
         return node("all_i", n.conclusion, out, fresh=v2)
 
-    raise RedexStale("raa_empty")
+    raise RedexStale(n.rule)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +423,6 @@ def masked_subst(core, b: str, occs: frozenset, avoid):
         body_occs = frozenset(p[1:] for p in occs if p[0] == "B")
         var, body = core.var, core.body
         if var == b:
-            from .syntax import fresh_label
             var2 = fresh_label(set(avoid) | {b}, base="u")
             body = substitute_label(body, var2, var)
             var = var2
@@ -572,13 +528,19 @@ def _restrict_mon(n: Derivation, mgen, lgen) -> Derivation:
     if isinstance(n.conclusion, Lwff):
         occs = frozenset({("F",)})
     else:
-        occs = occurrences_of(_expand_entity(pi.conclusion), a)
+        occs = occurrences_of(expand(pi.conclusion), a)
     out = _transport(pi, a, b, eq_ab, occs, mgen, lgen, eq_ba)
     return _override_conclusion(out, n.conclusion)
 
 
 # ---------------------------------------------------------------------------
 # Driver
+
+_REWRITES = {
+    "MaximalFormula": _reduce_detour, "MonDisorder": _reduce_disorder,
+    "RedundantMon": _reduce_mon_pair, "RedundantFalsum": _reduce_falsum,
+    "UnrestrictedRAA": _restrict_raa, "UnrestrictedMon": _restrict_mon,
+}
 
 _PRIORITY = {
     "UnrestrictedRAA": 0,

@@ -10,17 +10,22 @@ Grammar summary (ASCII only):
   ``forall x. r`` and ``exists x. r`` scope as far right as possible.
 * labeled formulas: ``x : A``.
 
+Each sort has one precedence table of its binary connectives
+(``_FORMULA_OPS``, ``_RWFF_OPS``), and one precedence-climbing loop,
+``_binary``, parses both.  The renderer reads the same tables: the classes
+of the two sorts are disjoint, so one table-driven ``_render`` serves both.
+
 ``parse(render(e)) == e`` for every entity ``e`` produced by this package.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .syntax import (
     And, Atom, Eq, Empty, Exists, F, Falsum, Forall, G, H, Implies, Less,
     Lwff, Not, Or, P, Prec, RAnd, RImplies, RNot, ROr, Top, X,
-    is_formula,
 )
 
 KEYWORDS = {"false", "true", "forall", "exists", "empty"}
@@ -87,33 +92,32 @@ class _Tokens:
 
 
 # ---------------------------------------------------------------------------
+# Binary connectives: one precedence table per sort
+
+# operator token -> (level, class); a higher level binds tighter, and every
+# binary connective is right associative
+_FORMULA_OPS = {"->": (0, Implies), "|": (1, Or), "&": (2, And)}
+_RWFF_OPS = {"=>": (0, RImplies), "\\/": (1, ROr), "/\\": (2, RAnd)}
+
+
+def _binary(levels: dict, unary, t: _Tokens, least: int = 0):
+    """The longest formula at ``t`` whose binary connectives (in
+    ``levels``) all have level ``least`` or more (precedence climbing)."""
+    left = unary(t)
+    while True:
+        op = t.peek()
+        entry = levels.get(op)
+        if entry is None or entry[0] < least:
+            return left
+        t.take(op)
+        level, cls = entry
+        left = cls(left, _binary(levels, unary, t, level))
+
+
+# ---------------------------------------------------------------------------
 # Tense formulas
 
 _PREFIX = {"~": Not, "G": G, "H": H, "F": F, "P": P, "X": X}
-
-
-def _formula_imp(t: _Tokens):
-    left = _formula_or(t)
-    if t.peek() == "->":
-        t.take("->")
-        return Implies(left, _formula_imp(t))
-    return left
-
-
-def _formula_or(t: _Tokens):
-    left = _formula_and(t)
-    if t.peek() == "|":
-        t.take("|")
-        return Or(left, _formula_or(t))
-    return left
-
-
-def _formula_and(t: _Tokens):
-    left = _formula_unary(t)
-    if t.peek() == "&":
-        t.take("&")
-        return And(left, _formula_and(t))
-    return left
 
 
 def _formula_unary(t: _Tokens):
@@ -136,38 +140,19 @@ def _formula_primary(t: _Tokens):
         return Atom(t.take("ident"))
     if kind == "(":
         t.take("(")
-        phi = _formula_imp(t)
+        phi = _formula(t)
         t.take(")", "')'")
         return phi
     raise ParseError(t.text, t.pos(), "an atom, 'false', 'true', prefix operator or '('")
 
 
+_formula = partial(_binary, _FORMULA_OPS, _formula_unary)
+
+
 # ---------------------------------------------------------------------------
 # Relational formulas
 
-def _rwff_imp(t: _Tokens):
-    left = _rwff_or(t)
-    if t.peek() == "=>":
-        t.take("=>")
-        return RImplies(left, _rwff_imp(t))
-    return left
-
-
-def _rwff_or(t: _Tokens):
-    left = _rwff_and(t)
-    if t.peek() == "\\/":
-        t.take("\\/")
-        return ROr(left, _rwff_or(t))
-    return left
-
-
-def _rwff_and(t: _Tokens):
-    left = _rwff_unary(t)
-    if t.peek() == "/\\":
-        t.take("/\\")
-        return RAnd(left, _rwff_and(t))
-    return left
-
+_RELATIONS = {"<": Less, "=": Eq, "<.": Prec}
 
 def _rwff_unary(t: _Tokens):
     kind = t.peek()
@@ -178,12 +163,12 @@ def _rwff_unary(t: _Tokens):
         t.take("forall")
         var = t.take("ident", "a bound label")
         t.take(".", "'.'")
-        return Forall(var, _rwff_imp(t))
+        return Forall(var, _rwff(t))
     if kind == "exists":
         t.take("exists")
         var = t.take("ident", "a bound label")
         t.take(".", "'.'")
-        return Exists(var, _rwff_imp(t))
+        return Exists(var, _rwff(t))
     return _rwff_primary(t)
 
 
@@ -194,23 +179,20 @@ def _rwff_primary(t: _Tokens):
         return Empty()
     if kind == "(":
         t.take("(")
-        rho = _rwff_imp(t)
+        rho = _rwff(t)
         t.take(")", "')'")
         return rho
     if kind == "ident":
         x = t.take("ident")
         op = t.peek()
-        if op == "<":
-            t.take("<")
-            return Less(x, t.take("ident", "a label"))
-        if op == "=":
-            t.take("=")
-            return Eq(x, t.take("ident", "a label"))
-        if op == "<.":
-            t.take("<.")
-            return Prec(x, t.take("ident", "a label"))
-        raise ParseError(t.text, t.pos(), "'<', '=' or '<.'")
+        if op not in _RELATIONS:
+            raise ParseError(t.text, t.pos(), "'<', '=' or '<.'")
+        t.take(op)
+        return _RELATIONS[op](x, t.take("ident", "a label"))
     raise ParseError(t.text, t.pos(), "'empty', '!', a quantifier, a label or '('")
+
+
+_rwff = partial(_binary, _RWFF_OPS, _rwff_unary)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +200,14 @@ def _rwff_primary(t: _Tokens):
 
 def parse_formula(text: str):
     t = _Tokens(text)
-    phi = _formula_imp(t)
+    phi = _formula(t)
     t.done()
     return phi
 
 
 def parse_rwff(text: str):
     t = _Tokens(text)
-    rho = _rwff_imp(t)
+    rho = _rwff(t)
     t.done()
     return rho
 
@@ -234,7 +216,7 @@ def parse_lwff(text: str) -> Lwff:
     t = _Tokens(text)
     label = t.take("ident", "a label")
     t.take(":", "':'")
-    phi = _formula_imp(t)
+    phi = _formula(t)
     t.done()
     return Lwff(label, phi)
 
@@ -260,72 +242,40 @@ def parse(kind: str, text: str):
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Rendering: the classes of the two sorts are disjoint, so one table serves
 
-# precedence levels, looser binds lower
-_IMP, _OR, _AND, _UNARY, _PRIMARY = 0, 1, 2, 3, 4
-
-
-def _wrap(text: str, level: int, context: int) -> str:
-    return f"({text})" if level < context else text
-
-
-def _render_formula(phi, context: int) -> str:
-    if isinstance(phi, Atom):
-        return phi.name
-    if isinstance(phi, Falsum):
-        return "false"
-    if isinstance(phi, Top):
-        return "true"
-    if isinstance(phi, Implies):
-        inner = f"{_render_formula(phi.left, _OR)} -> {_render_formula(phi.right, _IMP)}"
-        return _wrap(inner, _IMP, context)
-    if isinstance(phi, Or):
-        inner = f"{_render_formula(phi.left, _AND)} | {_render_formula(phi.right, _OR)}"
-        return _wrap(inner, _OR, context)
-    if isinstance(phi, And):
-        inner = f"{_render_formula(phi.left, _UNARY)} & {_render_formula(phi.right, _AND)}"
-        return _wrap(inner, _AND, context)
-    ops = {Not: "~", G: "G ", H: "H ", F: "F ", P: "P ", X: "X "}
-    for cls, op in ops.items():
-        if isinstance(phi, cls):
-            return f"{op}{_render_formula(phi.body, _UNARY)}"
-    raise TypeError(f"cannot render {phi!r}")
+_UNARY = 3       # the level of the prefix operators, above every binary one
+_BINARY = {cls: (level, op) for ops in (_FORMULA_OPS, _RWFF_OPS)
+           for op, (level, cls) in ops.items()}
+_PREFIX_TEXT = {Not: "~", G: "G ", H: "H ", F: "F ", P: "P ", X: "X ", RNot: "!"}
+_CONSTANT = {Falsum: "false", Top: "true", Empty: "empty"}
+_RELATION = {cls: op for op, cls in _RELATIONS.items()}
+_BINDER = {Forall: "forall", Exists: "exists"}
 
 
-def _render_rwff(rho, context: int) -> str:
-    if isinstance(rho, Empty):
-        return "empty"
-    if isinstance(rho, Less):
-        return f"{rho.x} < {rho.y}"
-    if isinstance(rho, Eq):
-        return f"{rho.x} = {rho.y}"
-    if isinstance(rho, Prec):
-        return f"{rho.x} <. {rho.y}"
-    if isinstance(rho, RImplies):
-        inner = f"{_render_rwff(rho.left, _OR)} => {_render_rwff(rho.right, _IMP)}"
-        return _wrap(inner, _IMP, context)
-    if isinstance(rho, ROr):
-        inner = f"{_render_rwff(rho.left, _AND)} \\/ {_render_rwff(rho.right, _OR)}"
-        return _wrap(inner, _OR, context)
-    if isinstance(rho, RAnd):
-        inner = f"{_render_rwff(rho.left, _UNARY)} /\\ {_render_rwff(rho.right, _AND)}"
-        return _wrap(inner, _AND, context)
-    if isinstance(rho, RNot):
-        return f"!{_render_rwff(rho.body, _UNARY)}"
-    if isinstance(rho, Forall):
-        inner = f"forall {rho.var}. {_render_rwff(rho.body, _IMP)}"
-        return _wrap(inner, _IMP, context)
-    if isinstance(rho, Exists):
-        inner = f"exists {rho.var}. {_render_rwff(rho.body, _IMP)}"
-        return _wrap(inner, _IMP, context)
-    raise TypeError(f"cannot render {rho!r}")
+def _render(e, context: int) -> str:
+    """``e`` as text in a place that needs level ``context`` or tighter."""
+    cls = e.__class__
+    if cls in _BINARY:
+        level, op = _BINARY[cls]
+        text = f"{_render(e.left, level + 1)} {op} {_render(e.right, level)}"
+        return f"({text})" if level < context else text
+    if cls in _PREFIX_TEXT:
+        return _PREFIX_TEXT[cls] + _render(e.body, _UNARY)
+    if cls is Atom:
+        return e.name
+    if cls in _CONSTANT:
+        return _CONSTANT[cls]
+    if cls in _RELATION:
+        return f"{e.x} {_RELATION[cls]} {e.y}"
+    if cls in _BINDER:
+        text = f"{_BINDER[cls]} {e.var}. {_render(e.body, 0)}"
+        return f"({text})" if context > 0 else text
+    raise TypeError(f"cannot render {e!r}")
 
 
 def render(entity) -> str:
     """Surface text; derived forms keep their surface spelling."""
     if isinstance(entity, Lwff):
-        return f"{entity.label} : {_render_formula(entity.formula, _IMP)}"
-    if is_formula(entity):
-        return _render_formula(entity, _IMP)
-    return _render_rwff(entity, _IMP)
+        return f"{entity.label} : {_render(entity.formula, 0)}"
+    return _render(entity, 0)

@@ -25,9 +25,9 @@ are the reference the search is tested against.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
+from .derivation import brief_repr, decode
 from .kernel import CheckReport
 from .rules import INFINITE_EXTRAS, KL, LogicProfile
 from .syntax import (
@@ -89,19 +89,19 @@ class Model:
         integer ``n``, ``prec`` pairs of worlds and a valuation mapping
         atoms to lists of worlds is a ``ValueError``."""
         if not isinstance(obj, dict):
-            raise ValueError(f"a model must be a JSON object, not {obj!r:.40}")
+            raise ValueError(f"a model must be a JSON object, not {brief_repr(obj)}")
         n = obj.get("n")
         if type(n) is not int or n < 1:
-            raise ValueError(f"model 'n' must be a positive integer, not {n!r}")
+            raise ValueError(f"model 'n' must be a positive integer, not {brief_repr(n)}")
         prec = obj.get("prec", [])
         if not isinstance(prec, list) or not all(
                 isinstance(p, list) and len(p) == 2 for p in prec):
-            raise ValueError(f"model 'prec' must list world pairs, not {prec!r:.40}")
+            raise ValueError(f"model 'prec' must list world pairs, not {brief_repr(prec)}")
         valuation = obj.get("valuation", {})
         if not isinstance(valuation, dict) or not all(
                 isinstance(ws, list) for ws in valuation.values()):
             raise ValueError("model 'valuation' must map atoms to lists of "
-                             f"worlds, not {valuation!r:.40}")
+                             f"worlds, not {brief_repr(valuation)}")
         return Model(
             n,
             frozenset((_world_of(n, i), _world_of(n, j)) for i, j in prec),
@@ -112,7 +112,7 @@ class Model:
 
 def _world_of(n: int, w) -> int:
     if type(w) is not int or not 0 <= w < n:
-        raise ValueError(f"{w!r} is not a world of a model with n = {n}")
+        raise ValueError(f"{brief_repr(w)} is not a world of a model with n = {n}")
     return w
 
 
@@ -476,14 +476,14 @@ def soundness_probe(report: CheckReport, max_worlds: int = 4,
 
 def load_model(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
-        return Model.from_json(json.load(fh))
+        return Model.from_json(decode(fh.read()))
 
 
 def load_interpretation(path: str, model: Model) -> Interpretation:
     """An object mapping labels to worlds of ``model``."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = decode(fh.read())
     if not isinstance(obj, dict):
         raise ValueError(
-            f"an interpretation must be a JSON object, not {obj!r:.40}")
+            f"an interpretation must be a JSON object, not {brief_repr(obj)}")
     return {k: _world_of(model.n, w) for k, w in obj.items()}

@@ -1,13 +1,14 @@
 import json
 import random
-import sys
 
 import pytest
 
 from helpers import DerivationGen
 from tenseproof.cli import main
 from tenseproof.corpus import corpus_entries
-from tenseproof.derivation import assume, dump, dumps, from_json, load, node, to_json
+from tenseproof.derivation import (
+    assume, brief_repr, decode, dump, dumps, load, node, to_json,
+)
 from tenseproof.kernel import check
 from tenseproof.parser import parse_lwff as pl
 from tenseproof.rules import KL
@@ -160,12 +161,7 @@ def test_normalize_writes_a_deep_normal_form(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert main(["normalize", str(path), "-o", str(out_file)]) == 0
     assert out_file.read_text() == printed
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10_000)        # the JSON decoder recurses
-    try:
-        nf = from_json(json.loads(printed))
-    finally:
-        sys.setrecursionlimit(limit)
+    nf = load(str(out_file))
     report = check(nf, KL)
     assert report.ok and report.is_theorem == check(d, KL).is_theorem
     assert nf.conclusion == d.conclusion
@@ -179,13 +175,101 @@ def test_derivation_text_is_the_json_encoders():
         assert dumps(d) == json.dumps(to_json(d), indent=1)
 
 
-def test_input_too_deep_to_decode_is_an_input_error(tmp_path, capsys):
+def test_input_deeper_than_the_recursion_limit_is_read(tmp_path, capsys):
+    # 700 nested detours: 2100 JSON levels, more than a recursive decoder
+    # can read under the default recursion limit
     path = _nested_detours_file(tmp_path, 700)
-    for verb in ("check", "normalize"):
-        assert main([verb, path]) == 4
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "nested" in captured.err
-        assert captured.out == ""
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out.startswith("status: valid\n")
+    assert main(["normalize", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"rule": "assume",
+                                                   "conclusion": "x : p"}
+
+
+def _random_json(rng, depth):
+    kind = rng.randrange(9 if depth else 6)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randrange(-10 ** 6, 10 ** 6)
+    if kind == 2:
+        return rng.choice([0.5, -1e-3, 2.5e30, float("inf"), float("-inf")])
+    if kind in (3, 4, 5):
+        return "".join(rng.choice('ab"\\\u00e9\n\t/ ') for _ in range(rng.randrange(4)))
+    if kind in (6, 7):
+        return [_random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {_random_json(rng, 0) if rng.random() < 0.1 else rng.choice("abc"):
+            _random_json(rng, depth - 1) for _ in range(rng.randrange(4))}
+
+
+def _outcome(read, text):
+    try:
+        return "value", json.dumps(read(text))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_reader_accepts_what_the_json_module_accepts():
+    rng = random.Random(23)
+    texts = ['[' * 3000 + ']' * 3000, "\ufeff[]", " 1 ", "NaN", "-Infinity"]
+    for _ in range(1500):
+        value = _random_json(rng, 5)
+        indent = rng.choice([None, 0, 1, "\t"])
+        seps = rng.choice([None, (",", ":"), (" ,\n", " : ")])
+        texts.append(json.dumps(value, indent=indent, separators=seps))
+    for text in texts[5:]:
+        # delete, repeat or replace one character: mostly malformed text
+        i = rng.randrange(len(text) + 1)
+        pick = rng.choice('{}[],:" \\0e-.ntfaNI\x01')
+        texts.append(rng.choice([text[:i] + text[i + 1:], text[:i] + pick + text[i:],
+                                 text[:i] + pick + text[i + 1:]]))
+    outcomes = {"value": 0, "JSONDecodeError": 0}
+    for text in texts[1:]:
+        got = _outcome(decode, text)
+        assert got == _outcome(json.loads, text), text
+        outcomes[got[0]] += 1
+    assert min(outcomes.values()) > 500
+    deep = decode(texts[0])
+    for _ in range(2999):
+        (deep,) = deep
+    assert deep == []
+
+
+def test_brief_repr_is_repr():
+    rng = random.Random(29)
+    for _ in range(500):
+        value = _random_json(rng, 4)
+        assert brief_repr(value, None) == repr(value)
+        assert brief_repr(value) == f"{value!r:.40}"
+
+
+def test_deep_malformed_input_is_an_input_error(tmp_path, capsys):
+    # values nested deeper than a recursive repr can print, where the
+    # error message names the value
+    deep = "[" * 5000 + "]" * 5000
+    node_text = '{"rule": "assume", "conclusion": "x : p", '
+    derivations = [
+        '{"rule": "imp_e", "conclusion": "x : p", "premises": [' + deep + "]}",
+        node_text + '"marker": ' + deep + "}",
+        node_text + '"discharges": [' + deep + "]}",
+    ]
+    for text in derivations:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 4
+    models = [('{"n": 2, "prec": ' + deep + "}", '{"x": 0}'),
+              ('{"n": 2, "valuation": {"p": [' + deep + "]}}", '{"x": 0}'),
+              ('{"n": 2}', "[" + deep + "]"), ('{"n": 2}', '{"x": ' + deep + "}")]
+    for model, lam in models:
+        (tmp_path / "model.json").write_text(model)
+        (tmp_path / "lam.json").write_text(lam)
+        assert main(["eval", str(tmp_path / "model.json"),
+                     str(tmp_path / "lam.json"), "x : p"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == len(derivations) + len(models)
+    assert all(line.startswith("error: ") and len(line) < 200 for line in lines)
 
 
 def _check_text(tmp_path, obj):

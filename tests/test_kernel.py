@@ -1,20 +1,23 @@
+import json
+import pathlib
 from dataclasses import replace
 
 import pytest
 
 from tenseproof.derivation import (
-    MarkerGen, all_markers, assume, from_json, map_leaves, node, replace_at,
-    to_json,
+    MarkerGen, all_markers, assume, dumps, from_json, map_leaves, node,
+    replace_at, to_json,
 )
 from tenseproof.kernel import check, expand_derived, open_assumptions
 from tenseproof.normalize import canonical_form
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import AXIOMS, KL, RULES, parse_profile
 from tenseproof.syntax import (
-    Empty, ProofContext, core_eq, labels_of, substitute_label,
+    Empty, Falsum, Lwff, ProofContext, core_eq, labels_of, substitute_label,
 )
 
 E = Empty()
+F = Falsum()
 
 
 def g1_tree():
@@ -262,7 +265,57 @@ DERIVED_TREES = [
 ]
 
 
-@pytest.mark.parametrize("rule,tree", DERIVED_TREES)
+def _ex_falso(t, c):
+    """``c`` from ``t``, a derivation of either falsum."""
+    if isinstance(c, Lwff):
+        if not isinstance(t.conclusion, Lwff):
+            t = node("uf2", Lwff(c.label, F), t)
+        return node("raa_bot", c, t)
+    if isinstance(t.conclusion, Lwff):
+        t = node("uf1", E, t)
+    return node("raa_empty", c, t)
+
+
+def _case_tree(rule, c):
+    """A ``rule`` node concluding ``c``: each minor premise contradicts
+    a leaf the node discharges and concludes ``c`` ex falso."""
+    if rule == "or_e":
+        minors = [_ex_falso(node("imp_e", pl("x : false"), assume(pl(f"x : ~{a}")),
+                                 assume(pl(f"x : {a}"), m)), c)
+                  for a, m in (("p", 2), ("q", 3))]
+        return node("or_e", c, assume(pl("x : p | q"), 1), *minors,
+                    discharges={2, 3})
+    if rule == "ror_e":
+        minors = [_ex_falso(node("rimp_e", E, assume(pr(f"!({r})")),
+                                 assume(pr(r), m)), c)
+                  for r, m in (("x < y", 2), ("y < x", 3))]
+        return node("ror_e", c, assume(pr("x < y \\/ y < x"), 1), *minors,
+                    discharges={2, 3})
+    if rule in ("f_e", "p_e"):
+        op, elim, rel = (("F", "g_e", "x < y"), ("P", "h_e", "y < x"))[rule == "p_e"]
+        past = "G" if op == "F" else "H"
+        not_p = node(elim, pl("y : ~p"), assume(pl(f"x : {past} ~p")),
+                     assume(pr(rel), 3))
+        bot = node("imp_e", pl("y : false"), not_p, assume(pl("y : p"), 2))
+        return node(rule, c, assume(pl(f"x : {op} p"), 1), _ex_falso(bot, c),
+                    discharges={2, 3}, fresh="y")
+    not_xy = node("all_e", pr("!(x < y)"), assume(pr("forall u. !(x < u)")))
+    bot = node("rimp_e", E, not_xy, assume(pr("x < y"), 2))
+    return node("ex_e", c, assume(pr("exists v. x < v"), 1), _ex_falso(bot, c),
+                discharges={2}, fresh="y")
+
+
+# each case rule concluding at the major premise's label x, at another
+# label, and a relational formula
+CASE_TREES = [
+    (f"{rule}-{tag}", lambda rule=rule, c=c: _case_tree(rule, c))
+    for rule in ("or_e", "ror_e", "f_e", "p_e", "ex_e")
+    for tag, c in (("x", pl("x : r")), ("z", pl("z : r")), ("rel", pr("z < x")))
+]
+PINNED_EXPANSIONS = pathlib.Path(__file__).parent / "data" / "expansions.json"
+
+
+@pytest.mark.parametrize("rule,tree", DERIVED_TREES + CASE_TREES)
 def test_each_derived_rule_checks_and_expands(rule, tree):
     d = tree()
     report = check(d, KL)
@@ -273,6 +326,21 @@ def test_each_derived_rule_checks_and_expands(rule, tree):
     assert expanded.conclusion == d.conclusion
     assert open_assumptions(expanded) == open_assumptions(d)
     assert all(RULES[n.rule].kind != "derived" for _, n in expanded.walk())
+
+
+def _expansions() -> dict:
+    return {name: dumps(expand_derived(tree()))
+            for name, tree in DERIVED_TREES + CASE_TREES}
+
+
+def test_expansions_are_pinned():
+    # the raw expansion text, not only its validity: a needless rule
+    # application or a different bridge between the sorts changes it
+    pinned = json.loads(PINNED_EXPANSIONS.read_text())
+    got = _expansions()
+    assert sorted(got) == sorted(pinned)
+    for name, text in got.items():
+        assert text == pinned[name], name
 
 
 def test_case_split_expansion_with_shared_marker():
@@ -609,3 +677,10 @@ def test_json_axiom_without_conclusion():
 def test_json_rejects_unknown_rule():
     with pytest.raises(ValueError):
         from_json({"rule": "cut", "conclusion": "x : p"})
+
+
+if __name__ == "__main__":
+    # after a deliberate change to an expansion, rewrite the pinned texts:
+    # PYTHONPATH=src python tests/test_kernel.py
+    PINNED_EXPANSIONS.parent.mkdir(exist_ok=True)
+    PINNED_EXPANSIONS.write_text(json.dumps(_expansions(), indent=1) + "\n")

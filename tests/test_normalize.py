@@ -10,14 +10,16 @@ from tenseproof.derivation import (
     node, refresh_internal_markers, rename_freshes, substitute_label_deriv,
     to_json, with_premise,
 )
-from tenseproof.kernel import _expand_entity, check, expand_derived, open_assumptions
+from tenseproof.kernel import check, expand_derived, open_assumptions
 from tenseproof.normalize import (
     NonTermination, RedexStale, _RedexIndex, _Zipper, _rename_colliding_freshes,
     canonical_form, find_redexes, is_normal, normalize, reduce_step, restrict,
 )
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import KL
-from tenseproof.syntax import Empty, LabelGen, core_eq, grade, substitute_label
+from tenseproof.syntax import (
+    Empty, LabelGen, core_eq, expand, grade, substitute_label,
+)
 
 E = Empty()
 # the module, not the function of that name the package exports
@@ -559,7 +561,7 @@ def test_index_follows_any_replacement():
     rng = random.Random(5)
     gen = DerivationGen(rng)
     trees = [gen.derivation() for _ in range(30)]
-    shape = lambda t: type(_expand_entity(t.conclusion))
+    shape = lambda t: type(expand(t.conclusion))
     parts = [t for d in trees for _, t in d.walk()]
     for d in trees:
         tree = _Zipper(d, _RedexIndex(d))

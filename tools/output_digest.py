@@ -1,0 +1,211 @@
+#!/usr/bin/env python3
+"""Print a digest of what the library outputs on a fixed set of inputs.
+
+One line per derivation tree names the tree and gives a short hash of each
+output: the check report (violation kinds, paths and messages), the open
+context and the raw ``expand_derived`` text; for a tree that checks, also
+the normal form, the normalization trace and the canonical form of the
+normal form.  Further lines digest ``render``, ``parse`` and the
+``ParseError`` text on seeded random entities and broken strings.
+
+The trees are the bundled corpus, ``DERIVED_TREES`` of the kernel tests,
+the detour and derived-rule benchmark families of seeds 1-3 with one
+``perfbench/gen.mutate`` mutant each, 200 ``DerivationGen`` trees and 3000
+seeded one-field mutants of the corpus, ``DERIVED_TREES`` and the seed-1
+family trees of at most 400 nodes, a tenth of them swapping a rule with its
+twin of the other sort.
+Only the library comes from ``--src``; the generators come from this
+checkout, so two checkouts digest the same inputs:
+
+    python3 tools/output_digest.py --src ../old/src > old.txt
+    python3 tools/output_digest.py --src src > new.txt
+    diff old.txt new.txt
+
+An identical digest is the evidence that a change keeps every output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import pathlib
+import random
+import sys
+from dataclasses import replace
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# each rule with its twin of the other sort
+TWINS = dict(p for pair in [
+    ("imp_i", "rimp_i"), ("imp_e", "rimp_e"), ("raa_bot", "raa_empty"),
+    ("not_i", "rnot_i"), ("not_e", "rnot_e"), ("and_i", "rand_i"),
+    ("and_e1", "rand_e1"), ("and_e2", "rand_e2"), ("or_i1", "ror_i1"),
+    ("or_i2", "ror_i2"), ("or_e", "ror_e"), ("uf1", "uf2"),
+] for p in (pair, pair[::-1]))
+
+
+def _hash(value) -> str:
+    text = value if isinstance(value, str) else json.dumps(value, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _attempt(fn):
+    """``fn()``, or the text of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:            # the digest records any failure
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def _trees(lib):
+    """``(name, derivation, profile)`` for every tree of the digest."""
+    import gen
+    from test_kernel import DERIVED_TREES
+    from helpers import DerivationGen
+
+    KL = lib.rules.KL
+    out = [(f"corpus-{e.id}", e.derivation, e.profile)
+           for e in lib.corpus.corpus_entries()]
+    out += [(f"derived-{name}", tree(), KL) for name, tree in DERIVED_TREES]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for case in gen.detour_cases(rng) + gen.derived_cases(rng):
+            mutant = gen.mutate(case, rng)
+            for c in (case, mutant):
+                out.append((f"s{seed}-{c.name}", c.derivation,
+                            lib.rules.parse_profile(c.profile)))
+    dgen = DerivationGen(random.Random(7))
+    out += [(f"gen-{i}", dgen.derivation(), KL) for i in range(200)]
+    bases = [t for t in out if t[0].startswith(("corpus-", "derived-"))
+             or t[0].startswith("s1-") and "mutant" not in t[0]
+             and t[1].node_count() <= 400]
+    rng = random.Random(11)
+    count = 0
+    while count < 3000:
+        name, d, profile = rng.choice(bases)
+        mutant = _mutant(rng, d, lib)
+        if mutant is not None:
+            out.append((f"mut{count}-{name}", mutant, profile))
+            count += 1
+    return out
+
+
+def _mutant(rng, d, lib):
+    """``d`` with one field of one node changed, or None."""
+    nodes = list(d.walk())
+    path, n = rng.choice(nodes)
+    labels = sorted(set().union(*(lib.syntax.labels_of(m.conclusion)
+                                  for _, m in nodes)))
+    markers = sorted(lib.derivation.all_markers(d) | {0})
+    if rng.random() < 0.1:
+        twins = [(p, m) for p, m in nodes if m.rule in TWINS]
+        if not twins:
+            return None
+        path, n = rng.choice(twins)
+        new = replace(n, rule=TWINS[n.rule])
+        return lib.derivation.replace_at(d, path, new)
+    field = rng.choice(["rule", "conclusion", "label", "marker", "discharges",
+                        "fresh", "position", "premises"])
+    if field == "rule":
+        new = replace(n, rule=rng.choice(sorted(
+            r for r, s in lib.rules.RULES.items()
+            if s.n_premises == len(n.premises))))
+    elif field == "conclusion":
+        new = replace(n, conclusion=rng.choice(nodes)[1].conclusion)
+    elif field == "label" and labels:
+        new = replace(n, conclusion=lib.syntax.substitute_label(
+            n.conclusion, rng.choice(labels), rng.choice(labels)))
+    elif field == "marker":
+        new = replace(n, marker=rng.choice(markers + [None]))
+    elif field == "discharges":
+        new = replace(n, discharges=n.discharges ^ {rng.choice(markers)})
+    elif field == "fresh":
+        new = replace(n, fresh=rng.choice(labels + [None]))
+    elif field == "position":
+        new = replace(n, position=rng.choice([None, 1, 2]))
+    elif field == "premises" and len(n.premises) > 1:
+        new = replace(n, premises=n.premises[::-1])
+    else:
+        return None
+    return None if new == n else lib.derivation.replace_at(d, path, new)
+
+
+def _tree_line(lib, name, d, profile) -> str:
+    render = lib.parser.render
+    report = _attempt(lambda: lib.kernel.check(d, profile))
+    if isinstance(report, str):
+        return f"{name} check={_hash(report)}"
+    parts = {
+        "check": _hash([report.ok, report.is_theorem,
+                        [[v.kind, list(v.path), v.message]
+                         for v in report.violations]]),
+        "open": _hash(sorted(map(render, report.open))),
+        "expand": _hash(_attempt(
+            lambda: lib.derivation.dumps(lib.kernel.expand_derived(d)))),
+    }
+    if report.ok:
+        trace: list = []
+        nf = _attempt(lambda: lib.normalize.normalize(d, trace=trace))
+        if isinstance(nf, str):
+            parts["nf"] = _hash(nf)
+        else:
+            parts["nf"] = _hash(lib.derivation.dumps(nf))
+            parts["canon"] = _hash(lib.derivation.dumps(
+                lib.normalize.canonical_form(nf)))
+        parts["trace"] = _hash(trace)
+    return name + " " + " ".join(f"{k}={v}" for k, v in parts.items())
+
+
+def _broken(rng, text: str) -> str:
+    """``text`` with one character deleted, doubled or replaced."""
+    i = rng.randrange(len(text) + 1)
+    pick = rng.choice("()<=:.~!&|-> xpGF\\/")
+    how = rng.randrange(3)
+    if how == 0:
+        return text[:i] + text[i + 1:]
+    if how == 1:
+        return text[:i] + pick + text[i:]
+    return text[:i] + pick + text[i + 1:]
+
+
+def _syntax_lines(lib):
+    from helpers import random_entity
+    parse, render = lib.parser.parse, lib.parser.render
+    rng = random.Random(17)
+    entities = [random_entity(rng, rng.randrange(1, 6)) for _ in range(20000)]
+    for start in range(0, len(entities), 1000):
+        chunk = entities[start:start + 1000]
+        texts = [render(e) for e in chunk]
+        back = [_attempt(lambda t=t: render(parse("any", t))) for t in texts]
+        same = [parse("any", t) == e for t, e in zip(texts, chunk)]
+        yield (f"render-{start} render={_hash(texts)} parse={_hash(back)} "
+               f"roundtrip={all(same)}")
+    broken = [_broken(rng, render(rng.choice(entities))) for _ in range(3000)]
+    for start in range(0, len(broken), 500):
+        results = [_attempt(lambda t=t: render(parse("any", t)))
+                   for t in broken[start:start + 500]]
+        yield f"broken-{start} parse={_hash(results)}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="directory holding the tenseproof package to digest")
+    args = ap.parse_args(argv)
+    sys.path[:0] = [str(pathlib.Path(args.src).resolve()),
+                    str(ROOT / "tests"), str(ROOT / "perfbench")]
+    import importlib
+    lib = argparse.Namespace(**{
+        m: importlib.import_module(f"tenseproof.{m}")
+        for m in ("corpus", "derivation", "kernel", "normalize", "parser",
+                  "rules", "syntax")})
+    for name, d, profile in _trees(lib):
+        print(_tree_line(lib, name, d, profile), flush=True)
+    for line in _syntax_lines(lib):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
