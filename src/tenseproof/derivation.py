@@ -287,11 +287,11 @@ def to_json(d: Derivation) -> dict:
     return fold(d, encode)
 
 
-def brief_repr(value, width: Optional[int] = 40) -> str:
-    """``repr(value)``, cut to ``width`` characters, of a value read from
-    JSON; built without recursion, so a value of any depth can be named in
-    an error message."""
-    return _text(value, repr, False)[:width]
+def brief_repr(value) -> str:
+    """``repr(value)``, cut to 40 characters, of a value read from JSON;
+    built without recursion, so a value of any depth can be named in an
+    error message."""
+    return _text(value, repr, False)[:40]
 
 
 def _field(obj: dict, key: str, kind: type):
@@ -353,9 +353,6 @@ def decode(text: str):
     depth can be read.  Arrays and objects are kept on an explicit stack;
     every other value is decoded by the ``json`` module, so exactly the
     same texts are accepted."""
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using "
-                                   "utf-8-sig)", text, 0)
     stack: list = []        # [container, key] of each open array or object
     i = _SKIP(text, 0).end()
     while True:
@@ -412,9 +409,20 @@ def _key(text: str, i: int) -> tuple:
     return key, _SKIP(text, i + 1).end()
 
 
-def load(path: str) -> Derivation:
+def load_json(path: str):
+    """The JSON value in the file at ``path``, of any depth: read by
+    ``json.loads``, or by ``decode`` if it nests deeper than ``json.loads``
+    can read."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json(decode(fh.read()))
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        return decode(text)
+
+
+def load(path: str) -> Derivation:
+    return from_json(load_json(path))
 
 
 def dumps(d: Derivation) -> str:

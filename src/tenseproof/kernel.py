@@ -440,7 +440,8 @@ class _Checker:
         y, b = s.split(p0)
         if y != x or not core_eq(b, core.right):
             self.bad(path, "PatternMismatch",
-                     f"{n.rule} premise must be the consequent")
+                     f"{n.rule} premise must be the consequent"
+                     + (" at the same label" if s.labeled else ""))
         return {0: [s.at(x, core.left)]}
 
     def _imp_e(self, path, n):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .derivation import brief_repr, decode
+from .derivation import brief_repr, load_json
 from .kernel import CheckReport
 from .rules import INFINITE_EXTRAS, KL, LogicProfile
 from .syntax import (
@@ -475,14 +475,12 @@ def soundness_probe(report: CheckReport, max_worlds: int = 4,
 
 
 def load_model(path: str) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Model.from_json(decode(fh.read()))
+    return Model.from_json(load_json(path))
 
 
 def load_interpretation(path: str, model: Model) -> Interpretation:
     """An object mapping labels to worlds of ``model``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = decode(fh.read())
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise ValueError(
             f"an interpretation must be a JSON object, not {brief_repr(obj)}")
