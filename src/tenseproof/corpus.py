@@ -19,7 +19,7 @@ from .normalize import NonTermination, is_normal, normalize
 from .parser import parse
 from .rules import LogicProfile, parse_profile
 from .semantics import soundness_probe
-from .syntax import core_eq
+from .syntax import canon, core_eq
 from .tracks import StructureViolation, audit_subformula, tracks
 
 
@@ -87,8 +87,8 @@ def run_entry(entry: CorpusEntry, max_worlds: int = 4) -> EntryResult:
             nf = normalize(entry.derivation)
             preserved = nf.conclusion == entry.derivation.conclusion
             recheck = check(nf, entry.profile)
-            before = set(report.open)
-            shrunk = all(any(core_eq(a, b) for b in before) for a in recheck.open)
+            before = {canon(b) for b in report.open}
+            shrunk = all(canon(a) in before for a in recheck.open)
             if preserved and shrunk and recheck.ok:
                 stages["normalize"] = "PASS"
             else:

@@ -305,8 +305,11 @@ def _field(obj: dict, key: str, kind: type):
 
 def from_json(obj: dict) -> Derivation:
     """The derivation a JSON object describes.  A node's own fields are
-    checked before its premises are read, its conclusion after."""
+    checked before its premises are read, its conclusion after.  Each
+    distinct conclusion text is parsed once: equal texts are one formula."""
     from .rules import RULES
+
+    parsed: dict = {}
 
     def visit(obj) -> tuple:
         if not isinstance(obj, dict):
@@ -331,7 +334,9 @@ def from_json(obj: dict) -> Derivation:
                 raise ValueError(f"node for rule {rule!r} lacks a conclusion")
             conclusion: Conclusion = template
         else:
-            conclusion = parse_conclusion(text)
+            conclusion = parsed.get(text)
+            if conclusion is None:
+                conclusion = parsed[text] = parse_conclusion(text)
         return Derivation(
             rule, conclusion, tuple(premises),
             marker=_field(obj, "marker", int),

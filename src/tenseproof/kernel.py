@@ -80,10 +80,10 @@ class _Sort:
 
 LAB = _Sort(True, "labeled", "", Implies, F_, "falsum", "imp_i", "imp_e",
             "raa_bot", Lwff, attrgetter("label", "formula"),
-            partial(Implies, right=F_))
+            lambda a: Implies(a, F_))
 REL = _Sort(False, "relational", "relational ", RImplies, E_, "empty",
             "rimp_i", "rimp_e", "raa_empty", lambda x, a: a, lambda c: (None, c),
-            partial(RImplies, right=E_))
+            lambda a: RImplies(a, E_))
 _SORT_OF_RULE = {r: s for s in (LAB, REL) for r in (s.imp_i, s.imp_e, s.raa)}
 
 # each temporal rule: its operator, and the relation from the label of the

@@ -1,4 +1,4 @@
-"""Concrete syntax: a recursive-descent parser and a matching renderer.
+"""Concrete syntax: a precedence-climbing parser and a matching renderer.
 
 Grammar summary (ASCII only):
 
@@ -12,8 +12,9 @@ Grammar summary (ASCII only):
 
 Each sort has one precedence table of its binary connectives
 (``_FORMULA_OPS``, ``_RWFF_OPS``), and one precedence-climbing loop,
-``_binary``, parses both.  The renderer reads the same tables: the classes
+``_climb``, parses both.  The renderer reads the same tables: the classes
 of the two sorts are disjoint, so one table-driven ``_render`` serves both.
+Neither recurses, so formulas of any nesting depth parse and render.
 
 ``parse(render(e)) == e`` for every entity ``e`` produced by this package.
 """
@@ -92,26 +93,49 @@ class _Tokens:
 
 
 # ---------------------------------------------------------------------------
-# Binary connectives: one precedence table per sort
+# Precedence climbing, one loop for both sorts
 
 # operator token -> (level, class); a higher level binds tighter, and every
 # binary connective is right associative
 _FORMULA_OPS = {"->": (0, Implies), "|": (1, Or), "&": (2, And)}
 _RWFF_OPS = {"=>": (0, RImplies), "\\/": (1, ROr), "/\\": (2, RAnd)}
 
+_CLIMB = (0, None, None)   # pending: a whole formula
+_CLOSE = ")"               # pending: take the closing parenthesis
 
-def _binary(levels: dict, unary, t: _Tokens, least: int = 0):
-    """The longest formula at ``t`` whose binary connectives (in
-    ``levels``) all have level ``least`` or more (precedence climbing)."""
-    left = unary(t)
-    while True:
-        op = t.peek()
-        entry = levels.get(op)
-        if entry is None or entry[0] < least:
-            return left
-        t.take(op)
-        level, cls = entry
-        left = cls(left, _binary(levels, unary, t, level))
+
+def _climb(levels: dict, operand, t: _Tokens):
+    """The longest formula at ``t`` built from operands read by
+    ``operand`` and the binary connectives in ``levels``.
+
+    This is a recursive descent by precedence climbing whose pending calls
+    sit on ``pending``, so nesting depth is not bounded by the Python
+    stack.  An entry ``(least, left, cls)`` is a climb that accepts only
+    connectives of level ``least`` or more; with ``cls`` set it awaits the
+    right operand of ``cls`` after ``left``.  Any other entry wraps the
+    value handed back: a prefix class, a binder, or ``_CLOSE``.
+    ``operand(t, pending)`` either returns an atomic formula or consumes a
+    prefix, a binder or an opening parenthesis and pushes what it owes."""
+    pending: list = [_CLIMB]
+    while pending:
+        value = operand(t, pending)
+        while value is not None and pending:
+            frame = pending.pop()
+            if frame is _CLOSE:
+                t.take(")", "')'")
+                continue
+            if type(frame) is not tuple:
+                value = frame(value)
+                continue
+            least, left, cls = frame
+            if cls is not None:
+                value = cls(left, value)
+            entry = levels.get(t.peek())
+            if entry is not None and entry[0] >= least:
+                t.take(t.peek())
+                pending += ((least, value, entry[1]), (entry[0], None, None))
+                value = None
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +144,12 @@ def _binary(levels: dict, unary, t: _Tokens, least: int = 0):
 _PREFIX = {"~": Not, "G": G, "H": H, "F": F, "P": P, "X": X}
 
 
-def _formula_unary(t: _Tokens):
+def _formula_operand(t: _Tokens, pending: list):
     kind = t.peek()
     if kind in _PREFIX:
         t.take(kind)
-        return _PREFIX[kind](_formula_unary(t))
-    return _formula_primary(t)
-
-
-def _formula_primary(t: _Tokens):
-    kind = t.peek()
+        pending.append(_PREFIX[kind])
+        return None
     if kind == "false":
         t.take("false")
         return Falsum()
@@ -140,48 +160,40 @@ def _formula_primary(t: _Tokens):
         return Atom(t.take("ident"))
     if kind == "(":
         t.take("(")
-        phi = _formula(t)
-        t.take(")", "')'")
-        return phi
+        pending += (_CLOSE, _CLIMB)
+        return None
     raise ParseError(t.text, t.pos(), "an atom, 'false', 'true', prefix operator or '('")
 
 
-_formula = partial(_binary, _FORMULA_OPS, _formula_unary)
+_formula = partial(_climb, _FORMULA_OPS, _formula_operand)
 
 
 # ---------------------------------------------------------------------------
 # Relational formulas
 
 _RELATIONS = {"<": Less, "=": Eq, "<.": Prec}
+_BINDERS = {"forall": Forall, "exists": Exists}
 
-def _rwff_unary(t: _Tokens):
+
+def _rwff_operand(t: _Tokens, pending: list):
     kind = t.peek()
     if kind == "!":
         t.take("!")
-        return RNot(_rwff_unary(t))
-    if kind == "forall":
-        t.take("forall")
+        pending.append(RNot)
+        return None
+    if kind in _BINDERS:
+        t.take(kind)
         var = t.take("ident", "a bound label")
         t.take(".", "'.'")
-        return Forall(var, _rwff(t))
-    if kind == "exists":
-        t.take("exists")
-        var = t.take("ident", "a bound label")
-        t.take(".", "'.'")
-        return Exists(var, _rwff(t))
-    return _rwff_primary(t)
-
-
-def _rwff_primary(t: _Tokens):
-    kind = t.peek()
+        pending += (partial(_BINDERS[kind], var), _CLIMB)
+        return None
     if kind == "empty":
         t.take("empty")
         return Empty()
     if kind == "(":
         t.take("(")
-        rho = _rwff(t)
-        t.take(")", "')'")
-        return rho
+        pending += (_CLOSE, _CLIMB)
+        return None
     if kind == "ident":
         x = t.take("ident")
         op = t.peek()
@@ -192,7 +204,7 @@ def _rwff_primary(t: _Tokens):
     raise ParseError(t.text, t.pos(), "'empty', '!', a quantifier, a label or '('")
 
 
-_rwff = partial(_binary, _RWFF_OPS, _rwff_unary)
+_rwff = partial(_climb, _RWFF_OPS, _rwff_operand)
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +262,45 @@ _BINARY = {cls: (level, op) for ops in (_FORMULA_OPS, _RWFF_OPS)
 _PREFIX_TEXT = {Not: "~", G: "G ", H: "H ", F: "F ", P: "P ", X: "X ", RNot: "!"}
 _CONSTANT = {Falsum: "false", Top: "true", Empty: "empty"}
 _RELATION = {cls: op for op, cls in _RELATIONS.items()}
-_BINDER = {Forall: "forall", Exists: "exists"}
+_BINDER = {cls: word for word, cls in _BINDERS.items()}
 
 
 def _render(e, context: int) -> str:
-    """``e`` as text in a place that needs level ``context`` or tighter."""
-    cls = e.__class__
-    if cls in _BINARY:
-        level, op = _BINARY[cls]
-        text = f"{_render(e.left, level + 1)} {op} {_render(e.right, level)}"
-        return f"({text})" if level < context else text
-    if cls in _PREFIX_TEXT:
-        return _PREFIX_TEXT[cls] + _render(e.body, _UNARY)
-    if cls is Atom:
-        return e.name
-    if cls in _CONSTANT:
-        return _CONSTANT[cls]
-    if cls in _RELATION:
-        return f"{e.x} {_RELATION[cls]} {e.y}"
-    if cls in _BINDER:
-        text = f"{_BINDER[cls]} {e.var}. {_render(e.body, 0)}"
-        return f"({text})" if context > 0 else text
-    raise TypeError(f"cannot render {e!r}")
+    """``e`` as text in a place that needs level ``context`` or tighter.
+    Pending work is a stack of texts and ``(entity, context)`` pairs."""
+    out: list = []
+    todo: list = [(e, context)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, context = item
+        cls = e.__class__
+        if cls in _BINARY:
+            level, op = _BINARY[cls]
+            if level < context:
+                out.append("(")
+                todo.append(")")
+            todo += ((e.right, level), f" {op} ", (e.left, level + 1))
+        elif cls in _PREFIX_TEXT:
+            out.append(_PREFIX_TEXT[cls])
+            todo.append((e.body, _UNARY))
+        elif cls is Atom:
+            out.append(e.name)
+        elif cls in _CONSTANT:
+            out.append(_CONSTANT[cls])
+        elif cls in _RELATION:
+            out.append(f"{e.x} {_RELATION[cls]} {e.y}")
+        elif cls in _BINDER:
+            if context > 0:
+                out.append("(")
+                todo.append(")")
+            out.append(f"{_BINDER[cls]} {e.var}. ")
+            todo.append((e.body, 0))
+        else:
+            raise TypeError(f"cannot render {e!r}")
+    return "".join(out)
 
 
 def render(entity) -> str:

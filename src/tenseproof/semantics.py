@@ -19,8 +19,10 @@ one run of the program gives the set of worlds where each subformula holds
 (``A -> B`` is ``~A | B``; ``G``, ``H`` and ``X`` test each world's
 relation mask against the body's), and the first refuting interpretation
 is read off those sets.  ``eval_entity`` and ``entails`` evaluate one
-formula recursively in any model: ``tenseproof eval`` uses them, and they
-are the reference the search is tested against.
+formula in any model, without recursion: a tense formula by the set of
+worlds where each subformula holds, a relational one by a loop that tries
+interpretations in order.  ``tenseproof eval`` uses them, and they are the
+reference the search is tested against.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .kernel import CheckReport
 from .rules import INFINITE_EXTRAS, KL, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, ProofContext,
-    RImplies, X, expand, is_formula, labels_of,
+    RImplies, X, expand, is_formula, labels_of, post_order,
 )
 
 
@@ -214,41 +216,71 @@ def check_frame(m: Model, profile: LogicProfile = KL) -> dict:
 # ---------------------------------------------------------------------------
 # Truth
 
-def _eval_formula(m: Model, world: int, phi) -> bool:
-    if isinstance(phi, Atom):
-        return m.holds_atom(world, phi.name)
-    if isinstance(phi, Falsum):
-        return False
-    if isinstance(phi, Implies):
-        return (not _eval_formula(m, world, phi.left)) \
-            or _eval_formula(m, world, phi.right)
-    if isinstance(phi, G):
-        return all(_eval_formula(m, w, phi.body) for w in m.successors(world))
-    if isinstance(phi, H):
-        return all(_eval_formula(m, w, phi.body) for w in m.predecessors(world))
-    if isinstance(phi, X):
-        # universal reading over immediate successors; on the intended
-        # frames (right-serial, right-discrete, connected) the immediate
-        # successor exists and is unique
-        return all(_eval_formula(m, w, phi.body)
-                   for w in m.immediate_successors(world))
-    raise TypeError(f"not a core formula: {phi!r}")
+_RELATED = {G: Model.successors, H: Model.predecessors,
+            # universal reading over immediate successors; on the intended
+            # frames (right-serial, right-discrete, connected) the
+            # immediate successor exists and is unique
+            X: Model.immediate_successors}
+
+
+def _holds(m: Model, phi) -> set:
+    """The worlds where the core formula ``phi`` holds, from the sets of
+    its subformulas, each computed once."""
+    every = m.worlds
+    related: dict = {}      # operator -> (world, its related worlds) pairs
+    worlds: dict = {}
+    for n in post_order(phi, worlds.__contains__):
+        cls = type(n)
+        if cls is Atom:
+            worlds[n] = {w for w in every if m.holds_atom(w, n.name)}
+        elif cls is Falsum:
+            worlds[n] = set()
+        elif cls is Implies:
+            left, right = worlds[n.left], worlds[n.right]
+            worlds[n] = {w for w in every if w not in left or w in right}
+        elif cls in _RELATED:
+            if cls not in related:
+                related[cls] = [(w, _RELATED[cls](m, w)) for w in every]
+            body = worlds[n.body]
+            worlds[n] = {w for w, later in related[cls] if body.issuperset(later)}
+        else:
+            raise TypeError(f"not a core formula: {n!r}")
+    return worlds[phi]
 
 
 def _eval_rwff(m: Model, lam: Interpretation, rho) -> bool:
-    if isinstance(rho, Less):
-        return (_world(lam, rho.x), _world(lam, rho.y)) in m.prec
-    if isinstance(rho, Eq):
-        return _world(lam, rho.x) == _world(lam, rho.y)
-    if isinstance(rho, Empty):
-        return False
-    if isinstance(rho, RImplies):
-        return (not _eval_rwff(m, lam, rho.left)) or _eval_rwff(m, lam, rho.right)
-    if isinstance(rho, Forall):
-        # quantification ranges over worlds, via extended interpretations
-        return all(_eval_rwff(m, {**lam, rho.var: w}, rho.body)
-                   for w in m.worlds)
-    raise TypeError(f"not a core rwff: {rho!r}")
+    """Truth of the core rwff ``rho``, left to right with short cuts, as a
+    loop over pending ``(node, interpretation, step)`` entries.  ``step``
+    is 1 once an implication's antecedent holds, and for ``forall`` it is
+    the next world to try, under an extended interpretation."""
+    value = None
+    todo = [(rho, lam, 0)]
+    while todo:
+        n, env, step = todo.pop()
+        cls = type(n)
+        if cls is RImplies:
+            if step == 0:
+                todo += [(n, env, 1), (n.left, env, 0)]
+            elif value:
+                todo.append((n.right, env, 0))
+            else:
+                value = True
+        elif cls is Forall:
+            if step > 0 and not value:
+                continue
+            if step == m.n:
+                value = True
+            else:
+                todo += [(n, env, step + 1), (n.body, {**env, n.var: step}, 0)]
+        elif cls is Less:
+            value = (_world(env, n.x), _world(env, n.y)) in m.prec
+        elif cls is Eq:
+            value = _world(env, n.x) == _world(env, n.y)
+        elif cls is Empty:
+            value = False
+        else:
+            raise TypeError(f"not a core rwff: {n!r}")
+    return value
 
 
 def _world(lam: Interpretation, label: str) -> int:
@@ -261,7 +293,8 @@ def _world(lam: Interpretation, label: str) -> int:
 def eval_entity(m: Model, lam: Interpretation, phi) -> bool:
     """Truth of an lwff or rwff under an interpretation (expands first)."""
     if isinstance(phi, Lwff):
-        return _eval_formula(m, _world(lam, phi.label), expand(phi.formula))
+        world = _world(lam, phi.label)
+        return world in _holds(m, expand(phi.formula))
     if is_formula(phi):
         raise TypeError("a bare tense formula needs a label; evaluate an lwff")
     return _eval_rwff(m, lam, expand(phi))
@@ -297,22 +330,13 @@ def _children(phi) -> tuple:
 def _compile(formulas):
     """One post-order program for the core ``formulas``: instruction ``i``
     is ``(kind, a, b)`` and computes slot ``i`` from earlier slots ``a``
-    and ``b`` (an atom's ``a`` is its name).  Equal subformulas share a
-    slot.  Returns the program and each formula's slot."""
+    and ``b`` (an atom's ``a`` is its name).  Equal subformulas are one
+    node, and the slots are keyed by node, so they share a slot.  Returns
+    the program and each formula's slot."""
     slot: dict = {}
     program = []
     for root in formulas:
-        stack = [root]
-        while stack:
-            phi = stack[-1]
-            if phi in slot:
-                stack.pop()
-                continue
-            todo = [c for c in _children(phi) if c not in slot]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
+        for phi in post_order(root, slot.__contains__):
             kind = type(phi)
             operands = ([phi.name] if kind is Atom
                         else [slot[c] for c in _children(phi)])

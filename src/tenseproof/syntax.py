@@ -5,80 +5,209 @@ tense formula, and relational formulas over labels (``x < y``, ``x = y``,
 ``empty``, relational implication and universal quantification).  Each sort
 has a minimal core plus derived surface forms that expand away; all kernel
 comparisons go through the expanded, alpha-canonical core.
+
+Formulas are hash-consed (Filliâtre & Conchon, *Type-Safe Modular
+Hash-Consing*, 2006).  The invariant:
+
+- A node is built only through its class, as in ``Implies(a, b)``, ``G(p)``
+  or ``Lwff(x, A)``.  The constructor looks the class and its arguments up
+  in one weak intern table and returns the node already there, so equal
+  formulas are the same object: ``==`` is ``is``, and the hash is the
+  identity hash, fixed at construction.  Nodes are frozen; copying or
+  unpickling one returns the interned node.
+- A node carries its expansion, its grade and, where it may hold a binder,
+  its alpha-canonical form, each computed the first time it is asked for.
+  So ``core_eq(a, b)`` is ``canon(a) is canon(b)``.
+- Nothing here recurses on a formula: each traversal keeps its pending work
+  on a list, so formulas of any depth expand, compare and substitute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterator, Union
 
 Label = str
 
 
 # ---------------------------------------------------------------------------
+# Interned nodes
+
+# (class, *fields) -> the node with those fields.  Values are held weakly,
+# so an entry goes when its node dies.  A lookup reads the table's own dict
+# of weak references: one C-level dict lookup per construction.
+_TABLE = weakref.WeakValueDictionary()
+_REFS = _TABLE.data
+_new = object.__new__
+_set = object.__setattr__    # nodes are frozen: only this module writes them
+_SELF = object()             # a memo meaning "the node itself", with no cycle
+
+class _Node:
+    """A formula node.  Its memo slots hold ``None`` until asked for: ``_x``
+    the expansion, ``_g`` the grade.  ``_kids`` gives the child nodes, and
+    ``_binder`` tells whether the expansion may hold a ``Forall``."""
+
+    __slots__ = ("_x", "_g", "__weakref__")
+    _memos = ("_x", "_g")
+    _binder = False
+    _binds = None       # for a relational node: does its class bind?
+
+    def __new__(cls, *args, **named):
+        if named:
+            args = _bind(cls, args, named)
+        key = (cls, *args)
+        ref = _REFS.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+        node = _new(cls)
+        for name, value in zip(cls._slots, args + cls._blank):
+            _set(node, name, value)
+        if cls._binds is not None:
+            _set(node, "_binder",
+                 cls._binds or any(k._binder for k in cls._kids(node)))
+        _TABLE[key] = node
+        return node
+
+    def __repr__(self) -> str:
+        """``Class(field=value, ...)``, without recursion: pending work is
+        a stack of texts and ``(value,)`` entries."""
+        out: list = []
+        todo: list = [(self,)]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            value = item[0]
+            if not isinstance(value, _Node):
+                out.append(repr(value))
+                continue
+            out.append(f"{type(value).__name__}(")
+            todo.append(")")
+            fields = value._fields
+            for i in range(len(fields) - 1, -1, -1):
+                todo += ((getattr(value, fields[i]),),
+                         f"{', ' if i else ''}{fields[i]}=")
+        return "".join(out)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def _bind(cls, args: tuple, named: dict) -> tuple:
+    rest = cls._fields[len(args):]
+    if set(named) != set(rest):
+        raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+    return args + tuple(named[f] for f in rest)
+
+
+class _Rel(_Node):
+    """A relational node: ``_l`` memoizes its free labels and ``_c`` its
+    alpha-canonical form, if it may hold a binder."""
+
+    __slots__ = ("_l", "_c", "_binder")
+    _memos = _Node._memos + ("_l", "_c")
+    _binds = False      # does the class itself bind (or expand to a binder)?
+
+
+_KID_FIELDS = ("left", "right", "body", "formula")
+
+
+def _node(cls):
+    """Make ``cls`` a frozen slotted dataclass whose fields are filled by
+    ``_Node.__new__``, and give it ``_fields`` and ``_kids``."""
+    cls = dataclass(frozen=True, eq=False, init=False, repr=False,
+                    slots=True)(cls)
+    cls._fields = tuple(f.name for f in fields(cls))
+    cls._slots = cls._fields + cls._memos
+    cls._blank = (None,) * len(cls._memos)
+    kids = [f for f in cls._fields if f in _KID_FIELDS]
+    if len(kids) == 2:
+        cls._kids = staticmethod(attrgetter(*kids))
+    elif kids:
+        one = attrgetter(*kids)
+        cls._kids = staticmethod(lambda n: (one(n),))
+    else:
+        cls._kids = staticmethod(lambda n: ())
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Tense formulas
 
-@dataclass(frozen=True)
-class Atom:
+@_node
+class Atom(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Falsum:
+@_node
+class Falsum(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Implies:
+@_node
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class G:
+@_node
+class G(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class H:
+@_node
+class H(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class X:
+@_node
+class X(_Node):
     # Core only when the logic profile enables the next-step fragment.
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Top:
+@_node
+class Top(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class F:
+@_node
+class F(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class P:
+@_node
+class P(_Node):
     body: "Formula"
 
 
@@ -88,70 +217,73 @@ Formula = Union[Atom, Falsum, Implies, G, H, X, Not, And, Or, Top, F, P]
 # ---------------------------------------------------------------------------
 # Relational formulas
 
-@dataclass(frozen=True)
-class Less:
+@_node
+class Less(_Rel):
     x: Label
     y: Label
 
 
-@dataclass(frozen=True)
-class Eq:
+@_node
+class Eq(_Rel):
     x: Label
     y: Label
 
 
-@dataclass(frozen=True)
-class Empty:
+@_node
+class Empty(_Rel):
     pass
 
 
-@dataclass(frozen=True)
-class RImplies:
+@_node
+class RImplies(_Rel):
     left: "RFormula"
     right: "RFormula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(_Rel):
     var: Label
     body: "RFormula"
+    _binds = True
 
 
-@dataclass(frozen=True)
-class RNot:
+@_node
+class RNot(_Rel):
     body: "RFormula"
 
 
-@dataclass(frozen=True)
-class RAnd:
+@_node
+class RAnd(_Rel):
     left: "RFormula"
     right: "RFormula"
 
 
-@dataclass(frozen=True)
-class ROr:
+@_node
+class ROr(_Rel):
     left: "RFormula"
     right: "RFormula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@_node
+class Exists(_Rel):
     var: Label
     body: "RFormula"
+    _binds = True
 
 
-@dataclass(frozen=True)
-class Prec:
+@_node
+class Prec(_Rel):
     # "immediately precedes": x < y with no point strictly in between.
     x: Label
     y: Label
+    _binds = True
 
 
 RFormula = Union[Less, Eq, Empty, RImplies, Forall, RNot, RAnd, ROr, Exists, Prec]
 
 
-@dataclass(frozen=True)
-class Lwff:
+@_node
+class Lwff(_Node):
     label: Label
     formula: Formula
 
@@ -178,6 +310,24 @@ FORMULA_TYPES = (Atom, Falsum, Implies, G, H, X, Not, And, Or, Top, F, P)
 
 def is_formula(e) -> bool:
     return isinstance(e, FORMULA_TYPES)
+
+
+def post_order(root, done) -> Iterator:
+    """The nodes under ``root``, itself included, that ``done`` rejects,
+    each after its children: the one traversal of formulas.  The caller
+    makes ``done`` accept each node before taking the next, so a node that
+    occurs more than once comes once, and a node ``done`` already accepts
+    is not entered."""
+    stack = [(root, False)]
+    while stack:
+        n, ready = stack.pop()
+        if done(n):
+            continue
+        if ready:
+            yield n
+        else:
+            stack.append((n, True))
+            stack += [(k, False) for k in n._kids(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,59 +358,69 @@ class LabelGen:
 # ---------------------------------------------------------------------------
 # Expansion of derived forms
 
-def expand(phi):
-    """Rewrite to the minimal core; idempotent."""
-    if isinstance(phi, Lwff):
-        return Lwff(phi.label, expand(phi.formula))
-    if isinstance(phi, Atom) or isinstance(phi, Falsum):
-        return phi
-    if isinstance(phi, Implies):
-        return Implies(expand(phi.left), expand(phi.right))
-    if isinstance(phi, G):
-        return G(expand(phi.body))
-    if isinstance(phi, H):
-        return H(expand(phi.body))
-    if isinstance(phi, X):
-        return X(expand(phi.body))
-    if isinstance(phi, Not):
-        return Implies(expand(phi.body), Falsum())
-    if isinstance(phi, Top):
-        return Implies(Falsum(), Falsum())
-    if isinstance(phi, And):
-        # A & B == ~(A -> ~B)
-        return Implies(Implies(expand(phi.left), Implies(expand(phi.right), Falsum())), Falsum())
-    if isinstance(phi, Or):
-        # A | B == ~A -> B
-        return Implies(Implies(expand(phi.left), Falsum()), expand(phi.right))
-    if isinstance(phi, F):
-        # F A == ~G~A
-        return Implies(G(Implies(expand(phi.body), Falsum())), Falsum())
-    if isinstance(phi, P):
-        return Implies(H(Implies(expand(phi.body), Falsum())), Falsum())
+_F = Falsum()
+_E = Empty()
 
-    if isinstance(phi, (Less, Eq, Empty)):
-        return phi
-    if isinstance(phi, RImplies):
-        return RImplies(expand(phi.left), expand(phi.right))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, expand(phi.body))
-    if isinstance(phi, RNot):
-        return RImplies(expand(phi.body), Empty())
-    if isinstance(phi, RAnd):
-        # r /\ s == !(r => !s)
-        return RImplies(RImplies(expand(phi.left), RImplies(expand(phi.right), Empty())), Empty())
-    if isinstance(phi, ROr):
-        # r \/ s == !r => s
-        return RImplies(RImplies(expand(phi.left), Empty()), expand(phi.right))
-    if isinstance(phi, Exists):
-        # exists x. r == !forall x. !r
-        return RImplies(Forall(phi.var, RImplies(expand(phi.body), Empty())), Empty())
-    if isinstance(phi, Prec):
-        # x <. y == x < y /\ forall v. !(x < v) \/ !(v < y)
-        v = fresh_label({phi.x, phi.y}, base="u")
-        between = ROr(RNot(Less(phi.x, v)), RNot(Less(v, phi.y)))
-        return expand(RAnd(Less(phi.x, phi.y), Forall(v, between)))
-    raise TypeError(f"not a formula: {phi!r}")
+
+def _expand_prec(n):
+    # x <. y == x < y /\ forall v. !(x < v) \/ !(v < y)
+    v = fresh_label({n.x, n.y}, base="u")
+    between = ROr(RNot(Less(n.x, v)), RNot(Less(v, n.y)))
+    return expand(RAnd(Less(n.x, n.y), Forall(v, between)))
+
+
+# each class's expansion, from the (memoized) expansions of its children
+_EXPANSION = {
+    Atom: lambda n: n, Falsum: lambda n: n,
+    Implies: lambda n: Implies(expand(n.left), expand(n.right)),
+    G: lambda n: G(expand(n.body)),
+    H: lambda n: H(expand(n.body)),
+    X: lambda n: X(expand(n.body)),
+    Not: lambda n: Implies(expand(n.body), _F),
+    Top: lambda n: Implies(_F, _F),
+    # A & B == ~(A -> ~B)
+    And: lambda n: Implies(Implies(expand(n.left), Implies(expand(n.right), _F)), _F),
+    # A | B == ~A -> B
+    Or: lambda n: Implies(Implies(expand(n.left), _F), expand(n.right)),
+    # F A == ~G~A
+    F: lambda n: Implies(G(Implies(expand(n.body), _F)), _F),
+    P: lambda n: Implies(H(Implies(expand(n.body), _F)), _F),
+    Less: lambda n: n, Eq: lambda n: n, Empty: lambda n: n,
+    RImplies: lambda n: RImplies(expand(n.left), expand(n.right)),
+    Forall: lambda n: Forall(n.var, expand(n.body)),
+    RNot: lambda n: RImplies(expand(n.body), _E),
+    # r /\ s == !(r => !s)
+    RAnd: lambda n: RImplies(RImplies(expand(n.left), RImplies(expand(n.right), _E)), _E),
+    # r \/ s == !r => s
+    ROr: lambda n: RImplies(RImplies(expand(n.left), _E), expand(n.right)),
+    # exists x. r == !forall x. !r
+    Exists: lambda n: RImplies(Forall(n.var, RImplies(expand(n.body), _E)), _E),
+    Prec: _expand_prec,
+    Lwff: lambda n: Lwff(n.label, expand(n.formula)),
+}
+
+
+def _expanded(n) -> bool:
+    return n._x is not None
+
+
+def expand(phi):
+    """Rewrite to the minimal core; idempotent.  Computed once per node."""
+    try:
+        x = phi._x
+    except AttributeError:
+        raise TypeError(f"not a formula: {phi!r}") from None
+    if x is None:
+        for n in post_order(phi, _expanded):
+            core = _EXPANSION[type(n)](n)
+            if core is n:
+                _set(n, "_x", _SELF)
+            else:
+                _set(n, "_x", core)
+                if core._x is None:         # an expansion is its own
+                    _set(core, "_x", _SELF)
+        x = phi._x
+    return phi if x is _SELF else x
 
 
 def is_atomic(phi) -> bool:
@@ -275,35 +435,36 @@ def is_atomic(phi) -> bool:
 # ---------------------------------------------------------------------------
 # Free labels and substitution
 
+def _labelled(n) -> bool:
+    return n._l is not None
+
+
 def labels_of(e) -> frozenset:
-    """Free labels of a formula, lwff, context, or iterable of those."""
+    """Free labels of a formula, lwff, context, or iterable of those;
+    computed once per relational node."""
     if isinstance(e, Lwff):
-        return frozenset({e.label}) | labels_of(e.formula)
-    if isinstance(e, ProofContext):
-        out = frozenset()
-        for item in e:
-            out |= labels_of(item)
-        return out
+        return frozenset({e.label})
     if is_formula(e):
         return frozenset()  # tense formulas carry no labels inside
-    if isinstance(e, (Less, Eq)):
-        return frozenset({e.x, e.y})
-    if isinstance(e, Prec):
-        return frozenset({e.x, e.y})
-    if isinstance(e, Empty):
-        return frozenset()
-    if isinstance(e, (RImplies, RAnd, ROr)):
-        return labels_of(e.left) | labels_of(e.right)
-    if isinstance(e, RNot):
-        return labels_of(e.body)
-    if isinstance(e, (Forall, Exists)):
-        return labels_of(e.body) - {e.var}
-    if isinstance(e, (list, tuple, set, frozenset)):
-        out = frozenset()
-        for item in e:
-            out |= labels_of(item)
-        return out
+    if isinstance(e, _Rel):
+        if e._l is None:
+            for n in post_order(e, _labelled):
+                cls = type(n)
+                if cls in (Less, Eq, Prec):
+                    free = frozenset((n.x, n.y))
+                elif cls in (Forall, Exists):
+                    free = n.body._l - {n.var}
+                else:
+                    free = frozenset().union(*(k._l for k in n._kids(n)))
+                _set(n, "_l", free)
+        return e._l
+    if isinstance(e, (ProofContext, list, tuple, set, frozenset)):
+        return frozenset().union(*map(labels_of, e))
     raise TypeError(f"no labels in {e!r}")
+
+
+_THEN = object()     # task: substitute in the last result
+_BUILD = object()    # task: rebuild a node from the last results
 
 
 def substitute_label(phi, new: Label, old: Label):
@@ -314,138 +475,168 @@ def substitute_label(phi, new: Label, old: Label):
         return Lwff(new if phi.label == old else phi.label, phi.formula)
     if is_formula(phi):
         return phi
-    if isinstance(phi, Less):
-        return Less(new if phi.x == old else phi.x, new if phi.y == old else phi.y)
-    if isinstance(phi, Eq):
-        return Eq(new if phi.x == old else phi.x, new if phi.y == old else phi.y)
-    if isinstance(phi, Prec):
-        return Prec(new if phi.x == old else phi.x, new if phi.y == old else phi.y)
-    if isinstance(phi, Empty):
-        return phi
-    if isinstance(phi, RImplies):
-        return RImplies(substitute_label(phi.left, new, old), substitute_label(phi.right, new, old))
-    if isinstance(phi, RAnd):
-        return RAnd(substitute_label(phi.left, new, old), substitute_label(phi.right, new, old))
-    if isinstance(phi, ROr):
-        return ROr(substitute_label(phi.left, new, old), substitute_label(phi.right, new, old))
-    if isinstance(phi, RNot):
-        return RNot(substitute_label(phi.body, new, old))
-    if isinstance(phi, (Forall, Exists)):
-        cls = type(phi)
-        if phi.var == old:
-            return phi  # old is bound here, nothing free below
-        if phi.var == new and old in labels_of(phi.body):
-            # the binder would capture the incoming label: rename it first
-            v = fresh_label(labels_of(phi.body) | {new, old}, base="u")
-            body = substitute_label(phi.body, v, phi.var)
-            return cls(v, substitute_label(body, new, old))
-        return cls(phi.var, substitute_label(phi.body, new, old))
-    raise TypeError(f"cannot substitute in {phi!r}")
+    # tasks: (node, new, old) substitutes in node and pushes the result on
+    # ``out``; (_THEN, new, old) substitutes in the last result;
+    # (_BUILD, cls, var) rebuilds a node of ``cls`` from the last results
+    out: list = []
+    todo = [(phi, new, old)]
+    while todo:
+        n, new, old = todo.pop()
+        if n is _THEN:
+            todo.append((out.pop(), new, old))
+            continue
+        if n is _BUILD:
+            cls, var = new, old
+            if var is not None:
+                out.append(cls(var, out.pop()))
+            elif cls is RNot:
+                out.append(cls(out.pop()))
+            else:
+                right = out.pop()
+                out.append(cls(out.pop(), right))
+            continue
+        cls = type(n)
+        if cls in (Less, Eq, Prec):
+            out.append(cls(new if n.x == old else n.x, new if n.y == old else n.y))
+        elif cls is Empty:
+            out.append(n)
+        elif cls in (RImplies, RAnd, ROr):
+            todo += [(_BUILD, cls, None), (n.right, new, old), (n.left, new, old)]
+        elif cls is RNot:
+            todo += [(_BUILD, cls, None), (n.body, new, old)]
+        elif cls in (Forall, Exists):
+            if n.var == old:
+                out.append(n)  # old is bound here, nothing free below
+                continue
+            free = labels_of(n.body) if n.var == new else ()
+            if old in free:
+                # the binder would capture the incoming label: rename it first
+                v = fresh_label(free | {new, old}, base="u")
+                todo += [(_BUILD, cls, v), (_THEN, new, old), (n.body, v, n.var)]
+            else:
+                todo += [(_BUILD, cls, n.var), (n.body, new, old)]
+        else:
+            raise TypeError(f"cannot substitute in {n!r}")
+    return out.pop()
 
 
 # ---------------------------------------------------------------------------
 # Grade and subformulas
 
+def _graded(n) -> bool:
+    return n._g is not None
+
+
+_CONNECTIVES = (Implies, G, H, X, RImplies, Forall)
+
+
 def grade(phi) -> int:
     """Number of connective, operator and quantifier occurrences in the
-    expansion of ``phi``."""
-    phi = expand(phi)
-    if isinstance(phi, Lwff):
-        return grade(phi.formula)
-    if isinstance(phi, (Atom, Falsum, Less, Eq, Empty)):
-        return 0
-    if isinstance(phi, (Implies, RImplies)):
-        return 1 + grade(phi.left) + grade(phi.right)
-    if isinstance(phi, (G, H, X)):
-        return 1 + grade(phi.body)
-    if isinstance(phi, Forall):
-        return 1 + grade(phi.body)
-    raise TypeError(f"no grade for {phi!r}")
+    expansion of ``phi``.  Computed once per node."""
+    g = phi._g if isinstance(phi, _Node) else None
+    if g is None:
+        core = expand(phi)
+        for n in post_order(core, _graded):
+            own = 1 if isinstance(n, _CONNECTIVES) else 0
+            _set(n, "_g", own + sum(k._g for k in n._kids(n)))
+        g = core._g
+        _set(phi, "_g", g)
+    return g
 
 
-def _formula_subformulas(a) -> Iterator:
-    yield a
-    if isinstance(a, Implies):
-        yield from _formula_subformulas(a.left)
-        yield from _formula_subformulas(a.right)
-    elif isinstance(a, (G, H, X)):
-        yield from _formula_subformulas(a.body)
-
-
-def _rformula_subformulas(a) -> Iterator:
-    yield a
-    if isinstance(a, RImplies):
-        yield from _rformula_subformulas(a.left)
-        yield from _rformula_subformulas(a.right)
-    elif isinstance(a, Forall):
-        yield from _rformula_subformulas(a.body)
+def _formula_part(e):
+    return e.formula if isinstance(e, Lwff) else e
 
 
 def subformulas(a) -> list:
-    """All subformulas of the expansion of ``a`` (including ``a`` itself)."""
-    a = expand(a)
-    if isinstance(a, Lwff):
-        a = a.formula
-    if is_formula(a):
-        return list(_formula_subformulas(a))
-    return list(_rformula_subformulas(a))
+    """The distinct subformulas of the expansion of ``a`` (``a`` itself
+    included; an lwff's label is dropped), root first."""
+    root = _formula_part(expand(a))
+    seen = {root}
+    out = [root]
+    for n in out:
+        for k in n._kids(n):
+            if k not in seen:
+                seen.add(k)
+                out.append(k)
+    return out
 
 
 def is_subformula(b, a) -> bool:
     """Is ``b`` a subformula of ``a``?  Both sides are expanded first; for
     lwffs the labels are ignored."""
-    b = expand(b)
-    if isinstance(b, Lwff):
-        b = b.formula
-    return any(canon(s) == canon(b) for s in subformulas(a))
+    return SubformulaPool([a]).has_variant(b)
+
+
+class SubformulaPool:
+    """The subformulas of ``formulas``, for membership tests.
+
+    ``has_variant(b)`` asks for ``b`` up to alpha-equivalence.  A
+    subformula that holds no binder is its own canonical form, so for those
+    this is set membership; one that holds a binder is canonicalized only
+    when a formula of its grade is asked for.  ``b in pool`` also accepts a
+    label instance of a subformula (``b`` obtained by substituting labels
+    for its free labels) when ``b`` is relational with free labels."""
+
+    def __init__(self, formulas):
+        self.subformulas = list({s: None for f in formulas
+                                 for s in subformulas(f)})
+        self.plain = set()
+        self.binding: dict = {}     # grade -> the subformulas with a binder
+        for s in self.subformulas:
+            if s._binder:
+                self.binding.setdefault(grade(s), []).append(s)
+            else:
+                self.plain.add(s)
+
+    def has_variant(self, b) -> bool:
+        b = canon(_formula_part(b))
+        if not b._binder:
+            return b in self.plain
+        return any(canon(s) is b for s in self.binding.get(grade(b), ()))
+
+    def __contains__(self, b) -> bool:
+        b = _formula_part(expand(b))
+        if self.has_variant(b):
+            return True
+        # a label instance of a closed subformula is that subformula
+        return (not is_formula(b) and bool(labels_of(b))
+                and any(_matches_instance(s, b) for s in self.subformulas))
 
 
 def is_subformula_instance(b, a) -> bool:
-    """Is ``b`` a label-instance of some subformula of ``a``?
-
-    Instance means: obtained by substituting labels for the free labels of a
-    subformula.  Tense formulas carry no labels, so for those this coincides
-    with ``is_subformula``.
-    """
-    b = expand(b)
-    if isinstance(b, Lwff):
-        b = b.formula
-    if is_formula(b):
-        return is_subformula(b, a)
-    return any(_matches_instance(s, b, {}) for s in subformulas(a))
+    """Is ``b`` a label-instance of some subformula of ``a``?  Tense
+    formulas carry no labels, so for those this coincides with
+    ``is_subformula``."""
+    return b in SubformulaPool([a])
 
 
-def _matches_instance(pattern, target, env) -> bool:
+def _matches_instance(pattern, target) -> bool:
     """Match ``target`` against ``pattern`` with free labels as holes."""
-    def match(pat, tgt, env, bound):
-        if isinstance(pat, Empty):
-            return isinstance(tgt, Empty)
-        if isinstance(pat, (Less, Eq)):
-            if type(pat) is not type(tgt):
+    env: dict = {}
+    todo = [(pattern, target, {})]
+    while todo:
+        pat, tgt, bound = todo.pop()
+        cls = type(pat)
+        if cls is Empty:
+            if type(tgt) is not Empty:
+                return False
+        elif cls in (Less, Eq):
+            if type(tgt) is not cls:
                 return False
             for pl, tl in ((pat.x, tgt.x), (pat.y, tgt.y)):
-                if pl in bound:
-                    if bound[pl] != tl:
-                        return False
-                elif pl in env:
-                    if env[pl] != tl:
-                        return False
-                else:
-                    env[pl] = tl
-            return True
-        if isinstance(pat, RImplies):
-            return (isinstance(tgt, RImplies)
-                    and match(pat.left, tgt.left, env, bound)
-                    and match(pat.right, tgt.right, env, bound))
-        if isinstance(pat, Forall):
-            if not isinstance(tgt, Forall):
+                if (bound[pl] if pl in bound else env.setdefault(pl, tl)) != tl:
+                    return False
+        elif cls in (RImplies, Forall):
+            if type(tgt) is not cls:
                 return False
-            bound2 = dict(bound)
-            bound2[pat.var] = tgt.var
-            return match(pat.body, tgt.body, env, bound2)
-        return False
-
-    return match(pattern, target, dict(env), {})
+            if cls is Forall:
+                todo.append((pat.body, tgt.body, {**bound, pat.var: tgt.var}))
+            else:
+                todo += [(pat.right, tgt.right, bound), (pat.left, tgt.left, bound)]
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -454,37 +645,60 @@ def _matches_instance(pattern, target, env) -> bool:
 _CANON_PREFIX = "·"  # not a parseable label character
 
 
-def _canon(phi, env, depth):
-    if isinstance(phi, (Atom, Falsum, Implies, G, H, X)):
-        if isinstance(phi, Implies):
-            return Implies(_canon(phi.left, env, depth), _canon(phi.right, env, depth))
-        if isinstance(phi, (G, H, X)):
-            return type(phi)(_canon(phi.body, env, depth))
-        return phi
-    if isinstance(phi, (Less, Eq)):
-        return type(phi)(env.get(phi.x, phi.x), env.get(phi.y, phi.y))
-    if isinstance(phi, Empty):
-        return phi
-    if isinstance(phi, RImplies):
-        return RImplies(_canon(phi.left, env, depth), _canon(phi.right, env, depth))
-    if isinstance(phi, Forall):
-        name = f"{_CANON_PREFIX}{depth}"
-        env2 = dict(env)
-        env2[phi.var] = name
-        return Forall(name, _canon(phi.body, env2, depth + 1))
-    raise TypeError(f"not a core formula: {phi!r}")
+def _alpha_canonical(core):
+    """``core`` with each bound variable renamed ``·d``, ``d`` the number of
+    binders above its binder (its de Bruijn level)."""
+    levels: dict = {}       # variable -> levels of its binders above
+    depth = 0               # binders above
+    out: list = []
+    todo = [(core, False)]
+    while todo:
+        n, done = todo.pop()
+        cls = type(n)
+        if cls is RImplies:
+            if done:
+                right = out.pop()
+                out.append(RImplies(out.pop(), right))
+            else:
+                todo += [(n, True), (n.right, False), (n.left, False)]
+        elif cls is Forall:
+            if done:
+                depth -= 1
+                levels[n.var].pop()
+                out.append(Forall(f"{_CANON_PREFIX}{depth}", out.pop()))
+            else:
+                levels.setdefault(n.var, []).append(depth)
+                depth += 1
+                todo += [(n, True), (n.body, False)]
+        elif cls in (Less, Eq):
+            out.append(cls(*(f"{_CANON_PREFIX}{levels[v][-1]}" if levels.get(v)
+                             else v for v in (n.x, n.y))))
+        elif cls is Empty:
+            out.append(n)
+        else:
+            raise TypeError(f"not a core formula: {n!r}")
+    return out.pop()
 
 
 def canon(phi):
     """Expanded form with bound variables renamed positionally; use for the
-    decidable equality behind rule matching and set membership."""
-    phi = expand(phi)
-    if isinstance(phi, Lwff):
-        return Lwff(phi.label, _canon(phi.formula, {}, 0))
-    return _canon(phi, {}, 0)
+    decidable equality behind rule matching and set membership.  A node
+    that holds no binder is its own expansion's canonical form; any other
+    computes its form once."""
+    try:
+        binder = phi._binder
+    except AttributeError:
+        raise TypeError(f"not a formula: {phi!r}") from None
+    if not binder:
+        return expand(phi)
+    c = phi._c
+    if c is None:
+        c = _alpha_canonical(expand(phi))
+        _set(phi, "_c", _SELF if c is phi else c)
+        return c
+    return phi if c is _SELF else c
 
 
 def core_eq(a, b) -> bool:
-    if isinstance(a, Lwff) != isinstance(b, Lwff):
-        return False
-    return canon(a) == canon(b)
+    """Equal after expansion, up to the names of bound variables."""
+    return canon(a) is canon(b)

@@ -17,8 +17,8 @@ from .kernel import _xf
 from .normalize import is_normal
 from .rules import ELIM_RULES, FALSUM_RULES, INTRO_RULES, RULES
 from .syntax import (
-    Empty, Falsum, Implies, Lwff, RImplies, canon, expand, is_atomic,
-    is_subformula_instance, subformulas,
+    Empty, Falsum, Implies, Lwff, RImplies, SubformulaPool, expand, is_atomic,
+    is_subformula_instance,
 )
 
 
@@ -256,13 +256,7 @@ def audit_subformula(d: Derivation) -> AuditReport:
                 and discharged_by.get(n.marker) in _FRESH_DISCHARGERS):
             s_r.append(n.conclusion)
 
-    sl_set = {canon(s) for f in s_l for s in subformulas(f)}
-
-    def in_sl(formula) -> bool:
-        return canon(formula) in sl_set
-
-    def in_sr(rho) -> bool:
-        return any(is_subformula_instance(rho, f) for f in s_r)
+    pool_l, pool_r = SubformulaPool(s_l), SubformulaPool(s_r)
 
     # the specific clauses come before the generic subformula one so the
     # report names the clause that licenses the occurrence
@@ -271,7 +265,7 @@ def audit_subformula(d: Derivation) -> AuditReport:
         core = _xf(phi)
         if (n.is_assumption() and discharged_by.get(n.marker) == "raa_bot"
                 and isinstance(core, Implies)
-                and isinstance(core.right, Falsum) and in_sl(core.left)):
+                and isinstance(core.right, Falsum) and core.left in pool_l):
             return "1ii"
         if isinstance(core, Falsum):
             if n.rule == "imp_e":
@@ -281,13 +275,13 @@ def audit_subformula(d: Derivation) -> AuditReport:
                         and discharged_by.get(major.marker) == "raa_bot"
                         and isinstance(mcore, Implies)
                         and isinstance(mcore.right, Falsum)
-                        and in_sl(mcore.left)):
+                        and mcore.left in pool_l):
                     return "1iii"
             if n.rule == "raa_bot" and n.discharges.isdisjoint(leaf_markers):
                 return "1iv"
             if n.rule == "uf2":
                 return "1v"
-        if in_sl(phi.formula):
+        if phi.formula in pool_l:
             return "1i"
         return None
 
@@ -296,7 +290,7 @@ def audit_subformula(d: Derivation) -> AuditReport:
         core = expand(rho)
         if (n.is_assumption() and discharged_by.get(n.marker) == "raa_empty"
                 and isinstance(core, RImplies)
-                and isinstance(core.right, Empty) and in_sr(core.left)):
+                and isinstance(core.right, Empty) and core.left in pool_r):
             return "2ii"
         if isinstance(core, Empty):
             if n.rule == "rimp_e":
@@ -306,13 +300,13 @@ def audit_subformula(d: Derivation) -> AuditReport:
                         and discharged_by.get(major.marker) == "raa_empty"
                         and isinstance(mcore, RImplies)
                         and isinstance(mcore.right, Empty)
-                        and in_sr(mcore.left)):
+                        and mcore.left in pool_r):
                     return "2iii"
             if n.rule == "uf1":
                 return "2iv"
         if n.rule == "mon":
             return "2v"
-        if in_sr(rho):
+        if rho in pool_r:
             return "2i"
         return None
 

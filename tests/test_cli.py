@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tenseproof
 from helpers import DerivationGen
 from tenseproof.cli import main
 from tenseproof.corpus import corpus_entries
@@ -362,3 +367,54 @@ def test_interpretation_worlds_must_lie_in_the_model(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert _eval_text(tmp_path, {"n": 2, "valuation": {"p": [1]}}, {"x": 1}) == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+# ---------------------------------------------------------------------------
+# Formulas of any depth, and output that no hash order decides
+
+def test_formulas_nested_deeper_than_the_recursion_limit(tmp_path, capsys,
+                                                          model_files):
+    deep = "F " * 10000 + "p"
+    goal = f"x : {deep} -> {deep}"
+    relational = "x < y => " * 10000 + "x < y"
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "rule": "imp_i", "conclusion": goal, "discharges": [1],
+        "premises": [{"rule": "assume", "conclusion": f"x : {deep}",
+                      "marker": 1}]}))
+    assert main(["check", str(path), "--probe", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "status: valid" in out and "probe(2): PASS" in out
+    assert main(["normalize", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["conclusion"] == goal
+    for formula in (goal, relational):
+        assert main(["valid", formula, "--max-worlds", "2"]) == 0
+        assert capsys.readouterr().out.strip() == "VALID(2)"
+    model, lam = model_files
+    assert main(["eval", model, lam, goal]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    assert main(["eval", model, lam, relational]) == 4      # y is unbound
+    assert main(["eval", model, lam, "x : " + "(" * 10000 + "p"]) == 4
+    assert "expected ')'" in capsys.readouterr().err
+
+
+def _cli_in_subprocess(args, hash_seed: int) -> subprocess.CompletedProcess:
+    src = str(pathlib.Path(tenseproof.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "tenseproof.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_output_is_the_same_under_any_hash_seed(tmp_path):
+    runs = [["corpus"]]
+    for entry_id in ("g4", "rdiscr", "first_point"):
+        entry = corpus_entries(entry_id)[0]
+        path = tmp_path / f"{entry_id}.json"
+        dump(entry.derivation, str(path))
+        profile = "+".join(["kl", *sorted(entry.profile.extras)])
+        runs.append(["normalize", str(path), "--trace", "--profile", profile])
+    for args in runs:
+        first, second = (_cli_in_subprocess(args, seed) for seed in (0, 1))
+        assert first.returncode == second.returncode == 0, first.stderr
+        assert first.stdout and first.stdout == second.stdout

@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -6,12 +11,14 @@ from helpers import (
     all_interpretations, all_models, atoms_of, eval_shortcut, random_entity,
     random_formula, random_rwff,
 )
-from tenseproof.parser import parse_formula, parse_lwff, parse_rwff
-from tenseproof.semantics import eval_entity
+from tenseproof import syntax
+from tenseproof.parser import parse_formula, parse_lwff, parse_rwff, render
+from tenseproof.semantics import Model, eval_entity
 from tenseproof.syntax import (
-    Atom, Falsum, Forall, G, Implies, Less, Lwff, ProofContext, canon,
-    core_eq, expand, fresh_label, grade, is_atomic, is_subformula,
-    labels_of, subformulas, substitute_label,
+    And, Atom, Empty, Eq, F, Falsum, Forall, G, H, Implies, Less, Lwff, Not,
+    Prec, ProofContext, RImplies, X, canon, core_eq, expand, fresh_label,
+    grade, is_atomic, is_subformula, is_subformula_instance, labels_of,
+    subformulas, substitute_label,
 )
 
 
@@ -163,3 +170,80 @@ def test_subformulas_of_quantified():
     subs = {canon(s) for s in subformulas(rho)}
     assert canon(parse_rwff("x < y")) in subs
     assert canon(parse_rwff("empty")) in subs
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+
+def test_equal_formulas_are_one_node_however_built():
+    text = "x : F (p & q) -> G ~r"
+    built = Lwff("x", Implies(F(And(Atom("p"), Atom("q"))), G(Not(Atom("r")))))
+    assert parse_lwff(text) is built
+    assert parse_lwff(text) is parse_lwff(text)
+    core = parse_lwff(
+        "x : ((G (((p -> q -> false) -> false) -> false)) -> false) -> G (r -> false)")
+    assert expand(built) is core
+    assert canon(built) is core
+    assert substitute_label(parse_lwff("y : F (p & q) -> G ~r"), "x", "y") is built
+    rho = parse_rwff("forall u. x < u")
+    assert canon(rho) is canon(parse_rwff("forall v. x < v"))
+    assert substitute_label(parse_rwff("forall u. z < u"), "x", "z") is rho
+    assert expand(parse_rwff("!(x < y)")) is RImplies(Less("x", "y"), Empty())
+
+
+def test_classes_with_equal_fields_stay_apart():
+    p = Atom("p")
+    for nodes in ([G(p), H(p), X(p)],
+                  [Less("x", "y"), Eq("x", "y"), Prec("x", "y")],
+                  [Lwff("x", p), Lwff("y", p)]):
+        assert len({id(n) for n in nodes}) == len(nodes)
+        assert len(set(nodes)) == len(nodes)
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    for e in (parse_lwff("x : G (p -> F q)"), parse_rwff("forall u. x <. u"),
+              Falsum(), Empty()):
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+    assert dataclasses.replace(Implies(Atom("p"), Atom("q")), right=Falsum()) \
+        is Implies(Atom("p"), Falsum())
+
+
+def test_nodes_are_frozen():
+    phi = Implies(Atom("p"), Atom("q"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.left = Atom("r")
+
+
+def test_table_drops_a_node_once_unreferenced():
+    key = (Atom, "p_only_here")
+    phi = Atom("p_only_here")
+    assert syntax._TABLE[key] is phi
+    ref = weakref.ref(phi)
+    del phi
+    gc.collect()
+    assert ref() is None
+    assert key not in syntax._TABLE
+
+
+def test_formulas_of_any_depth():
+    n = 10000
+    phi = parse_formula("F " * n + "p")
+    rho = parse_rwff("forall y. " * n + "x < y")
+    chain = parse_rwff("x < y => " * n + "empty")
+    for e in (phi, rho, chain):
+        assert (parse_formula if e is phi else parse_rwff)(render(e)) is e
+        assert expand(expand(e)) is expand(e)
+        assert hash(canon(e)) == hash(canon(e))
+        assert is_subformula(e, e)
+        assert len(repr(e)) > n
+    assert grade(phi) == 3 * n and grade(rho) == n and grade(chain) == n
+    assert len(subformulas(phi)) == 3 * n + 2
+    assert labels_of(rho) == {"x"} and labels_of(chain) == {"x", "y"}
+    assert labels_of(substitute_label(rho, "y", "x")) == {"y"}
+    assert is_subformula_instance(substitute_label(chain, "z", "y"), chain)
+    m = Model.chain(2, {"p": {1}})
+    assert eval_entity(m, {"x": 0}, Lwff("x", Implies(phi, phi)))
+    assert eval_entity(m, {"x": 1, "y": 0}, chain)
+    assert not eval_entity(m, {"x": 0, "y": 1}, chain)
