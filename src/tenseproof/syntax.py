@@ -44,10 +44,12 @@ _new = object.__new__
 _set = object.__setattr__    # nodes are frozen: only this module writes them
 _SELF = object()             # a memo meaning "the node itself", with no cycle
 
+
 class _Node:
     """A formula node.  Its memo slots hold ``None`` until asked for: ``_x``
-    the expansion, ``_g`` the grade.  ``_kids`` gives the child nodes, and
-    ``_binder`` tells whether the expansion may hold a ``Forall``."""
+    the expansion, ``_g`` the grade.  ``_binder`` tells whether the
+    expansion may hold a ``Forall``; ``_node`` gives each class its
+    ``_fields`` and ``_kids`` (the child nodes)."""
 
     __slots__ = ("_x", "_g", "__weakref__")
     _memos = ("_x", "_g")
