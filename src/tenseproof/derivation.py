@@ -15,6 +15,14 @@ There are three traversals, none recursive; use the cheapest that serves:
 - ``Derivation.walk`` yields the same nodes in the same order with their
   root paths; building a path costs its length, so use it only where a path
   is kept or reported.
+
+A node has two memo slots for the normalizer, left out of ``__init__``,
+comparison and ``repr`` and written only by ``normalize`` through
+``object.__setattr__``: ``_redex``, the key of the least redex at the node
+itself, and ``_least``, the key of the least redex in its subtree with the
+path relative to the node.  Both stay unset until asked for.  A node's
+redexes read only its own immutable subtree, so the memos hold wherever the
+node object sits, in any tree.
 """
 
 from __future__ import annotations
@@ -33,8 +41,16 @@ Path = tuple
 ASSUME = "assume"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class _Memos:
+    """The normalizer's two memo slots (see above): outside the dataclass
+    fields, so ``__init__``, comparison, ``repr`` and copies leave them
+    out, and unset until written."""
+
+    __slots__ = ("_redex", "_least")
+
+
+@dataclass(frozen=True, slots=True)
+class Derivation(_Memos):
     rule: str
     conclusion: Conclusion
     premises: tuple = ()

@@ -12,23 +12,25 @@ collapses.
 The reductions are local, and a step costs about the nodes it creates.  A
 node's redexes read only the node, its premises and the premises of its
 first premise (a dependency radius of 2), all inside its own immutable
-subtree.  The tree surgery returns every subtree it does not change as the
-same object, so the redex index tests each node object once (a memo keyed
-by identity, dropped with the node) and, where the replacement holds the
-very subtree that was at the same path, keeps that subtree's sites without
-looking at them.  After a step at path ``p`` only the new nodes and the
-nodes at ``p[:-1]`` and ``p[:-2]`` are tested; a subtree moved to another
-path is walked for its new paths but not tested again.  The driver holds
-the tree as a zipper on the current site: it rebuilds the two nodes above
-a rewritten site at once and the rest of the spine only as it moves up
-through it.  ``find_redexes`` and ``reduce_step`` stay as the full-scan
-public API.
+subtree, and the tree surgery returns every subtree it does not change as
+the same object.  So the driver memoizes on each node object the least
+redex at the node and the least redex in its subtree, keyed relative to the
+node (as finger trees cache a measure in each node); a subtree a step keeps
+or moves is never looked at again.  The driver holds the tree as a zipper
+on the current site (Huet, *The Zipper*, 1997) whose every frame carries
+the least redex outside the focus, so the next site is the lesser of the
+last frame's and the focus's.  A step rebuilds and re-keys the two frames
+above the site, whose redexes read it; the rest of the spine is rebuilt
+only as the zipper moves up through it, and keeps its own redexes.
+
+``find_redexes``, ``reduce_step`` and ``is_normal`` are the full-scan
+public API: they test every node afresh and never read the memos, so they
+serve as the reference the driver is tested against and as the check of a
+normal form.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import itertools
 import os
 from dataclasses import dataclass, replace
@@ -106,11 +108,10 @@ def _mon_class(n: Derivation):
 # ---------------------------------------------------------------------------
 # Redex search
 
-def _redex_kinds(n: Derivation, mon_class) -> tuple:
+def _redex_kinds(n: Derivation) -> tuple:
     """The redexes at one node, as ``(kind, detail)`` pairs.  They read only
     the node, its premises and the premises of ``premises[0]``: the
-    dependency radius is 2.  ``mon_class`` is ``_mon_class`` or a memo of
-    it."""
+    dependency radius is 2."""
     if not n.premises:
         return ()
     out = []
@@ -127,11 +128,11 @@ def _redex_kinds(n: Derivation, mon_class) -> tuple:
             out.append(("UnrestrictedRAA", "raa_empty"))
 
     if n.rule == "mon":
-        kind, pl = mon_class(n)
+        kind, pl = _mon_class(n)
         if kind != "ok":
             out.append(("UnrestrictedMon", kind))
         elif p0.rule == "mon":
-            kind_u, pu = mon_class(p0)
+            kind_u, pu = _mon_class(p0)
             if kind_u == "ok":
                 if pu == pl:
                     out.append(("RedundantMon", ""))
@@ -146,10 +147,13 @@ def _redex_kinds(n: Derivation, mon_class) -> tuple:
 
 
 def _node_redexes(n: Derivation, path: tuple) -> list:
-    return [Redex(kind, path, detail) for kind, detail in _redex_kinds(n, _mon_class)]
+    return [Redex(kind, path, detail) for kind, detail in _redex_kinds(n)]
 
 
 def find_redexes(d: Derivation) -> list:
+    """Every redex of ``d`` in path order, each node tested afresh: the
+    driver's memos are not read, so this checks the driver rather than
+    agreeing with it by construction."""
     return [r for path, n in d.walk() for r in _node_redexes(n, path)]
 
 
@@ -157,6 +161,8 @@ def find_redexes(d: Derivation) -> list:
 # One-step reduction
 
 def reduce_step(d: Derivation, r: Redex) -> Derivation:
+    """``d`` with redex ``r`` reduced, after testing its site afresh (the
+    driver's memos are not read); ``RedexStale`` if ``r`` is not there."""
     try:
         n = d.at(r.path)
     except IndexError:
@@ -552,172 +558,72 @@ _PRIORITY = {
 }
 
 
-def _priority(kind: str, path: tuple, grade: int | None) -> tuple:
-    """Sort key of a redex; the driver reduces the least.
-
-    Within a class the leftmost site (least path) goes first, except for
-    maximal formulas: there it is the highest grade, then the innermost
-    site, then the leftmost.  That is exactly "the highest grade having no
-    equally-high maximal formula above it": an innermost maximal formula of
-    the highest grade has none above it, as any would be deeper still."""
-    cls = _PRIORITY[kind]
-    if cls == 1:
-        return (1, -grade, -len(path), path)
-    return (cls, 0, 0, path)
-
-
-def _subtree_end(sites: list, path: tuple, lo: int) -> int:
-    """The index in sorted ``sites`` past the last path under ``path``."""
-    if not path:
-        return len(sites)
-    return bisect.bisect_left(sites, path[:-1] + (path[-1] + 1,), lo)
+# A redex key is ``(class, -grade, -depth, position, kind, detail)``, where
+# grade and depth are those of the maximal formula and its site for class 1
+# and 0 otherwise.  Tuple order is the strategy, least first: within a class
+# the leftmost site (least position), except for maximal formulas: there it
+# is the highest grade, then the innermost site, then the leftmost.  That is
+# exactly "the highest grade having no equally-high maximal formula above
+# it": an innermost maximal formula of the highest grade has none above it,
+# as any would be deeper still.  In a node's memos depth and position are
+# relative to the node, the position a path held as nested ``(i, rest)``
+# pairs, so tuple order is path order.
+_NONE = (max(_PRIORITY.values()) + 1,)      # no redex: above every key
+_set = object.__setattr__
 
 
-class _Facts:
-    """What the index knows of one node object: its redex kinds, the grade
-    of its maximal formula, its mon class.  Each is computed at most once."""
+def _own(n: Derivation) -> tuple:
+    """The key of the least redex at ``n`` itself, memoized on ``n``."""
+    key = getattr(n, "_redex", None)
+    if key is None:
+        key = _NONE
+        for kind, detail in _redex_kinds(n):
+            cls = _PRIORITY[kind]
+            g = -grade(n.premises[0].conclusion) if cls == 1 else 0
+            key = min(key, (cls, g, 0, (), kind, detail))
+        _set(n, "_redex", key)
+    return key
 
-    __slots__ = ("node", "kinds", "grade", "mon")
 
-    def __init__(self, node: Derivation):
-        self.node = node          # holds the object, so its id stays unique
-        self.kinds = None
-        self.grade = None
-        self.mon = None
+def _lift(key: tuple, i: int) -> tuple:
+    """``key``, of a redex in premise ``i``, seen from the premise's
+    conclusion."""
+    cls, g, d, path, kind, detail = key
+    return (cls, g, d - 1 if cls == 1 else 0, (i, path), kind, detail)
 
 
-class _RedexIndex:
-    """The redexes of a tree, kept current across replacements of one
-    subtree at a time.
+def _unfilled(t: Derivation) -> tuple:
+    return t, (() if hasattr(t, "_least") else t.premises)
 
-    ``sites`` lists the paths holding redexes in lexicographic order, so a
-    subtree's sites form one slice; ``live`` maps each such path to its
-    redexes; ``heap`` orders the redexes by ``_priority`` and drops stale
-    entries lazily.  ``memo`` maps the id of each node object of the tree
-    to its ``_Facts``: a node's redexes read only its own immutable
-    subtree, so they hold wherever the object sits, and a subtree that a
-    step moves is not tested again.  Entries of the objects a step discards
-    are dropped, so the memo never outgrows the tree."""
 
-    def __init__(self, d: Derivation):
-        self.live: dict = {}
-        self.heap: list = []
-        self.memo: dict = {}
-        self._seq = itertools.count()
-        self.sites = [path for path, n in d.walk() if self._add(n, path)]
+def _fill(t: Derivation, keys: list) -> tuple:
+    least = getattr(t, "_least", None)
+    if least is None:
+        least = _own(t)
+        for i, key in enumerate(keys):
+            if key is not _NONE:
+                key = _lift(key, i)
+                if key < least:
+                    least = key
+        _set(t, "_least", least)
+    return least
 
-    def _facts(self, n: Derivation) -> _Facts:
-        f = self.memo.get(id(n))
-        if f is None:
-            f = self.memo[id(n)] = _Facts(n)
-        return f
 
-    def _mon(self, n: Derivation):
-        f = self._facts(n)
-        if f.mon is None:
-            f.mon = _mon_class(n)
-        return f.mon
+def _least(t: Derivation) -> tuple:
+    """The key of the least redex in ``t``'s subtree, memoized on each of
+    its nodes: the fold stops at nodes already filled."""
+    return getattr(t, "_least", None) or fold(t, _fill, _unfilled)
 
-    def _tested(self, n: Derivation) -> _Facts:
-        f = self._facts(n)
-        if f.kinds is None:
-            f.kinds = _redex_kinds(n, self._mon)
-            if any(kind == "MaximalFormula" for kind, _ in f.kinds):
-                f.grade = grade(n.premises[0].conclusion)
-        return f
 
-    def _redexes(self, f: _Facts, path: tuple) -> list:
-        """The redexes ``f`` describes at ``path``, pushed on the heap."""
-        rs = [Redex(kind, path, detail) for kind, detail in f.kinds]
-        for r in rs:
-            heapq.heappush(self.heap, (_priority(r.kind, path, f.grade),
-                                       next(self._seq), r))
-        return rs
-
-    def _add(self, n: Derivation, path: tuple) -> bool:
-        f = self._tested(n)
-        if f.kinds:
-            self.live[path] = self._redexes(f, path)
-        return bool(f.kinds)
-
-    def forget(self, n: Derivation) -> None:
-        """Drop the entry of a node object the tree no longer holds."""
-        self.memo.pop(id(n), None)
-
-    def _is_live(self, r: Redex) -> bool:
-        return any(x is r for x in self.live.get(r.path, ()))
-
-    def first(self) -> Redex | None:
-        heap = self.heap
-        while heap:
-            r = heap[0][2]
-            if self._is_live(r):
-                return r
-            heapq.heappop(heap)
-        return None
-
-    def replaced(self, path: tuple, old: Derivation, new: Derivation,
-                 ancestors: list) -> None:
-        """Update for the subtree at ``path`` having become ``new`` (it was
-        ``old``); ``ancestors`` are the ``(old, new)`` nodes at
-        ``path[:-1]`` and ``path[:-2]``, nearest first, rebuilt over it.
-
-        ``new`` is walked beside ``old``: where it holds the very object
-        ``old`` held at the same path, that subtree's sites, live entries
-        and heap entries stay as they are, and the walk goes no deeper."""
-        sites, live, memo = self.sites, self.live, self.memo
-        lo = bisect.bisect_left(sites, path)
-        before = sites[lo:_subtree_end(sites, path, lo)]
-        after = []          # the sites under ``path`` from now on, in order
-        added = []          # (path, redexes) of the new ones
-        dropped = []        # the paths in ``before`` that lose their entries
-        kept = set()        # ids of the objects ``new`` holds
-        pos = 0
-        stack = [(path, new, old)]
-        while stack:
-            q, n, o = stack.pop()
-            kept.add(id(n))
-            if n is o:
-                a = bisect.bisect_left(before, q, pos)
-                b = _subtree_end(before, q, a)
-                dropped += before[pos:a]
-                after += before[a:b]
-                pos = b
-                continue
-            f = memo.get(id(n))
-            if f is None or f.kinds is None:
-                f = self._tested(n)
-            if f.kinds:
-                after.append(q)
-                added.append((q, self._redexes(f, q)))
-            premises = n.premises
-            if premises:
-                olds = o.premises if o is not None else ()
-                for i in range(len(premises) - 1, -1, -1):
-                    stack.append((q + (i,), premises[i],
-                                  olds[i] if i < len(olds) else None))
-        dropped += before[pos:]
-        for q in dropped:
-            del live[q]
-        live.update(added)
-        sites[lo:lo + len(before)] = after
-
-        stack = [old]
-        while stack:
-            o = stack.pop()
-            if id(o) not in kept:
-                self.forget(o)
-                stack.extend(o.premises)
-
-        for (o, n), anc in zip(ancestors, (path[:-1], path[:-2])):
-            self.forget(o)
-            if live.pop(anc, None) is not None:
-                del sites[bisect.bisect_left(sites, anc)]
-            if self._add(n, anc):
-                bisect.insort(sites, anc)
-        if len(self.heap) > 4 * len(sites) + 64:
-            self.heap = [e for e in self.heap if self._is_live(e[2])]
-            heapq.heapify(self.heap)
+def _rekey(key: tuple, depth: int, side: int) -> tuple:
+    """``key``, relative to a node at ``depth``, with its depth made
+    absolute and its position put before the focus (``side`` -1), in it (0)
+    or after it (1).  Before the focus, a frame nearer the root comes first;
+    after it, a frame nearer the focus: so tuple order is root-path
+    order."""
+    cls, g, d, path, kind, detail = key
+    return (cls, g, d - depth if cls == 1 else 0, (side, -side * depth, path),
+            kind, detail)
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:
@@ -735,23 +641,61 @@ def _common_prefix(a: tuple, b: tuple) -> int:
 
 class _Zipper:
     """A tree held open at one subtree (Huet's zipper): ``focus`` is the
-    subtree at ``path``, and ``frames`` are the ``(node, premise index)``
-    pairs from the root down to it.  A node in ``frames`` keeps its old
-    premise at that index until ``up`` passes through it; ``replace``
-    rebuilds the two nearest at once, because the index tests them again.
-    It tells ``index`` of every node it replaces."""
+    subtree at ``path``, and ``frames`` are the ``(node, premise index,
+    outside)`` triples from the root down to it, where ``outside`` is the
+    key of the least redex of that frame and every frame above it outside
+    the focus.  So the least redex of the tree is the lesser of the last
+    frame's ``outside`` and the least redex in the focus.  A node in ``frames``
+    keeps its old premise at that index until ``up`` passes through it;
+    ``replace`` rebuilds and re-pushes the two nearest at once, because
+    their redexes read the focus."""
 
-    def __init__(self, d: Derivation, index: _RedexIndex):
+    def __init__(self, d: Derivation):
         self.focus, self.path, self.frames = d, (), []
-        self.index = index
+
+    def _push(self, t: Derivation, i: int) -> None:
+        """Add the frame of going from ``t`` into its premise ``i``."""
+        frames, depth = self.frames, len(self.frames)
+        outside = frames[-1][2] if frames else _NONE
+        key = _own(t)
+        if key is not _NONE:
+            outside = min(outside, _rekey(key, depth, -1))
+        for s, p in enumerate(t.premises):
+            if s != i:
+                key = _least(p)
+                if key is not _NONE:
+                    outside = min(outside, _rekey(_lift(key, s), depth,
+                                                  -1 if s < i else 1))
+        frames.append((t, i, outside))
+
+    def least(self) -> Redex | None:
+        """The least redex of the tree."""
+        key = _least(self.focus)
+        if key is not _NONE:
+            key = _rekey(key, len(self.frames), 0)
+        if self.frames:
+            key = min(key, self.frames[-1][2])
+        if key is _NONE:
+            return None
+        side, depth, path = key[3]
+        site = []
+        while path:
+            i, path = path
+            site.append(i)
+        base = self.path[:abs(depth)] if side else self.path
+        return Redex(key[4], base + tuple(site), key[5])
 
     def up(self, depth: int) -> None:
+        """Move the focus up to ``depth``.  A node rebuilt on the way keeps
+        the memo of the redexes at the node it replaces: every change below
+        it is more than two levels down, as ``replace`` rebuilds the two
+        nearest frames, so the node's own redexes are the same."""
         t, frames = self.focus, self.frames
         while len(frames) > depth:
-            parent, i = frames.pop()
+            parent, i, _ = frames.pop()
             t = with_premise(parent, i, t)
             if t is not parent:
-                self.index.forget(parent)
+                _set(t, "_redex", parent._redex)
         self.focus, self.path = t, self.path[:depth]
 
     def go(self, path: tuple) -> Derivation:
@@ -760,20 +704,21 @@ class _Zipper:
         k = _common_prefix(self.path, path)
         self.up(k)
         for i in path[k:]:
-            self.frames.append((self.focus, i))
+            self._push(self.focus, i)
             self.focus = self.focus.premises[i]
         self.path = path
         return self.focus
 
     def replace(self, new: Derivation) -> None:
-        old, self.focus = self.focus, new
+        """Put ``new`` in place of the focus."""
         frames, rebuilt, t = self.frames, [], new
-        for j in range(len(frames) - 1, max(len(frames) - 3, -1), -1):
-            parent, i = frames[j]
+        for _ in range(min(2, len(frames))):
+            parent, i, _ = frames.pop()
             t = with_premise(parent, i, t)
-            frames[j] = (t, i)
-            rebuilt.append((parent, t))
-        self.index.replaced(self.path, old, new, rebuilt)
+            rebuilt.append((t, i))
+        for t, i in reversed(rebuilt):
+            self._push(t, i)
+        self.focus = new
 
     def root(self) -> Derivation:
         self.up(0)
@@ -786,14 +731,13 @@ def _drive(d: Derivation, bound: int | None, last_class: int,
     left.  One marker and one label generator serve the whole run: what
     they hand out is new to the tree at every step."""
     limit = step_bound() if bound is None else bound
-    index = _RedexIndex(d)
-    tree = _Zipper(d, index)
+    tree = _Zipper(d)
     mgen = MarkerGen(all_markers(d))
     lgen = LabelGen(all_labels(d))
     nodes = d.node_count() if trace is not None else 0
     steps = 0
     while True:
-        r = index.first()
+        r = tree.least()
         if r is None or _PRIORITY[r.kind] > last_class:
             return tree.root()
         if steps >= limit:
@@ -838,6 +782,9 @@ class NormalReport:
 
 
 def is_normal(d: Derivation) -> NormalReport:
+    """Whether ``d`` has no redex, by ``find_redexes``: a full scan that
+    does not read the driver's memos, so it can check a normal form the
+    driver made."""
     rs = find_redexes(d)
     return NormalReport(not rs, tuple(rs))
 

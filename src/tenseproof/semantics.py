@@ -252,7 +252,9 @@ def _eval_rwff(m: Model, lam: Interpretation, rho) -> bool:
     """Truth of the core rwff ``rho``, left to right with short cuts, as a
     loop over pending ``(node, interpretation, step)`` entries.  ``step``
     is 1 once an implication's antecedent holds, and for ``forall`` it is
-    the next world to try, under an extended interpretation."""
+    the next world to try, under an extended interpretation.  A ``forall``
+    whose variable is not free in its body, on a model with a world, is its
+    body."""
     value = None
     todo = [(rho, lam, 0)]
     while todo:
@@ -266,9 +268,11 @@ def _eval_rwff(m: Model, lam: Interpretation, rho) -> bool:
             else:
                 value = True
         elif cls is Forall:
-            if step > 0 and not value:
+            if step == 0 and m.n and n.var not in labels_of(n.body):
+                todo.append((n.body, env, 0))
+            elif step > 0 and not value:
                 continue
-            if step == m.n:
+            elif step == m.n:
                 value = True
             else:
                 todo += [(n, env, step + 1), (n.body, {**env, n.var: step}, 0)]

@@ -67,9 +67,9 @@ def tracks(d: Derivation) -> TrackReport:
     if not is_normal(d).normal:
         raise ValueError("tracks are defined on normal derivations only")
 
-    nodes = dict(d.walk())
+    nodes = dict(d.walk())          # in path order, as ``walk`` yields them
     origins = []
-    for path, n in sorted(nodes.items()):
+    for path, n in nodes.items():
         if n.is_assumption():
             origins.append((path, "assumption"))
         elif _is_axiom(n):
@@ -318,4 +318,4 @@ def audit_subformula(d: Derivation) -> AuditReport:
             violations.append(path)
         else:
             justifications[path] = tag
-    return AuditReport(not violations, justifications, tuple(sorted(violations)))
+    return AuditReport(not violations, justifications, tuple(violations))

@@ -12,7 +12,7 @@ from tenseproof.derivation import (
 )
 from tenseproof.kernel import check, expand_derived, open_assumptions
 from tenseproof.normalize import (
-    NonTermination, RedexStale, _RedexIndex, _Zipper, _rename_colliding_freshes,
+    NonTermination, RedexStale, _Zipper, _rename_colliding_freshes,
     canonical_form, find_redexes, is_normal, normalize, reduce_step, restrict,
 )
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
@@ -362,7 +362,7 @@ def test_nested_detours_all_eliminated():
 
 
 # ---------------------------------------------------------------------------
-# The indexed driver against a full-rescan reference
+# The memoized driver against a full-rescan reference
 
 _REFERENCE_CLASS = {
     "UnrestrictedRAA": 0, "UnrestrictedMon": 0, "MaximalFormula": 1,
@@ -512,39 +512,34 @@ def test_driver_matches_reference_on_random_trees():
     assert steps > 200
 
 
-def _assert_index_current(index, d):
+def _assert_least_current(tree, d):
+    """The zipper's least redex is the one the strategy picks on a full scan
+    of ``d``, the tree it holds."""
     expected = find_redexes(d)
-    assert {r for rs in index.live.values() for r in rs} == set(expected)
-    assert index.sites == sorted({r.path for r in expected})
-    first = index.first()
-    if expected:
-        assert first == _reference_select(d, expected)
-    else:
-        assert first is None
+    assert tree.least() == (_reference_select(d, expected) if expected else None)
 
 
 def _replace_and_check(tree, path, new):
-    """Replace through the driver's zipper; check the index against a full
-    scan of the tree, zipped up aside so the zipper stays where it is."""
+    """Replace through the driver's zipper; check its least redex against a
+    full scan of the tree, zipped up aside so the zipper stays where it is."""
     tree.go(path)
     tree.replace(new)
     d = tree.focus
-    for parent, i in reversed(tree.frames):
+    for parent, i, _ in reversed(tree.frames):
         d = with_premise(parent, i, d)
-    _assert_index_current(tree.index, d)
-    assert len(tree.index.memo) <= d.node_count()
+    _assert_least_current(tree, d)
     return d
 
 
 def test_index_follows_any_replacement():
-    # the index must stay exact even when a replacement changes what the
-    # node two levels above it sees (a reduction never does)
+    # the least redex must stay exact even when a replacement changes what
+    # the node two levels above it sees (a reduction never does)
     base = assume(pl("x : p"))
     m1 = node("mon", pl("y : p"), base, assume(pr("x = y")), position=1)
     m2 = node("mon", pl("z : p"), m1, assume(pr("y = z")), position=1)
     d = m2
-    tree = _Zipper(d, _RedexIndex(d))
-    _assert_index_current(tree.index, d)
+    tree = _Zipper(d)
+    _assert_least_current(tree, d)
     assert [r.kind for r in find_redexes(d)] == ["RedundantMon"]
     d = _replace_and_check(tree, (0, 0), assume(pl("x : G p")))
     assert [r.kind for r in find_redexes(d)] == ["UnrestrictedMon"]
@@ -564,7 +559,7 @@ def test_index_follows_any_replacement():
     shape = lambda t: type(expand(t.conclusion))
     parts = [t for d in trees for _, t in d.walk()]
     for d in trees:
-        tree = _Zipper(d, _RedexIndex(d))
+        tree = _Zipper(d)
         for _ in range(12):
             path, old = rng.choice(list(d.walk()))
             new = rng.choice([t for t in parts if shape(t) is shape(old)])
@@ -582,34 +577,33 @@ def test_index_follows_any_replacement():
 
 
 def test_steps_test_only_the_nodes_they_create(monkeypatch):
-    # a mon-disorder step keeps the chain below it where it was: it tests
-    # the two nodes it builds and the two above them, not the chain again
+    # a mon-disorder step keeps the chain below it where it was, and a
+    # falsum collapse moves the chain below it up a level: either step
+    # tests the nodes it builds and the two above them, not the chain again
     calls = {"_redex_kinds": 0, "_mon_class": 0}
     for name in calls:
         def counted(*args, real=getattr(nz, name), name=name):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(nz, name, counted)
-    indexes = []
+    for d, steps in ((_mon_chain(64, True), 590), (_falsum_chain(64), 63)):
+        calls.update(dict.fromkeys(calls, 0))
+        trace = []
+        nf = normalize(d, trace=trace)
+        assert is_normal(nf).normal
+        assert len(trace) == steps
+        assert calls["_redex_kinds"] <= 8 * len(trace)
+        assert calls["_mon_class"] <= 8 * len(trace)
 
-    class Recorded(_RedexIndex):
-        def __init__(self, d):
-            super().__init__(d)
-            indexes.append(self)
 
-    class Trace(list):
-        def append(self, record):
-            # the memo holds no node the tree has dropped
-            assert len(indexes[0].memo) <= record["nodes"]
-            super().append(record)
-
-    monkeypatch.setattr(nz, "_RedexIndex", Recorded)
-    trace = Trace()
-    nf = normalize(_mon_chain(64, True), trace=trace)
-    assert is_normal(nf).normal
-    assert len(trace) == 590
-    assert calls["_redex_kinds"] <= 8 * len(trace)
-    assert calls["_mon_class"] <= 8 * len(trace)
+def test_deep_trees_normalize():
+    # no step walks the chain it moves or keeps: 3000 nested detours
+    # collapse to their innermost leaf, 3000 falsum rules to the outermost
+    # rule over the innermost leaf
+    d = _nested_imp(3000, ["q"], False)
+    assert normalize(d) == assume(pl("x : p"), 1)
+    nf = normalize(_falsum_chain(3000))
+    assert nf.node_count() == 2
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +712,7 @@ def test_nodes_follow_walk():
 
 def test_deep_tree_traversal():
     # 3000 nested detours, each through the minor premise of the next
-    a = pl("x : p")
-    d = assume(a, 1)
-    for i in range(3000):
-        m = i + 2
-        d = node("imp_e", a, node("imp_i", pl("x : p -> p"), assume(a, m),
-                                  discharges={m}), d)
+    d = _nested_imp(3000, ["q"], False)
     assert sum(1 for _ in d.walk()) == 3 * 3000 + 1
     assert _same_order(d)
     assert len(find_redexes(d)) == 3000

@@ -133,6 +133,21 @@ def test_eval_independent_of_irrelevant_labels_random():
                 assert eval_entity(m, {**lam, "spare": w}, e) == base
 
 
+def test_vacuous_binders_evaluate_their_body_once(monkeypatch):
+    # a forall whose variable is not free below is its body: 11 vacuous
+    # binders over one real one read the body on 3 worlds, not on 3^12
+    from tenseproof import semantics
+    calls = []
+
+    def counted(lam, label, real=semantics._world):
+        calls.append(label)
+        return real(lam, label)
+    monkeypatch.setattr(semantics, "_world", counted)
+    rho = pr("forall y. " * 12 + "x < y => x < y")
+    assert eval_entity(Model.chain(3), {"x": 0}, rho)
+    assert len(calls) <= 12
+
+
 def test_next_step_operator_eval():
     m = Model.chain(3, {"p": {1}})
     assert eval_entity(m, {"x": 0}, pl("x : X p"))

@@ -3,9 +3,9 @@
 
 One line per derivation tree names the tree and gives a short hash of each
 output: the check report (violation kinds, paths and messages), the open
-context and the raw ``expand_derived`` text; for a tree that checks, also
-the normal form, the normalization trace and the canonical form of the
-normal form.  Further lines digest ``render``, ``parse`` and the
+context, the raw ``expand_derived`` text and the ``find_redexes`` list; for
+a tree that checks, also the normal form, the normalization trace, the
+canonical form of the normal form and the ``restrict`` result.  Further lines digest ``render``, ``parse`` and the
 ``ParseError`` text on seeded random entities and broken strings.
 
 The trees are the bundled corpus, ``DERIVED_TREES`` of the kernel tests,
@@ -133,9 +133,11 @@ def _mutant(rng, d, lib):
 
 def _tree_line(lib, name, d, profile) -> str:
     render = lib.parser.render
+    redexes = _hash(_attempt(lambda: [[r.kind, list(r.path), r.detail]
+                                      for r in lib.normalize.find_redexes(d)]))
     report = _attempt(lambda: lib.kernel.check(d, profile))
     if isinstance(report, str):
-        return f"{name} check={_hash(report)}"
+        return f"{name} check={_hash(report)} redexes={redexes}"
     parts = {
         "check": _hash([report.ok, report.is_theorem,
                         [[v.kind, list(v.path), v.message]
@@ -143,6 +145,7 @@ def _tree_line(lib, name, d, profile) -> str:
         "open": _hash(sorted(map(render, report.open))),
         "expand": _hash(_attempt(
             lambda: lib.derivation.dumps(lib.kernel.expand_derived(d)))),
+        "redexes": redexes,
     }
     if report.ok:
         trace: list = []
@@ -154,6 +157,8 @@ def _tree_line(lib, name, d, profile) -> str:
             parts["canon"] = _hash(lib.derivation.dumps(
                 lib.normalize.canonical_form(nf)))
         parts["trace"] = _hash(trace)
+        parts["restrict"] = _hash(_attempt(
+            lambda: lib.derivation.dumps(lib.normalize.restrict(d))))
     return name + " " + " ".join(f"{k}={v}" for k, v in parts.items())
 
 
