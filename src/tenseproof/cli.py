@@ -31,10 +31,6 @@ from .syntax import ProofContext
 EXIT_OK, EXIT_CHECK, EXIT_NORMALIZE, EXIT_SEMANTIC, EXIT_IO = 0, 1, 2, 3, 4
 
 
-def _profile(text: str):
-    return parse_profile(text)
-
-
 def _at_least(value: int, least: int, flag: str) -> int:
     if value < least:
         raise ValueError(f"{flag} must be at least {least}, not {value}")
@@ -44,7 +40,7 @@ def _at_least(value: int, least: int, flag: str) -> int:
 def cmd_check(args) -> int:
     _at_least(args.probe, 0, "--probe")
     d = load(args.file)
-    profile = _profile(args.profile)
+    profile = parse_profile(args.profile)
     report = check(d, profile)
     print(f"status: {report.status}")
     print(f"conclusion: {render(d.conclusion)}")
@@ -76,7 +72,7 @@ class _PrintedTrace:
 
 def cmd_normalize(args) -> int:
     d = load(args.file)
-    profile = _profile(args.profile)
+    profile = parse_profile(args.profile)
     report = check(d, profile)
     if not report.ok:
         for v in report.violations:
@@ -114,7 +110,7 @@ def cmd_eval(args) -> int:
 def cmd_valid(args) -> int:
     _at_least(args.max_worlds, 1, "--max-worlds")
     phi = parse("any", args.formula)
-    profile = _profile(args.profile)
+    profile = parse_profile(args.profile)
     try:
         cm = find_countermodel(ProofContext.make(), phi, args.max_worlds, profile)
     except FinitelyVacuous as exc:

@@ -16,13 +16,14 @@ There are three traversals, none recursive; use the cheapest that serves:
   root paths; building a path costs its length, so use it only where a path
   is kept or reported.
 
-A node has two memo slots for the normalizer, left out of ``__init__``,
-comparison and ``repr`` and written only by ``normalize`` through
-``object.__setattr__``: ``_redex``, the key of the least redex at the node
-itself, and ``_least``, the key of the least redex in its subtree with the
-path relative to the node.  Both stay unset until asked for.  A node's
-redexes read only its own immutable subtree, so the memos hold wherever the
-node object sits, in any tree.
+A node has three memo slots, left out of ``__init__``, comparison and
+``repr`` and written through ``object.__setattr__``: ``_size``, the number
+of nodes in its subtree, written by ``node_count``; and for the normalizer
+``_redex``, the key of the least redex at the node itself, and ``_least``,
+the key of the least redex in its subtree with the path relative to the
+node.  All stay unset until asked for.  Each reads only the node's own
+immutable subtree, so the memos hold wherever the node object sits, in any
+tree.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ ASSUME = "assume"
 
 
 class _Memos:
-    """The normalizer's two memo slots (see above): outside the dataclass
-    fields, so ``__init__``, comparison, ``repr`` and copies leave them
-    out, and unset until written."""
+    """The three memo slots (see above): outside the dataclass fields, so
+    ``__init__``, comparison, ``repr`` and copies leave them out, and unset
+    until written."""
 
-    __slots__ = ("_redex", "_least")
+    __slots__ = ("_size", "_redex", "_least")
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +64,9 @@ class Derivation(_Memos):
         return self.rule == ASSUME
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.nodes())
+        """The number of nodes in the subtree, memoized on each of its
+        nodes: the count stops at nodes already counted."""
+        return getattr(self, "_size", None) or fold(self, _count, _uncounted)
 
     def at(self, path: Path) -> "Derivation":
         node = self
@@ -156,6 +159,18 @@ def fold(root, combine: Callable, visit: Callable = _own_premises):
             stack.append((n, len(kids)))
             stack += kids[::-1]
     return results[0]
+
+
+def _uncounted(t: Derivation) -> tuple:
+    return t, (() if hasattr(t, "_size") else t.premises)
+
+
+def _count(t: Derivation, sizes: list) -> int:
+    size = getattr(t, "_size", None)
+    if size is None:
+        size = 1 + sum(sizes)
+        object.__setattr__(t, "_size", size)
+    return size
 
 
 def map_leaves(d: Derivation, fn: Callable[[Derivation], Derivation]) -> Derivation:

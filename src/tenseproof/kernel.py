@@ -86,12 +86,15 @@ REL = _Sort(False, "relational", "relational ", RImplies, E_, "empty",
             lambda a: RImplies(a, E_))
 _SORT_OF_RULE = {r: s for s in (LAB, REL) for r in (s.imp_i, s.imp_e, s.raa)}
 
-# each temporal rule: its operator, and the relation from the label of the
-# operator formula to the label of the body
-_TEMPORAL = {
-    "g_i": (G, Less), "h_i": (H, lambda x, y: Less(y, x)), "x_i": (X, Prec),
-    "g_e": (G, Less), "h_e": (H, lambda x, y: Less(y, x)), "x_e": (X, Prec),
+# each temporal operator: the relation from the label of the operator
+# formula to the label of the body, and its elimination and introduction
+# rules; and each of those rules with its operator and relation
+_TENSE = {
+    G: (Less, "g_e", "g_i"), H: (lambda x, y: Less(y, x), "h_e", "h_i"),
+    X: (Prec, "x_e", "x_i"),
 }
+_TEMPORAL = {rule: (op, rel) for op, (rel, *rules) in _TENSE.items()
+             for rule in rules}
 
 
 def _sort(c) -> _Sort:

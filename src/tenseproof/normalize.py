@@ -41,14 +41,13 @@ from .derivation import (
     substitute_label_deriv, with_premise,
 )
 from .kernel import (
-    LAB, REL, _falsum_at, _sort, _xf, match_instantiation, mon_positions,
-    replace_position,
+    LAB, REL, _TENSE, _falsum_at, _sort, _xf, match_instantiation,
+    mon_positions, replace_position,
 )
 from .rules import AXIOMS, DETOUR_PAIRS, FALSUM_RULES
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, LabelGen, Less, Lwff,
-    Prec, RImplies, X, canon, core_eq, expand, fresh_label, grade,
-    substitute_label,
+    RImplies, X, canon, core_eq, expand, grade, is_atomic, substitute_label,
 )
 
 F_ = Falsum()
@@ -95,9 +94,7 @@ def _mon_class(n: Derivation):
         return ("bot", None)
     if core_eq(p0, n.conclusion):
         return ("noop", None)
-    atomic = (isinstance(core0, Lwff) and isinstance(core0.formula, (Atom, Falsum))) \
-        or isinstance(core0, (Less, Eq, Empty))
-    if not atomic:
+    if not is_atomic(core0):
         return ("nonatomic", None)
     positions = mon_positions(p0, eq, n.conclusion)
     if positions:
@@ -300,17 +297,12 @@ def _restrict_raa(n: Derivation, mgen, lgen) -> Derivation:
         return node(s.imp_i, n.conclusion, out, discharges={m3})
 
     if isinstance(core, (G, H, X)):
-        b = core.body
+        b, op = core.body, type(core)
+        rel, e_rule, i_rule = _TENSE[op]
         z = lgen()
         m1, m2, m3 = mgen(), mgen(), mgen()
-        if isinstance(core, G):
-            rel, e_rule, i_rule, op = Less(x, z), "g_e", "g_i", G
-        elif isinstance(core, H):
-            rel, e_rule, i_rule, op = Less(z, x), "h_e", "h_i", H
-        else:
-            rel, e_rule, i_rule, op = Prec(x, z), "x_e", "x_i", X
         inner = node(e_rule, Lwff(z, b), assume(Lwff(x, op(b)), m1),
-                     assume(rel, m3))
+                     assume(rel(x, z), m3))
         zbot = node("imp_e", Lwff(z, F_), assume(Lwff(z, Implies(b, F_)), m2), inner)
         xbot = node("raa_bot", Lwff(x, F_), zbot)
         refutation = node("imp_i", Lwff(x, Implies(op(b), F_)), xbot,
@@ -344,7 +336,19 @@ def _restrict_raa(n: Derivation, mgen, lgen) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Mon restriction: positional transport through arbitrary formulas
+# Mon restriction: transport toward the mon's own conclusion
+#
+# A mon whose premise is not atomic is restricted by transporting the
+# premise, step by step, toward the mon's conclusion, which the checker
+# requires to be the full substitution of the equality's right label for its
+# left one.  Each step compares the formula the derivation so far concludes
+# with the one it must reach: equal formulas need nothing; an atomic one
+# needs a positional mon at each position whose label differs; an
+# implication needs its antecedent carried back and its consequent carried
+# forward, under an introduction of the target; a quantifier or temporal
+# operator is opened at one fresh label on both sides.  Each position's pair
+# of labels says which equality it needs: ``a = b``, as given, or ``b = a``,
+# derived once by ``sym_deriv``.
 
 class _Supply:
     """Hand out usable copies of an equality subderivation, which ``build``
@@ -391,128 +395,66 @@ def sym_deriv(eq_supply: _Supply, a: str, b: str, mgen) -> Derivation:
     return node("raa_empty", Eq(b, a), u4, discharges={k2})
 
 
-def occurrences_of(core, a: str) -> frozenset:
-    """Paths of the free occurrences of label ``a`` in a core rwff."""
-    if isinstance(core, (Less, Eq)):
-        out = set()
-        if core.x == a:
-            out.add((1,))
-        if core.y == a:
-            out.add((2,))
-        return frozenset(out)
-    if isinstance(core, Empty):
-        return frozenset()
-    if isinstance(core, RImplies):
-        return frozenset({("L",) + p for p in occurrences_of(core.left, a)}
-                         | {("R",) + p for p in occurrences_of(core.right, a)})
-    if isinstance(core, Forall):
-        if core.var == a:
-            return frozenset()
-        return frozenset({("B",) + p for p in occurrences_of(core.body, a)})
-    raise TypeError(f"not a core rwff: {core!r}")
+def _transport(pi: Derivation, target, evidence: dict, mgen, lgen) -> Derivation:
+    """A derivation of ``target`` from ``pi``, whose conclusion differs
+    from it only in labels, with every mon positional.  ``evidence`` maps a
+    pair of labels to the supply of equalities between them.  Each step is
+    a generator that yields the ``(derivation, target)`` pairs it needs and
+    gets their results back, run here on a stack instead of by recursion."""
+    stack = [_step(pi, target, evidence, mgen, lgen)]
+    done = None
+    while stack:
+        try:
+            pi, target = stack[-1].send(done)
+        except StopIteration as finished:
+            stack.pop()
+            done = finished.value
+        else:
+            stack.append(_step(pi, target, evidence, mgen, lgen))
+            done = None
+    return done
 
 
-def masked_subst(core, b: str, occs: frozenset, avoid):
-    """Replace exactly the addressed positions by ``b``."""
-    if not occs:
-        return core
-    if isinstance(core, (Less, Eq)):
-        out = core
-        for (p,) in occs:
-            out = replace_position(out, p, b)
-        return out
-    if isinstance(core, RImplies):
-        left = masked_subst(core.left, b, frozenset(p[1:] for p in occs if p[0] == "L"), avoid)
-        right = masked_subst(core.right, b, frozenset(p[1:] for p in occs if p[0] == "R"), avoid)
-        return RImplies(left, right)
-    if isinstance(core, Forall):
-        body_occs = frozenset(p[1:] for p in occs if p[0] == "B")
-        var, body = core.var, core.body
-        if var == b:
-            var2 = fresh_label(set(avoid) | {b}, base="u")
-            body = substitute_label(body, var2, var)
-            var = var2
-        return Forall(var, masked_subst(body, b, body_occs, avoid))
-    raise TypeError(f"not a core rwff: {core!r}")
-
-
-def _transport(pi: Derivation, a: str, b: str, eq_supply, occs, mgen, lgen,
-               sym_supply):
-    """Build a derivation replacing the addressed ``a``-occurrences of the
-    conclusion of ``pi`` by ``b``, all monotonicity uses atomic."""
-    concl = pi.conclusion
-
-    if isinstance(concl, Lwff):
-        if concl.label != a or not occs:
-            return pi
-        formula = _xf(concl)
-        if isinstance(formula, (Atom, Falsum)):
-            return node("mon", Lwff(b, concl.formula), pi, eq_supply(), position=1)
-        if isinstance(formula, Implies):
-            fa, fb = formula.left, formula.right
-            m = mgen()
-            leaf = assume(Lwff(b, fa), m)
-            back = _transport(leaf, b, a, sym_supply, frozenset({("F",)}),
-                              mgen, lgen, eq_supply)
-            app = node("imp_e", Lwff(a, fb), pi, back)
-            fwd = _transport(app, a, b, eq_supply, frozenset({("F",)}),
-                             mgen, lgen, sym_supply)
-            return node("imp_i", Lwff(b, formula), fwd, discharges={m})
-        if isinstance(formula, (G, H)):
-            z = lgen()
-            m = mgen()
-            if isinstance(formula, G):
-                leaf = assume(Less(b, z), m)
-                lt = node("mon", Less(a, z), leaf, sym_supply(), position=1)
-                inner = node("g_e", Lwff(z, formula.body), pi, lt)
-                return node("g_i", Lwff(b, formula), inner, discharges={m}, fresh=z)
-            leaf = assume(Less(z, b), m)
-            lt = node("mon", Less(z, a), leaf, sym_supply(), position=2)
-            inner = node("h_e", Lwff(z, formula.body), pi, lt)
-            return node("h_i", Lwff(b, formula), inner, discharges={m}, fresh=z)
-        if isinstance(formula, X):
-            z = lgen()
-            m = mgen()
-            prec_b = expand(Prec(b, z))
-            leaf = assume(prec_b, m)
-            occ = occurrences_of(prec_b, b)
-            prec_a = _transport(leaf, b, a, sym_supply, occ, mgen, lgen, eq_supply)
-            inner = node("x_e", Lwff(z, formula.body), pi, prec_a)
-            return node("x_i", Lwff(b, formula), inner, discharges={m}, fresh=z)
-        raise TypeError(f"unexpected formula {formula!r}")
-
-    core = expand(concl)
-    if not occs:
+def _step(pi: Derivation, target, evidence: dict, mgen, lgen):
+    """One step of ``_transport``: ``pi`` carried to ``target`` at its
+    outermost connective."""
+    source = pi.conclusion
+    if core_eq(source, target):
         return pi
-    if isinstance(core, (Less, Eq)):
-        cur = pi
-        remaining = set(core_pos for (core_pos,) in occs)
-        cur_core = core
-        for p in sorted(remaining):
-            cur_core = replace_position(cur_core, p, b)
-            cur = node("mon", cur_core, cur, eq_supply(), position=p)
-        return cur
-    if isinstance(core, RImplies):
-        occs_l = frozenset(p[1:] for p in occs if p[0] == "L")
-        occs_r = frozenset(p[1:] for p in occs if p[0] == "R")
-        avoid = all_labels(pi) | {a, b}
-        left_moved = masked_subst(core.left, b, occs_l, avoid)
+    s, t = _xf(source), _xf(target)
+    if type(s) is not type(t):
+        raise TypeError(f"no mon takes {source!r} to {target!r}")
+    sort = _sort(source)
+    a, b = sort.split(source)[0], sort.split(target)[0]
+    if isinstance(s, sort.imp):
         m = mgen()
-        leaf = assume(left_moved, m)
-        back = _transport(leaf, b, a, sym_supply, occs_l, mgen, lgen, eq_supply)
-        back = _override_conclusion(back, core.left)
-        app = node("rimp_e", core.right, pi, back)
-        fwd = _transport(app, a, b, eq_supply, occs_r, mgen, lgen, sym_supply)
-        return node("rimp_i", RImplies(left_moved, masked_subst(core.right, b, occs_r, avoid)),
-                    fwd, discharges={m})
-    if isinstance(core, Forall):
-        occs_b = frozenset(p[1:] for p in occs if p[0] == "B")
+        antecedent = sort.at(a, s.left)
+        back = yield assume(sort.at(b, t.left), m), antecedent
+        app = node(sort.imp_e, sort.at(a, s.right), pi,
+                   _override_conclusion(back, antecedent))
+        fwd = yield app, sort.at(b, t.right)
+        return node(sort.imp_i, target, fwd, discharges={m})
+    if isinstance(s, (Atom, Falsum)):
+        return node("mon", target, pi, evidence[a, b](), position=1)
+    if isinstance(s, (G, H, X)):
+        rel, e_rule, i_rule = _TENSE[type(s)]
+        z = lgen()
+        m = mgen()
+        lt = yield assume(expand(rel(b, z)), m), expand(rel(a, z))
+        inner = node(e_rule, Lwff(z, s.body), pi, lt)
+        return node(i_rule, target, inner, discharges={m}, fresh=z)
+    if isinstance(s, (Less, Eq)):
+        for p, x, y in ((1, s.x, t.x), (2, s.y, t.y)):
+            if x != y:
+                s = replace_position(s, p, y)
+                pi = node("mon", s, pi, evidence[x, y](), position=p)
+        return pi
+    if isinstance(s, Forall):
         w = lgen()
-        inst_body = substitute_label(core.body, w, core.var)
-        inst = node("all_e", inst_body, pi)
-        moved = _transport(inst, a, b, eq_supply, occs_b, mgen, lgen, sym_supply)
+        inst = node("all_e", substitute_label(s.body, w, s.var), pi)
+        moved = yield inst, substitute_label(t.body, w, t.var)
         return node("all_i", Forall(w, moved.conclusion), moved, fresh=w)
-    raise TypeError(f"not a core rwff: {core!r}")
+    raise TypeError(f"not a core formula: {s!r}")
 
 
 def _restrict_mon(n: Derivation, mgen, lgen) -> Derivation:
@@ -526,16 +468,12 @@ def _restrict_mon(n: Derivation, mgen, lgen) -> Derivation:
     if kind == "noop":
         return _override_conclusion(pi, n.conclusion)
 
-    # two interchangeable sources of equality evidence: copies of the given
-    # a = b subderivation, and copies of the derived symmetric b = a
+    # two sources of equality evidence: copies of the given a = b
+    # subderivation, and copies of the derived symmetric b = a
     eq_ab = _Supply(lambda: eqd, mgen)
     eq_ba = _Supply(lambda: sym_deriv(eq_ab, a, b, mgen), mgen)
-
-    if isinstance(n.conclusion, Lwff):
-        occs = frozenset({("F",)})
-    else:
-        occs = occurrences_of(expand(pi.conclusion), a)
-    out = _transport(pi, a, b, eq_ab, occs, mgen, lgen, eq_ba)
+    out = _transport(pi, n.conclusion, {(a, b): eq_ab, (b, a): eq_ba},
+                     mgen, lgen)
     return _override_conclusion(out, n.conclusion)
 
 

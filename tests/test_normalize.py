@@ -12,13 +12,15 @@ from tenseproof.derivation import (
 )
 from tenseproof.kernel import check, expand_derived, open_assumptions
 from tenseproof.normalize import (
-    NonTermination, RedexStale, _Zipper, _rename_colliding_freshes,
-    canonical_form, find_redexes, is_normal, normalize, reduce_step, restrict,
+    NonTermination, RedexStale, _mon_class, _rename_colliding_freshes,
+    _Zipper, canonical_form, find_redexes, is_normal, normalize, reduce_step,
+    restrict,
 )
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
-from tenseproof.rules import KL
+from tenseproof.rules import KL, parse_profile
 from tenseproof.syntax import (
-    Empty, LabelGen, core_eq, expand, grade, substitute_label,
+    Atom, Empty, Implies, LabelGen, Lwff, RImplies, core_eq, expand, grade,
+    substitute_label,
 )
 
 E = Empty()
@@ -95,18 +97,53 @@ def test_restrict_raa_universal_case():
 
 
 def test_restrict_nonatomic_mon_goes_positional():
-    monG = node("mon", pl("y : G p"), assume(pl("x : G p")), assume(pr("x = y")))
-    out = restrict(monG)
-    rep = check(out, KL)
-    assert rep.ok
-    assert core_eq(out.conclusion, pl("y : G p"))
-    for _, n in out.walk():
-        if n.rule == "mon":
-            from tenseproof.normalize import _mon_class
-            kind, _ = _mon_class(n)
-            assert kind == "ok"
-    opens = {c for c in open_assumptions(out)}
-    assert opens == {pl("x : G p"), pr("x = y")}
+    for formula, profile in [
+        ("p", "kl"), ("false", "kl"), ("p -> G q", "kl"), ("G p", "kl"),
+        ("H p", "kl"), ("X p", "mtl"), ("X (p -> H q)", "mtl"),
+    ]:
+        profile = parse_profile(profile)
+        premise, eq = pl(f"x : {formula}"), pr("x = y")
+        mon = node("mon", pl(f"y : {formula}"), assume(premise), assume(eq))
+        assert check(mon, profile).ok, formula
+        out = restrict(mon)
+        assert check(out, profile).ok, formula
+        assert core_eq(out.conclusion, mon.conclusion), formula
+        assert all(_mon_class(n)[0] == "ok"
+                   for n in out.nodes() if n.rule == "mon"), formula
+        # a mon on falsum becomes a reductio, which needs no equality
+        expected = {premise} if formula == "false" else {premise, eq}
+        assert set(open_assumptions(out)) == expected, formula
+
+
+def _deep_mon(k, labeled):
+    """A mon from a k-level implication chain at ``x`` to the same chain
+    with ``x`` replaced: ``x : p -> ... -> p -> q`` to ``y``, or
+    ``x < y => ... => x < y => empty`` to ``z``."""
+    if labeled:
+        chain = Atom("q")
+        for _ in range(k):
+            chain = Implies(Atom("p"), chain)
+        return node("mon", Lwff("y", chain), assume(Lwff("x", chain), 1),
+                    assume(pr("x = y"), 2))
+    chain = E
+    for _ in range(k):
+        chain = RImplies(pr("x < y"), chain)
+    return node("mon", substitute_label(chain, "z", "x"), assume(chain, 1),
+                assume(pr("x = z"), 2))
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_deep_mon_restricts_and_checks(labeled):
+    # the transport keeps its pending steps on a list, not the call stack
+    mon = _deep_mon(1000, labeled)
+    assert check(restrict(mon), KL).ok
+
+
+def test_deeper_mon_restricts_to_positional_mons():
+    mon = _deep_mon(3000, False)
+    out = restrict(mon)
+    assert core_eq(out.conclusion, mon.conclusion)
+    assert all(_mon_class(n)[0] == "ok" for n in out.nodes() if n.rule == "mon")
 
 
 def test_restrict_multi_position_mon_splits():
@@ -272,17 +309,19 @@ def test_normalize_preserves_conclusion_and_assumptions():
 
 def test_restrict_random_nonatomic_mons():
     # positional transport across arbitrary relational shapes, including
-    # quantifiers and the immediate-precedence sugar
+    # quantifiers and the immediate-precedence sugar; the equality's labels
+    # may be the names the premise or its expansion binds
     from helpers import random_rwff
     from tenseproof.syntax import Eq, expand, labels_of, substitute_label
     rng = random.Random(42)
     tested = 0
     for _ in range(120):
         rho = random_rwff(rng, 3)
-        if "x" not in labels_of(rho):
+        a, b = rng.sample(sorted(labels_of(rho) | {"u1", "w1"}), 2)
+        if a not in labels_of(rho):
             continue
-        target = substitute_label(expand(rho), "y", "x")
-        m = node("mon", target, assume(rho), assume(pr("x = y")))
+        target = substitute_label(expand(rho), b, a)
+        m = node("mon", target, assume(rho), assume(Eq(a, b)))
         if not check(m, KL).ok:
             continue
         out = restrict(m)
@@ -495,15 +534,26 @@ def test_driver_matches_reference_on_corpus():
         _assert_same_as_reference(entry.derivation)
 
 
-def test_driver_matches_reference_on_families():
+def _family_trees():
     trees = [_nested_imp(k, ["q", "q -> q", "G q", "q"], body)
              for k in (1, 4, 9, 20) for body in (True, False)]
     trees += [_nested_temporal(k, op) for k in (1, 5, 12) for op in ("g", "h")]
     trees += [_mon_chain(k, dis) for k in (3, 8, 33) for dis in (True, False)]
     trees += [_falsum_chain(k) for k in (4, 11, 20, 64)]
-    for d in trees:
+    return trees
+
+
+def test_driver_matches_reference_on_families():
+    for d in _family_trees():
         assert check(d, KL).ok
         assert _assert_same_as_reference(d) > 0
+
+
+def test_trace_counts_the_nodes_of_each_tree():
+    for d in _family_trees():
+        trace = []
+        nf = normalize(d, trace=trace)
+        assert trace[-1]["nodes"] == nf.node_count() == sum(1 for _ in nf.nodes())
 
 
 def test_driver_matches_reference_on_random_trees():

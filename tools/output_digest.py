@@ -5,7 +5,8 @@ One line per derivation tree names the tree and gives a short hash of each
 output: the check report (violation kinds, paths and messages), the open
 context, the raw ``expand_derived`` text and the ``find_redexes`` list; for
 a tree that checks, also the normal form, the normalization trace, the
-canonical form of the normal form and the ``restrict`` result.  Further lines digest ``render``, ``parse`` and the
+canonical form of the normal form, and the ``restrict`` result raw and in
+canonical form.  Further lines digest ``render``, ``parse`` and the
 ``ParseError`` text on seeded random entities and broken strings.
 
 The trees are the bundled corpus, ``DERIVED_TREES`` of the kernel tests,
@@ -13,7 +14,9 @@ the detour and derived-rule benchmark families of seeds 1-3 with one
 ``perfbench/gen.mutate`` mutant each, 200 ``DerivationGen`` trees and 3000
 seeded one-field mutants of the corpus, ``DERIVED_TREES`` and the seed-1
 family trees of at most 400 nodes, a tenth of them swapping a rule with its
-twin of the other sort.
+twin of the other sort, and 300 seeded ``mon`` applications that take a
+random relational formula through a random equality ``a = b`` to its full
+substitution (``rmon-*``), so that ``restrict`` transports them.
 Only the library comes from ``--src``; the generators come from this
 checkout, so two checkouts digest the same inputs:
 
@@ -88,6 +91,26 @@ def _trees(lib):
         if mutant is not None:
             out.append((f"mut{count}-{name}", mutant, profile))
             count += 1
+    return out + _relational_mons(lib, 300)
+
+
+def _relational_mons(lib, count: int) -> list:
+    """``count`` mons from a seeded random rwff through ``a = b`` to its
+    full substitution, ``a`` free in the rwff; ``b`` may be a name that the
+    rwff binds or that a fresh-label generator hands out."""
+    from helpers import random_rwff
+    syntax, derivation = lib.syntax, lib.derivation
+    rng = random.Random(13)
+    out = []
+    while len(out) < count:
+        rho = random_rwff(rng, rng.randrange(1, 5))
+        free = syntax.labels_of(rho)
+        a, b = rng.sample(sorted(free | {"u1", "w1"}), 2)
+        if a in free:
+            target = syntax.substitute_label(syntax.expand(rho), b, a)
+            mon = derivation.node("mon", target, derivation.assume(rho, 1),
+                                  derivation.assume(syntax.Eq(a, b), 2))
+            out.append((f"rmon-{len(out)}", mon, lib.rules.KL))
     return out
 
 
@@ -157,8 +180,13 @@ def _tree_line(lib, name, d, profile) -> str:
             parts["canon"] = _hash(lib.derivation.dumps(
                 lib.normalize.canonical_form(nf)))
         parts["trace"] = _hash(trace)
-        parts["restrict"] = _hash(_attempt(
-            lambda: lib.derivation.dumps(lib.normalize.restrict(d))))
+        restricted = _attempt(lambda: lib.normalize.restrict(d))
+        if isinstance(restricted, str):
+            parts["restrict"] = parts["canon_restrict"] = _hash(restricted)
+        else:
+            parts["restrict"] = _hash(lib.derivation.dumps(restricted))
+            parts["canon_restrict"] = _hash(lib.derivation.dumps(
+                lib.normalize.canonical_form(restricted)))
     return name + " " + " ".join(f"{k}={v}" for k, v in parts.items())
 
 
