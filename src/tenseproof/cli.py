@@ -7,7 +7,7 @@ whole pipeline.
 
 Exit codes: 0 all pass, 1 check failure, 2 normalization failure,
 3 semantic (probe or validity) failure, 4 input error (I/O, parse,
-malformed file, or a world bound out of range).
+malformed file, a world bound out of range, or an unmatched corpus prefix).
 """
 
 from __future__ import annotations

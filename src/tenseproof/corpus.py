@@ -121,8 +121,11 @@ def run_entry(entry: CorpusEntry, max_worlds: int = 4) -> EntryResult:
 
 def run_corpus(prefix: str | None = None, max_worlds: int = 4,
                emit=None) -> tuple:
-    """Run the pipeline over the corpus; returns (results, exit code)."""
+    """Run the pipeline over the corpus; returns (results, exit code).
+    ``ValueError`` if no entry id starts with ``prefix``."""
     entries = corpus_entries(prefix)
+    if not entries:
+        raise ValueError(f"no corpus entry id starts with {prefix!r}")
     results = [run_entry(e, max_worlds) for e in entries]
     if emit is not None:
         width = max((len(r.id) for r in results), default=4)

@@ -10,11 +10,12 @@ There are three traversals, none recursive; use the cheapest that serves:
 
 - ``fold`` computes bottom-up: each node's value from its premises' values.
   Every rebuilding helper below is a fold.
-- ``Derivation.nodes`` yields the nodes, root first, premises left to right,
-  for a scan that needs no addresses.
+- ``Derivation.nodes`` yields the nodes, root first, premises left to right.
+  A node's place in this order is its *number*, which names it for free;
+  ``path_to`` turns a number into a root path where one is reported.
 - ``Derivation.walk`` yields the same nodes in the same order with their
-  root paths; building a path costs its length, so use it only where a path
-  is kept or reported.
+  root paths; building a path costs its length, so it serves only the
+  full-scan references and reports that name every node.
 
 A node has three memo slots, left out of ``__init__``, comparison and
 ``repr`` and written through ``object.__setattr__``: ``_size``, the number
@@ -93,6 +94,22 @@ class Derivation(_Memos):
             premises = n.premises
             for i in range(len(premises) - 1, -1, -1):
                 stack.append((path + (i,), premises[i]))
+
+
+def path_to(d: Derivation, k: int) -> Path:
+    """The root path of node number ``k`` of ``d`` (see ``nodes``), found by
+    walking down from the root past whole premises, whose sizes
+    ``node_count`` gives."""
+    path = []
+    while k:
+        k -= 1
+        for i, p in enumerate(d.premises):
+            if k < p.node_count():
+                break
+            k -= p.node_count()
+        path.append(i)
+        d = p
+    return tuple(path)
 
 
 def assume(conclusion: Conclusion, marker: Optional[int] = None) -> Derivation:

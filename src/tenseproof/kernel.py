@@ -23,19 +23,23 @@ it: one validator serves ``imp_i`` and ``rimp_i``, one expander serves
 between the sorts and labels, and ``_conclude`` ends a case split by the
 reductio of its conclusion's sort.
 
-``check`` makes two passes over the tree, neither recursive.  A ``walk``
-indexes each marker's leaves by root path and finds markers discharged at
-two nodes.  Then ``_open_fold``, one post-order pass that keeps root paths,
-computes each subtree's open leaves once (a leaf is closed by any ancestor
-naming its marker) and validates each node with its premises' open leaves
-in hand; the freshness conditions, the stand-ins and the report's open
-context all read that result.  A derived node's template gets its own
-``_open_fold``, which stops at the stand-ins and takes their open leaves
-from the premises'.  ``expand_derived`` is a ``fold``.
+``check`` makes two passes over the tree, neither recursive, and names a
+node by its number, its place in ``Derivation.nodes`` order.  A ``nodes``
+scan indexes each marker's leaves by number and finds markers discharged
+at two nodes.  Then ``_open_fold``, one post-order pass, computes each
+subtree's open leaves once (a leaf is closed by any ancestor naming its
+marker) and validates each node with its premises' open leaves and numbers
+in hand, so one bisect tells which premise holds a leaf; the freshness
+conditions, the stand-ins and the report's open context all read that
+result.  A derived node's template gets its own ``_open_fold``, which stops
+at the stand-ins and takes their open leaves from the premises'.  A number
+becomes a root path (``path_to``) only in a report.  ``expand_derived`` is
+a ``fold``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
@@ -44,7 +48,7 @@ from typing import Callable
 
 from .derivation import (
     Derivation, MarkerGen, all_markers, assume, fold, map_leaves, node,
-    with_premises,
+    path_to, with_premises,
 )
 from .rules import KL, RULES, LogicProfile
 from .syntax import (
@@ -137,7 +141,7 @@ def open_assumptions(d: Derivation) -> ProofContext:
 
 def _context(opens) -> ProofContext:
     gamma, delta = set(), set()
-    for _, leaf in opens:
+    for _, _, leaf in opens:
         c = leaf.conclusion
         (gamma if isinstance(c, Lwff) else delta).add(c)
     return ProofContext.make(gamma, delta)
@@ -149,35 +153,42 @@ _STANDIN = object()
 
 
 def _open_fold(d: Derivation, visit=None, standins=()) -> list:
-    """The open leaves of ``d`` as ``(path, leaf)`` pairs.  Each subtree's
-    open leaves are computed once, in post-order, premises left to right;
-    ``visit(path, node, below)`` sees every node with the open leaves of
-    each of its premises.  A stand-in is not entered: its open leaves are
-    ``standins[stand-in.marker]``."""
-    done: list = []
-    stack = [((), d, False)]
+    """The open leaves of ``d`` as ``(d, number, leaf)`` triples.  Each
+    subtree's open leaves are computed once, in post-order;
+    ``visit(k, node, below, starts, end)`` sees node number ``k`` with the
+    open leaves and numbers of its premises and the number past its
+    subtree.  A stand-in is not entered: it counts as itself and its
+    premises, and its open leaves are ``standins[stand-in.marker]``."""
+    done: list = []         # open leaves of each finished subtree
+    firsts: list = []       # and its number
+    stack: list = [d]
+    count = 0
     while stack:
-        path, n, ready = stack.pop()
-        if n.rule == _STANDIN:
-            done.append(standins[n.marker])
+        n = stack.pop()
+        if n.__class__ is not tuple:
+            if n.rule == _STANDIN:
+                done.append(standins[n.marker])
+                firsts.append(count)
+                count += 1 + len(n.premises)
+            else:                           # its premises first, then it
+                stack.append((count, n))
+                count += 1
+                stack += n.premises[::-1]
             continue
-        k = len(n.premises)
-        if k and not ready:
-            stack.append((path, n, True))
-            for i in range(k - 1, -1, -1):
-                stack.append((path + (i,), n.premises[i], False))
-            continue
-        below = done[len(done) - k:]
-        del done[len(done) - k:]
+        k, n = n
+        j = len(done) - len(n.premises)
+        below, starts = done[j:], firsts[j:]
+        del done[j:], firsts[j:]
         if visit is not None:
-            visit(path, n, below)
+            visit(k, n, below, starts, count)
         if n.is_assumption():
-            opens = [(path, n)]
+            opens = [(d, k, n)]
         else:
-            opens = below[0] if k == 1 else list(chain.from_iterable(below))
+            opens = below[0] if len(below) == 1 else list(chain.from_iterable(below))
             if n.discharges:
-                opens = [e for e in opens if e[1].marker not in n.discharges]
+                opens = [e for e in opens if e[2].marker not in n.discharges]
         done.append(opens)
+        firsts.append(k)
     return done[0]
 
 
@@ -241,19 +252,19 @@ def check(d: Derivation, profile: LogicProfile = KL) -> CheckReport:
     violations: list[Violation] = []
     marker_leaves: dict[int, list] = {}
     dischargers: set = set()
-    for path, n in d.walk():
+    for k, n in enumerate(d.nodes()):
         if n.is_assumption() and n.marker is not None:
-            marker_leaves.setdefault(n.marker, []).append((path, n))
+            marker_leaves.setdefault(n.marker, []).append((k, n))
         for m in n.discharges:
             if m in dischargers:
                 violations.append(Violation(
-                    path, "BadDischarge",
+                    path_to(d, k), "BadDischarge",
                     f"marker {m} already discharged at another node"))
             else:
                 dischargers.add(m)
 
     top = max(chain(marker_leaves, dischargers), default=0)
-    checker = _Checker(profile, violations, marker_leaves, top)
+    checker = _Checker(profile, violations, d, marker_leaves, top)
     open_ctx = _context(_open_fold(d, checker.visit))
     ok = not violations
     return CheckReport(tuple(violations), open_ctx, d.conclusion,
@@ -261,17 +272,20 @@ def check(d: Derivation, profile: LogicProfile = KL) -> CheckReport:
 
 
 class _Checker:
-    """Validates nodes one at a time.  ``marker_leaves`` maps each marker to
-    the ``(path, leaf)`` pairs of its leaves, path ``None`` for a leaf
-    outside the tree being checked.  The checker of a derived node's
-    template reports every violation at that node's path ``at``; a leaf of
-    one of the template's ``own`` markers that does not fit is a
-    ``PatternMismatch``, because the node's formulas do not fit its rule."""
+    """Validates the nodes of ``tree`` one at a time, each named by its
+    number (see ``_open_fold``); a report turns the number into a root path.
+    ``marker_leaves`` maps each marker to the ``(number, leaf)`` pairs of its
+    leaves, number -1 for a leaf outside the tree being checked.  The
+    checker of a derived node's template reports every violation at that
+    node, number ``at`` of ``tree``; a leaf of one of the template's ``own``
+    markers that does not fit is a ``PatternMismatch``, because the node's
+    formulas do not fit its rule."""
 
-    def __init__(self, profile, violations, marker_leaves, top=0,
+    def __init__(self, profile, violations, tree, marker_leaves, top=0,
                  at=None, own=frozenset()):
         self.profile = profile
         self.violations = violations
+        self.tree = tree
         self.marker_leaves = marker_leaves
         # the markers a template makes lie above ``top``, every marker of
         # the tree, so none closes a leaf of the tree by accident
@@ -280,188 +294,186 @@ class _Checker:
         self.own = own
         self.below = ()      # open leaves of each premise of the node at hand
 
-    def bad(self, path, kind, message):
+    def bad(self, k, kind, message):
         if self.at is not None:
-            path, message = self.at, f"in the core expansion: {message}"
-        self.violations.append(Violation(path, kind, message))
+            k, message = self.at, f"in the core expansion: {message}"
+        self.violations.append(Violation(path_to(self.tree, k), kind, message))
 
     # -- traversal -----------------------------------------------------
 
-    def visit(self, path, n, below) -> None:
-        """Validate one node; ``below`` holds its premises' open leaves."""
+    def visit(self, k, n, below, starts, end) -> None:
+        """Validate node number ``k``; the rest as ``_open_fold`` gives."""
         if n.is_assumption():
             if n.premises:
-                self.bad(path, "StructuralError", "assumption with premises")
+                self.bad(k, "StructuralError", "assumption with premises")
             if n.discharges or n.fresh is not None or n.position is not None:
-                self.bad(path, "StructuralError",
+                self.bad(k, "StructuralError",
                          "assumption carries rule annotations")
             return
 
         schema = RULES.get(n.rule)
         if schema is None:
-            self.bad(path, "StructuralError", f"unknown rule {n.rule!r}")
+            self.bad(k, "StructuralError", f"unknown rule {n.rule!r}")
             return
         if len(n.premises) != schema.n_premises:
-            self.bad(path, "StructuralError",
+            self.bad(k, "StructuralError",
                      f"{n.rule} takes {schema.n_premises} premises, "
                      f"got {len(n.premises)}")
             return
         if n.marker is not None:
-            self.bad(path, "StructuralError", "marker on a non-assumption node")
+            self.bad(k, "StructuralError", "marker on a non-assumption node")
         if (n.fresh is None) == schema.fresh:
             what = "missing" if n.fresh is None else "unexpected"
-            self.bad(path, "StructuralError", f"{what} fresh label on {n.rule}")
+            self.bad(k, "StructuralError", f"{what} fresh label on {n.rule}")
         if n.discharges and not schema.discharging:
-            self.bad(path, "StructuralError", f"{n.rule} cannot discharge")
+            self.bad(k, "StructuralError", f"{n.rule} cannot discharge")
         if n.position is not None and n.rule != "mon":
-            self.bad(path, "StructuralError", "position only applies to mon")
+            self.bad(k, "StructuralError", "position only applies to mon")
         if not self.profile.allows(n.rule):
-            self.bad(path, "AxiomNotInProfile",
+            self.bad(k, "AxiomNotInProfile",
                      f"{n.rule} needs profile extra '{schema.requires}'")
 
         if schema.kind != "derived":
-            self.core(path, n, below)
+            self.core(k, n, below, starts, end)
             return
         # a missing fresh label is reported above and leaves no template
         checked = ((n.fresh is not None or not schema.fresh)
-                   and self._template(path, n, below))
+                   and self._template(k, n, below, starts, end))
         if not (checked and schema.discharging):
             # no template discharges the markers this node names
-            self._check_discharges(path, n, {})
+            self._check_discharges(k, n, {}, starts, end)
 
-    def core(self, path, n, below) -> None:
+    def core(self, k, n, below, starts, end) -> None:
         """Validate a core node (or a leaf) against its rule."""
         self.below = below
         validator = getattr(self, f"rule_{n.rule}", None)
-        allowed = validator(path, n) if validator is not None else None
-        self._check_discharges(path, n, allowed or {})
+        allowed = validator(k, n) if validator is not None else None
+        self._check_discharges(k, n, allowed or {}, starts, end)
 
-    def _template(self, path, n, below) -> bool:
+    def _template(self, k, n, below, starts, end) -> bool:
         """Check derived node ``n`` through its core template.  Stand-ins
         for the premises carry their conclusions and, as premises, the
         leaves under them that ``n`` discharges; the template's core nodes
         are then checked as usual.  False when ``n`` lacks the shape its
         rule needs."""
-        depth = len(path)
         held: list = [[] for _ in n.premises]
         index: dict = {}
         for m in sorted(n.discharges):
-            for lp, leaf in self.marker_leaves.get(m, ()):
-                if len(lp) > depth and lp[:depth] == path:
-                    held[lp[depth]].append(leaf)
+            for lk, leaf in self.marker_leaves.get(m, ()):
+                if k < lk < end:
+                    held[bisect_right(starts, lk) - 1].append(leaf)
                 else:
-                    index.setdefault(m, []).append((None, leaf))
+                    index.setdefault(m, []).append((-1, leaf))
         standins = tuple(Derivation(_STANDIN, p.conclusion, tuple(h), marker=i)
                          for i, (p, h) in enumerate(zip(n.premises, held)))
         try:
             template = _EXPANDERS[n.rule](replace(n, premises=standins),
                                           MarkerGen((self.top,)))
         except _Mismatch as exc:
-            self.bad(path, "PatternMismatch", f"{n.rule} needs {exc}")
+            self.bad(k, "PatternMismatch", f"{n.rule} needs {exc}")
             return False
         own, named = set(), set(n.discharges)
-        for tp, t in template.walk():
+        for tk, t in enumerate(template.nodes()):
             if t.is_assumption() and t.marker is not None:
-                index.setdefault(t.marker, []).append((tp, t))
+                index.setdefault(t.marker, []).append((tk, t))
             if t.rule == _STANDIN:
                 named.update(leaf.marker for leaf in t.premises)
             own |= t.discharges
-        sub = _Checker(self.profile, self.violations, index, at=path,
+        sub = _Checker(self.profile, self.violations, self.tree, index, at=k,
                        own=own - named)
         _open_fold(template, sub.core, below)
         return True
 
-    def _check_discharges(self, path, n, allowed) -> None:
+    def _check_discharges(self, k, n, allowed, starts, end) -> None:
         """Every leaf carrying a marker ``n`` discharges must lie in a
         premise ``allowed`` names and have one of its shapes."""
-        depth = len(path)
         for m in sorted(n.discharges):
             kind = "PatternMismatch" if m in self.own else "BadDischarge"
-            for lp, leaf in self.marker_leaves.get(m, ()):
-                inside = lp is not None and len(lp) > depth and lp[:depth] == path
-                patterns = allowed.get(lp[depth]) if inside else None
+            for lk, leaf in self.marker_leaves.get(m, ()):
+                patterns = (allowed.get(bisect_right(starts, lk) - 1)
+                            if k < lk < end else None)
                 if patterns is None:
-                    self.bad(path, kind,
+                    self.bad(k, kind,
                              f"marker {m} leaf lies outside the premise "
                              f"{n.rule} may discharge from")
                 elif not any(core_eq(leaf.conclusion, pat) for pat in patterns):
-                    self.bad(path, kind,
+                    self.bad(k, kind,
                              f"marker {m} leaf does not match the "
                              f"dischargeable shape of {n.rule}")
 
-    def _fresh_ok(self, path, n, y, minor_index, extra_forbidden=()):
+    def _fresh_ok(self, k, n, y, minor_index, extra_forbidden=()):
         """Freshness: ``y`` differs from the given labels and occurs in no
         open assumption of the designated premise other than the leaves this
         node discharges."""
         for lbl in extra_forbidden:
             if y == lbl:
-                self.bad(path, "FreshnessViolation",
+                self.bad(k, "FreshnessViolation",
                          f"fresh label {y} must differ from {lbl}")
                 return
-        for leaf_path, leaf in self.below[minor_index]:
+        for tree, lk, leaf in self.below[minor_index]:
             if leaf.marker is not None and leaf.marker in n.discharges:
                 continue
             concl = leaf.conclusion
             free = ({concl.label} | labels_of(concl.formula)
                     if isinstance(concl, Lwff) else labels_of(concl))
             if y in free:
-                self.bad(path, "FreshnessViolation",
+                self.bad(k, "FreshnessViolation",
                          f"fresh label {y} occurs in the open assumption "
-                         f"at {'/'.join(map(str, leaf_path))}")
+                         f"at {'/'.join(map(str, path_to(tree, lk)))}")
                 return
 
     # -- the rules both sorts share --------------------------------------
 
-    def _of(self, s, path, c, role) -> bool:
+    def _of(self, s, k, c, role) -> bool:
         """Is ``c`` a formula of sort ``s``?  Reported if not."""
         if isinstance(c, Lwff) is not s.labeled:
-            self.bad(path, "PatternMismatch", f"{role} must be a {s.name} formula")
+            self.bad(k, "PatternMismatch", f"{role} must be a {s.name} formula")
             return False
         return True
 
-    def _raa(self, path, n):
+    def _raa(self, k, n):
         s = _SORT_OF_RULE[n.rule]
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(s, path, c, "conclusion") and self._of(s, path, p0, "premise")):
+        if not (self._of(s, k, c, "conclusion") and self._of(s, k, p0, "premise")):
             return {}
         if not isinstance(expand(s.split(p0)[1]), type(s.falsum)):
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      f"premise of {n.rule} must be {s.bottom}")
         x, a = s.split(c)
         return {0: [s.at(x, s.neg(a))]}
 
-    def _imp_i(self, path, n):
+    def _imp_i(self, k, n):
         s = _SORT_OF_RULE[n.rule]
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(s, path, c, "conclusion") and self._of(s, path, p0, "premise")):
+        if not (self._of(s, k, c, "conclusion") and self._of(s, k, p0, "premise")):
             return {}
         x, a = s.split(c)
         core = expand(a)
         if not isinstance(core, s.imp):
-            self.bad(path, "PatternMismatch", f"{n.rule} concludes an implication")
+            self.bad(k, "PatternMismatch", f"{n.rule} concludes an implication")
             return {}
         y, b = s.split(p0)
         if y != x or not core_eq(b, core.right):
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      f"{n.rule} premise must be the consequent"
                      + (" at the same label" if s.labeled else ""))
         return {0: [s.at(x, core.left)]}
 
-    def _imp_e(self, path, n):
+    def _imp_e(self, k, n):
         s = _SORT_OF_RULE[n.rule]
         c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not all(self._of(s, path, v, r) for v, r in
+        if not all(self._of(s, k, v, r) for v, r in
                    [(c, "conclusion"), (p0, "major premise"), (p1, "minor premise")]):
             return {}
         x, a = s.split(p0)
         core = expand(a)
         if not isinstance(core, s.imp):
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      f"{n.rule} major premise must be an implication")
             return {}
         (y, b), (z, d) = s.split(p1), s.split(c)
         if not (y == x == z and core_eq(b, core.left) and core_eq(d, core.right)):
-            self.bad(path, "PatternMismatch", f"{n.rule} premises do not fit")
+            self.bad(k, "PatternMismatch", f"{n.rule} premises do not fit")
         return {}
 
     rule_raa_bot = rule_raa_empty = _raa
@@ -470,42 +482,42 @@ class _Checker:
 
     # -- labeled core rules ---------------------------------------------
 
-    def _temporal_intro(self, path, n):
+    def _temporal_intro(self, k, n):
         op, discharged_rel = _TEMPORAL[n.rule]
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(LAB, path, c, "conclusion") and self._of(LAB, path, p0, "premise")):
+        if not (self._of(LAB, k, c, "conclusion") and self._of(LAB, k, p0, "premise")):
             return {}
         core = _xf(c)
         if not isinstance(core, op):
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      f"{n.rule} concludes a {op.__name__}-formula")
             return {}
         y = n.fresh
         if y is None:
             return {}
         if p0.label != y or not core_eq(p0.formula, core.body):
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      f"{n.rule} premise must assert the body at the fresh label")
-        self._fresh_ok(path, n, y, 0, extra_forbidden=[c.label])
+        self._fresh_ok(k, n, y, 0, extra_forbidden=[c.label])
         return {0: [discharged_rel(c.label, y)]}
 
-    def _temporal_elim(self, path, n):
+    def _temporal_elim(self, k, n):
         op, rel_of = _TEMPORAL[n.rule]
         c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not (self._of(LAB, path, c, "conclusion")
-                and self._of(LAB, path, p0, "major premise")
-                and self._of(REL, path, p1, "minor premise")):
+        if not (self._of(LAB, k, c, "conclusion")
+                and self._of(LAB, k, p0, "major premise")
+                and self._of(REL, k, p1, "minor premise")):
             return {}
         core = _xf(p0)
         if not isinstance(core, op):
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      f"{n.rule} major premise must be a {op.__name__}-formula")
             return {}
         if not core_eq(c.formula, core.body):
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      f"{n.rule} conclusion must be the operator body")
         if not core_eq(p1, rel_of(p0.label, c.label)):
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      f"{n.rule} minor premise must relate the two labels")
         return {}
 
@@ -514,37 +526,37 @@ class _Checker:
 
     # -- relational core rules -------------------------------------------
 
-    def rule_all_i(self, path, n):
+    def rule_all_i(self, k, n):
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(REL, path, c, "conclusion") and self._of(REL, path, p0, "premise")):
+        if not (self._of(REL, k, c, "conclusion") and self._of(REL, k, p0, "premise")):
             return {}
         v = n.fresh
         if v is None:
             return {}
         if not core_eq(c, Forall(v, p0)):
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      "all_i conclusion must generalize the premise over the "
                      "named variable")
-        self._fresh_ok(path, n, v, 0)
+        self._fresh_ok(k, n, v, 0)
         return {}
 
-    def rule_all_e(self, path, n):
+    def rule_all_e(self, k, n):
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(REL, path, c, "conclusion") and self._of(REL, path, p0, "premise")):
+        if not (self._of(REL, k, c, "conclusion") and self._of(REL, k, p0, "premise")):
             return {}
         core = expand(p0)
         if not isinstance(core, Forall):
-            self.bad(path, "PatternMismatch", "all_e premise must be universal")
+            self.bad(k, "PatternMismatch", "all_e premise must be universal")
             return {}
         if match_instantiation(core.body, core.var, c) is None:
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      "all_e conclusion is not an instance of the body")
         return {}
 
-    def _axiom(self, path, n):
+    def _axiom(self, k, n):
         template = RULES[n.rule].axiom_template
         if not core_eq(n.conclusion, template):
-            self.bad(path, "PatternMismatch",
+            self.bad(k, "PatternMismatch",
                      f"conclusion of {n.rule} must be its axiom template")
         return {}
 
@@ -554,21 +566,21 @@ class _Checker:
 
     # -- general rules ----------------------------------------------------
 
-    def rule_mon(self, path, n):
+    def rule_mon(self, k, n):
         c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not self._of(REL, path, p1, "minor premise"):
+        if not self._of(REL, k, p1, "minor premise"):
             return {}
         eq = expand(p1)
         if not isinstance(eq, Eq):
-            self.bad(path, "PatternMismatch", "mon minor premise must be an equality")
+            self.bad(k, "PatternMismatch", "mon minor premise must be an equality")
             return {}
         if isinstance(c, Lwff) != isinstance(p0, Lwff):
-            self.bad(path, "PatternMismatch", "mon preserves the formula kind")
+            self.bad(k, "PatternMismatch", "mon preserves the formula kind")
             return {}
         if n.position is not None:
             positions = mon_positions(p0, eq, c)
             if positions is None or n.position not in positions:
-                self.bad(path, "PatternMismatch",
+                self.bad(k, "PatternMismatch",
                          f"mon at position {n.position} does not yield the conclusion")
             return {}
         replaced_all = substitute_label(expand(p0), eq.y, eq.x)
@@ -577,29 +589,29 @@ class _Checker:
         positions = mon_positions(p0, eq, c)
         if positions:
             return {}
-        self.bad(path, "PatternMismatch",
+        self.bad(k, "PatternMismatch",
                  "mon conclusion is neither the full substitution nor a "
                  "single-position replacement")
         return {}
 
-    def rule_uf1(self, path, n):
+    def rule_uf1(self, k, n):
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(REL, path, c, "conclusion") and self._of(LAB, path, p0, "premise")):
+        if not (self._of(REL, k, c, "conclusion") and self._of(LAB, k, p0, "premise")):
             return {}
         if not isinstance(expand(p0.formula), Falsum):
-            self.bad(path, "PatternMismatch", "uf1 premise must be falsum")
+            self.bad(k, "PatternMismatch", "uf1 premise must be falsum")
         if not isinstance(expand(c), Empty):
-            self.bad(path, "PatternMismatch", "uf1 concludes empty")
+            self.bad(k, "PatternMismatch", "uf1 concludes empty")
         return {}
 
-    def rule_uf2(self, path, n):
+    def rule_uf2(self, k, n):
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(LAB, path, c, "conclusion") and self._of(REL, path, p0, "premise")):
+        if not (self._of(LAB, k, c, "conclusion") and self._of(REL, k, p0, "premise")):
             return {}
         if not isinstance(expand(p0), Empty):
-            self.bad(path, "PatternMismatch", "uf2 premise must be empty")
+            self.bad(k, "PatternMismatch", "uf2 premise must be empty")
         if not isinstance(expand(c.formula), Falsum):
-            self.bad(path, "PatternMismatch", "uf2 concludes falsum at some label")
+            self.bad(k, "PatternMismatch", "uf2 concludes falsum at some label")
         return {}
 
 

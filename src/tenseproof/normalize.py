@@ -19,9 +19,13 @@ node (as finger trees cache a measure in each node); a subtree a step keeps
 or moves is never looked at again.  The driver holds the tree as a zipper
 on the current site (Huet, *The Zipper*, 1997) whose every frame carries
 the least redex outside the focus, so the next site is the lesser of the
-last frame's and the focus's.  A step rebuilds and re-keys the two frames
-above the site, whose redexes read it; the rest of the spine is rebuilt
-only as the zipper moves up through it, and keeps its own redexes.
+last frame's and the focus's.  A key stays relative: to the focus, or to
+the frame whose own redex or other premise holds the site, so the zipper
+reaches the next site by going up to that frame and down the key's path,
+and no root path is built; a traced step reads its site off the frames.
+A step rebuilds and re-keys the two frames above the site, whose redexes
+read it; the rest of the spine is rebuilt only as the zipper moves up
+through it, and keeps its own redexes.
 
 ``find_redexes``, ``reduce_step`` and ``is_normal`` are the full-scan
 public API: they test every node afresh and never read the memos, so they
@@ -166,13 +170,8 @@ def reduce_step(d: Derivation, r: Redex) -> Derivation:
         raise RedexStale(r) from None
     if r not in _node_redexes(n, r.path):
         raise RedexStale(r)
-    new = _rewrite(n, r.kind, MarkerGen(all_markers(d)), LabelGen(all_labels(d)))
+    new = _KINDS[r.kind][1](n, MarkerGen(all_markers(d)), LabelGen(all_labels(d)))
     return replace_at(d, r.path, new)
-
-
-def _rewrite(n: Derivation, kind: str, mgen, lgen) -> Derivation:
-    """The subtree that replaces redex site ``n``."""
-    return _REWRITES[kind](n, mgen, lgen)
 
 
 def _override_conclusion(t: Derivation, conclusion) -> Derivation:
@@ -189,40 +188,26 @@ def _rename_colliding_freshes(t: Derivation, avoid: set, lgen) -> Derivation:
 
 
 def _reduce_detour(n: Derivation, mgen, lgen) -> Derivation:
-    intro = n.premises[0]
+    """The introduction's body with its fresh label, if any, made the one
+    the elimination names, and the minor premise, if any, grafted at the
+    leaves it discharges."""
+    intro, *minor = n.premises
     body = intro.premises[0]
-    markers = intro.discharges
-
-    if n.rule in ("imp_e", "rimp_e"):
-        minor = n.premises[1]
-        result = body
-        for m in sorted(markers):
-            result = graft(result, m, minor, mgen)
-        return _override_conclusion(result, n.conclusion)
-
-    if n.rule in ("g_e", "h_e", "x_e"):
-        minor = n.premises[1]
-        y = intro.fresh
-        z = n.conclusion.label
+    v = intro.fresh
+    if v is not None:
+        if n.rule == "all_e":
+            # ``v`` itself if it does not occur (vacuous quantifier)
+            w = match_instantiation(expand(body.conclusion), v, n.conclusion) or v
+        else:
+            w = n.conclusion.label
         # inner fresh labels equal to either end of the substitution would be
         # captured or merged by the textual renaming; give them new names
-        body = _rename_colliding_freshes(body, {y, z} | all_labels(minor), lgen)
-        body = substitute_label_deriv(body, z, y)
-        for m in sorted(markers):
-            body = graft(body, m, minor, mgen)
-        return _override_conclusion(body, n.conclusion)
-
-    if n.rule == "all_e":
-        v = intro.fresh
-        w = match_instantiation(expand(body.conclusion), v, n.conclusion)
-        if w is None:
-            # the instance label does not occur (vacuous quantifier)
-            w = v
-        body = _rename_colliding_freshes(body, {v, w}, lgen)
+        avoid = {v, w}.union(*map(all_labels, minor))
+        body = _rename_colliding_freshes(body, avoid, lgen)
         body = substitute_label_deriv(body, w, v)
-        return _override_conclusion(body, n.conclusion)
-
-    raise RedexStale(n.rule)
+    for m in sorted(intro.discharges):
+        body = graft(body, m, minor[0], mgen)
+    return _override_conclusion(body, n.conclusion)
 
 
 def _reduce_disorder(n: Derivation, mgen, lgen) -> Derivation:
@@ -480,19 +465,14 @@ def _restrict_mon(n: Derivation, mgen, lgen) -> Derivation:
 # ---------------------------------------------------------------------------
 # Driver
 
-_REWRITES = {
-    "MaximalFormula": _reduce_detour, "MonDisorder": _reduce_disorder,
-    "RedundantMon": _reduce_mon_pair, "RedundantFalsum": _reduce_falsum,
-    "UnrestrictedRAA": _restrict_raa, "UnrestrictedMon": _restrict_mon,
-}
-
-_PRIORITY = {
-    "UnrestrictedRAA": 0,
-    "UnrestrictedMon": 0,
-    "MaximalFormula": 1,
-    "MonDisorder": 2,
-    "RedundantMon": 3,
-    "RedundantFalsum": 4,
+# each redex kind: its class, the first element of its key, and its reducer
+_KINDS = {
+    "UnrestrictedRAA": (0, _restrict_raa),
+    "UnrestrictedMon": (0, _restrict_mon),
+    "MaximalFormula": (1, _reduce_detour),
+    "MonDisorder": (2, _reduce_disorder),
+    "RedundantMon": (3, _reduce_mon_pair),
+    "RedundantFalsum": (4, _reduce_falsum),
 }
 
 
@@ -506,7 +486,7 @@ _PRIORITY = {
 # as any would be deeper still.  In a node's memos depth and position are
 # relative to the node, the position a path held as nested ``(i, rest)``
 # pairs, so tuple order is path order.
-_NONE = (max(_PRIORITY.values()) + 1,)      # no redex: above every key
+_NONE = (max(cls for cls, _ in _KINDS.values()) + 1,)   # no redex: above every key
 _set = object.__setattr__
 
 
@@ -516,7 +496,7 @@ def _own(n: Derivation) -> tuple:
     if key is None:
         key = _NONE
         for kind, detail in _redex_kinds(n):
-            cls = _PRIORITY[kind]
+            cls = _KINDS[kind][0]
             g = -grade(n.premises[0].conclusion) if cls == 1 else 0
             key = min(key, (cls, g, 0, (), kind, detail))
         _set(n, "_redex", key)
@@ -558,38 +538,26 @@ def _rekey(key: tuple, depth: int, side: int) -> tuple:
     absolute and its position put before the focus (``side`` -1), in it (0)
     or after it (1).  Before the focus, a frame nearer the root comes first;
     after it, a frame nearer the focus: so tuple order is root-path
-    order."""
+    order.  The path stays relative to the node, which ``go`` finds."""
     cls, g, d, path, kind, detail = key
     return (cls, g, d - depth if cls == 1 else 0, (side, -side * depth, path),
             kind, detail)
 
 
-def _common_prefix(a: tuple, b: tuple) -> int:
-    """The length of the longest common prefix of two paths (a binary
-    search on slices, which compare at C speed)."""
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 class _Zipper:
-    """A tree held open at one subtree (Huet's zipper): ``focus`` is the
-    subtree at ``path``, and ``frames`` are the ``(node, premise index,
-    outside)`` triples from the root down to it, where ``outside`` is the
-    key of the least redex of that frame and every frame above it outside
-    the focus.  So the least redex of the tree is the lesser of the last
-    frame's ``outside`` and the least redex in the focus.  A node in ``frames``
+    """A tree held open at one subtree (Huet's zipper): ``focus`` is a
+    subtree, and ``frames`` are the ``(node, premise index, outside)``
+    triples from the root down to it, where ``outside`` is the key of the
+    least redex of that frame and every frame above it outside the focus.
+    So the least redex of the tree is the lesser of the last frame's
+    ``outside`` and the least redex in the focus.  A node in ``frames``
     keeps its old premise at that index until ``up`` passes through it;
     ``replace`` rebuilds and re-pushes the two nearest at once, because
-    their redexes read the focus."""
+    their redexes read the focus.  No root path is kept: the premise
+    indices of the frames spell the focus's."""
 
     def __init__(self, d: Derivation):
-        self.focus, self.path, self.frames = d, (), []
+        self.focus, self.frames = d, []
 
     def _push(self, t: Derivation, i: int) -> None:
         """Add the frame of going from ``t`` into its premise ``i``."""
@@ -606,22 +574,16 @@ class _Zipper:
                                                   -1 if s < i else 1))
         frames.append((t, i, outside))
 
-    def least(self) -> Redex | None:
-        """The least redex of the tree."""
+    def least(self) -> tuple:
+        """The key of the least redex of the tree, ``_NONE`` if it has
+        none; its position is ``(side, depth, path)`` as ``_rekey`` makes
+        it."""
         key = _least(self.focus)
         if key is not _NONE:
             key = _rekey(key, len(self.frames), 0)
         if self.frames:
             key = min(key, self.frames[-1][2])
-        if key is _NONE:
-            return None
-        side, depth, path = key[3]
-        site = []
-        while path:
-            i, path = path
-            site.append(i)
-        base = self.path[:abs(depth)] if side else self.path
-        return Redex(key[4], base + tuple(site), key[5])
+        return key
 
     def up(self, depth: int) -> None:
         """Move the focus up to ``depth``.  A node rebuilt on the way keeps
@@ -634,17 +596,19 @@ class _Zipper:
             t = with_premise(parent, i, t)
             if t is not parent:
                 _set(t, "_redex", parent._redex)
-        self.focus, self.path = t, self.path[:depth]
+        self.focus = t
 
-    def go(self, path: tuple) -> Derivation:
-        """Move the focus to ``path``, up only as far as the two paths
-        share; returns the subtree there."""
-        k = _common_prefix(self.path, path)
-        self.up(k)
-        for i in path[k:]:
+    def go(self, key: tuple) -> Derivation:
+        """Move the focus to the site of the redex ``key``, as ``least``
+        gives it: up to the frame the key is relative to (none if it lies
+        in the focus), then down its path; returns the subtree there."""
+        side, depth, path = key[3]
+        if side:
+            self.up(abs(depth))
+        while path:
+            i, path = path
             self._push(self.focus, i)
             self.focus = self.focus.premises[i]
-        self.path = path
         return self.focus
 
     def replace(self, new: Derivation) -> None:
@@ -667,7 +631,8 @@ def _drive(d: Derivation, bound: int | None, last_class: int,
            trace=None) -> Derivation:
     """Reduce the least redex of class at most ``last_class`` until none is
     left.  One marker and one label generator serve the whole run: what
-    they hand out is new to the tree at every step."""
+    they hand out is new to the tree at every step.  A traced step's site
+    is the root path the zipper's frames spell."""
     limit = step_bound() if bound is None else bound
     tree = _Zipper(d)
     mgen = MarkerGen(all_markers(d))
@@ -675,22 +640,23 @@ def _drive(d: Derivation, bound: int | None, last_class: int,
     nodes = d.node_count() if trace is not None else 0
     steps = 0
     while True:
-        r = tree.least()
-        if r is None or _PRIORITY[r.kind] > last_class:
+        key = tree.least()
+        if key[0] > last_class:
             return tree.root()
         if steps >= limit:
             raise NonTermination(steps)
-        old = tree.go(r.path)
-        new = _rewrite(old, r.kind, mgen, lgen)
+        kind, detail = key[4], key[5]
+        old = tree.go(key)
+        new = _KINDS[kind][1](old, mgen, lgen)
         tree.replace(new)
         steps += 1
         if trace is not None:
             nodes += new.node_count() - old.node_count()
             trace.append({
                 "step": steps,
-                "kind": r.kind,
-                "detail": r.detail,
-                "site": list(r.path),
+                "kind": kind,
+                "detail": detail,
+                "site": [i for _, i, _ in tree.frames],
                 "nodes": nodes,
             })
 
@@ -707,7 +673,7 @@ def normalize(d: Derivation, bound: int | None = None, trace=None) -> Derivation
     form under the deterministic strategy.  ``trace`` is anything with an
     ``append`` method; it gets one record per step as the step happens."""
     from .kernel import expand_derived
-    return _drive(expand_derived(d), bound, max(_PRIORITY.values()), trace)
+    return _drive(expand_derived(d), bound, _NONE[0] - 1, trace)
 
 
 @dataclass(frozen=True)

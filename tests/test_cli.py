@@ -113,6 +113,13 @@ def test_corpus_verb(capsys):
     assert "g1" in out and "PASS" in out
 
 
+def test_corpus_prefix_must_match_an_entry(capsys):
+    assert main(["corpus", "zzz"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: no corpus entry id starts with 'zzz'"]
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"rule": "assume", "conclusion": "x : ->"}))

@@ -431,6 +431,17 @@ def test_deep_tree_check():
     report = check(d, KL)
     assert report.ok and report.open == ProofContext.make([a], [])
     assert open_assumptions(d) == report.open
+    # the same chain with the innermost detour's leaf not its consequent:
+    # the violations name the intro 3000 levels deep by its full path
+    d = assume(a, 1)
+    for i in range(3000):
+        m = i + 2
+        leaf = assume(pl("x : q") if i == 0 else a, m)
+        d = node("imp_e", a, node("imp_i", pl("x : p -> p"), leaf,
+                                  discharges={m}), d)
+    deep = (1,) * 2999 + (0,)
+    assert [(v.kind, v.path) for v in check(d, KL).violations] == [
+        ("PatternMismatch", deep), ("BadDischarge", deep)]
     # and 3000 derived nodes deep: conjunctions built and taken apart
     d = assume(a, 1)
     for _ in range(1500):

@@ -1,5 +1,9 @@
 import importlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -12,7 +16,7 @@ from tenseproof.derivation import (
 )
 from tenseproof.kernel import check, expand_derived, open_assumptions
 from tenseproof.normalize import (
-    NonTermination, RedexStale, _mon_class, _rename_colliding_freshes,
+    NonTermination, Redex, RedexStale, _mon_class, _rename_colliding_freshes,
     _Zipper, canonical_form, find_redexes, is_normal, normalize, reduce_step,
     restrict,
 )
@@ -144,6 +148,24 @@ def test_deeper_mon_restricts_to_positional_mons():
     out = restrict(mon)
     assert core_eq(out.conclusion, mon.conclusion)
     assert all(_mon_class(n)[0] == "ok" for n in out.nodes() if n.rule == "mon")
+
+
+def test_deep_mon_check_memory_is_linear():
+    # the checker names nodes by number, not by root path: the restricted
+    # 2000-level relational chain (46 001 nodes, 4000 deep) checks in a
+    # process that peaks under 100 MB
+    script = ("import resource; from test_normalize import _deep_mon; "
+              "from tenseproof.kernel import check; "
+              "from tenseproof.normalize import restrict; "
+              "assert check(restrict(_deep_mon(2000, False))).ok; "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    here = pathlib.Path(__file__).resolve().parent
+    src = pathlib.Path(nz.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 100 * 1024         # ru_maxrss is in KiB
 
 
 def test_restrict_multi_position_mon_splits():
@@ -562,17 +584,48 @@ def test_driver_matches_reference_on_random_trees():
     assert steps > 200
 
 
+def _nested(path):
+    """A root path as the nested ``(i, rest)`` pairs of a redex key."""
+    out = ()
+    for i in reversed(path):
+        out = (i, out)
+    return out
+
+
+def _key_site(tree, key):
+    """The redex the zipper's key ``key`` names, with its site turned into
+    a root path through the frames: the frames' premise indices down to the
+    frame the key is relative to, then the key's own path."""
+    if key[0] == nz._NONE[0]:
+        return None
+    side, depth, path = key[3]
+    site = [i for _, i, _ in tree.frames]
+    if side:
+        site = site[:abs(depth)]
+    while path:
+        i, path = path
+        site.append(i)
+    return Redex(key[4], tuple(site), key[5])
+
+
 def _assert_least_current(tree, d):
     """The zipper's least redex is the one the strategy picks on a full scan
     of ``d``, the tree it holds."""
     expected = find_redexes(d)
-    assert tree.least() == (_reference_select(d, expected) if expected else None)
+    assert _key_site(tree, tree.least()) == (
+        _reference_select(d, expected) if expected else None)
 
 
 def _replace_and_check(tree, path, new):
     """Replace through the driver's zipper; check its least redex against a
-    full scan of the tree, zipped up aside so the zipper stays where it is."""
-    tree.go(path)
+    full scan of the tree, zipped up aside so the zipper stays where it is.
+    The zipper goes to ``path`` as to a redex relative to the deepest frame
+    on both its way and ``path``."""
+    here = [i for _, i, _ in tree.frames]
+    k = 0
+    while k < min(len(here), len(path)) and here[k] == path[k]:
+        k += 1
+    tree.go((0, 0, 0, (-1, k, _nested(path[k:])), "", ""))
     tree.replace(new)
     d = tree.focus
     for parent, i, _ in reversed(tree.frames):
@@ -647,13 +700,32 @@ def test_steps_test_only_the_nodes_they_create(monkeypatch):
 
 
 def test_deep_trees_normalize():
-    # no step walks the chain it moves or keeps: 3000 nested detours
-    # collapse to their innermost leaf, 3000 falsum rules to the outermost
-    # rule over the innermost leaf
-    d = _nested_imp(3000, ["q"], False)
-    assert normalize(d) == assume(pl("x : p"), 1)
+    # no step walks the chain it moves or keeps: 3000 and 12 000 nested
+    # detours collapse to their innermost leaf, 3000 falsum rules to the
+    # outermost rule over the innermost leaf
+    for k in (3000, 12000):
+        d = _nested_imp(k, ["q"], False)
+        assert normalize(d) == assume(pl("x : p"), 1)
     nf = normalize(_falsum_chain(3000))
     assert nf.node_count() == 2
+
+
+def test_check_and_normalize_build_no_root_paths(monkeypatch):
+    # the checker names nodes by number and the driver keeps its keys
+    # relative; neither walks the tree with root paths
+    from tenseproof.corpus import corpus_entries
+    from tenseproof.derivation import Derivation
+    trees = [e.derivation for e in corpus_entries()] + _family_trees()
+    bad = node("imp_i", pl("x : p -> p"), assume(pl("x : q"), 2), discharges={2})
+    reports = [check(d, KL) for d in trees + [bad]]
+    normal = [normalize(d) for d in trees]
+
+    def walk(*args):
+        raise AssertionError("Derivation.walk called")
+    monkeypatch.setattr(Derivation, "walk", walk)
+    assert [check(d, KL) for d in trees + [bad]] == reports
+    assert not reports[-1].ok
+    assert [normalize(d) for d in trees] == normal
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ seeded one-field mutants of the corpus, ``DERIVED_TREES`` and the seed-1
 family trees of at most 400 nodes, a tenth of them swapping a rule with its
 twin of the other sort, and 300 seeded ``mon`` applications that take a
 random relational formula through a random equality ``a = b`` to its full
-substitution (``rmon-*``), so that ``restrict`` transports them.
+substitution (``rmon-*``), so that ``restrict`` transports them, and three
+deep trees whose violations lie thousands of levels from the root
+(``deep-*``).
 Only the library comes from ``--src``; the generators come from this
 checkout, so two checkouts digest the same inputs:
 
@@ -91,7 +93,7 @@ def _trees(lib):
         if mutant is not None:
             out.append((f"mut{count}-{name}", mutant, profile))
             count += 1
-    return out + _relational_mons(lib, 300)
+    return out + _relational_mons(lib, 300) + _deep_trees(lib)
 
 
 def _relational_mons(lib, count: int) -> list:
@@ -111,6 +113,39 @@ def _relational_mons(lib, count: int) -> list:
             mon = derivation.node("mon", target, derivation.assume(rho, 1),
                                   derivation.assume(syntax.Eq(a, b), 2))
             out.append((f"rmon-{len(out)}", mon, lib.rules.KL))
+    return out
+
+
+def _deep_trees(lib) -> list:
+    """Trees that report violation paths and freshness messages far from
+    the root: the 3000-level ``imp`` chain of ``_nested_imp`` with the leaf
+    of its tenth detour from the top given the marker of its fifth,
+    whose introduction lies above it; and 1000 ``f_e`` nested through the
+    minor premise whose innermost conclusion, or innermost open leaf,
+    mentions the innermost fresh label."""
+    from test_normalize import _nested_imp
+    node, assume = lib.derivation.node, lib.derivation.assume
+    parse = lib.parser.parse
+    d = _nested_imp(3000, ["q"], False)
+    path = (1,) * 2990 + (0, 0)
+    leaf = d.at(path)
+    out = [("deep-imp-marker", lib.derivation.replace_at(
+        d, path, replace(leaf, marker=leaf.marker - 5)), lib.rules.KL)]
+    k = 1000
+    y = f"y{k}"
+    own = node("f_e", parse("any", f"{y} : p"), assume(parse("any", "x : F p")),
+               assume(parse("any", f"{y} : p"), k), discharges={k}, fresh=y)
+    bot = node("imp_e", parse("any", f"{y} : false"),
+               assume(parse("any", f"{y} : p -> false")),
+               assume(parse("any", f"{y} : p"), k))
+    leaf = node("f_e", parse("any", "z : p"), assume(parse("any", "x : F p")),
+                node("raa_bot", parse("any", "z : p"), bot),
+                discharges={k}, fresh=y)
+    for name, d in (("deep-fe-conclusion", own), ("deep-fe-leaf", leaf)):
+        for i in range(k - 1, 0, -1):
+            d = node("f_e", d.conclusion, assume(parse("any", "x : F p")), d,
+                     fresh=f"y{i}")
+        out.append((name, d, lib.rules.KL))
     return out
 
 
