@@ -35,7 +35,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from . import parser
-from .syntax import Lwff, RFormula, substitute_label
+from .syntax import (
+    Eq, Exists, Forall, Less, Lwff, Prec, RFormula, post_order,
+    substitute_label,
+)
 
 Conclusion = Union[Lwff, RFormula]
 Path = tuple
@@ -201,31 +204,20 @@ def all_labels(d: Derivation) -> set:
     """Every label mentioned anywhere: conclusions, bound variables, fresh
     annotations.  Superset of the free labels; safe avoid-set for fresh names."""
     out: set = set()
+    seen: set = set()           # relational formula nodes already read
     for n in d.nodes():
         c = n.conclusion
         if isinstance(c, Lwff):
             out.add(c.label)          # a tense formula holds no labels
         else:
-            out |= _deep_labels(c)
+            for e in post_order(c, seen.__contains__):
+                seen.add(e)
+                if isinstance(e, (Forall, Exists)):
+                    out.add(e.var)
+                elif isinstance(e, (Less, Eq, Prec)):
+                    out.update((e.x, e.y))
         if n.fresh:
             out.add(n.fresh)
-    return out
-
-
-def _deep_labels(phi) -> set:
-    """Labels including bound occurrences (conservative avoid-set)."""
-    out: set = set()
-    stack = [phi]
-    while stack:
-        e = stack.pop()
-        for attr in ("var", "x", "y"):
-            v = getattr(e, attr, None)
-            if isinstance(v, str):
-                out.add(v)
-        for attr in ("left", "right", "body"):
-            v = getattr(e, attr, None)
-            if v is not None and not isinstance(v, str):
-                stack.append(v)
     return out
 
 

@@ -23,6 +23,15 @@ it: one validator serves ``imp_i`` and ``rimp_i``, one expander serves
 between the sorts and labels, and ``_conclude`` ends a case split by the
 reductio of its conclusion's sort.
 
+Every connective that is not atomic has one introduction and one
+elimination: the implication of either sort, ``G``, ``H``, ``X`` and
+``forall``.  ``_TENSE`` names the relation and the two rules of each
+temporal operator, and ``_opening`` states the whole table once: for a
+formula, its connective's rules, the hypothesis the introduction
+discharges, and what the elimination concludes, opened at a fresh label
+for a quantifier or temporal operator.  The normalizer's reductio
+restriction and mon transport are each one path over it.
+
 ``check`` makes two passes over the tree, neither recursive, and names a
 node by its number, its place in ``Derivation.nodes`` order.  A ``nodes``
 scan indexes each marker's leaves by number and finds markers discharged
@@ -99,6 +108,22 @@ _TENSE = {
 }
 _TEMPORAL = {rule: (op, rel) for op, (rel, *rules) in _TENSE.items()
              for rule in rules}
+
+
+def _opening(s, x, core, fresh) -> tuple:
+    """``(elim, intro, hyp, body, z)`` for ``core``, not atomic, stated in
+    sort ``s`` at ``x``: ``elim`` takes ``core``, and the minor premise
+    ``hyp`` unless it is ``None`` (for ``forall``), to ``body``; ``intro``
+    takes ``body`` back to ``core``, discharging ``hyp``.  A quantifier or
+    temporal operator opens at ``z = fresh()``, which ``intro`` binds; an
+    implication draws no label, and ``z`` is ``None``."""
+    if isinstance(core, s.imp):
+        return s.imp_e, s.imp_i, s.at(x, core.left), s.at(x, core.right), None
+    z = fresh()
+    if isinstance(core, Forall):
+        return "all_e", "all_i", None, substitute_label(core.body, z, core.var), z
+    rel, elim, intro = _TENSE[type(core)]
+    return elim, intro, rel(x, z), Lwff(z, core.body), z
 
 
 def _sort(c) -> _Sort:
@@ -854,20 +879,20 @@ def _exp_or_e(s: _Sort, n, mgen):
     return _conclude(c, v4, leaf_k.marker)
 
 
-def _exp_fp_intro(op_cls, what, elim_rule, n, mgen):
+def _exp_fp_intro(op_cls, what, n, mgen):
     p0, p1 = n.premises
     x, core = _parts(LAB, n.conclusion)
     a = _fp_part(op_cls, what, core)
     y = _parts(LAB, p0.conclusion)[0]
     m = mgen()
     leaf = assume(Lwff(x, op_cls(Implies(a, F_))), m)
-    t1 = node(elim_rule, Lwff(y, Implies(a, F_)), leaf, p1)
+    t1 = node(_TENSE[op_cls][1], Lwff(y, Implies(a, F_)), leaf, p1)
     t2 = node("imp_e", Lwff(y, F_), t1, p0)
     t3 = node("raa_bot", Lwff(x, F_), t2)
     return node("imp_i", n.conclusion, t3, discharges={m})
 
 
-def _exp_fp_elim(op_cls, what, intro_rule, n, mgen):
+def _exp_fp_elim(op_cls, what, n, mgen):
     p0, p1 = n.premises
     x, core = _parts(LAB, p0.conclusion)
     a = _fp_part(op_cls, what, core)
@@ -880,7 +905,7 @@ def _exp_fp_elim(op_cls, what, intro_rule, n, mgen):
     # the raa_bot stays in the others' expansions too
     t2 = _falsum_at(_contradict(leaf_k, p1), LAB, y, always=True)
     t3 = node("imp_i", Lwff(y, Implies(a, F_)), t2, discharges=m_body)
-    t4 = node(intro_rule, Lwff(x, op_cls(Implies(a, F_))), t3,
+    t4 = node(_TENSE[op_cls][2], Lwff(x, op_cls(Implies(a, F_))), t3,
               discharges=m_rel, fresh=y)
     t5 = node("imp_e", Lwff(x, F_), p0, t4)
     return _conclude(c, t5, leaf_k.marker)
@@ -920,10 +945,10 @@ _SHARED = {
     "or_i2": _exp_or_i2, "or_e": _exp_or_e,
 }
 _EXPANDERS = {
-    "f_i": partial(_exp_fp_intro, G, "an F-formula", "g_e"),
-    "p_i": partial(_exp_fp_intro, H, "a P-formula", "h_e"),
-    "f_e": partial(_exp_fp_elim, G, "an F-formula", "g_i"),
-    "p_e": partial(_exp_fp_elim, H, "a P-formula", "h_i"),
+    "f_i": partial(_exp_fp_intro, G, "an F-formula"),
+    "p_i": partial(_exp_fp_intro, H, "a P-formula"),
+    "f_e": partial(_exp_fp_elim, G, "an F-formula"),
+    "p_e": partial(_exp_fp_elim, H, "a P-formula"),
     "ex_i": _exp_ex_i, "ex_e": _exp_ex_e,
     **{prefix + rule: partial(exp, s) for s, prefix in ((LAB, ""), (REL, "r"))
        for rule, exp in _SHARED.items()},

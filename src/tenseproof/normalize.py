@@ -27,6 +27,15 @@ A step rebuilds and re-keys the two frames above the site, whose redexes
 read it; the rest of the spine is rebuilt only as the zipper moves up
 through it, and keeps its own redexes.
 
+A reductio or mon on a formula that is not atomic is restricted through
+``kernel._opening``, by one path for every connective of both sorts.  The
+reductio becomes the connective's introduction over a reductio on what its
+elimination opens the formula to; the mon's premise is carried toward the
+mon's conclusion by eliminating, carrying the result, and introducing
+again, down to positional mons on atomic formulas.  A reductio on
+``empty`` and a collapsing pair of reductios close their leaves with
+``_close_reductio``.
+
 ``find_redexes``, ``reduce_step`` and ``is_normal`` are the full-scan
 public API: they test every node afresh and never read the memos, so they
 serve as the reference the driver is tested against and as the check of a
@@ -45,16 +54,15 @@ from .derivation import (
     substitute_label_deriv, with_premise,
 )
 from .kernel import (
-    LAB, REL, _TENSE, _falsum_at, _sort, _xf, match_instantiation,
-    mon_positions, replace_position,
+    _conclude, _contradict, _falsum_at, _opening, _refutation, _sort, _xf,
+    match_instantiation, mon_positions, replace_position,
 )
 from .rules import AXIOMS, DETOUR_PAIRS, FALSUM_RULES
 from .syntax import (
-    Atom, Empty, Eq, Falsum, Forall, G, H, Implies, LabelGen, Less, Lwff,
-    RImplies, X, canon, core_eq, expand, grade, is_atomic, substitute_label,
+    Atom, Empty, Eq, Falsum, Forall, LabelGen, Less, Lwff, RImplies, canon,
+    core_eq, expand, grade, is_atomic, substitute_label,
 )
 
-F_ = Falsum()
 E_ = Empty()
 
 DEFAULT_STEP_BOUND = 10 ** 6
@@ -231,28 +239,26 @@ def _reduce_mon_pair(n: Derivation, mgen, lgen) -> Derivation:
     return node("mon", n.conclusion, base, composed, position=pos)
 
 
-def _top_proof(y: str, mgen) -> Derivation:
-    """Closed derivation of ``y : false -> false``."""
-    k = mgen()
-    return node("imp_i", Lwff(y, Implies(F_, F_)), assume(Lwff(y, F_), k),
-                discharges={k})
-
-
-def _strip_upper_falsum_discharges(f1: Derivation, mgen) -> Derivation:
-    """Close the assumptions a collapsing falsum rule would have discharged
-    by grafting the trivial proof of ``y : ~false`` at its leaves."""
-    body = f1.premises[0]
-    if f1.rule == "raa_bot":
-        y = f1.conclusion.label
-        for m in sorted(f1.discharges):
-            body = graft(body, m, _top_proof(y, mgen), mgen)
+def _close_reductio(r: Derivation, mgen) -> Derivation:
+    """The premise of ``r``, a reductio concluding its sort's falsum, with
+    each leaf that ``r`` discharges, which assumes that the falsum implies
+    itself, closed by the identity proof of that: one identity drawn per
+    marker."""
+    s = _sort(r.conclusion)
+    y = s.split(r.conclusion)[0]
+    body = r.premises[0]
+    for m in sorted(r.discharges):
+        k = mgen()
+        identity = node(s.imp_i, s.at(y, s.neg(s.falsum)),
+                        assume(s.at(y, s.falsum), k), discharges={k})
+        body = graft(body, m, identity, mgen)
     return body
 
 
 def _reduce_falsum(n: Derivation, mgen, lgen) -> Derivation:
     f1 = n.premises[0]
     if f1.rule == "raa_bot":            # raa_bot;raa_bot or raa_bot;uf1
-        return replace(n, premises=(_strip_upper_falsum_discharges(f1, mgen),))
+        return replace(n, premises=(_close_reductio(f1, mgen),))
     # uf1;uf2 or uf2;uf1: there and back across the sorts
     s = _sort(n.conclusion)
     return _falsum_at(f1.premises[0], s, s.split(n.conclusion)[0])
@@ -262,62 +268,30 @@ def _reduce_falsum(n: Derivation, mgen, lgen) -> Derivation:
 # Restriction of raa_bot / raa_empty / mon to atomic conclusions
 
 def _restrict_raa(n: Derivation, mgen, lgen) -> Derivation:
-    s = LAB if n.rule == "raa_bot" else REL
+    """A reductio on a formula that is not atomic, concluded instead by
+    the introduction of its connective over a reductio on what the
+    elimination opens it to.  The refutation of the formula is derived from
+    the refutation of that: the formula is eliminated, contradicted and the
+    falsum carried back to the formula's label, and it is grafted at the
+    leaves the reductio discharged.  A reductio on ``empty`` only closes
+    its leaves."""
+    s = _sort(n.conclusion)
     x, a = s.split(n.conclusion)
     core = expand(a)
-    body = n.premises[0]
-
-    if isinstance(core, s.imp):
-        b, c = core.left, core.right
-        m1, m2, m3 = mgen(), mgen(), mgen()
-        inner = node(s.imp_e, s.at(x, c), assume(s.at(x, s.imp(b, c)), m1),
-                     assume(s.at(x, b), m3))
-        bot = node(s.imp_e, s.at(x, s.falsum), assume(s.at(x, s.neg(c)), m2),
-                   inner)
-        refutation = node(s.imp_i, s.at(x, s.neg(s.imp(b, c))), bot,
-                          discharges={m1})
-        for m in sorted(n.discharges):
-            body = graft(body, m, refutation, mgen)
-        out = node(s.raa, s.at(x, c), body, discharges={m2})
-        return node(s.imp_i, n.conclusion, out, discharges={m3})
-
-    if isinstance(core, (G, H, X)):
-        b, op = core.body, type(core)
-        rel, e_rule, i_rule = _TENSE[op]
-        z = lgen()
-        m1, m2, m3 = mgen(), mgen(), mgen()
-        inner = node(e_rule, Lwff(z, b), assume(Lwff(x, op(b)), m1),
-                     assume(rel(x, z), m3))
-        zbot = node("imp_e", Lwff(z, F_), assume(Lwff(z, Implies(b, F_)), m2), inner)
-        xbot = node("raa_bot", Lwff(x, F_), zbot)
-        refutation = node("imp_i", Lwff(x, Implies(op(b), F_)), xbot,
-                          discharges={m1})
-        for m in sorted(n.discharges):
-            body = graft(body, m, refutation, mgen)
-        out = node("raa_bot", Lwff(z, b), body, discharges={m2})
-        return node(i_rule, n.conclusion, out, discharges={m3}, fresh=z)
-
-    if isinstance(core, Empty):
-        # close the discharged [empty => empty] leaves with the identity
-        k = mgen()
-        identity = node("rimp_i", RImplies(E_, E_), assume(E_, k), discharges={k})
-        for m in sorted(n.discharges):
-            body = graft(body, m, identity, mgen)
-        return _override_conclusion(body, n.conclusion)
-
-    if isinstance(core, Forall):
-        v2 = lgen()
-        inst = substitute_label(core.body, v2, core.var)
-        m1, m2 = mgen(), mgen()
-        inner = node("all_e", inst, assume(core, m2))
-        bot = node("rimp_e", E_, assume(RImplies(inst, E_), m1), inner)
-        refutation = node("rimp_i", RImplies(core, E_), bot, discharges={m2})
-        for m in sorted(n.discharges):
-            body = graft(body, m, refutation, mgen)
-        out = node("raa_empty", inst, body, discharges={m1})
-        return node("all_i", n.conclusion, out, fresh=v2)
-
-    raise RedexStale(n.rule)
+    if core is s.falsum:
+        return _override_conclusion(_close_reductio(n, mgen), n.conclusion)
+    elim, intro, hyp, body, z = _opening(s, x, core, lgen)
+    whole, opened = mgen(), mgen()
+    minor = () if hyp is None else (assume(hyp, mgen()),)
+    refuted = _contradict(_refutation(body, opened),
+                          node(elim, body, assume(s.at(x, core), whole), *minor))
+    refutation = node(s.imp_i, s.at(x, s.neg(core)), _falsum_at(refuted, s, x),
+                      discharges={whole})
+    premise = n.premises[0]
+    for m in sorted(n.discharges):
+        premise = graft(premise, m, refutation, mgen)
+    return node(intro, n.conclusion, _conclude(body, premise, opened),
+                discharges={leaf.marker for leaf in minor}, fresh=z)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +302,12 @@ def _restrict_raa(n: Derivation, mgen, lgen) -> Derivation:
 # requires to be the full substitution of the equality's right label for its
 # left one.  Each step compares the formula the derivation so far concludes
 # with the one it must reach: equal formulas need nothing; an atomic one
-# needs a positional mon at each position whose label differs; an
-# implication needs its antecedent carried back and its consequent carried
-# forward, under an introduction of the target; a quantifier or temporal
-# operator is opened at one fresh label on both sides.  Each position's pair
-# of labels says which equality it needs: ``a = b``, as given, or ``b = a``,
-# derived once by ``sym_deriv``.
+# needs a positional mon at each position whose label differs; any other is
+# opened on both sides, at one fresh label for a quantifier or temporal
+# operator (``kernel._opening``), and needs the target's hypothesis carried
+# back, the source eliminated, the result carried forward, and the target
+# introduced.  Each position's pair of labels says which equality it needs:
+# ``a = b``, as given, or ``b = a``, derived once by ``sym_deriv``.
 
 class _Supply:
     """Hand out usable copies of an equality subderivation, which ``build``
@@ -411,35 +385,26 @@ def _step(pi: Derivation, target, evidence: dict, mgen, lgen):
         raise TypeError(f"no mon takes {source!r} to {target!r}")
     sort = _sort(source)
     a, b = sort.split(source)[0], sort.split(target)[0]
-    if isinstance(s, sort.imp):
-        m = mgen()
-        antecedent = sort.at(a, s.left)
-        back = yield assume(sort.at(b, t.left), m), antecedent
-        app = node(sort.imp_e, sort.at(a, s.right), pi,
-                   _override_conclusion(back, antecedent))
-        fwd = yield app, sort.at(b, t.right)
-        return node(sort.imp_i, target, fwd, discharges={m})
     if isinstance(s, (Atom, Falsum)):
         return node("mon", target, pi, evidence[a, b](), position=1)
-    if isinstance(s, (G, H, X)):
-        rel, e_rule, i_rule = _TENSE[type(s)]
-        z = lgen()
-        m = mgen()
-        lt = yield assume(expand(rel(b, z)), m), expand(rel(a, z))
-        inner = node(e_rule, Lwff(z, s.body), pi, lt)
-        return node(i_rule, target, inner, discharges={m}, fresh=z)
     if isinstance(s, (Less, Eq)):
         for p, x, y in ((1, s.x, t.x), (2, s.y, t.y)):
             if x != y:
                 s = replace_position(s, p, y)
                 pi = node("mon", s, pi, evidence[x, y](), position=p)
         return pi
-    if isinstance(s, Forall):
-        w = lgen()
-        inst = node("all_e", substitute_label(s.body, w, s.var), pi)
-        moved = yield inst, substitute_label(t.body, w, t.var)
-        return node("all_i", Forall(w, moved.conclusion), moved, fresh=w)
-    raise TypeError(f"not a core formula: {s!r}")
+    elim, intro, hyp, body, z = _opening(sort, a, s, lgen)
+    _, _, hyp_t, body_t, _ = _opening(sort, b, t, lambda: z)
+    minor, discharges = (), ()
+    if hyp is not None:
+        m = mgen()
+        hyp = expand(hyp)
+        back = yield assume(expand(hyp_t), m), hyp
+        minor, discharges = (_override_conclusion(back, hyp),), {m}
+    fwd = yield node(elim, body, pi, *minor), body_t
+    # all_i, which discharges nothing, generalizes what was carried
+    return node(intro, target if hyp is not None else Forall(z, fwd.conclusion),
+                fwd, discharges=discharges, fresh=z)
 
 
 def _restrict_mon(n: Derivation, mgen, lgen) -> Derivation:

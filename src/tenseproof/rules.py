@@ -174,12 +174,9 @@ RULES: dict[str, RuleSchema] = {s.name: s for s in [
 ]}
 
 
-INTRO_RULES = {"imp_i", "g_i", "h_i", "x_i", "rimp_i", "all_i"}
-ELIM_RULES = {"imp_e", "g_e", "h_e", "x_e", "rimp_e", "all_e"}
-FALSUM_RULES = {"raa_bot", "raa_empty", "uf1", "uf2"}
-
-# detour pairs eliminated by the proper reductions; the next-step pair
-# reduces exactly like the G/H ones
+# each connective's elimination and introduction: the detour pairs the
+# proper reductions eliminate; the next-step pair reduces exactly like the
+# G/H ones
 DETOUR_PAIRS = {
     "imp_e": "imp_i",
     "g_e": "g_i",
@@ -188,6 +185,9 @@ DETOUR_PAIRS = {
     "rimp_e": "rimp_i",
     "all_e": "all_i",
 }
+INTRO_RULES = set(DETOUR_PAIRS.values())
+ELIM_RULES = set(DETOUR_PAIRS)
+FALSUM_RULES = {"raa_bot", "raa_empty", "uf1", "uf2"}
 
 
 def rule_schema(rule_id: str) -> RuleSchema:

@@ -6,7 +6,9 @@ to isomorphism, so the search enumerates a canonical chain per world count,
 then all valuations over the occurring atoms and all label interpretations,
 in a fixed deterministic order (smallest frame first, then lexicographic),
 and returns the first refutation in that order.  Serial and dense profiles
-have no useful finite frames and are rejected.
+have no useful finite frames and are rejected; every chain has the other
+extras (a first and a final point, left and right discreteness), so no
+chain is skipped.
 
 The search is the labeling algorithm of explicit-state model checking
 (Clarke, Emerson & Sistla, 1986) on int bitmasks of worlds.  The labelled
@@ -432,8 +434,6 @@ def find_countermodel(ctx: ProofContext, phi, max_worlds: int = 5,
 
     for n in range(1, max_worlds + 1):
         frame = Model.chain(n)
-        if not check_frame(frame, profile)["ok"]:
-            continue
         full = (1 << n) - 1
         rel = _relation_masks(frame)
         if relational:

@@ -6,6 +6,14 @@ root, at a universal-falsum premise, or at a minor premise.  In a normal
 derivation every track splits into an elimination part, an atomic central
 part, and an introduction part; cross-system connections between labeled and
 relational tracks happen in exactly four ways.
+
+The subformula audit justifies each occurrence by one justifier over the
+sort record of :mod:`tenseproof.kernel`: clause ``i``, a subformula of its
+sort's pool; ``ii``, a refutation of a pool formula that the sort's
+reductio discharges; ``iii``, the falsum such a refutation yields; and the
+clauses only one sort has (``1iv``, ``1v``; ``2iv``, ``2v``), which
+``_CLAUSES`` lists.  The rule names each connective has come from
+``rules.DETOUR_PAIRS`` and ``kernel._TENSE``.
 """
 
 from __future__ import annotations
@@ -13,13 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derivation import Derivation
-from .kernel import _xf
+from .kernel import LAB, REL, _TENSE, _sort, _xf
 from .normalize import is_normal
 from .rules import ELIM_RULES, FALSUM_RULES, INTRO_RULES, RULES
-from .syntax import (
-    Empty, Falsum, Implies, Lwff, RImplies, SubformulaPool, expand, is_atomic,
-    is_subformula_instance,
-)
+from .syntax import Lwff, SubformulaPool, is_atomic, is_subformula_instance
 
 
 class StructureViolation(AssertionError):
@@ -28,7 +33,8 @@ class StructureViolation(AssertionError):
 
 
 _MAJOR_INDEX = 0
-_FRESH_DISCHARGERS = ("g_i", "h_i", "x_i")
+_TENSE_ELIMS = {elim for _, elim, _ in _TENSE.values()}
+_FRESH_DISCHARGERS = {intro for _, _, intro in _TENSE.values()}
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,7 @@ def _classify_links(nodes, track_list, owner):
                 links.append(TrackLink("same-kind", ti, tj, below_path, b.rule))
                 continue
             major_idx = other.nodes.index(below_path) - 1
-            if b.rule in ("g_e", "h_e", "x_e"):
+            if b.rule in _TENSE_ELIMS:
                 if major_idx not in other.elimination:
                     raise StructureViolation(
                         "temporal elimination fed outside an elimination part")
@@ -212,6 +218,13 @@ def _classify_links(nodes, track_list, owner):
 
 # ---------------------------------------------------------------------------
 # Subformula audit
+
+# each sort's clauses: its tag prefix; the rules that conclude its falsum
+# from a falsum and discharge no leaf (1iv, 1v; 2iv); and the rules whose
+# every conclusion is justified (2v)
+_CLAUSES = {LAB: ("1", {"raa_bot": "iv", "uf2": "v"}, {}),
+            REL: ("2", {"uf1": "iv"}, {"mon": "v"})}
+
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -256,64 +269,40 @@ def audit_subformula(d: Derivation) -> AuditReport:
                 and discharged_by.get(n.marker) in _FRESH_DISCHARGERS):
             s_r.append(n.conclusion)
 
-    pool_l, pool_r = SubformulaPool(s_l), SubformulaPool(s_r)
+    pools = {LAB: SubformulaPool(s_l), REL: SubformulaPool(s_r)}
+
+    def refutes(s, leaf) -> bool:
+        """Is ``leaf`` a refutation of a pool formula that a reductio of
+        sort ``s`` discharges?"""
+        if not (leaf.is_assumption()
+                and discharged_by.get(leaf.marker) == s.raa):
+            return False
+        core = _xf(leaf.conclusion)
+        return (isinstance(core, s.imp) and isinstance(core.right, type(s.falsum))
+                and core.left in pools[s])
 
     # the specific clauses come before the generic subformula one so the
     # report names the clause that licenses the occurrence
-    def justify_lwff(n) -> str | None:
-        phi = n.conclusion
-        core = _xf(phi)
-        if (n.is_assumption() and discharged_by.get(n.marker) == "raa_bot"
-                and isinstance(core, Implies)
-                and isinstance(core.right, Falsum) and core.left in pool_l):
-            return "1ii"
-        if isinstance(core, Falsum):
-            if n.rule == "imp_e":
-                major = n.premises[0]
-                mcore = _xf(major.conclusion)
-                if (major.is_assumption()
-                        and discharged_by.get(major.marker) == "raa_bot"
-                        and isinstance(mcore, Implies)
-                        and isinstance(mcore.right, Falsum)
-                        and mcore.left in pool_l):
-                    return "1iii"
-            if n.rule == "raa_bot" and n.discharges.isdisjoint(leaf_markers):
-                return "1iv"
-            if n.rule == "uf2":
-                return "1v"
-        if phi.formula in pool_l:
-            return "1i"
-        return None
-
-    def justify_rwff(n) -> str | None:
-        rho = n.conclusion
-        core = expand(rho)
-        if (n.is_assumption() and discharged_by.get(n.marker) == "raa_empty"
-                and isinstance(core, RImplies)
-                and isinstance(core.right, Empty) and core.left in pool_r):
-            return "2ii"
-        if isinstance(core, Empty):
-            if n.rule == "rimp_e":
-                major = n.premises[0]
-                mcore = expand(major.conclusion)
-                if (major.is_assumption()
-                        and discharged_by.get(major.marker) == "raa_empty"
-                        and isinstance(mcore, RImplies)
-                        and isinstance(mcore.right, Empty)
-                        and mcore.left in pool_r):
-                    return "2iii"
-            if n.rule == "uf1":
-                return "2iv"
-        if n.rule == "mon":
-            return "2v"
-        if rho in pool_r:
-            return "2i"
+    def justify(n) -> str | None:
+        s = _sort(n.conclusion)
+        prefix, bottoms, anything = _CLAUSES[s]
+        if refutes(s, n):
+            return prefix + "ii"
+        if isinstance(_xf(n.conclusion), type(s.falsum)):
+            if n.rule == s.imp_e and refutes(s, n.premises[0]):
+                return prefix + "iii"
+            if n.rule in bottoms and n.discharges.isdisjoint(leaf_markers):
+                return prefix + bottoms[n.rule]
+        if n.rule in anything:
+            return prefix + anything[n.rule]
+        if s.split(n.conclusion)[1] in pools[s]:
+            return prefix + "i"
         return None
 
     justifications: dict = {}
     violations: list = []
     for path, n in nodes.items():
-        tag = justify_lwff(n) if isinstance(n.conclusion, Lwff) else justify_rwff(n)
+        tag = justify(n)
         if tag is None:
             violations.append(path)
         else:

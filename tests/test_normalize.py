@@ -23,11 +23,12 @@ from tenseproof.normalize import (
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import KL, parse_profile
 from tenseproof.syntax import (
-    Atom, Empty, Implies, LabelGen, Lwff, RImplies, core_eq, expand, grade,
-    substitute_label,
+    Atom, Empty, Falsum, Implies, LabelGen, Lwff, RImplies, core_eq, expand,
+    grade, is_atomic, substitute_label,
 )
 
 E = Empty()
+F = Falsum()
 # the module, not the function of that name the package exports
 nz = importlib.import_module("tenseproof.normalize")
 
@@ -43,22 +44,60 @@ def g_detour():
 # ---------------------------------------------------------------------------
 # restrict
 
-def test_restrict_raa_implication_case():
-    leaf1 = assume(pl("x : (a -> b) -> false"), 1)
-    body = node("imp_e", pl("x : false"), leaf1, assume(pl("x : a -> b"), 9))
-    raa = node("raa_bot", pl("x : a -> b"), body, discharges={1})
+# every reductio shape: a connective of either sort, or ``empty`` itself,
+# with the rule its restriction must end in (None: it only closes leaves)
+_REDUCTIO_SHAPES = {
+    "imp": ("raa_bot", pl("x : a -> b"), "kl", "imp_i"),
+    "G": ("raa_bot", pl("x : G p"), "kl", "g_i"),
+    "H": ("raa_bot", pl("x : H (p -> q)"), "kl", "h_i"),
+    "X": ("raa_bot", pl("x : X p"), "mtl", "x_i"),
+    "rimp": ("raa_empty", pr("x < y => y < x"), "kl", "rimp_i"),
+    "forall": ("raa_empty", pr("forall v. !(v < v)"), "kl", "all_i"),
+    "empty": ("raa_empty", E, "kl", None),
+}
+
+
+def _reductio(rule, c, markers):
+    """A reductio on ``c`` whose premise contradicts a refutation leaf with
+    a leaf of ``c`` (marker 9, never discharged).  It discharges no marker,
+    the refutation leaf's (1), or that one and the one (2) of a second
+    refutation leaf, under a nested reductio on ``c`` that discharges
+    nothing."""
+    if rule == "raa_bot":
+        neg, bottom = Lwff(c.label, Implies(c.formula, F)), Lwff(c.label, F)
+        elim = "imp_e"
+    else:
+        neg, bottom, elim = RImplies(c, E), E, "rimp_e"
+    inner = assume(c, 9)
+    if markers == 2:
+        inner = node(rule, c, node(elim, bottom, assume(neg, 2), assume(c, 9)))
+    body = node(elim, bottom, assume(neg, 1 if markers else None), inner)
+    return node(rule, c, body, discharges=set(range(1, markers + 1)))
+
+
+@pytest.mark.parametrize("markers", [0, 1, 2])
+@pytest.mark.parametrize("shape", list(_REDUCTIO_SHAPES))
+def test_restrict_reductio(shape, markers):
+    rule, c, profile, intro = _REDUCTIO_SHAPES[shape]
+    profile = parse_profile(profile)
+    raa = _reductio(rule, c, markers)
+    assert check(raa, profile).ok
     out = restrict(raa)
-    assert check(out, KL).ok
+    assert check(out, profile).ok
     assert out.conclusion == raa.conclusion
-    # the rebuilt tree ends with an implication introduction over a
-    # restricted refutation, per the standard transformation
-    assert out.rule == "imp_i"
-    assert out.premises[0].rule == "raa_bot"
-    for _, n in out.walk():
-        if n.rule in ("raa_bot", "raa_empty"):
-            from tenseproof.syntax import is_atomic
-            assert is_atomic(n.conclusion)
     assert open_assumptions(out) == open_assumptions(raa)
+    # the rebuilt tree ends with the connective's introduction over a
+    # reductio on the opened formula, itself restricted unless atomic, per
+    # the standard transformation
+    if intro is not None:
+        assert out.rule == intro
+        opened = out.premises[0]
+        assert opened.rule == rule or not is_atomic(opened.conclusion)
+    for n in out.nodes():
+        if n.rule in ("raa_bot", "raa_empty"):
+            assert is_atomic(n.conclusion)
+        if n.rule == "raa_empty":
+            assert not core_eq(n.conclusion, E)
 
 
 def test_restrict_is_fixpoint_on_restricted_trees():
@@ -74,30 +113,6 @@ def test_restrict_mon_on_falsum():
     assert not out.discharges
     assert out.conclusion == pl("y : false")
     assert check(out, KL).ok
-
-
-def test_restrict_raa_empty_never_concludes_empty():
-    leaf = assume(pr("empty => empty"), 1)
-    body = node("rimp_e", E, leaf, assume(E, 2))
-    raa = node("raa_empty", E, body, discharges={1})
-    assert check(raa, KL).ok
-    out = restrict(raa)
-    assert check(out, KL).ok
-    for _, n in out.walk():
-        if n.rule == "raa_empty":
-            assert not core_eq(n.conclusion, E)
-    assert core_eq(out.conclusion, E)
-
-
-def test_restrict_raa_universal_case():
-    leaf = assume(pr("(forall v. !(v < v)) => empty"), 1)
-    body = node("rimp_e", E, leaf, assume(pr("forall v. !(v < v)"), 2))
-    raa = node("raa_empty", pr("forall v. !(v < v)"), body, discharges={1})
-    assert check(raa, KL).ok
-    out = restrict(raa)
-    assert check(out, KL).ok
-    assert out.rule == "all_i"
-    assert core_eq(out.conclusion, raa.conclusion)
 
 
 def test_restrict_nonatomic_mon_goes_positional():
@@ -768,6 +783,53 @@ def _rebuilt_rename_colliding(t, avoid, lgen):
         t = _rebuilt_substitute(t, lgen(), t.fresh)
     return replace(t, premises=tuple(_rebuilt_rename_colliding(p, avoid, lgen)
                                      for p in t.premises))
+
+
+def _probed_labels(d):
+    """A copy of ``all_labels`` as it read a relational formula before it
+    went through ``post_order``: every string ``var``, ``x`` or ``y`` of
+    every node reached through ``left``, ``right`` and ``body``."""
+    out = set()
+    for n in d.nodes():
+        c = n.conclusion
+        if isinstance(c, Lwff):
+            out.add(c.label)
+            stack = []
+        else:
+            stack = [c]
+        while stack:
+            e = stack.pop()
+            for attr in ("var", "x", "y"):
+                v = getattr(e, attr, None)
+                if isinstance(v, str):
+                    out.add(v)
+            for attr in ("left", "right", "body"):
+                v = getattr(e, attr, None)
+                if v is not None and not isinstance(v, str):
+                    stack.append(v)
+        if n.fresh:
+            out.add(n.fresh)
+    return out
+
+
+def test_all_labels_reads_every_label():
+    # random trees, and mons from a random rwff through an equality to its
+    # full substitution, before and after restrict opens their binders
+    from helpers import random_rwff
+    from tenseproof.syntax import Eq, labels_of
+    rng = random.Random(23)
+    gen = DerivationGen(rng)
+    trees = [gen.derivation() for _ in range(100)]
+    while len(trees) < 300:
+        rho = random_rwff(rng, rng.randrange(1, 5))
+        free = labels_of(rho)
+        a, b = rng.sample(sorted(free | {"u1", "w1"}), 2)
+        if a in free:
+            mon = node("mon", substitute_label(expand(rho), b, a),
+                       assume(rho, 1), assume(Eq(a, b), 2))
+            trees += [mon, restrict(mon)]
+    for d in trees:
+        assert all_labels(d) == _probed_labels(d)
 
 
 def test_surgery_shares_unchanged_subtrees():

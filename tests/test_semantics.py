@@ -44,9 +44,12 @@ def test_no_finite_frame_is_serial():
 
 
 def test_chains_satisfy_point_and_discreteness_extras():
-    for n in range(1, 6):
+    # the extras a finite frame can have, which find_countermodel does not
+    # test chain by chain
+    for n in range(1, 9):
         m = Model.chain(n)
-        for extra in ("first", "final", "ldiscr", "rdiscr"):
+        for extra in ("first", "final", "ldiscr", "rdiscr",
+                      "first+final+ldiscr+rdiscr"):
             assert check_frame(m, parse_profile(f"kl+{extra}"))["ok"]
 
 

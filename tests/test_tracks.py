@@ -123,6 +123,23 @@ def test_audit_discharged_refutation_clauses():
     assert report.justifications[(0,)] == "1iii"
 
 
+def test_audit_relational_refutation_clauses():
+    neg = assume(pr("x < y => empty"), 1)
+    bot = node("rimp_e", E, neg, assume(pr("x < y")))
+    raa = node("raa_empty", pr("x < y"), bot, discharges={1})
+    report = audit_subformula(raa)
+    assert report.ok
+    assert report.justifications[(0, 0)] == "2ii"
+    assert report.justifications[(0,)] == "2iii"
+
+
+def test_audit_uf1_empty_clause():
+    d = node("uf1", E, assume(pl("x : false")))
+    report = audit_subformula(d)
+    assert report.ok
+    assert report.justifications[()] == "2iv"
+
+
 def test_audit_mon_clause():
     m = node("mon", pr("y < z"), assume(pr("x < z")), assume(pr("x = y")),
              position=1)

@@ -5,8 +5,9 @@ One line per derivation tree names the tree and gives a short hash of each
 output: the check report (violation kinds, paths and messages), the open
 context, the raw ``expand_derived`` text and the ``find_redexes`` list; for
 a tree that checks, also the normal form, the normalization trace, the
-canonical form of the normal form, and the ``restrict`` result raw and in
-canonical form.  Further lines digest ``render``, ``parse`` and the
+canonical form of the normal form, the ``restrict`` result raw and in
+canonical form, and the ``tracks`` and ``audit_subformula`` reports on the
+normal form.  Further lines digest ``render``, ``parse`` and the
 ``ParseError`` text on seeded random entities and broken strings.
 
 The trees are the bundled corpus, ``DERIVED_TREES`` of the kernel tests,
@@ -16,8 +17,9 @@ seeded one-field mutants of the corpus, ``DERIVED_TREES`` and the seed-1
 family trees of at most 400 nodes, a tenth of them swapping a rule with its
 twin of the other sort, and 300 seeded ``mon`` applications that take a
 random relational formula through a random equality ``a = b`` to its full
-substitution (``rmon-*``), so that ``restrict`` transports them, and three
-deep trees whose violations lie thousands of levels from the root
+substitution (``rmon-*``), so that ``restrict`` transports them, 300
+seeded reductios (``raa-*``) that ``restrict`` opens at every connective of
+both sorts, and three deep trees whose violations lie thousands of levels from the root
 (``deep-*``).
 Only the library comes from ``--src``; the generators come from this
 checkout, so two checkouts digest the same inputs:
@@ -93,7 +95,8 @@ def _trees(lib):
         if mutant is not None:
             out.append((f"mut{count}-{name}", mutant, profile))
             count += 1
-    return out + _relational_mons(lib, 300) + _deep_trees(lib)
+    return (out + _relational_mons(lib, 300) + _reductios(lib, 300)
+            + _deep_trees(lib))
 
 
 def _relational_mons(lib, count: int) -> list:
@@ -113,6 +116,53 @@ def _relational_mons(lib, count: int) -> list:
             mon = derivation.node("mon", target, derivation.assume(rho, 1),
                                   derivation.assume(syntax.Eq(a, b), 2))
             out.append((f"rmon-{len(out)}", mon, lib.rules.KL))
+    return out
+
+
+def _tense_formula(syntax, rng, depth: int):
+    """A seeded random tense formula in which ``X`` occurs too."""
+    from helpers import random_formula
+    op = rng.choice([syntax.X, syntax.G, syntax.H, syntax.Implies, None])
+    if depth <= 0 or op is None:
+        return random_formula(rng, depth)
+    if op is syntax.Implies:
+        return op(_tense_formula(syntax, rng, depth - 1),
+                  _tense_formula(syntax, rng, depth - 1))
+    return op(_tense_formula(syntax, rng, depth - 1))
+
+
+def _reductios(lib, count: int) -> list:
+    """``count`` reductios: every other one a ``raa_bot`` on ``x : a`` for a
+    seeded random tense formula ``a`` under ``mtl``, the others a
+    ``raa_empty`` on a random rwff or, one in five, on ``empty``.  The
+    premise contradicts the refutation leaf with a leaf of the conclusion;
+    the reductio discharges no marker, that leaf's, or that leaf's and the
+    one of a second refutation leaf under a nested reductio."""
+    from helpers import random_rwff
+    syntax, node, assume = lib.syntax, lib.derivation.node, lib.derivation.assume
+    rng = random.Random(19)
+    out = []
+    for i in range(count):
+        if i % 2 == 0:
+            c = syntax.Lwff("x", _tense_formula(syntax, rng, rng.randrange(1, 4)))
+            neg = syntax.Lwff("x", syntax.Implies(c.formula, syntax.Falsum()))
+            bottom, rules = syntax.Lwff("x", syntax.Falsum()), ("raa_bot", "imp_e")
+            profile = lib.rules.parse_profile("mtl")
+        else:
+            c = (syntax.Empty() if rng.random() < 0.2
+                 else random_rwff(rng, rng.randrange(1, 4)))
+            neg = syntax.RImplies(c, syntax.Empty())
+            bottom, rules = syntax.Empty(), ("raa_empty", "rimp_e")
+            profile = lib.rules.KL
+        raa, elim = rules
+        markers = i // 2 % 3
+        inner = assume(c)
+        if markers == 2:
+            inner = node(raa, c, node(elim, bottom, assume(neg, 2), assume(c)))
+        body = node(elim, bottom, assume(neg, 1 if markers else None), inner)
+        out.append((f"raa-{i}", node(raa, c, body,
+                                     discharges=set(range(1, markers + 1))),
+                    profile))
     return out
 
 
@@ -214,6 +264,10 @@ def _tree_line(lib, name, d, profile) -> str:
             parts["nf"] = _hash(lib.derivation.dumps(nf))
             parts["canon"] = _hash(lib.derivation.dumps(
                 lib.normalize.canonical_form(nf)))
+            parts["tracks"] = _hash(_attempt(
+                lambda: repr(lib.tracks.tracks(nf))))
+            parts["audit"] = _hash(_attempt(
+                lambda: repr(lib.tracks.audit_subformula(nf))))
         parts["trace"] = _hash(trace)
         restricted = _attempt(lambda: lib.normalize.restrict(d))
         if isinstance(restricted, str):
@@ -267,7 +321,7 @@ def main(argv=None) -> int:
     lib = argparse.Namespace(**{
         m: importlib.import_module(f"tenseproof.{m}")
         for m in ("corpus", "derivation", "kernel", "normalize", "parser",
-                  "rules", "syntax")})
+                  "rules", "syntax", "tracks")})
     for name, d, profile in _trees(lib):
         print(_tree_line(lib, name, d, profile), flush=True)
     for line in _syntax_lines(lib):
