@@ -18,19 +18,26 @@ only by uf1 and uf2: a labeled copy (``imp_i``, ``imp_e``, ``raa_bot``,
 falsum ``x : false``) and a relational copy (``rimp_i``, ``rimp_e``,
 ``raa_empty``, falsum ``empty``).  A ``_Sort`` record (``LAB``, ``REL``)
 holds what tells them apart, and each rule they share is written once over
-it: one validator serves ``imp_i`` and ``rimp_i``, one expander serves
+it: one validator serves ``raa_bot`` and ``raa_empty``, one expander serves
 ``and_i`` and ``rand_i``, and so on.  ``_falsum_at`` carries a falsum
 between the sorts and labels, and ``_conclude`` ends a case split by the
 reductio of its conclusion's sort.
 
 Every connective that is not atomic has one introduction and one
 elimination: the implication of either sort, ``G``, ``H``, ``X`` and
-``forall``.  ``_TENSE`` names the relation and the two rules of each
-temporal operator, and ``_opening`` states the whole table once: for a
-formula, its connective's rules, the hypothesis the introduction
-discharges, and what the elimination concludes, opened at a fresh label
-for a quantifier or temporal operator.  The normalizer's reductio
-restriction and mon transport are each one path over it.
+``forall``.  ``_CONNECTIVES`` names the sort and the two rules of each,
+``_TENSE`` the relation of each temporal operator, and ``_opening`` states
+the whole table once: for a formula, its connective's rules, the
+hypothesis the introduction discharges, and what the elimination
+concludes, opened at a label for a quantifier or temporal operator.  It is
+the one table the checker, the normalizer's reductio restriction and its
+mon transport read.  The checker has one validator for every introduction,
+which opens the conclusion at the node's fresh label, and one for every
+elimination, which opens the major premise at the conclusion's label (for
+``all_e``, at the label the conclusion instantiates it with); each compares
+the premises and the conclusion with the parts.  The eigenlabel condition
+is one test: the fresh label is free neither in the conclusion nor in an
+open assumption of the premise other than the hypotheses discharged.
 
 ``check`` makes two passes over the tree, neither recursive, and names a
 node by its number, its place in ``Derivation.nodes`` order.  A ``nodes``
@@ -42,8 +49,13 @@ in hand, so one bisect tells which premise holds a leaf; the freshness
 conditions, the stand-ins and the report's open context all read that
 result.  A derived node's template gets its own ``_open_fold``, which stops
 at the stand-ins and takes their open leaves from the premises'.  A number
-becomes a root path (``path_to``) only in a report.  ``expand_derived`` is
-a ``fold``.
+becomes a root path (``path_to``) only in a report.
+
+``expand_derived`` is one ``fold`` that numbers the nodes in the same
+order and indexes each leaf as it passes it.  A leaf comes before any node
+that can discharge it, so each derived node's expander gets the leaves it
+discharges (``_held``), as the checker's stand-ins do, without a scan of
+its premises; their numbers follow from their sizes (``node_count``).
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Callable
 
@@ -97,17 +109,25 @@ LAB = _Sort(True, "labeled", "", Implies, F_, "falsum", "imp_i", "imp_e",
 REL = _Sort(False, "relational", "relational ", RImplies, E_, "empty",
             "rimp_i", "rimp_e", "raa_empty", lambda x, a: a, lambda c: (None, c),
             lambda a: RImplies(a, E_))
-_SORT_OF_RULE = {r: s for s in (LAB, REL) for r in (s.imp_i, s.imp_e, s.raa)}
+_SORT_OF_RULE = {s.raa: s for s in (LAB, REL)}
 
 # each temporal operator: the relation from the label of the operator
 # formula to the label of the body, and its elimination and introduction
-# rules; and each of those rules with its operator and relation
+# rules
 _TENSE = {
     G: (Less, "g_e", "g_i"), H: (lambda x, y: Less(y, x), "h_e", "h_i"),
     X: (Prec, "x_e", "x_i"),
 }
-_TEMPORAL = {rule: (op, rel) for op, (rel, *rules) in _TENSE.items()
-             for rule in rules}
+# each connective that is not atomic: its sort, and its elimination and
+# introduction rules; and each of those rules with the checker's validator
+# for it, its sort and its connective
+_CONNECTIVES = {
+    **{s.imp: (s, s.imp_e, s.imp_i) for s in (LAB, REL)},
+    **{op: (LAB, elim, intro) for op, (_, elim, intro) in _TENSE.items()},
+    Forall: (REL, "all_e", "all_i"),
+}
+_CONNECTIVE_OF = {rule: (role, s, op) for op, (s, *rules) in _CONNECTIVES.items()
+                  for role, rule in zip(("_elim", "_intro"), rules)}
 
 
 def _opening(s, x, core, fresh) -> tuple:
@@ -117,13 +137,13 @@ def _opening(s, x, core, fresh) -> tuple:
     takes ``body`` back to ``core``, discharging ``hyp``.  A quantifier or
     temporal operator opens at ``z = fresh()``, which ``intro`` binds; an
     implication draws no label, and ``z`` is ``None``."""
+    _, elim, intro = _CONNECTIVES[type(core)]
     if isinstance(core, s.imp):
-        return s.imp_e, s.imp_i, s.at(x, core.left), s.at(x, core.right), None
+        return elim, intro, s.at(x, core.left), s.at(x, core.right), None
     z = fresh()
     if isinstance(core, Forall):
-        return "all_e", "all_i", None, substitute_label(core.body, z, core.var), z
-    rel, elim, intro = _TENSE[type(core)]
-    return elim, intro, rel(x, z), Lwff(z, core.body), z
+        return elim, intro, None, substitute_label(core.body, z, core.var), z
+    return elim, intro, _TENSE[type(core)][0](x, z), Lwff(z, core.body), z
 
 
 def _sort(c) -> _Sort:
@@ -296,6 +316,19 @@ def check(d: Derivation, profile: LogicProfile = KL) -> CheckReport:
                        ok and open_ctx.is_empty())
 
 
+def _held(n, k, starts, end, marker_leaves) -> list:
+    """For each premise of ``n``, node number ``k``, the leaves in it that
+    carry a marker ``n`` discharges.  ``starts`` are the premises' numbers,
+    ``end`` the number past the subtree, and ``marker_leaves`` maps each
+    marker to the ``(number, leaf)`` pairs of its leaves."""
+    held: list = [[] for _ in n.premises]
+    for m in sorted(n.discharges):
+        for lk, leaf in marker_leaves.get(m, ()):
+            if k < lk < end:
+                held[bisect_right(starts, lk) - 1].append(leaf)
+    return held
+
+
 class _Checker:
     """Validates the nodes of ``tree`` one at a time, each named by its
     number (see ``_open_fold``); a report turns the number into a root path.
@@ -371,7 +404,8 @@ class _Checker:
     def core(self, k, n, below, starts, end) -> None:
         """Validate a core node (or a leaf) against its rule."""
         self.below = below
-        validator = getattr(self, f"rule_{n.rule}", None)
+        role = _CONNECTIVE_OF.get(n.rule)
+        validator = getattr(self, role[0] if role else f"rule_{n.rule}", None)
         allowed = validator(k, n) if validator is not None else None
         self._check_discharges(k, n, allowed or {}, starts, end)
 
@@ -381,19 +415,14 @@ class _Checker:
         leaves under them that ``n`` discharges; the template's core nodes
         are then checked as usual.  False when ``n`` lacks the shape its
         rule needs."""
-        held: list = [[] for _ in n.premises]
-        index: dict = {}
-        for m in sorted(n.discharges):
-            for lk, leaf in self.marker_leaves.get(m, ()):
-                if k < lk < end:
-                    held[bisect_right(starts, lk) - 1].append(leaf)
-                else:
-                    index.setdefault(m, []).append((-1, leaf))
+        held = _held(n, k, starts, end, self.marker_leaves)
+        index = {m: [(-1, leaf) for lk, leaf in self.marker_leaves.get(m, ())
+                     if not k < lk < end] for m in n.discharges}
         standins = tuple(Derivation(_STANDIN, p.conclusion, tuple(h), marker=i)
                          for i, (p, h) in enumerate(zip(n.premises, held)))
         try:
             template = _EXPANDERS[n.rule](replace(n, premises=standins),
-                                          MarkerGen((self.top,)))
+                                          MarkerGen((self.top,)), held)
         except _Mismatch as exc:
             self.bad(k, "PatternMismatch", f"{n.rule} needs {exc}")
             return False
@@ -426,27 +455,6 @@ class _Checker:
                              f"marker {m} leaf does not match the "
                              f"dischargeable shape of {n.rule}")
 
-    def _fresh_ok(self, k, n, y, minor_index, extra_forbidden=()):
-        """Freshness: ``y`` differs from the given labels and occurs in no
-        open assumption of the designated premise other than the leaves this
-        node discharges."""
-        for lbl in extra_forbidden:
-            if y == lbl:
-                self.bad(k, "FreshnessViolation",
-                         f"fresh label {y} must differ from {lbl}")
-                return
-        for tree, lk, leaf in self.below[minor_index]:
-            if leaf.marker is not None and leaf.marker in n.discharges:
-                continue
-            concl = leaf.conclusion
-            free = ({concl.label} | labels_of(concl.formula)
-                    if isinstance(concl, Lwff) else labels_of(concl))
-            if y in free:
-                self.bad(k, "FreshnessViolation",
-                         f"fresh label {y} occurs in the open assumption "
-                         f"at {'/'.join(map(str, path_to(tree, lk)))}")
-                return
-
     # -- the rules both sorts share --------------------------------------
 
     def _of(self, s, k, c, role) -> bool:
@@ -467,115 +475,73 @@ class _Checker:
         x, a = s.split(c)
         return {0: [s.at(x, s.neg(a))]}
 
-    def _imp_i(self, k, n):
-        s = _SORT_OF_RULE[n.rule]
+    rule_raa_bot = rule_raa_empty = _raa
+
+    # -- each connective's introduction and elimination ------------------
+
+    def _intro(self, k, n):
+        """The premise is the conclusion opened at the node's fresh label;
+        the hypothesis of the opening is the shape the node discharges."""
+        _, s, op = _CONNECTIVE_OF[n.rule]
         c, p0 = n.conclusion, n.premises[0].conclusion
         if not (self._of(s, k, c, "conclusion") and self._of(s, k, p0, "premise")):
             return {}
         x, a = s.split(c)
         core = expand(a)
-        if not isinstance(core, s.imp):
-            self.bad(k, "PatternMismatch", f"{n.rule} concludes an implication")
-            return {}
-        y, b = s.split(p0)
-        if y != x or not core_eq(b, core.right):
+        if not isinstance(core, op):
             self.bad(k, "PatternMismatch",
-                     f"{n.rule} premise must be the consequent"
-                     + (" at the same label" if s.labeled else ""))
-        return {0: [s.at(x, core.left)]}
+                     f"{n.rule} conclusion's connective must be {op.__name__}")
+            return {}
+        if n.fresh is None and RULES[n.rule].fresh:     # reported already
+            return {}
+        _, _, hyp, body, z = _opening(s, x, core, lambda: n.fresh)
+        if not core_eq(p0, body):
+            self.bad(k, "PatternMismatch",
+                     f"{n.rule} premise must be its conclusion opened")
+        if z is not None:
+            self._fresh_ok(k, n, z)
+        return {} if hyp is None else {0: [hyp]}
 
-    def _imp_e(self, k, n):
-        s = _SORT_OF_RULE[n.rule]
-        c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not all(self._of(s, k, v, r) for v, r in
-                   [(c, "conclusion"), (p0, "major premise"), (p1, "minor premise")]):
+    def _fresh_ok(self, k, n, z) -> None:
+        """Freshness: the eigenlabel ``z`` of ``n`` is free neither in its
+        conclusion nor in an open assumption of its premise other than the
+        leaves it discharges."""
+        if z in labels_of(n.conclusion):
+            self.bad(k, "FreshnessViolation",
+                     f"fresh label {z} occurs in the conclusion")
+            return
+        for tree, lk, leaf in self.below[0]:
+            if leaf.marker not in n.discharges and z in labels_of(leaf.conclusion):
+                self.bad(k, "FreshnessViolation",
+                         f"fresh label {z} occurs in the open assumption "
+                         f"at {'/'.join(map(str, path_to(tree, lk)))}")
+                return
+
+    def _elim(self, k, n):
+        """The major premise opens to the conclusion and the minor premise,
+        if any, at the conclusion's label, or for a universal at the label
+        the conclusion instantiates it with."""
+        _, s, op = _CONNECTIVE_OF[n.rule]
+        c, p0 = n.conclusion, n.premises[0].conclusion
+        if not (self._of(s, k, c, "conclusion")
+                and self._of(s, k, p0, "major premise")):
             return {}
         x, a = s.split(p0)
         core = expand(a)
-        if not isinstance(core, s.imp):
-            self.bad(k, "PatternMismatch",
-                     f"{n.rule} major premise must be an implication")
-            return {}
-        (y, b), (z, d) = s.split(p1), s.split(c)
-        if not (y == x == z and core_eq(b, core.left) and core_eq(d, core.right)):
-            self.bad(k, "PatternMismatch", f"{n.rule} premises do not fit")
-        return {}
-
-    rule_raa_bot = rule_raa_empty = _raa
-    rule_imp_i = rule_rimp_i = _imp_i
-    rule_imp_e = rule_rimp_e = _imp_e
-
-    # -- labeled core rules ---------------------------------------------
-
-    def _temporal_intro(self, k, n):
-        op, discharged_rel = _TEMPORAL[n.rule]
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(LAB, k, c, "conclusion") and self._of(LAB, k, p0, "premise")):
-            return {}
-        core = _xf(c)
         if not isinstance(core, op):
             self.bad(k, "PatternMismatch",
-                     f"{n.rule} concludes a {op.__name__}-formula")
+                     f"{n.rule} major premise's connective must be {op.__name__}")
             return {}
-        y = n.fresh
-        if y is None:
-            return {}
-        if p0.label != y or not core_eq(p0.formula, core.body):
+        z = s.split(c)[0]
+        if op is Forall:
+            z = match_instantiation(core.body, core.var, c)
+            if z is None:       # the body itself, which does not fit
+                z = core.var
+        _, _, hyp, body, _ = _opening(s, x, core, lambda: z)
+        if not (core_eq(c, body)
+                and (hyp is None or core_eq(n.premises[1].conclusion, hyp))):
             self.bad(k, "PatternMismatch",
-                     f"{n.rule} premise must assert the body at the fresh label")
-        self._fresh_ok(k, n, y, 0, extra_forbidden=[c.label])
-        return {0: [discharged_rel(c.label, y)]}
-
-    def _temporal_elim(self, k, n):
-        op, rel_of = _TEMPORAL[n.rule]
-        c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
-        if not (self._of(LAB, k, c, "conclusion")
-                and self._of(LAB, k, p0, "major premise")
-                and self._of(REL, k, p1, "minor premise")):
-            return {}
-        core = _xf(p0)
-        if not isinstance(core, op):
-            self.bad(k, "PatternMismatch",
-                     f"{n.rule} major premise must be a {op.__name__}-formula")
-            return {}
-        if not core_eq(c.formula, core.body):
-            self.bad(k, "PatternMismatch",
-                     f"{n.rule} conclusion must be the operator body")
-        if not core_eq(p1, rel_of(p0.label, c.label)):
-            self.bad(k, "PatternMismatch",
-                     f"{n.rule} minor premise must relate the two labels")
-        return {}
-
-    rule_g_i = rule_h_i = rule_x_i = _temporal_intro
-    rule_g_e = rule_h_e = rule_x_e = _temporal_elim
-
-    # -- relational core rules -------------------------------------------
-
-    def rule_all_i(self, k, n):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(REL, k, c, "conclusion") and self._of(REL, k, p0, "premise")):
-            return {}
-        v = n.fresh
-        if v is None:
-            return {}
-        if not core_eq(c, Forall(v, p0)):
-            self.bad(k, "PatternMismatch",
-                     "all_i conclusion must generalize the premise over the "
-                     "named variable")
-        self._fresh_ok(k, n, v, 0)
-        return {}
-
-    def rule_all_e(self, k, n):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(REL, k, c, "conclusion") and self._of(REL, k, p0, "premise")):
-            return {}
-        core = expand(p0)
-        if not isinstance(core, Forall):
-            self.bad(k, "PatternMismatch", "all_e premise must be universal")
-            return {}
-        if match_instantiation(core.body, core.var, c) is None:
-            self.bad(k, "PatternMismatch",
-                     "all_e conclusion is not an instance of the body")
+                     f"{n.rule} premises do not open to its conclusion")
         return {}
 
     def _axiom(self, k, n):
@@ -651,14 +617,29 @@ def expand_derived(d: Derivation) -> Derivation:
     input does, and has exactly the same conclusion and open assumptions.
     """
     mgen = MarkerGen(all_markers(d))
+    marker_leaves: dict = {}
+    entered: list = []      # the numbers of the nodes entered, not expanded
+    count = 0
+
+    def number(t: Derivation) -> tuple:
+        nonlocal count
+        if t.marker is not None and t.is_assumption():
+            marker_leaves.setdefault(t.marker, []).append((count, t))
+        entered.append(count)
+        count += 1
+        return t, t.premises
 
     def expand_node(n: Derivation, premises: list) -> Derivation:
-        n = with_premises(n, premises)
+        k = entered.pop()
+        t = with_premises(n, premises)
         if RULES[n.rule].kind == "derived":
-            return _EXPANDERS[n.rule](n, mgen)
-        return n
+            starts = list(accumulate((p.node_count() for p in n.premises[:-1]),
+                                     initial=k + 1))
+            held = _held(n, k, starts, count, marker_leaves)
+            t = _EXPANDERS[n.rule](t, mgen, held)
+        return t
 
-    return fold(d, expand_node)
+    return fold(d, expand_node, number)
 
 
 class _Mismatch(Exception):
@@ -756,14 +737,13 @@ def _renamed(t: Derivation, renames: dict, only=lambda leaf: True) -> Derivation
                       if leaf.marker in renames and only(leaf) else leaf)
 
 
-def _split_marker_shapes(p1: Derivation, markers, first_shape, mgen):
+def _split_marker_shapes(p1: Derivation, leaves, markers, first_shape, mgen):
     """Give leaves matching ``first_shape`` their own markers when a marker
-    mixes the two dischargeable shapes of a two-pattern rule."""
+    mixes the two dischargeable shapes of a two-pattern rule; ``leaves``
+    are the leaves of ``p1`` that carry one of ``markers``."""
     shapes: dict = {}     # marker -> which of the shapes its leaves have
-    for t in p1.nodes():
-        if t.is_assumption() and t.marker in markers:
-            shapes.setdefault(t.marker, set()).add(
-                core_eq(t.conclusion, first_shape))
+    for t in leaves:
+        shapes.setdefault(t.marker, set()).add(core_eq(t.conclusion, first_shape))
     firsts, seconds, renames = set(), set(), {}
     for m in sorted(markers):
         kinds = shapes.get(m, ())
@@ -780,19 +760,19 @@ def _split_marker_shapes(p1: Derivation, markers, first_shape, mgen):
     return tree, firsts, seconds
 
 
-def _exp_not_i(s: _Sort, n, mgen):
+def _exp_not_i(s: _Sort, n, mgen, held):
     core = _parts(s, n.conclusion)[1]
     _need(isinstance(core, s.imp) and isinstance(core.right, type(s.falsum)),
           f"a {s.shape}negation")
     return replace(n, rule=s.imp_i)
 
 
-def _exp_not_e(s: _Sort, n, mgen):
+def _exp_not_e(s: _Sort, n, mgen, held):
     _need(isinstance(_parts(s, n.conclusion)[1], type(s.falsum)), s.bottom)
     return replace(n, rule=s.imp_e)
 
 
-def _exp_and_i(s: _Sort, n, mgen):
+def _exp_and_i(s: _Sort, n, mgen, held):
     x, core = _parts(s, n.conclusion)
     a, b = _and_parts(s, core)
     m = mgen()
@@ -802,7 +782,7 @@ def _exp_and_i(s: _Sort, n, mgen):
     return node(s.imp_i, n.conclusion, t2, discharges={m})
 
 
-def _exp_and_e1(s: _Sort, n, mgen):
+def _exp_and_e1(s: _Sort, n, mgen, held):
     p0 = n.premises[0]
     x, core = _parts(s, p0.conclusion)
     a, b = _and_parts(s, core)
@@ -816,7 +796,7 @@ def _exp_and_e1(s: _Sort, n, mgen):
     return node(s.raa, n.conclusion, t4, discharges={m1})
 
 
-def _exp_and_e2(s: _Sort, n, mgen):
+def _exp_and_e2(s: _Sort, n, mgen, held):
     p0 = n.premises[0]
     x, core = _parts(s, p0.conclusion)
     a, b = _and_parts(s, core)
@@ -827,7 +807,7 @@ def _exp_and_e2(s: _Sort, n, mgen):
     return node(s.raa, n.conclusion, t4, discharges={m1})
 
 
-def _exp_or_i1(s: _Sort, n, mgen):
+def _exp_or_i1(s: _Sort, n, mgen, held):
     x, core = _parts(s, n.conclusion)
     a, b = _or_parts(s, core)
     m = mgen()
@@ -837,19 +817,18 @@ def _exp_or_i1(s: _Sort, n, mgen):
     return node(s.imp_i, n.conclusion, t2, discharges={m})
 
 
-def _exp_or_i2(s: _Sort, n, mgen):
+def _exp_or_i2(s: _Sort, n, mgen, held):
     _or_parts(s, _parts(s, n.conclusion)[1])
     m = mgen()
     return node(s.imp_i, n.conclusion, n.premises[0], discharges={m})
 
 
-def _split_markers_by_branch(n: Derivation, mgen) -> tuple:
+def _split_markers_by_branch(n: Derivation, mgen, held) -> tuple:
     """Case rules may reuse one marker across both minor branches; split so
     each branch's leaves carry their own marker.  Returns the rewritten
     premises tuple plus the marker sets for branch 1 and branch 2."""
     p1, p2 = n.premises[1], n.premises[2]
-    in1, in2 = ({t.marker for t in p.nodes() if t.is_assumption()}
-                for p in (p1, p2))
+    in1, in2 = ({t.marker for t in leaves} for leaves in held[1:])
     m1, m2, renames = set(), set(), {}
     for m in sorted(n.discharges):
         if m in in1 and m in in2:
@@ -864,10 +843,10 @@ def _split_markers_by_branch(n: Derivation, mgen) -> tuple:
             frozenset(m1), frozenset(m2))
 
 
-def _exp_or_e(s: _Sort, n, mgen):
+def _exp_or_e(s: _Sort, n, mgen, held):
     x, core = _parts(s, n.premises[0].conclusion)
     a, b = _or_parts(s, core)
-    (p0, p1, p2), m1, m2 = _split_markers_by_branch(n, mgen)
+    (p0, p1, p2), m1, m2 = _split_markers_by_branch(n, mgen, held)
     c = n.conclusion
     leaf_k = _refutation(c, mgen())
     t3 = node(s.imp_i, s.at(x, s.neg(a)),
@@ -879,7 +858,7 @@ def _exp_or_e(s: _Sort, n, mgen):
     return _conclude(c, v4, leaf_k.marker)
 
 
-def _exp_fp_intro(op_cls, what, n, mgen):
+def _exp_fp_intro(op_cls, what, n, mgen, held):
     p0, p1 = n.premises
     x, core = _parts(LAB, n.conclusion)
     a = _fp_part(op_cls, what, core)
@@ -892,14 +871,15 @@ def _exp_fp_intro(op_cls, what, n, mgen):
     return node("imp_i", n.conclusion, t3, discharges={m})
 
 
-def _exp_fp_elim(op_cls, what, n, mgen):
+def _exp_fp_elim(op_cls, what, n, mgen, held):
     p0, p1 = n.premises
     x, core = _parts(LAB, p0.conclusion)
     a = _fp_part(op_cls, what, core)
     y = n.fresh
     c = n.conclusion
     body_shape = Lwff(y, a)
-    p1, m_body, m_rel = _split_marker_shapes(p1, n.discharges, body_shape, mgen)
+    p1, m_body, m_rel = _split_marker_shapes(p1, held[1], n.discharges,
+                                             body_shape, mgen)
     leaf_k = _refutation(c, mgen())
     # y is fresh, so it is not the label of ``c`` in a tree that checks;
     # the raa_bot stays in the others' expansions too
@@ -911,7 +891,7 @@ def _exp_fp_elim(op_cls, what, n, mgen):
     return _conclude(c, t5, leaf_k.marker)
 
 
-def _exp_ex_i(n, mgen):
+def _exp_ex_i(n, mgen, held):
     var, body = _exists_parts(_parts(REL, n.conclusion)[1])
     w = match_instantiation(body, var, n.premises[0].conclusion)
     _need(w is not None, "a premise that instantiates the body")
@@ -923,7 +903,7 @@ def _exp_ex_i(n, mgen):
     return node("rimp_i", n.conclusion, t2, discharges={m})
 
 
-def _exp_ex_e(n, mgen):
+def _exp_ex_e(n, mgen, held):
     p0, p1 = n.premises
     var, body = _exists_parts(_parts(REL, p0.conclusion)[1])
     y = n.fresh

@@ -16,8 +16,9 @@ Hash-Consing*, 2006).  The invariant:
   identity hash, fixed at construction.  Nodes are frozen; copying or
   unpickling one returns the interned node.
 - A node carries its expansion, its grade and, where it may hold a binder,
-  its alpha-canonical form, each computed the first time it is asked for.
-  So ``core_eq(a, b)`` is ``canon(a) is canon(b)``.
+  its alpha-canonical form, each computed the first time it is asked for;
+  an atom, and an ``Lwff`` over its own expansion, is its own expansion
+  from the start.  So ``core_eq(a, b)`` is ``canon(a) is canon(b)``.
 - Nothing here recurses on a formula: each traversal keeps its pending work
   on a list, so formulas of any depth expand, compare and substitute.
 """
@@ -73,6 +74,9 @@ class _Node:
         if cls._binds is not None:
             _set(node, "_binder",
                  cls._binds or any(k._binder for k in cls._kids(node)))
+        # an atom, and a label on an expanded formula, is its own expansion
+        if cls in _ATOMS or cls is Lwff and getattr(args[1], "_x", None) is _SELF:
+            _set(node, "_x", _SELF)
         _TABLE[key] = node
         return node
 
@@ -288,6 +292,9 @@ RFormula = Union[Less, Eq, Empty, RImplies, Forall, RNot, RAnd, ROr, Exists, Pre
 class Lwff(_Node):
     label: Label
     formula: Formula
+
+
+_ATOMS = (Atom, Falsum, Less, Eq, Empty)    # each its own expansion
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,30 @@ def test_fresh_label_must_differ_from_subject():
                for v in report.violations)
 
 
+def test_fresh_label_must_not_be_free_in_the_conclusion():
+    # z = z, then forall u. u = z at the fresh label z: the body checks, the
+    # eigenlabel does not
+    zz = node("all_e", pr("z = z"), node("refl_eq", AXIOMS["refl_eq"]))
+    bad = node("all_i", pr("forall u. u = z"), zz, fresh="z")
+    assert [(v.kind, v.path) for v in check(bad, KL).violations] \
+        == [("FreshnessViolation", ())]
+    good = node("all_i", pr("forall u. u = u"), zz, fresh="z")
+    assert check(good, KL).ok and check(good, KL).is_theorem
+
+
+def test_elimination_reports_one_mismatch():
+    # both the conclusion and the minor premise of this g_e mismatch: one
+    # violation says its premises do not open to its conclusion
+    bad = node("g_e", pl("y : q"), assume(pl("x : G p")), assume(pr("y < x")))
+    assert [(v.kind, v.path) for v in check(bad, KL).violations] \
+        == [("PatternMismatch", ())]
+    for c, minor in (("y : q", "x < y"), ("y : p", "y < x")):
+        one = node("g_e", pl(c), assume(pl("x : G p")), assume(pr(minor)))
+        assert [v.kind for v in check(one, KL).violations] == ["PatternMismatch"]
+    assert check(node("g_e", pl("y : p"), assume(pl("x : G p")),
+                      assume(pr("x < y"))), KL).ok
+
+
 def test_pattern_mismatch_reported_with_path():
     bad = node("imp_e", pl("x : q"), assume(pl("x : p -> q")), assume(pl("x : r")))
     report = check(bad, KL)
@@ -604,39 +628,55 @@ def _random_splits(count):
     return splits, shapes
 
 
+def _leaves_of(p, markers):
+    """The leaves of ``p`` that carry one of ``markers``."""
+    return [t for t in p.nodes() if t.is_assumption() and t.marker in markers]
+
+
 def test_case_splits_match_the_per_marker_versions():
     from tenseproof.kernel import _split_marker_shapes, _split_markers_by_branch
+
+    def by_branch(n, mgen):
+        held = [_leaves_of(p, n.discharges) for p in n.premises]
+        return _split_markers_by_branch(n, mgen, held)
+
+    def by_shape(p1, markers, shape, mgen):
+        return _split_marker_shapes(p1, _leaves_of(p1, markers),
+                                    frozenset(markers), shape, mgen)
+
     hand_splits, hand_shapes = _hand_built_splits()
     rand_splits, rand_shapes = _random_splits(150)
     renamed = 0
     for n in hand_splits + rand_splits:
         g1, g2 = MarkerGen((100,)), MarkerGen((100,))
-        assert _split_markers_by_branch(n, g1) == _split_branches_per_marker(n, g2)
+        assert by_branch(n, g1) == _split_branches_per_marker(n, g2)
         assert g1.next == g2.next
         renamed += g1.next > 101
     for p1, markers, shape in hand_shapes + rand_shapes:
         g1, g2 = MarkerGen((100,)), MarkerGen((100,))
-        assert (_split_marker_shapes(p1, frozenset(markers), shape, g1)
+        assert (by_shape(p1, markers, shape, g1)
                 == _split_shapes_per_marker(p1, markers, shape, g2))
         assert g1.next == g2.next
         renamed += g1.next > 101
     assert renamed > 50
     # markers 1 and 2 are in both branches, 3 in the second, 4 in neither
-    assert _split_markers_by_branch(hand_splits[0], MarkerGen((100,)))[1:] \
+    assert by_branch(hand_splits[0], MarkerGen((100,)))[1:] \
         == ({1, 2, 4}, {101, 102, 3})
     # marker 1 has leaves of both shapes, 2 of the second, 3 none
     p1, markers, shape = hand_shapes[0]
-    assert _split_marker_shapes(p1, frozenset(markers), shape,
-                                MarkerGen((100,)))[1:] == ({101}, {1, 2, 3})
+    assert by_shape(p1, markers, shape, MarkerGen((100,)))[1:] \
+        == ({101}, {1, 2, 3})
 
 
-def _or_chain(k):
+def _or_chain(k, shared=False):
     """``k`` case splits, each nested in the second branch of the next, with
-    a marker of its own in each branch."""
+    a marker of its own in each branch, or one marker in both if
+    ``shared``."""
     pa = pl("x : p")
     d = assume(pa, 1)
     for i in range(k):
-        m1, m2 = 2 * i + 2, 2 * i + 3
+        m1 = 2 * i + 2
+        m2 = m1 if shared else m1 + 1
         minor = node("imp_e", pa, node("imp_i", pl("x : p -> p"), d),
                      assume(pa, m2))
         d = node("or_e", pa, assume(pl("x : p | p")), assume(pa, m1), minor,
@@ -644,13 +684,15 @@ def _or_chain(k):
     return d
 
 
-def _f_chain(k):
-    """``k`` F-eliminations, each with the one below as its minor premise."""
+def _f_chain(k, shared=False):
+    """``k`` F-eliminations, each with the one below as its minor premise,
+    whose two leaves carry one marker if ``shared``."""
     fa = pl("x : F p")
     markers = iter(range(1, 2 * k + 3))
 
     def intro(y):
         ma, mb = next(markers), next(markers)
+        mb = ma if shared else mb
         return node("f_i", fa, assume(pl(f"{y} : p"), ma),
                     assume(pr(f"x < {y}"), mb)), {ma, mb}
 
@@ -662,8 +704,22 @@ def _f_chain(k):
     return d
 
 
-@pytest.mark.parametrize("chain", [lambda: _or_chain(500), lambda: _f_chain(300)],
-                         ids=["or_e-500", "f_e-300"])
+def test_expansion_uses_the_leaves_the_fold_indexed(monkeypatch):
+    from tenseproof.derivation import Derivation
+    d = _or_chain(500)
+    calls = []
+    nodes = Derivation.nodes
+    monkeypatch.setattr(Derivation, "nodes",
+                        lambda self: calls.append(1) or nodes(self))
+    assert expand_derived(d).conclusion == d.conclusion
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("chain", [lambda: _or_chain(500), lambda: _f_chain(300),
+                                   lambda: _or_chain(100, shared=True),
+                                   lambda: _f_chain(100, shared=True)],
+                         ids=["or_e-500", "f_e-300", "or_e-shared-100",
+                              "f_e-shared-100"])
 def test_deep_case_splits_expand(chain):
     d = chain()
     report = check(d, KL)

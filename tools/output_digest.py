@@ -19,8 +19,9 @@ twin of the other sort, and 300 seeded ``mon`` applications that take a
 random relational formula through a random equality ``a = b`` to its full
 substitution (``rmon-*``), so that ``restrict`` transports them, 300
 seeded reductios (``raa-*``) that ``restrict`` opens at every connective of
-both sorts, and three deep trees whose violations lie thousands of levels from the root
-(``deep-*``).
+both sorts, three deep trees whose violations lie thousands of levels from
+the root, and two deep chains of case splits that rename markers at every
+level (``deep-*``).
 Only the library comes from ``--src``; the generators come from this
 checkout, so two checkouts digest the same inputs:
 
@@ -172,7 +173,11 @@ def _deep_trees(lib) -> list:
     of its tenth detour from the top given the marker of its fifth,
     whose introduction lies above it; and 1000 ``f_e`` nested through the
     minor premise whose innermost conclusion, or innermost open leaf,
-    mentions the innermost fresh label."""
+    mentions the innermost fresh label.  Then two chains that check, whose
+    case splits each rename a marker: 1000 ``or_e`` nested through the
+    second branch, whose two branches share a marker, and 200 ``f_e``
+    nested through the minor premise, whose two shapes share a marker."""
+    from test_kernel import _f_chain, _or_chain
     from test_normalize import _nested_imp
     node, assume = lib.derivation.node, lib.derivation.assume
     parse = lib.parser.parse
@@ -196,6 +201,8 @@ def _deep_trees(lib) -> list:
             d = node("f_e", d.conclusion, assume(parse("any", "x : F p")), d,
                      fresh=f"y{i}")
         out.append((name, d, lib.rules.KL))
+    out += [("deep-or-shared", _or_chain(1000, shared=True), lib.rules.KL),
+            ("deep-fe-shared", _f_chain(200, shared=True), lib.rules.KL)]
     return out
 
 
