@@ -293,14 +293,24 @@ def refresh_internal_markers(d: Derivation, gen: MarkerGen) -> Derivation:
     return fold(d, rewrite)
 
 
-def graft(d: Derivation, marker: int, replacement: Derivation,
-          gen: MarkerGen) -> Derivation:
-    """Replace every marker-``marker`` leaf by a copy of ``replacement``."""
-    def fn(leaf: Derivation) -> Derivation:
-        if leaf.marker == marker:
-            return refresh_internal_markers(replacement, gen)
-        return leaf
-    return map_leaves(d, fn)
+def copies(d: Derivation, gen: MarkerGen) -> Iterator[Derivation]:
+    """``d`` itself, then copies of it, each with the markers discharged
+    within it refreshed from ``gen``.  The first keeps ``d``'s memos, so
+    ``d`` must occur nowhere else in the tree the copies go into."""
+    yield d
+    while True:
+        yield refresh_internal_markers(d, gen)
+
+
+def graft(d: Derivation, places: dict) -> Derivation:
+    """``d`` with each leaf whose marker ``places`` maps replaced by the
+    next derivation of that marker's iterator, leaves left to right, in one
+    pass; markers may share an iterator.  ``d`` itself, not walked, if
+    ``places`` is empty."""
+    if not places:
+        return d
+    return map_leaves(d, lambda leaf: next(places[leaf.marker])
+                      if leaf.marker in places else leaf)
 
 
 # ---------------------------------------------------------------------------

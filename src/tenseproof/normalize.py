@@ -36,6 +36,11 @@ again, down to positional mons on atomic formulas.  A reductio on
 ``empty`` and a collapsing pair of reductios close their leaves with
 ``_close_reductio``.
 
+A step that puts one derivation in several places takes the copies from
+``derivation.copies``: the derivation itself first, keeping its memos,
+then copies with refreshed markers.  A detour or a reductio places all its
+copies in one ``graft`` pass.
+
 ``find_redexes``, ``reduce_step`` and ``is_normal`` are the full-scan
 public API: they test every node afresh and never read the memos, so they
 serve as the reference the driver is tested against and as the check of a
@@ -49,9 +54,9 @@ import os
 from dataclasses import dataclass, replace
 
 from .derivation import (
-    Derivation, MarkerGen, all_labels, all_markers, assume, fold, graft, node,
-    refresh_internal_markers, rename_freshes, replace_at,
-    substitute_label_deriv, with_premise,
+    Derivation, MarkerGen, all_labels, all_markers, assume, copies, fold,
+    graft, node, rename_freshes, replace_at, substitute_label_deriv,
+    with_premise,
 )
 from .kernel import (
     _conclude, _contradict, _falsum_at, _opening, _refutation, _sort, _xf,
@@ -213,8 +218,8 @@ def _reduce_detour(n: Derivation, mgen, lgen) -> Derivation:
         avoid = {v, w}.union(*map(all_labels, minor))
         body = _rename_colliding_freshes(body, avoid, lgen)
         body = substitute_label_deriv(body, w, v)
-    for m in sorted(intro.discharges):
-        body = graft(body, m, minor[0], mgen)
+    if minor:
+        body = graft(body, dict.fromkeys(intro.discharges, copies(minor[0], mgen)))
     return _override_conclusion(body, n.conclusion)
 
 
@@ -242,17 +247,16 @@ def _reduce_mon_pair(n: Derivation, mgen, lgen) -> Derivation:
 def _close_reductio(r: Derivation, mgen) -> Derivation:
     """The premise of ``r``, a reductio concluding its sort's falsum, with
     each leaf that ``r`` discharges, which assumes that the falsum implies
-    itself, closed by the identity proof of that: one identity drawn per
-    marker."""
+    itself, closed by a copy of the one identity proof of that."""
+    body = r.premises[0]
+    if not r.discharges:
+        return body
     s = _sort(r.conclusion)
     y = s.split(r.conclusion)[0]
-    body = r.premises[0]
-    for m in sorted(r.discharges):
-        k = mgen()
-        identity = node(s.imp_i, s.at(y, s.neg(s.falsum)),
-                        assume(s.at(y, s.falsum), k), discharges={k})
-        body = graft(body, m, identity, mgen)
-    return body
+    k = mgen()
+    identity = node(s.imp_i, s.at(y, s.neg(s.falsum)),
+                    assume(s.at(y, s.falsum), k), discharges={k})
+    return graft(body, dict.fromkeys(r.discharges, copies(identity, mgen)))
 
 
 def _reduce_falsum(n: Derivation, mgen, lgen) -> Derivation:
@@ -287,9 +291,8 @@ def _restrict_raa(n: Derivation, mgen, lgen) -> Derivation:
                           node(elim, body, assume(s.at(x, core), whole), *minor))
     refutation = node(s.imp_i, s.at(x, s.neg(core)), _falsum_at(refuted, s, x),
                       discharges={whole})
-    premise = n.premises[0]
-    for m in sorted(n.discharges):
-        premise = graft(premise, m, refutation, mgen)
+    premise = graft(n.premises[0],
+                    dict.fromkeys(n.discharges, copies(refutation, mgen)))
     return node(intro, n.conclusion, _conclude(body, premise, opened),
                 discharges={leaf.marker for leaf in minor}, fresh=z)
 
@@ -307,28 +310,12 @@ def _restrict_raa(n: Derivation, mgen, lgen) -> Derivation:
 # operator (``kernel._opening``), and needs the target's hypothesis carried
 # back, the source eliminated, the result carried forward, and the target
 # introduced.  Each position's pair of labels says which equality it needs:
-# ``a = b``, as given, or ``b = a``, derived once by ``sym_deriv``.
+# ``a = b``, as given, or ``b = a``, derived by ``sym_deriv`` on first use,
+# each handed out by ``derivation.copies``.
 
-class _Supply:
-    """Hand out usable copies of an equality subderivation, which ``build``
-    makes on first use: that derivation first, then marker-refreshed
-    copies."""
-
-    def __init__(self, build, mgen):
-        self.build = build
-        self.mgen = mgen
-        self.built: Derivation | None = None
-
-    def __call__(self) -> Derivation:
-        if self.built is None:
-            self.built = self.build()
-            return self.built
-        return refresh_internal_markers(self.built, self.mgen)
-
-
-def sym_deriv(eq_supply: _Supply, a: str, b: str, mgen) -> Derivation:
-    """Derive ``b = a`` from a derivation of ``a = b`` using connectedness
-    and irreflexivity (restriction-clean: all new mons are positional)."""
+def sym_deriv(eq_ab, a: str, b: str, mgen) -> Derivation:
+    """Derive ``b = a`` from the copies of ``a = b`` that ``eq_ab`` hands
+    out, by connectedness and irreflexivity; every new mon is positional."""
     conn = node("conn", AXIOMS["conn"])
     tpl = AXIOMS["conn"]
     inner1 = substitute_label(tpl.body, b, tpl.var)
@@ -340,7 +327,7 @@ def sym_deriv(eq_supply: _Supply, a: str, b: str, mgen) -> Derivation:
     irr_inst = substitute_label(irr.body, b, irr.var)
 
     k1 = mgen()
-    u1 = node("mon", Less(b, b), assume(Less(b, a), k1), eq_supply(), position=2)
+    u1 = node("mon", Less(b, b), assume(Less(b, a), k1), next(eq_ab), position=2)
     i1 = node("all_e", irr_inst, node("irrefl_lt", irr))
     u2 = node("rimp_e", E_, i1, u1)
     n1 = node("rimp_i", RImplies(Less(b, a), E_), u2, discharges={k1})
@@ -348,7 +335,7 @@ def sym_deriv(eq_supply: _Supply, a: str, b: str, mgen) -> Derivation:
     k2 = mgen()
     n2 = node("rimp_e", expand(inner2).right, t2, n1)
     n3 = node("rimp_e", Less(a, b), n2, assume(RImplies(Eq(b, a), E_), k2))
-    u3 = node("mon", Less(b, b), n3, eq_supply(), position=1)
+    u3 = node("mon", Less(b, b), n3, next(eq_ab), position=1)
     i2 = node("all_e", irr_inst, node("irrefl_lt", irr))
     u4 = node("rimp_e", E_, i2, u3)
     return node("raa_empty", Eq(b, a), u4, discharges={k2})
@@ -357,7 +344,7 @@ def sym_deriv(eq_supply: _Supply, a: str, b: str, mgen) -> Derivation:
 def _transport(pi: Derivation, target, evidence: dict, mgen, lgen) -> Derivation:
     """A derivation of ``target`` from ``pi``, whose conclusion differs
     from it only in labels, with every mon positional.  ``evidence`` maps a
-    pair of labels to the supply of equalities between them.  Each step is
+    pair of labels to copies of an equality between them.  Each step is
     a generator that yields the ``(derivation, target)`` pairs it needs and
     gets their results back, run here on a stack instead of by recursion."""
     stack = [_step(pi, target, evidence, mgen, lgen)]
@@ -386,12 +373,12 @@ def _step(pi: Derivation, target, evidence: dict, mgen, lgen):
     sort = _sort(source)
     a, b = sort.split(source)[0], sort.split(target)[0]
     if isinstance(s, (Atom, Falsum)):
-        return node("mon", target, pi, evidence[a, b](), position=1)
+        return node("mon", target, pi, next(evidence[a, b]), position=1)
     if isinstance(s, (Less, Eq)):
         for p, x, y in ((1, s.x, t.x), (2, s.y, t.y)):
             if x != y:
                 s = replace_position(s, p, y)
-                pi = node("mon", s, pi, evidence[x, y](), position=p)
+                pi = node("mon", s, pi, next(evidence[x, y]), position=p)
         return pi
     elim, intro, hyp, body, z = _opening(sort, a, s, lgen)
     _, _, hyp_t, body_t, _ = _opening(sort, b, t, lambda: z)
@@ -419,10 +406,13 @@ def _restrict_mon(n: Derivation, mgen, lgen) -> Derivation:
         return _override_conclusion(pi, n.conclusion)
 
     # two sources of equality evidence: copies of the given a = b
-    # subderivation, and copies of the derived symmetric b = a
-    eq_ab = _Supply(lambda: eqd, mgen)
-    eq_ba = _Supply(lambda: sym_deriv(eq_ab, a, b, mgen), mgen)
-    out = _transport(pi, n.conclusion, {(a, b): eq_ab, (b, a): eq_ba},
+    # subderivation, and copies of the symmetric b = a, derived on first use
+    eq_ab = copies(eqd, mgen)
+
+    def eq_ba():
+        yield from copies(sym_deriv(eq_ab, a, b, mgen), mgen)
+
+    out = _transport(pi, n.conclusion, {(a, b): eq_ab, (b, a): eq_ba()},
                      mgen, lgen)
     return _override_conclusion(out, n.conclusion)
 

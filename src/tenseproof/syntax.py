@@ -344,24 +344,24 @@ def post_order(root, done) -> Iterator:
 
 def fresh_label(avoid, base: str = "w") -> Label:
     """Smallest ``base``+counter name not colliding with ``avoid``."""
-    avoid = set(avoid)
-    i = 1
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
+    return LabelGen(avoid, base)()
 
 
 class LabelGen:
-    """Hands out fresh labels, remembering everything it has produced."""
+    """Hands out the names ``fresh_label`` gives with each name it gave
+    added to ``avoid``; the counter resumes where it stopped."""
 
     def __init__(self, avoid=(), base: str = "w"):
         self.avoid = set(avoid)
         self.base = base
+        self.i = 0
 
     def __call__(self) -> Label:
-        name = fresh_label(self.avoid, self.base)
-        self.avoid.add(name)
-        return name
+        while True:
+            self.i += 1
+            name = f"{self.base}{self.i}"
+            if name not in self.avoid:
+                return name
 
 
 # ---------------------------------------------------------------------------

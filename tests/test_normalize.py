@@ -31,6 +31,9 @@ E = Empty()
 F = Falsum()
 # the module, not the function of that name the package exports
 nz = importlib.import_module("tenseproof.normalize")
+# ``copies`` is read off the module, so that tools/output_digest.py can
+# import this file's tree generators against a library that lacks it
+dv = importlib.import_module("tenseproof.derivation")
 
 
 def g_detour():
@@ -773,9 +776,17 @@ def _rebuilt_refresh(d, gen):
     return rewrite(d)
 
 
-def _rebuilt_graft(d, marker, replacement, gen):
-    return _rebuilt_map_leaves(d, lambda leaf: _rebuilt_refresh(replacement, gen)
-                               if leaf.marker == marker else leaf)
+def _rebuilt_graft(d, markers, replacement, gen):
+    """``d`` with its leaves of ``markers``, in pre-order, replaced by
+    ``replacement`` itself and then by refreshed copies of it."""
+    placed = []
+
+    def place(leaf):
+        if leaf.marker not in markers:
+            return leaf
+        placed.append(leaf)
+        return replacement if len(placed) == 1 else _rebuilt_refresh(replacement, gen)
+    return _rebuilt_map_leaves(d, place)
 
 
 def _rebuilt_rename_colliding(t, avoid, lgen):
@@ -840,19 +851,29 @@ def test_surgery_shares_unchanged_subtrees():
         markers, labels = all_markers(d), all_labels(d)
         unused = max(markers, default=0) + 1
         assert map_leaves(d, lambda leaf: leaf) is d
-        assert graft(d, unused, d, MarkerGen(markers)) is d
+        # the replacement is a new object: the first copy is the object
+        # itself, which must occur nowhere else in the result
+        r = _rebuilt_refresh(d, MarkerGen(markers))
+        avoid = markers | all_markers(r)
+        assert graft(d, {}) is d
+        assert graft(d, {unused: dv.copies(r, MarkerGen(avoid))}) is d
         assert substitute_label_deriv(d, "v0", "absent") is d
         assert rename_freshes(d, lambda label: None) is d
         assert _rename_colliding_freshes(d, set(), LabelGen(labels)) is d
         if not any(n.discharges for _, n in d.walk()):
             assert refresh_internal_markers(d, MarkerGen(markers)) is d
 
-        for m in sorted(markers):
-            g1, g2 = MarkerGen(markers), MarkerGen(markers)
-            out = graft(d, m, d, g1)
-            assert out == _rebuilt_graft(d, m, d, g2) and g1.next == g2.next
+        # one marker at a time, then two adjacent ones sharing one iterator
+        ms = sorted(markers)
+        for group in [(m,) for m in ms] + list(zip(ms, ms[1:])):
+            g1, g2 = MarkerGen(avoid), MarkerGen(avoid)
+            out = graft(d, dict.fromkeys(group, dv.copies(r, g1)))
+            assert out == _rebuilt_graft(d, group, r, g2) and g1.next == g2.next
+            first = next((path for path, n in d.walk()
+                          if n.is_assumption() and n.marker in group), None)
+            assert first is None or out.at(first) is r
             for p, q in zip(d.premises, out.premises):
-                if all(n.marker != m for _, n in p.walk()):
+                if all(n.marker not in group for _, n in p.walk()):
                     assert q is p
         for y in sorted(labels):
             out = substitute_label_deriv(d, "v0", y)
@@ -909,6 +930,53 @@ def test_deep_tree_traversal():
     assert all_markers(canonical) == set(range(1, 3002))
     assert substitute_label_deriv(d, "y", "w") is d
     assert all_labels(substitute_label_deriv(d, "y", "x")) == {"y"}
-    grafted = graft(d, 1, g_detour(), MarkerGen(all_markers(d)))
-    assert grafted.node_count() == d.node_count() + g_detour().node_count() - 1
+    replacement = g_detour()
+    grafted = graft(d, {1: dv.copies(replacement, MarkerGen(all_markers(d)))})
+    assert grafted.node_count() == d.node_count() + replacement.node_count() - 1
     assert grafted.premises[0] is d.premises[0]
+    assert grafted.at((1,) * 3000) is replacement
+
+
+def _many_marker_reductio(k):
+    """A reductio on ``x : p -> q`` discharging k markers, one refutation
+    leaf each, under k - 1 nested reductios that discharge nothing."""
+    c = pl("x : p -> q")
+    neg, bottom = Lwff("x", Implies(c.formula, F)), Lwff("x", F)
+    d = node("imp_e", bottom, assume(neg, 1), assume(c))
+    for m in range(2, k + 1):
+        d = node("imp_e", bottom, assume(neg, m), node("raa_bot", c, d))
+    return node("raa_bot", c, d, discharges=range(1, k + 1))
+
+
+def test_reductio_grafts_all_its_markers_in_one_pass(monkeypatch):
+    # one graft pass puts the refutation at all 50 discharged leaves, and
+    # the nested reductios, which discharge nothing, walk nothing
+    calls = []
+
+    def counted(d, fn, real=dv.map_leaves):
+        calls.append(d)
+        return real(d, fn)
+    monkeypatch.setattr(dv, "map_leaves", counted)
+    raa = _many_marker_reductio(50)
+    out = restrict(raa)
+    assert len(calls) == 1
+    assert check(out, KL).ok
+    assert open_assumptions(out) == open_assumptions(raa)
+
+
+def test_detour_places_its_minor_premise_itself_first():
+    # the body uses the hypothesis twice; the minor premise discharges a
+    # marker, so the second copy is refreshed and the first is the object
+    minor = node("imp_i", pl("x : p -> p"), assume(pl("x : p"), 5),
+                 discharges={5})
+    hyp = assume(pl("x : p -> p"), 1)
+    body = node("imp_e", pl("x : p"), hyp,
+                node("imp_e", pl("x : p"), hyp, assume(pl("x : p"), 9)))
+    intro = node("imp_i", pl("x : (p -> p) -> p"), body, discharges={1})
+    d = node("imp_e", pl("x : p"), intro, minor)
+    out = reduce_step(d, find_redexes(d)[0])
+    assert sum(n is minor for n in out.nodes()) == 1
+    assert sum(canonical_form(n) == canonical_form(minor)
+               for n in out.nodes()) == 2
+    assert check(out, KL).ok
+    assert open_assumptions(out) == open_assumptions(d)

@@ -16,8 +16,8 @@ from tenseproof.parser import parse_formula, parse_lwff, parse_rwff, render
 from tenseproof.semantics import Model, eval_entity
 from tenseproof.syntax import (
     And, Atom, Empty, Eq, F, Falsum, Forall, G, H, Implies, Less, Lwff, Not,
-    Prec, ProofContext, RImplies, X, canon, core_eq, expand, fresh_label,
-    grade, is_atomic, is_subformula, is_subformula_instance, labels_of,
+    LabelGen, Prec, ProofContext, RImplies, X, canon, core_eq, expand,
+    fresh_label, grade, is_atomic, is_subformula, is_subformula_instance, labels_of,
     subformulas, substitute_label,
 )
 
@@ -146,6 +146,22 @@ def test_fresh_label_never_collides():
     avoid = {"w1", "w2", "w3"}
     assert fresh_label(avoid) == "w4"
     assert fresh_label(set()) == "w1"
+
+
+def test_label_gen_yields_what_repeated_fresh_label_yields():
+    # the generator resumes its counter instead of rescanning from w1; on
+    # seeded avoid sets it hands out what fresh_label gives over the set
+    # grown by each name it gave
+    rng = random.Random(29)
+    for _ in range(100):
+        avoid = {f"{rng.choice('wuv')}{i}" for i in range(rng.randrange(60))
+                 if rng.random() < 0.6} | {"x", "w0", "w"}
+        base = rng.choice("wu")
+        gen, grown = LabelGen(avoid, base), set(avoid)
+        for _ in range(40):
+            name = fresh_label(grown, base)
+            assert gen() == name and name not in avoid
+            grown.add(name)
 
 
 def test_is_atomic():

@@ -6,9 +6,13 @@ output: the check report (violation kinds, paths and messages), the open
 context, the raw ``expand_derived`` text and the ``find_redexes`` list; for
 a tree that checks, also the normal form, the normalization trace, the
 canonical form of the normal form, the ``restrict`` result raw and in
-canonical form, and the ``tracks`` and ``audit_subformula`` reports on the
-normal form.  Further lines digest ``render``, ``parse`` and the
-``ParseError`` text on seeded random entities and broken strings.
+canonical form, the normal form and the ``restrict`` result with only their
+markers renumbered (``*_renum``: 1.. in first-mention order, as
+``canonical_form`` numbers them, conclusions and fresh labels left raw), and
+the ``tracks`` and ``audit_subformula`` reports on the normal form.  Two raw
+outputs whose ``*_renum`` fields agree differ only in marker numbers.
+Further lines digest ``render``, ``parse`` and the ``ParseError`` text on
+seeded random entities and broken strings.
 
 The trees are the bundled corpus, ``DERIVED_TREES`` of the kernel tests,
 the detour and derived-rule benchmark families of seeds 1-3 with one
@@ -20,8 +24,8 @@ random relational formula through a random equality ``a = b`` to its full
 substitution (``rmon-*``), so that ``restrict`` transports them, 300
 seeded reductios (``raa-*``) that ``restrict`` opens at every connective of
 both sorts, three deep trees whose violations lie thousands of levels from
-the root, and two deep chains of case splits that rename markers at every
-level (``deep-*``).
+the root, two deep chains of case splits that rename markers at every
+level, and two deep reductios that ``restrict`` opens (``deep-*``).
 Only the library comes from ``--src``; the generators come from this
 checkout, so two checkouts digest the same inputs:
 
@@ -176,9 +180,12 @@ def _deep_trees(lib) -> list:
     mentions the innermost fresh label.  Then two chains that check, whose
     case splits each rename a marker: 1000 ``or_e`` nested through the
     second branch, whose two branches share a marker, and 200 ``f_e``
-    nested through the minor premise, whose two shapes share a marker."""
+    nested through the minor premise, whose two shapes share a marker.
+    Last, a reductio on ``x : p -> q`` discharging 400 markers under 399
+    nested reductios, and a reductio on ``x : G^2000 p`` from an open
+    ``x : false``."""
     from test_kernel import _f_chain, _or_chain
-    from test_normalize import _nested_imp
+    from test_normalize import _many_marker_reductio, _nested_imp
     node, assume = lib.derivation.node, lib.derivation.assume
     parse = lib.parser.parse
     d = _nested_imp(3000, ["q"], False)
@@ -202,7 +209,15 @@ def _deep_trees(lib) -> list:
                      fresh=f"y{i}")
         out.append((name, d, lib.rules.KL))
     out += [("deep-or-shared", _or_chain(1000, shared=True), lib.rules.KL),
-            ("deep-fe-shared", _f_chain(200, shared=True), lib.rules.KL)]
+            ("deep-fe-shared", _f_chain(200, shared=True), lib.rules.KL),
+            ("deep-raa-markers", _many_marker_reductio(400), lib.rules.KL)]
+    syntax = lib.syntax
+    boxed = syntax.Atom("p")
+    for _ in range(2000):
+        boxed = syntax.G(boxed)
+    out.append(("deep-g-raa", node("raa_bot", syntax.Lwff("x", boxed),
+                                   assume(syntax.Lwff("x", syntax.Falsum()))),
+                lib.rules.KL))
     return out
 
 
@@ -246,6 +261,23 @@ def _mutant(rng, d, lib):
     return None if new == n else lib.derivation.replace_at(d, path, new)
 
 
+def _renumbered(lib, d) -> str:
+    """``d`` as ``dumps`` writes it with its markers renumbered 1.. in
+    first-mention order, as ``canonical_form`` numbers them, and nothing
+    else changed."""
+    order: dict = {}
+    for n in d.nodes():
+        for m in sorted(n.discharges):
+            order.setdefault(m, len(order) + 1)
+        if n.marker is not None:
+            order.setdefault(n.marker, len(order) + 1)
+
+    def renumber(t, premises):
+        return replace(t, premises=tuple(premises), marker=order.get(t.marker),
+                       discharges=frozenset(order[m] for m in t.discharges))
+    return lib.derivation.dumps(lib.derivation.fold(d, renumber))
+
+
 def _tree_line(lib, name, d, profile) -> str:
     render = lib.parser.render
     redexes = _hash(_attempt(lambda: [[r.kind, list(r.path), r.detail]
@@ -269,6 +301,7 @@ def _tree_line(lib, name, d, profile) -> str:
             parts["nf"] = _hash(nf)
         else:
             parts["nf"] = _hash(lib.derivation.dumps(nf))
+            parts["nf_renum"] = _hash(_renumbered(lib, nf))
             parts["canon"] = _hash(lib.derivation.dumps(
                 lib.normalize.canonical_form(nf)))
             parts["tracks"] = _hash(_attempt(
@@ -279,8 +312,10 @@ def _tree_line(lib, name, d, profile) -> str:
         restricted = _attempt(lambda: lib.normalize.restrict(d))
         if isinstance(restricted, str):
             parts["restrict"] = parts["canon_restrict"] = _hash(restricted)
+            parts["restrict_renum"] = parts["restrict"]
         else:
             parts["restrict"] = _hash(lib.derivation.dumps(restricted))
+            parts["restrict_renum"] = _hash(_renumbered(lib, restricted))
             parts["canon_restrict"] = _hash(lib.derivation.dumps(
                 lib.normalize.canonical_form(restricted)))
     return name + " " + " ".join(f"{k}={v}" for k, v in parts.items())
