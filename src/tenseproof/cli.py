@@ -7,7 +7,9 @@ whole pipeline.
 
 Exit codes: 0 all pass, 1 check failure, 2 normalization failure,
 3 semantic (probe or validity) failure, 4 input error (I/O, parse,
-malformed file, a world bound out of range, or an unmatched corpus prefix).
+malformed file, a world bound out of range, an unbound label, a profile
+without useful finite frames, or an unmatched corpus prefix), reported on
+one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .normalize import NonTermination, is_normal, normalize
 from .parser import ParseError, parse, render
 from .rules import parse_profile
 from .semantics import (
-    FinitelyVacuous, UnboundLabel, eval_entity, find_countermodel,
+    UnboundLabel, eval_entity, find_countermodel,
     load_interpretation, load_model, soundness_probe,
 )
 from .syntax import ProofContext
@@ -97,12 +99,7 @@ def cmd_normalize(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     lam = load_interpretation(args.interpretation, model)
-    phi = parse("any", args.formula)
-    try:
-        value = eval_entity(model, lam, phi)
-    except UnboundLabel as exc:
-        print(f"unbound label: {exc}", file=sys.stderr)
-        return EXIT_IO
+    value = eval_entity(model, lam, parse("any", args.formula))
     print("true" if value else "false")
     return EXIT_OK
 
@@ -111,11 +108,7 @@ def cmd_valid(args) -> int:
     _at_least(args.max_worlds, 1, "--max-worlds")
     phi = parse("any", args.formula)
     profile = parse_profile(args.profile)
-    try:
-        cm = find_countermodel(ProofContext.make(), phi, args.max_worlds, profile)
-    except FinitelyVacuous as exc:
-        print(f"FinitelyVacuous: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cm = find_countermodel(ProofContext.make(), phi, args.max_worlds, profile)
     if cm is None:
         print(f"VALID({args.max_worlds})")
         return EXIT_OK
@@ -175,7 +168,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError, ValueError,
+            UnboundLabel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

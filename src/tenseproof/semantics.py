@@ -11,24 +11,27 @@ extras (a first and a final point, left and right discreteness), so no
 chain is skipped.
 
 The search is the labeling algorithm of explicit-state model checking
-(Clarke, Emerson & Sistla, 1986) on int bitmasks of worlds.  The labelled
-formulas of the context and the goal are expanded and compiled once into
-one post-order program in which equal subformulas share a slot.  Per frame
-the search builds each world's successor, predecessor and
-immediate-successor mask, and evaluates the relational formulas once per
-interpretation, since they do not depend on the valuation.  Per valuation
-one run of the program gives the set of worlds where each subformula holds
-(``A -> B`` is ``~A | B``; ``G``, ``H`` and ``X`` test each world's
-relation mask against the body's), and the first refuting interpretation
-is read off those sets.  ``eval_entity`` and ``entails`` evaluate one
-formula in any model, without recursion: a tense formula by the set of
-worlds where each subformula holds, a relational one by a loop that tries
-interpretations in order.  ``tenseproof eval`` uses them, and they are the
-reference the search is tested against.
+(Clarke, Emerson & Sistla, 1986), bit-sliced over valuations.  The labelled
+formulas of the context and the goal are compiled once into one post-order
+program in which equal subformulas share a slot.  Valuations are numbered
+in ``itertools.product`` order (atom-major, world 0 first, False before
+True), so cell (atom ``k``, world ``w``) is bit ``n (A - 1 - k) + n - 1 -
+w`` of the index.  Per block of ``2 ** BLOCK_BITS`` valuations one run of
+the program gives each slot an int per world whose bit ``j`` is its truth
+there under valuation ``j`` of the block (``A -> B`` is ``~A | B``; ``G``,
+``H`` and ``X`` AND the body over the related worlds).  The relational
+formulas are evaluated once per frame and interpretation, and the lowest
+refuting bit is the first countermodel.  ``eval_entity`` and ``entails``
+evaluate one formula in any model, without recursion: a tense formula by
+the set of worlds where each subformula holds, a relational one by a loop
+that tries interpretations in order.  ``tenseproof eval`` uses them, and
+they are the reference the search is tested against.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .derivation import brief_repr, load_json
@@ -42,6 +45,9 @@ from .syntax import (
 
 class UnboundLabel(KeyError):
     """The interpretation lacks a label the formula mentions."""
+
+    def __str__(self) -> str:
+        return f"unbound label: {self.args[0]}"
 
 
 class FinitelyVacuous(ValueError):
@@ -314,7 +320,11 @@ def entails(m: Model, lam: Interpretation, ctx: ProofContext, phi) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bounded search: the labeling algorithm on world bitmasks
+# Bounded search: the labeling algorithm on blocks of valuations
+
+# the valuations of one block are the low BLOCK_BITS bits of their index
+BLOCK_BITS = 12
+
 
 def _require_finite(profile: LogicProfile) -> None:
     if not profile.finitely_modelable():
@@ -371,26 +381,28 @@ def _relation_masks(m: Model) -> dict:
             X: list(zip(bits, imm))}
 
 
-def _label(program, atom_masks: dict, rel, full: int) -> list:
-    """The world mask of every slot: bit ``w`` of slot ``i`` is the truth
-    of instruction ``i``'s formula at world ``w``."""
-    masks: list = []
+def _label_block(program, cells: dict, related: dict, ones: int) -> list:
+    """Bit ``j`` of ``slots[i][w]``: instruction ``i``'s truth at world ``w``
+    under valuation ``j`` of the block ``ones``.  ``cells`` and ``related``
+    give each atom's int and each operator's related worlds per world."""
+    slots: list = []
     for kind, a, b in program:
         if kind is Implies:
-            m = (full & ~masks[a]) | masks[b]
+            s = [(x ^ ones) | y for x, y in zip(slots[a], slots[b])]
         elif kind is Atom:
-            m = atom_masks[a]
+            s = cells[a]
         elif kind is Falsum:
-            m = 0
+            s = [0] * len(related[G])          # one int per world
         else:
-            # G, H, X: the worlds whose related worlds all satisfy the body
-            out = full & ~masks[a]
-            m = 0
-            for bit, related in rel[kind]:
-                if not related & out:
-                    m |= bit
-        masks.append(m)
-    return masks
+            # G, H, X: the body holds at every related world
+            body, s = slots[a], []
+            for worlds in related[kind]:
+                t = ones
+                for u in worlds:
+                    t &= body[u]
+                s.append(t)
+        slots.append(s)
+    return slots
 
 
 def _split(entity):
@@ -434,8 +446,6 @@ def find_countermodel(ctx: ProofContext, phi, max_worlds: int = 5,
 
     for n in range(1, max_worlds + 1):
         frame = Model.chain(n)
-        full = (1 << n) - 1
-        rel = _relation_masks(frame)
         if relational:
             # the relational part sees only the frame and the labels
             lams = [a for a in itertools.product(range(n), repeat=len(labels))
@@ -443,37 +453,57 @@ def find_countermodel(ctx: ProofContext, phi, max_worlds: int = 5,
                                                 rels, goal_rel)]
             if not lams:
                 continue
-        # atom k's mask has bit w for cell (k, w); itertools.product over
-        # per_atom runs the valuations in the order of the cells' truth
-        # values, atom-major, world by world, False before True
-        per_atom = [sum(1 << w for w in range(n) if c >> (n - 1 - w) & 1)
-                    for c in range(1 << n)]
-        for valuation in itertools.product(per_atom, repeat=len(atoms)):
-            masks = _label(program, dict(zip(atoms, valuation)), rel, full)
-            # the worlds each label may take: the labelled hypotheses hold
-            # there and a labelled goal fails there
-            allowed = [full] * len(labels)
+        related = {op: [[u for u in range(n) if m >> u & 1] for _, m in pairs]
+                   for op, pairs in _relation_masks(frame).items()}
+        # cell (atom k, world w) is bit n (A - 1 - k) + n - 1 - w of the index
+        bits = [[n * (len(atoms) - 1 - k) + n - 1 - w for w in range(n)]
+                for k in range(len(atoms))]
+        low = min(len(atoms) * n, BLOCK_BITS)
+        ones = (1 << (1 << low)) - 1
+        # bit j of pattern[b] is bit b of j
+        pattern = [ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1)
+                   << (1 << b) for b in range(low)]
+        for high in range(1 << (len(atoms) * n - low)):
+            # a low cell is its pattern, a high one all ones or none
+            cells = {a: [pattern[b] if b < low
+                         else -(high >> (b - low) & 1) & ones for b in cs]
+                     for a, cs in zip(atoms, bits)}
+            truth = _label_block(program, cells, related, ones)
+            # per label and world, the valuations under which the labelled
+            # hypotheses hold there and a labelled goal fails there
+            allowed = [[ones] * n for _ in labels]
             for i, s in tests:
-                allowed[i] &= masks[s]
+                allowed[i] = [x & y for x, y in zip(allowed[i], truth[s])]
             if goal_test is not None:
                 i, s = goal_test
-                allowed[i] &= ~masks[s]
-            if not all(allowed):
-                continue
-            # the first interpretation in itertools.product order whose
-            # worlds are all allowed: the least world per label, unless the
-            # relational part rules some out
-            if not relational:
-                hit = tuple((m & -m).bit_length() - 1 for m in allowed)
+                allowed[i] = [x & ~y for x, y in zip(allowed[i], truth[s])]
+            if relational:
+                refuting = 0
+                for lam in lams:
+                    r = ones
+                    for per_world, w in zip(allowed, lam):
+                        r &= per_world[w]
+                    refuting |= r
             else:
-                hit = next((a for a in lams
-                            if all(m >> w & 1 for m, w in zip(allowed, a))),
-                           None)
-            if hit is not None:
-                worlds = {a: frozenset(w for w in range(n) if m >> w & 1)
-                          for a, m in zip(atoms, valuation)}
-                return Countermodel(Model(n, frame.prec, worlds),
-                                    dict(zip(labels, hit)), phi)
+                refuting = ones
+                for per_world in allowed:
+                    refuting &= functools.reduce(operator.or_, per_world)
+            if not refuting:
+                continue
+            # the first refuting valuation, and under it the first
+            # interpretation in itertools.product order whose worlds are
+            # all allowed: the least world per label, unless the relational
+            # part rules some out
+            j = (refuting & -refuting).bit_length() - 1
+            holds = [[x >> j & 1 for x in per_world] for per_world in allowed]
+            hit = (next(a for a in lams if all(h[w] for h, w in zip(holds, a)))
+                   if relational else tuple(h.index(1) for h in holds))
+            index = high << low | j
+            worlds = {a: frozenset(w for w, b in enumerate(cs)
+                                   if index >> b & 1)
+                      for a, cs in zip(atoms, bits)}
+            return Countermodel(Model(n, frame.prec, worlds),
+                                dict(zip(labels, hit)), phi)
     return None
 
 

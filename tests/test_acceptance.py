@@ -116,7 +116,7 @@ def test_criterion_4_soundness_probe():
     t0 = time.time()
     probed = 0
     for e in corpus_entries():
-        report = soundness_probe(check(e.derivation, e.profile), 4, e.profile)
+        report = soundness_probe(check(e.derivation, e.profile), 6, e.profile)
         assert report.status in ("PASS", "SKIPPED-SEMANTICS"), e.id
         if report.status == "PASS":
             probed += 1

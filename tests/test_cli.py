@@ -105,6 +105,14 @@ def test_valid_verb(capsys):
 def test_valid_vacuous_profile(capsys):
     assert main(["valid", "x : p", "--max-worlds", "2",
                  "--profile", "kl+rser"]) == 4
+    assert capsys.readouterr().err == (
+        "error: profile extras ['rser'] admit no useful finite frames\n")
+
+
+def test_eval_unbound_label_is_one_error_line(model_files, capsys):
+    model, lam = model_files
+    assert main(["eval", model, lam, "y : p"]) == 4
+    assert capsys.readouterr().err == "error: unbound label: y\n"
 
 
 def test_corpus_verb(capsys):

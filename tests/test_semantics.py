@@ -13,11 +13,15 @@ from tenseproof.kernel import check
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import AXIOMS, KL, parse_profile
 from tenseproof.semantics import (
-    Countermodel, FinitelyVacuous, Model, UnboundLabel, _compile, _label,
-    _relation_masks, _require_finite, check_frame, entails, eval_entity,
-    find_countermodel, soundness_probe,
+    BLOCK_BITS, Countermodel, FinitelyVacuous, Model, UnboundLabel, _compile,
+    _label_block, _relation_masks, _relational_part_refutes, _require_finite,
+    _split, check_frame, entails, eval_entity, find_countermodel,
+    soundness_probe,
 )
-from tenseproof.syntax import Eq, Less, Lwff, ProofContext, X, expand, labels_of
+from tenseproof.syntax import (
+    Atom, Eq, Exists, Falsum, Implies, Less, Lwff, ProofContext, RAnd,
+    X, expand, labels_of,
+)
 
 
 def test_chain_is_a_frame():
@@ -295,7 +299,7 @@ def test_random_checked_derivations_never_refuted():
     gen = DerivationGen(rng)
     for _ in range(100):
         d = gen.derivation(max_nodes=25, steps=14)
-        assert find_countermodel(open_assumptions(d), d.conclusion, 3) is None
+        assert find_countermodel(open_assumptions(d), d.conclusion, 6) is None
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +314,22 @@ def _with_next(rng, phi):
 
 
 def test_mask_labeling_agrees_with_eval_entity():
+    # each model is one valuation, so a block of one bit
     rng = random.Random(4242)
     atoms = ["p", "q"]
     formulas = [_with_next(rng, random_formula(rng, 4, atoms)) for _ in range(40)]
     program, slots = _compile([expand(f) for f in formulas])
     for m in all_models(4, atoms):
-        atom_masks = {a: sum(1 << w for w in ws) for a, ws in m.valuation.items()}
-        masks = _label(program, atom_masks, _relation_masks(m), (1 << m.n) - 1)
+        cells = {a: [int(w in m.valuation.get(a, ())) for w in m.worlds]
+                 for a in atoms}
+        related = {op: [[u for u in m.worlds if mask >> u & 1]
+                        for _, mask in pairs]
+                   for op, pairs in _relation_masks(m).items()}
+        truth = _label_block(program, cells, related, 1)
         for f, s in zip(formulas, slots):
             for w in m.worlds:
                 expected = eval_entity(m, {"x": w}, Lwff("x", f))
-                assert bool(masks[s] >> w & 1) == expected, (m, w, f)
+                assert truth[s][w] == expected, (m, w, f)
 
 
 def _reference_find_countermodel(ctx, phi, max_worlds=5, profile=KL):
@@ -360,6 +369,83 @@ def _same_search(ctx, phi, max_worlds, profile=KL):
     return want
 
 
+def _label(program, atom_masks: dict, rel, full: int) -> list:
+    """The world mask of every slot under one valuation: bit ``w`` of slot
+    ``i`` is the truth of instruction ``i``'s formula at world ``w``."""
+    masks: list = []
+    for kind, a, b in program:
+        if kind is Implies:
+            m = (full & ~masks[a]) | masks[b]
+        elif kind is Atom:
+            m = atom_masks[a]
+        elif kind is Falsum:
+            m = 0
+        else:
+            # G, H, X: the worlds whose related worlds all satisfy the body
+            out = full & ~masks[a]
+            m = 0
+            for bit, related in rel[kind]:
+                if not related & out:
+                    m |= bit
+        masks.append(m)
+    return masks
+
+
+def _enumerated_find_countermodel(ctx, phi, max_worlds=5, profile=KL):
+    """The search before block labeling, verbatim: one run of the compiled
+    program per valuation, in ``itertools.product`` order."""
+    _require_finite(profile)
+    labels = sorted(labels_of(ctx) | labels_of(phi))
+    index = {x: i for i, x in enumerate(labels)}
+
+    hyps = [_split(e) for e in ctx]
+    goal, goal_rel = _split(phi)
+    lwffs = [h for h, _ in hyps if h is not None]
+    if goal is not None:
+        lwffs.append(goal)
+    program, slots = _compile([h.formula for h in lwffs])
+    atoms = sorted({a for kind, a, _ in program if kind is Atom})
+    tests = [(index[h.label], s) for h, s in zip(lwffs, slots)]
+    goal_test = tests.pop() if goal is not None else None
+    rels = [r for _, r in hyps if r is not None]
+    relational = bool(rels) or goal_rel is not None
+
+    for n in range(1, max_worlds + 1):
+        frame = Model.chain(n)
+        full = (1 << n) - 1
+        rel = _relation_masks(frame)
+        if relational:
+            lams = [a for a in itertools.product(range(n), repeat=len(labels))
+                    if _relational_part_refutes(frame, dict(zip(labels, a)),
+                                                rels, goal_rel)]
+            if not lams:
+                continue
+        per_atom = [sum(1 << w for w in range(n) if c >> (n - 1 - w) & 1)
+                    for c in range(1 << n)]
+        for valuation in itertools.product(per_atom, repeat=len(atoms)):
+            masks = _label(program, dict(zip(atoms, valuation)), rel, full)
+            allowed = [full] * len(labels)
+            for i, s in tests:
+                allowed[i] &= masks[s]
+            if goal_test is not None:
+                i, s = goal_test
+                allowed[i] &= ~masks[s]
+            if not all(allowed):
+                continue
+            if not relational:
+                hit = tuple((m & -m).bit_length() - 1 for m in allowed)
+            else:
+                hit = next((a for a in lams
+                            if all(m >> w & 1 for m, w in zip(allowed, a))),
+                           None)
+            if hit is not None:
+                worlds = {a: frozenset(w for w in range(n) if m >> w & 1)
+                          for a, m in zip(atoms, valuation)}
+                return Countermodel(Model(n, frame.prec, worlds),
+                                    dict(zip(labels, hit)), phi)
+    return None
+
+
 PROFILES = ("kl", "kl+first", "kl+final", "kl+ldiscr", "kl+rdiscr")
 
 
@@ -396,3 +482,57 @@ def test_search_matches_former_search_on_corpus():
         for entry in corpus_entries("g"):
             report = check(entry.derivation)
             _same_search(report.open, report.conclusion, 3, parse_profile(name))
+
+
+def _past_first_block(rng, atoms, n, i):
+    """A seeded query over all of ``atoms`` that no chain below ``n`` worlds
+    refutes.  A relational hypothesis puts ``n - 2`` worlds between ``x``
+    and ``y``, so smaller chains have no interpretation and ``x``, ``y`` are
+    the first and last world of the ``n``-chain.  Random labelled
+    hypotheses at ``x``, ``y`` and a free ``w`` go with a labelled goal or,
+    one time in three, a relational goal over ``x``, ``y`` and ``w``.  In a
+    planted query (every other one) the hypothesis ``x : X^t p``, for ``p``
+    the first atom, sets a cell that lies past the block's low bits, so the
+    first countermodel, if any, lies past the first block."""
+    between = [f"u{k}" for k in range(n - 2)]
+    spans = Less(between[-1], "y")
+    for a, u in reversed(list(zip(["x"] + between, between))):
+        spans = Exists(u, RAnd(RAnd(Less(a, u), Less(u, "y")), spans))
+    labels, gamma = ["x", "y", "w"], []
+    if i % 2 == 0:
+        # cell (atom 0, world t) is bit n A - 1 - t, high for t up to
+        # n A - 1 - BLOCK_BITS
+        planted = Atom(atoms[0])
+        for _ in range(rng.randint(0, len(atoms) * n - 1 - BLOCK_BITS)):
+            planted = X(planted)
+        gamma.append(Lwff("x", planted))
+    while True:
+        extra = [Lwff(rng.choice(labels),
+                      _with_next(rng, random_formula(rng, 2, atoms)))
+                 for _ in range(rng.randrange(1, 3))]
+        if i % 3 == 2:
+            goal = random_rwff(rng, 2, labels)
+        else:
+            goal = Lwff(rng.choice(labels),
+                        _with_next(rng, random_formula(rng, 3, atoms)))
+        ctx = ProofContext.make(gamma + extra, [spans])
+        if set(atoms_of(goal)).union(*map(atoms_of, ctx)) == set(atoms):
+            return ctx, goal
+
+
+def test_block_search_matches_enumeration_across_blocks():
+    rng = random.Random(6161)
+    past = 0
+    for i in range(12):
+        atoms, n = (("p", "q", "r"), 5) if i % 4 < 2 else (("p", "q"), 7)
+        ctx, goal = _past_first_block(rng, atoms, n, i)
+        profile = parse_profile(PROFILES[i % len(PROFILES)])
+        got = find_countermodel(ctx, goal, n, profile)
+        want = _enumerated_find_countermodel(ctx, goal, n, profile)
+        assert (got and got.to_json()) == (want and want.to_json()), (ctx, goal)
+        if want is not None:
+            index = sum(1 << (n * (len(atoms) - 1 - k) + n - 1 - w)
+                        for k, a in enumerate(atoms)
+                        for w in want.model.valuation.get(a, ()))
+            past += index >> BLOCK_BITS > 0
+    assert past >= 5, past

@@ -9,10 +9,14 @@ canonical form of the normal form, the ``restrict`` result raw and in
 canonical form, the normal form and the ``restrict`` result with only their
 markers renumbered (``*_renum``: 1.. in first-mention order, as
 ``canonical_form`` numbers them, conclusions and fresh labels left raw), and
-the ``tracks`` and ``audit_subformula`` reports on the normal form.  Two raw
-outputs whose ``*_renum`` fields agree differ only in marker numbers.
-Further lines digest ``render``, ``parse`` and the ``ParseError`` text on
-seeded random entities and broken strings.
+the ``tracks`` and ``audit_subformula`` reports on the normal form, and
+the ``soundness_probe`` verdict and countermodel at 4 worlds (``probe``,
+for trees whose entailment names at most 10 labels: the search tries every
+interpretation of the labels, 4 ** labels of them).  Two raw outputs whose
+``*_renum`` fields agree differ only in marker numbers.  Further lines
+digest ``render``, ``parse`` and the ``ParseError`` text on seeded random
+entities and broken strings, and ``find_countermodel``'s verdict and
+countermodel on seeded random queries (``cm-*``).
 
 The trees are the bundled corpus, ``DERIVED_TREES`` of the kernel tests,
 the detour and derived-rule benchmark families of seeds 1-3 with one
@@ -124,16 +128,17 @@ def _relational_mons(lib, count: int) -> list:
     return out
 
 
-def _tense_formula(syntax, rng, depth: int):
-    """A seeded random tense formula in which ``X`` occurs too."""
+def _tense_formula(syntax, rng, depth: int, atoms=("p", "q", "r")):
+    """A seeded random tense formula over ``atoms`` in which ``X`` occurs
+    too."""
     from helpers import random_formula
     op = rng.choice([syntax.X, syntax.G, syntax.H, syntax.Implies, None])
     if depth <= 0 or op is None:
-        return random_formula(rng, depth)
+        return random_formula(rng, depth, atoms)
     if op is syntax.Implies:
-        return op(_tense_formula(syntax, rng, depth - 1),
-                  _tense_formula(syntax, rng, depth - 1))
-    return op(_tense_formula(syntax, rng, depth - 1))
+        return op(_tense_formula(syntax, rng, depth - 1, atoms),
+                  _tense_formula(syntax, rng, depth - 1, atoms))
+    return op(_tense_formula(syntax, rng, depth - 1, atoms))
 
 
 def _reductios(lib, count: int) -> list:
@@ -309,6 +314,13 @@ def _tree_line(lib, name, d, profile) -> str:
             parts["audit"] = _hash(_attempt(
                 lambda: repr(lib.tracks.audit_subformula(nf))))
         parts["trace"] = _hash(trace)
+        if len(lib.syntax.labels_of(report.open)
+               | lib.syntax.labels_of(report.conclusion)) <= 10:
+            probe = _attempt(lambda: lib.semantics.soundness_probe(
+                report, 4, profile))
+            cm = not isinstance(probe, str) and probe.countermodel
+            parts["probe"] = _hash(probe if isinstance(probe, str) else [
+                probe.status, cm and cm.to_json()])
         restricted = _attempt(lambda: lib.normalize.restrict(d))
         if isinstance(restricted, str):
             parts["restrict"] = parts["canon_restrict"] = _hash(restricted)
@@ -352,6 +364,41 @@ def _syntax_lines(lib):
         yield f"broken-{start} parse={_hash(results)}"
 
 
+FINITE_PROFILES = ("kl", "kl+first", "kl+final", "kl+ldiscr", "kl+rdiscr",
+                   "kl+first+final+ldiscr+rdiscr")
+
+
+def _countermodel_lines(lib, count: int):
+    """``find_countermodel`` on ``count`` seeded queries: up to two labelled
+    hypotheses and one relational one, and a labelled goal or, one time in
+    four, a relational one, over labels ``x``, ``y``, ``z`` and exactly 1-3
+    atoms, with a bound of 1-6 worlds, the finite profiles in turn."""
+    from helpers import atoms_of, random_rwff
+    syntax, labels = lib.syntax, ("x", "y", "z")
+    rng = random.Random(23)
+    for i in range(count):
+        atoms = ("p", "q", "r")[:rng.randint(1, 3)]
+
+        def lwff():
+            return syntax.Lwff(rng.choice(labels), _tense_formula(
+                syntax, rng, rng.randrange(1, 4), atoms))
+        while True:
+            gamma = [lwff() for _ in range(rng.randrange(3))]
+            delta = [random_rwff(rng, rng.randrange(1, 3), labels)
+                     for _ in range(rng.randrange(2))]
+            goal = (lwff() if rng.random() < 0.75
+                    else random_rwff(rng, 2, labels))
+            if set().union(*map(atoms_of, gamma + [goal])) == set(atoms):
+                break
+        worlds, profile = rng.randint(1, 6), FINITE_PROFILES[i % 6]
+        cm = _attempt(lambda: lib.semantics.find_countermodel(
+            syntax.ProofContext.make(gamma, delta), goal, worlds,
+            lib.rules.parse_profile(profile)))
+        verdict = cm if isinstance(cm, str) else [cm is None,
+                                                  cm and cm.to_json()]
+        yield f"cm-{i} {profile} n={worlds} cm={_hash(verdict)}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
@@ -363,10 +410,12 @@ def main(argv=None) -> int:
     lib = argparse.Namespace(**{
         m: importlib.import_module(f"tenseproof.{m}")
         for m in ("corpus", "derivation", "kernel", "normalize", "parser",
-                  "rules", "syntax", "tracks")})
+                  "rules", "semantics", "syntax", "tracks")})
     for name, d, profile in _trees(lib):
         print(_tree_line(lib, name, d, profile), flush=True)
     for line in _syntax_lines(lib):
+        print(line, flush=True)
+    for line in _countermodel_lines(lib, 400):
         print(line, flush=True)
     return 0
 
