@@ -9,7 +9,8 @@ premise indices from the root.
 There are three traversals, none recursive; use the cheapest that serves:
 
 - ``fold`` computes bottom-up: each node's value from its premises' values.
-  Every rebuilding helper below is a fold.
+  Every rebuilding helper below is a fold; ``relabel`` also carries its
+  label environment down through the fold's pre-order visit.
 - ``Derivation.nodes`` yields the nodes, root first, premises left to right.
   A node's place in this order is its *number*, which names it for free;
   ``path_to`` turns a number into a root path where one is reported.
@@ -37,7 +38,7 @@ from typing import Callable, Iterator, Optional, Union
 from . import parser
 from .syntax import (
     Eq, Exists, Forall, Less, Lwff, Prec, RFormula, post_order,
-    substitute_label,
+    substitute_labels,
 )
 
 Conclusion = Union[Lwff, RFormula]
@@ -240,34 +241,35 @@ class MarkerGen:
         return m
 
 
-def substitute_label_deriv(d: Derivation, new: str, old: str) -> Derivation:
-    """Apply a label substitution to every formula in the tree.  A subtree
-    in which ``old`` does not occur is returned as the same object."""
-    if new == old:
-        return d
+def relabel(d: Derivation, env: dict,
+            rename: Callable[[str], Optional[str]]) -> Derivation:
+    """``d`` with the labels ``env`` maps replaced in every formula and
+    fresh label, in one top-down pass.  Where ``rename`` maps a node's fresh
+    label, as replaced above it, to a name, that label becomes the name in
+    the node's subtree.  Unchanged subtrees are returned as they are."""
+    env = dict(env)         # the labels in scope; a rename binds and unbinds
 
-    def subst(n: Derivation, premises: list) -> Derivation:
-        c = substitute_label(n.conclusion, new, old)
-        if n.fresh != old and c == n.conclusion:
-            return with_premises(n, premises)
-        return Derivation(n.rule, c, tuple(premises), n.marker, n.discharges,
-                          new if n.fresh == old else n.fresh, n.position)
+    def bind(t: Derivation) -> tuple:
+        label = t.fresh
+        name = None if label is None else rename(env.get(label, label))
+        if name is None:
+            return (t, None, None), t.premises
+        saved, env[label] = env.get(label), name
+        return (t, label, saved), t.premises
 
-    return fold(d, subst)
+    def rebuild(scope: tuple, premises: list) -> Derivation:
+        t, label, saved = scope
+        c, fresh = substitute_labels(t.conclusion, env), env.get(t.fresh, t.fresh)
+        if saved is not None:
+            env[label] = saved
+        elif label is not None:
+            del env[label]
+        if c is t.conclusion and fresh == t.fresh:
+            return with_premises(t, premises)
+        return Derivation(t.rule, c, tuple(premises), t.marker, t.discharges,
+                          fresh, t.position)
 
-
-def rename_freshes(d: Derivation, rename: Callable[[str], Optional[str]]) -> Derivation:
-    """Top-down, for each node whose fresh label ``rename`` maps to a name
-    (not ``None``), substitute that name for the label throughout the node's
-    subtree, then go on into its premises.  ``d`` itself if nothing is
-    renamed."""
-    def visit(t: Derivation) -> tuple:
-        if t.fresh is not None:
-            label = rename(t.fresh)
-            if label is not None:
-                t = substitute_label_deriv(t, label, t.fresh)
-        return t, t.premises
-    return fold(d, with_premises, visit)
+    return fold(d, rebuild, bind)
 
 
 def refresh_internal_markers(d: Derivation, gen: MarkerGen) -> Derivation:

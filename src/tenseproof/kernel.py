@@ -74,7 +74,8 @@ from .derivation import (
 from .rules import KL, RULES, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, Prec,
-    ProofContext, RImplies, X, core_eq, expand, labels_of, substitute_label,
+    ProofContext, RImplies, X, core_eq, expand, labels_of, match_labels,
+    substitute_label,
 )
 
 F_ = Falsum()
@@ -246,12 +247,13 @@ def _xf(c) -> object:
 
 
 def match_instantiation(body, var, target):
-    """Find a label ``w`` with ``body[w/var]`` core-equal to ``target``."""
-    candidates = set(labels_of(target)) | {var}
-    for w in sorted(candidates):
-        if core_eq(substitute_label(body, w, var), target):
-            return w
-    return None
+    """A label ``w`` with ``body[w/var]`` core-equal to ``target``, or
+    ``None``; if ``var`` is not free in ``body``, the least label of
+    ``target`` and ``var``."""
+    env = match_labels(body, target, {var})
+    if env is None:
+        return None
+    return env.get(var) or min(labels_of(target) | {var})
 
 
 def _atomic_positions(core, label):
@@ -533,10 +535,8 @@ class _Checker:
                      f"{n.rule} major premise's connective must be {op.__name__}")
             return {}
         z = s.split(c)[0]
-        if op is Forall:
-            z = match_instantiation(core.body, core.var, c)
-            if z is None:       # the body itself, which does not fit
-                z = core.var
+        if op is Forall:        # if no label fits, the body, which fails below
+            z = match_instantiation(core.body, core.var, c) or core.var
         _, _, hyp, body, _ = _opening(s, x, core, lambda: z)
         if not (core_eq(c, body)
                 and (hyp is None or core_eq(n.premises[1].conclusion, hyp))):
@@ -910,10 +910,9 @@ def _exp_ex_e(n, mgen, held):
     c = n.conclusion
     leaf_k = _refutation(c, mgen())
     t1 = _falsum_at(_contradict(leaf_k, p1), REL, None)
-    t2 = node("rimp_i", substitute_label(RImplies(body, E_), y, var), t1,
-              discharges=n.discharges)
-    t3 = node("all_i", Forall(y, substitute_label(RImplies(body, E_), y, var)),
-              t2, fresh=y)
+    inst = substitute_label(RImplies(body, E_), y, var)
+    t2 = node("rimp_i", inst, t1, discharges=n.discharges)
+    t3 = node("all_i", Forall(y, inst), t2, fresh=y)
     t4 = node("rimp_e", E_, p0, t3)
     return _conclude(c, t4, leaf_k.marker)
 

@@ -55,8 +55,7 @@ from dataclasses import dataclass, replace
 
 from .derivation import (
     Derivation, MarkerGen, all_labels, all_markers, assume, copies, fold,
-    graft, node, rename_freshes, replace_at, substitute_label_deriv,
-    with_premise,
+    graft, node, relabel, replace_at, with_premise,
 )
 from .kernel import (
     _conclude, _contradict, _falsum_at, _opening, _refutation, _sort, _xf,
@@ -196,10 +195,6 @@ def _override_conclusion(t: Derivation, conclusion) -> Derivation:
     return replace(t, conclusion=conclusion)
 
 
-def _rename_colliding_freshes(t: Derivation, avoid: set, lgen) -> Derivation:
-    return rename_freshes(t, lambda label: lgen() if label in avoid else None)
-
-
 def _reduce_detour(n: Derivation, mgen, lgen) -> Derivation:
     """The introduction's body with its fresh label, if any, made the one
     the elimination names, and the minor premise, if any, grafted at the
@@ -214,10 +209,10 @@ def _reduce_detour(n: Derivation, mgen, lgen) -> Derivation:
         else:
             w = n.conclusion.label
         # inner fresh labels equal to either end of the substitution would be
-        # captured or merged by the textual renaming; give them new names
+        # captured or merged by it; give them new names in the same pass
         avoid = {v, w}.union(*map(all_labels, minor))
-        body = _rename_colliding_freshes(body, avoid, lgen)
-        body = substitute_label_deriv(body, w, v)
+        body = relabel(body, {v: w},
+                       lambda label: lgen() if label in avoid else None)
     if minor:
         body = graft(body, dict.fromkeys(intro.discharges, copies(minor[0], mgen)))
     return _override_conclusion(body, n.conclusion)
@@ -671,4 +666,4 @@ def canonical_form(d: Derivation) -> Derivation:
             position=t.position,
         )
 
-    return fold(rename_freshes(d, lambda label: f"·f{next(counter)}"), squash)
+    return fold(relabel(d, {}, lambda label: f"·f{next(counter)}"), squash)

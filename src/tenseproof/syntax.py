@@ -21,6 +21,9 @@ Hash-Consing*, 2006).  The invariant:
   from the start.  So ``core_eq(a, b)`` is ``canon(a) is canon(b)``.
 - Nothing here recurses on a formula: each traversal keeps its pending work
   on a list, so formulas of any depth expand, compare and substitute.
+- Labels are substituted by one walk, ``substitute_labels``, which stops
+  where a node's memoized free labels miss its environment, and matched
+  up to bound names by one, ``match_labels``.
 """
 
 from __future__ import annotations
@@ -442,7 +445,7 @@ def is_atomic(phi) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Free labels and substitution
+# Free labels, substitution and matching: one walk each
 
 def _labelled(n) -> bool:
     return n._l is not None
@@ -472,61 +475,86 @@ def labels_of(e) -> frozenset:
     raise TypeError(f"no labels in {e!r}")
 
 
-_THEN = object()     # task: substitute in the last result
-_BUILD = object()    # task: rebuild a node from the last results
-
-
 def substitute_label(phi, new: Label, old: Label):
     """Replace every free occurrence of ``old`` by ``new``, capture-avoiding."""
-    if new == old:
-        return phi
-    if isinstance(phi, Lwff):
-        return Lwff(new if phi.label == old else phi.label, phi.formula)
-    if is_formula(phi):
-        return phi
-    # tasks: (node, new, old) substitutes in node and pushes the result on
-    # ``out``; (_THEN, new, old) substitutes in the last result;
-    # (_BUILD, cls, var) rebuilds a node of ``cls`` from the last results
+    return phi if new == old else substitute_labels(phi, {old: new})
+
+
+def substitute_labels(phi, env: dict):
+    """Replace each free label ``env`` maps by its image, all at once and
+    capture-avoiding: a binder that would capture an image is renamed
+    ``fresh_label(free | images, "u")`` (its body's free labels and their
+    images).  A subtree none of whose free labels ``env`` maps is returned
+    as it is."""
+    # tasks: (node, env) pushes the node substituted on ``out``; (None,
+    # (cls, head, k)) builds a ``cls`` from ``head`` and the last k results
     out: list = []
-    todo = [(phi, new, old)]
+    todo = [(phi, env)]
     while todo:
-        n, new, old = todo.pop()
-        if n is _THEN:
-            todo.append((out.pop(), new, old))
-            continue
-        if n is _BUILD:
-            cls, var = new, old
-            if var is not None:
-                out.append(cls(var, out.pop()))
-            elif cls is RNot:
-                out.append(cls(out.pop()))
-            else:
-                right = out.pop()
-                out.append(cls(out.pop(), right))
-            continue
+        n, env = todo.pop()
         cls = type(n)
-        if cls in (Less, Eq, Prec):
-            out.append(cls(new if n.x == old else n.x, new if n.y == old else n.y))
-        elif cls is Empty:
+        if n is None:
+            cls, head, k = env
+            kids = out[-k:]
+            del out[-k:]
+            out.append(cls(*head, *kids))
+        elif env.keys().isdisjoint(labels_of(n)):
             out.append(n)
-        elif cls in (RImplies, RAnd, ROr):
-            todo += [(_BUILD, cls, None), (n.right, new, old), (n.left, new, old)]
-        elif cls is RNot:
-            todo += [(_BUILD, cls, None), (n.body, new, old)]
-        elif cls in (Forall, Exists):
-            if n.var == old:
-                out.append(n)  # old is bound here, nothing free below
-                continue
-            free = labels_of(n.body) if n.var == new else ()
-            if old in free:
-                # the binder would capture the incoming label: rename it first
-                v = fresh_label(free | {new, old}, base="u")
-                todo += [(_BUILD, cls, v), (_THEN, new, old), (n.body, v, n.var)]
-            else:
-                todo += [(_BUILD, cls, n.var), (n.body, new, old)]
+        elif cls in (Less, Eq, Prec):
+            out.append(cls(env.get(n.x, n.x), env.get(n.y, n.y)))
+        elif cls is Lwff:
+            out.append(Lwff(env[n.label], n.formula))
         else:
-            raise TypeError(f"cannot substitute in {n!r}")
+            head = ()
+            if cls in (Forall, Exists):     # its own variable is not free in it
+                env = {x: env[x] for x in labels_of(n) if x in env}
+                var = n.var
+                if var in env.values():
+                    # the binder would capture an incoming label: rename it too
+                    var = fresh_label(labels_of(n.body) | set(env.values()),
+                                      base="u")
+                    env[n.var] = var
+                head = (var,)
+            kids = n._kids(n)
+            todo.append((None, (cls, head, len(kids))))
+            todo += [(k, env) for k in reversed(kids)]
     return out.pop()
+
+
+def match_labels(pattern, target, holes):
+    """The labels to put for the ``holes`` free in ``pattern`` to make it
+    ``target`` (both expanded) up to bound names, as a dict, or ``None``.
+    A hole takes only a label free in ``target``; a bound label matches
+    only the one bound by the binder matched with its own."""
+    env: dict = {}
+    # each side's labels -> the number of the binder pair that binds them,
+    # None (or absent) for a free label
+    pb, tb = {}, {}
+    pairs = 0
+    todo = [(expand(pattern), expand(target))]
+    while todo:
+        p, t = todo.pop()
+        cls = type(p)
+        if p is None:                   # leave a binder pair, restoring
+            pb[t[0]], tb[t[1]] = t[2], t[3]     # what its labels were
+        elif cls is not type(t):
+            return None
+        elif cls is Forall:
+            todo += [(None, (p.var, t.var, pb.get(p.var), tb.get(t.var))),
+                     (p.body, t.body)]
+            pairs += 1
+            pb[p.var] = tb[t.var] = pairs
+        elif cls is RImplies:
+            todo += [(p.right, t.right), (p.left, t.left)]
+        elif cls in (Less, Eq):
+            for a, b in ((p.x, t.x), (p.y, t.y)):
+                pair = pb.get(a)
+                if pair != tb.get(b) or pair is None and b != (
+                        env.setdefault(a, b) if a in holes else a):
+                    return None
+        elif p is not t:                # the label-free nodes, and ``Lwff``
+            return None
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -608,44 +636,9 @@ class SubformulaPool:
         b = _formula_part(expand(b))
         if self.has_variant(b):
             return True
-        # a label instance of a closed subformula is that subformula
         return (not is_formula(b) and bool(labels_of(b))
-                and any(_matches_instance(s, b) for s in self.subformulas))
-
-
-def is_subformula_instance(b, a) -> bool:
-    """Is ``b`` a label-instance of some subformula of ``a``?  Tense
-    formulas carry no labels, so for those this coincides with
-    ``is_subformula``."""
-    return b in SubformulaPool([a])
-
-
-def _matches_instance(pattern, target) -> bool:
-    """Match ``target`` against ``pattern`` with free labels as holes."""
-    env: dict = {}
-    todo = [(pattern, target, {})]
-    while todo:
-        pat, tgt, bound = todo.pop()
-        cls = type(pat)
-        if cls is Empty:
-            if type(tgt) is not Empty:
-                return False
-        elif cls in (Less, Eq):
-            if type(tgt) is not cls:
-                return False
-            for pl, tl in ((pat.x, tgt.x), (pat.y, tgt.y)):
-                if (bound[pl] if pl in bound else env.setdefault(pl, tl)) != tl:
-                    return False
-        elif cls in (RImplies, Forall):
-            if type(tgt) is not cls:
-                return False
-            if cls is Forall:
-                todo.append((pat.body, tgt.body, {**bound, pat.var: tgt.var}))
-            else:
-                todo += [(pat.right, tgt.right, bound), (pat.left, tgt.left, bound)]
-        else:
-            return False
-    return True
+                and any(match_labels(s, b, labels_of(s)) is not None
+                        for s in self.subformulas))
 
 
 # ---------------------------------------------------------------------------

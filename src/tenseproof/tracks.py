@@ -24,7 +24,7 @@ from .derivation import Derivation
 from .kernel import LAB, REL, _TENSE, _sort, _xf
 from .normalize import is_normal
 from .rules import ELIM_RULES, FALSUM_RULES, INTRO_RULES, RULES
-from .syntax import Lwff, SubformulaPool, is_atomic, is_subformula_instance
+from .syntax import Forall, Lwff, SubformulaPool, is_atomic, match_labels
 
 
 class StructureViolation(AssertionError):
@@ -65,6 +65,14 @@ class TrackReport:
 
 def _is_axiom(n: Derivation) -> bool:
     return RULES[n.rule].kind == "axiom"
+
+
+def _opens_to(whole, part) -> bool:
+    """Is ``part`` (its formula, for an lwff) an immediate part of the core
+    of ``whole``, for a universal its body with any label for its variable?"""
+    core, part = _xf(whole), _xf(part)
+    holes = (core.var,) if isinstance(core, Forall) else ()
+    return any(match_labels(k, part, holes) is not None for k in core._kids(core))
 
 
 def tracks(d: Derivation) -> TrackReport:
@@ -128,7 +136,7 @@ def _decompose(nodes, chain, kind, origin, terminus) -> Track:
         b = below(i)
         if b.rule in ELIM_RULES and chain[i][-1] == _MAJOR_INDEX:
             phi, psi = nodes[chain[i]].conclusion, b.conclusion
-            if not is_subformula_instance(psi, phi):
+            if not _opens_to(phi, psi):
                 raise StructureViolation(
                     f"elimination step at {chain[i]} does not shrink the formula")
             i += 1
@@ -167,7 +175,7 @@ def _decompose(nodes, chain, kind, origin, terminus) -> Track:
             raise StructureViolation(
                 f"late track node at {chain[k]} feeds a non-introduction rule")
         phi, psi = nodes[chain[k]].conclusion, b.conclusion
-        if not is_subformula_instance(phi, psi):
+        if not _opens_to(psi, phi):
             raise StructureViolation(
                 f"introduction step at {chain[k]} does not grow the formula")
     intro = tuple(range(j, n))

@@ -171,6 +171,41 @@ def test_mon_infers_single_position():
     assert check(d3, KL).ok  # both positions: the unrestricted reading
 
 
+def test_instantiation_agrees_with_the_candidate_loop():
+    # the matcher against the loop that substituted each candidate label
+    # and compared: with vacuous variables, where the least candidate is
+    # kept, and with the variable's place bound in the target, or its
+    # label captured by a binder of the body
+    import random
+    import label_reference as ref
+    from helpers import random_rwff
+    from tenseproof.kernel import match_instantiation
+    cases = [("forall a. v < a", "v", "forall b. a < b", "a"),
+             ("forall a. v < a", "v", "forall a. a < a", None),
+             ("forall a. v < a => v = a", "v", "forall b. c < b => a = b", None),
+             ("forall a. a < a", "v", "forall b. b < b", "v"),
+             ("y < y", "v", "y < y", "v"), ("y < y", "z", "y < y", "y")]
+    for body, var, target, w in cases:
+        body, target = pr(body), pr(target)
+        assert match_instantiation(body, var, target) == w
+        assert ref.match_instantiation(body, var, target) == w
+    labels = ("x", "y", "u1", "u2")
+    rng = random.Random(53)
+    vacuous = found = 0
+    for _ in range(2000):
+        body = random_rwff(rng, rng.randrange(1, 5), labels)
+        var = rng.choice(labels)
+        if rng.random() < 0.7:
+            target = substitute_label(body, rng.choice(labels + ("z",)), var)
+        else:
+            target = random_rwff(rng, rng.randrange(1, 4), labels)
+        w = match_instantiation(body, var, target)
+        assert w == ref.match_instantiation(body, var, target)
+        found += w is not None
+        vacuous += w is not None and var not in labels_of(body)
+    assert found > 1000 and vacuous > 100
+
+
 def test_next_step_rules_need_mtl():
     mtl = parse_profile("mtl")
     xi = node("x_i", pl("x : X p"), assume(pl("y : p")), discharges={1}, fresh="y")

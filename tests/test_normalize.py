@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import os
 import pathlib
 import random
@@ -11,19 +12,17 @@ import pytest
 from helpers import DerivationGen
 from tenseproof.derivation import (
     MarkerGen, all_labels, all_markers, assume, from_json, graft, map_leaves,
-    node, refresh_internal_markers, rename_freshes, substitute_label_deriv,
-    to_json, with_premise,
+    node, refresh_internal_markers, to_json, with_premise,
 )
 from tenseproof.kernel import check, expand_derived, open_assumptions
 from tenseproof.normalize import (
-    NonTermination, Redex, RedexStale, _mon_class, _rename_colliding_freshes,
-    _Zipper, canonical_form, find_redexes, is_normal, normalize, reduce_step,
-    restrict,
+    NonTermination, Redex, RedexStale, _mon_class, _Zipper, canonical_form,
+    find_redexes, is_normal, normalize, reduce_step, restrict,
 )
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import KL, parse_profile
 from tenseproof.syntax import (
-    Atom, Empty, Falsum, Implies, LabelGen, Lwff, RImplies, core_eq, expand,
+    Atom, Empty, Falsum, G, Implies, LabelGen, Lwff, RImplies, core_eq, expand,
     grade, is_atomic, substitute_label,
 )
 
@@ -31,8 +30,9 @@ E = Empty()
 F = Falsum()
 # the module, not the function of that name the package exports
 nz = importlib.import_module("tenseproof.normalize")
-# ``copies`` is read off the module, so that tools/output_digest.py can
-# import this file's tree generators against a library that lacks it
+# ``copies`` and ``relabel`` are read off the module, so that
+# tools/output_digest.py can import this file's tree generators against a
+# library that lacks them
 dv = importlib.import_module("tenseproof.derivation")
 
 
@@ -857,9 +857,8 @@ def test_surgery_shares_unchanged_subtrees():
         avoid = markers | all_markers(r)
         assert graft(d, {}) is d
         assert graft(d, {unused: dv.copies(r, MarkerGen(avoid))}) is d
-        assert substitute_label_deriv(d, "v0", "absent") is d
-        assert rename_freshes(d, lambda label: None) is d
-        assert _rename_colliding_freshes(d, set(), LabelGen(labels)) is d
+        assert dv.relabel(d, {"absent": "v0"}, lambda label: None) is d
+        assert dv.relabel(d, {}, lambda label: None) is d
         if not any(n.discharges for _, n in d.walk()):
             assert refresh_internal_markers(d, MarkerGen(markers)) is d
 
@@ -876,17 +875,101 @@ def test_surgery_shares_unchanged_subtrees():
                 if all(n.marker not in group for _, n in p.walk()):
                     assert q is p
         for y in sorted(labels):
-            out = substitute_label_deriv(d, "v0", y)
+            out = dv.relabel(d, {y: "v0"}, lambda label: None)
             assert out == _rebuilt_substitute(d, "v0", y)
             changed += out is not d
         g1, g2 = MarkerGen(markers), MarkerGen(markers)
         assert refresh_internal_markers(d, g1) == _rebuilt_refresh(d, g2)
         assert g1.next == g2.next
         l1, l2 = LabelGen(labels), LabelGen(labels)
-        assert (_rename_colliding_freshes(d, labels, l1)
+        assert (dv.relabel(d, {}, lambda label: l1() if label in labels else None)
                 == _rebuilt_rename_colliding(d, labels, l2))
         assert l1() == l2()
     assert changed > 100
+
+
+def test_relabel_agrees_with_rename_then_substitute():
+    # one pass against rename_freshes followed by substitute_label_deriv:
+    # on the body of each node with a fresh label, as a detour reduction
+    # substitutes in it, and on whole trees, as canonical_form renames them
+    import label_reference as ref
+    rng = random.Random(59)
+    gen = DerivationGen(rng)
+    compared = renamed = 0
+    for _ in range(1000):
+        d = gen.derivation()
+        labels = sorted(all_labels(d))
+        for n in d.nodes():
+            if n.fresh is None:
+                continue
+            body, v, w = n.premises[0], n.fresh, rng.choice(labels)
+            avoid = {v, w, *rng.sample(labels, rng.randint(0, len(labels)))}
+            l1, l2 = LabelGen(labels), LabelGen(labels)
+            new = dv.relabel(body, {v: w},
+                             lambda label: l1() if label in avoid else None)
+            old = ref.substitute_label_deriv(ref.rename_freshes(
+                body, lambda label: l2() if label in avoid else None), w, v)
+            assert canonical_form(new) == canonical_form(old)
+            assert [t.fresh for t in new.nodes()] == [t.fresh for t in old.nodes()]
+            compared += 1
+            renamed += l1.i > 0
+        c1, c2 = itertools.count(1), itertools.count(1)
+        new = dv.relabel(d, {}, lambda label: f"f{next(c1)}")
+        old = ref.rename_freshes(d, lambda label: f"f{next(c2)}")
+        assert canonical_form(new) == canonical_form(old)
+        assert [t.fresh for t in new.nodes()] == [t.fresh for t in old.nodes()]
+    assert compared > 150 and renamed > 30
+
+
+def _g_reductio(k):
+    """A reductio on ``x : G^k p`` from an open ``x : false``: its normal
+    form opens the k operators by k nested ``g_i``."""
+    f = Atom("p")
+    for _ in range(k):
+        f = G(f)
+    return node("raa_bot", Lwff("x", f), assume(Lwff("x", F)))
+
+
+def _lines_run(fn, *args) -> int:
+    """The lines of the library that ``fn(*args)`` runs: a deterministic
+    count of its work that also sees the loops inside a call."""
+    package = os.path.dirname(nz.__file__)
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        count += event == "line"
+        return trace
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_label_passes_grow_linearly(monkeypatch):
+    # canonical_form and tracks of the normal form of a reductio on
+    # x : G^k p: the formula substitutions they make, and the lines of the
+    # library they run, grow at most x2.3 as k doubles
+    from tenseproof.tracks import tracks
+    calls = []
+    real = dv.substitute_labels
+    monkeypatch.setattr(dv, "substitute_labels",
+                        lambda *args: calls.append(1) or real(*args))
+    counts = {}
+    for k in (500, 1000):
+        nf = normalize(_g_reductio(k))
+        for fn in (canonical_form, tracks):
+            calls.clear()
+            counts[fn, k] = (_lines_run(fn, nf), len(calls))
+    assert counts[canonical_form, 500][1] >= 500     # one per node
+    for fn in (canonical_form, tracks):
+        for small, large in zip(counts[fn, 500], counts[fn, 1000]):
+            assert large <= 2.3 * small, fn.__name__
 
 
 def _same_tree(a, b):
@@ -928,8 +1011,8 @@ def test_deep_tree_traversal():
     canonical = canonical_form(d)
     assert _same_tree(canonical_form(canonical), canonical)
     assert all_markers(canonical) == set(range(1, 3002))
-    assert substitute_label_deriv(d, "y", "w") is d
-    assert all_labels(substitute_label_deriv(d, "y", "x")) == {"y"}
+    assert dv.relabel(d, {"w": "y"}, lambda label: None) is d
+    assert all_labels(dv.relabel(d, {"x": "y"}, lambda label: None)) == {"y"}
     replacement = g_detour()
     grafted = graft(d, {1: dv.copies(replacement, MarkerGen(all_markers(d)))})
     assert grafted.node_count() == d.node_count() + replacement.node_count() - 1

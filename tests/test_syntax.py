@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+import label_reference as ref
 from helpers import (
     all_interpretations, all_models, atoms_of, eval_shortcut, random_entity,
     random_formula, random_rwff,
@@ -17,8 +18,8 @@ from tenseproof.semantics import Model, eval_entity
 from tenseproof.syntax import (
     And, Atom, Empty, Eq, F, Falsum, Forall, G, H, Implies, Less, Lwff, Not,
     LabelGen, Prec, ProofContext, RImplies, X, canon, core_eq, expand,
-    fresh_label, grade, is_atomic, is_subformula, is_subformula_instance, labels_of,
-    subformulas, substitute_label,
+    fresh_label, grade, is_atomic, is_subformula, labels_of, match_labels,
+    subformulas, substitute_label, substitute_labels, SubformulaPool,
 )
 
 
@@ -133,6 +134,96 @@ def test_substitution_capture_avoiding():
     assert isinstance(got, Forall)
     assert got.var != "y"
     assert labels_of(got) == frozenset({"y"})
+
+
+def _binders(rho) -> set:
+    out, todo = set(), [rho]
+    while todo:
+        n = todo.pop()
+        out.add(getattr(n, "var", None))
+        todo += n._kids(n)
+    return out
+
+
+# the labels ``fresh_label`` renames a binder to are among these, so that
+# renamed binders meet binders of the same name below them
+CAPTURING = ("x", "y", "u1", "u2")
+
+
+def test_substitute_labels_agrees_with_sequential_substitution():
+    # one pair: the very node the old one-pair walk built, binder names
+    # included; two or three pairs: the old walk run through labels that
+    # occur nowhere, up to bound names
+    rng = random.Random(41)
+    captured = 0
+    for _ in range(3000):
+        rho = random_rwff(rng, rng.randrange(1, 6), CAPTURING)
+        old, new = rng.choice(CAPTURING), rng.choice(CAPTURING + ("z",))
+        got = substitute_labels(rho, {old: new})
+        assert got is ref.substitute_label(rho, new, old)
+        assert substitute_label(rho, new, old) is got
+        captured += old in labels_of(rho) and new in _binders(rho)
+        keys = rng.sample(CAPTURING, rng.randint(2, 3))
+        env = {k: rng.choice(CAPTURING + ("z",)) for k in keys}
+        seq = rho
+        for i, k in enumerate(keys):
+            seq = ref.substitute_label(seq, f"t{i}", k)
+        for i, k in enumerate(keys):
+            seq = ref.substitute_label(seq, env[k], f"t{i}")
+        assert core_eq(substitute_labels(rho, env), seq)
+    assert captured > 150
+
+
+def test_substitute_labels_returns_untouched_subtrees():
+    rho = parse_rwff("(forall v. x < v) => y < z")
+    got = substitute_labels(rho, {"y": "w"})
+    assert got.left is rho.left and got is parse_rwff("(forall v. x < v) => w < z")
+    assert substitute_labels(rho, {"v": "w", "q": "w"}) is rho
+    lwff, tense = parse_lwff("x : G p"), parse_formula("G p")
+    assert substitute_labels(lwff, {"x": "y"}) is parse_lwff("y : G p")
+    assert substitute_labels(tense, {"x": "y"}) is tense
+
+
+def test_match_labels_finds_exactly_the_instances():
+    # a match is an instance, and where no labels of the target make one,
+    # none is found
+    import itertools
+    rng = random.Random(43)
+    found = 0
+    for _ in range(1500):
+        pattern = random_rwff(rng, rng.randrange(1, 4), CAPTURING)
+        holes = sorted(labels_of(pattern))
+        if rng.random() < 0.5:
+            target = substitute_labels(pattern, dict(zip(
+                holes, (rng.choice(CAPTURING) for _ in holes))))
+        else:
+            target = random_rwff(rng, rng.randrange(1, 4), CAPTURING)
+        env = match_labels(pattern, target, holes)
+        if env is not None:
+            found += 1
+            assert set(env) <= set(holes)
+            assert core_eq(substitute_labels(pattern, env), target)
+        else:
+            for labels in itertools.product(sorted(labels_of(target)),
+                                            repeat=len(holes)):
+                env = dict(zip(holes, labels))
+                assert not core_eq(substitute_labels(pattern, env), target)
+    assert found > 500
+
+
+def test_label_instances_do_not_capture():
+    # a hole takes no label the target binds, and bound labels stay one to
+    # one: no substitution for x, nor any for y, yields these targets
+    for target, pattern in [
+            ("forall v. (v < v) => (y < y)", "forall v. (v < x) => (y < y)"),
+            ("forall a. forall a. (a < a) => (y < y)",
+             "forall v. forall w. (v < w) => (y < y)")]:
+        target, pattern = parse_rwff(target), parse_rwff(pattern)
+        assert ref._matches_instance(pattern, target)
+        assert match_labels(pattern, target, labels_of(pattern)) is None
+        assert target not in SubformulaPool([pattern])
+    assert parse_rwff("forall a. forall b. (a < b) => (z < z)") in SubformulaPool(
+        [parse_rwff("forall v. forall w. (v < w) => (y < y)")])
 
 
 def test_labels_of_examples():
@@ -258,7 +349,7 @@ def test_formulas_of_any_depth():
     assert len(subformulas(phi)) == 3 * n + 2
     assert labels_of(rho) == {"x"} and labels_of(chain) == {"x", "y"}
     assert labels_of(substitute_label(rho, "y", "x")) == {"y"}
-    assert is_subformula_instance(substitute_label(chain, "z", "y"), chain)
+    assert substitute_label(chain, "z", "y") in SubformulaPool([chain])
     m = Model.chain(2, {"p": {1}})
     assert eval_entity(m, {"x": 0}, Lwff("x", Implies(phi, phi)))
     assert eval_entity(m, {"x": 1, "y": 0}, chain)
