@@ -15,8 +15,8 @@ There are three traversals, none recursive; use the cheapest that serves:
   A node's place in this order is its *number*, which names it for free;
   ``path_to`` turns a number into a root path where one is reported.
 - ``Derivation.walk`` yields the same nodes in the same order with their
-  root paths; building a path costs its length, so it serves only the
-  full-scan references and reports that name every node.
+  root paths; building a path costs its length, so it serves only
+  ``find_redexes``, which names every redex by its path, and tests.
 
 A node has three memo slots, left out of ``__init__``, comparison and
 ``repr`` and written through ``object.__setattr__``: ``_size``, the number

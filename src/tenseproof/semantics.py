@@ -333,16 +333,6 @@ def _require_finite(profile: LogicProfile) -> None:
             f"profile extras {bad} admit no useful finite frames")
 
 
-def _children(phi) -> tuple:
-    if isinstance(phi, Implies):
-        return (phi.left, phi.right)
-    if isinstance(phi, (G, H, X)):
-        return (phi.body,)
-    if isinstance(phi, (Atom, Falsum)):
-        return ()
-    raise TypeError(f"not a core formula: {phi!r}")
-
-
 def _compile(formulas):
     """One post-order program for the core ``formulas``: instruction ``i``
     is ``(kind, a, b)`` and computes slot ``i`` from earlier slots ``a``
@@ -355,7 +345,7 @@ def _compile(formulas):
         for phi in post_order(root, slot.__contains__):
             kind = type(phi)
             operands = ([phi.name] if kind is Atom
-                        else [slot[c] for c in _children(phi)])
+                        else [slot[c] for c in phi._kids(phi)])
             slot[phi] = len(program)
             program.append((kind, *(operands + [None, None])[:2]))
     return program, [slot[f] for f in formulas]

@@ -5,7 +5,11 @@ assumption, an axiom, or a universal-falsum conclusion, and ending at the
 root, at a universal-falsum premise, or at a minor premise.  In a normal
 derivation every track splits into an elimination part, an atomic central
 part, and an introduction part; cross-system connections between labeled and
-relational tracks happen in exactly four ways.
+relational tracks happen in exactly four ways.  ``tracks`` finds them in
+one ``derivation.fold``.  Reports name a node by its number in
+``Derivation.nodes`` order, as the checker does, and spell its root path
+(``path_to``) only in a fault: a ``StructureViolation`` or an audit
+violation.
 
 The subformula audit justifies each occurrence by one justifier over the
 sort record of :mod:`tenseproof.kernel`: clause ``i``, a subformula of its
@@ -20,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derivation import Derivation
-from .kernel import LAB, REL, _TENSE, _sort, _xf
+from .derivation import Derivation, fold, path_to
+from .kernel import LAB, REL, _TENSE, _sort, _xf, open_assumptions
 from .normalize import is_normal
 from .rules import ELIM_RULES, FALSUM_RULES, INTRO_RULES, RULES
 from .syntax import Forall, Lwff, SubformulaPool, is_atomic, match_labels
@@ -32,14 +36,15 @@ class StructureViolation(AssertionError):
     signals a normalizer bug, not a user error."""
 
 
-_MAJOR_INDEX = 0
+_UF = ("uf1", "uf2")
+_CENTRAL = FALSUM_RULES | {"mon"}
 _TENSE_ELIMS = {elim for _, elim, _ in _TENSE.values()}
 _FRESH_DISCHARGERS = {intro for _, _, intro in _TENSE.values()}
 
 
 @dataclass(frozen=True)
 class Track:
-    nodes: tuple                  # node paths, origin first
+    nodes: tuple                  # node numbers, origin first
     kind: str                     # "labeled" | "relational"
     origin: str                   # "assumption" | "axiom" | "uf-conclusion"
     terminus: str                 # "conclusion" | "uf-premise" | "minor-premise"
@@ -53,7 +58,7 @@ class TrackLink:
     case: str                     # "i" | "ii" | "iii" | "iv" | "same-kind"
     from_track: int
     to_track: int
-    at: tuple                     # path of the connecting rule application
+    at: int                       # number of the connecting rule application
     detail: str = ""
 
 
@@ -81,90 +86,87 @@ def tracks(d: Derivation) -> TrackReport:
     if not is_normal(d).normal:
         raise ValueError("tracks are defined on normal derivations only")
 
-    nodes = dict(d.walk())          # in path order, as ``walk`` yields them
-    origins = []
-    for path, n in nodes.items():
-        if n.is_assumption():
-            origins.append((path, "assumption"))
-        elif _is_axiom(n):
-            origins.append((path, "axiom"))
-        elif n.rule in ("uf1", "uf2"):
-            origins.append((path, "uf-conclusion"))
+    order: list = []        # the nodes by number
+    entered: list = []      # the numbers of the nodes entered, not combined
+    chains: list = []       # per track: its node numbers, origin first
+    ends: list = []         # per track: origin, terminus, the number below
+    where: dict = {}        # node number -> (track, index in its chain)
+    stray = []              # the numbers of the nodes on no track
 
-    out: list[Track] = []
-    owner: dict[tuple, int] = {}
-    for start, origin in origins:
-        chain = [start]
-        path = start
-        terminus = "conclusion"
-        while path:
-            parent_path = path[:-1]
-            parent = nodes[parent_path]
-            if parent.rule in ("uf1", "uf2"):
-                terminus = "uf-premise"
-                break
-            if path[-1] != _MAJOR_INDEX:
-                terminus = "minor-premise"
-                break
-            chain.append(parent_path)
-            path = parent_path
-        kind = "labeled" if isinstance(nodes[chain[0]].conclusion, Lwff) \
-            else "relational"
-        track = _decompose(nodes, tuple(chain), kind, origin, terminus)
-        for p in chain:
-            owner[p] = len(out)
-        out.append(track)
+    def number(t: Derivation) -> tuple:
+        k = len(order)
+        entered.append(k)
+        order.append(t)
+        origin = ("assumption" if t.is_assumption() else "axiom" if _is_axiom(t)
+                  else "uf-conclusion" if t.rule in _UF else None)
+        if origin:
+            where[k] = (len(chains), 0)
+            chains.append([k])
+            ends.append([origin, None, None])
+        return t, t.premises
 
-    for path in nodes:
-        if path not in owner:
-            raise StructureViolation(f"node {path} belongs to no track")
+    def combine(n: Derivation, above: list):
+        """The track running on below ``n``: the one ``n`` opens, or its
+        major premise's, which ``n`` extends; the others end at ``n``."""
+        k = entered.pop()
+        if n.rule in _UF or not above:
+            t = where[k][0] if k in where else None
+            closed, terminus = above, "uf-premise"
+        else:
+            t = above[0]
+            closed, terminus = above[1:], "minor-premise"
+            if t is not None:
+                where[k] = (t, len(chains[t]))
+                chains[t].append(k)
+        for u in closed:
+            if u is not None:
+                ends[u][1:] = terminus, k
+        if t is None:
+            stray.append(k)
+        return t
 
-    links = _classify_links(nodes, out, owner)
+    last = fold(d, combine, number)
+    if last is not None:
+        ends[last][1] = "conclusion"
+
+    out = [_decompose(d, order, chain, *end) for chain, end in zip(chains, ends)]
+    if stray:
+        raise StructureViolation(
+            f"node {path_to(d, min(stray))} belongs to no track")
+    links = _classify_links(order, out, ends, where)
     return TrackReport(tuple(out), tuple(links))
 
 
-def _decompose(nodes, chain, kind, origin, terminus) -> Track:
+def _decompose(d, order, chain, origin, terminus, end) -> Track:
     n = len(chain)
+    kind = "labeled" if isinstance(order[chain[0]].conclusion, Lwff) \
+        else "relational"
 
     def below(j):
         """Rule application consuming chain[j], possibly outside the track."""
-        path = chain[j]
-        return nodes[path[:-1]] if path else None
+        k = chain[j + 1] if j + 1 < n else end
+        return None if k is None else order[k]
+
+    def at(j):
+        return path_to(d, chain[j])
 
     i = 0
-    while i < n - 1:
-        b = below(i)
-        if b.rule in ELIM_RULES and chain[i][-1] == _MAJOR_INDEX:
-            phi, psi = nodes[chain[i]].conclusion, b.conclusion
-            if not _opens_to(phi, psi):
-                raise StructureViolation(
-                    f"elimination step at {chain[i]} does not shrink the formula")
-            i += 1
-        else:
-            break
+    while i < n - 1 and below(i).rule in ELIM_RULES:
+        if not _opens_to(order[chain[i]].conclusion, below(i).conclusion):
+            raise StructureViolation(
+                f"elimination step at {at(i)} does not shrink the formula")
+        i += 1
     elim = tuple(range(0, i))
 
-    j = i
-    falsum_apps = 0
-    while j < n:
-        b = below(j)
-        if b is None or chain[j][-1] != _MAJOR_INDEX:
-            break
-        in_track = j + 1 < n            # the consumer is the next track node
-        is_falsum = b.rule in FALSUM_RULES
-        is_mon = b.rule == "mon"
-        if (in_track and (is_falsum or is_mon)) or (
-                not in_track and terminus == "uf-premise"):
-            if not is_atomic(nodes[chain[j]].conclusion):
-                raise StructureViolation(
-                    f"central formula at {chain[j]} is not atomic")
-            if is_falsum:
-                falsum_apps += 1
-            j += 1
-            if not in_track:
-                break
-        else:
-            break
+    # the central part feeds falsum rules and mons, or ends at a uf premise
+    j, falsum_apps = i, 0
+    while j < n and (below(j).rule in _CENTRAL if j + 1 < n
+                     else terminus == "uf-premise"):
+        if not is_atomic(order[chain[j]].conclusion):
+            raise StructureViolation(
+                f"central formula at {at(j)} is not atomic")
+        falsum_apps += below(j).rule in FALSUM_RULES
+        j += 1
     central = tuple(range(i, j))
     if falsum_apps > 1:
         raise StructureViolation("central part feeds more than one falsum rule")
@@ -173,11 +175,11 @@ def _decompose(nodes, chain, kind, origin, terminus) -> Track:
         b = below(k)
         if b.rule not in INTRO_RULES:
             raise StructureViolation(
-                f"late track node at {chain[k]} feeds a non-introduction rule")
-        phi, psi = nodes[chain[k]].conclusion, b.conclusion
+                f"late track node at {at(k)} feeds a non-introduction rule")
+        phi, psi = order[chain[k]].conclusion, b.conclusion
         if not _opens_to(psi, phi):
             raise StructureViolation(
-                f"introduction step at {chain[k]} does not grow the formula")
+                f"introduction step at {at(k)} does not grow the formula")
     intro = tuple(range(j, n))
 
     if origin == "uf-conclusion" and elim:
@@ -186,41 +188,39 @@ def _decompose(nodes, chain, kind, origin, terminus) -> Track:
         raise StructureViolation(
             "a track ending in universal falsum cannot introduce")
 
-    return Track(chain, kind, origin, terminus, elim, central, intro)
+    return Track(tuple(chain), kind, origin, terminus, elim, central, intro)
 
 
-def _classify_links(nodes, track_list, owner):
+def _classify_links(order, track_list, ends, where):
     links = []
-    for ti, t in enumerate(track_list):
-        last = t.nodes[-1]
-        if t.terminus == "uf-premise":
-            uf_path = last[:-1]
-            uf = nodes[uf_path]
-            tj = owner[uf_path]
-            case = "iv" if uf.rule == "uf1" else "iii"
-            links.append(TrackLink(case, ti, tj, uf_path, uf.rule))
-        elif t.terminus == "minor-premise":
-            below_path = last[:-1]
-            b = nodes[below_path]
-            tj = owner[below_path]
-            other = track_list[tj]
-            if t.kind == other.kind:
-                links.append(TrackLink("same-kind", ti, tj, below_path, b.rule))
-                continue
-            major_idx = other.nodes.index(below_path) - 1
-            if b.rule in _TENSE_ELIMS:
-                if major_idx not in other.elimination:
-                    raise StructureViolation(
-                        "temporal elimination fed outside an elimination part")
-                links.append(TrackLink("i", ti, tj, below_path, b.rule))
-            elif b.rule == "mon":
-                if major_idx not in other.central:
-                    raise StructureViolation(
-                        "mon minor premise fed outside a central part")
-                links.append(TrackLink("ii", ti, tj, below_path, b.rule))
-            else:
+    for ti, (t, (_, terminus, at)) in enumerate(zip(track_list, ends)):
+        if at is None:                  # the track ends at the root
+            continue
+        b = order[at]
+        tj, index = where[at]
+        if terminus == "uf-premise":
+            case = "iv" if b.rule == "uf1" else "iii"
+            links.append(TrackLink(case, ti, tj, at, b.rule))
+            continue
+        other = track_list[tj]
+        if t.kind == other.kind:
+            links.append(TrackLink("same-kind", ti, tj, at, b.rule))
+            continue
+        major = index - 1               # the major premise's index in other
+        centre = len(other.elimination)
+        if b.rule in _TENSE_ELIMS:
+            if major >= centre:
                 raise StructureViolation(
-                    f"cross-system connection through {b.rule}")
+                    "temporal elimination fed outside an elimination part")
+            links.append(TrackLink("i", ti, tj, at, b.rule))
+        elif b.rule == "mon":
+            if not centre <= major < centre + len(other.central):
+                raise StructureViolation(
+                    "mon minor premise fed outside a central part")
+            links.append(TrackLink("ii", ti, tj, at, b.rule))
+        else:
+            raise StructureViolation(
+                f"cross-system connection through {b.rule}")
     return links
 
 
@@ -237,8 +237,8 @@ _CLAUSES = {LAB: ("1", {"raa_bot": "iv", "uf2": "v"}, {}),
 @dataclass(frozen=True)
 class AuditReport:
     ok: bool
-    justifications: dict          # path -> clause tag
-    violations: tuple             # paths
+    justifications: dict          # node number -> clause tag
+    violations: tuple             # root paths
 
 
 def audit_subformula(d: Derivation) -> AuditReport:
@@ -252,11 +252,9 @@ def audit_subformula(d: Derivation) -> AuditReport:
     those occurrences; without them even simple normal derivations would
     have unjustifiable atoms).
     """
-    from .kernel import open_assumptions
-
     ctx = open_assumptions(d)
-    nodes = dict(d.walk())
-    leaf_markers = {n.marker for n in nodes.values() if n.is_assumption()}
+    nodes = list(d.nodes())
+    leaf_markers = {n.marker for n in nodes if n.is_assumption()}
 
     s_l = [x.formula for x in ctx.gamma]
     if isinstance(d.conclusion, Lwff):
@@ -264,15 +262,15 @@ def audit_subformula(d: Derivation) -> AuditReport:
     s_r = list(ctx.delta)
     if not isinstance(d.conclusion, Lwff):
         s_r.append(d.conclusion)
-    for _, n in nodes.items():
+    for n in nodes:
         if _is_axiom(n):
             s_r.append(n.conclusion)
 
     discharged_by: dict[int, str] = {}
-    for _, n in nodes.items():
+    for n in nodes:
         for m in n.discharges:
             discharged_by[m] = n.rule
-    for _, n in nodes.items():
+    for n in nodes:
         if (n.is_assumption() and not isinstance(n.conclusion, Lwff)
                 and discharged_by.get(n.marker) in _FRESH_DISCHARGERS):
             s_r.append(n.conclusion)
@@ -309,10 +307,10 @@ def audit_subformula(d: Derivation) -> AuditReport:
 
     justifications: dict = {}
     violations: list = []
-    for path, n in nodes.items():
+    for k, n in enumerate(nodes):
         tag = justify(n)
         if tag is None:
-            violations.append(path)
+            violations.append(path_to(d, k))
         else:
-            justifications[path] = tag
+            justifications[k] = tag
     return AuditReport(not violations, justifications, tuple(violations))

@@ -29,7 +29,9 @@ substitution (``rmon-*``), so that ``restrict`` transports them, 300
 seeded reductios (``raa-*``) that ``restrict`` opens at every connective of
 both sorts, three deep trees whose violations lie thousands of levels from
 the root, two deep chains of case splits that rename markers at every
-level, and two deep reductios that ``restrict`` opens (``deep-*``).
+level, two deep reductios that ``restrict`` opens, and a deep chain of
+``g_e`` steps (``deep-*``).  The ``tracks`` and ``audit`` fields name nodes
+by root path.
 Only the library comes from ``--src``; the generators come from this
 checkout, so two checkouts digest the same inputs:
 
@@ -187,10 +189,13 @@ def _deep_trees(lib) -> list:
     second branch, whose two branches share a marker, and 200 ``f_e``
     nested through the minor premise, whose two shapes share a marker.
     Last, a reductio on ``x : p -> q`` discharging 400 markers under 399
-    nested reductios, and a reductio on ``x : G^2000 p`` from an open
-    ``x : false``."""
+    nested reductios, a reductio on ``x : G^2000 p`` from an open
+    ``x : false``, and the normal chain of 1000 ``g_e`` steps under
+    ``x0 : G^1000 p``, whose ``tracks`` and ``audit`` fields are the
+    deepest of the digest."""
     from test_kernel import _f_chain, _or_chain
     from test_normalize import _many_marker_reductio, _nested_imp
+    from test_tracks import _ge_chain
     node, assume = lib.derivation.node, lib.derivation.assume
     parse = lib.parser.parse
     d = _nested_imp(3000, ["q"], False)
@@ -223,6 +228,7 @@ def _deep_trees(lib) -> list:
     out.append(("deep-g-raa", node("raa_bot", syntax.Lwff("x", boxed),
                                    assume(syntax.Lwff("x", syntax.Falsum()))),
                 lib.rules.KL))
+    out.append(("deep-ge-tracks", _ge_chain(1000), lib.rules.KL))
     return out
 
 
@@ -284,6 +290,7 @@ def _renumbered(lib, d) -> str:
 
 
 def _tree_line(lib, name, d, profile) -> str:
+    from test_tracks import _by_path
     render = lib.parser.render
     redexes = _hash(_attempt(lambda: [[r.kind, list(r.path), r.detail]
                                       for r in lib.normalize.find_redexes(d)]))
@@ -310,9 +317,9 @@ def _tree_line(lib, name, d, profile) -> str:
             parts["canon"] = _hash(lib.derivation.dumps(
                 lib.normalize.canonical_form(nf)))
             parts["tracks"] = _hash(_attempt(
-                lambda: repr(lib.tracks.tracks(nf))))
+                lambda: repr(_by_path(nf, lib.tracks.tracks(nf)))))
             parts["audit"] = _hash(_attempt(
-                lambda: repr(lib.tracks.audit_subformula(nf))))
+                lambda: repr(_by_path(nf, lib.tracks.audit_subformula(nf)))))
         parts["trace"] = _hash(trace)
         if len(lib.syntax.labels_of(report.open)
                | lib.syntax.labels_of(report.conclusion)) <= 10:
