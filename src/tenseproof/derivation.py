@@ -18,14 +18,14 @@ There are three traversals, none recursive; use the cheapest that serves:
   root paths; building a path costs its length, so it serves only
   ``find_redexes``, which names every redex by its path, and tests.
 
-A node has three memo slots, left out of ``__init__``, comparison and
+A node has four memo slots, left out of ``__init__``, comparison and
 ``repr`` and written through ``object.__setattr__``: ``_size``, the number
 of nodes in its subtree, written by ``node_count``; and for the normalizer
-``_redex``, the key of the least redex at the node itself, and ``_least``,
-the key of the least redex in its subtree with the path relative to the
-node.  All stay unset until asked for.  Each reads only the node's own
-immutable subtree, so the memos hold wherever the node object sits, in any
-tree.
+``_redex``, the key of the least redex at the node itself, ``_least``, the
+key of the least redex in its subtree with the path relative to the node,
+and ``_mon``, the class of a ``mon`` node.  All stay unset until asked
+for.  Each reads only the node's own immutable subtree, so the memos hold
+wherever the node object sits, in any tree.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ ASSUME = "assume"
 
 
 class _Memos:
-    """The three memo slots (see above): outside the dataclass fields, so
+    """The four memo slots (see above): outside the dataclass fields, so
     ``__init__``, comparison, ``repr`` and copies leave them out, and unset
     until written."""
 
-    __slots__ = ("_size", "_redex", "_least")
+    __slots__ = ("_size", "_redex", "_least", "_mon")
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,9 +8,13 @@ violations with node paths.
 Each derived rule is stated once, as an expander that rewrites its node
 into a core template.  ``expand_derived`` applies the expanders to the whole
 tree, preserving conclusion and open assumptions.  ``check`` validates a
-derived node through the same expander: it runs it over stand-ins for the
-premises and checks the template's core nodes, reporting every violation at
-the derived node.  A node whose formulas lack the shape its rule needs is a
+derived node through the same expander, run over stand-ins for the
+premises, by checking the template's core nodes; but only once per schema,
+the node with its parts and labels made variables (``_schema``).  The
+module's one table, ``_CLEAN``, keeps each schema whose template checks
+clean; a node of a kept schema needs only its freshness tested.  Any other
+node has its own template checked, reporting every violation at the
+derived node.  A node whose formulas lack the shape its rule needs is a
 ``PatternMismatch``.
 
 The calculus is two copies of one minimal propositional calculus, joined
@@ -55,7 +59,12 @@ becomes a root path (``path_to``) only in a report.
 order and indexes each leaf as it passes it.  A leaf comes before any node
 that can discharge it, so each derived node's expander gets the leaves it
 discharges (``_held``), as the checker's stand-ins do, without a scan of
-its premises; their numbers follow from their sizes (``node_count``).
+its premises; their numbers follow from their sizes (``node_count``).  A
+case split that discharges a marker of two leaves may give some of them a
+marker of their own (``_split``).  Renaming them in the premise would map
+the whole branch, so such a split builds its template over stand-ins, as
+the checker does, puts the premises in their place and notes the leaves
+to rename; one pass at the end renames them where they lie.
 """
 
 from __future__ import annotations
@@ -74,8 +83,8 @@ from .derivation import (
 from .rules import KL, RULES, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, Prec,
-    ProofContext, RImplies, X, core_eq, expand, labels_of, match_labels,
-    substitute_label,
+    ProofContext, RImplies, X, canon, core_eq, expand, grade, is_formula,
+    labels_of, match_labels, substitute_label,
 )
 
 F_ = Falsum()
@@ -331,6 +340,72 @@ def _held(n, k, starts, end, marker_leaves) -> list:
     return held
 
 
+def _standin_template(n, held, mgen) -> Derivation:
+    """The template of derived node ``n`` over stand-ins for its premises,
+    each carrying its premise's conclusion and, as premises, its ``held``
+    leaves; ``_Mismatch`` if ``n`` lacks the shape its rule needs."""
+    return _EXPANDERS[n.rule](Derivation(n.rule, n.conclusion, tuple(
+        Derivation(_STANDIN, p.conclusion, tuple(h), marker=i)
+        for i, (p, h) in enumerate(zip(n.premises, held))), n.marker,
+        n.discharges, n.fresh, n.position), mgen, held)
+
+
+# the keys of the schemas whose templates check clean (see ``_schema``)
+_CLEAN: set = set()
+
+
+def _schema(n, held):
+    """The key of derived node ``n``'s schema, given its ``held`` leaves,
+    or None.  The schema is ``n`` with its parts made atoms ``·i`` (if
+    relational, ``·i = ·i``), its labels labels ``·xi``, equal ones alike,
+    and the held leaves' markers 1, 2, ...  A part is a subformula of a
+    conclusion three connectives below its label, as deep as a shape
+    function looks, or an atom above.
+
+    Soundness: ``n`` and its template are the images of the schema and of
+    its template under the substitution ``σ`` of parts and labels for the
+    variables, for ``σ`` keeps every test of the expander and of the
+    template check (connectives above the parts, labels that differ,
+    sorts, ``core_eq``, where leaves lie) but freshness, which reads labels
+    inside parts and the open leaves ``n`` does not discharge: ``_schematic``
+    tests that on ``n``.  A binder above the parts, or a held leaf whose
+    formula no conclusion has, makes no schema, so ``σ`` meets no binder
+    and a variable hides only labels of ``n``'s conclusions."""
+    env: dict = {}      # each label, part and formula met -> its image
+
+    def image(t, depth=3):      # depth: connectives left above the parts,
+        v = env.get(t)          # or -1 where no new part may begin
+        if v is None:
+            cls = type(t)
+            if cls is str:
+                v = f"·x{len(env)}"
+            elif cls in (Lwff, Less, Eq, Falsum, Empty):
+                v = cls(*[image(getattr(t, f), depth) for f in t._fields])
+            elif depth > 0 and cls in (Implies, G, H, RImplies):
+                v = cls(*[image(k, depth - 1) for k in t._kids(t)])
+            elif depth < 0 or depth and cls is Forall:
+                raise _Mismatch("a schema")
+            else:
+                name = f"·{len(env)}"
+                v = Atom(name) if is_formula(t) else Eq(name, name)
+            env[t] = v
+        return v
+
+    tops = [canon(t.conclusion) for t in (n, *n.premises)]
+    try:
+        for t in sorted(tops, key=grade):   # a formula in a smaller one
+            image(t)                        # keeps its shape in a larger
+        c, *tops = map(image, tops)
+        markers = {m: i for i, m in enumerate(
+            sorted({leaf.marker for h in held for leaf in h}), 1)}
+        return (n.rule, c, None if n.fresh is None else image(n.fresh), tuple(
+            (t, tuple(dict.fromkeys((image(canon(leaf.conclusion), -1),
+                                     markers[leaf.marker]) for leaf in h)))
+            for t, h in zip(tops, held)))
+    except _Mismatch:
+        return None
+
+
 class _Checker:
     """Validates the nodes of ``tree`` one at a time, each named by its
     number (see ``_open_fold``); a report turns the number into a root path.
@@ -412,19 +487,47 @@ class _Checker:
         self._check_discharges(k, n, allowed or {}, starts, end)
 
     def _template(self, k, n, below, starts, end) -> bool:
-        """Check derived node ``n`` through its core template.  Stand-ins
-        for the premises carry their conclusions and, as premises, the
-        leaves under them that ``n`` discharges; the template's core nodes
-        are then checked as usual.  False when ``n`` lacks the shape its
-        rule needs."""
+        """Check derived node ``n`` by its schema (``_schematic``) or else
+        through its core template (``_expand``).  False when ``n`` lacks the
+        shape its rule needs."""
         held = _held(n, k, starts, end, self.marker_leaves)
         index = {m: [(-1, leaf) for lk, leaf in self.marker_leaves.get(m, ())
                      if not k < lk < end] for m in n.discharges}
-        standins = tuple(Derivation(_STANDIN, p.conclusion, tuple(h), marker=i)
-                         for i, (p, h) in enumerate(zip(n.premises, held)))
+        if not any(index.values()) and self._schematic(n, held, below):
+            return True
+        return self._expand(k, n, held, below, index)
+
+    def _schematic(self, n, held, below) -> bool:
+        """Is derived node ``n`` of a schema whose template checks clean,
+        and its fresh label free in none of its formulas and other open
+        leaves?  A schema is checked, and kept if clean, when first met."""
+        z = n.fresh
+        if z is not None and any(z in labels_of(t.conclusion) for t in chain(
+                (n, *n.premises), (e[2] for opens in below for e in opens
+                                   if e[2].marker not in n.discharges))):
+            return False
+        key = _schema(n, held)
+        if key is not None and key not in _CLEAN:
+            rule, c, fresh, premises = key
+            held = [[assume(*leaf) for leaf in leaves] for _, leaves in premises]
+            d = Derivation(rule, c, tuple(assume(t) for t, _ in premises),
+                           discharges=frozenset(m for _, leaves in premises
+                                                for _, m in leaves),
+                           fresh=fresh)
+            scratch: list = []
+            _Checker(self.profile, scratch, d, {}, len(d.discharges))._expand(
+                0, d, held, [[(d, 0, leaf) for leaf in h] for h in held], {})
+            if not scratch:
+                _CLEAN.add(key)
+        return key in _CLEAN
+
+    def _expand(self, k, n, held, below, index) -> bool:
+        """Check the core template of derived node number ``k`` over
+        stand-ins for its premises, which carry their conclusions and, as
+        premises, the ``held`` leaves; ``index`` maps each marker ``n``
+        discharges to its leaves outside ``n``."""
         try:
-            template = _EXPANDERS[n.rule](replace(n, premises=standins),
-                                          MarkerGen((self.top,)), held)
+            template = _standin_template(n, held, MarkerGen((self.top,)))
         except _Mismatch as exc:
             self.bad(k, "PatternMismatch", f"{n.rule} needs {exc}")
             return False
@@ -619,11 +722,16 @@ def expand_derived(d: Derivation) -> Derivation:
     mgen = MarkerGen(all_markers(d))
     marker_leaves: dict = {}
     entered: list = []      # the numbers of the nodes entered, not expanded
+    seen: set = set()       # the ids of the marked leaves met
+    renamed: dict = {}      # the id of each leaf a split renames -> marker
     count = 0
 
     def number(t: Derivation) -> tuple:
         nonlocal count
         if t.marker is not None and t.is_assumption():
+            if id(t) in seen:       # one leaf object to each occurrence
+                t = Derivation(t.rule, t.conclusion, (), t.marker)
+            seen.add(id(t))
             marker_leaves.setdefault(t.marker, []).append((count, t))
         entered.append(count)
         count += 1
@@ -632,14 +740,29 @@ def expand_derived(d: Derivation) -> Derivation:
     def expand_node(n: Derivation, premises: list) -> Derivation:
         k = entered.pop()
         t = with_premises(n, premises)
-        if RULES[n.rule].kind == "derived":
-            starts = list(accumulate((p.node_count() for p in n.premises[:-1]),
-                                     initial=k + 1))
-            held = _held(n, k, starts, count, marker_leaves)
-            t = _EXPANDERS[n.rule](t, mgen, held)
-        return t
+        if RULES[n.rule].kind != "derived":
+            return t
+        starts = list(accumulate((p.node_count() for p in n.premises[:-1]),
+                                 initial=k + 1))
+        held = _held(n, k, starts, count, marker_leaves)
+        markers = [leaf.marker for h in held for leaf in h]
+        if len(set(markers)) == len(markers):   # no split can rename
+            return _EXPANDERS[n.rule](t, mgen, held)
 
-    return fold(d, expand_node, number)
+        def graft(s: Derivation) -> Derivation:   # as deep as the template
+            if s.rule != _STANDIN:
+                return with_premises(s, [graft(p) for p in s.premises])
+            for leaf, new in zip(held[s.marker], s.premises):
+                if new.marker != leaf.marker:
+                    renamed.setdefault(id(leaf), new.marker)
+            return premises[s.marker]
+        return graft(_standin_template(n, held, mgen))
+
+    d = fold(d, expand_node, number)
+    if not renamed:
+        return d
+    return map_leaves(d, lambda leaf: replace(leaf, marker=renamed[id(leaf)])
+                      if id(leaf) in renamed else leaf)
 
 
 class _Mismatch(Exception):
@@ -737,27 +860,25 @@ def _renamed(t: Derivation, renames: dict, only=lambda leaf: True) -> Derivation
                       if leaf.marker in renames and only(leaf) else leaf)
 
 
-def _split_marker_shapes(p1: Derivation, leaves, markers, first_shape, mgen):
-    """Give leaves matching ``first_shape`` their own markers when a marker
-    mixes the two dischargeable shapes of a two-pattern rule; ``leaves``
-    are the leaves of ``p1`` that carry one of ``markers``."""
-    shapes: dict = {}     # marker -> which of the shapes its leaves have
-    for t in leaves:
-        shapes.setdefault(t.marker, set()).add(core_eq(t.conclusion, first_shape))
-    firsts, seconds, renames = set(), set(), {}
+def _split(markers, leaves, mgen) -> tuple:
+    """Split the ``markers`` a case split discharges in two places, its two
+    minor branches or the two shapes of a two-pattern rule.  ``leaves``
+    gives ``(marker, taken)`` for each leaf, ``taken`` if it lies in the
+    second place.  Returns the renames that give the taken leaves of a
+    marker with leaves in both places a marker of their own, then the
+    markers of the taken leaves and of the others (a marker without
+    leaves among them)."""
+    kinds: dict = {}      # marker -> whether its leaves are taken
+    for m, taken in leaves:
+        kinds.setdefault(m, set()).add(taken)
+    taken, others, renames = set(), set(), {}
     for m in sorted(markers):
-        kinds = shapes.get(m, ())
-        if len(kinds) == 2:
+        kind = kinds.get(m, ())
+        if len(kind) == 2:
             renames[m] = mgen()
-            firsts.add(renames[m])
-            seconds.add(m)
-        elif True in kinds:
-            firsts.add(m)
-        else:
-            seconds.add(m)
-    tree = _renamed(p1, renames,
-                    lambda leaf: core_eq(leaf.conclusion, first_shape))
-    return tree, firsts, seconds
+            taken.add(renames[m])
+        (taken if kind == {True} else others).add(m)
+    return renames, frozenset(taken), frozenset(others)
 
 
 def _exp_not_i(s: _Sort, n, mgen, held):
@@ -823,30 +944,13 @@ def _exp_or_i2(s: _Sort, n, mgen, held):
     return node(s.imp_i, n.conclusion, n.premises[0], discharges={m})
 
 
-def _split_markers_by_branch(n: Derivation, mgen, held) -> tuple:
-    """Case rules may reuse one marker across both minor branches; split so
-    each branch's leaves carry their own marker.  Returns the rewritten
-    premises tuple plus the marker sets for branch 1 and branch 2."""
-    p1, p2 = n.premises[1], n.premises[2]
-    in1, in2 = ({t.marker for t in leaves} for leaves in held[1:])
-    m1, m2, renames = set(), set(), {}
-    for m in sorted(n.discharges):
-        if m in in1 and m in in2:
-            renames[m] = mgen()
-            m1.add(m)
-            m2.add(renames[m])
-        elif m in in2:
-            m2.add(m)
-        else:
-            m1.add(m)
-    return ((n.premises[0], p1, _renamed(p2, renames)),
-            frozenset(m1), frozenset(m2))
-
-
 def _exp_or_e(s: _Sort, n, mgen, held):
     x, core = _parts(s, n.premises[0].conclusion)
     a, b = _or_parts(s, core)
-    (p0, p1, p2), m1, m2 = _split_markers_by_branch(n, mgen, held)
+    p0, p1, p2 = n.premises
+    renames, m2, m1 = _split(n.discharges, [
+        (t.marker, i == 2) for i in (1, 2) for t in held[i]], mgen)
+    p2 = _renamed(p2, renames)
     c = n.conclusion
     leaf_k = _refutation(c, mgen())
     t3 = node(s.imp_i, s.at(x, s.neg(a)),
@@ -877,9 +981,11 @@ def _exp_fp_elim(op_cls, what, n, mgen, held):
     a = _fp_part(op_cls, what, core)
     y = n.fresh
     c = n.conclusion
-    body_shape = Lwff(y, a)
-    p1, m_body, m_rel = _split_marker_shapes(p1, held[1], n.discharges,
-                                             body_shape, mgen)
+    shape = Lwff(y, a)
+    body = lambda t: core_eq(t.conclusion, shape)
+    renames, m_body, m_rel = _split(
+        n.discharges, [(t.marker, body(t)) for t in held[1]], mgen)
+    p1 = _renamed(p1, renames, body)
     leaf_k = _refutation(c, mgen())
     # y is fresh, so it is not the label of ``c`` in a tree that checks;
     # the raa_bot stays in the others' expansions too

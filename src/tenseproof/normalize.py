@@ -118,6 +118,15 @@ def _mon_class(n: Derivation):
     return ("multi", None)
 
 
+def _mon_of(n: Derivation):
+    """``_mon_class(n)``, memoized on ``n``."""
+    c = getattr(n, "_mon", None)
+    if c is None:
+        c = _mon_class(n)
+        _set(n, "_mon", c)
+    return c
+
+
 # ---------------------------------------------------------------------------
 # Redex search
 
@@ -141,11 +150,11 @@ def _redex_kinds(n: Derivation) -> tuple:
             out.append(("UnrestrictedRAA", "raa_empty"))
 
     if n.rule == "mon":
-        kind, pl = _mon_class(n)
+        kind, pl = _mon_of(n)
         if kind != "ok":
             out.append(("UnrestrictedMon", kind))
         elif p0.rule == "mon":
-            kind_u, pu = _mon_class(p0)
+            kind_u, pu = _mon_of(p0)
             if kind_u == "ok":
                 if pu == pl:
                     out.append(("RedundantMon", ""))
@@ -232,7 +241,7 @@ def _reduce_mon_pair(n: Derivation, mgen, lgen) -> Derivation:
     upper = n.premises[0]
     base, e1 = upper.premises
     e2 = n.premises[1]
-    _, pos = _mon_class(n)
+    _, pos = _mon_of(n)
     eq1 = expand(e1.conclusion)
     eq2 = expand(e2.conclusion)
     composed = node("mon", Eq(eq1.x, eq2.y), e1, e2, position=2)
@@ -390,7 +399,7 @@ def _step(pi: Derivation, target, evidence: dict, mgen, lgen):
 
 
 def _restrict_mon(n: Derivation, mgen, lgen) -> Derivation:
-    kind, _ = _mon_class(n)
+    kind, _ = _mon_of(n)
     pi, eqd = n.premises
     eq = expand(eqd.conclusion)
     a, b = eq.x, eq.y

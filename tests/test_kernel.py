@@ -8,6 +8,7 @@ from tenseproof.derivation import (
     MarkerGen, all_markers, assume, dumps, from_json, map_leaves, node,
     replace_at, to_json,
 )
+from tenseproof import kernel
 from tenseproof.kernel import check, expand_derived, open_assumptions
 from tenseproof.normalize import canonical_form
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
@@ -374,6 +375,68 @@ CASE_TREES = [
 PINNED_EXPANSIONS = pathlib.Path(__file__).parent / "data" / "expansions.json"
 
 
+def _gen():
+    """``perfbench/gen.py``, the benchmark's input generators."""
+    import sys
+    perfbench = str(pathlib.Path(__file__).parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import gen
+    return gen
+
+
+def derived_bases() -> list:
+    """``DERIVED_TREES``, ``CASE_TREES`` and the benchmark's derived-rule
+    families of seed 1 (``perfbench/gen.py``) of at most 400 nodes."""
+    import random
+    cases = [c.derivation for c in _gen().derived_cases(random.Random(1))]
+    return ([tree() for _, tree in DERIVED_TREES + CASE_TREES]
+            + [d for d in cases if d.node_count() <= 400])
+
+
+def derived_mutant(rng, d):
+    """``d`` with one derived node changed: its rule, its conclusion (for
+    another node's or with a label renamed), a premise's conclusion, a leaf
+    it discharges (its conclusion or marker), its discharges, its fresh
+    label, or the order of its premises; None if nothing changed."""
+    nodes = list(d.walk())
+    path, n = rng.choice([(p, t) for p, t in nodes
+                          if RULES[t.rule].kind == "derived"])
+    formulas = [t.conclusion for _, t in nodes]
+    labels = sorted(set().union(*map(labels_of, formulas)))
+    markers = sorted(all_markers(d) | {0})
+    held = [(q, t) for q, t in n.walk() if t.is_assumption()
+            and t.marker in n.discharges]
+    field = rng.choice(["rule", "conclusion", "label", "premise", "leaf",
+                        "discharges", "fresh", "swap"])
+    if field == "rule":
+        new = replace(n, rule=rng.choice(sorted(
+            r for r, s in RULES.items() if s.n_premises == len(n.premises))))
+    elif field == "conclusion":
+        new = replace(n, conclusion=rng.choice(formulas))
+    elif field == "label" and labels:
+        new = replace(n, conclusion=substitute_label(
+            n.conclusion, rng.choice(labels), rng.choice(labels)))
+    elif field == "premise":
+        i = rng.randrange(len(n.premises))
+        new = replace_at(n, (i,), replace(n.premises[i],
+                                          conclusion=rng.choice(formulas)))
+    elif field == "leaf" and held:
+        q, leaf = rng.choice(held)
+        new = replace_at(n, q, replace(leaf, conclusion=rng.choice(formulas))
+                         if rng.random() < 0.5 else
+                         replace(leaf, marker=rng.choice(markers)))
+    elif field == "discharges":
+        new = replace(n, discharges=n.discharges ^ {rng.choice(markers)})
+    elif field == "fresh":
+        new = replace(n, fresh=rng.choice(labels + [None]))
+    elif field == "swap" and len(n.premises) > 1:
+        new = replace(n, premises=n.premises[::-1])
+    else:
+        return None
+    return None if new == n else replace_at(d, path, new)
+
+
 @pytest.mark.parametrize("rule,tree", DERIVED_TREES + CASE_TREES)
 def test_each_derived_rule_checks_and_expands(rule, tree):
     d = tree()
@@ -572,7 +635,8 @@ def test_checked_mutants_expand_and_survive_the_probe():
 # Case-split expanders: one pass per branch, as the per-marker versions
 
 def _split_shapes_per_marker(p1, markers, first_shape, mgen):
-    """The per-marker version of ``kernel._split_marker_shapes``."""
+    """The per-marker version of ``kernel._split`` by the shapes of a
+    two-pattern rule."""
     firsts, seconds = set(), set()
     tree = p1
     for m in sorted(markers):
@@ -594,7 +658,8 @@ def _split_shapes_per_marker(p1, markers, first_shape, mgen):
 
 
 def _split_branches_per_marker(n, mgen):
-    """The per-marker version of ``kernel._split_markers_by_branch``."""
+    """The per-marker version of ``kernel._split`` by the branches of a
+    case split."""
     p1, p2 = n.premises[1], n.premises[2]
     m1, m2 = set(), set()
     for m in sorted(n.discharges):
@@ -669,15 +734,20 @@ def _leaves_of(p, markers):
 
 
 def test_case_splits_match_the_per_marker_versions():
-    from tenseproof.kernel import _split_marker_shapes, _split_markers_by_branch
+    from tenseproof.kernel import _renamed, _split
 
     def by_branch(n, mgen):
         held = [_leaves_of(p, n.discharges) for p in n.premises]
-        return _split_markers_by_branch(n, mgen, held)
+        renames, m2, m1 = _split(n.discharges, [
+            (t.marker, i == 2) for i in (1, 2) for t in held[i]], mgen)
+        p0, p1, p2 = n.premises
+        return (p0, p1, _renamed(p2, renames)), m1, m2
 
     def by_shape(p1, markers, shape, mgen):
-        return _split_marker_shapes(p1, _leaves_of(p1, markers),
-                                    frozenset(markers), shape, mgen)
+        first = lambda t: core_eq(t.conclusion, shape)
+        renames, firsts, seconds = _split(markers, [
+            (t.marker, first(t)) for t in _leaves_of(p1, markers)], mgen)
+        return _renamed(p1, renames, first), firsts, seconds
 
     hand_splits, hand_shapes = _hand_built_splits()
     rand_splits, rand_shapes = _random_splits(150)
@@ -764,6 +834,98 @@ def test_deep_case_splits_expand(chain):
     expanded_report = check(expanded, KL)
     assert expanded_report.ok
     assert expanded_report.open == report.open
+
+
+# ---------------------------------------------------------------------------
+# Derived nodes checked once per schema
+
+def _by_templates(d, profile=KL):
+    """``check`` with every derived node checked through its own template,
+    as before the schema table: the reference path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel._Checker, "_schematic", lambda *args: False)
+        return check(d, profile)
+
+
+def _report(r) -> tuple:
+    return r.ok, r.is_theorem, r.violations
+
+
+def test_schemas_agree_with_the_templates(monkeypatch):
+    import random
+    monkeypatch.setattr(kernel, "_CLEAN", set())
+    rng = random.Random(1)
+    bases = derived_bases()
+    mutants = [m for m in (derived_mutant(rng, rng.choice(bases))
+                           for _ in range(500)) if m is not None]
+    accepted = 0
+    for d in bases + mutants:
+        report = check(d, KL)
+        assert _report(report) == _report(_by_templates(d)), d
+        accepted += report.ok
+    assert len(mutants) > 300 and 30 < accepted < len(mutants)
+    # only schemas that check clean are kept, so the table stays small: the
+    # unchanged trees have 31, the mutants add 12
+    assert 0 < len(kernel._CLEAN) <= 50
+
+
+def test_a_rejected_schema_is_not_kept(monkeypatch):
+    monkeypatch.setattr(kernel, "_CLEAN", set())
+    bad = node("and_e2", pl("x : p"), assume(pl("x : p & q")))
+    assert not check(bad, KL).ok and not kernel._CLEAN
+    assert not check(bad, KL).ok and not kernel._CLEAN
+    assert check(replace(bad, rule="and_e1"), KL).ok and len(kernel._CLEAN) == 1
+
+
+def test_a_derived_node_costs_few_core_validations(monkeypatch):
+    gen = _gen()
+    calls = {"core": 0, "_standin_template": 0}
+    for owner, name in ((kernel._Checker, "core"), (kernel, "_standin_template")):
+        def counted(*args, real=getattr(owner, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    families = [lambda k: gen.and_detours(k, "p", "q", "x"),
+                lambda k: gen.f_detours(k, "p", "x"),
+                lambda k: gen.or_detours(k, "p", "x")]
+    for family in families:
+        expanded = []
+        for k in (50, 100):
+            monkeypatch.setattr(kernel, "_CLEAN", set())
+            d = family(k)
+            derived = sum(RULES[t.rule].kind == "derived" for t in d.nodes())
+            cores = sum(RULES[t.rule].kind != "derived" and not t.is_assumption()
+                        for t in d.nodes())
+            calls.update(dict.fromkeys(calls, 0))
+            assert check(d, KL).ok
+            # every core node once, and at most 3 more per derived node
+            assert calls["core"] - cores <= 3 * derived
+            expanded.append(calls["_standin_template"])
+        # one template per schema, however long the chain
+        assert expanded[0] == expanded[1] <= 4
+
+
+def test_case_split_expansion_grows_linearly(monkeypatch):
+    # a split renames the leaves it must where they lie, not by mapping the
+    # whole branch: nodes visited grow with the chain, not its square
+    from tenseproof import derivation
+    visits = [0]
+    fold = derivation.fold
+
+    def counted(root, combine, visit=derivation._own_premises):
+        def seen(t):
+            visits[0] += 1
+            return visit(t)
+        return fold(root, combine, seen)
+    monkeypatch.setattr(derivation, "fold", counted)
+    monkeypatch.setattr(kernel, "fold", counted)
+    for chain in (_or_chain, _f_chain):
+        counts = []
+        for k in (100, 200, 400):
+            visits[0] = 0
+            expand_derived(chain(k, shared=True))
+            counts.append(visits[0])
+        assert counts[1] <= 2.3 * counts[0] and counts[2] <= 2.3 * counts[1]
 
 
 def test_json_round_trip():

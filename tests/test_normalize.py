@@ -714,7 +714,9 @@ def test_steps_test_only_the_nodes_they_create(monkeypatch):
         assert is_normal(nf).normal
         assert len(trace) == steps
         assert calls["_redex_kinds"] <= 8 * len(trace)
-        assert calls["_mon_class"] <= 8 * len(trace)
+        # the class is memoized on the node: 2356 calls in the mon chain's
+        # 590 steps, 4653 without the memo
+        assert calls["_mon_class"] <= 4 * len(trace)
 
 
 def test_deep_trees_normalize():

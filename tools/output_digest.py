@@ -15,8 +15,10 @@ for trees whose entailment names at most 10 labels: the search tries every
 interpretation of the labels, 4 ** labels of them).  Two raw outputs whose
 ``*_renum`` fields agree differ only in marker numbers.  Further lines
 digest ``render``, ``parse`` and the ``ParseError`` text on seeded random
-entities and broken strings, and ``find_countermodel``'s verdict and
-countermodel on seeded random queries (``cm-*``).
+entities and broken strings, ``find_countermodel``'s verdict and
+countermodel on seeded random queries (``cm-*``), and the check report of
+2000 seeded mutants of a derived node (``dmut-*``: ``derived_mutant`` of
+the kernel tests over their ``derived_bases``).
 
 The trees are the bundled corpus, ``DERIVED_TREES`` of the kernel tests,
 the detour and derived-rule benchmark families of seeds 1-3 with one
@@ -406,6 +408,25 @@ def _countermodel_lines(lib, count: int):
         yield f"cm-{i} {profile} n={worlds} cm={_hash(verdict)}"
 
 
+def _derived_mutant_lines(lib, count: int):
+    """The check report of ``count`` seeded mutants of a derived node."""
+    from test_kernel import derived_bases, derived_mutant
+    rng = random.Random(29)
+    bases = derived_bases()
+    done = 0
+    while done < count:
+        base = rng.randrange(len(bases))
+        d = derived_mutant(rng, bases[base])
+        if d is None:
+            continue
+        report = _attempt(lambda: lib.kernel.check(d, lib.rules.KL))
+        yield f"dmut-{done}-{base} check=" + _hash(report if isinstance(
+            report, str) else [report.ok, report.is_theorem,
+                               [[v.kind, list(v.path), v.message]
+                                for v in report.violations]])
+        done += 1
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
@@ -423,6 +444,8 @@ def main(argv=None) -> int:
     for line in _syntax_lines(lib):
         print(line, flush=True)
     for line in _countermodel_lines(lib, 400):
+        print(line, flush=True)
+    for line in _derived_mutant_lines(lib, 2000):
         print(line, flush=True)
     return 0
 
