@@ -29,10 +29,10 @@ reductio of its conclusion's sort.
 
 Every connective that is not atomic has one introduction and one
 elimination: the implication of either sort, ``G``, ``H``, ``X`` and
-``forall``.  ``_CONNECTIVES`` names the sort and the two rules of each,
-``_TENSE`` the relation of each temporal operator, and ``_opening`` states
-the whole table once: for a formula, its connective's rules, the
-hypothesis the introduction discharges, and what the elimination
+``forall``, named in ``rules.CONNECTIVE_RULES``.  ``_CONNECTIVES`` adds the
+sort of each, ``_TENSE`` the relation of each temporal operator, and
+``_opening`` states the whole table once: for a formula, its connective's
+rules, the hypothesis the introduction discharges, and what the elimination
 concludes, opened at a label for a quantifier or temporal operator.  It is
 the one table the checker, the normalizer's reductio restriction and its
 mon transport read.  The checker has one validator for every introduction,
@@ -41,7 +41,9 @@ elimination, which opens the major premise at the conclusion's label (for
 ``all_e``, at the label the conclusion instantiates it with); each compares
 the premises and the conclusion with the parts.  The eigenlabel condition
 is one test: the fresh label is free neither in the conclusion nor in an
-open assumption of the premise other than the hypotheses discharged.
+open assumption of the premise other than the hypotheses discharged.  One
+validator, ``_axiom``, serves every axiom rule; ``_VALIDATOR`` is the
+dispatch.
 
 ``check`` makes two passes over the tree, neither recursive, and names a
 node by its number, its place in ``Derivation.nodes`` order.  A ``nodes``
@@ -80,7 +82,7 @@ from .derivation import (
     Derivation, MarkerGen, all_markers, assume, fold, map_leaves, node,
     path_to, with_premises,
 )
-from .rules import KL, RULES, LogicProfile
+from .rules import CONNECTIVE_RULES, KL, RULES, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, Prec,
     ProofContext, RImplies, X, canon, core_eq, expand, grade, is_formula,
@@ -105,39 +107,33 @@ class _Sort:
     imp: type          # Implies | RImplies
     falsum: object     # F_ | E_
     bottom: str        # the falsum's name in messages
-    imp_i: str
     imp_e: str
+    imp_i: str
     raa: str
     at: Callable       # at(x, a): ``a`` stated in this sort, at ``x`` if labeled
     split: Callable    # split(c): the label and the formula part of ``c``
     neg: Callable      # neg(a): ``a`` implies this sort's falsum
 
 
-LAB = _Sort(True, "labeled", "", Implies, F_, "falsum", "imp_i", "imp_e",
-            "raa_bot", Lwff, attrgetter("label", "formula"),
-            lambda a: Implies(a, F_))
+LAB = _Sort(True, "labeled", "", Implies, F_, "falsum",
+            *CONNECTIVE_RULES[Implies], "raa_bot", Lwff,
+            attrgetter("label", "formula"), lambda a: Implies(a, F_))
 REL = _Sort(False, "relational", "relational ", RImplies, E_, "empty",
-            "rimp_i", "rimp_e", "raa_empty", lambda x, a: a, lambda c: (None, c),
-            lambda a: RImplies(a, E_))
+            *CONNECTIVE_RULES[RImplies], "raa_empty", lambda x, a: a,
+            lambda c: (None, c), lambda a: RImplies(a, E_))
 _SORT_OF_RULE = {s.raa: s for s in (LAB, REL)}
 
 # each temporal operator: the relation from the label of the operator
 # formula to the label of the body, and its elimination and introduction
 # rules
-_TENSE = {
-    G: (Less, "g_e", "g_i"), H: (lambda x, y: Less(y, x), "h_e", "h_i"),
-    X: (Prec, "x_e", "x_i"),
-}
+_TENSE = {op: (rel, *CONNECTIVE_RULES[op]) for op, rel in (
+    (G, Less), (H, lambda x, y: Less(y, x)), (X, Prec))}
 # each connective that is not atomic: its sort, and its elimination and
-# introduction rules; and each of those rules with the checker's validator
-# for it, its sort and its connective
-_CONNECTIVES = {
-    **{s.imp: (s, s.imp_e, s.imp_i) for s in (LAB, REL)},
-    **{op: (LAB, elim, intro) for op, (_, elim, intro) in _TENSE.items()},
-    Forall: (REL, "all_e", "all_i"),
-}
-_CONNECTIVE_OF = {rule: (role, s, op) for op, (s, *rules) in _CONNECTIVES.items()
-                  for role, rule in zip(("_elim", "_intro"), rules)}
+# introduction rules; and each of those rules with its sort and connective
+_CONNECTIVES = {op: (REL if op in (RImplies, Forall) else LAB, *rules)
+                for op, rules in CONNECTIVE_RULES.items()}
+_CONNECTIVE_OF = {rule: (s, op) for op, (s, *rules) in _CONNECTIVES.items()
+                  for rule in rules}
 
 
 def _opening(s, x, core, fresh) -> tuple:
@@ -481,9 +477,8 @@ class _Checker:
     def core(self, k, n, below, starts, end) -> None:
         """Validate a core node (or a leaf) against its rule."""
         self.below = below
-        role = _CONNECTIVE_OF.get(n.rule)
-        validator = getattr(self, role[0] if role else f"rule_{n.rule}", None)
-        allowed = validator(k, n) if validator is not None else None
+        validator = _VALIDATOR.get(n.rule)
+        allowed = validator(self, k, n) if validator is not None else None
         self._check_discharges(k, n, allowed or {}, starts, end)
 
     def _template(self, k, n, below, starts, end) -> bool:
@@ -580,14 +575,12 @@ class _Checker:
         x, a = s.split(c)
         return {0: [s.at(x, s.neg(a))]}
 
-    rule_raa_bot = rule_raa_empty = _raa
-
     # -- each connective's introduction and elimination ------------------
 
     def _intro(self, k, n):
         """The premise is the conclusion opened at the node's fresh label;
         the hypothesis of the opening is the shape the node discharges."""
-        _, s, op = _CONNECTIVE_OF[n.rule]
+        s, op = _CONNECTIVE_OF[n.rule]
         c, p0 = n.conclusion, n.premises[0].conclusion
         if not (self._of(s, k, c, "conclusion") and self._of(s, k, p0, "premise")):
             return {}
@@ -626,7 +619,7 @@ class _Checker:
         """The major premise opens to the conclusion and the minor premise,
         if any, at the conclusion's label, or for a universal at the label
         the conclusion instantiates it with."""
-        _, s, op = _CONNECTIVE_OF[n.rule]
+        s, op = _CONNECTIVE_OF[n.rule]
         c, p0 = n.conclusion, n.premises[0].conclusion
         if not (self._of(s, k, c, "conclusion")
                 and self._of(s, k, p0, "major premise")):
@@ -654,13 +647,9 @@ class _Checker:
                      f"conclusion of {n.rule} must be its axiom template")
         return {}
 
-    rule_refl_eq = rule_irrefl_lt = rule_trans_lt = rule_conn = _axiom
-    rule_first = rule_final = rule_lser = rule_rser = _axiom
-    rule_dens = rule_ldiscr = rule_rdiscr = _axiom
-
     # -- general rules ----------------------------------------------------
 
-    def rule_mon(self, k, n):
+    def _mon(self, k, n):
         c, p0, p1 = n.conclusion, n.premises[0].conclusion, n.premises[1].conclusion
         if not self._of(REL, k, p1, "minor premise"):
             return {}
@@ -677,37 +666,36 @@ class _Checker:
                 self.bad(k, "PatternMismatch",
                          f"mon at position {n.position} does not yield the conclusion")
             return {}
-        replaced_all = substitute_label(expand(p0), eq.y, eq.x)
-        if core_eq(replaced_all, c):
-            return {}
-        positions = mon_positions(p0, eq, c)
-        if positions:
-            return {}
-        self.bad(k, "PatternMismatch",
-                 "mon conclusion is neither the full substitution nor a "
-                 "single-position replacement")
+        if not (core_eq(substitute_label(expand(p0), eq.y, eq.x), c)
+                or mon_positions(p0, eq, c)):
+            self.bad(k, "PatternMismatch",
+                     "mon conclusion is neither the full substitution nor a "
+                     "single-position replacement")
         return {}
 
-    def rule_uf1(self, k, n):
+    def _uf(self, k, n):
+        """uf1 carries the falsum of sort ``s`` (labeled) to that of sort
+        ``t`` (relational); uf2 the other way, to any label."""
+        s, t = (LAB, REL) if n.rule == "uf1" else (REL, LAB)
         c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(REL, k, c, "conclusion") and self._of(LAB, k, p0, "premise")):
+        if not (self._of(t, k, c, "conclusion") and self._of(s, k, p0, "premise")):
             return {}
-        if not isinstance(expand(p0.formula), Falsum):
-            self.bad(k, "PatternMismatch", "uf1 premise must be falsum")
-        if not isinstance(expand(c), Empty):
-            self.bad(k, "PatternMismatch", "uf1 concludes empty")
+        if not isinstance(expand(s.split(p0)[1]), type(s.falsum)):
+            self.bad(k, "PatternMismatch", f"{n.rule} premise must be {s.bottom}")
+        if not isinstance(expand(t.split(c)[1]), type(t.falsum)):
+            where = " at some label" if t.labeled else ""
+            self.bad(k, "PatternMismatch", f"{n.rule} concludes {t.bottom}{where}")
         return {}
 
-    def rule_uf2(self, k, n):
-        c, p0 = n.conclusion, n.premises[0].conclusion
-        if not (self._of(LAB, k, c, "conclusion") and self._of(REL, k, p0, "premise")):
-            return {}
-        if not isinstance(expand(p0), Empty):
-            self.bad(k, "PatternMismatch", "uf2 premise must be empty")
-        if not isinstance(expand(c.formula), Falsum):
-            self.bad(k, "PatternMismatch", "uf2 concludes falsum at some label")
-        return {}
 
+# each core and axiom rule with the checker's validator for it
+_VALIDATOR = {
+    **{rule: validator for rules in CONNECTIVE_RULES.values()
+       for rule, validator in zip(rules, (_Checker._elim, _Checker._intro))},
+    **{rule: _Checker._axiom for rule, s in RULES.items() if s.kind == "axiom"},
+    **dict.fromkeys(_SORT_OF_RULE, _Checker._raa),
+    "mon": _Checker._mon, "uf1": _Checker._uf, "uf2": _Checker._uf,
+}
 
 
 # ---------------------------------------------------------------------------

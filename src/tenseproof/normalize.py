@@ -645,11 +645,12 @@ class NormalReport:
 
 
 def is_normal(d: Derivation) -> NormalReport:
-    """Whether ``d`` has no redex, by ``find_redexes``: a full scan that
-    does not read the driver's memos, so it can check a normal form the
-    driver made."""
-    rs = find_redexes(d)
-    return NormalReport(not rs, tuple(rs))
+    """Whether ``d`` has no redex: a full scan of ``nodes()`` that does not
+    read the driver's memos, so it can check a normal form the driver made.
+    Only a tree with a redex is walked, by ``find_redexes``, for its paths."""
+    if not any(map(_redex_kinds, d.nodes())):
+        return NormalReport(True, ())
+    return NormalReport(False, tuple(find_redexes(d)))
 
 
 # ---------------------------------------------------------------------------

@@ -210,47 +210,48 @@ _rwff = partial(_climb, _RWFF_OPS, _rwff_operand)
 # ---------------------------------------------------------------------------
 # Entry points
 
+def _lwff(t: _Tokens) -> Lwff:
+    label = t.take("ident", "a label")
+    t.take(":", "':'")
+    return Lwff(label, _formula(t))
+
+
+def _any(t: _Tokens):
+    """An lwff if the tokens start with ``label :``, else an rwff."""
+    if len(t.toks) >= 2 and t.toks[0][0] == "ident" and t.toks[1][0] == ":":
+        return _lwff(t)
+    return _rwff(t)
+
+
+_READERS = {"formula": _formula, "rwff": _rwff, "lwff": _lwff, "any": _any}
+
+
 def parse_formula(text: str):
-    t = _Tokens(text)
-    phi = _formula(t)
-    t.done()
-    return phi
+    return parse("formula", text)
 
 
 def parse_rwff(text: str):
-    t = _Tokens(text)
-    rho = _rwff(t)
-    t.done()
-    return rho
+    return parse("rwff", text)
 
 
 def parse_lwff(text: str) -> Lwff:
-    t = _Tokens(text)
-    label = t.take("ident", "a label")
-    t.take(":", "':'")
-    phi = _formula(t)
-    t.done()
-    return Lwff(label, phi)
+    return parse("lwff", text)
 
 
 def parse(kind: str, text: str):
-    """Parse ``text`` as one of ``formula | rwff | lwff | any``.
+    """Parse ``text``, tokenized once, as one of ``formula | rwff | lwff |
+    any``.
 
     ``any`` sniffs an lwff by a top-level ``label :`` prefix and otherwise
     parses a relational formula.
     """
-    if kind == "formula":
-        return parse_formula(text)
-    if kind == "rwff":
-        return parse_rwff(text)
-    if kind == "lwff":
-        return parse_lwff(text)
-    if kind == "any":
-        t = _Tokens(text)
-        if len(t.toks) >= 2 and t.toks[0][0] == "ident" and t.toks[1][0] == ":":
-            return parse_lwff(text)
-        return parse_rwff(text)
-    raise ValueError(f"unknown parse kind {kind!r}")
+    read = _READERS.get(kind)
+    if read is None:
+        raise ValueError(f"unknown parse kind {kind!r}")
+    t = _Tokens(text)
+    e = read(t)
+    t.done()
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Rule registry: identifiers, schema descriptors, axiom templates, profiles.
 
-The checker in :mod:`tenseproof.kernel` owns the actual matching logic; this
-module is the single place that says which rules exist, how many premises
-they take, whether they discharge, whether they carry a freshness side
-condition, and which logic profile admits them.
+The checker in :mod:`tenseproof.kernel` owns the actual matching logic;
+this module is the single place that says which rules exist, how many
+premises they take, whether they discharge, whether they carry a freshness
+side condition, and which logic profile admits them.  Each relational axiom
+is stated once, as its template in ``AXIOMS``, and each connective's
+elimination and introduction once, in ``CONNECTIVE_RULES``; every other
+table of them derives from these.
 """
 
 from __future__ import annotations
@@ -11,10 +14,43 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
-    Eq, Exists, Forall, Less, RAnd, RFormula, RImplies, RNot, ROr,
+    Eq, Exists, Forall, G, H, Implies, Less, RAnd, RFormula, RImplies, RNot,
+    ROr, X,
 )
 
-EXTRAS = ("first", "final", "lser", "rser", "dens", "ldiscr", "rdiscr", "mtl")
+# ---------------------------------------------------------------------------
+# Axiom templates (closed relational formulas)
+
+# the relational axioms of Kl
+_KL_AXIOMS: dict[str, RFormula] = {
+    "refl_eq": Forall("x", Eq("x", "x")),
+    "irrefl_lt": Forall("x", RNot(Less("x", "x"))),
+    "trans_lt": Forall("x", Forall("y", Forall("z", RImplies(
+        RAnd(Less("x", "y"), Less("y", "z")), Less("x", "z"))))),
+    "conn": Forall("x", Forall("y", ROr(
+        Less("x", "y"), ROr(Eq("x", "y"), Less("y", "x"))))),
+}
+# the axioms of the extensions, each the profile extra of its own name
+_EXTENSION_AXIOMS: dict[str, RFormula] = {
+    "first": Exists("x", Forall("y", RNot(Less("y", "x")))),
+    "final": Exists("x", Forall("y", RNot(Less("x", "y")))),
+    "lser": Forall("x", Exists("y", Less("y", "x"))),
+    "rser": Forall("x", Exists("y", Less("x", "y"))),
+    "dens": Forall("x", Forall("y", RImplies(
+        Less("x", "y"), Exists("z", RAnd(Less("x", "z"), Less("z", "y")))))),
+    "ldiscr": Forall("x", Forall("y", RImplies(
+        Less("x", "y"),
+        Exists("z", RAnd(Less("z", "y"),
+                         RNot(Exists("u", RAnd(Less("z", "u"), Less("u", "y"))))))))),
+    "rdiscr": Forall("x", Forall("y", RImplies(
+        Less("x", "y"),
+        Exists("z", RAnd(Less("x", "z"),
+                         RNot(Exists("u", RAnd(Less("x", "u"), Less("u", "z"))))))))),
+}
+AXIOMS: dict[str, RFormula] = {**_KL_AXIOMS, **_EXTENSION_AXIOMS}
+
+# the profile extras: the next-step fragment is the one that is no axiom
+EXTRAS = (*_EXTENSION_AXIOMS, "mtl")
 INFINITE_EXTRAS = frozenset({"lser", "rser", "dens", "mtl"})
 
 
@@ -59,33 +95,6 @@ def parse_profile(text: str) -> LogicProfile:
 
 
 # ---------------------------------------------------------------------------
-# Axiom templates (closed relational formulas)
-
-AXIOMS: dict[str, RFormula] = {
-    "refl_eq": Forall("x", Eq("x", "x")),
-    "irrefl_lt": Forall("x", RNot(Less("x", "x"))),
-    "trans_lt": Forall("x", Forall("y", Forall("z", RImplies(
-        RAnd(Less("x", "y"), Less("y", "z")), Less("x", "z"))))),
-    "conn": Forall("x", Forall("y", ROr(
-        Less("x", "y"), ROr(Eq("x", "y"), Less("y", "x"))))),
-    "first": Exists("x", Forall("y", RNot(Less("y", "x")))),
-    "final": Exists("x", Forall("y", RNot(Less("x", "y")))),
-    "lser": Forall("x", Exists("y", Less("y", "x"))),
-    "rser": Forall("x", Exists("y", Less("x", "y"))),
-    "dens": Forall("x", Forall("y", RImplies(
-        Less("x", "y"), Exists("z", RAnd(Less("x", "z"), Less("z", "y")))))),
-    "ldiscr": Forall("x", Forall("y", RImplies(
-        Less("x", "y"),
-        Exists("z", RAnd(Less("z", "y"),
-                         RNot(Exists("u", RAnd(Less("z", "u"), Less("u", "y"))))))))),
-    "rdiscr": Forall("x", Forall("y", RImplies(
-        Less("x", "y"),
-        Exists("z", RAnd(Less("x", "z"),
-                         RNot(Exists("u", RAnd(Less("x", "u"), Less("u", "z"))))))))),
-}
-
-
-# ---------------------------------------------------------------------------
 # Schemas
 
 @dataclass(frozen=True)
@@ -123,10 +132,7 @@ RULES: dict[str, RuleSchema] = {s.name: s for s in [
     _schema("rimp_e", "core", 2),
     _schema("all_i", "core", 1, fresh=True),
     _schema("all_e", "core", 1),
-    _schema("refl_eq", "axiom", 0),
-    _schema("irrefl_lt", "axiom", 0),
-    _schema("trans_lt", "axiom", 0),
-    _schema("conn", "axiom", 0),
+    *(_schema(a, "axiom", 0) for a in _KL_AXIOMS),
 
     # general rules bridging the two sub-systems
     _schema("mon", "core", 2),
@@ -134,13 +140,7 @@ RULES: dict[str, RuleSchema] = {s.name: s for s in [
     _schema("uf2", "core", 1),
 
     # relational axioms for extensions
-    _schema("first", "axiom", 0, requires="first"),
-    _schema("final", "axiom", 0, requires="final"),
-    _schema("lser", "axiom", 0, requires="lser"),
-    _schema("rser", "axiom", 0, requires="rser"),
-    _schema("dens", "axiom", 0, requires="dens"),
-    _schema("ldiscr", "axiom", 0, requires="ldiscr"),
-    _schema("rdiscr", "axiom", 0, requires="rdiscr"),
+    *(_schema(a, "axiom", 0, requires=a) for a in _EXTENSION_AXIOMS),
 
     # next-step rules (core once the profile enables them)
     _schema("x_i", "core", 1, disch=True, fresh=True, requires="mtl"),
@@ -174,17 +174,18 @@ RULES: dict[str, RuleSchema] = {s.name: s for s in [
 ]}
 
 
-# each connective's elimination and introduction: the detour pairs the
-# proper reductions eliminate; the next-step pair reduces exactly like the
-# G/H ones
-DETOUR_PAIRS = {
-    "imp_e": "imp_i",
-    "g_e": "g_i",
-    "h_e": "h_i",
-    "x_e": "x_i",
-    "rimp_e": "rimp_i",
-    "all_e": "all_i",
+# each connective that is not atomic, with its elimination and
+# introduction: the detour pairs the proper reductions eliminate; the
+# next-step pair reduces exactly like the G/H ones
+CONNECTIVE_RULES = {
+    Implies: ("imp_e", "imp_i"),
+    G: ("g_e", "g_i"),
+    H: ("h_e", "h_i"),
+    X: ("x_e", "x_i"),
+    RImplies: ("rimp_e", "rimp_i"),
+    Forall: ("all_e", "all_i"),
 }
+DETOUR_PAIRS = dict(CONNECTIVE_RULES.values())
 INTRO_RULES = set(DETOUR_PAIRS.values())
 ELIM_RULES = set(DETOUR_PAIRS)
 FALSUM_RULES = {"raa_bot", "raa_empty", "uf1", "uf2"}

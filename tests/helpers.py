@@ -147,6 +147,19 @@ def all_models(max_worlds: int, atoms, chains_only: bool = True):
             yield Model.chain(n, {a: frozenset(ws) for a, ws in val.items()})
 
 
+def all_frames(seed: int = 1, samples: int = 300):
+    """Every relation over 1-3 worlds, then ``samples`` seeded 4-world ones
+    (each pair in with probability 0.4), as models without atoms."""
+    for n in (1, 2, 3):
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        for bits in itertools.product((False, True), repeat=len(pairs)):
+            yield Model(n, frozenset(p for p, b in zip(pairs, bits) if b))
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    for _ in range(samples):
+        yield Model(4, frozenset(p for p in pairs if rng.random() < 0.4))
+
+
 def all_interpretations(m: Model, labels):
     labels = sorted(labels)
     for assignment in itertools.product(range(m.n), repeat=len(labels)):

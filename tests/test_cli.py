@@ -86,6 +86,20 @@ def test_normalize_verb(tmp_path, capsys):
     assert nf.node_count() == 2
 
 
+def test_normalize_of_a_derivation_that_fails_check(tmp_path, capsys):
+    # the violations go to stderr, no normal form is printed, and the exit
+    # code is the check failure's
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "rule": "imp_e", "conclusion": "x : q",
+        "premises": [{"rule": "assume", "conclusion": "x : p -> q"}]}))
+    assert main(["normalize", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("StructuralError at root: imp_e takes 2 premises, "
+                            "got 1\n")
+
+
 def test_eval_verb(model_files, capsys):
     model, lam = model_files
     assert main(["eval", model, lam, "x : F p"]) == 0

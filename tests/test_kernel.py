@@ -943,6 +943,36 @@ def test_json_rejects_unknown_rule():
         from_json({"rule": "cut", "conclusion": "x : p"})
 
 
+
+def _leaf(text, **fields):
+    return {"rule": "assume", "conclusion": text, **fields}
+
+
+# faults a derivation file can hold, each with the one violation it gets:
+# (file, kind, path, message)
+FILE_FAULTS = [
+    ({"rule": "imp_e", "conclusion": "x : q",
+      "premises": [_leaf("x : p -> q")]},
+     "StructuralError", (), "imp_e takes 2 premises, got 1"),
+    ({"rule": "imp_i", "conclusion": "x : p -> p", "discharges": [1],
+      "premises": [_leaf("x : p", marker=1, premises=[_leaf("x : p")])]},
+     "StructuralError", (0,), "assumption with premises"),
+    ({"rule": "mon", "conclusion": "y = y",
+      "premises": [_leaf("x : p"), _leaf("x = y")]},
+     "PatternMismatch", (), "mon preserves the formula kind"),
+    ({"rule": "mon", "conclusion": "y : p", "position": 2,
+      "premises": [_leaf("x : p"), _leaf("x = y")]},
+     "PatternMismatch", (), "mon at position 2 does not yield the conclusion"),
+]
+
+
+@pytest.mark.parametrize("obj, kind, path, message", FILE_FAULTS)
+def test_a_fault_in_a_file_is_one_violation(obj, kind, path, message):
+    report = check(from_json(obj), KL)
+    assert [(v.kind, v.path, v.message) for v in report.violations] == [
+        (kind, path, message)]
+
+
 if __name__ == "__main__":
     # after a deliberate change to an expansion, rewrite the pinned texts:
     # PYTHONPATH=src python tests/test_kernel.py

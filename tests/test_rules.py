@@ -94,12 +94,6 @@ def test_detour_pairs_match_rule_families():
     assert FALSUM_RULES == {"raa_bot", "raa_empty", "uf1", "uf2"}
 
 
-def test_the_checker_pairs_each_connective_as_the_normalizer():
-    from tenseproof.kernel import _CONNECTIVES
-    pairs = [(elim, intro) for _, elim, intro in _CONNECTIVES.values()]
-    assert sorted(pairs) == sorted(DETOUR_PAIRS.items())
-
-
 def test_fresh_rules_marked():
     for rid in ("g_i", "h_i", "x_i", "all_i", "f_e", "p_e", "ex_e"):
         assert RULES[rid].fresh

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from helpers import (
-    all_interpretations, all_models, atoms_of, random_formula, random_rwff,
+    all_frames, all_interpretations, all_models, atoms_of, random_formula,
+    random_rwff,
 )
 from tenseproof.corpus import corpus_entries
 from tenseproof.derivation import assume, node
 from tenseproof.kernel import check
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
-from tenseproof.rules import AXIOMS, KL, parse_profile
+from tenseproof.rules import AXIOMS, EXTRAS, KL, parse_profile
 from tenseproof.semantics import (
     BLOCK_BITS, Countermodel, FinitelyVacuous, Model, UnboundLabel, _compile,
     _label_block, _relation_masks, _relational_part_refutes, _require_finite,
@@ -86,30 +87,45 @@ def test_connectedness_template_true_on_every_frame():
         assert eval_entity(m, {}, AXIOMS["refl_eq"])
 
 
-def test_frame_condition_matches_axiom_template():
-    # on every relation over up to 3 worlds (and a sample of the 4-world
-    # ones), a failed frame condition refutes the matching axiom template
-    conditions = {
-        "irreflexive": AXIOMS["irrefl_lt"],
-        "transitive": AXIOMS["trans_lt"],
-        "connected": AXIOMS["conn"],
+def _frame_properties(m: Model) -> dict:
+    """Each frame condition as a predicate on the relation: the reference
+    for ``check_frame``, which evaluates the axioms instead."""
+    worlds, lt = m.worlds, m.prec
+
+    def immediate(a, b):        # a < b with no world between
+        return (a, b) in lt and not any((a, u) in lt and (u, b) in lt
+                                        for u in worlds)
+    return {
+        "irreflexive": all((w, w) not in lt for w in worlds),
+        "transitive": all((a, c) in lt for a, b in lt for b2, c in lt if b == b2),
+        "connected": all(a == b or (a, b) in lt or (b, a) in lt
+                         for a in worlds for b in worlds),
+        "first": any(all((v, w) not in lt for v in worlds) for w in worlds),
+        "final": any(all((w, v) not in lt for v in worlds) for w in worlds),
+        "lser": all(any((v, w) in lt for v in worlds) for w in worlds),
+        "rser": all(any((w, v) in lt for v in worlds) for w in worlds),
+        "dens": all(any((a, z) in lt and (z, b) in lt for z in worlds)
+                    for a, b in lt),
+        "ldiscr": all(any(immediate(z, b) for z in worlds) for a, b in lt),
+        "rdiscr": all(any(immediate(a, z) for z in worlds) for a, b in lt),
     }
-    rng = random.Random(1)
-    cases = []
-    for n in (1, 2, 3):
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-        for bits in itertools.product((False, True), repeat=len(pairs)):
-            rel = frozenset(p for p, b in zip(pairs, bits) if b)
-            cases.append(Model(n, rel))
-    pairs4 = [(i, j) for i in range(4) for j in range(4)]
-    for _ in range(300):
-        rel = frozenset(p for p in pairs4 if rng.random() < 0.4)
-        cases.append(Model(4, rel))
-    for m in cases:
-        verdicts = check_frame(m)
-        for name, template in conditions.items():
-            holds = eval_entity(m, {}, template)
-            assert holds == verdicts[name], (m, name)
+
+
+def test_frame_condition_matches_axiom_template():
+    # on every relation over up to 3 worlds and 300 seeded 4-world ones,
+    # each verdict of check_frame, under kl, kl plus each extra and mtl,
+    # is the frame property written on the relation
+    extras = [x for x in EXTRAS if x != "mtl"]
+    profiles = [parse_profile(p) for p in
+                ["kl", *(f"kl+{x}" for x in extras), "mtl"]]
+    for m in all_frames():
+        props = _frame_properties(m)
+        for profile in profiles:
+            names = ["irreflexive", "transitive", "connected",
+                     *sorted(profile.extras - {"mtl"})]
+            expected = {name: props[name] for name in names}
+            expected["ok"] = all(expected.values())
+            assert check_frame(m, profile) == expected, (m, profile)
 
 
 def test_eval_unbound_label():

@@ -16,9 +16,13 @@ interpretation of the labels, 4 ** labels of them).  Two raw outputs whose
 ``*_renum`` fields agree differ only in marker numbers.  Further lines
 digest ``render``, ``parse`` and the ``ParseError`` text on seeded random
 entities and broken strings, ``find_countermodel``'s verdict and
-countermodel on seeded random queries (``cm-*``), and the check report of
+countermodel on seeded random queries (``cm-*``), the check report of
 2000 seeded mutants of a derived node (``dmut-*``: ``derived_mutant`` of
-the kernel tests over their ``derived_bases``).
+the kernel tests over their ``derived_bases``), the rule tables
+(``rules``: the ``RULES`` entries in order, the detour pairs and the
+introduction, elimination and falsum rules), and the ``check_frame``
+verdicts on the relations of ``helpers.all_frames`` under ``kl``, each
+``kl+<extra>`` and ``mtl`` (``frame-*``).
 
 The trees are the bundled corpus, ``DERIVED_TREES`` of the kernel tests,
 the detour and derived-rule benchmark families of seeds 1-3 with one
@@ -427,6 +431,22 @@ def _derived_mutant_lines(lib, count: int):
         done += 1
 
 
+def _table_lines(lib):
+    from helpers import all_frames
+    rules = lib.rules
+    yield "rules " + _hash([
+        list(rules.RULES.items()), list(rules.DETOUR_PAIRS.items()),
+        sorted(rules.INTRO_RULES), sorted(rules.ELIM_RULES),
+        sorted(rules.FALSUM_RULES)])
+    frames = list(all_frames())
+    for name in ["kl", *(f"kl+{x}" for x in rules.EXTRAS if x != "mtl"),
+                 "mtl"]:
+        profile = rules.parse_profile(name)
+        yield f"frame-{name} verdicts=" + _hash(
+            [list(lib.semantics.check_frame(m, profile).items())
+             for m in frames])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
@@ -446,6 +466,8 @@ def main(argv=None) -> int:
     for line in _countermodel_lines(lib, 400):
         print(line, flush=True)
     for line in _derived_mutant_lines(lib, 2000):
+        print(line, flush=True)
+    for line in _table_lines(lib):
         print(line, flush=True)
     return 0
 
