@@ -15,7 +15,10 @@ module's one table, ``_CLEAN``, keeps each schema whose template checks
 clean; a node of a kept schema needs only its freshness tested.  Any other
 node has its own template checked, reporting every violation at the
 derived node.  A node whose formulas lack the shape its rule needs is a
-``PatternMismatch``.
+``PatternMismatch``.  Most derived nodes of a proof are label renamings of
+one another, so within one ``check`` each schema key is looked up by the
+node up to a one-to-one renaming of its labels, and ``_schema`` runs only
+for a node unlike any before it; the memo dies with the call.
 
 The calculus is two copies of one minimal propositional calculus, joined
 only by uf1 and uf2: a labeled copy (``imp_i``, ``imp_e``, ``raa_bot``,
@@ -86,7 +89,7 @@ from .rules import CONNECTIVE_RULES, KL, RULES, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, Prec,
     ProofContext, RImplies, X, canon, core_eq, expand, grade, is_formula,
-    labels_of, match_labels, substitute_label,
+    label_skeleton, labels_of, match_labels, substitute_label,
 )
 
 F_ = Falsum()
@@ -348,6 +351,7 @@ def _standin_template(n, held, mgen) -> Derivation:
 
 # the keys of the schemas whose templates check clean (see ``_schema``)
 _CLEAN: set = set()
+_MISS = object()        # a pre-key no node of the call has had yet
 
 
 def _schema(n, held):
@@ -366,7 +370,24 @@ def _schema(n, held):
     inside parts and the open leaves ``n`` does not discharge: ``_schematic``
     tests that on ``n``.  A binder above the parts, or a held leaf whose
     formula no conclusion has, makes no schema, so ``σ`` meets no binder
-    and a variable hides only labels of ``n``'s conclusions."""
+    and a variable hides only labels of ``n``'s conclusions.
+
+    The key is the same for every image of ``n`` under a one-to-one
+    renaming ``ρ`` of the labels of its canonical formulas (at every
+    occurrence, the ``·d`` that ``canon`` gives bound ones included), so
+    ``_Checker._key`` memoizes it by ``n`` up to such renamings.  This
+    function names every label only by the order in which ``image`` first
+    meets it; it tells formulas apart only by identity, and interned
+    formulas stay distinct under ``ρ``; grades, classes and the markers'
+    ranks do not change.  So it runs the same on ``ρ(n)`` and ``n``.  The
+    memo's pre-key holds the rule, whether there is a fresh label, the
+    ``label_skeleton`` of each canonical conclusion (node, then premises)
+    and of each held leaf with its marker's rank, and the pattern of
+    repeats in the labels of all of these and the fresh label.  Two nodes
+    with equal pre-keys are images of each other under the renaming that
+    takes one's label list to the other's, which is one to one because the
+    patterns agree, so they have equal keys.  Freshness, which reads real
+    labels, is still tested on every node."""
     env: dict = {}      # each label, part and formula met -> its image
 
     def image(t, depth=3):      # depth: connectives left above the parts,
@@ -424,6 +445,7 @@ class _Checker:
         self.at = at
         self.own = own
         self.below = ()      # open leaves of each premise of the node at hand
+        self.schemas: dict = {}     # pre-key -> schema key (``_schematic``)
 
     def bad(self, k, kind, message):
         if self.at is not None:
@@ -501,7 +523,7 @@ class _Checker:
                 (n, *n.premises), (e[2] for opens in below for e in opens
                                    if e[2].marker not in n.discharges))):
             return False
-        key = _schema(n, held)
+        key = self._key(n, held)
         if key is not None and key not in _CLEAN:
             rule, c, fresh, premises = key
             held = [[assume(*leaf) for leaf in leaves] for _, leaves in premises]
@@ -515,6 +537,25 @@ class _Checker:
             if not scratch:
                 _CLEAN.add(key)
         return key in _CLEAN
+
+    def _key(self, n, held):
+        """``_schema(n, held)``, looked up in ``schemas`` by ``n`` up to a
+        one-to-one renaming of its labels (the pre-key ``_schema`` states),
+        and computed only for a node unlike every one before it."""
+        labels: list = []
+        ranks = {m: i for i, m in enumerate(
+            sorted({leaf.marker for h in held for leaf in h}))}
+        pre = (n.rule, n.fresh is None, tuple(
+            label_skeleton(canon(t.conclusion), labels) for t in (n, *n.premises)),
+            tuple(tuple((label_skeleton(canon(leaf.conclusion), labels),
+                         ranks[leaf.marker]) for leaf in h) for h in held))
+        labels.append(n.fresh)
+        first: dict = {}
+        pre += (tuple([first.setdefault(x, len(first)) for x in labels]),)
+        key = self.schemas.get(pre, _MISS)
+        if key is _MISS:
+            key = self.schemas[pre] = _schema(n, held)
+        return key
 
     def _expand(self, k, n, held, below, index) -> bool:
         """Check the core template of derived node number ``k`` over

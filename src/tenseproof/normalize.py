@@ -571,11 +571,16 @@ class _Zipper:
         return self.focus
 
     def replace(self, new: Derivation) -> None:
-        """Put ``new`` in place of the focus."""
+        """Put ``new`` in place of the focus.  A rebuilt frame keeps the
+        class of a ``mon`` node if its new premise concludes what the old
+        one did, as a reduction's does: the class reads only conclusions."""
         frames, rebuilt, t = self.frames, [], new
         for _ in range(min(2, len(frames))):
             parent, i, _ = frames.pop()
-            t = with_premise(parent, i, t)
+            p, t = t, with_premise(parent, i, t)
+            mon = getattr(parent, "_mon", None)
+            if mon is not None and p.conclusion is parent.premises[i].conclusion:
+                _set(t, "_mon", mon)
             rebuilt.append((t, i))
         for t, i in reversed(rebuilt):
             self._push(t, i)

@@ -23,7 +23,8 @@ Hash-Consing*, 2006).  The invariant:
   on a list, so formulas of any depth expand, compare and substitute.
 - Labels are substituted by one walk, ``substitute_labels``, which stops
   where a node's memoized free labels miss its environment, and matched
-  up to bound names by one, ``match_labels``.
+  up to bound names by one, ``match_labels``; ``label_skeleton`` parts a
+  formula into its shape and its labels, for keys up to renaming.
 """
 
 from __future__ import annotations
@@ -555,6 +556,34 @@ def match_labels(pattern, target, holes):
         elif p is not t:                # the label-free nodes, and ``Lwff``
             return None
     return env
+
+
+def label_skeleton(phi, labels: list) -> tuple:
+    """``phi`` with its labels left out, as a tuple; its labels, bound ones
+    included, go on ``labels`` in the order a pre-order walk meets them.
+    Two formulas with equal skeletons, whose label lists repeat at the same
+    places, are images of each other under a one-to-one renaming of labels.
+    A tense formula carries no labels, so an lwff's skeleton is its class
+    and its formula; only a relational formula is walked."""
+    cls = type(phi)
+    if cls is Lwff:
+        labels.append(phi.label)
+        return (Lwff, phi.formula)
+    if not isinstance(phi, _Rel):
+        return (phi,)
+    out = []
+    todo = [phi]
+    while todo:
+        n = todo.pop()
+        cls = type(n)
+        out.append(cls)
+        if cls in (Less, Eq, Prec):
+            labels += (n.x, n.y)
+        else:
+            if cls in (Forall, Exists):
+                labels.append(n.var)
+            todo += n._kids(n)[::-1]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
+import functools
 import json
 import pathlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from tenseproof.derivation import (
-    MarkerGen, all_markers, assume, dumps, from_json, map_leaves, node,
-    replace_at, to_json,
+    MarkerGen, all_labels, all_markers, assume, dumps, from_json, map_leaves,
+    node, relabel, replace_at, to_json,
 )
 from tenseproof import kernel
 from tenseproof.kernel import check, expand_derived, open_assumptions
@@ -903,6 +905,100 @@ def test_a_derived_node_costs_few_core_validations(monkeypatch):
             expanded.append(calls["_standin_template"])
         # one template per schema, however long the chain
         assert expanded[0] == expanded[1] <= 4
+
+
+# ---------------------------------------------------------------------------
+# Schema keys memoized up to one-to-one label renamings
+
+def _without_memo(d, profile=KL) -> tuple:
+    """``check`` with every derived node's schema key computed by
+    ``_schema``, the reference for the memo, and the keys it computed."""
+    keys = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel._Checker, "_key", lambda self, n, held: keys.append(
+            kernel._schema(n, held)) or keys[-1])
+        return check(d, profile), keys
+
+
+def test_the_memo_agrees_with_schema():
+    import random
+    from tenseproof.corpus import corpus_entries
+    rng = random.Random(2)
+    bases = derived_bases()
+    mutants = []
+    while len(mutants) < 320:
+        mutant = derived_mutant(rng, rng.choice(bases))
+        if mutant is not None:
+            mutants.append(mutant)
+    trees = [(e.derivation, e.profile) for e in corpus_entries()]
+    trees += [(tree(), KL) for _, tree in DERIVED_TREES]
+    trees += [(chain(k, shared), KL) for chain in (_or_chain, _f_chain)
+              for k in (5, 60) for shared in (False, True)]
+    trees += [(m, KL) for m in mutants]
+    for d, profile in trees:
+        assert _report(check(d, profile)) \
+            == _report(_without_memo(d, profile)[0]), d
+
+
+def test_schema_runs_once_per_shape_of_a_check(monkeypatch):
+    # the levels of a chain are label renamings of one another; the memo
+    # lives for one call, so a second check computes the keys again
+    gen = _gen()
+    calls = []
+    schema = kernel._schema
+    monkeypatch.setattr(kernel, "_schema",
+                        lambda n, held: calls.append(n) or schema(n, held))
+    for d in (gen.f_detours(160, "p", "x"), gen.and_detours(160, "p", "q", "x"),
+              gen.or_detours(160, "p", "x")):
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert check(d, KL).ok
+            counts.append(len(calls))
+        assert 0 < counts[0] == counts[1] <= 2
+
+
+@functools.cache
+def _renaming_trees() -> list:
+    """``derived_bases`` and 60 seeded ``derived_mutant`` trees."""
+    import random
+    rng = random.Random(4)
+    bases = derived_bases()
+    mutants = (derived_mutant(rng, rng.choice(bases)) for _ in range(60))
+    return bases + [m for m in mutants if m is not None]
+
+
+@seed(20)
+@settings(max_examples=40, database=None, deadline=None)
+@given(st.data())
+def test_one_to_one_renamings_keep_keys_and_reports(data):
+    d = data.draw(st.sampled_from(_renaming_trees()))
+    labels = sorted(all_labels(d))
+    names = data.draw(st.permutations(labels + [f"a{i}" for i in labels]))
+    e = relabel(d, dict(zip(labels, names)), lambda label: None)
+    (report, keys), (renamed, renamed_keys) = _without_memo(d), _without_memo(e)
+    assert renamed_keys == keys
+    assert (renamed.ok, renamed.is_theorem) == (report.ok, report.is_theorem)
+    assert [(v.kind, v.path) for v in renamed.violations] \
+        == [(v.kind, v.path) for v in report.violations]
+    assert _report(check(e, KL)) == _report(renamed)
+
+
+@seed(21)
+@settings(max_examples=40, database=None, deadline=None)
+@given(st.data())
+def test_merging_renamings_check_as_without_the_memo(data):
+    # merge the fresh label of a derived node, or any label, with another
+    # label, in the whole tree or in one subtree, so that some nodes of the
+    # tree are merging renamings of others
+    d = data.draw(st.sampled_from(_renaming_trees()))
+    path, sub = data.draw(st.sampled_from(list(d.walk())))
+    labels = sorted(all_labels(sub))
+    freshes = sorted({t.fresh for t in sub.nodes() if t.fresh is not None})
+    old = data.draw(st.sampled_from(freshes or labels or ["x"]))
+    new = data.draw(st.sampled_from(labels + ["x"]))
+    e = replace_at(d, path, relabel(sub, {old: new}, lambda label: None))
+    assert _report(check(e, KL)) == _report(_without_memo(e)[0])
 
 
 def test_case_split_expansion_grows_linearly(monkeypatch):

@@ -714,9 +714,10 @@ def test_steps_test_only_the_nodes_they_create(monkeypatch):
         assert is_normal(nf).normal
         assert len(trace) == steps
         assert calls["_redex_kinds"] <= 8 * len(trace)
-        # the class is memoized on the node: 2356 calls in the mon chain's
-        # 590 steps, 4653 without the memo
-        assert calls["_mon_class"] <= 4 * len(trace)
+        # the class is memoized on the node, and the frames ``replace``
+        # rebuilds keep it: 1272 calls in the mon chain's 590 steps, 2356
+        # when they lose it and 4653 without the memo
+        assert calls["_mon_class"] <= 2.5 * len(trace)
 
 
 def test_deep_trees_normalize():

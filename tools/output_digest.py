@@ -18,7 +18,9 @@ digest ``render``, ``parse`` and the ``ParseError`` text on seeded random
 entities and broken strings, ``find_countermodel``'s verdict and
 countermodel on seeded random queries (``cm-*``), the check report of
 2000 seeded mutants of a derived node (``dmut-*``: ``derived_mutant`` of
-the kernel tests over their ``derived_bases``), the rule tables
+the kernel tests over their ``derived_bases``), the check report of 150
+seeded derived chains whose levels are label renamings of one another,
+one to one or merging labels (``dren-*``), the rule tables
 (``rules``: the ``RULES`` entries in order, the detour pairs and the
 introduction, elimination and falsum rules), and the ``check_frame``
 verdicts on the relations of ``helpers.all_frames`` under ``kl``, each
@@ -412,6 +414,15 @@ def _countermodel_lines(lib, count: int):
         yield f"cm-{i} {profile} n={worlds} cm={_hash(verdict)}"
 
 
+def _check_hash(lib, d) -> str:
+    """The hash of ``d``'s check report under ``kl``: its verdicts and each
+    violation's kind, path and message."""
+    report = _attempt(lambda: lib.kernel.check(d, lib.rules.KL))
+    return _hash(report if isinstance(report, str) else [
+        report.ok, report.is_theorem,
+        [[v.kind, list(v.path), v.message] for v in report.violations]])
+
+
 def _derived_mutant_lines(lib, count: int):
     """The check report of ``count`` seeded mutants of a derived node."""
     from test_kernel import derived_bases, derived_mutant
@@ -423,12 +434,79 @@ def _derived_mutant_lines(lib, count: int):
         d = derived_mutant(rng, bases[base])
         if d is None:
             continue
-        report = _attempt(lambda: lib.kernel.check(d, lib.rules.KL))
-        yield f"dmut-{done}-{base} check=" + _hash(report if isinstance(
-            report, str) else [report.ok, report.is_theorem,
-                               [[v.kind, list(v.path), v.message]
-                                for v in report.violations]])
+        yield f"dmut-{done}-{base} check=" + _check_hash(lib, d)
         done += 1
+
+
+def _renamed_chain_lines(lib, count: int):
+    """The check report of ``count`` seeded derived chains whose levels are
+    label renamings of one another (``dren-*``).  In an ``f_e`` chain each
+    level holds the leaves ``y : p`` and ``x < y`` of the level below and
+    takes ``y`` as its fresh label; then, at one or two levels, the fresh
+    label becomes ``x``, the level's own ``y`` or the next level's, the
+    held leaves move to ``x`` (with the fresh label or without), both move
+    to another level's ``y``, or every level uses one ``y``.  In a
+    ``rand_i``/``rand_e1`` chain on ``x < y`` each level's conjunction
+    ``x < y /\\ y < c`` takes ``c`` new or ``x`` or ``y``, and its leaf
+    ``y < c`` mostly the same ``c``.  A renaming that merges two labels
+    keeps a level's schema key out of ``check``'s memo; a one-to-one one
+    finds it."""
+    node, assume = lib.derivation.node, lib.derivation.assume
+    parse = lambda text: lib.parser.parse("any", text)
+    fa = parse("x : F p")
+
+    def f_chain(held, fresh):
+        def f_i(y, m):
+            return node("f_i", fa, assume(parse(f"{y} : p"), m),
+                        assume(parse(f"x < {y}"), m + 1))
+        d = f_i(held[0], 1)
+        for i in range(1, len(held)):
+            d = node("f_e", fa, f_i(held[i], 2 * i + 1), d,
+                     discharges={2 * i - 1, 2 * i}, fresh=fresh[i])
+        return d
+
+    def rand_chain(thirds):
+        d = assume(parse("x < y"))
+        for c, leaf in thirds:
+            d = node("rand_e1", parse("x < y"), node(
+                "rand_i", parse(f"x < y /\\ y < {c}"), d,
+                assume(parse(f"y < {leaf}"))))
+        return d
+
+    rng = random.Random(31)
+    for i in range(count):
+        k = rng.choice((3, 5, 8))
+        if i % 3 == 2:
+            thirds = []
+            for j in range(k):
+                c = rng.choice(("x", "y", f"z{j}", "z"))
+                thirds.append((c, c if rng.random() < 0.8
+                               else rng.choice(("x", "y", "z"))))
+            yield f"dren-{i}-rand-{'.'.join(map(''.join, thirds))} check=" \
+                + _check_hash(lib, rand_chain(thirds))
+            continue
+        held = [f"y{j}" for j in range(k)]
+        fresh = [None, *held[:-1]]
+        edits = rng.sample(("fresh-x", "fresh-own", "fresh-next", "held-x",
+                            "held-fresh-x", "reuse", "one"), rng.choice((1, 2)))
+        for edit in edits:
+            j = rng.randrange(1, k)
+            if edit == "fresh-x":
+                fresh[j] = "x"
+            elif edit == "fresh-own":
+                fresh[j] = held[j]
+            elif edit == "fresh-next":
+                fresh[j] = held[(j + 1) % k]
+            elif edit == "held-x":
+                held[j - 1] = "x"
+            elif edit == "held-fresh-x":
+                held[j - 1] = fresh[j] = "x"
+            elif edit == "reuse":
+                held[j - 1] = fresh[j] = held[rng.randrange(k)]
+            else:
+                held, fresh = ["y"] * k, [None] + ["y"] * (k - 1)
+        yield f"dren-{i}-f-{'+'.join(edits)} check=" \
+            + _check_hash(lib, f_chain(held, fresh))
 
 
 def _table_lines(lib):
@@ -466,6 +544,8 @@ def main(argv=None) -> int:
     for line in _countermodel_lines(lib, 400):
         print(line, flush=True)
     for line in _derived_mutant_lines(lib, 2000):
+        print(line, flush=True)
+    for line in _renamed_chain_lines(lib, 150):
         print(line, flush=True)
     for line in _table_lines(lib):
         print(line, flush=True)
