@@ -18,14 +18,16 @@ There are three traversals, none recursive; use the cheapest that serves:
   root paths; building a path costs its length, so it serves only
   ``find_redexes``, which names every redex by its path, and tests.
 
-A node has four memo slots, left out of ``__init__``, comparison and
+A node has five memo slots, left out of ``__init__``, comparison and
 ``repr`` and written through ``object.__setattr__``: ``_size``, the number
-of nodes in its subtree, written by ``node_count``; and for the normalizer
+of nodes in its subtree, written by ``node_count``; for the normalizer
 ``_redex``, the key of the least redex at the node itself, ``_least``, the
 key of the least redex in its subtree with the path relative to the node,
-and ``_mon``, the class of a ``mon`` node.  All stay unset until asked
-for.  Each reads only the node's own immutable subtree, so the memos hold
-wherever the node object sits, in any tree.
+and ``_mon``, the class of a ``mon`` node; and for the checker ``_clean``,
+set on a derived node whose core template checked clean.  All stay unset
+until asked for.  Each reads only the node's own immutable subtree, so the
+memos hold wherever the node object sits, in any tree (``_clean`` wherever
+no leaf the node discharges lies outside it, which the checker tests).
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ ASSUME = "assume"
 
 
 class _Memos:
-    """The four memo slots (see above): outside the dataclass fields, so
+    """The five memo slots (see above): outside the dataclass fields, so
     ``__init__``, comparison, ``repr`` and copies leave them out, and unset
     until written."""
 
-    __slots__ = ("_size", "_redex", "_least", "_mon")
+    __slots__ = ("_size", "_redex", "_least", "_mon", "_clean")
 
 
 @dataclass(frozen=True, slots=True)

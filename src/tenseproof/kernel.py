@@ -9,16 +9,15 @@ Each derived rule is stated once, as an expander that rewrites its node
 into a core template.  ``expand_derived`` applies the expanders to the whole
 tree, preserving conclusion and open assumptions.  ``check`` validates a
 derived node through the same expander, run over stand-ins for the
-premises, by checking the template's core nodes; but only once per schema,
-the node with its parts and labels made variables (``_schema``).  The
-module's one table, ``_CLEAN``, keeps each schema whose template checks
-clean; a node of a kept schema needs only its freshness tested.  Any other
-node has its own template checked, reporting every violation at the
-derived node.  A node whose formulas lack the shape its rule needs is a
-``PatternMismatch``.  Most derived nodes of a proof are label renamings of
-one another, so within one ``check`` each schema key is looked up by the
-node up to a one-to-one renaming of its labels, and ``_schema`` runs only
-for a node unlike any before it; the memo dies with the call.
+premises, by checking the template's core nodes in context and reporting
+every violation at the derived node.  A node whose formulas lack the shape
+its rule needs is a ``PatternMismatch``.  A clean verdict is kept in two
+places, neither outliving what it reads: on the node, in its ``_clean``
+memo slot, since the verdict reads only the node's subtree; and for the
+rest of the call, by the node up to a one-to-one renaming of its labels
+(``_Checker._key``), since most derived nodes of a proof are label
+renamings of one another.  Neither serves a node that discharges a leaf
+lying outside it.  The module keeps no state between calls.
 
 The calculus is two copies of one minimal propositional calculus, joined
 only by uf1 and uf2: a labeled copy (``imp_i``, ``imp_e``, ``raa_bot``,
@@ -88,8 +87,8 @@ from .derivation import (
 from .rules import CONNECTIVE_RULES, KL, RULES, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, Prec,
-    ProofContext, RImplies, X, canon, core_eq, expand, grade, is_formula,
-    label_skeleton, labels_of, match_labels, substitute_label,
+    ProofContext, RImplies, X, canon, core_eq, expand, label_skeleton,
+    labels_of, match_labels, substitute_label,
 )
 
 F_ = Falsum()
@@ -349,78 +348,14 @@ def _standin_template(n, held, mgen) -> Derivation:
         n.discharges, n.fresh, n.position), mgen, held)
 
 
-# the keys of the schemas whose templates check clean (see ``_schema``)
-_CLEAN: set = set()
-_MISS = object()        # a pre-key no node of the call has had yet
-
-
-def _schema(n, held):
-    """The key of derived node ``n``'s schema, given its ``held`` leaves,
-    or None.  The schema is ``n`` with its parts made atoms ``·i`` (if
-    relational, ``·i = ·i``), its labels labels ``·xi``, equal ones alike,
-    and the held leaves' markers 1, 2, ...  A part is a subformula of a
-    conclusion three connectives below its label, as deep as a shape
-    function looks, or an atom above.
-
-    Soundness: ``n`` and its template are the images of the schema and of
-    its template under the substitution ``σ`` of parts and labels for the
-    variables, for ``σ`` keeps every test of the expander and of the
-    template check (connectives above the parts, labels that differ,
-    sorts, ``core_eq``, where leaves lie) but freshness, which reads labels
-    inside parts and the open leaves ``n`` does not discharge: ``_schematic``
-    tests that on ``n``.  A binder above the parts, or a held leaf whose
-    formula no conclusion has, makes no schema, so ``σ`` meets no binder
-    and a variable hides only labels of ``n``'s conclusions.
-
-    The key is the same for every image of ``n`` under a one-to-one
-    renaming ``ρ`` of the labels of its canonical formulas (at every
-    occurrence, the ``·d`` that ``canon`` gives bound ones included), so
-    ``_Checker._key`` memoizes it by ``n`` up to such renamings.  This
-    function names every label only by the order in which ``image`` first
-    meets it; it tells formulas apart only by identity, and interned
-    formulas stay distinct under ``ρ``; grades, classes and the markers'
-    ranks do not change.  So it runs the same on ``ρ(n)`` and ``n``.  The
-    memo's pre-key holds the rule, whether there is a fresh label, the
-    ``label_skeleton`` of each canonical conclusion (node, then premises)
-    and of each held leaf with its marker's rank, and the pattern of
-    repeats in the labels of all of these and the fresh label.  Two nodes
-    with equal pre-keys are images of each other under the renaming that
-    takes one's label list to the other's, which is one to one because the
-    patterns agree, so they have equal keys.  Freshness, which reads real
-    labels, is still tested on every node."""
-    env: dict = {}      # each label, part and formula met -> its image
-
-    def image(t, depth=3):      # depth: connectives left above the parts,
-        v = env.get(t)          # or -1 where no new part may begin
-        if v is None:
-            cls = type(t)
-            if cls is str:
-                v = f"·x{len(env)}"
-            elif cls in (Lwff, Less, Eq, Falsum, Empty):
-                v = cls(*[image(getattr(t, f), depth) for f in t._fields])
-            elif depth > 0 and cls in (Implies, G, H, RImplies):
-                v = cls(*[image(k, depth - 1) for k in t._kids(t)])
-            elif depth < 0 or depth and cls is Forall:
-                raise _Mismatch("a schema")
-            else:
-                name = f"·{len(env)}"
-                v = Atom(name) if is_formula(t) else Eq(name, name)
-            env[t] = v
-        return v
-
-    tops = [canon(t.conclusion) for t in (n, *n.premises)]
-    try:
-        for t in sorted(tops, key=grade):   # a formula in a smaller one
-            image(t)                        # keeps its shape in a larger
-        c, *tops = map(image, tops)
-        markers = {m: i for i, m in enumerate(
-            sorted({leaf.marker for h in held for leaf in h}), 1)}
-        return (n.rule, c, None if n.fresh is None else image(n.fresh), tuple(
-            (t, tuple(dict.fromkeys((image(canon(leaf.conclusion), -1),
-                                     markers[leaf.marker]) for leaf in h)))
-            for t, h in zip(tops, held)))
-    except _Mismatch:
-        return None
+def _fresh_clear(n, below) -> bool:
+    """Is derived node ``n``'s fresh label, if any, free in no open leaf of
+    its minor (last) premise that ``n`` does not discharge?  Of the leaves
+    its template reads, ``_Checker._key`` leaves out just these."""
+    z = n.fresh
+    return z is None or not any(
+        z in labels_of(leaf.conclusion) for _, _, leaf in below[-1]
+        if leaf.marker not in n.discharges)
 
 
 class _Checker:
@@ -445,7 +380,7 @@ class _Checker:
         self.at = at
         self.own = own
         self.below = ()      # open leaves of each premise of the node at hand
-        self.schemas: dict = {}     # pre-key -> schema key (``_schematic``)
+        self.clean: set = set()     # keys whose template checked clean
 
     def bad(self, k, kind, message):
         if self.at is not None:
@@ -504,69 +439,72 @@ class _Checker:
         self._check_discharges(k, n, allowed or {}, starts, end)
 
     def _template(self, k, n, below, starts, end) -> bool:
-        """Check derived node ``n`` by its schema (``_schematic``) or else
-        through its core template (``_expand``).  False when ``n`` lacks the
-        shape its rule needs."""
+        """Check derived node ``n`` through its core template (``_expand``)
+        unless it is known clean, on ``n`` (``_clean``) or on a node of its
+        key (``_key``); never so while ``n`` discharges a leaf outside it.
+        False when ``n`` lacks the shape its rule needs."""
         held = _held(n, k, starts, end, self.marker_leaves)
-        index = {m: [(-1, leaf) for lk, leaf in self.marker_leaves.get(m, ())
-                     if not k < lk < end] for m in n.discharges}
-        if not any(index.values()) and self._schematic(n, held, below):
+        if any(not k < lk < end for m in n.discharges
+               for lk, _ in self.marker_leaves.get(m, ())):
+            return self._expand(k, n, held, below, end)
+        if getattr(n, "_clean", False):
             return True
-        return self._expand(k, n, held, below, index)
-
-    def _schematic(self, n, held, below) -> bool:
-        """Is derived node ``n`` of a schema whose template checks clean,
-        and its fresh label free in none of its formulas and other open
-        leaves?  A schema is checked, and kept if clean, when first met."""
-        z = n.fresh
-        if z is not None and any(z in labels_of(t.conclusion) for t in chain(
-                (n, *n.premises), (e[2] for opens in below for e in opens
-                                   if e[2].marker not in n.discharges))):
+        key, count = self._key(n, held), len(self.violations)
+        if not (key in self.clean and _fresh_clear(n, below)
+                or self._expand(k, n, held, below, end)):
             return False
-        key = self._key(n, held)
-        if key is not None and key not in _CLEAN:
-            rule, c, fresh, premises = key
-            held = [[assume(*leaf) for leaf in leaves] for _, leaves in premises]
-            d = Derivation(rule, c, tuple(assume(t) for t, _ in premises),
-                           discharges=frozenset(m for _, leaves in premises
-                                                for _, m in leaves),
-                           fresh=fresh)
-            scratch: list = []
-            _Checker(self.profile, scratch, d, {}, len(d.discharges))._expand(
-                0, d, held, [[(d, 0, leaf) for leaf in h] for h in held], {})
-            if not scratch:
-                _CLEAN.add(key)
-        return key in _CLEAN
+        if len(self.violations) == count:
+            self.clean.add(key)
+            object.__setattr__(n, "_clean", True)
+        return True
 
-    def _key(self, n, held):
-        """``_schema(n, held)``, looked up in ``schemas`` by ``n`` up to a
-        one-to-one renaming of its labels (the pre-key ``_schema`` states),
-        and computed only for a node unlike every one before it."""
+    def _key(self, n, held) -> tuple:
+        """Derived node ``n`` up to a one-to-one renaming of its labels: its
+        rule, whether it has a fresh label, the ``label_skeleton`` of each
+        canonical conclusion (node, then premises) and of each ``held`` leaf
+        with its marker's rank, and the pattern of repeats in all of those
+        labels and the fresh label.
+
+        Soundness: nodes with equal keys are images of each other under the
+        renaming ``ρ`` of one's label list to the other's, one to one since
+        the patterns agree; ``canon`` names bound labels by position, so
+        ``ρ`` takes alpha-variants to alpha-variants.  The expander and the
+        template check read these formulas and ranks, and every test they
+        make (connectives, sorts, ``core_eq``, equal labels, where a leaf
+        lies) gives the same on the image under ``ρ``, but two reads.
+        ``match_instantiation`` falls back to the least label by name, which
+        ``ρ`` need not keep, only where the variable is not free in the
+        body, so the instance is the same whichever label it picks.  And the
+        eigenlabel condition of the template's ``g_i``, ``h_i`` or ``all_i``
+        reads the minor premise's open leaves that ``n`` does not discharge,
+        which the key leaves out: so once a node of its key checked clean,
+        ``n`` checks clean if and only if ``_fresh_clear`` holds for it.  The
+        ``_clean`` slot needs no such test: the template check reads only
+        ``n``'s immutable subtree, once no leaf of a marker ``n`` discharges
+        lies outside it, which ``_template`` tests first on every call."""
         labels: list = []
         ranks = {m: i for i, m in enumerate(
             sorted({leaf.marker for h in held for leaf in h}))}
-        pre = (n.rule, n.fresh is None, tuple(
+        key = (n.rule, n.fresh is None, tuple(
             label_skeleton(canon(t.conclusion), labels) for t in (n, *n.premises)),
             tuple(tuple((label_skeleton(canon(leaf.conclusion), labels),
                          ranks[leaf.marker]) for leaf in h) for h in held))
         labels.append(n.fresh)
         first: dict = {}
-        pre += (tuple([first.setdefault(x, len(first)) for x in labels]),)
-        key = self.schemas.get(pre, _MISS)
-        if key is _MISS:
-            key = self.schemas[pre] = _schema(n, held)
-        return key
+        return key + (tuple([first.setdefault(x, len(first)) for x in labels]),)
 
-    def _expand(self, k, n, held, below, index) -> bool:
+    def _expand(self, k, n, held, below, end) -> bool:
         """Check the core template of derived node number ``k`` over
         stand-ins for its premises, which carry their conclusions and, as
-        premises, the ``held`` leaves; ``index`` maps each marker ``n``
-        discharges to its leaves outside ``n``."""
+        premises, the ``held`` leaves; ``end`` is the number past ``n``'s
+        subtree."""
         try:
             template = _standin_template(n, held, MarkerGen((self.top,)))
         except _Mismatch as exc:
             self.bad(k, "PatternMismatch", f"{n.rule} needs {exc}")
             return False
+        index = {m: [(-1, leaf) for lk, leaf in self.marker_leaves.get(m, ())
+                     if not k < lk < end] for m in n.discharges}
         own, named = set(), set(n.discharges)
         for tk, t in enumerate(template.nodes()):
             if t.is_assumption() and t.marker is not None:

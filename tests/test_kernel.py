@@ -791,23 +791,38 @@ def _or_chain(k, shared=False):
     return d
 
 
-def _f_chain(k, shared=False):
+def _f_chain(k, shared=False, one=False):
     """``k`` F-eliminations, each with the one below as its minor premise,
-    whose two leaves carry one marker if ``shared``."""
+    whose two leaves carry one marker if ``shared``; every level opens at
+    its own label ``yi``, or at one label ``y`` if ``one``."""
     fa = pl("x : F p")
     markers = iter(range(1, 2 * k + 3))
+    y = (lambda i: "y") if one else (lambda i: f"y{i}")
 
-    def intro(y):
+    def intro(i):
         ma, mb = next(markers), next(markers)
         mb = ma if shared else mb
-        return node("f_i", fa, assume(pl(f"{y} : p"), ma),
-                    assume(pr(f"x < {y}"), mb)), {ma, mb}
+        return node("f_i", fa, assume(pl(f"{y(i)} : p"), ma),
+                    assume(pr(f"x < {y(i)}"), mb)), {ma, mb}
 
-    d, opened = intro("y0")
+    d, opened = intro(0)
     for i in range(1, k + 1):
-        major, new_open = intro(f"y{i}")
-        d = node("f_e", fa, major, d, discharges=opened, fresh=f"y{i - 1}")
+        major, new_open = intro(i)
+        d = node("f_e", fa, major, d, discharges=opened, fresh=y(i - 1))
         opened = new_open
+    return d
+
+
+def _ex_chain(k):
+    """``k`` existential eliminations, each with the one below as its minor
+    premise, discharging the leaf ``x < yi`` the level below introduced its
+    ``exists`` from and taking ``yi`` as its fresh label: the levels are
+    label renamings of one another."""
+    ex = pr("exists u. x < u")
+    d = node("ex_i", ex, assume(pr("x < y0"), 1))
+    for i in range(1, k + 1):
+        major = node("ex_i", ex, assume(pr(f"x < y{i}"), i + 1))
+        d = node("ex_e", ex, major, d, discharges={i}, fresh=f"y{i - 1}")
     return d
 
 
@@ -839,13 +854,17 @@ def test_deep_case_splits_expand(chain):
 
 
 # ---------------------------------------------------------------------------
-# Derived nodes checked once per schema
+# A derived node's clean verdict, kept on the node and by label renaming
 
 def _by_templates(d, profile=KL):
     """``check`` with every derived node checked through its own template,
-    as before the schema table: the reference path."""
+    reading and writing neither the ``_clean`` slot nor the renaming keys:
+    the reference path."""
+    def template(self, k, n, below, starts, end):
+        held = kernel._held(n, k, starts, end, self.marker_leaves)
+        return self._expand(k, n, held, below, end)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel._Checker, "_schematic", lambda *args: False)
+        mp.setattr(kernel._Checker, "_template", template)
         return check(d, profile)
 
 
@@ -853,9 +872,18 @@ def _report(r) -> tuple:
     return r.ok, r.is_theorem, r.violations
 
 
-def test_schemas_agree_with_the_templates(monkeypatch):
+def _fresh(d):
+    """A copy of ``d`` that shares no node object with it, so no memo slot
+    of the copy is set."""
+    return from_json(to_json(d))
+
+
+def _derived(d) -> list:
+    return [t for t in d.nodes() if RULES[t.rule].kind == "derived"]
+
+
+def test_schemas_agree_with_the_templates():
     import random
-    monkeypatch.setattr(kernel, "_CLEAN", set())
     rng = random.Random(1)
     bases = derived_bases()
     mutants = [m for m in (derived_mutant(rng, rng.choice(bases))
@@ -865,18 +893,33 @@ def test_schemas_agree_with_the_templates(monkeypatch):
         report = check(d, KL)
         assert _report(report) == _report(_by_templates(d)), d
         accepted += report.ok
+        # a tree that checks has every derived node's verdict on the node
+        assert not report.ok or all(t._clean for t in _derived(d))
     assert len(mutants) > 300 and 30 < accepted < len(mutants)
-    # only schemas that check clean are kept, so the table stays small: the
-    # unchanged trees have 31, the mutants add 12
-    assert 0 < len(kernel._CLEAN) <= 50
 
 
-def test_a_rejected_schema_is_not_kept(monkeypatch):
-    monkeypatch.setattr(kernel, "_CLEAN", set())
+def test_a_rejected_schema_is_not_kept():
     bad = node("and_e2", pl("x : p"), assume(pl("x : p & q")))
-    assert not check(bad, KL).ok and not kernel._CLEAN
-    assert not check(bad, KL).ok and not kernel._CLEAN
-    assert check(replace(bad, rule="and_e1"), KL).ok and len(kernel._CLEAN) == 1
+    first = check(bad, KL)
+    assert not first.ok and not hasattr(bad, "_clean")
+    assert _report(check(bad, KL)) == _report(first)
+    assert not hasattr(bad, "_clean")
+    good = replace(bad, rule="and_e1")
+    assert check(good, KL).ok and good._clean
+
+
+def test_a_clean_verdict_holds_only_inside_its_subtree():
+    # a case split whose verdict is kept on the node, then put where a leaf
+    # of a marker it discharges lies outside it
+    pa = pl("x : p")
+    split = node("or_e", pa, assume(pl("x : p | p")), assume(pa, 1),
+                 assume(pa, 2), discharges={1, 2})
+    assert check(split, KL).ok and split._clean
+    outer = node("and_i", pl("x : p & p"), split, assume(pa, 1))
+    report = check(outer, KL)
+    assert _report(report) == _report(_by_templates(outer))
+    assert [(v.kind, v.path) for v in report.violations] \
+        == [("BadDischarge", (0,))]
 
 
 def test_a_derived_node_costs_few_core_validations(monkeypatch):
@@ -893,9 +936,8 @@ def test_a_derived_node_costs_few_core_validations(monkeypatch):
     for family in families:
         expanded = []
         for k in (50, 100):
-            monkeypatch.setattr(kernel, "_CLEAN", set())
             d = family(k)
-            derived = sum(RULES[t.rule].kind == "derived" for t in d.nodes())
+            derived = len(_derived(d))
             cores = sum(RULES[t.rule].kind != "derived" and not t.is_assumption()
                         for t in d.nodes())
             calls.update(dict.fromkeys(calls, 0))
@@ -903,21 +945,22 @@ def test_a_derived_node_costs_few_core_validations(monkeypatch):
             # every core node once, and at most 3 more per derived node
             assert calls["core"] - cores <= 3 * derived
             expanded.append(calls["_standin_template"])
-        # one template per schema, however long the chain
+        # one template per rule, however long the chain
         assert expanded[0] == expanded[1] <= 4
 
 
 # ---------------------------------------------------------------------------
-# Schema keys memoized up to one-to-one label renamings
+# Renaming keys: a node up to one-to-one label renamings
 
-def _without_memo(d, profile=KL) -> tuple:
-    """``check`` with every derived node's schema key computed by
-    ``_schema``, the reference for the memo, and the keys it computed."""
+def _keys(d, profile=KL) -> tuple:
+    """The report of ``check`` on a fresh copy of ``d``, and the renaming
+    key of each derived node it looked up."""
     keys = []
+    key = kernel._Checker._key
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel._Checker, "_key", lambda self, n, held: keys.append(
-            kernel._schema(n, held)) or keys[-1])
-        return check(d, profile), keys
+            key(self, n, held)) or keys[-1])
+        return check(_fresh(d), profile), keys
 
 
 def test_the_memo_agrees_with_schema():
@@ -934,28 +977,59 @@ def test_the_memo_agrees_with_schema():
     trees += [(tree(), KL) for _, tree in DERIVED_TREES]
     trees += [(chain(k, shared), KL) for chain in (_or_chain, _f_chain)
               for k in (5, 60) for shared in (False, True)]
+    trees += [(_f_chain(k, one=True), KL) for k in (5, 60)]
+    trees += [(_ex_chain(k), KL) for k in (5, 60)]
     trees += [(m, KL) for m in mutants]
     for d, profile in trees:
-        assert _report(check(d, profile)) \
-            == _report(_without_memo(d, profile)[0]), d
+        reference = _report(_by_templates(d, profile))
+        # the second check reads the verdicts the first kept on the nodes
+        assert _report(check(d, profile)) == reference, d
+        assert _report(check(d, profile)) == reference, d
 
 
 def test_schema_runs_once_per_shape_of_a_check(monkeypatch):
-    # the levels of a chain are label renamings of one another; the memo
-    # lives for one call, so a second check computes the keys again
+    # the levels of a chain are label renamings of one another, so a fresh
+    # copy takes one template per rule however long the chain, also where
+    # every level reuses one fresh label and under binders; a second check
+    # of the same object finds every verdict on its node
     gen = _gen()
     calls = []
-    schema = kernel._schema
-    monkeypatch.setattr(kernel, "_schema",
-                        lambda n, held: calls.append(n) or schema(n, held))
+    expand = kernel._Checker._expand
+    monkeypatch.setattr(kernel._Checker, "_expand",
+                        lambda self, *args: calls.append(1) or expand(self, *args))
+    counts = []
     for d in (gen.f_detours(160, "p", "x"), gen.and_detours(160, "p", "q", "x"),
-              gen.or_detours(160, "p", "x")):
-        counts = []
-        for _ in range(2):
+              gen.or_detours(160, "p", "x"), _f_chain(160, one=True),
+              _ex_chain(50), _ex_chain(100)):
+        for copy in (_fresh(d), _fresh(d)):
             calls.clear()
-            assert check(d, KL).ok
+            assert check(copy, KL).ok
             counts.append(len(calls))
-        assert 0 < counts[0] == counts[1] <= 2
+        calls.clear()
+        assert check(copy, KL).ok and not calls
+    assert counts == [2] * 12
+
+
+def test_a_renaming_of_a_clean_node_still_tests_its_eigenlabel():
+    # two ``ex_e`` nodes with one key; the second one's minor premise keeps
+    # open a leaf ``y = y`` on its fresh label ``y``, which the key leaves out
+    ex = pr("exists u. x < u")
+
+    def elim(m, extra):
+        minor = node("ex_i", ex, assume(pr("x < y"), m))
+        if extra:
+            minor = node("rand_e1", ex, node(
+                "rand_i", pr("(exists u. x < u) /\\ y = y"), minor,
+                assume(pr("y = y"))))
+        major = node("ex_i", ex, assume(pr("x < z"), m + 10))
+        return node("ex_e", ex, major, minor, discharges={m}, fresh="y")
+
+    d = node("rand_i", pr("(exists u. x < u) /\\ (exists u. x < u)"),
+             elim(1, False), elim(2, True))
+    report = check(d, KL)
+    assert _report(report) == _report(_by_templates(d))
+    assert [(v.kind, v.path) for v in report.violations] \
+        == [("FreshnessViolation", (1,))]
 
 
 @functools.cache
@@ -976,11 +1050,12 @@ def test_one_to_one_renamings_keep_keys_and_reports(data):
     labels = sorted(all_labels(d))
     names = data.draw(st.permutations(labels + [f"a{i}" for i in labels]))
     e = relabel(d, dict(zip(labels, names)), lambda label: None)
-    (report, keys), (renamed, renamed_keys) = _without_memo(d), _without_memo(e)
+    (report, keys), (renamed, renamed_keys) = _keys(d), _keys(e)
     assert renamed_keys == keys
     assert (renamed.ok, renamed.is_theorem) == (report.ok, report.is_theorem)
     assert [(v.kind, v.path) for v in renamed.violations] \
         == [(v.kind, v.path) for v in report.violations]
+    assert _report(renamed) == _report(_by_templates(e))
     assert _report(check(e, KL)) == _report(renamed)
 
 
@@ -998,7 +1073,8 @@ def test_merging_renamings_check_as_without_the_memo(data):
     old = data.draw(st.sampled_from(freshes or labels or ["x"]))
     new = data.draw(st.sampled_from(labels + ["x"]))
     e = replace_at(d, path, relabel(sub, {old: new}, lambda label: None))
-    assert _report(check(e, KL)) == _report(_without_memo(e)[0])
+    assert _report(check(e, KL)) == _report(_by_templates(e))
+    assert _report(check(_fresh(e), KL)) == _report(_by_templates(e))
 
 
 def test_case_split_expansion_grows_linearly(monkeypatch):
