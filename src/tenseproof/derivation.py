@@ -90,10 +90,10 @@ class Derivation(_Memos):
             yield n
             stack += n.premises[::-1]
 
-    def walk(self, path: Path = ()) -> Iterator[tuple]:
+    def walk(self) -> Iterator[tuple]:
         """Yield ``(path, node)`` pairs, root first, premises left to right
         (so paths come in lexicographic order)."""
-        stack = [(path, self)]
+        stack = [((), self)]
         while stack:
             path, n = stack.pop()
             yield path, n

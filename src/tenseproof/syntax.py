@@ -9,12 +9,12 @@ comparisons go through the expanded, alpha-canonical core.
 Formulas are hash-consed (Filliâtre & Conchon, *Type-Safe Modular
 Hash-Consing*, 2006).  The invariant:
 
-- A node is built only through its class, as in ``Implies(a, b)``, ``G(p)``
-  or ``Lwff(x, A)``.  The constructor looks the class and its arguments up
-  in one weak intern table and returns the node already there, so equal
-  formulas are the same object: ``==`` is ``is``, and the hash is the
-  identity hash, fixed at construction.  Nodes are frozen; copying or
-  unpickling one returns the interned node.
+- A node is built only through its class, with its fields by position, as
+  in ``Implies(a, b)``, ``G(p)`` or ``Lwff(x, A)``.  The constructor looks
+  the class and its arguments up in one weak intern table and returns the
+  node already there, so equal formulas are the same object: ``==`` is
+  ``is``, and the hash is the identity hash, fixed at construction.  Nodes
+  are frozen; copying or unpickling one returns the interned node.
 - A node carries its expansion, its grade and, where it may hold a binder,
   its alpha-canonical form, each computed the first time it is asked for;
   an atom, and an ``Lwff`` over its own expansion, is its own expansion
@@ -30,7 +30,7 @@ Hash-Consing*, 2006).  The invariant:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Iterator, Union
 
@@ -48,12 +48,14 @@ _REFS = _TABLE.data
 _new = object.__new__
 _set = object.__setattr__    # nodes are frozen: only this module writes them
 _SELF = object()             # a memo meaning "the node itself", with no cycle
+_KID_FIELDS = ("left", "right", "body", "formula")
 
 
 class _Node:
     """A formula node.  Its memo slots hold ``None`` until asked for: ``_x``
     the expansion, ``_g`` the grade.  ``_binder`` tells whether the
-    expansion may hold a ``Forall``; ``_node`` gives each class its
+    expansion may hold a ``Forall``.  Each formula class states its fields
+    once, as ``__slots__``; ``__init_subclass__`` derives from them its
     ``_fields`` and ``_kids`` (the child nodes)."""
 
     __slots__ = ("_x", "_g", "__weakref__")
@@ -61,9 +63,22 @@ class _Node:
     _binder = False
     _binds = None       # for a relational node: does its class bind?
 
-    def __new__(cls, *args, **named):
-        if named:
-            args = _bind(cls, args, named)
+    def __init_subclass__(cls):
+        if "_memos" in cls.__dict__:    # a base such as _Rel, not a formula
+            return
+        cls._fields = cls.__slots__
+        cls._slots = cls._fields + cls._memos
+        cls._blank = (None,) * len(cls._memos)
+        kids = [f for f in cls._fields if f in _KID_FIELDS]
+        if len(kids) == 2:
+            cls._kids = staticmethod(attrgetter(*kids))
+        elif kids:
+            one = attrgetter(*kids)
+            cls._kids = staticmethod(lambda n: (one(n),))
+        else:
+            cls._kids = staticmethod(lambda n: ())
+
+    def __new__(cls, *args):
         key = (cls, *args)
         ref = _REFS.get(key)
         if ref is not None:
@@ -83,6 +98,12 @@ class _Node:
             _set(node, "_x", _SELF)
         _TABLE[key] = node
         return node
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         """``Class(field=value, ...)``, without recursion: pending work is
@@ -116,13 +137,6 @@ class _Node:
         return self
 
 
-def _bind(cls, args: tuple, named: dict) -> tuple:
-    rest = cls._fields[len(args):]
-    if set(named) != set(rest):
-        raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
-    return args + tuple(named[f] for f in rest)
-
-
 class _Rel(_Node):
     """A relational node: ``_l`` memoizes its free labels and ``_c`` its
     alpha-canonical form, if it may hold a binder."""
@@ -132,170 +146,110 @@ class _Rel(_Node):
     _binds = False      # does the class itself bind (or expand to a binder)?
 
 
-_KID_FIELDS = ("left", "right", "body", "formula")
-
-
-def _node(cls):
-    """Make ``cls`` a frozen slotted dataclass whose fields are filled by
-    ``_Node.__new__``, and give it ``_fields`` and ``_kids``."""
-    cls = dataclass(frozen=True, eq=False, init=False, repr=False,
-                    slots=True)(cls)
-    cls._fields = tuple(f.name for f in fields(cls))
-    cls._slots = cls._fields + cls._memos
-    cls._blank = (None,) * len(cls._memos)
-    kids = [f for f in cls._fields if f in _KID_FIELDS]
-    if len(kids) == 2:
-        cls._kids = staticmethod(attrgetter(*kids))
-    elif kids:
-        one = attrgetter(*kids)
-        cls._kids = staticmethod(lambda n: (one(n),))
-    else:
-        cls._kids = staticmethod(lambda n: ())
-    return cls
-
-
 # ---------------------------------------------------------------------------
 # Tense formulas
 
-@_node
 class Atom(_Node):
-    name: str
+    __slots__ = ("name",)
 
 
-@_node
 class Falsum(_Node):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
 
-@_node
 class G(_Node):
-    body: "Formula"
+    __slots__ = ("body",)
 
 
-@_node
 class H(_Node):
-    body: "Formula"
+    __slots__ = ("body",)
 
 
-@_node
 class X(_Node):
     # Core only when the logic profile enables the next-step fragment.
-    body: "Formula"
+    __slots__ = ("body",)
 
 
-@_node
 class Not(_Node):
-    body: "Formula"
+    __slots__ = ("body",)
 
 
-@_node
 class And(_Node):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
 
-@_node
 class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
 
-@_node
 class Top(_Node):
-    pass
+    __slots__ = ()
 
 
-@_node
 class F(_Node):
-    body: "Formula"
+    __slots__ = ("body",)
 
 
-@_node
 class P(_Node):
-    body: "Formula"
-
-
-Formula = Union[Atom, Falsum, Implies, G, H, X, Not, And, Or, Top, F, P]
+    __slots__ = ("body",)
 
 
 # ---------------------------------------------------------------------------
 # Relational formulas
 
-@_node
 class Less(_Rel):
-    x: Label
-    y: Label
+    __slots__ = ("x", "y")
 
 
-@_node
 class Eq(_Rel):
-    x: Label
-    y: Label
+    __slots__ = ("x", "y")
 
 
-@_node
 class Empty(_Rel):
-    pass
+    __slots__ = ()
 
 
-@_node
 class RImplies(_Rel):
-    left: "RFormula"
-    right: "RFormula"
+    __slots__ = ("left", "right")
 
 
-@_node
 class Forall(_Rel):
-    var: Label
-    body: "RFormula"
+    __slots__ = ("var", "body")
     _binds = True
 
 
-@_node
 class RNot(_Rel):
-    body: "RFormula"
+    __slots__ = ("body",)
 
 
-@_node
 class RAnd(_Rel):
-    left: "RFormula"
-    right: "RFormula"
+    __slots__ = ("left", "right")
 
 
-@_node
 class ROr(_Rel):
-    left: "RFormula"
-    right: "RFormula"
+    __slots__ = ("left", "right")
 
 
-@_node
 class Exists(_Rel):
-    var: Label
-    body: "RFormula"
+    __slots__ = ("var", "body")
     _binds = True
 
 
-@_node
 class Prec(_Rel):
     # "immediately precedes": x < y with no point strictly in between.
-    x: Label
-    y: Label
+    __slots__ = ("x", "y")
     _binds = True
 
 
 RFormula = Union[Less, Eq, Empty, RImplies, Forall, RNot, RAnd, ROr, Exists, Prec]
 
 
-@_node
 class Lwff(_Node):
-    label: Label
-    formula: Formula
+    __slots__ = ("label", "formula")
 
 
 _ATOMS = (Atom, Falsum, Less, Eq, Empty)    # each its own expansion

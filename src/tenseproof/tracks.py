@@ -90,7 +90,7 @@ def tracks(d: Derivation) -> TrackReport:
     entered: list = []      # the numbers of the nodes entered, not combined
     chains: list = []       # per track: its node numbers, origin first
     ends: list = []         # per track: origin, terminus, the number below
-    where: dict = {}        # node number -> (track, index in its chain)
+    where: dict = {}        # node number -> its track
     stray = []              # the numbers of the nodes on no track
 
     def number(t: Derivation) -> tuple:
@@ -100,7 +100,7 @@ def tracks(d: Derivation) -> TrackReport:
         origin = ("assumption" if t.is_assumption() else "axiom" if _is_axiom(t)
                   else "uf-conclusion" if t.rule in _UF else None)
         if origin:
-            where[k] = (len(chains), 0)
+            where[k] = len(chains)
             chains.append([k])
             ends.append([origin, None, None])
         return t, t.premises
@@ -110,13 +110,13 @@ def tracks(d: Derivation) -> TrackReport:
         major premise's, which ``n`` extends; the others end at ``n``."""
         k = entered.pop()
         if n.rule in _UF or not above:
-            t = where[k][0] if k in where else None
+            t = where.get(k)
             closed, terminus = above, "uf-premise"
         else:
             t = above[0]
             closed, terminus = above[1:], "minor-premise"
             if t is not None:
-                where[k] = (t, len(chains[t]))
+                where[k] = t
                 chains[t].append(k)
         for u in closed:
             if u is not None:
@@ -197,26 +197,16 @@ def _classify_links(order, track_list, ends, where):
         if at is None:                  # the track ends at the root
             continue
         b = order[at]
-        tj, index = where[at]
+        tj = where[at]
         if terminus == "uf-premise":
             case = "iv" if b.rule == "uf1" else "iii"
             links.append(TrackLink(case, ti, tj, at, b.rule))
             continue
-        other = track_list[tj]
-        if t.kind == other.kind:
+        if t.kind == track_list[tj].kind:
             links.append(TrackLink("same-kind", ti, tj, at, b.rule))
-            continue
-        major = index - 1               # the major premise's index in other
-        centre = len(other.elimination)
-        if b.rule in _TENSE_ELIMS:
-            if major >= centre:
-                raise StructureViolation(
-                    "temporal elimination fed outside an elimination part")
+        elif b.rule in _TENSE_ELIMS:
             links.append(TrackLink("i", ti, tj, at, b.rule))
         elif b.rule == "mon":
-            if not centre <= major < centre + len(other.central):
-                raise StructureViolation(
-                    "mon minor premise fed outside a central part")
             links.append(TrackLink("ii", ti, tj, at, b.rule))
         else:
             raise StructureViolation(

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -323,9 +322,9 @@ def test_random_checked_derivations_never_refuted():
 
 def _with_next(rng, phi):
     """``phi`` with random subformulas wrapped in ``X``."""
-    kids = {f: _with_next(rng, getattr(phi, f)) for f in ("left", "right", "body")
-            if hasattr(phi, f)}
-    out = dataclasses.replace(phi, **kids) if kids else phi
+    out = type(phi)(*(_with_next(rng, getattr(phi, f))
+                      if f in ("left", "right", "body") else getattr(phi, f)
+                      for f in phi._fields))
     return X(out) if rng.random() < 0.25 else out
 
 

@@ -16,10 +16,11 @@ from tenseproof import syntax
 from tenseproof.parser import parse_formula, parse_lwff, parse_rwff, render
 from tenseproof.semantics import Model, eval_entity
 from tenseproof.syntax import (
-    And, Atom, Empty, Eq, F, Falsum, Forall, G, H, Implies, Less, Lwff, Not,
-    LabelGen, Prec, ProofContext, RImplies, X, canon, core_eq, expand,
-    fresh_label, grade, is_atomic, is_subformula, labels_of, match_labels,
-    subformulas, substitute_label, substitute_labels, SubformulaPool,
+    And, Atom, Empty, Eq, Exists, F, Falsum, Forall, G, H, Implies, Less, Lwff,
+    Not, Or, LabelGen, P, Prec, ProofContext, RAnd, RImplies, RNot, ROr, Top, X,
+    canon, core_eq, expand, fresh_label, grade, is_atomic, is_subformula,
+    labels_of, match_labels, subformulas, substitute_label, substitute_labels,
+    SubformulaPool,
 )
 
 
@@ -313,14 +314,70 @@ def test_copies_and_pickles_are_the_interned_node():
         assert copy.copy(e) is e
         assert copy.deepcopy(e) is e
         assert pickle.loads(pickle.dumps(e)) is e
-    assert dataclasses.replace(Implies(Atom("p"), Atom("q")), right=Falsum()) \
-        is Implies(Atom("p"), Falsum())
 
 
 def test_nodes_are_frozen():
     phi = Implies(Atom("p"), Atom("q"))
     with pytest.raises(dataclasses.FrozenInstanceError):
         phi.left = Atom("r")
+
+
+# one node of each formula class, with its repr
+_EACH_CLASS = {
+    Atom("p"): "Atom(name='p')",
+    Falsum(): "Falsum()",
+    Implies(Atom("p"), Atom("q")):
+        "Implies(left=Atom(name='p'), right=Atom(name='q'))",
+    G(Atom("p")): "G(body=Atom(name='p'))",
+    H(Atom("p")): "H(body=Atom(name='p'))",
+    X(Atom("p")): "X(body=Atom(name='p'))",
+    Not(Atom("p")): "Not(body=Atom(name='p'))",
+    And(Atom("p"), Atom("q")): "And(left=Atom(name='p'), right=Atom(name='q'))",
+    Or(Atom("p"), Atom("q")): "Or(left=Atom(name='p'), right=Atom(name='q'))",
+    Top(): "Top()",
+    F(Atom("p")): "F(body=Atom(name='p'))",
+    P(Atom("p")): "P(body=Atom(name='p'))",
+    Less("x", "y"): "Less(x='x', y='y')",
+    Eq("x", "y"): "Eq(x='x', y='y')",
+    Empty(): "Empty()",
+    RImplies(Less("x", "y"), Empty()):
+        "RImplies(left=Less(x='x', y='y'), right=Empty())",
+    Forall("u", Less("x", "u")): "Forall(var='u', body=Less(x='x', y='u'))",
+    RNot(Less("x", "y")): "RNot(body=Less(x='x', y='y'))",
+    RAnd(Less("x", "y"), Empty()):
+        "RAnd(left=Less(x='x', y='y'), right=Empty())",
+    ROr(Less("x", "y"), Empty()): "ROr(left=Less(x='x', y='y'), right=Empty())",
+    Exists("u", Less("u", "y")): "Exists(var='u', body=Less(x='u', y='y'))",
+    Prec("x", "y"): "Prec(x='x', y='y')",
+    Lwff("x", G(Atom("p"))): "Lwff(label='x', formula=G(body=Atom(name='p')))",
+}
+
+
+def test_every_formula_class_is_a_plain_frozen_positional_node():
+    assert {type(n) for n in _EACH_CLASS} == {*syntax.FORMULA_TYPES, Lwff,
+                                              *syntax._Rel.__subclasses__()}
+    assert len(_EACH_CLASS) == 12 + 10 + 1
+    for n, text in _EACH_CLASS.items():
+        cls, fields = type(n), type(n)._fields
+        assert not dataclasses.is_dataclass(cls)
+        assert repr(n) == text
+        values = tuple(getattr(n, f) for f in fields)
+        assert cls(*values) is n
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        if fields:
+            with pytest.raises(TypeError):
+                cls(*values[:-1])
+            with pytest.raises(TypeError):
+                cls(*values[:-1], **{fields[-1]: values[-1]})
+        assert cls._kids(n) == tuple(v for v in values
+                                     if isinstance(v, syntax._Node))
+        for f in fields + ("_x",):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(n, f, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(n, f)
+        assert tuple(getattr(n, f) for f in fields) == values
 
 
 def test_table_drops_a_node_once_unreferenced():
