@@ -5,13 +5,16 @@ patterns, discharge bookkeeping, freshness side conditions, and profile
 gating for axiom rules.  It never raises on a bad proof; it collects
 violations with node paths.
 
-Each derived rule is stated once, as an expander that rewrites its node
-into a core template.  ``expand_derived`` applies the expanders to the whole
-tree, preserving conclusion and open assumptions.  ``check`` validates a
-derived node through the same expander, run over stand-ins for the
-premises, by checking the template's core nodes in context and reporting
-every violation at the derived node.  A node whose formulas lack the shape
-its rule needs is a ``PatternMismatch``.  A clean verdict is kept in two
+Each derived rule is stated once, as an expander that rewrites its node,
+over stand-ins for its premises, into a core template
+(``_standin_template``).  An expander reads a derived connective's parts
+off its expansion (``_unexpand``); a node whose formulas lack the shape its
+rule needs is a ``PatternMismatch``.  One expander serves the
+introductions of ``F``, ``P`` and ``exists`` and one their eliminations,
+opening the ``G``, ``H`` or ``forall`` they negate through ``_opening``.
+``expand_derived`` puts the expanded premises in for the stand-ins;
+``check`` checks the template's core nodes in context and reports every
+violation at the derived node.  A clean verdict is kept in two
 places, neither outliving what it reads: on the node, in its ``_clean``
 memo slot, since the verdict reads only the node's subtree; and for the
 rest of the call, by the node up to a one-to-one renaming of its labels
@@ -61,14 +64,14 @@ becomes a root path (``path_to``) only in a report.
 
 ``expand_derived`` is one ``fold`` that numbers the nodes in the same
 order and indexes each leaf as it passes it.  A leaf comes before any node
-that can discharge it, so each derived node's expander gets the leaves it
-discharges (``_held``), as the checker's stand-ins do, without a scan of
-its premises; their numbers follow from their sizes (``node_count``).  A
-case split that discharges a marker of two leaves may give some of them a
-marker of their own (``_split``).  Renaming them in the premise would map
-the whole branch, so such a split builds its template over stand-ins, as
-the checker does, puts the premises in their place and notes the leaves
-to rename; one pass at the end renames them where they lie.
+that can discharge it, so each derived node's stand-ins get the leaves it
+discharges (``_held``), as the checker's do, without a scan of its
+premises; their numbers follow from their sizes (``node_count``).  A case
+split that discharges a marker of two leaves may give some of them a
+marker of their own (``_split``).  It renames them in the stand-in, not in
+the premise, which would map the whole branch; putting the premises in
+notes the leaves to rename, and one pass at the end renames them where
+they lie.
 """
 
 from __future__ import annotations
@@ -86,9 +89,10 @@ from .derivation import (
 )
 from .rules import CONNECTIVE_RULES, KL, RULES, LogicProfile
 from .syntax import (
-    Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, Prec,
-    ProofContext, RImplies, X, canon, core_eq, expand, label_skeleton,
-    labels_of, match_labels, substitute_label,
+    And, Atom, Empty, Eq, Exists, F, Falsum, Forall, G, H, Implies, Less,
+    Lwff, Not, Or, P, Prec, ProofContext, RAnd, RImplies, RNot, ROr, X, canon,
+    core_eq, expand, label_skeleton, labels_of, match_labels,
+    substitute_label,
 )
 
 F_ = Falsum()
@@ -115,14 +119,18 @@ class _Sort:
     at: Callable       # at(x, a): ``a`` stated in this sort, at ``x`` if labeled
     split: Callable    # split(c): the label and the formula part of ``c``
     neg: Callable      # neg(a): ``a`` implies this sort's falsum
+    not_: type         # its derived connectives: Not | RNot,
+    and_: type         # And | RAnd
+    or_: type          # Or | ROr
 
 
 LAB = _Sort(True, "labeled", "", Implies, F_, "falsum",
             *CONNECTIVE_RULES[Implies], "raa_bot", Lwff,
-            attrgetter("label", "formula"), lambda a: Implies(a, F_))
+            attrgetter("label", "formula"), lambda a: Implies(a, F_), Not,
+            And, Or)
 REL = _Sort(False, "relational", "relational ", RImplies, E_, "empty",
             *CONNECTIVE_RULES[RImplies], "raa_empty", lambda x, a: a,
-            lambda c: (None, c), lambda a: RImplies(a, E_))
+            lambda c: (None, c), lambda a: RImplies(a, E_), RNot, RAnd, ROr)
 _SORT_OF_RULE = {s.raa: s for s in (LAB, REL)}
 
 # each temporal operator: the relation from the label of the operator
@@ -326,15 +334,14 @@ def check(d: Derivation, profile: LogicProfile = KL) -> CheckReport:
 
 
 def _held(n, k, starts, end, marker_leaves) -> list:
-    """For each premise of ``n``, node number ``k``, the leaves in it that
-    carry a marker ``n`` discharges.  ``starts`` are the premises' numbers,
-    ``end`` the number past the subtree, and ``marker_leaves`` maps each
-    marker to the ``(number, leaf)`` pairs of its leaves."""
-    held: list = [[] for _ in n.premises]
+    """The leaves that carry a marker ``n``, node number ``k``, discharges:
+    in each premise of ``n``, and last those outside it.  ``starts`` are
+    the premises' numbers, ``end`` the number past the subtree, and
+    ``marker_leaves`` maps each marker to its ``(number, leaf)`` pairs."""
+    held: list = [[] for _ in range(len(n.premises) + 1)]
     for m in sorted(n.discharges):
         for lk, leaf in marker_leaves.get(m, ()):
-            if k < lk < end:
-                held[bisect_right(starts, lk) - 1].append(leaf)
+            held[bisect_right(starts, lk) - 1 if k < lk < end else -1].append(leaf)
     return held
 
 
@@ -348,14 +355,11 @@ def _standin_template(n, held, mgen) -> Derivation:
         n.discharges, n.fresh, n.position), mgen, held)
 
 
-def _fresh_clear(n, below) -> bool:
-    """Is derived node ``n``'s fresh label, if any, free in no open leaf of
-    its minor (last) premise that ``n`` does not discharge?  Of the leaves
-    its template reads, ``_Checker._key`` leaves out just these."""
-    z = n.fresh
-    return z is None or not any(
-        z in labels_of(leaf.conclusion) for _, _, leaf in below[-1]
-        if leaf.marker not in n.discharges)
+def _eigen_clash(z, n, opens):
+    """The first open leaf ``(tree, number, leaf)`` of ``opens`` that ``n``
+    does not discharge and in which the label ``z`` is free, or ``None``."""
+    return next((e for e in opens if e[2].marker not in n.discharges
+                 and z in labels_of(e[2].conclusion)), None)
 
 
 class _Checker:
@@ -444,14 +448,14 @@ class _Checker:
         key (``_key``); never so while ``n`` discharges a leaf outside it.
         False when ``n`` lacks the shape its rule needs."""
         held = _held(n, k, starts, end, self.marker_leaves)
-        if any(not k < lk < end for m in n.discharges
-               for lk, _ in self.marker_leaves.get(m, ())):
-            return self._expand(k, n, held, below, end)
+        if held[-1]:
+            return self._expand(k, n, held, below)
         if getattr(n, "_clean", False):
             return True
         key, count = self._key(n, held), len(self.violations)
-        if not (key in self.clean and _fresh_clear(n, below)
-                or self._expand(k, n, held, below, end)):
+        if not (key in self.clean and (
+                n.fresh is None or not _eigen_clash(n.fresh, n, below[-1]))
+                or self._expand(k, n, held, below)):
             return False
         if len(self.violations) == count:
             self.clean.add(key)
@@ -478,7 +482,7 @@ class _Checker:
         eigenlabel condition of the template's ``g_i``, ``h_i`` or ``all_i``
         reads the minor premise's open leaves that ``n`` does not discharge,
         which the key leaves out: so once a node of its key checked clean,
-        ``n`` checks clean if and only if ``_fresh_clear`` holds for it.  The
+        ``n`` checks clean if and only if ``_eigen_clash`` finds none.  The
         ``_clean`` slot needs no such test: the template check reads only
         ``n``'s immutable subtree, once no leaf of a marker ``n`` discharges
         lies outside it, which ``_template`` tests first on every call."""
@@ -493,18 +497,18 @@ class _Checker:
         first: dict = {}
         return key + (tuple([first.setdefault(x, len(first)) for x in labels]),)
 
-    def _expand(self, k, n, held, below, end) -> bool:
+    def _expand(self, k, n, held, below) -> bool:
         """Check the core template of derived node number ``k`` over
         stand-ins for its premises, which carry their conclusions and, as
-        premises, the ``held`` leaves; ``end`` is the number past ``n``'s
-        subtree."""
+        premises, the ``held`` leaves (see ``_held``)."""
         try:
             template = _standin_template(n, held, MarkerGen((self.top,)))
         except _Mismatch as exc:
             self.bad(k, "PatternMismatch", f"{n.rule} needs {exc}")
             return False
-        index = {m: [(-1, leaf) for lk, leaf in self.marker_leaves.get(m, ())
-                     if not k < lk < end] for m in n.discharges}
+        index: dict = {}
+        for leaf in held[-1]:
+            index.setdefault(leaf.marker, []).append((-1, leaf))
         own, named = set(), set(n.discharges)
         for tk, t in enumerate(template.nodes()):
             if t.is_assumption() and t.marker is not None:
@@ -587,12 +591,12 @@ class _Checker:
             self.bad(k, "FreshnessViolation",
                      f"fresh label {z} occurs in the conclusion")
             return
-        for tree, lk, leaf in self.below[0]:
-            if leaf.marker not in n.discharges and z in labels_of(leaf.conclusion):
-                self.bad(k, "FreshnessViolation",
-                         f"fresh label {z} occurs in the open assumption "
-                         f"at {'/'.join(map(str, path_to(tree, lk)))}")
-                return
+        clash = _eigen_clash(z, n, self.below[0])
+        if clash is not None:
+            tree, lk, _ = clash
+            self.bad(k, "FreshnessViolation",
+                     f"fresh label {z} occurs in the open assumption "
+                     f"at {'/'.join(map(str, path_to(tree, lk)))}")
 
     def _elim(self, k, n):
         """The major premise opens to the conclusion and the minor premise,
@@ -706,15 +710,11 @@ def expand_derived(d: Derivation) -> Derivation:
 
     def expand_node(n: Derivation, premises: list) -> Derivation:
         k = entered.pop()
-        t = with_premises(n, premises)
         if RULES[n.rule].kind != "derived":
-            return t
+            return with_premises(n, premises)
         starts = list(accumulate((p.node_count() for p in n.premises[:-1]),
                                  initial=k + 1))
         held = _held(n, k, starts, count, marker_leaves)
-        markers = [leaf.marker for h in held for leaf in h]
-        if len(set(markers)) == len(markers):   # no split can rename
-            return _EXPANDERS[n.rule](t, mgen, held)
 
         def graft(s: Derivation) -> Derivation:   # as deep as the template
             if s.rule != _STANDIN:
@@ -749,37 +749,31 @@ def _parts(s: _Sort, c) -> tuple:
     return x, expand(a)
 
 
-def _and_parts(s: _Sort, core):
-    imp, bot = s.imp, type(s.falsum)
-    _need(isinstance(core, imp) and isinstance(core.right, bot)
-          and isinstance(core.left, imp)
-          and isinstance(core.left.right, imp)
-          and isinstance(core.left.right.right, bot), f"a {s.shape}conjunction")
-    return core.left.left, core.left.right.left
+# each derived connective a derived rule opens: the text naming it, and
+# where its parts sit in its expansion
+_SHAPES = {
+    Not: ("a negation", "left"), RNot: ("a relational negation", "left"),
+    And: ("a conjunction", "left.left", "left.right.left"),
+    RAnd: ("a relational conjunction", "left.left", "left.right.left"),
+    Or: ("a disjunction", "left.left", "right"),
+    ROr: ("a relational disjunction", "left.left", "right"),
+    F: ("an F-formula", "left.body.left"), P: ("a P-formula", "left.body.left"),
+    Exists: ("an existential", "left.var", "left.body.left"),
+}
 
 
-def _or_parts(s: _Sort, core):
-    imp = s.imp
-    _need(isinstance(core, imp) and isinstance(core.left, imp)
-          and isinstance(core.left.right, type(s.falsum)),
-          f"a {s.shape}disjunction")
-    return core.left.left, core.right
-
-
-def _fp_part(op, what: str, core):
-    """``a`` of the expanded ``F a`` (``op`` is G) or ``P a`` (H)."""
-    _need(isinstance(core, Implies) and isinstance(core.right, Falsum)
-          and isinstance(core.left, op) and isinstance(core.left.body, Implies)
-          and isinstance(core.left.body.right, Falsum), what)
-    return core.left.body.left
-
-
-def _exists_parts(core):
-    _need(isinstance(core, RImplies) and isinstance(core.right, Empty)
-          and isinstance(core.left, Forall)
-          and isinstance(core.left.body, RImplies)
-          and isinstance(core.left.body.right, Empty), "an existential")
-    return core.left.var, core.left.body.left
+def _unexpand(cls, core) -> list:
+    """The parts of the ``cls`` formula whose expansion is ``core``, read
+    off where they sit in it; ``_Mismatch`` if there is none.  Expansions
+    are interned, so one identity test checks the whole shape, and a part
+    read off the wrong site can only fail it."""
+    what, *sites = _SHAPES[cls]
+    try:
+        parts = [attrgetter(site)(core) for site in sites]
+    except AttributeError:
+        raise _Mismatch(what) from None
+    _need(expand(cls(*parts)) is core, what)
+    return parts
 
 
 def _refutation(c, k: int) -> Derivation:
@@ -849,9 +843,7 @@ def _split(markers, leaves, mgen) -> tuple:
 
 
 def _exp_not_i(s: _Sort, n, mgen, held):
-    core = _parts(s, n.conclusion)[1]
-    _need(isinstance(core, s.imp) and isinstance(core.right, type(s.falsum)),
-          f"a {s.shape}negation")
+    _unexpand(s.not_, _parts(s, n.conclusion)[1])
     return replace(n, rule=s.imp_i)
 
 
@@ -862,7 +854,7 @@ def _exp_not_e(s: _Sort, n, mgen, held):
 
 def _exp_and_i(s: _Sort, n, mgen, held):
     x, core = _parts(s, n.conclusion)
-    a, b = _and_parts(s, core)
+    a, b = _unexpand(s.and_, core)
     m = mgen()
     leaf = assume(s.at(x, s.imp(a, s.neg(b))), m)
     t1 = node(s.imp_e, s.at(x, s.neg(b)), leaf, n.premises[0])
@@ -873,7 +865,7 @@ def _exp_and_i(s: _Sort, n, mgen, held):
 def _exp_and_e1(s: _Sort, n, mgen, held):
     p0 = n.premises[0]
     x, core = _parts(s, p0.conclusion)
-    a, b = _and_parts(s, core)
+    a, b = _unexpand(s.and_, core)
     m1, m2 = mgen(), mgen()
     leaf_na = assume(s.at(x, s.neg(a)), m1)
     leaf_a = assume(s.at(x, a), m2)
@@ -887,7 +879,7 @@ def _exp_and_e1(s: _Sort, n, mgen, held):
 def _exp_and_e2(s: _Sort, n, mgen, held):
     p0 = n.premises[0]
     x, core = _parts(s, p0.conclusion)
-    a, b = _and_parts(s, core)
+    a, b = _unexpand(s.and_, core)
     m1, m2 = mgen(), mgen()
     leaf_nb = assume(s.at(x, s.neg(b)), m1)
     t3 = node(s.imp_i, s.at(x, s.imp(a, s.neg(b))), leaf_nb, discharges={m2})
@@ -897,7 +889,7 @@ def _exp_and_e2(s: _Sort, n, mgen, held):
 
 def _exp_or_i1(s: _Sort, n, mgen, held):
     x, core = _parts(s, n.conclusion)
-    a, b = _or_parts(s, core)
+    a, b = _unexpand(s.or_, core)
     m = mgen()
     leaf = assume(s.at(x, s.neg(a)), m)
     t1 = node(s.imp_e, s.at(x, s.falsum), leaf, n.premises[0])
@@ -906,14 +898,14 @@ def _exp_or_i1(s: _Sort, n, mgen, held):
 
 
 def _exp_or_i2(s: _Sort, n, mgen, held):
-    _or_parts(s, _parts(s, n.conclusion)[1])
+    _unexpand(s.or_, _parts(s, n.conclusion)[1])
     m = mgen()
     return node(s.imp_i, n.conclusion, n.premises[0], discharges={m})
 
 
 def _exp_or_e(s: _Sort, n, mgen, held):
     x, core = _parts(s, n.premises[0].conclusion)
-    a, b = _or_parts(s, core)
+    a, b = _unexpand(s.or_, core)
     p0, p1, p2 = n.premises
     renames, m2, m1 = _split(n.discharges, [
         (t.marker, i == 2) for i in (1, 2) for t in held[i]], mgen)
@@ -929,65 +921,54 @@ def _exp_or_e(s: _Sort, n, mgen, held):
     return _conclude(c, v4, leaf_k.marker)
 
 
-def _exp_fp_intro(op_cls, what, n, mgen, held):
-    p0, p1 = n.premises
-    x, core = _parts(LAB, n.conclusion)
-    a = _fp_part(op_cls, what, core)
-    y = _parts(LAB, p0.conclusion)[0]
+def _exp_dual_i(s: _Sort, cls, n, mgen, held):
+    """``F a``, ``P a`` or ``exists v. a``: the ``G``, ``H`` or ``forall``
+    formula ``q`` of ``~a`` that the conclusion negates is assumed, opened at
+    the premise's label (for ``exists``, the label the premise instantiates
+    the body with) and contradicted there by the premise."""
+    x, core = _parts(s, n.conclusion)
+    *_, a = _unexpand(cls, core)
+    q = core.left
+    if isinstance(q, Forall):
+        z = match_instantiation(a, q.var, n.premises[0].conclusion)
+        _need(z is not None, "a premise that instantiates the body")
+    else:
+        z = _parts(LAB, n.premises[0].conclusion)[0]
+    elim, _, _, body, _ = _opening(s, x, q, lambda: z)
     m = mgen()
-    leaf = assume(Lwff(x, op_cls(Implies(a, F_))), m)
-    t1 = node(_TENSE[op_cls][1], Lwff(y, Implies(a, F_)), leaf, p1)
-    t2 = node("imp_e", Lwff(y, F_), t1, p0)
-    t3 = node("raa_bot", Lwff(x, F_), t2)
-    return node("imp_i", n.conclusion, t3, discharges={m})
+    t1 = node(elim, body, assume(s.at(x, q), m), *n.premises[1:])
+    t2 = node(s.imp_e, s.at(z, s.falsum), t1, n.premises[0])
+    return node(s.imp_i, n.conclusion, _falsum_at(t2, s, x, always=True),
+                discharges={m})
 
 
-def _exp_fp_elim(op_cls, what, n, mgen, held):
+def _exp_dual_e(s: _Sort, cls, n, mgen, held):
+    """From ``F a``, ``P a`` or ``exists v. a`` and a minor premise that
+    derives the conclusion from ``a`` at the fresh label ``y``: the ``G``,
+    ``H`` or ``forall`` formula ``q`` the major premise negates, introduced
+    at ``y`` against a refutation of the conclusion.  ``exists`` splits no
+    discharges, and its ``all_i`` concludes ``q`` over ``y``."""
     p0, p1 = n.premises
-    x, core = _parts(LAB, p0.conclusion)
-    a = _fp_part(op_cls, what, core)
-    y = n.fresh
-    c = n.conclusion
-    shape = Lwff(y, a)
-    body = lambda t: core_eq(t.conclusion, shape)
-    renames, m_body, m_rel = _split(
-        n.discharges, [(t.marker, body(t)) for t in held[1]], mgen)
-    p1 = _renamed(p1, renames, body)
+    x, core = _parts(s, p0.conclusion)
+    *_, a = _unexpand(cls, core)
+    q, y, c = core.left, n.fresh, n.conclusion
+    _, intro, _, body, _ = _opening(s, x, q, lambda: y)
+    if isinstance(q, Forall):
+        m_body, m_rel, top = n.discharges, (), Forall(y, body)
+    else:
+        shape = s.at(y, a)
+        is_body = lambda t: core_eq(t.conclusion, shape)
+        renames, m_body, m_rel = _split(
+            n.discharges, [(t.marker, is_body(t)) for t in held[1]], mgen)
+        p1, top = _renamed(p1, renames, is_body), s.at(x, q)
     leaf_k = _refutation(c, mgen())
     # y is fresh, so it is not the label of ``c`` in a tree that checks;
     # the raa_bot stays in the others' expansions too
-    t2 = _falsum_at(_contradict(leaf_k, p1), LAB, y, always=True)
-    t3 = node("imp_i", Lwff(y, Implies(a, F_)), t2, discharges=m_body)
-    t4 = node(_TENSE[op_cls][2], Lwff(x, op_cls(Implies(a, F_))), t3,
-              discharges=m_rel, fresh=y)
-    t5 = node("imp_e", Lwff(x, F_), p0, t4)
+    t2 = _falsum_at(_contradict(leaf_k, p1), s, y, always=True)
+    t3 = node(s.imp_i, body, t2, discharges=m_body)
+    t4 = node(intro, top, t3, discharges=m_rel, fresh=y)
+    t5 = node(s.imp_e, s.at(x, s.falsum), p0, t4)
     return _conclude(c, t5, leaf_k.marker)
-
-
-def _exp_ex_i(n, mgen, held):
-    var, body = _exists_parts(_parts(REL, n.conclusion)[1])
-    w = match_instantiation(body, var, n.premises[0].conclusion)
-    _need(w is not None, "a premise that instantiates the body")
-    m = mgen()
-    leaf = assume(Forall(var, RImplies(body, E_)), m)
-    inst = substitute_label(RImplies(body, E_), w, var)
-    t1 = node("all_e", inst, leaf)
-    t2 = node("rimp_e", E_, t1, n.premises[0])
-    return node("rimp_i", n.conclusion, t2, discharges={m})
-
-
-def _exp_ex_e(n, mgen, held):
-    p0, p1 = n.premises
-    var, body = _exists_parts(_parts(REL, p0.conclusion)[1])
-    y = n.fresh
-    c = n.conclusion
-    leaf_k = _refutation(c, mgen())
-    t1 = _falsum_at(_contradict(leaf_k, p1), REL, None)
-    inst = substitute_label(RImplies(body, E_), y, var)
-    t2 = node("rimp_i", inst, t1, discharges=n.discharges)
-    t3 = node("all_i", Forall(y, inst), t2, fresh=y)
-    t4 = node("rimp_e", E_, p0, t3)
-    return _conclude(c, t4, leaf_k.marker)
 
 
 # the derived rules both sorts share: ``rule`` and its relational twin
@@ -997,11 +978,9 @@ _SHARED = {
     "or_i2": _exp_or_i2, "or_e": _exp_or_e,
 }
 _EXPANDERS = {
-    "f_i": partial(_exp_fp_intro, G, "an F-formula"),
-    "p_i": partial(_exp_fp_intro, H, "a P-formula"),
-    "f_e": partial(_exp_fp_elim, G, "an F-formula"),
-    "p_e": partial(_exp_fp_elim, H, "a P-formula"),
-    "ex_i": _exp_ex_i, "ex_e": _exp_ex_e,
     **{prefix + rule: partial(exp, s) for s, prefix in ((LAB, ""), (REL, "r"))
        for rule, exp in _SHARED.items()},
+    **{f"{name}_{kind}": partial(exp, s, cls)
+       for name, s, cls in (("f", LAB, F), ("p", LAB, P), ("ex", REL, Exists))
+       for kind, exp in (("i", _exp_dual_i), ("e", _exp_dual_e))},
 }

@@ -9,6 +9,7 @@ import pytest
 
 import tenseproof
 from helpers import DerivationGen
+from tenseproof import cli
 from tenseproof.cli import main
 from tenseproof.corpus import corpus_entries
 from tenseproof.derivation import (
@@ -17,6 +18,8 @@ from tenseproof.derivation import (
 from tenseproof.kernel import check
 from tenseproof.parser import parse_lwff as pl
 from tenseproof.rules import KL
+from tenseproof.semantics import ProbeReport, find_countermodel
+from tenseproof.syntax import ProofContext
 
 
 @pytest.fixture
@@ -447,3 +450,33 @@ def test_output_is_the_same_under_any_hash_seed(tmp_path):
         first, second = (_cli_in_subprocess(args, seed) for seed in (0, 1))
         assert first.returncode == second.returncode == 0, first.stderr
         assert first.stdout and first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# Failure paths: each fault injected through a name ``cli`` imports
+
+def test_check_probe_that_finds_a_countermodel_exits_3(g3_file, capsys,
+                                                        monkeypatch):
+    cm = find_countermodel(ProofContext.make(), pl("x : p"), 1)
+    monkeypatch.setattr(cli, "soundness_probe",
+                        lambda report, n, profile: ProbeReport("FAIL", n, cm))
+    assert main(["check", g3_file, "--probe", "2"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["probe(2): FAIL", json.dumps(cm.to_json())]
+    assert "status: valid" in out
+
+
+def test_normalize_that_leaves_a_redex_exits_2(tmp_path, capsys, monkeypatch):
+    detour = node("imp_e", pl("x : p"),
+                  node("imp_i", pl("x : p -> p"), assume(pl("x : p"), 1),
+                       discharges={1}),
+                  assume(pl("x : p")))
+    path = tmp_path / "detour.json"
+    path.write_text(dumps(detour))
+    # a normalizer that returns its input unchanged leaves the detour
+    monkeypatch.setattr(cli, "normalize", lambda d, trace=None: d)
+    assert main(["normalize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == dumps(detour) + "\n"
+    assert captured.err == ("normalization produced a non-normal or invalid "
+                            "tree\n")

@@ -1,10 +1,18 @@
 import importlib.util
 import pathlib
+from dataclasses import replace
 
+import pytest
+
+from tenseproof import corpus
 from tenseproof.corpus import corpus_entries, run_corpus, run_entry
+from tenseproof.derivation import assume
 from tenseproof.kernel import check, expand_derived
-from tenseproof.normalize import canonical_form
-from tenseproof.syntax import core_eq
+from tenseproof.normalize import NonTermination, canonical_form
+from tenseproof.parser import parse_lwff as pl
+from tenseproof.semantics import ProbeReport, find_countermodel
+from tenseproof.syntax import ProofContext, core_eq
+from tenseproof.tracks import StructureViolation
 
 EXPECTED_IDS = {
     "g1", "g2", "g3", "g4", "h1", "h2",
@@ -104,3 +112,90 @@ def test_bundled_files_are_what_the_builder_writes():
     assert set(texts) == set(bundled) == EXPECTED_IDS
     for entry_id, text in texts.items():
         assert text == bundled[entry_id], entry_id
+
+
+# ---------------------------------------------------------------------------
+# Failure paths: each fault injected through a name ``corpus`` imports
+
+def _refuting_probe(report, max_worlds=4, profile=None):
+    """A probe result that found a countermodel: the one of ``x : p``."""
+    cm = find_countermodel(ProofContext.make(), pl("x : p"), 1)
+    assert cm is not None
+    return ProbeReport("FAIL", max_worlds, cm)
+
+
+def _stages(**patches):
+    """The stages of entry g1 with the names ``corpus`` imports patched."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patches.items():
+            mp.setattr(corpus, name, value)
+        return run_entry(corpus_entries("g1")[0]).stages
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_a_wrong_expected_conclusion_fails_only_that_stage():
+    entry = replace(corpus_entries("g1")[0], expected_conclusion=pl("x : p"))
+    stages = run_entry(entry).stages
+    assert stages["conclusion"] == "FAIL:conclusion-mismatch"
+    assert all(v == "PASS" for s, v in stages.items() if s != "conclusion")
+
+
+def test_a_normal_form_that_opens_an_assumption_breaks_the_invariants():
+    stages = _stages(normalize=lambda d: assume(d.conclusion))
+    assert stages["normalize"] == "FAIL:invariants"
+    assert stages["check"] == stages["probe"] == "PASS"
+
+
+def test_non_termination_is_a_failed_normalize_stage():
+    exc = NonTermination(7)
+    stages = _stages(normalize=_raise(exc))
+    assert stages["normalize"] == f"FAIL:{exc}"
+    assert stages["normal_form"] == stages["tracks"] == stages["audit"] \
+        == "FAIL:unchecked"
+    assert stages["check"] == stages["probe"] == "PASS"
+
+
+def test_a_structure_violation_is_a_failed_tracks_stage():
+    stages = _stages(tracks=_raise(StructureViolation("a track bends")))
+    assert stages["tracks"] == "FAIL:a track bends"
+    assert all(v == "PASS" for s, v in stages.items() if s != "tracks")
+
+
+def test_a_countermodel_is_a_failed_probe_stage():
+    stages = _stages(soundness_probe=_refuting_probe)
+    assert stages["probe"] == "FAIL:countermodel"
+    assert all(v == "PASS" for s, v in stages.items() if s != "probe")
+
+
+def _code(failing: dict) -> int:
+    """The exit code of ``run_corpus`` when entry ``id`` fails the stages
+    ``failing[id]`` names and every other stage passes."""
+    def run(entry, max_worlds):
+        stages = dict.fromkeys(corpus.STAGES, "PASS")
+        stages.update(dict.fromkeys(failing.get(entry.id, ()), "FAIL:injected"))
+        return corpus.EntryResult(entry.id, stages)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "run_entry", run)
+        return run_corpus()[1]
+
+
+def test_run_corpus_exit_codes():
+    assert _code({}) == 0
+    assert _code({"g2": ["check"]}) == 1
+    assert _code({"g2": ["conclusion"]}) == 1
+    for stage in ("normalize", "normal_form", "tracks", "audit"):
+        assert _code({"h1": [stage]}) == 2
+    assert _code({"rser": ["probe"]}) == 3
+    # an entry that fails check and probe counts as a check failure
+    assert _code({"g3": ["check", "probe"]}) == 1
+    assert _code({"g3": ["tracks", "probe"]}) == 2
+    # across entries the highest code wins, in whichever order they come
+    assert _code({"a2_fe": ["probe"], "h2": ["audit"]}) == 3
+    assert _code({"a2_fe": ["check"], "h2": ["audit"]}) == 2
+    assert _code({"a2_fe": ["check"], "g1": ["probe"], "h2": ["audit"]}) == 3
+    assert _code({"rdiscr": ["check"], "g4": ["normalize"]}) == 2

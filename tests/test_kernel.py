@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from tenseproof.derivation import (
-    MarkerGen, all_labels, all_markers, assume, dumps, from_json, map_leaves,
-    node, relabel, replace_at, to_json,
+    Derivation, MarkerGen, all_labels, all_markers, assume, dumps, from_json,
+    map_leaves, node, relabel, replace_at, to_json,
 )
 from tenseproof import kernel
 from tenseproof.kernel import check, expand_derived, open_assumptions
@@ -16,7 +16,9 @@ from tenseproof.normalize import canonical_form
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import AXIOMS, KL, RULES, parse_profile
 from tenseproof.syntax import (
-    Empty, Falsum, Lwff, ProofContext, core_eq, labels_of, substitute_label,
+    And, Atom, Empty, Eq, Exists, F as FutureF, Falsum, Forall, G, H, Implies,
+    Less, Lwff, Not, Or, P as PastP, ProofContext, RAnd, RImplies, RNot, ROr,
+    X, core_eq, expand, labels_of, substitute_label,
 )
 
 E = Empty()
@@ -634,6 +636,135 @@ def test_checked_mutants_expand_and_survive_the_probe():
 
 
 # ---------------------------------------------------------------------------
+# Derived shapes read off their expansions, against the parent's predicates
+
+_need = kernel._need
+
+
+def _and_parts(s, core):
+    imp, bot = s.imp, type(s.falsum)
+    _need(isinstance(core, imp) and isinstance(core.right, bot)
+          and isinstance(core.left, imp)
+          and isinstance(core.left.right, imp)
+          and isinstance(core.left.right.right, bot), f"a {s.shape}conjunction")
+    return core.left.left, core.left.right.left
+
+
+def _or_parts(s, core):
+    imp = s.imp
+    _need(isinstance(core, imp) and isinstance(core.left, imp)
+          and isinstance(core.left.right, type(s.falsum)),
+          f"a {s.shape}disjunction")
+    return core.left.left, core.right
+
+
+def _fp_part(op, what: str, core):
+    """``a`` of the expanded ``F a`` (``op`` is G) or ``P a`` (H)."""
+    _need(isinstance(core, Implies) and isinstance(core.right, Falsum)
+          and isinstance(core.left, op) and isinstance(core.left.body, Implies)
+          and isinstance(core.left.body.right, Falsum), what)
+    return core.left.body.left
+
+
+def _exists_parts(core):
+    _need(isinstance(core, RImplies) and isinstance(core.right, Empty)
+          and isinstance(core.left, Forall)
+          and isinstance(core.left.body, RImplies)
+          and isinstance(core.left.body.right, Empty), "an existential")
+    return core.left.var, core.left.body.left
+
+
+def _not_part(s, core):
+    # the negation test of the parent's ``_exp_not_i``
+    _need(isinstance(core, s.imp) and isinstance(core.right, type(s.falsum)),
+          f"a {s.shape}negation")
+    return core.left
+
+
+LAB, REL = kernel.LAB, kernel.REL
+# each derived connective with the parent's reader of its expansion
+REFERENCE_SHAPES = [
+    (Not, functools.partial(_not_part, LAB)),
+    (RNot, functools.partial(_not_part, REL)),
+    (And, functools.partial(_and_parts, LAB)),
+    (RAnd, functools.partial(_and_parts, REL)),
+    (Or, functools.partial(_or_parts, LAB)),
+    (ROr, functools.partial(_or_parts, REL)),
+    (FutureF, functools.partial(_fp_part, G, "an F-formula")),
+    (PastP, functools.partial(_fp_part, H, "a P-formula")),
+    (Exists, _exists_parts),
+]
+
+
+def _read(reader, core):
+    """The parts ``reader`` reads off ``core``, as a tuple, or the text of
+    its mismatch."""
+    try:
+        parts = reader(core)
+    except kernel._Mismatch as exc:
+        return str(exc)
+    return tuple(parts) if isinstance(parts, (tuple, list)) else (parts,)
+
+
+def _subformulas(phi) -> list:
+    out, todo = [], [phi]
+    while todo:
+        n = todo.pop()
+        out.append(n)
+        todo += n._kids(n)
+    return out
+
+
+def _near_misses() -> list:
+    p, q, x, y = Atom("p"), Atom("q"), "x", "y"
+    lt, eq = Less(x, y), Eq(x, y)
+    neg = lambda a: Implies(a, F)
+    rneg = lambda a: RImplies(a, E)
+    return [
+        # X or H where G belongs, and G where H belongs
+        neg(X(neg(p))), neg(H(neg(p))), neg(G(neg(p))),
+        # a tail that is not falsum, at each place it sits
+        Implies(G(neg(p)), q), neg(G(Implies(p, q))), neg(G(p)),
+        Implies(Implies(p, Implies(q, F)), q),
+        neg(Implies(p, Implies(q, p))), neg(Implies(p, G(q))),
+        Implies(Implies(p, q), p), Implies(p, q), neg(neg(p)), neg(F), F,
+        RImplies(Forall("u", rneg(Less(x, "u"))), eq),
+        rneg(Forall("u", RImplies(Less(x, "u"), eq))),
+        RImplies(RImplies(lt, RImplies(eq, E)), lt),
+        rneg(RImplies(lt, RImplies(eq, lt))), RImplies(RImplies(lt, eq), lt),
+        RImplies(lt, eq), rneg(lt), E,
+        # Implies where RImplies belongs, and the other way about
+        Implies(Forall("u", rneg(Less(x, "u"))), E),
+        RImplies(Implies(Forall("u", rneg(Less(x, "u"))), E), E),
+        rneg(Forall("u", Implies(Less(x, "u"), E))),
+        RImplies(Implies(lt, RImplies(eq, E)), E),
+        RImplies(RImplies(lt, Implies(eq, E)), E),
+        Implies(RImplies(p, F), q), RImplies(Implies(lt, E), eq),
+        rneg(G(rneg(p))), RImplies(neg(p), F), Implies(lt, E),
+        neg(Implies(p, Implies(q, E))), neg(Forall("u", neg(p))),
+    ]
+
+
+def test_derived_shapes_read_as_the_parent_predicates():
+    import random
+    from helpers import random_formula, random_rwff
+    rng = random.Random(23)
+    cores = set(_near_misses())
+    for _ in range(300):
+        cores.update(_subformulas(expand(random_formula(rng, 5))))
+        cores.update(_subformulas(expand(random_rwff(rng, 4))))
+    matched = dict.fromkeys((cls for cls, _ in REFERENCE_SHAPES), 0)
+    for core in sorted(cores, key=repr):
+        for cls, reference in REFERENCE_SHAPES:
+            expected = _read(reference, core)
+            assert _read(functools.partial(kernel._unexpand, cls), core) \
+                == expected, (cls, core)
+            matched[cls] += type(expected) is tuple
+    # every shape matches often, and fails often
+    assert all(20 < k < len(cores) - 20 for k in matched.values()), matched
+
+
+# ---------------------------------------------------------------------------
 # Case-split expanders: one pass per branch, as the per-marker versions
 
 def _split_shapes_per_marker(p1, markers, first_shape, mgen):
@@ -862,7 +993,7 @@ def _by_templates(d, profile=KL):
     the reference path."""
     def template(self, k, n, below, starts, end):
         held = kernel._held(n, k, starts, end, self.marker_leaves)
-        return self._expand(k, n, held, below, end)
+        return self._expand(k, n, held, below)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel._Checker, "_template", template)
         return check(d, profile)
@@ -1135,6 +1266,10 @@ FILE_FAULTS = [
     ({"rule": "mon", "conclusion": "y : p", "position": 2,
       "premises": [_leaf("x : p"), _leaf("x = y")]},
      "PatternMismatch", (), "mon at position 2 does not yield the conclusion"),
+    # a designated position on a major premise that is not atomic
+    ({"rule": "mon", "conclusion": "y : G p", "position": 1,
+      "premises": [_leaf("x : G p"), _leaf("x = y")]},
+     "PatternMismatch", (), "mon at position 1 does not yield the conclusion"),
 ]
 
 
@@ -1143,6 +1278,14 @@ def test_a_fault_in_a_file_is_one_violation(obj, kind, path, message):
     report = check(from_json(obj), KL)
     assert [(v.kind, v.path, v.message) for v in report.violations] == [
         (kind, path, message)]
+
+
+def test_an_unknown_rule_built_through_the_library_is_one_violation():
+    # ``from_json`` rejects an unknown rule; a node built directly reaches
+    # the checker with it
+    report = check(Derivation("bogus", pl("x : p")), KL)
+    assert list(map(str, report.violations)) == [
+        "StructuralError at root: unknown rule 'bogus'"]
 
 
 if __name__ == "__main__":
