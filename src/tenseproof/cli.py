@@ -9,7 +9,13 @@ Exit codes: 0 all pass, 1 check failure, 2 normalization failure,
 3 semantic (probe or validity) failure, 4 input error (I/O, parse,
 malformed file, a world bound out of range, an unbound label, a profile
 without useful finite frames, or an unmatched corpus prefix), reported on
-one ``error:`` line.
+one ``error:`` line.  Where stages fail, the earliest one's code wins:
+check (1) before normalize (2) before probe (3), within one corpus entry
+and across entries.
+
+Each verb imports the library modules it runs when it runs, so a call
+loads only those: ``valid`` the parser, rules, syntax and semantics,
+``check`` no normalizer and, without ``--probe``, no semantics.
 """
 
 from __future__ import annotations
@@ -18,16 +24,8 @@ import argparse
 import json
 import sys
 
-from .corpus import run_corpus
-from .derivation import dump, dumps, load
-from .kernel import check
-from .normalize import NonTermination, is_normal, normalize
 from .parser import ParseError, parse, render
 from .rules import parse_profile
-from .semantics import (
-    UnboundLabel, eval_entity, find_countermodel,
-    load_interpretation, load_model, soundness_probe,
-)
 from .syntax import ProofContext
 
 EXIT_OK, EXIT_CHECK, EXIT_NORMALIZE, EXIT_SEMANTIC, EXIT_IO = 0, 1, 2, 3, 4
@@ -40,6 +38,8 @@ def _at_least(value: int, least: int, flag: str) -> int:
 
 
 def cmd_check(args) -> int:
+    from .derivation import load
+    from .kernel import check
     _at_least(args.probe, 0, "--probe")
     d = load(args.file)
     profile = parse_profile(args.profile)
@@ -56,6 +56,7 @@ def cmd_check(args) -> int:
     if not report.ok:
         return EXIT_CHECK
     if args.probe:
+        from .semantics import soundness_probe
         probe = soundness_probe(report, args.probe, profile)
         print(f"probe({args.probe}): {probe.status}")
         if probe.status == "FAIL":
@@ -73,6 +74,9 @@ class _PrintedTrace:
 
 
 def cmd_normalize(args) -> int:
+    from .derivation import dump, dumps, load
+    from .kernel import check
+    from .normalize import NonTermination, is_normal, normalize
     d = load(args.file)
     profile = parse_profile(args.profile)
     report = check(d, profile)
@@ -97,14 +101,21 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .semantics import (
+        UnboundLabel, eval_entity, load_interpretation, load_model,
+    )
     model = load_model(args.model)
     lam = load_interpretation(args.interpretation, model)
-    value = eval_entity(model, lam, parse("any", args.formula))
+    try:
+        value = eval_entity(model, lam, parse("any", args.formula))
+    except UnboundLabel as exc:
+        raise ValueError(exc) from None
     print("true" if value else "false")
     return EXIT_OK
 
 
 def cmd_valid(args) -> int:
+    from .semantics import find_countermodel
     _at_least(args.max_worlds, 1, "--max-worlds")
     phi = parse("any", args.formula)
     profile = parse_profile(args.profile)
@@ -117,6 +128,7 @@ def cmd_valid(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .corpus import run_corpus
     _at_least(args.max_worlds, 1, "--max-worlds")
     _, code = run_corpus(args.prefix, args.max_worlds, emit=print)
     return code
@@ -168,8 +180,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, OSError, json.JSONDecodeError, ValueError,
-            UnboundLabel) as exc:
+    except (ParseError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -65,6 +65,8 @@ class EntryResult:
 
 STAGES = ("check", "conclusion", "normalize", "normal_form", "tracks",
           "audit", "probe")
+# the exit code of a failure at each stage: check, normalize, probe
+_EXIT_CODES = dict(zip(STAGES, (1, 1, 2, 2, 2, 2, 3)))
 
 
 def run_entry(entry: CorpusEntry, max_worlds: int = 4) -> EntryResult:
@@ -121,7 +123,8 @@ def run_entry(entry: CorpusEntry, max_worlds: int = 4) -> EntryResult:
 
 def run_corpus(prefix: str | None = None, max_worlds: int = 4,
                emit=None) -> tuple:
-    """Run the pipeline over the corpus; returns (results, exit code).
+    """Run the pipeline over the corpus; returns (results, exit code).  The
+    code is that of the earliest stage that fails, in any entry, or 0.
     ``ValueError`` if no entry id starts with ``prefix``."""
     entries = corpus_entries(prefix)
     if not entries:
@@ -136,13 +139,6 @@ def run_corpus(prefix: str | None = None, max_worlds: int = 4,
                 (r.stages[s].split(":")[0] if ":" in r.stages[s] else r.stages[s])
                 .rjust(11) for s in STAGES)
             emit(f"{r.id.ljust(width)} {row}")
-    code = 0
-    for r in results:
-        if r.stages["check"].startswith("FAIL") or r.stages["conclusion"].startswith("FAIL"):
-            code = max(code, 1)
-        elif any(r.stages[s].startswith("FAIL")
-                 for s in ("normalize", "normal_form", "tracks", "audit")):
-            code = max(code, 2)
-        elif r.stages["probe"].startswith("FAIL"):
-            code = max(code, 3)
+    code = min((_EXIT_CODES[s] for r in results for s in STAGES
+                if r.stages[s].startswith("FAIL")), default=0)
     return results, code

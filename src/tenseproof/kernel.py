@@ -743,10 +743,9 @@ def _need(ok: bool, what: str) -> None:
 
 
 def _parts(s: _Sort, c) -> tuple:
-    """Label and expanded formula part of ``c``, which must be of sort ``s``."""
+    """Label and formula part of ``c``, which must be of sort ``s``."""
     _need(isinstance(c, Lwff) is s.labeled, f"a {s.name} formula")
-    x, a = s.split(c)
-    return x, expand(a)
+    return s.split(c)
 
 
 # each derived connective a derived rule opens: the text naming it, and
@@ -762,11 +761,17 @@ _SHAPES = {
 }
 
 
-def _unexpand(cls, core) -> list:
-    """The parts of the ``cls`` formula whose expansion is ``core``, read
-    off where they sit in it; ``_Mismatch`` if there is none.  Expansions
-    are interned, so one identity test checks the whole shape, and a part
-    read off the wrong site can only fail it."""
+def _unexpand(cls, a) -> list:
+    """The expanded parts of the ``cls`` formula whose expansion is that of
+    ``a``; ``_Mismatch`` if there is none.  A ``cls`` formula gives its own
+    parts.  Any other ``a`` has them read off where they sit in its
+    expansion ``core``: expansions are interned, so one identity test
+    checks the whole shape, and a part read off the wrong site can only
+    fail it."""
+    if type(a) is cls:
+        return [p if type(p) is str else expand(p)
+                for p in (getattr(a, f) for f in cls._fields)]
+    core = expand(a)
     what, *sites = _SHAPES[cls]
     try:
         parts = [attrgetter(site)(core) for site in sites]
@@ -848,13 +853,14 @@ def _exp_not_i(s: _Sort, n, mgen, held):
 
 
 def _exp_not_e(s: _Sort, n, mgen, held):
-    _need(isinstance(_parts(s, n.conclusion)[1], type(s.falsum)), s.bottom)
+    _need(isinstance(expand(_parts(s, n.conclusion)[1]), type(s.falsum)),
+          s.bottom)
     return replace(n, rule=s.imp_e)
 
 
 def _exp_and_i(s: _Sort, n, mgen, held):
-    x, core = _parts(s, n.conclusion)
-    a, b = _unexpand(s.and_, core)
+    x, phi = _parts(s, n.conclusion)
+    a, b = _unexpand(s.and_, phi)
     m = mgen()
     leaf = assume(s.at(x, s.imp(a, s.neg(b))), m)
     t1 = node(s.imp_e, s.at(x, s.neg(b)), leaf, n.premises[0])
@@ -864,8 +870,8 @@ def _exp_and_i(s: _Sort, n, mgen, held):
 
 def _exp_and_e1(s: _Sort, n, mgen, held):
     p0 = n.premises[0]
-    x, core = _parts(s, p0.conclusion)
-    a, b = _unexpand(s.and_, core)
+    x, phi = _parts(s, p0.conclusion)
+    a, b = _unexpand(s.and_, phi)
     m1, m2 = mgen(), mgen()
     leaf_na = assume(s.at(x, s.neg(a)), m1)
     leaf_a = assume(s.at(x, a), m2)
@@ -878,8 +884,8 @@ def _exp_and_e1(s: _Sort, n, mgen, held):
 
 def _exp_and_e2(s: _Sort, n, mgen, held):
     p0 = n.premises[0]
-    x, core = _parts(s, p0.conclusion)
-    a, b = _unexpand(s.and_, core)
+    x, phi = _parts(s, p0.conclusion)
+    a, b = _unexpand(s.and_, phi)
     m1, m2 = mgen(), mgen()
     leaf_nb = assume(s.at(x, s.neg(b)), m1)
     t3 = node(s.imp_i, s.at(x, s.imp(a, s.neg(b))), leaf_nb, discharges={m2})
@@ -888,8 +894,8 @@ def _exp_and_e2(s: _Sort, n, mgen, held):
 
 
 def _exp_or_i1(s: _Sort, n, mgen, held):
-    x, core = _parts(s, n.conclusion)
-    a, b = _unexpand(s.or_, core)
+    x, phi = _parts(s, n.conclusion)
+    a, b = _unexpand(s.or_, phi)
     m = mgen()
     leaf = assume(s.at(x, s.neg(a)), m)
     t1 = node(s.imp_e, s.at(x, s.falsum), leaf, n.premises[0])
@@ -904,8 +910,8 @@ def _exp_or_i2(s: _Sort, n, mgen, held):
 
 
 def _exp_or_e(s: _Sort, n, mgen, held):
-    x, core = _parts(s, n.premises[0].conclusion)
-    a, b = _unexpand(s.or_, core)
+    x, phi = _parts(s, n.premises[0].conclusion)
+    a, b = _unexpand(s.or_, phi)
     p0, p1, p2 = n.premises
     renames, m2, m1 = _split(n.discharges, [
         (t.marker, i == 2) for i in (1, 2) for t in held[i]], mgen)
@@ -926,9 +932,9 @@ def _exp_dual_i(s: _Sort, cls, n, mgen, held):
     formula ``q`` of ``~a`` that the conclusion negates is assumed, opened at
     the premise's label (for ``exists``, the label the premise instantiates
     the body with) and contradicted there by the premise."""
-    x, core = _parts(s, n.conclusion)
-    *_, a = _unexpand(cls, core)
-    q = core.left
+    x, phi = _parts(s, n.conclusion)
+    *_, a = _unexpand(cls, phi)
+    q = expand(phi).left
     if isinstance(q, Forall):
         z = match_instantiation(a, q.var, n.premises[0].conclusion)
         _need(z is not None, "a premise that instantiates the body")
@@ -949,9 +955,9 @@ def _exp_dual_e(s: _Sort, cls, n, mgen, held):
     at ``y`` against a refutation of the conclusion.  ``exists`` splits no
     discharges, and its ``all_i`` concludes ``q`` over ``y``."""
     p0, p1 = n.premises
-    x, core = _parts(s, p0.conclusion)
-    *_, a = _unexpand(cls, core)
-    q, y, c = core.left, n.fresh, n.conclusion
+    x, phi = _parts(s, p0.conclusion)
+    *_, a = _unexpand(cls, phi)
+    q, y, c = expand(phi).left, n.fresh, n.conclusion
     _, intro, _, body, _ = _opening(s, x, q, lambda: y)
     if isinstance(q, Forall):
         m_body, m_rel, top = n.discharges, (), Forall(y, body)

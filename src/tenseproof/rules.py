@@ -11,11 +11,9 @@ table of them derives from these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .syntax import (
     Eq, Exists, Forall, G, H, Implies, Less, RAnd, RFormula, RImplies, RNot,
-    ROr, X,
+    ROr, X, _Record, _set,
 )
 
 # ---------------------------------------------------------------------------
@@ -54,11 +52,13 @@ EXTRAS = (*_EXTENSION_AXIOMS, "mtl")
 INFINITE_EXTRAS = frozenset({"lser", "rser", "dens", "mtl"})
 
 
-@dataclass(frozen=True)
-class LogicProfile:
+class LogicProfile(_Record):
     """Base system plus a set of optional relational axioms / rules."""
 
-    extras: frozenset = frozenset()
+    __slots__ = ("extras",)
+
+    def __init__(self, extras: frozenset = frozenset()):
+        _set(self, "extras", extras)
 
     @staticmethod
     def make(*extras: str) -> "LogicProfile":
@@ -97,15 +97,26 @@ def parse_profile(text: str) -> LogicProfile:
 # ---------------------------------------------------------------------------
 # Schemas
 
-@dataclass(frozen=True)
-class RuleSchema:
-    name: str
-    kind: str                 # "core" | "axiom" | "derived"
-    n_premises: int
-    discharging: bool = False      # may close assumption markers
-    fresh: bool = False            # introduces a fresh label
-    requires: str | None = None    # profile extra gating the rule
-    axiom_template: RFormula | None = field(default=None)
+class RuleSchema(_Record):
+    """A rule's ``name``; its ``kind``, "core", "axiom" or "derived"; its
+    ``n_premises``; whether it is ``discharging`` (may close assumption
+    markers) and ``fresh`` (introduces a fresh label); the profile extra it
+    ``requires``, if any; and an axiom's ``axiom_template``."""
+
+    __slots__ = ("name", "kind", "n_premises", "discharging", "fresh",
+                 "requires", "axiom_template")
+
+    def __init__(self, name: str, kind: str, n_premises: int,
+                 discharging: bool = False, fresh: bool = False,
+                 requires: str | None = None,
+                 axiom_template: RFormula | None = None):
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "n_premises", n_premises)
+        _set(self, "discharging", discharging)
+        _set(self, "fresh", fresh)
+        _set(self, "requires", requires)
+        _set(self, "axiom_template", axiom_template)
 
 
 def _schema(name, kind, n, disch=False, fresh=False, requires=None):

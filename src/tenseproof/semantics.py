@@ -32,15 +32,16 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .derivation import brief_repr, load_json
-from .kernel import CheckReport
 from .rules import AXIOMS, INFINITE_EXTRAS, KL, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, ProofContext,
-    RImplies, X, expand, is_formula, labels_of, post_order,
+    RImplies, X, _Record, _set, expand, is_formula, labels_of, post_order,
 )
+
+if TYPE_CHECKING:
+    from .kernel import CheckReport
 
 
 class UnboundLabel(KeyError):
@@ -57,11 +58,17 @@ class FinitelyVacuous(ValueError):
 Interpretation = dict  # Label -> world
 
 
-@dataclass(frozen=True)
-class Model:
-    n: int
-    prec: frozenset = frozenset()          # ordered world pairs
-    valuation: dict = field(default_factory=dict)  # atom -> frozenset of worlds
+class Model(_Record):
+    """``n`` worlds, ``prec`` the ordered world pairs, and ``valuation``
+    mapping an atom to its frozenset of worlds."""
+
+    __slots__ = ("n", "prec", "valuation")
+
+    def __init__(self, n: int, prec: frozenset = frozenset(),
+                 valuation: dict | None = None):
+        _set(self, "n", n)
+        _set(self, "prec", prec)
+        _set(self, "valuation", {} if valuation is None else valuation)
 
     @staticmethod
     def chain(n: int, valuation=None) -> "Model":
@@ -98,6 +105,7 @@ class Model:
         """Read the wire form; anything but an object with a positive
         integer ``n``, ``prec`` pairs of worlds and a valuation mapping
         atoms to lists of worlds is a ``ValueError``."""
+        from .derivation import brief_repr
         if not isinstance(obj, dict):
             raise ValueError(f"a model must be a JSON object, not {brief_repr(obj)}")
         n = obj.get("n")
@@ -122,15 +130,21 @@ class Model:
 
 def _world_of(n: int, w) -> int:
     if type(w) is not int or not 0 <= w < n:
+        from .derivation import brief_repr
         raise ValueError(f"{brief_repr(w)} is not a world of a model with n = {n}")
     return w
 
 
-@dataclass(frozen=True)
-class Countermodel:
-    model: Model
-    lam: dict
-    failing: object               # the refuted formula
+class Countermodel(_Record):
+    """A ``model``, an interpretation ``lam`` and the refuted formula
+    ``failing``."""
+
+    __slots__ = ("model", "lam", "failing")
+
+    def __init__(self, model: Model, lam: dict, failing):
+        _set(self, "model", model)
+        _set(self, "lam", lam)
+        _set(self, "failing", failing)
 
     def to_json(self) -> dict:
         from .parser import render
@@ -434,11 +448,17 @@ def find_countermodel(ctx: ProofContext, phi, max_worlds: int = 5,
     return None
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    status: str                   # "PASS" | "FAIL" | "SKIPPED-SEMANTICS"
-    max_worlds: int
-    countermodel: Countermodel | None = None
+class ProbeReport(_Record):
+    """The ``status``, "PASS", "FAIL" or "SKIPPED-SEMANTICS", of a probe up
+    to ``max_worlds`` worlds, and the ``countermodel`` of a failed one."""
+
+    __slots__ = ("status", "max_worlds", "countermodel")
+
+    def __init__(self, status: str, max_worlds: int,
+                 countermodel: Countermodel | None = None):
+        _set(self, "status", status)
+        _set(self, "max_worlds", max_worlds)
+        _set(self, "countermodel", countermodel)
 
 
 def soundness_probe(report: CheckReport, max_worlds: int = 4,
@@ -460,11 +480,13 @@ def soundness_probe(report: CheckReport, max_worlds: int = 4,
 
 
 def load_model(path: str) -> Model:
+    from .derivation import load_json
     return Model.from_json(load_json(path))
 
 
 def load_interpretation(path: str, model: Model) -> Interpretation:
     """An object mapping labels to worlds of ``model``."""
+    from .derivation import brief_repr, load_json
     obj = load_json(path)
     if not isinstance(obj, dict):
         raise ValueError(

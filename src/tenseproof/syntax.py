@@ -30,7 +30,6 @@ Hash-Consing*, 2006).  The invariant:
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Iterator, Union
 
@@ -51,7 +50,50 @@ _SELF = object()             # a memo meaning "the node itself", with no cycle
 _KID_FIELDS = ("left", "right", "body", "formula")
 
 
-class _Node:
+class _Frozen:
+    """The one frozen guard, of formula nodes and records: only this module
+    writes their slots, through ``_set``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Record(_Frozen):
+    """A frozen record: its fields are its ``__slots__``, which its
+    ``__init__`` writes through ``_set``.  ``==``, ``hash`` and ``repr`` are
+    a frozen dataclass's: over the tuple of fields, between records of one
+    class."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Node(_Frozen):
     """A formula node.  Its memo slots hold ``None`` until asked for: ``_x``
     the expansion, ``_g`` the grade.  ``_binder`` tells whether the
     expansion may hold a ``Forall``.  Each formula class states its fields
@@ -98,12 +140,6 @@ class _Node:
             _set(node, "_x", _SELF)
         _TABLE[key] = node
         return node
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         """``Class(field=value, ...)``, without recursion: pending work is
@@ -255,10 +291,12 @@ class Lwff(_Node):
 _ATOMS = (Atom, Falsum, Less, Eq, Empty)    # each its own expansion
 
 
-@dataclass(frozen=True)
-class ProofContext:
-    gamma: frozenset  # of Lwff
-    delta: frozenset  # of RFormula
+class ProofContext(_Record):
+    __slots__ = ("gamma", "delta")
+
+    def __init__(self, gamma: frozenset, delta: frozenset):
+        _set(self, "gamma", gamma)      # of Lwff
+        _set(self, "delta", delta)      # of RFormula
 
     @staticmethod
     def make(gamma=(), delta=()) -> "ProofContext":

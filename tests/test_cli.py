@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 
 import tenseproof
 from helpers import DerivationGen
-from tenseproof import cli
+from tenseproof import semantics
 from tenseproof.cli import main
 from tenseproof.corpus import corpus_entries
 from tenseproof.derivation import (
@@ -20,6 +21,9 @@ from tenseproof.parser import parse_lwff as pl
 from tenseproof.rules import KL
 from tenseproof.semantics import ProbeReport, find_countermodel
 from tenseproof.syntax import ProofContext
+
+# the module, which the package's function of the same name hides
+normalize = importlib.import_module("tenseproof.normalize")
 
 
 @pytest.fixture
@@ -453,12 +457,13 @@ def test_output_is_the_same_under_any_hash_seed(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Failure paths: each fault injected through a name ``cli`` imports
+# Failure paths: each fault injected through a name a verb imports when it
+# runs
 
 def test_check_probe_that_finds_a_countermodel_exits_3(g3_file, capsys,
                                                         monkeypatch):
     cm = find_countermodel(ProofContext.make(), pl("x : p"), 1)
-    monkeypatch.setattr(cli, "soundness_probe",
+    monkeypatch.setattr(semantics, "soundness_probe",
                         lambda report, n, profile: ProbeReport("FAIL", n, cm))
     assert main(["check", g3_file, "--probe", "2"]) == 3
     out = capsys.readouterr().out.splitlines()
@@ -474,7 +479,7 @@ def test_normalize_that_leaves_a_redex_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "detour.json"
     path.write_text(dumps(detour))
     # a normalizer that returns its input unchanged leaves the detour
-    monkeypatch.setattr(cli, "normalize", lambda d, trace=None: d)
+    monkeypatch.setattr(normalize, "normalize", lambda d, trace=None: d)
     assert main(["normalize", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == dumps(detour) + "\n"

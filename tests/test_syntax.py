@@ -14,7 +14,8 @@ from helpers import (
 )
 from tenseproof import syntax
 from tenseproof.parser import parse_formula, parse_lwff, parse_rwff, render
-from tenseproof.semantics import Model, eval_entity
+from tenseproof.rules import KL, RULES, LogicProfile
+from tenseproof.semantics import Countermodel, Model, ProbeReport, eval_entity
 from tenseproof.syntax import (
     And, Atom, Empty, Eq, Exists, F, Falsum, Forall, G, H, Implies, Less, Lwff,
     Not, Or, LabelGen, P, Prec, ProofContext, RAnd, RImplies, RNot, ROr, Top, X,
@@ -411,3 +412,76 @@ def test_formulas_of_any_depth():
     assert eval_entity(m, {"x": 0}, Lwff("x", Implies(phi, phi)))
     assert eval_entity(m, {"x": 1, "y": 0}, chain)
     assert not eval_entity(m, {"x": 0, "y": 1}, chain)
+
+
+def _records():
+    """One record of each record class, and the dataclass it replaced:
+    its fields with their defaults (a ``dataclasses.field`` for a default
+    factory)."""
+    model = Model(2, frozenset({(0, 1)}), {"p": frozenset({1})})
+    cm = Countermodel(model, {"x": 0}, parse_lwff("x : F p"))
+    return [
+        (ProofContext.make([parse_lwff("x : p")], [parse_rwff("x < y")]),
+         [("gamma", frozenset), ("delta", frozenset)]),
+        (KL, [("extras", frozenset, frozenset())]),
+        (LogicProfile.make("first", "final"),
+         [("extras", frozenset, frozenset())]),
+        (RULES["g_i"], [("name", str), ("kind", str), ("n_premises", int),
+                        ("discharging", bool, False), ("fresh", bool, False),
+                        ("requires", object, None),
+                        ("axiom_template", object, None)]),
+        (RULES["first"], [("name", str), ("kind", str), ("n_premises", int),
+                          ("discharging", bool, False),
+                          ("fresh", bool, False), ("requires", object, None),
+                          ("axiom_template", object, None)]),
+        (model, [("n", int), ("prec", frozenset, frozenset()),
+                 ("valuation", dict, dataclasses.field(default_factory=dict))]),
+        (cm, [("model", Model), ("lam", dict), ("failing", object)]),
+        (ProbeReport("FAIL", 3, cm), [("status", str), ("max_worlds", int),
+                                      ("countermodel", object, None)]),
+        (ProbeReport("PASS", 3), [("status", str), ("max_worlds", int),
+                                  ("countermodel", object, None)]),
+    ]
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:            # a record holding a dict
+        return str(exc)
+
+
+def test_records_compare_hash_and_print_as_their_dataclasses():
+    for record, fields in _records():
+        cls = type(record)
+        assert not dataclasses.is_dataclass(cls)
+        reference = dataclasses.make_dataclass(cls.__name__, fields,
+                                               frozen=True)
+        reference.__qualname__ = cls.__qualname__
+        values = tuple(getattr(record, f[0]) for f in fields)
+        twin = reference(*values)
+        assert cls.__slots__ == tuple(f[0] for f in fields)
+        assert repr(record) == repr(twin)
+        assert cls(*values) == record and record != twin
+        assert cls(**dict(zip(cls.__slots__, values))) == record
+        assert _hash_or_error(record) == _hash_or_error(twin)
+        # a default, where the dataclass had one, and a changed field
+        required = sum(len(f) == 2 for f in fields)
+        assert repr(cls(*values[:required])) == repr(reference(*values[:required]))
+        assert cls(*values[:-1], None) != record or values[-1] is None
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        if required:
+            with pytest.raises(TypeError):
+                cls(*values[:required - 1])
+        with pytest.raises(TypeError):
+            cls(*values, **{cls.__slots__[0]: values[0]})
+        for f in cls.__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f)
+        for copied in (copy.copy(record), copy.deepcopy(record),
+                       pickle.loads(pickle.dumps(record))):
+            assert type(copied) is cls and copied == record
+    assert Model(1).valuation is not Model(1).valuation

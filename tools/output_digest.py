@@ -24,7 +24,12 @@ one to one or merging labels (``dren-*``), the rule tables
 (``rules``: the ``RULES`` entries in order, the detour pairs and the
 introduction, elimination and falsum rules), and the ``check_frame``
 verdicts on the relations of ``helpers.all_frames`` under ``kl``, each
-``kl+<extra>`` and ``mtl`` (``frame-*``).
+``kl+<extra>`` and ``mtl`` (``frame-*``).  Last, one line per command line
+call (``cli-*``), run in this process through ``cli.main`` on fixed
+inputs, gives its exit code and a hash of its stdout and of its stderr:
+``check`` with and without ``--probe``, ``normalize`` with ``--trace``,
+``eval`` (also of an unbound label), ``valid`` on a theorem, a
+non-theorem and a formula that does not parse, and ``corpus`` on a prefix.
 
 The trees are the bundled corpus, ``DERIVED_TREES`` of the kernel tests,
 the detour and derived-rule benchmark families of seeds 1-3 with one
@@ -53,11 +58,14 @@ An identical digest is the evidence that a change keeps every output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import random
 import sys
+import tempfile
 from dataclasses import replace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -525,6 +533,47 @@ def _table_lines(lib):
              for m in frames])
 
 
+def _cli_lines(lib):
+    parse = lib.parser.parse_lwff
+    node, assume = lib.derivation.node, lib.derivation.assume
+    detour = node("imp_e", parse("x : p"),
+                  node("imp_i", parse("x : q -> p"),
+                       node("raa_bot", parse("x : p"), assume(parse("y : false"))),
+                       discharges={1}),
+                  assume(parse("x : q")))
+    with tempfile.TemporaryDirectory() as tmp:
+        def written(name, text):
+            path = pathlib.Path(tmp) / name
+            path.write_text(text, encoding="utf-8")
+            return str(path)
+        g4 = written("g4.json", lib.derivation.dumps(
+            lib.corpus.corpus_entries("g4")[0].derivation))
+        model = written("model.json", json.dumps(
+            {"n": 3, "prec": [[0, 1], [0, 2], [1, 2]],
+             "valuation": {"p": [1], "q": [0, 2]}}))
+        lam = written("lam.json", json.dumps({"x": 0, "y": 2}))
+        calls = {
+            "check": ["check", g4],
+            "check-probe": ["check", g4, "--probe", "3"],
+            "normalize-trace": ["normalize", written("detour.json",
+                                                     lib.derivation.dumps(detour)),
+                                "--trace"],
+            "eval": ["eval", model, lam, "x : F (p & ~q) & G (q -> p)"],
+            "eval-unbound": ["eval", model, lam, "z : p"],
+            "valid-theorem": ["valid", "x : G (p -> q) -> G p -> G q",
+                              "--max-worlds", "4"],
+            "valid-refuted": ["valid", "x : F p -> G p", "--max-worlds", "4"],
+            "valid-parse-error": ["valid", "x : (p -> q", "--max-worlds", "2"],
+            "corpus": ["corpus", "g"],
+        }
+        for name, argv in calls.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = lib.cli.main(argv)
+            yield (f"cli-{name} exit={code} out={_hash(out.getvalue())} "
+                   f"err={_hash(err.getvalue())}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
@@ -535,8 +584,8 @@ def main(argv=None) -> int:
     import importlib
     lib = argparse.Namespace(**{
         m: importlib.import_module(f"tenseproof.{m}")
-        for m in ("corpus", "derivation", "kernel", "normalize", "parser",
-                  "rules", "semantics", "syntax", "tracks")})
+        for m in ("cli", "corpus", "derivation", "kernel", "normalize",
+                  "parser", "rules", "semantics", "syntax", "tracks")})
     for name, d, profile in _trees(lib):
         print(_tree_line(lib, name, d, profile), flush=True)
     for line in _syntax_lines(lib):
@@ -548,6 +597,8 @@ def main(argv=None) -> int:
     for line in _renamed_chain_lines(lib, 150):
         print(line, flush=True)
     for line in _table_lines(lib):
+        print(line, flush=True)
+    for line in _cli_lines(lib):
         print(line, flush=True)
     return 0
 
