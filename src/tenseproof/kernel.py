@@ -5,16 +5,16 @@ patterns, discharge bookkeeping, freshness side conditions, and profile
 gating for axiom rules.  It never raises on a bad proof; it collects
 violations with node paths.
 
-Each derived rule is stated once, as an expander that rewrites its node,
-over stand-ins for its premises, into a core template
-(``_standin_template``).  An expander reads a derived connective's parts
-off its expansion (``_unexpand``); a node whose formulas lack the shape its
-rule needs is a ``PatternMismatch``.  One expander serves the
-introductions of ``F``, ``P`` and ``exists`` and one their eliminations,
-opening the ``G``, ``H`` or ``forall`` they negate through ``_opening``.
-``expand_derived`` puts the expanded premises in for the stand-ins;
-``check`` checks the template's core nodes in context and reports every
-violation at the derived node.  A clean verdict is kept in two
+Each derived rule is stated once, as an expander that rewrites its node
+into a core template, built once over the premises it is handed.  An
+expander reads a derived connective's parts off its expansion
+(``_unexpand``); a node whose formulas lack the shape its rule needs is a
+``PatternMismatch``.  One expander serves the introductions of ``F``, ``P``
+and ``exists`` and one their eliminations, opening the ``G``, ``H`` or
+``forall`` they negate through ``_opening``.  ``expand_derived`` hands it
+the expanded premises; ``check`` hands it stand-ins for them
+(``_standin_template``), checks the template's core nodes in context and
+reports every violation at the derived node.  A clean verdict is kept in two
 places, neither outliving what it reads: on the node, in its ``_clean``
 memo slot, since the verdict reads only the node's subtree; and for the
 rest of the call, by the node up to a one-to-one renaming of its labels
@@ -63,15 +63,16 @@ at the stand-ins and takes their open leaves from the premises'.  A number
 becomes a root path (``path_to``) only in a report.
 
 ``expand_derived`` is one ``fold`` that numbers the nodes in the same
-order and indexes each leaf as it passes it.  A leaf comes before any node
-that can discharge it, so each derived node's stand-ins get the leaves it
-discharges (``_held``), as the checker's do, without a scan of its
-premises; their numbers follow from their sizes (``node_count``).  A case
-split that discharges a marker of two leaves may give some of them a
-marker of their own (``_split``).  It renames them in the stand-in, not in
-the premise, which would map the whole branch; putting the premises in
-notes the leaves to rename, and one pass at the end renames them where
-they lie.
+order, each number carried in the fold's node tag, and indexes each leaf as
+it passes it.  A leaf comes before any node that can discharge it, so each
+derived node's expander gets the leaves it discharges (``_held``), as the
+checker's stand-ins do, without a scan of its premises; their numbers
+follow from their sizes (``node_count``).  A case split that discharges a
+marker of two leaves may move some of them to a marker of their own
+(``_split``).  It rebuilds no premise, which would map the whole branch: it
+notes each move under the leaf's place in ``held``.  The checker indexes
+the stand-ins' leaves under the noted markers, and ``expand_derived``
+renames the leaves where they lie, in one pass at the end.
 """
 
 from __future__ import annotations
@@ -109,7 +110,6 @@ class _Sort:
     callables, as cheap as the constructors they stand for."""
     labeled: bool
     name: str          # "a {name} formula"
-    shape: str         # prefix of the connectives' names in messages
     imp: type          # Implies | RImplies
     falsum: object     # F_ | E_
     bottom: str        # the falsum's name in messages
@@ -124,11 +124,11 @@ class _Sort:
     or_: type          # Or | ROr
 
 
-LAB = _Sort(True, "labeled", "", Implies, F_, "falsum",
+LAB = _Sort(True, "labeled", Implies, F_, "falsum",
             *CONNECTIVE_RULES[Implies], "raa_bot", Lwff,
             attrgetter("label", "formula"), lambda a: Implies(a, F_), Not,
             And, Or)
-REL = _Sort(False, "relational", "relational ", RImplies, E_, "empty",
+REL = _Sort(False, "relational", RImplies, E_, "empty",
             *CONNECTIVE_RULES[RImplies], "raa_empty", lambda x, a: a,
             lambda c: (None, c), lambda a: RImplies(a, E_), RNot, RAnd, ROr)
 _SORT_OF_RULE = {s.raa: s for s in (LAB, REL)}
@@ -345,14 +345,15 @@ def _held(n, k, starts, end, marker_leaves) -> list:
     return held
 
 
-def _standin_template(n, held, mgen) -> Derivation:
+def _standin_template(n, held, mgen, moves) -> Derivation:
     """The template of derived node ``n`` over stand-ins for its premises,
     each carrying its premise's conclusion and, as premises, its ``held``
-    leaves; ``_Mismatch`` if ``n`` lacks the shape its rule needs."""
+    leaves, whose moves it notes in ``moves`` (``_split``); ``_Mismatch``
+    if ``n`` lacks the shape its rule needs."""
     return _EXPANDERS[n.rule](Derivation(n.rule, n.conclusion, tuple(
         Derivation(_STANDIN, p.conclusion, tuple(h), marker=i)
         for i, (p, h) in enumerate(zip(n.premises, held))), n.marker,
-        n.discharges, n.fresh, n.position), mgen, held)
+        n.discharges, n.fresh, n.position), mgen, held, moves)
 
 
 def _eigen_clash(z, n, opens):
@@ -500,24 +501,30 @@ class _Checker:
     def _expand(self, k, n, held, below) -> bool:
         """Check the core template of derived node number ``k`` over
         stand-ins for its premises, which carry their conclusions and, as
-        premises, the ``held`` leaves (see ``_held``)."""
+        premises, the ``held`` leaves (see ``_held``), each indexed under
+        the marker a split moves it to, if any."""
+        moves: dict = {}
         try:
-            template = _standin_template(n, held, MarkerGen((self.top,)))
+            template = _standin_template(n, held, MarkerGen((self.top,)), moves)
         except _Mismatch as exc:
             self.bad(k, "PatternMismatch", f"{n.rule} needs {exc}")
             return False
         index: dict = {}
         for leaf in held[-1]:
             index.setdefault(leaf.marker, []).append((-1, leaf))
-        own, named = set(), set(n.discharges)
+        own, moved = set(), {}      # the number of each moved leaf -> marker
         for tk, t in enumerate(template.nodes()):
             if t.is_assumption() and t.marker is not None:
-                index.setdefault(t.marker, []).append((tk, t))
-            if t.rule == _STANDIN:
-                named.update(leaf.marker for leaf in t.premises)
+                index.setdefault(moved.get(tk, t.marker), []).append((tk, t))
+            elif t.rule == _STANDIN and moves:
+                lk = tk + 1
+                for j, leaf in enumerate(t.premises):
+                    if (t.marker, j) in moves:
+                        moved[lk] = moves[t.marker, j]
+                    lk += leaf.node_count()
             own |= t.discharges
         sub = _Checker(self.profile, self.violations, self.tree, index, at=k,
-                       own=own - named)
+                       own=own - n.discharges - set(moves.values()))
         _open_fold(template, sub.core, below)
         return True
 
@@ -692,9 +699,8 @@ def expand_derived(d: Derivation) -> Derivation:
     """
     mgen = MarkerGen(all_markers(d))
     marker_leaves: dict = {}
-    entered: list = []      # the numbers of the nodes entered, not expanded
     seen: set = set()       # the ids of the marked leaves met
-    renamed: dict = {}      # the id of each leaf a split renames -> marker
+    renamed: dict = {}      # the id of each leaf a split moves -> marker
     count = 0
 
     def number(t: Derivation) -> tuple:
@@ -704,26 +710,20 @@ def expand_derived(d: Derivation) -> Derivation:
                 t = Derivation(t.rule, t.conclusion, (), t.marker)
             seen.add(id(t))
             marker_leaves.setdefault(t.marker, []).append((count, t))
-        entered.append(count)
         count += 1
-        return t, t.premises
+        return (count - 1, t), t.premises
 
-    def expand_node(n: Derivation, premises: list) -> Derivation:
-        k = entered.pop()
+    def expand_node(tag: tuple, premises: list) -> Derivation:
+        k, n = tag
         if RULES[n.rule].kind != "derived":
             return with_premises(n, premises)
         starts = list(accumulate((p.node_count() for p in n.premises[:-1]),
                                  initial=k + 1))
-        held = _held(n, k, starts, count, marker_leaves)
-
-        def graft(s: Derivation) -> Derivation:   # as deep as the template
-            if s.rule != _STANDIN:
-                return with_premises(s, [graft(p) for p in s.premises])
-            for leaf, new in zip(held[s.marker], s.premises):
-                if new.marker != leaf.marker:
-                    renamed.setdefault(id(leaf), new.marker)
-            return premises[s.marker]
-        return graft(_standin_template(n, held, mgen))
+        held, moves = _held(n, k, starts, count, marker_leaves), {}
+        t = _EXPANDERS[n.rule](with_premises(n, premises), mgen, held, moves)
+        for (i, j), m in moves.items():
+            renamed.setdefault(id(held[i][j]), m)
+        return t
 
     d = fold(d, expand_node, number)
     if not renamed:
@@ -818,24 +818,16 @@ def _conclude(c, t: Derivation, k: int) -> Derivation:
     return node(s.raa, c, t, discharges={k})
 
 
-def _renamed(t: Derivation, renames: dict, only=lambda leaf: True) -> Derivation:
-    """``t`` with each leaf that ``only`` admits renamed by ``renames``."""
-    if not renames:
-        return t
-    return map_leaves(t, lambda leaf: replace(leaf, marker=renames[leaf.marker])
-                      if leaf.marker in renames and only(leaf) else leaf)
-
-
-def _split(markers, leaves, mgen) -> tuple:
+def _split(markers, leaves, mgen, moves) -> tuple:
     """Split the ``markers`` a case split discharges in two places, its two
     minor branches or the two shapes of a two-pattern rule.  ``leaves``
-    gives ``(marker, taken)`` for each leaf, ``taken`` if it lies in the
-    second place.  Returns the renames that give the taken leaves of a
-    marker with leaves in both places a marker of their own, then the
-    markers of the taken leaves and of the others (a marker without
-    leaves among them)."""
+    gives ``(place, marker, taken)`` for each leaf, its place ``(i, j)`` in
+    ``held`` and ``taken`` if it lies in the second place.  The taken leaves
+    of a marker with leaves in both places move to a marker of their own,
+    noted in ``moves`` under their places.  Returns the markers of the
+    taken leaves and of the others (a marker without leaves among them)."""
     kinds: dict = {}      # marker -> whether its leaves are taken
-    for m, taken in leaves:
+    for _, m, taken in leaves:
         kinds.setdefault(m, set()).add(taken)
     taken, others, renames = set(), set(), {}
     for m in sorted(markers):
@@ -844,21 +836,23 @@ def _split(markers, leaves, mgen) -> tuple:
             renames[m] = mgen()
             taken.add(renames[m])
         (taken if kind == {True} else others).add(m)
-    return renames, frozenset(taken), frozenset(others)
+    moves.update((place, renames[m]) for place, m, is_taken in leaves
+                 if is_taken and m in renames)
+    return frozenset(taken), frozenset(others)
 
 
-def _exp_not_i(s: _Sort, n, mgen, held):
+def _exp_not_i(s: _Sort, n, mgen, held, moves):
     _unexpand(s.not_, _parts(s, n.conclusion)[1])
     return replace(n, rule=s.imp_i)
 
 
-def _exp_not_e(s: _Sort, n, mgen, held):
+def _exp_not_e(s: _Sort, n, mgen, held, moves):
     _need(isinstance(expand(_parts(s, n.conclusion)[1]), type(s.falsum)),
           s.bottom)
     return replace(n, rule=s.imp_e)
 
 
-def _exp_and_i(s: _Sort, n, mgen, held):
+def _exp_and_i(s: _Sort, n, mgen, held, moves):
     x, phi = _parts(s, n.conclusion)
     a, b = _unexpand(s.and_, phi)
     m = mgen()
@@ -868,7 +862,7 @@ def _exp_and_i(s: _Sort, n, mgen, held):
     return node(s.imp_i, n.conclusion, t2, discharges={m})
 
 
-def _exp_and_e1(s: _Sort, n, mgen, held):
+def _exp_and_e1(s: _Sort, n, mgen, held, moves):
     p0 = n.premises[0]
     x, phi = _parts(s, p0.conclusion)
     a, b = _unexpand(s.and_, phi)
@@ -882,7 +876,7 @@ def _exp_and_e1(s: _Sort, n, mgen, held):
     return node(s.raa, n.conclusion, t4, discharges={m1})
 
 
-def _exp_and_e2(s: _Sort, n, mgen, held):
+def _exp_and_e2(s: _Sort, n, mgen, held, moves):
     p0 = n.premises[0]
     x, phi = _parts(s, p0.conclusion)
     a, b = _unexpand(s.and_, phi)
@@ -893,7 +887,7 @@ def _exp_and_e2(s: _Sort, n, mgen, held):
     return node(s.raa, n.conclusion, t4, discharges={m1})
 
 
-def _exp_or_i1(s: _Sort, n, mgen, held):
+def _exp_or_i1(s: _Sort, n, mgen, held, moves):
     x, phi = _parts(s, n.conclusion)
     a, b = _unexpand(s.or_, phi)
     m = mgen()
@@ -903,19 +897,18 @@ def _exp_or_i1(s: _Sort, n, mgen, held):
     return node(s.imp_i, n.conclusion, t2, discharges={m})
 
 
-def _exp_or_i2(s: _Sort, n, mgen, held):
+def _exp_or_i2(s: _Sort, n, mgen, held, moves):
     _unexpand(s.or_, _parts(s, n.conclusion)[1])
     m = mgen()
     return node(s.imp_i, n.conclusion, n.premises[0], discharges={m})
 
 
-def _exp_or_e(s: _Sort, n, mgen, held):
+def _exp_or_e(s: _Sort, n, mgen, held, moves):
     x, phi = _parts(s, n.premises[0].conclusion)
     a, b = _unexpand(s.or_, phi)
     p0, p1, p2 = n.premises
-    renames, m2, m1 = _split(n.discharges, [
-        (t.marker, i == 2) for i in (1, 2) for t in held[i]], mgen)
-    p2 = _renamed(p2, renames)
+    m2, m1 = _split(n.discharges, [((i, j), t.marker, i == 2) for i in (1, 2)
+                                   for j, t in enumerate(held[i])], mgen, moves)
     c = n.conclusion
     leaf_k = _refutation(c, mgen())
     t3 = node(s.imp_i, s.at(x, s.neg(a)),
@@ -927,7 +920,7 @@ def _exp_or_e(s: _Sort, n, mgen, held):
     return _conclude(c, v4, leaf_k.marker)
 
 
-def _exp_dual_i(s: _Sort, cls, n, mgen, held):
+def _exp_dual_i(s: _Sort, cls, n, mgen, held, moves):
     """``F a``, ``P a`` or ``exists v. a``: the ``G``, ``H`` or ``forall``
     formula ``q`` of ``~a`` that the conclusion negates is assumed, opened at
     the premise's label (for ``exists``, the label the premise instantiates
@@ -948,7 +941,7 @@ def _exp_dual_i(s: _Sort, cls, n, mgen, held):
                 discharges={m})
 
 
-def _exp_dual_e(s: _Sort, cls, n, mgen, held):
+def _exp_dual_e(s: _Sort, cls, n, mgen, held, moves):
     """From ``F a``, ``P a`` or ``exists v. a`` and a minor premise that
     derives the conclusion from ``a`` at the fresh label ``y``: the ``G``,
     ``H`` or ``forall`` formula ``q`` the major premise negates, introduced
@@ -962,11 +955,10 @@ def _exp_dual_e(s: _Sort, cls, n, mgen, held):
     if isinstance(q, Forall):
         m_body, m_rel, top = n.discharges, (), Forall(y, body)
     else:
-        shape = s.at(y, a)
-        is_body = lambda t: core_eq(t.conclusion, shape)
-        renames, m_body, m_rel = _split(
-            n.discharges, [(t.marker, is_body(t)) for t in held[1]], mgen)
-        p1, top = _renamed(p1, renames, is_body), s.at(x, q)
+        shape, top = s.at(y, a), s.at(x, q)
+        m_body, m_rel = _split(n.discharges, [
+            ((1, j), t.marker, core_eq(t.conclusion, shape))
+            for j, t in enumerate(held[1])], mgen, moves)
     leaf_k = _refutation(c, mgen())
     # y is fresh, so it is not the label of ``c`` in a tree that checks;
     # the raa_bot stays in the others' expansions too

@@ -87,7 +87,6 @@ def tracks(d: Derivation) -> TrackReport:
         raise ValueError("tracks are defined on normal derivations only")
 
     order: list = []        # the nodes by number
-    entered: list = []      # the numbers of the nodes entered, not combined
     chains: list = []       # per track: its node numbers, origin first
     ends: list = []         # per track: origin, terminus, the number below
     where: dict = {}        # node number -> its track
@@ -95,7 +94,6 @@ def tracks(d: Derivation) -> TrackReport:
 
     def number(t: Derivation) -> tuple:
         k = len(order)
-        entered.append(k)
         order.append(t)
         origin = ("assumption" if t.is_assumption() else "axiom" if _is_axiom(t)
                   else "uf-conclusion" if t.rule in _UF else None)
@@ -103,12 +101,13 @@ def tracks(d: Derivation) -> TrackReport:
             where[k] = len(chains)
             chains.append([k])
             ends.append([origin, None, None])
-        return t, t.premises
+        return (k, t), t.premises
 
-    def combine(n: Derivation, above: list):
-        """The track running on below ``n``: the one ``n`` opens, or its
-        major premise's, which ``n`` extends; the others end at ``n``."""
-        k = entered.pop()
+    def combine(tag: tuple, above: list):
+        """The track running on below node ``n``, number ``k``: the one
+        ``n`` opens, or its major premise's, which ``n`` extends; the others
+        end at ``n``."""
+        k, n = tag
         if n.rule in _UF or not above:
             t = where.get(k)
             closed, terminus = above, "uf-premise"

@@ -149,12 +149,23 @@ def test_corpus_prefix_must_match_an_entry(capsys):
     assert err.splitlines() == ["error: no corpus entry id starts with 'zzz'"]
 
 
-def test_parse_error_exit_code(tmp_path):
+def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"rule": "assume", "conclusion": "x : ->"}))
     assert main(["check", str(bad)]) == 4
     missing = tmp_path / "missing.json"
     assert main(["check", str(missing)]) == 4
+    capsys.readouterr()
+    for text, error in (
+            ("x : p $", "line 1, column 7: expected a token"),
+            ("x : p q", "line 1, column 7: expected end of input"),
+            ("x y", "line 1, column 3: expected '<', '=' or '<.'")):
+        assert _check_text(tmp_path, {"rule": "assume", "conclusion": text}) == 4
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"rule": "assume", "conclusion": "x : p"}))
+    assert main(["check", str(good), "--profile", "foo"]) == 4
+    assert capsys.readouterr() == ("", "error: unknown profile 'foo'\n")
 
 
 def _nested_detours_file(tmp_path, k):
@@ -336,7 +347,15 @@ def test_discharged_markers_must_be_ints(tmp_path, capsys):
     assert "theorem" not in capsys.readouterr().out
 
 
-def test_node_fields_must_have_their_types(tmp_path):
+def test_node_fields_must_have_their_types(tmp_path, capsys):
+    for obj, error in (
+            ({"conclusion": "x : p"}, "derivation node lacks a 'rule' string"),
+            ({"rule": 5, "conclusion": "x : p"},
+             "derivation node lacks a 'rule' string"),
+            ({"rule": "imp_e", "premises": []},
+             "node for rule 'imp_e' lacks a conclusion")):
+        assert _check_text(tmp_path, obj) == 4
+        assert capsys.readouterr() == ("", f"error: {error}\n")
     leaf = {"rule": "assume", "conclusion": "x : p"}
     assert _check_text(tmp_path, {**leaf, "marker": "1"}) == 4
     assert _check_text(tmp_path, {**leaf, "marker": True}) == 4

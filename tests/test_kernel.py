@@ -639,6 +639,9 @@ def test_checked_mutants_expand_and_survive_the_probe():
 # Derived shapes read off their expansions, against the parent's predicates
 
 _need = kernel._need
+LAB, REL = kernel.LAB, kernel.REL
+# each sort's prefix of the connectives' names in the parent's messages
+_SHAPE = {LAB: "", REL: "relational "}
 
 
 def _and_parts(s, core):
@@ -646,7 +649,7 @@ def _and_parts(s, core):
     _need(isinstance(core, imp) and isinstance(core.right, bot)
           and isinstance(core.left, imp)
           and isinstance(core.left.right, imp)
-          and isinstance(core.left.right.right, bot), f"a {s.shape}conjunction")
+          and isinstance(core.left.right.right, bot), f"a {_SHAPE[s]}conjunction")
     return core.left.left, core.left.right.left
 
 
@@ -654,7 +657,7 @@ def _or_parts(s, core):
     imp = s.imp
     _need(isinstance(core, imp) and isinstance(core.left, imp)
           and isinstance(core.left.right, type(s.falsum)),
-          f"a {s.shape}disjunction")
+          f"a {_SHAPE[s]}disjunction")
     return core.left.left, core.right
 
 
@@ -677,11 +680,10 @@ def _exists_parts(core):
 def _not_part(s, core):
     # the negation test of the parent's ``_exp_not_i``
     _need(isinstance(core, s.imp) and isinstance(core.right, type(s.falsum)),
-          f"a {s.shape}negation")
+          f"a {_SHAPE[s]}negation")
     return core.left
 
 
-LAB, REL = kernel.LAB, kernel.REL
 # each derived connective with the parent's reader of its expansion
 REFERENCE_SHAPES = [
     (Not, functools.partial(_not_part, LAB)),
@@ -866,21 +868,31 @@ def _leaves_of(p, markers):
     return [t for t in p.nodes() if t.is_assumption() and t.marker in markers]
 
 
+def _moved(p, held, moves):
+    """``p`` with each leaf of ``held`` that ``kernel._split`` moved given
+    the marker it noted under the leaf's place."""
+    new = {id(held[i][j]): m for (i, j), m in moves.items()}
+    return map_leaves(p, lambda leaf: replace(leaf, marker=new[id(leaf)])
+                      if id(leaf) in new else leaf)
+
+
 def test_case_splits_match_the_per_marker_versions():
-    from tenseproof.kernel import _renamed, _split
+    from tenseproof.kernel import _split
 
     def by_branch(n, mgen):
-        held = [_leaves_of(p, n.discharges) for p in n.premises]
-        renames, m2, m1 = _split(n.discharges, [
-            (t.marker, i == 2) for i in (1, 2) for t in held[i]], mgen)
+        held, moves = [_leaves_of(p, n.discharges) for p in n.premises], {}
+        m2, m1 = _split(n.discharges, [
+            ((i, j), t.marker, i == 2) for i in (1, 2)
+            for j, t in enumerate(held[i])], mgen, moves)
         p0, p1, p2 = n.premises
-        return (p0, p1, _renamed(p2, renames)), m1, m2
+        return (p0, p1, _moved(p2, held, moves)), m1, m2
 
     def by_shape(p1, markers, shape, mgen):
-        first = lambda t: core_eq(t.conclusion, shape)
-        renames, firsts, seconds = _split(markers, [
-            (t.marker, first(t)) for t in _leaves_of(p1, markers)], mgen)
-        return _renamed(p1, renames, first), firsts, seconds
+        held, moves = [_leaves_of(p1, markers)], {}
+        firsts, seconds = _split(markers, [
+            ((0, j), t.marker, core_eq(t.conclusion, shape))
+            for j, t in enumerate(held[0])], mgen, moves)
+        return _moved(p1, held, moves), firsts, seconds
 
     hand_splits, hand_shapes = _hand_built_splits()
     rand_splits, rand_shapes = _random_splits(150)
@@ -955,6 +967,24 @@ def _ex_chain(k):
         major = node("ex_i", ex, assume(pr(f"x < y{i}"), i + 1))
         d = node("ex_e", ex, major, d, discharges={i}, fresh=f"y{i - 1}")
     return d
+
+
+def test_expansion_builds_each_template_once(monkeypatch):
+    # ``expand_derived`` runs each expander once, over the expanded
+    # premises, and builds no template over stand-ins
+    from tenseproof.corpus import corpus_entries
+
+    def refused(*args):
+        raise AssertionError("a template over stand-ins")
+    monkeypatch.setattr(kernel, "_standin_template", refused)
+    trees = [e.derivation for e in corpus_entries()]
+    trees += [tree() for _, tree in DERIVED_TREES + CASE_TREES]
+    trees += [chain(k, shared) for chain in (_or_chain, _f_chain)
+              for k in (1, 5) for shared in (False, True)]
+    for d in trees:
+        expanded = expand_derived(d)
+        assert expanded.conclusion == d.conclusion
+        assert all(RULES[t.rule].kind != "derived" for t in expanded.nodes())
 
 
 def test_expansion_uses_the_leaves_the_fold_indexed(monkeypatch):

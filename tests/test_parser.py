@@ -91,6 +91,12 @@ def test_any_kind_sniffs():
     assert parse("any", "x = y") == Eq("x", "y")
 
 
+def test_an_unknown_parse_kind_is_a_value_error():
+    with pytest.raises(ValueError) as err:
+        parse("bogus", "x : p")
+    assert str(err.value) == "unknown parse kind 'bogus'"
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_round_trip_random(seed):
     rng = random.Random(seed)
