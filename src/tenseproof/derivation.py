@@ -19,15 +19,16 @@ There are three traversals, none recursive; use the cheapest that serves:
   ``find_redexes``, which names every redex by its path, and tests.
 
 A node has five memo slots, left out of ``__init__``, comparison and
-``repr`` and written through ``object.__setattr__``: ``_size``, the number
-of nodes in its subtree, written by ``node_count``; for the normalizer
-``_redex``, the key of the least redex at the node itself, ``_least``, the
-key of the least redex in its subtree with the path relative to the node,
-and ``_mon``, the class of a ``mon`` node; and for the checker ``_clean``,
-set on a derived node whose core template checked clean.  All stay unset
-until asked for.  Each reads only the node's own immutable subtree, so the
-memos hold wherever the node object sits, in any tree (``_clean`` wherever
-no leaf the node discharges lies outside it, which the checker tests).
+``repr`` and written past the frozen guard: ``_size``, the number of nodes
+in its subtree, written by ``from_json`` as it builds the node, or else by
+``node_count``; for the normalizer ``_redex``, the key of the least redex
+at the node itself, ``_least``, the key of the least redex in its subtree
+with the path relative to the node, and ``_mon``, the class of a ``mon``
+node; and for the checker ``_clean``, set on a derived node whose core
+template checked clean.  The others stay unset until asked for.  Each
+reads only the node's own immutable subtree, so the memos hold wherever
+the node object sits, in any tree (``_clean`` wherever no leaf the node
+discharges lies outside it, which the checker tests).
 """
 
 from __future__ import annotations
@@ -320,10 +321,6 @@ def graft(d: Derivation, places: dict) -> Derivation:
 # ---------------------------------------------------------------------------
 # JSON wire format
 
-def parse_conclusion(text: str) -> Conclusion:
-    return parser.parse("any", text)
-
-
 def to_json(d: Derivation) -> dict:
     def encode(n: Derivation, premises: list) -> dict:
         out: dict = {"rule": n.rule, "conclusion": parser.render(n.conclusion)}
@@ -348,58 +345,91 @@ def brief_repr(value) -> str:
     return _text(value, repr, False)[:40]
 
 
-def _field(obj: dict, key: str, kind: type):
-    """``obj[key]`` if absent or exactly of ``kind`` (so no bool for int)."""
-    value = obj.get(key)
-    if value is not None and type(value) is not kind:
-        raise ValueError(f"derivation field {key!r} must be {kind.__name__}, "
-                         f"not {brief_repr(value)}")
-    return value
+_NO_MARKERS = frozenset()
+# every field a node may have, and the type of each but the rule
+_FIELDS = {"rule": None, "conclusion": str, "premises": list, "marker": int,
+           "discharges": list, "fresh": str, "position": int}
+
+
+def _mistyped(obj: dict, *keys) -> ValueError:
+    """The error of the first of ``keys`` whose value in ``obj`` is neither
+    ``null`` nor exactly of its type (so no bool for int)."""
+    for key in keys:
+        value, kind = obj.get(key), _FIELDS[key]
+        if value is not None and value.__class__ is not kind:
+            return ValueError(f"derivation field {key!r} must be "
+                              f"{kind.__name__}, not {brief_repr(value)}")
 
 
 def from_json(obj: dict) -> Derivation:
-    """The derivation a JSON object describes.  A node's own fields are
-    checked before its premises are read, its conclusion after.  Each
-    distinct conclusion text is parsed once: equal texts are one formula."""
+    """The derivation a JSON object describes, read in one loop over an
+    explicit stack.  A node's rule, discharges and premises are checked
+    before its premises are read, its other fields after; a ``null`` field
+    counts as absent, one of another name is an error.  Each distinct
+    conclusion text is parsed once, and each node's ``_size`` is written."""
     from .rules import RULES
 
+    set_size = _Memos._size.__set__     # writes the slot past the frozen guard
     parsed: dict = {}
-
-    def visit(obj) -> tuple:
-        if not isinstance(obj, dict):
-            raise ValueError(f"derivation node must be a JSON object, not {brief_repr(obj)}")
-        rule = obj.get("rule")
-        if not isinstance(rule, str):
-            raise ValueError("derivation node lacks a 'rule' string")
-        if rule not in RULES:
-            raise ValueError(f"unknown rule {rule!r}")
-        discharges = _field(obj, "discharges", list) or ()
-        if not all(type(m) is int for m in discharges):
-            raise ValueError(f"derivation field 'discharges' must list ints, "
-                             f"not {brief_repr(discharges)}")
-        return obj, _field(obj, "premises", list) or ()
-
-    def build(obj: dict, premises: list) -> Derivation:
-        rule = obj["rule"]
-        text = _field(obj, "conclusion", str)
+    built: list = []        # the nodes built whose parent is not yet built
+    count = 0               # the number of nodes built
+    stack: list = [obj]     # a tuple is a node whose premises are built
+    while stack:
+        obj = stack.pop()
+        if obj.__class__ is tuple:
+            obj, rule, discharges, k, start = obj
+            premises = tuple(built[-k:])
+            del built[-k:]
+            size = count - start + 1
+        else:
+            if not isinstance(obj, dict):
+                raise ValueError(f"derivation node must be a JSON object, not {brief_repr(obj)}")
+            if not _FIELDS.keys() >= obj.keys():
+                key = next(key for key in obj if key not in _FIELDS)
+                raise ValueError(f"derivation field {key!r} is not known")
+            rule, discharges = obj.get("rule"), obj.get("discharges")
+            if not isinstance(rule, str):
+                raise ValueError("derivation node lacks a 'rule' string")
+            if rule not in RULES:
+                raise ValueError(f"unknown rule {rule!r}")
+            if discharges is None:
+                discharges = _NO_MARKERS
+            elif discharges.__class__ is not list:
+                raise _mistyped(obj, "discharges")
+            elif all(m.__class__ is int for m in discharges):
+                discharges = frozenset(discharges)
+            else:
+                raise ValueError(f"derivation field 'discharges' must list ints, "
+                                 f"not {brief_repr(discharges)}")
+            premises = obj.get("premises")
+            if premises is not None and premises.__class__ is not list:
+                raise _mistyped(obj, "premises")
+            if premises:
+                stack.append((obj, rule, discharges, len(premises), count))
+                stack += premises[::-1]
+                continue
+            premises, size = (), 1
+        text = obj.get("conclusion")
         if text is None:
-            template = RULES[rule].axiom_template
-            if template is None:
+            conclusion = RULES[rule].axiom_template
+            if conclusion is None:
                 raise ValueError(f"node for rule {rule!r} lacks a conclusion")
-            conclusion: Conclusion = template
+        elif text.__class__ is not str:
+            raise _mistyped(obj, "conclusion")
         else:
             conclusion = parsed.get(text)
             if conclusion is None:
-                conclusion = parsed[text] = parse_conclusion(text)
-        return Derivation(
-            rule, conclusion, tuple(premises),
-            marker=_field(obj, "marker", int),
-            discharges=frozenset(obj.get("discharges") or ()),
-            fresh=_field(obj, "fresh", str),
-            position=_field(obj, "position", int),
-        )
-
-    return fold(obj, build, visit)
+                conclusion = parsed[text] = parser.parse("any", text)
+        marker, fresh, position = obj.get("marker"), obj.get("fresh"), obj.get("position")
+        if not ((marker is None or marker.__class__ is int)
+                and (fresh is None or fresh.__class__ is str)
+                and (position is None or position.__class__ is int)):
+            raise _mistyped(obj, "marker", "fresh", "position")
+        d = Derivation(rule, conclusion, premises, marker, discharges, fresh, position)
+        set_size(d, size)
+        built.append(d)
+        count += 1
+    return built[0]
 
 
 _SKIP = re.compile(r"[ \t\n\r]*").match      # the whitespace ``json`` skips

@@ -10,7 +10,9 @@ Grammar summary (ASCII only):
   ``forall x. r`` and ``exists x. r`` scope as far right as possible.
 * labeled formulas: ``x : A``.
 
-Each sort has one precedence table of its binary connectives
+A text is scanned once, by one regular expression, into flat lists of
+the tokens' kinds, texts and positions (``_scan``); the readers index
+those lists.  Each sort has one precedence table of its binary connectives
 (``_FORMULA_OPS``, ``_RWFF_OPS``), and one precedence-climbing loop,
 ``_climb``, parses both.  The renderer reads the same tables: the classes
 of the two sorts are disjoint, so one table-driven ``_render`` serves both.
@@ -31,11 +33,14 @@ from .syntax import (
 
 KEYWORDS = {"false", "true", "forall", "exists", "empty"}
 
+# one token after optional whitespace: a word, an operator, or any other
+# non-space character, which is no token
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[a-z][a-zA-Z0-9_]*)"
-    r"|(?P<op>->|=>|<\.|/\\|\\/|[GHFPX~!&|()<=:.])"
-    r")"
+    r"(\s*)([a-z][a-zA-Z0-9_]*|->|=>|<\.|/\\|\\/|[GHFPX~!&|()<=:.]|\S)"
 )
+# token text -> kind, for every token but a label (kind ``"ident"``)
+_KINDS = {word: word for word in (*KEYWORDS, "->", "=>", "<.", "/\\", "\\/",
+                                  *"GHFPX~!&|()<=:.")}
 
 
 class ParseError(ValueError):
@@ -50,46 +55,40 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(text, len(text) - len(stripped), "a token")
-            if m.group("ident"):
-                word = m.group("ident")
-                kind = word if word in KEYWORDS else "ident"
-                self.toks.append((kind, word, m.start("ident")))
-            else:
-                self.toks.append((m.group("op"), m.group("op"), m.start("op")))
-            pos = m.end()
-        self.i = 0
+def _scan(text: str) -> tuple:
+    """``text`` in one scan as flat lists: ``(text, kinds, values,
+    starts)``, the kind, text and position of each token.  Both ``kinds``
+    and ``starts`` end with one more entry, the end of input: kind ``None``
+    at position ``len(text)``, so a reader peeks past the last token
+    without a bounds test."""
+    kinds, values, starts, pos = [], [], [], 0
+    # the scan stops before trailing whitespace, where a search would try
+    # every start and so cost the square of its length
+    for space, value in _TOKEN_RE.findall(text, 0, len(text.rstrip())):
+        pos += len(space)
+        kind = _KINDS.get(value)
+        if kind is None:
+            if not "a" <= value[0] <= "z":
+                raise ParseError(text, pos, "a token")
+            kind = "ident"
+        kinds.append(kind)
+        values.append(value)
+        starts.append(pos)
+        pos += len(value)
+    kinds.append(None)
+    starts.append(len(text))
+    return text, kinds, values, starts
 
-    def peek(self) -> str | None:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
 
-    def value(self) -> str:
-        return self.toks[self.i][1]
+def _fail(t: tuple, i: int, expected: str):
+    raise ParseError(t[0], t[3][i], expected)
 
-    def pos(self) -> int:
-        return self.toks[self.i][2] if self.i < len(self.toks) else len(self.text)
 
-    def take(self, kind: str, expected: str | None = None) -> str:
-        if self.peek() != kind:
-            raise ParseError(self.text, self.pos(), expected or repr(kind))
-        val = self.value()
-        self.i += 1
-        return val
-
-    def done(self):
-        if self.i < len(self.toks):
-            raise ParseError(self.text, self.pos(), "end of input")
+def _take(t: tuple, i: int, kind: str, expected: str) -> int:
+    """The index past token ``i``, which must be of ``kind``."""
+    if t[1][i] != kind:
+        _fail(t, i, expected)
+    return i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +103,10 @@ _CLIMB = (0, None, None)   # pending: a whole formula
 _CLOSE = ")"               # pending: take the closing parenthesis
 
 
-def _climb(levels: dict, operand, t: _Tokens):
-    """The longest formula at ``t`` built from operands read by
-    ``operand`` and the binary connectives in ``levels``.
+def _climb(levels: dict, operand, t: tuple, i: int) -> tuple:
+    """The longest formula at token ``i`` of ``t`` built from operands read
+    by ``operand`` and the binary connectives in ``levels``, and the index
+    past it.
 
     This is a recursive descent by precedence climbing whose pending calls
     sit on ``pending``, so nesting depth is not bounded by the Python
@@ -114,15 +114,17 @@ def _climb(levels: dict, operand, t: _Tokens):
     connectives of level ``least`` or more; with ``cls`` set it awaits the
     right operand of ``cls`` after ``left``.  Any other entry wraps the
     value handed back: a prefix class, a binder, or ``_CLOSE``.
-    ``operand(t, pending)`` either returns an atomic formula or consumes a
-    prefix, a binder or an opening parenthesis and pushes what it owes."""
+    ``operand(t, i, pending)`` returns ``(value, index)``: it either reads
+    an atomic formula or consumes a prefix, a binder or an opening
+    parenthesis, pushes what it owes and gives the value ``None``."""
+    kinds = t[1]
     pending: list = [_CLIMB]
     while pending:
-        value = operand(t, pending)
+        value, i = operand(t, i, pending)
         while value is not None and pending:
             frame = pending.pop()
             if frame is _CLOSE:
-                t.take(")", "')'")
+                i = _take(t, i, ")", "')'")
                 continue
             if type(frame) is not tuple:
                 value = frame(value)
@@ -130,12 +132,12 @@ def _climb(levels: dict, operand, t: _Tokens):
             least, left, cls = frame
             if cls is not None:
                 value = cls(left, value)
-            entry = levels.get(t.peek())
+            entry = levels.get(kinds[i])
             if entry is not None and entry[0] >= least:
-                t.take(t.peek())
+                i += 1
                 pending += ((least, value, entry[1]), (entry[0], None, None))
                 value = None
-    return value
+    return value, i
 
 
 # ---------------------------------------------------------------------------
@@ -144,25 +146,21 @@ def _climb(levels: dict, operand, t: _Tokens):
 _PREFIX = {"~": Not, "G": G, "H": H, "F": F, "P": P, "X": X}
 
 
-def _formula_operand(t: _Tokens, pending: list):
-    kind = t.peek()
-    if kind in _PREFIX:
-        t.take(kind)
-        pending.append(_PREFIX[kind])
-        return None
-    if kind == "false":
-        t.take("false")
-        return Falsum()
-    if kind == "true":
-        t.take("true")
-        return Top()
+def _formula_operand(t: tuple, i: int, pending: list) -> tuple:
+    kind = t[1][i]
     if kind == "ident":
-        return Atom(t.take("ident"))
-    if kind == "(":
-        t.take("(")
+        return Atom(t[2][i]), i + 1
+    if kind in _PREFIX:
+        pending.append(_PREFIX[kind])
+    elif kind == "(":
         pending += (_CLOSE, _CLIMB)
-        return None
-    raise ParseError(t.text, t.pos(), "an atom, 'false', 'true', prefix operator or '('")
+    elif kind == "false":
+        return Falsum(), i + 1
+    elif kind == "true":
+        return Top(), i + 1
+    else:
+        _fail(t, i, "an atom, 'false', 'true', prefix operator or '('")
+    return None, i + 1
 
 
 _formula = partial(_climb, _FORMULA_OPS, _formula_operand)
@@ -175,33 +173,29 @@ _RELATIONS = {"<": Less, "=": Eq, "<.": Prec}
 _BINDERS = {"forall": Forall, "exists": Exists}
 
 
-def _rwff_operand(t: _Tokens, pending: list):
-    kind = t.peek()
-    if kind == "!":
-        t.take("!")
-        pending.append(RNot)
-        return None
-    if kind in _BINDERS:
-        t.take(kind)
-        var = t.take("ident", "a bound label")
-        t.take(".", "'.'")
-        pending += (partial(_BINDERS[kind], var), _CLIMB)
-        return None
-    if kind == "empty":
-        t.take("empty")
-        return Empty()
-    if kind == "(":
-        t.take("(")
-        pending += (_CLOSE, _CLIMB)
-        return None
+def _rwff_operand(t: tuple, i: int, pending: list) -> tuple:
+    kinds, values = t[1], t[2]
+    kind = kinds[i]
     if kind == "ident":
-        x = t.take("ident")
-        op = t.peek()
-        if op not in _RELATIONS:
-            raise ParseError(t.text, t.pos(), "'<', '=' or '<.'")
-        t.take(op)
-        return _RELATIONS[op](x, t.take("ident", "a label"))
-    raise ParseError(t.text, t.pos(), "'empty', '!', a quantifier, a label or '('")
+        relation = _RELATIONS.get(kinds[i + 1])
+        if relation is None:
+            _fail(t, i + 1, "'<', '=' or '<.'")
+        _take(t, i + 2, "ident", "a label")
+        return relation(values[i], values[i + 2]), i + 3
+    if kind == "!":
+        pending.append(RNot)
+    elif kind in _BINDERS:
+        _take(t, i + 1, "ident", "a bound label")
+        _take(t, i + 2, ".", "'.'")
+        pending += (partial(_BINDERS[kind], values[i + 1]), _CLIMB)
+        return None, i + 3
+    elif kind == "(":
+        pending += (_CLOSE, _CLIMB)
+    elif kind == "empty":
+        return Empty(), i + 1
+    else:
+        _fail(t, i, "'empty', '!', a quantifier, a label or '('")
+    return None, i + 1
 
 
 _rwff = partial(_climb, _RWFF_OPS, _rwff_operand)
@@ -210,17 +204,17 @@ _rwff = partial(_climb, _RWFF_OPS, _rwff_operand)
 # ---------------------------------------------------------------------------
 # Entry points
 
-def _lwff(t: _Tokens) -> Lwff:
-    label = t.take("ident", "a label")
-    t.take(":", "':'")
-    return Lwff(label, _formula(t))
+def _lwff(t: tuple, i: int) -> tuple:
+    _take(t, i, "ident", "a label")
+    formula, j = _formula(t, _take(t, i + 1, ":", "':'"))
+    return Lwff(t[2][i], formula), j
 
 
-def _any(t: _Tokens):
+def _any(t: tuple, i: int) -> tuple:
     """An lwff if the tokens start with ``label :``, else an rwff."""
-    if len(t.toks) >= 2 and t.toks[0][0] == "ident" and t.toks[1][0] == ":":
-        return _lwff(t)
-    return _rwff(t)
+    if t[1][i] == "ident" and t[1][i + 1] == ":":
+        return _lwff(t, i)
+    return _rwff(t, i)
 
 
 _READERS = {"formula": _formula, "rwff": _rwff, "lwff": _lwff, "any": _any}
@@ -239,7 +233,7 @@ def parse_lwff(text: str) -> Lwff:
 
 
 def parse(kind: str, text: str):
-    """Parse ``text``, tokenized once, as one of ``formula | rwff | lwff |
+    """Parse ``text``, scanned once, as one of ``formula | rwff | lwff |
     any``.
 
     ``any`` sniffs an lwff by a top-level ``label :`` prefix and otherwise
@@ -248,9 +242,10 @@ def parse(kind: str, text: str):
     read = _READERS.get(kind)
     if read is None:
         raise ValueError(f"unknown parse kind {kind!r}")
-    t = _Tokens(text)
-    e = read(t)
-    t.done()
+    t = _scan(text)
+    e, i = read(t, 0)
+    if t[1][i] is not None:
+        _fail(t, i, "end of input")
     return e
 
 

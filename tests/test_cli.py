@@ -353,7 +353,13 @@ def test_node_fields_must_have_their_types(tmp_path, capsys):
             ({"rule": 5, "conclusion": "x : p"},
              "derivation node lacks a 'rule' string"),
             ({"rule": "imp_e", "premises": []},
-             "node for rule 'imp_e' lacks a conclusion")):
+             "node for rule 'imp_e' lacks a conclusion"),
+            ({"rule": "assume", "conclusion": "x : p", "fresh_label": "y"},
+             "derivation field 'fresh_label' is not known"),
+            ({"rule": "imp_i", "conclusion": "x : p -> p", "discharge": [1],
+              "premises": [{"rule": "assume", "conclusion": "x : p",
+                            "marker": 1}]},
+             "derivation field 'discharge' is not known")):
         assert _check_text(tmp_path, obj) == 4
         assert capsys.readouterr() == ("", f"error: {error}\n")
     leaf = {"rule": "assume", "conclusion": "x : p"}

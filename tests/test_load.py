@@ -1,0 +1,128 @@
+"""The load path, text to formula and JSON to derivation, against the
+parent's verbatim version in ``load_reference``: the same value or the same
+error, message and position included, on rendered random entities with
+edits, and on JSON trees with one field made wrong.  And the subtree sizes
+``from_json`` writes as it builds."""
+
+import json
+import random
+
+from hypothesis import given, seed, settings, strategies as st
+
+import load_reference as ref
+from helpers import DerivationGen, random_entity
+from test_kernel import DERIVED_TREES
+from tenseproof import parser
+from tenseproof.corpus import corpus_entries
+from tenseproof.derivation import assume, fold, from_json, node, to_json
+from tenseproof.parser import ParseError, parse_lwff as pl, render
+
+# token characters, characters that start no token, and whitespace that
+# ``\s`` matches beyond ASCII
+_EDIT_CHARS = ("xyzpq_0A:~<.=->/\\()!&|GHFPX $\u00e9\u00df"
+               "\t\n\x0b\x1c\x85\u00a0\u2028\u3000")
+
+
+def _outcome(read, *args):
+    """``("value", value)``, or the error with its type, its message and,
+    for a ``ParseError``, its position and what it expected."""
+    try:
+        return "value", read(*args)
+    except ParseError as exc:
+        return type(exc), str(exc), (exc.line, exc.column, exc.expected)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@seed(26)
+@settings(max_examples=400, database=None, deadline=None)
+@given(st.data())
+def test_texts_parse_as_the_reference_parses_them(data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    text = render(random_entity(rng, rng.randrange(6)))
+    edit = data.draw(st.sampled_from(("none", "cut", "replace", "insert",
+                                      "delete")))
+    i = data.draw(st.integers(0, len(text)))
+    c = data.draw(st.sampled_from(_EDIT_CHARS))
+    text = {"none": text, "cut": text[:i],
+            "replace": text[:i] + c + text[i + 1:],
+            "insert": text[:i] + c + text[i:],
+            "delete": text[:i] + text[i + 1:]}[edit]
+    for kind in ("formula", "rwff", "lwff", "any"):
+        assert _outcome(parser.parse, kind, text) == _outcome(ref.parse, kind, text)
+
+
+def _json_trees() -> list:
+    """The corpus and 30 generated derivations, as JSON."""
+    gen = DerivationGen(random.Random(26))
+    trees = [e.derivation for e in corpus_entries()]
+    trees += [gen.derivation(max_nodes=20, steps=10) for _ in range(30)]
+    return [json.dumps(to_json(d)) for d in trees]
+
+
+_TREES = _json_trees()
+_ABSENT = object()
+# one field made wrong: a missing, null or mistyped field, a bool where an
+# int belongs, premises and discharges that are no lists, premises that
+# are no objects, and texts that do not parse
+_WRONG = (
+    ("rule", _ABSENT), ("rule", None), ("rule", 5), ("rule", ["assume"]),
+    ("rule", "no_such_rule"), ("conclusion", _ABSENT), ("conclusion", None),
+    ("conclusion", 7), ("conclusion", "x : ->"), ("conclusion", "x y"),
+    ("conclusion", "x : p $"), ("premises", None), ("premises", {}),
+    ("premises", "x"), ("premises", 0), ("premises", {"rule": "assume"}),
+    ("premises", [3]), ("premises", [None]), ("premises", [[]]),
+    ("premises", []), ("marker", None), ("marker", True), ("marker", "1"),
+    ("marker", 1.0), ("marker", 7), ("discharges", None), ("discharges", 1),
+    ("discharges", "1"), ("discharges", {}), ("discharges", [True]),
+    ("discharges", [1, "2"]), ("discharges", [1, 2]), ("fresh", None),
+    ("fresh", 3), ("fresh", "y"), ("position", None), ("position", False),
+    ("position", 1.0), ("position", 1),
+)
+
+
+def _loaded(load, obj):
+    outcome = _outcome(load, obj)
+    return ("value", to_json(outcome[1])) if outcome[0] == "value" else outcome
+
+
+@seed(27)
+@settings(max_examples=300, database=None, deadline=None)
+@given(st.data())
+def test_json_nodes_load_as_the_reference_loads_them(data):
+    obj = json.loads(data.draw(st.sampled_from(_TREES)))
+    nodes, todo = [], [obj]
+    while todo:
+        n = todo.pop()
+        nodes.append(n)
+        todo += n.get("premises", ())
+    n = data.draw(st.sampled_from(nodes))
+    key, value = data.draw(st.sampled_from(_WRONG))
+    if value is _ABSENT:
+        n.pop(key, None)
+    else:
+        n[key] = value
+    assert _loaded(from_json, obj) == _loaded(ref.from_json, obj)
+
+
+def _chain(k: int):
+    """``k`` identity detours, each in the minor premise of the next:
+    ``3 k + 1`` nodes, ``k + 1`` deep."""
+    d = assume(pl("x : p"))
+    for m in range(1, k + 1):
+        intro = node("imp_i", pl("x : p -> p"), assume(pl("x : p"), m),
+                     discharges={m})
+        d = node("imp_e", pl("x : p"), intro, d)
+    return d
+
+
+def test_from_json_writes_each_subtree_size():
+    trees = [e.derivation for e in corpus_entries()]
+    trees += [make() for _, make in DERIVED_TREES] + [_chain(3000)]
+    for d in trees:
+        loaded = from_json(to_json(d))
+        sizes = {}
+        fold(loaded, lambda t, below: sizes.setdefault(id(t), 1 + sum(below)))
+        assert len(sizes) == d.node_count()
+        for n in loaded.nodes():
+            assert n._size == sizes[id(n)]

@@ -400,9 +400,9 @@ def test_trace_records():
 def test_is_normal_diagnosis():
     d = g_detour()
     report = is_normal(d)
-    assert not report.normal
+    assert not report.normal and not bool(report)
     assert report.redexes[0].kind == "MaximalFormula"
-    assert is_normal(normalize(d)).normal
+    assert is_normal(normalize(d)).normal and bool(is_normal(normalize(d)))
 
 
 def test_next_step_detour_reduces():

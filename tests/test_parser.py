@@ -103,3 +103,17 @@ def test_round_trip_random(seed):
     for _ in range(400):
         e = random_entity(rng, 6)
         assert parse("any", render(e)) == e
+
+
+def test_whitespace_runs_cost_their_length():
+    # a scan that searched on from each place of trailing whitespace would
+    # take several seconds here; what follows a run is read as before
+    import time
+    run = " \u3000" * 8000
+    start = time.perf_counter()
+    assert parse("any", "x : p" + run) is parse("any", "x : p")
+    assert parse("any", "x" + run + "<" + run + "y") is parse("any", "x < y")
+    with pytest.raises(ParseError) as err:
+        parse("any", "x : p" + run + "$")
+    assert time.perf_counter() - start < 2
+    assert (err.value.column, err.value.expected) == (5 + len(run) + 1, "a token")

@@ -289,6 +289,16 @@ def test_probe_skips_serial_profile():
     assert report.status == "SKIPPED-SEMANTICS"
 
 
+def test_probe_fails_where_the_oracle_refutes_the_conclusion():
+    # a report that no check gives: ``x : p`` with nothing open
+    from tenseproof.kernel import CheckReport
+    goal = pl("x : p")
+    probe = soundness_probe(CheckReport((), ProofContext.make(), goal, True), 2)
+    assert probe.status == "FAIL" and probe.max_worlds == 2
+    cm = probe.countermodel
+    assert cm.failing == goal and not eval_entity(cm.model, cm.lam, goal)
+
+
 def test_probe_requires_valid_derivation():
     bad = node("imp_e", pl("x : q"), assume(pl("x : p -> q")), assume(pl("x : r")))
     with pytest.raises(ValueError):

@@ -20,8 +20,8 @@ from tenseproof.syntax import (
     And, Atom, Empty, Eq, Exists, F, Falsum, Forall, G, H, Implies, Less, Lwff,
     Not, Or, LabelGen, P, Prec, ProofContext, RAnd, RImplies, RNot, ROr, Top, X,
     canon, core_eq, expand, fresh_label, grade, is_atomic, is_subformula,
-    labels_of, match_labels, subformulas, substitute_label, substitute_labels,
-    SubformulaPool,
+    label_skeleton, labels_of, match_labels, subformulas, substitute_label,
+    substitute_labels, SubformulaPool,
 )
 
 
@@ -226,6 +226,14 @@ def test_label_instances_do_not_capture():
         assert target not in SubformulaPool([pattern])
     assert parse_rwff("forall a. forall b. (a < b) => (z < z)") in SubformulaPool(
         [parse_rwff("forall v. forall w. (v < w) => (y < y)")])
+
+
+def test_label_skeleton_of_a_tense_formula_is_the_formula():
+    # a tense formula holds no labels; an lwff's skeleton holds its formula
+    tense, labels = parse_formula("G p -> q"), []
+    assert label_skeleton(tense, labels) == (tense,) and labels == []
+    assert label_skeleton(parse_lwff("x : G p -> q"), labels) == (Lwff, tense)
+    assert labels == ["x"]
 
 
 def test_labels_of_examples():
