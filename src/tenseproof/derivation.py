@@ -18,8 +18,14 @@ There are three traversals, none recursive; use the cheapest that serves:
   root paths; building a path costs its length, so it serves only
   ``find_redexes``, which names every redex by its path, and tests.
 
-A node has five memo slots, left out of ``__init__``, comparison and
-``repr`` and written past the frozen guard: ``_size``, the number of nodes
+A node is a frozen dataclass whose seven fields and five memos are slots
+of the common base ``_Memos``.  ``Derivation(...)`` fills a ``_Open``, an
+unguarded sibling class, by plain stores and then gives it its class,
+which is cheaper than a dataclass ``__init__`` that writes each field past
+the frozen guard.
+
+The memos are left out of the constructor, comparison, ``repr`` and
+copies, and written past the frozen guard: ``_size``, the number of nodes
 in its subtree, written by ``from_json`` as it builds the node, or else by
 ``node_count``; for the normalizer ``_redex``, the key of the least redex
 at the node itself, ``_least``, the key of the least redex in its subtree
@@ -51,22 +57,50 @@ ASSUME = "assume"
 
 
 class _Memos:
-    """The five memo slots (see above): outside the dataclass fields, so
-    ``__init__``, comparison, ``repr`` and copies leave them out, and unset
-    until written."""
+    """The slots of a node: its seven fields, then its five memos (see
+    above), which are no dataclass fields and stay unset until written."""
 
-    __slots__ = ("_size", "_redex", "_least", "_mon", "_clean")
+    __slots__ = ("rule", "conclusion", "premises", "marker", "discharges",
+                 "fresh", "position", "_size", "_redex", "_least", "_mon",
+                 "_clean")
 
 
-@dataclass(frozen=True, slots=True)
+class _Open(_Memos):
+    """A node while it is built: the slots of ``Derivation`` without its
+    frozen guard, so its fields are written by plain stores."""
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True, init=False)
 class Derivation(_Memos):
+    # no defaults: a default would be a class attribute over the base's slot
+    __slots__ = ()
     rule: str
     conclusion: Conclusion
-    premises: tuple = ()
-    marker: Optional[int] = None          # assumption leaves only
-    discharges: frozenset = frozenset()   # markers closed at this node
-    fresh: Optional[str] = None           # label introduced by this node
-    position: Optional[int] = None        # designated label position for mon
+    premises: tuple
+    marker: Optional[int]             # assumption leaves only
+    discharges: frozenset             # markers closed at this node
+    fresh: Optional[str]              # label introduced by this node
+    position: Optional[int]           # designated label position for mon
+
+    def __new__(cls, rule, conclusion, premises=(), marker=None,
+                discharges=frozenset(), fresh=None, position=None):
+        d = _Open()
+        d.rule = rule
+        d.conclusion = conclusion
+        d.premises = premises
+        d.marker = marker
+        d.discharges = discharges
+        d.fresh = fresh
+        d.position = position
+        d.__class__ = cls
+        return d
+
+    def __reduce__(self):
+        return self.__class__, (self.rule, self.conclusion, self.premises,
+                                self.marker, self.discharges, self.fresh,
+                                self.position)
 
     def is_assumption(self) -> bool:
         return self.rule == ASSUME

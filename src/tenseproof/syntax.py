@@ -11,10 +11,12 @@ Hash-Consing*, 2006).  The invariant:
 
 - A node is built only through its class, with its fields by position, as
   in ``Implies(a, b)``, ``G(p)`` or ``Lwff(x, A)``.  The constructor looks
-  the class and its arguments up in one weak intern table and returns the
-  node already there, so equal formulas are the same object: ``==`` is
-  ``is``, and the hash is the identity hash, fixed at construction.  Nodes
-  are frozen; copying or unpickling one returns the interned node.
+  the class and its arguments up in one intern table of weak references
+  and returns the node already there, so equal formulas are the same
+  object: ``==`` is ``is``, and the hash is the identity hash, fixed at
+  construction.  A node's entry goes when the node dies.  Building a new
+  node makes no Python-level call but its constructor.  Nodes are frozen;
+  copying or unpickling one returns the interned node.
 - A node carries its expansion, its grade and, where it may hold a binder,
   its alpha-canonical form, each computed the first time it is asked for;
   an atom, and an ``Lwff`` over its own expansion, is its own expansion
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import weakref
 from operator import attrgetter
+from types import MethodType
 from typing import Iterator, Union
 
 Label = str
@@ -39,11 +42,17 @@ Label = str
 # ---------------------------------------------------------------------------
 # Interned nodes
 
-# (class, *fields) -> the node with those fields.  Values are held weakly,
-# so an entry goes when its node dies.  A lookup reads the table's own dict
-# of weak references: one C-level dict lookup per construction.
-_TABLE = weakref.WeakValueDictionary()
-_REFS = _TABLE.data
+# (class, *fields) -> a weak reference to the node with those fields.  The
+# reference's callback is ``_REFS.pop`` bound to the key as a method (lighter
+# than a ``functools.partial``), so the entry goes when its node dies, and a
+# lookup, an insert and a removal are C calls only.  This is sound because a
+# formula node is in no reference cycle: it dies, and its callback runs, as
+# its last reference goes (or, if only cyclic garbage holds it, in the
+# collection that frees it), so no node of its key can be built between its
+# death and the callback, to have its entry popped by it.
+_REFS: dict = {}
+_ref = weakref.ref
+_drop = _REFS.pop
 _new = object.__new__
 _set = object.__setattr__    # nodes are frozen: only this module writes them
 _SELF = object()             # a memo meaning "the node itself", with no cycle
@@ -119,6 +128,11 @@ class _Node(_Frozen):
             cls._kids = staticmethod(lambda n: (one(n),))
         else:
             cls._kids = staticmethod(lambda n: ())
+        # a relational node may hold a binder where its class binds or a
+        # kid may: ``True in _flags(node)``, a C-level read, with ``_binds``
+        # named twice so that it gives a tuple even for a class without kids
+        cls._flags = attrgetter("_binds", "_binds",
+                                *(f"{k}._binder" for k in kids))
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -133,12 +147,11 @@ class _Node(_Frozen):
         for name, value in zip(cls._slots, args + cls._blank):
             _set(node, name, value)
         if cls._binds is not None:
-            _set(node, "_binder",
-                 cls._binds or any(k._binder for k in cls._kids(node)))
+            _set(node, "_binder", True in cls._flags(node))
         # an atom, and a label on an expanded formula, is its own expansion
         if cls in _ATOMS or cls is Lwff and getattr(args[1], "_x", None) is _SELF:
             _set(node, "_x", _SELF)
-        _TABLE[key] = node
+        _REFS[key] = _ref(node, MethodType(_drop, key))
         return node
 
     def __repr__(self) -> str:

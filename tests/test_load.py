@@ -2,11 +2,16 @@
 parent's verbatim version in ``load_reference``: the same value or the same
 error, message and position included, on rendered random entities with
 edits, and on JSON trees with one field made wrong.  And the subtree sizes
-``from_json`` writes as it builds."""
+``from_json`` writes as it builds, and the node it builds: a ``Derivation``
+behaves as the plain frozen dataclass of its seven fields."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import load_reference as ref
@@ -14,7 +19,9 @@ from helpers import DerivationGen, random_entity
 from test_kernel import DERIVED_TREES
 from tenseproof import parser
 from tenseproof.corpus import corpus_entries
-from tenseproof.derivation import assume, fold, from_json, node, to_json
+from tenseproof.derivation import (
+    Derivation, assume, fold, from_json, node, to_json,
+)
 from tenseproof.parser import ParseError, parse_lwff as pl, render
 
 # token characters, characters that start no token, and whitespace that
@@ -126,3 +133,53 @@ def test_from_json_writes_each_subtree_size():
         assert len(sizes) == d.node_count()
         for n in loaded.nodes():
             assert n._size == sizes[id(n)]
+
+
+_FIELDS = [("rule", str), ("conclusion", object), ("premises", tuple, ()),
+           ("marker", object, None), ("discharges", frozenset, frozenset()),
+           ("fresh", object, None), ("position", object, None)]
+_MEMOS = ("_size", "_redex", "_least", "_mon", "_clean")
+
+
+def test_a_derivation_is_its_frozen_dataclass():
+    twin_of = dataclasses.make_dataclass("Derivation", _FIELDS, frozen=True)
+    twin_of.__qualname__ = Derivation.__qualname__
+    names = [f[0] for f in _FIELDS]
+    values = ("g_i", pl("x : G p"), (assume(pl("y : p"), 1),), None,
+              frozenset({1}), "y", None)
+    d, twin = Derivation(*values), twin_of(*values)
+    assert type(d) is Derivation and not hasattr(d, "__dict__")
+    assert dataclasses.is_dataclass(d)
+    assert [f.name for f in dataclasses.fields(d)] == names
+    assert repr(d) == repr(twin) and hash(d) == hash(twin)
+    assert d == Derivation(**dict(zip(names, values))) and d != twin
+    for k in range(2, 8):               # by position, the rest by default
+        assert repr(Derivation(*values[:k])) == repr(twin_of(*values[:k]))
+        by_name = dict(zip(names, values[:k]))
+        assert Derivation(*values[:k]) == Derivation(**by_name)
+    assert Derivation(*values[:6]) == d and Derivation(*values[:5]) != d
+    for args, kwargs in [(values + (None,), {}), (values[:1], {}),
+                         (values, {"rule": "g_i"}), (values[:2], {"size": 1})]:
+        with pytest.raises(TypeError):
+            Derivation(*args, **kwargs)
+    for name, new in zip(names, ("h_i", pl("x : H p"), (), 2, frozenset(),
+                                 "z", 1)):
+        changed = dataclasses.replace(d, **{name: new})
+        assert type(changed) is Derivation and changed != d
+        assert repr(changed) == repr(dataclasses.replace(twin, **{name: new}))
+    for name in names + list(_MEMOS):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(d, name)
+    # the memos: unset on a new node, and outside ==, repr, replace, copies
+    assert not any(hasattr(d, m) for m in _MEMOS)
+    assert d.node_count() == 2 and d._size == 2
+    for m in _MEMOS[1:]:
+        object.__setattr__(d, m, m)
+    assert d == Derivation(*values) and hash(d) == hash(twin)
+    assert repr(d) == repr(twin)
+    for made in (dataclasses.replace(d), copy.copy(d), copy.deepcopy(d),
+                 pickle.loads(pickle.dumps(d))):
+        assert type(made) is Derivation and made == d and made is not d
+        assert not any(hasattr(made, m) for m in _MEMOS)

@@ -55,6 +55,11 @@ def test_round_trip_simple():
     assert render(parse_lwff("x : F p")) == "x : F p"
 
 
+def test_render_rejects_what_is_no_formula():
+    with pytest.raises(TypeError, match="cannot render 3"):
+        render(3)
+
+
 def test_render_of_expansion():
     got = render(expand(parse_formula("F p")))
     assert got == "G (p -> false) -> false"

@@ -19,7 +19,7 @@ from tenseproof.semantics import (
     soundness_probe,
 )
 from tenseproof.syntax import (
-    Atom, Eq, Exists, Falsum, Implies, Less, Lwff, ProofContext, RAnd,
+    Atom, Eq, Exists, Falsum, G, Implies, Less, Lwff, ProofContext, RAnd,
     X, expand, labels_of,
 )
 
@@ -130,6 +130,11 @@ def test_frame_condition_matches_axiom_template():
 def test_eval_unbound_label():
     with pytest.raises(UnboundLabel):
         eval_entity(Model.chain(2), {}, pl("x : p"))
+
+
+def test_eval_of_a_bare_tense_formula_asks_for_a_label():
+    with pytest.raises(TypeError, match="needs a label"):
+        eval_entity(Model.chain(2), {"x": 0}, G(Atom("p")))
 
 
 def test_eval_independent_of_irrelevant_labels():

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import pickle
 import random
+import sys
 import weakref
 
 import pytest
@@ -392,12 +393,100 @@ def test_every_formula_class_is_a_plain_frozen_positional_node():
 def test_table_drops_a_node_once_unreferenced():
     key = (Atom, "p_only_here")
     phi = Atom("p_only_here")
-    assert syntax._TABLE[key] is phi
+    assert syntax._REFS[key]() is phi
     ref = weakref.ref(phi)
     del phi
     gc.collect()
     assert ref() is None
-    assert key not in syntax._TABLE
+    assert key not in syntax._REFS
+
+
+def test_a_node_leaves_the_table_as_its_last_reference_goes():
+    # a formula node is in no reference cycle, so it dies, and its entry
+    # goes, with its last reference, before any node of its key is built;
+    # one that only garbage in a cycle holds goes at the collection
+    gc.disable()
+    try:
+        key = (G, Atom("p_only_here"))
+        phi = G(key[1])
+        del phi
+        assert key not in syntax._REFS
+        cycle = [G(key[1])]
+        cycle.append(cycle)
+        del cycle
+        assert key in syntax._REFS
+        gc.collect()
+        assert key not in syntax._REFS
+    finally:
+        gc.enable()
+
+
+def test_a_node_rebuilt_after_its_predecessor_died_is_the_one_returned():
+    key = (Less, "x", "y_only_here")
+    first = Less("x", "y_only_here")
+    dead = weakref.ref(first)
+    del first
+    assert dead() is None
+    second = Less("x", "y_only_here")
+    assert syntax._REFS[key]() is second
+    assert Less("x", "y_only_here") is second
+    assert parse_rwff("x < y_only_here") is second
+
+
+def test_the_table_returns_to_its_size_once_fresh_formulas_die():
+    gc.collect()
+    start = len(syntax._REFS)
+    gc.disable()
+    try:
+        formulas = [(parse_lwff(f"x : G (p{i} -> H ~q{i})"),
+                     parse_rwff(f"forall u. x{i} < u => !(exists v. u = v)"))
+                    for i in range(1000)]
+        for phi, rho in formulas:
+            expand(phi), canon(rho), grade(phi), labels_of(rho)
+        assert len(syntax._REFS) > start + 1000
+        del formulas, phi, rho
+        assert len(syntax._REFS) == start
+    finally:
+        gc.enable()
+
+
+def _fresh_args(n) -> tuple:
+    """Fields for a node of ``n``'s class that no live node has: each label
+    and name made new, each kid a new atom of its sort."""
+    return tuple(v + "_fresh" if isinstance(v, str)
+                 else Less("a", "a_kid") if isinstance(v, syntax._Rel)
+                 else Atom("a_kid") for v in
+                 (getattr(n, f) for f in n._fields))
+
+
+def test_a_fresh_node_is_built_by_no_python_call_but_its_constructor():
+    built = [(type(n), _fresh_args(n)) for n in _EACH_CLASS if n._fields]
+    assert not [args for cls, args in built if (cls, *args) in syntax._REFS]
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_qualname)
+
+    nodes = []
+    sys.setprofile(profile)
+    try:
+        for cls, args in built:         # a comprehension would be a call
+            nodes.append(cls(*args))
+    finally:
+        sys.setprofile(None)
+    assert calls == ["_Node.__new__"] * len(built)
+    assert all(syntax._REFS[(cls, *args)]() is n
+               for (cls, args), n in zip(built, nodes))
+
+
+def test_formula_functions_reject_what_is_no_formula():
+    with pytest.raises(TypeError, match="not a formula: 3"):
+        expand(3)
+    with pytest.raises(TypeError, match="no labels in 3"):
+        labels_of(3)
+    with pytest.raises(TypeError, match="not a formula: 3"):
+        canon(3)
 
 
 def test_formulas_of_any_depth():
