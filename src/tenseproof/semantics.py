@@ -18,8 +18,11 @@ in ``itertools.product`` order (atom-major, world 0 first, False before
 True), so cell (atom ``k``, world ``w``) is bit ``n (A - 1 - k) + n - 1 -
 w`` of the index.  Per block of ``2 ** BLOCK_BITS`` valuations one run of
 the program gives each slot an int per world whose bit ``j`` is its truth
-there under valuation ``j`` of the block (``A -> B`` is ``~A | B``; ``G``,
-``H`` and ``X`` AND the body over the related worlds).  The relational
+there under valuation ``j`` of the block (``A -> B`` is ``~A | B``; on a
+chain ``G A`` holds at ``w`` iff ``A`` and ``G A`` hold at ``w + 1``, so
+``G``, ``H`` and ``X`` read one neighbour per world, as in Hintikka
+sequences).  Labels that atomic ``x = y`` hypotheses equate share one
+world, so interpretations range over these classes.  The relational
 formulas are evaluated once per frame and interpretation, and the lowest
 refuting bit is the first countermodel.  ``eval_entity`` and ``entails``
 evaluate one formula in any model, without recursion: a tense formula by
@@ -72,8 +75,8 @@ class Model(_Record):
 
     @staticmethod
     def chain(n: int, valuation=None) -> "Model":
-        pairs = frozenset((i, j) for i in range(n) for j in range(n) if i < j)
-        return Model(n, pairs, dict(valuation or {}))
+        return Model(n, frozenset(itertools.combinations(range(n), 2)),
+                     dict(valuation or {}))
 
     @property
     def worlds(self) -> range:
@@ -312,30 +315,10 @@ def _compile(formulas):
     return program, [slot[f] for f in formulas]
 
 
-def _relation_masks(m: Model) -> dict:
-    """Per operator, ``(world bit, relation mask)`` for every world: the
-    worlds ``G``, ``H`` and ``X`` quantify over (successors, predecessors,
-    immediate successors)."""
-    succ, pred = [0] * m.n, [0] * m.n
-    for i, j in m.prec:
-        succ[i] |= 1 << j
-        pred[j] |= 1 << i
-    imm = []
-    for s in succ:
-        beyond = 0
-        for u in m.worlds:
-            if s >> u & 1:
-                beyond |= succ[u]
-        imm.append(s & ~beyond)
-    bits = [1 << w for w in m.worlds]
-    return {G: list(zip(bits, succ)), H: list(zip(bits, pred)),
-            X: list(zip(bits, imm))}
-
-
-def _label_block(program, cells: dict, related: dict, ones: int) -> list:
+def _label_block(program, cells: dict, n: int, ones: int) -> list:
     """Bit ``j`` of ``slots[i][w]``: instruction ``i``'s truth at world ``w``
-    under valuation ``j`` of the block ``ones``.  ``cells`` and ``related``
-    give each atom's int and each operator's related worlds per world."""
+    of the ``n``-chain under valuation ``j`` of the block ``ones`` (atoms read
+    ``cells``).  ``G`` is a suffix AND, ``H`` a prefix AND, ``X`` a shift."""
     slots: list = []
     for kind, a, b in program:
         if kind is Implies:
@@ -343,17 +326,34 @@ def _label_block(program, cells: dict, related: dict, ones: int) -> list:
         elif kind is Atom:
             s = cells[a]
         elif kind is Falsum:
-            s = [0] * len(related[G])          # one int per world
+            s = [0] * n
+        elif kind is X:
+            s = slots[a][1:] + [ones]
+        elif kind is H:
+            s = list(itertools.accumulate(slots[a][:-1], operator.and_,
+                                          initial=ones))
         else:
-            # G, H, X: the body holds at every related world
-            body, s = slots[a], []
-            for worlds in related[kind]:
-                t = ones
-                for u in worlds:
-                    t &= body[u]
-                s.append(t)
+            s = list(itertools.accumulate(reversed(slots[a][1:]),
+                                          operator.and_, initial=ones))[::-1]
         slots.append(s)
     return slots
+
+
+def _label_classes(labels, rels) -> dict:
+    """Each of the sorted ``labels`` with the number of its class under the
+    atomic ``x = y`` in ``rels``, numbered in the order of least labels."""
+    least = {x: x for x in labels}
+
+    def find(x):
+        while least[x] != x:
+            least[x] = x = least[least[x]]
+        return x
+    for r in rels:
+        if type(r) is Eq:
+            a, b = sorted((find(r.x), find(r.y)))
+            least[b] = a
+    number: dict = {}
+    return {x: number.setdefault(find(x), len(number)) for x in labels}
 
 
 def _relational_part_refutes(m: Model, lam: Interpretation, rels,
@@ -369,33 +369,33 @@ def find_countermodel(ctx: ProofContext, phi, max_worlds: int = 5,
     """Exhaustive refutation search over canonical chains of up to
     ``max_worlds`` worlds; returns the first countermodel or None."""
     _require_finite(profile)
-    labels = sorted(labels_of(ctx) | labels_of(phi))
-    index = {x: i for i, x in enumerate(labels)}
-
     hyps = [_split(e) for e in ctx]
     goal, goal_rel = _split(phi)
+    rels = [r for _, r in hyps if r is not None]
+    # equality hypotheses hold by construction on one world per class
+    index = _label_classes(sorted(labels_of(ctx) | labels_of(phi)), rels)
+    classes = len(set(index.values()))
+    rels = [r for r in rels if type(r) is not Eq]
     lwffs = [h for h, _ in hyps if h is not None]
     if goal is not None:
         lwffs.append(goal)
     program, slots = _compile([h.formula for h in lwffs])
     atoms = sorted({a for kind, a, _ in program if kind is Atom})
-    # (label index, slot) per labelled hypothesis; the goal's comes last
+    # (class, slot) per labelled hypothesis; the goal's comes last
     tests = [(index[h.label], s) for h, s in zip(lwffs, slots)]
     goal_test = tests.pop() if goal is not None else None
-    rels = [r for _, r in hyps if r is not None]
     relational = bool(rels) or goal_rel is not None
 
     for n in range(1, max_worlds + 1):
-        frame = Model.chain(n)
         if relational:
             # the relational part sees only the frame and the labels
-            lams = [a for a in itertools.product(range(n), repeat=len(labels))
-                    if _relational_part_refutes(frame, dict(zip(labels, a)),
-                                                rels, goal_rel)]
+            frame = Model.chain(n)
+            lams = [a for a in itertools.product(range(n), repeat=classes)
+                    if _relational_part_refutes(
+                        frame, {x: a[k] for x, k in index.items()},
+                        rels, goal_rel)]
             if not lams:
                 continue
-        related = {op: [[u for u in range(n) if m >> u & 1] for _, m in pairs]
-                   for op, pairs in _relation_masks(frame).items()}
         # cell (atom k, world w) is bit n (A - 1 - k) + n - 1 - w of the index
         bits = [[n * (len(atoms) - 1 - k) + n - 1 - w for w in range(n)]
                 for k in range(len(atoms))]
@@ -409,10 +409,10 @@ def find_countermodel(ctx: ProofContext, phi, max_worlds: int = 5,
             cells = {a: [pattern[b] if b < low
                          else -(high >> (b - low) & 1) & ones for b in cs]
                      for a, cs in zip(atoms, bits)}
-            truth = _label_block(program, cells, related, ones)
-            # per label and world, the valuations under which the labelled
+            truth = _label_block(program, cells, n, ones)
+            # per class and world, the valuations under which the labelled
             # hypotheses hold there and a labelled goal fails there
-            allowed = [[ones] * n for _ in labels]
+            allowed = [[ones] * n for _ in range(classes)]
             for i, s in tests:
                 allowed[i] = [x & y for x, y in zip(allowed[i], truth[s])]
             if goal_test is not None:
@@ -433,18 +433,18 @@ def find_countermodel(ctx: ProofContext, phi, max_worlds: int = 5,
                 continue
             # the first refuting valuation, and under it the first
             # interpretation in itertools.product order whose worlds are
-            # all allowed: the least world per label, unless the relational
-            # part rules some out
+            # all allowed: the least world per class, unless the relational
+            # part rules some out.  A class is ordered by its least label,
+            # so this is itertools.product order on labels too
             j = (refuting & -refuting).bit_length() - 1
             holds = [[x >> j & 1 for x in per_world] for per_world in allowed]
             hit = (next(a for a in lams if all(h[w] for h, w in zip(holds, a)))
                    if relational else tuple(h.index(1) for h in holds))
-            index = high << low | j
-            worlds = {a: frozenset(w for w, b in enumerate(cs)
-                                   if index >> b & 1)
+            val = high << low | j
+            worlds = {a: frozenset(w for w, b in enumerate(cs) if val >> b & 1)
                       for a, cs in zip(atoms, bits)}
-            return Countermodel(Model(n, frame.prec, worlds),
-                                dict(zip(labels, hit)), phi)
+            return Countermodel(Model.chain(n, worlds),
+                                {x: hit[k] for x, k in index.items()}, phi)
     return None
 
 

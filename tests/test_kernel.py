@@ -1318,6 +1318,13 @@ def test_an_unknown_rule_built_through_the_library_is_one_violation():
         "StructuralError at root: unknown rule 'bogus'"]
 
 
+def test_positional_replacement_needs_an_atomic_formula():
+    assert kernel.replace_position(pl("x : p"), 1, "y") == pl("y : p")
+    for core in (pr("x < y => x = y"), pr("forall v. x < v")):
+        with pytest.raises(ValueError, match="atomic formula"):
+            kernel.replace_position(core, 1, "y")
+
+
 if __name__ == "__main__":
     # after a deliberate change to an expansion, rewrite the pinned texts:
     # PYTHONPATH=src python tests/test_kernel.py

@@ -298,6 +298,14 @@ def test_stale_redex_rejected():
         reduce_step(out, r)
 
 
+def test_redex_off_the_tree_is_stale():
+    d = g_detour()
+    r = find_redexes(d)[0]
+    for path in (r.path + (0, 0, 0, 0, 0, 0), (7,)):
+        with pytest.raises(RedexStale):
+            reduce_step(d, replace(r, path=path))
+
+
 # ---------------------------------------------------------------------------
 # normalize
 

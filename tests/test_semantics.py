@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -14,13 +15,13 @@ from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import AXIOMS, EXTRAS, KL, parse_profile
 from tenseproof.semantics import (
     BLOCK_BITS, Countermodel, FinitelyVacuous, Model, UnboundLabel, _compile,
-    _label_block, _relation_masks, _relational_part_refutes, _require_finite,
-    _split, check_frame, entails, eval_entity, find_countermodel,
-    soundness_probe,
+    _eval_rwff, _holds, _label_block, _relational_part_refutes,
+    _require_finite, _split, check_frame, entails, eval_entity,
+    find_countermodel, soundness_probe,
 )
 from tenseproof.syntax import (
-    Atom, Eq, Exists, Falsum, G, Implies, Less, Lwff, ProofContext, RAnd,
-    X, expand, labels_of,
+    Atom, Eq, Exists, Falsum, Forall, G, H, Implies, Less, Lwff, ProofContext,
+    RAnd, RImplies, X, expand, labels_of,
 )
 
 
@@ -135,6 +136,15 @@ def test_eval_unbound_label():
 def test_eval_of_a_bare_tense_formula_asks_for_a_label():
     with pytest.raises(TypeError, match="needs a label"):
         eval_entity(Model.chain(2), {"x": 0}, G(Atom("p")))
+
+
+def test_truth_of_a_formula_that_is_not_core_is_a_type_error():
+    # eval_entity expands first; the evaluators below it read core only
+    m = Model.chain(2)
+    with pytest.raises(TypeError, match="not a core formula"):
+        _holds(m, pl("x : F p").formula)
+    with pytest.raises(TypeError, match="not a core rwff"):
+        _eval_rwff(m, {"x": 0, "y": 1}, pr("x <. y"))
 
 
 def test_eval_independent_of_irrelevant_labels():
@@ -344,22 +354,45 @@ def _with_next(rng, phi):
 
 
 def test_mask_labeling_agrees_with_eval_entity():
-    # each model is one valuation, so a block of one bit
+    # each model is one valuation, so a block of one bit; the nested
+    # operators are vacuous or not at the ends of the chain, one world
+    # included
     rng = random.Random(4242)
     atoms = ["p", "q"]
     formulas = [_with_next(rng, random_formula(rng, 4, atoms)) for _ in range(40)]
+    p, q = Atom("p"), Atom("q")
+    formulas += [G(H(p)), H(G(p)), X(X(p)), G(X(p)), X(G(p)), H(X(p)),
+                 X(H(p)), G(G(Implies(p, q))), H(H(Implies(X(p), q))),
+                 Implies(G(p), X(p)), Implies(H(Falsum()), G(Falsum()))]
     program, slots = _compile([expand(f) for f in formulas])
     for m in all_models(4, atoms):
         cells = {a: [int(w in m.valuation.get(a, ())) for w in m.worlds]
                  for a in atoms}
-        related = {op: [[u for u in m.worlds if mask >> u & 1]
-                        for _, mask in pairs]
-                   for op, pairs in _relation_masks(m).items()}
-        truth = _label_block(program, cells, related, 1)
+        truth = _label_block(program, cells, m.n, 1)
         for f, s in zip(formulas, slots):
             for w in m.worlds:
                 expected = eval_entity(m, {"x": w}, Lwff("x", f))
                 assert truth[s][w] == expected, (m, w, f)
+
+
+def _relation_masks(m: Model) -> dict:
+    """Per operator, ``(world bit, relation mask)`` for every world: the
+    worlds ``G``, ``H`` and ``X`` quantify over (successors, predecessors,
+    immediate successors)."""
+    succ, pred = [0] * m.n, [0] * m.n
+    for i, j in m.prec:
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
+    imm = []
+    for s in succ:
+        beyond = 0
+        for u in m.worlds:
+            if s >> u & 1:
+                beyond |= succ[u]
+        imm.append(s & ~beyond)
+    bits = [1 << w for w in m.worlds]
+    return {G: list(zip(bits, succ)), H: list(zip(bits, pred)),
+            X: list(zip(bits, imm))}
 
 
 def _reference_find_countermodel(ctx, phi, max_worlds=5, profile=KL):
@@ -566,3 +599,70 @@ def test_block_search_matches_enumeration_across_blocks():
                         for w in want.model.valuation.get(a, ()))
             past += index >> BLOCK_BITS > 0
     assert past >= 5, past
+
+
+def _equality_query(rng, atoms):
+    """A seeded query whose hypotheses equate labels: a chain of ``a = b``
+    over two to four of the labels, each written in a random order, at
+    times an ``a = a``, at times an ``=`` under ``=>`` or ``forall`` (which
+    joins no labels), at times an ``a < b``; labelled hypotheses and a
+    labelled goal (or, one time in five, a relational one) over the same
+    labels, so some equalities join labels that only they use."""
+    labels = ["w", "x", "y", "z"]
+    chain = rng.sample(labels, rng.randint(2, 4))
+    delta = [Eq(a, b) if rng.random() < 0.5 else Eq(b, a)
+             for a, b in zip(chain, chain[1:])]
+    if rng.random() < 0.3:
+        delta.append(Eq(*[rng.choice(labels)] * 2))
+    if rng.random() < 0.4:
+        a, b = rng.sample(labels, 2)
+        delta.append(rng.choice([RImplies(Less(a, b), Eq(a, b)),
+                                 Forall("v", RImplies(Less(a, "v"),
+                                                      Eq(b, "v")))]))
+    if rng.random() < 0.3:
+        delta.append(Less(*rng.sample(labels, 2)))
+    rng.shuffle(delta)
+    gamma = [Lwff(rng.choice(labels),
+                  _with_next(rng, random_formula(rng, 2, atoms)))
+             for _ in range(rng.randrange(3))]
+    if rng.random() < 0.8:
+        goal = Lwff(rng.choice(labels),
+                    _with_next(rng, random_formula(rng, 3, atoms)))
+    else:
+        goal = random_rwff(rng, 2, labels)
+    return ProofContext.make(gamma, delta), goal
+
+
+def test_label_classes_keep_the_first_countermodel():
+    # one world per class of equated labels: the same first countermodel
+    # as the former search, which tries every interpretation of every label
+    rng = random.Random(7373)
+    found = nested = alone = 0
+    for i in range(200):
+        ctx, goal = _equality_query(rng, ("p", "q") if i % 2 else ("p",))
+        worlds = 5 if i % 4 == 0 else rng.randint(1, 4)
+        profile = parse_profile(PROFILES[i % len(PROFILES)])
+        got = find_countermodel(ctx, goal, worlds, profile)
+        want = _enumerated_find_countermodel(ctx, goal, worlds, profile)
+        assert (got and got.to_json()) == (want and want.to_json()), (ctx, goal)
+        found += want is not None
+        nested += any(type(r) in (RImplies, Forall) for r in ctx.delta)
+        # a label that an equality joins and no other rwff uses
+        joined = {x for r in ctx.delta if type(r) is Eq and r.x != r.y
+                  for x in (r.x, r.y)}
+        alone += bool(joined.difference(
+            *(labels_of(r) for r in ctx.delta if type(r) is not Eq)))
+    assert 30 < found < 170 and nested > 30 and alone > 100, (
+        found, nested, alone)
+
+
+def test_probe_of_long_mon_chains():
+    # 34 labels in two classes (disorder) or one (redundant): 16 or 4
+    # interpretations at 4 worlds, not 4 ** 34
+    from test_normalize import _mon_chain
+    reports = [check(_mon_chain(32, disorder)) for disorder in (True, False)]
+    start = time.perf_counter()
+    for report in reports:
+        assert report.ok and len(labels_of(report.open)) > 30
+        assert soundness_probe(report, 4).status == "PASS"
+    assert time.perf_counter() - start < 1
