@@ -35,16 +35,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import TYPE_CHECKING
 
 from .rules import AXIOMS, INFINITE_EXTRAS, KL, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, ProofContext,
     RImplies, X, _Record, _set, expand, is_formula, labels_of, post_order,
 )
-
-if TYPE_CHECKING:
-    from .kernel import CheckReport
 
 
 class UnboundLabel(KeyError):

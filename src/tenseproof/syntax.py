@@ -642,29 +642,27 @@ def is_subformula(b, a) -> bool:
 class SubformulaPool:
     """The subformulas of ``formulas``, for membership tests.
 
-    ``has_variant(b)`` asks for ``b`` up to alpha-equivalence.  A
-    subformula that holds no binder is its own canonical form, so for those
-    this is set membership; one that holds a binder is canonicalized only
-    when a formula of its grade is asked for.  ``b in pool`` also accepts a
+    Each subformula is filed under its class and grade, which its
+    alpha-variants and label instances share; a search looks in ``b``'s
+    file only.  ``has_variant(b)`` asks for ``b`` up to alpha-equivalence:
+    a ``b`` that holds no binder is its own canonical form, so it is looked
+    up in the set of binder-free subformulas.  ``b in pool`` also accepts a
     label instance of a subformula (``b`` obtained by substituting labels
     for its free labels) when ``b`` is relational with free labels."""
 
     def __init__(self, formulas):
-        self.subformulas = list({s: None for f in formulas
-                                 for s in subformulas(f)})
         self.plain = set()
-        self.binding: dict = {}     # grade -> the subformulas with a binder
-        for s in self.subformulas:
-            if s._binder:
-                self.binding.setdefault(grade(s), []).append(s)
-            else:
+        self.filed: dict = {}       # (class, grade) -> the subformulas
+        for s in {s: None for f in formulas for s in subformulas(f)}:
+            self.filed.setdefault((type(s), grade(s)), []).append(s)
+            if not s._binder:
                 self.plain.add(s)
 
     def has_variant(self, b) -> bool:
         b = canon(_formula_part(b))
         if not b._binder:
             return b in self.plain
-        return any(canon(s) is b for s in self.binding.get(grade(b), ()))
+        return any(canon(s) is b for s in self.filed.get((type(b), grade(b)), ()))
 
     def __contains__(self, b) -> bool:
         b = _formula_part(expand(b))
@@ -672,7 +670,7 @@ class SubformulaPool:
             return True
         return (not is_formula(b) and bool(labels_of(b))
                 and any(match_labels(s, b, labels_of(s)) is not None
-                        for s in self.subformulas))
+                        for s in self.filed.get((type(b), grade(b)), ())))
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +707,8 @@ def _alpha_canonical(core):
         elif cls in (Less, Eq):
             out.append(cls(*(f"{_CANON_PREFIX}{levels[v][-1]}" if levels.get(v)
                              else v for v in (n.x, n.y))))
-        elif cls is Empty:
+        else:                           # ``Empty``
             out.append(n)
-        else:
-            raise TypeError(f"not a core formula: {n!r}")
     return out.pop()
 
 

@@ -16,7 +16,8 @@ sort record of :mod:`tenseproof.kernel`: clause ``i``, a subformula of its
 sort's pool; ``ii``, a refutation of a pool formula that the sort's
 reductio discharges; ``iii``, the falsum such a refutation yields; and the
 clauses only one sort has (``1iv``, ``1v``; ``2iv``, ``2v``), which
-``_CLAUSES`` lists.  The rule names each connective has come from
+``_CLAUSES`` lists.  One walk gathers the pools and the markers before the
+nodes are justified.  The rule names each connective has come from
 ``rules.DETOUR_PAIRS`` and ``kernel._TENSE``.
 """
 
@@ -242,27 +243,25 @@ def audit_subformula(d: Derivation) -> AuditReport:
     have unjustifiable atoms).
     """
     ctx = open_assumptions(d)
-    nodes = list(d.nodes())
-    leaf_markers = {n.marker for n in nodes if n.is_assumption()}
+    s_l, s_r = list(ctx.gamma), list(ctx.delta)     # a pool drops labels
+    (s_l if isinstance(d.conclusion, Lwff) else s_r).append(d.conclusion)
 
-    s_l = [x.formula for x in ctx.gamma]
-    if isinstance(d.conclusion, Lwff):
-        s_l.append(d.conclusion.formula)
-    s_r = list(ctx.delta)
-    if not isinstance(d.conclusion, Lwff):
-        s_r.append(d.conclusion)
-    for n in nodes:
-        if _is_axiom(n):
-            s_r.append(n.conclusion)
-
+    nodes: list = []
+    leaves: list = []                   # the relational assumption leaves
+    leaf_markers: set = set()
     discharged_by: dict[int, str] = {}
-    for n in nodes:
+    for n in d.nodes():
+        nodes.append(n)
+        if n.is_assumption():
+            leaf_markers.add(n.marker)
+            if not isinstance(n.conclusion, Lwff):
+                leaves.append(n)
+        elif _is_axiom(n):
+            s_r.append(n.conclusion)
         for m in n.discharges:
             discharged_by[m] = n.rule
-    for n in nodes:
-        if (n.is_assumption() and not isinstance(n.conclusion, Lwff)
-                and discharged_by.get(n.marker) in _FRESH_DISCHARGERS):
-            s_r.append(n.conclusion)
+    s_r += [n.conclusion for n in leaves
+            if discharged_by.get(n.marker) in _FRESH_DISCHARGERS]
 
     pools = {LAB: SubformulaPool(s_l), REL: SubformulaPool(s_r)}
 

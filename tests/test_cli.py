@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import random
+import runpy
 import subprocess
 import sys
 
@@ -121,6 +122,17 @@ def test_valid_verb(capsys):
     assert main(["valid", "x : G p -> p", "--max-worlds", "2"]) == 3
     obj = json.loads(capsys.readouterr().out)
     assert obj["failing"] == "x : G p -> p"
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv",
+                        ["tenseproof", "valid", "x : p -> p", "--max-worlds", "2"])
+    # as ``python -m`` would, run it before the package imports it
+    monkeypatch.delitem(sys.modules, "tenseproof.cli", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("tenseproof.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == "VALID(2)"
 
 
 def test_valid_vacuous_profile(capsys):

@@ -137,6 +137,13 @@ def test_restrict_nonatomic_mon_goes_positional():
         assert set(open_assumptions(out)) == expected, formula
 
 
+def test_restrict_refuses_a_mon_that_changes_the_operator():
+    # no chain of mons takes G p to H p: the unchecked tree is a TypeError
+    mon = node("mon", pl("y : H p"), assume(pl("x : G p")), assume(pr("x = y")))
+    with pytest.raises(TypeError, match="no mon takes"):
+        restrict(mon)
+
+
 def _deep_mon(k, labeled):
     """A mon from a k-level implication chain at ``x`` to the same chain
     with ``x`` replaced: ``x : p -> ... -> p -> q`` to ``y``, or

@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 import label_reference as ref
+import pool_reference as pool_ref
 from helpers import (
     all_interpretations, all_models, atoms_of, eval_shortcut, random_entity,
     random_formula, random_rwff,
@@ -20,9 +21,9 @@ from tenseproof.semantics import Countermodel, Model, ProbeReport, eval_entity
 from tenseproof.syntax import (
     And, Atom, Empty, Eq, Exists, F, Falsum, Forall, G, H, Implies, Less, Lwff,
     Not, Or, LabelGen, P, Prec, ProofContext, RAnd, RImplies, RNot, ROr, Top, X,
-    canon, core_eq, expand, fresh_label, grade, is_atomic, is_subformula,
-    label_skeleton, labels_of, match_labels, subformulas, substitute_label,
-    substitute_labels, SubformulaPool,
+    canon, core_eq, expand, fresh_label, grade, is_atomic, is_formula,
+    is_subformula, label_skeleton, labels_of, match_labels, subformulas,
+    substitute_label, substitute_labels, SubformulaPool,
 )
 
 
@@ -227,6 +228,56 @@ def test_label_instances_do_not_capture():
         assert target not in SubformulaPool([pattern])
     assert parse_rwff("forall a. forall b. (a < b) => (z < z)") in SubformulaPool(
         [parse_rwff("forall v. forall w. (v < w) => (y < y)")])
+
+
+def _rename_bound(rho, names):
+    """An alpha-variant of ``rho``: each binder's variable renamed to the
+    next of ``names``, which occur nowhere in ``rho``."""
+    if isinstance(rho, (Forall, Exists)):
+        var = next(names)
+        return type(rho)(var, substitute_labels(_rename_bound(rho.body, names),
+                                                {rho.var: var}))
+    kids = {f: _rename_bound(getattr(rho, f), names)
+            for f in rho._fields if f in ("left", "right", "body")}
+    return type(rho)(*(kids.get(f, getattr(rho, f)) for f in rho._fields))
+
+
+def test_pool_agrees_with_the_unfiled_reference():
+    # the pool filed by class and grade answers has_variant and ``in`` as
+    # the pool that scanned every subformula did: on the subformulas of its
+    # members, their label instances (free labels renamed, or two merged),
+    # their alpha-variants, and formulas of either sort that are no members
+    import itertools
+    rng = random.Random(29)
+    names = (f"v{i}" for i in itertools.count())
+    counts = dict.fromkeys(("variant", "instance", "neither"), 0)
+    for _ in range(120):
+        formulas = [random_rwff(rng, rng.randrange(1, 5), CAPTURING)
+                    for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            formulas += [random_formula(rng, 3), random_entity(rng, 3)]
+        queries = [*formulas, *(s for f in formulas for s in subformulas(f))]
+        for q in list(queries):
+            if isinstance(q, Lwff) or is_formula(q):
+                continue
+            queries.append(_rename_bound(q, names))
+            free = sorted(labels_of(q))
+            if free:
+                queries.append(substitute_labels(q, {
+                    x: rng.choice(CAPTURING + ("z",)) for x in free}))
+            if len(free) > 1:
+                a, b = rng.sample(free, 2)
+                queries.append(substitute_labels(q, {a: b}))
+        queries += [random_rwff(rng, 3, CAPTURING), random_formula(rng, 3),
+                    random_entity(rng, 3)]
+        new, old = SubformulaPool(formulas), pool_ref.SubformulaPool(formulas)
+        for q in queries:
+            variant = new.has_variant(q)
+            assert variant == old.has_variant(q), q
+            assert (q in new) == (q in old), q
+            counts["variant" if variant else
+                   "instance" if q in new else "neither"] += 1
+    assert min(counts.values()) > 100, counts
 
 
 def test_label_skeleton_of_a_tense_formula_is_the_formula():

@@ -54,3 +54,12 @@ class C:
                 (lambda: 3,)]
 '''
     assert statement_lines(source) == [2, 7, 13, 14, 16, 17, 19, 25, 26]
+
+
+def test_untested_lines_exit_code():
+    exit_code = _tool("untested_lines").exit_code
+    assert exit_code(0, 0) == 0
+    assert exit_code(0, 3) == 1         # a statement never ran
+    assert exit_code(1, 0) == 1         # a test failed
+    assert exit_code(2, 3) == 2         # pytest's code takes precedence
+    assert exit_code(5, 0) == 5         # no tests were collected

@@ -7,7 +7,8 @@ import pytest
 
 import track_reference as ref
 from helpers import DerivationGen
-from test_normalize import _g_reductio, _lines_run
+from test_normalize import _deep_mon, _g_reductio, _lines_run
+from tenseproof import syntax
 from tenseproof.corpus import corpus_entries
 from tenseproof.derivation import Derivation, assume, node, path_to
 from tenseproof.kernel import check
@@ -344,3 +345,22 @@ def test_track_passes_grow_linearly(monkeypatch):
     start = time.perf_counter()
     tracks(d)
     assert time.perf_counter() - start < 1.0
+
+
+def test_audit_pool_matches_grow_linearly(monkeypatch):
+    # the audit of the normalized relational mon chain tries match_labels
+    # only within the pool file of the formula it asks for: at most once per
+    # node, and at most x2.3 as k doubles (a scan of the whole pool made
+    # 698 250 and 2 771 500 calls at k = 250 and 500)
+    calls = []
+    match = syntax.match_labels
+    monkeypatch.setattr(syntax, "match_labels",
+                        lambda *args: calls.append(1) or match(*args))
+    counts = []
+    for k in (250, 500):
+        d = normalize(_deep_mon(k, False))
+        calls.clear()
+        assert audit_subformula(d).ok
+        assert len(calls) <= d.node_count(), k
+        counts.append(len(calls))
+    assert counts[1] <= 2.3 * counts[0]

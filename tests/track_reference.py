@@ -4,15 +4,17 @@ code is compared against.  These key every node by its root path
 (``dict(d.walk())``, ``path[:-1]``) and find a link's position in its track
 by searching the track's path tuple, so they cost a root path per node and
 a linear search per link: quadratic and cubic in depth.  Their reports name
-nodes by root path where the library names them by number."""
+nodes by root path where the library names them by number.  The audit
+builds its pools with the unfiled pool of ``pool_reference``."""
 
 from __future__ import annotations
 
+from pool_reference import SubformulaPool
 from tenseproof.derivation import Derivation
 from tenseproof.kernel import _sort, _xf
 from tenseproof.normalize import is_normal
 from tenseproof.rules import ELIM_RULES, FALSUM_RULES, INTRO_RULES
-from tenseproof.syntax import Lwff, SubformulaPool, is_atomic
+from tenseproof.syntax import Lwff, is_atomic
 from tenseproof.tracks import (
     _CLAUSES, _FRESH_DISCHARGERS, _TENSE_ELIMS, AuditReport,
     StructureViolation, Track, TrackLink, TrackReport, _is_axiom, _opens_to,

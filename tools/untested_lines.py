@@ -5,7 +5,9 @@ Runs pytest in-process from the repository root (on ``tests/``, or on what
 its arguments name; every argument goes on to pytest) under a line tracer,
 ``sys.settrace`` and ``threading.settrace``, that records only the files
 under ``src/tenseproof/``.  Then prints ``file:line: text`` for each
-statement that never ran, and their count, and exits with pytest's code.
+statement that never ran, and their count.  Exits with pytest's code when
+pytest failed, else 1 if any statement never ran, else 0, so it can serve
+as a gate.
 
 Statements are read with ``ast``.  Docstrings, ``def`` and ``class`` lines
 and what compiles to no code (``global``, ``nonlocal``, an annotation
@@ -83,6 +85,12 @@ def _tracer(hits: dict):
     return call
 
 
+def exit_code(pytest_code: int, missed: int) -> int:
+    """A pytest failure code first, then 1 for any statement that never
+    ran."""
+    return int(pytest_code) or int(missed > 0)
+
+
 def main(argv=None) -> int:
     import pytest
     args = sys.argv[1:] if argv is None else argv
@@ -108,7 +116,7 @@ def main(argv=None) -> int:
                 print(f"{path.relative_to(ROOT)}:{k}: {text[k - 1].strip()}")
                 missed += 1
     print(f"{missed} statements never ran")
-    return int(code)
+    return exit_code(code, missed)
 
 
 if __name__ == "__main__":
