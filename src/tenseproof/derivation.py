@@ -11,42 +11,46 @@ There are three traversals, none recursive; use the cheapest that serves:
 - ``fold`` computes bottom-up: each node's value from its premises' values.
   Every rebuilding helper below is a fold; ``relabel`` also carries its
   label environment down through the fold's pre-order visit.
-- ``Derivation.nodes`` yields the nodes, root first, premises left to right.
-  A node's place in this order is its *number*, which names it for free;
-  ``path_to`` turns a number into a root path where one is reported.
-- ``Derivation.walk`` yields the same nodes in the same order with their
-  root paths; building a path costs its length, so it serves only
+- ``index`` numbers the nodes once per tree in the order of
+  ``Derivation.nodes``, root first, and keeps the result on the root.  A
+  number names a node, and its subtree is the range ``[k, k + size)``
+  (Dietz, STOC 1982).  The checker, the expander, the tracks and the audit
+  read it; ``path_to`` turns a number into a root path for a report.
+- ``Derivation.walk`` yields the nodes in the same order with their root
+  paths; building a path costs its length, so it serves only
   ``find_redexes``, which names every redex by its path, and tests.
 
-A node is a frozen dataclass whose seven fields and five memos are slots
+A node is a frozen dataclass whose seven fields and six memos are slots
 of the common base ``_Memos``.  ``Derivation(...)`` fills a ``_Open``, an
 unguarded sibling class, by plain stores and then gives it its class,
 which is cheaper than a dataclass ``__init__`` that writes each field past
 the frozen guard.
 
 The memos are left out of the constructor, comparison, ``repr`` and
-copies, and written past the frozen guard: ``_size``, the number of nodes
-in its subtree, written by ``from_json`` as it builds the node, or else by
-``node_count``; for the normalizer ``_redex``, the key of the least redex
-at the node itself, ``_least``, the key of the least redex in its subtree
-with the path relative to the node, and ``_mon``, the class of a ``mon``
-node; and for the checker ``_clean``, set on a derived node whose core
-template checked clean.  The others stay unset until asked for.  Each
-reads only the node's own immutable subtree, so the memos hold wherever
-the node object sits, in any tree (``_clean`` wherever no leaf the node
-discharges lies outside it, which the checker tests).
+copies, written past the frozen guard, and unset until asked for:
+``_size``, the number of nodes in its subtree (``node_count``);
+``_index``, its ``index``; for the normalizer ``_redex``, the key of the
+least redex at the node, ``_least``, that of the least redex in its
+subtree with the path relative to the node, and ``_mon``, the class of a
+``mon`` node; and for the checker ``_clean``, set on a derived node whose
+core template checked clean.  Each reads only the node's immutable
+subtree, so the memos hold wherever the node sits, in any tree (``_clean``
+wherever no leaf the node discharges lies outside it, which the checker
+tests).
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, Optional, Union
 
 from . import parser
 from .syntax import (
-    Eq, Exists, Forall, Less, Lwff, Prec, RFormula, post_order,
+    Eq, Exists, Forall, Less, Lwff, Prec, RFormula, labels_of, post_order,
     substitute_labels,
 )
 
@@ -57,12 +61,12 @@ ASSUME = "assume"
 
 
 class _Memos:
-    """The slots of a node: its seven fields, then its five memos (see
+    """The slots of a node: its seven fields, then its six memos (see
     above), which are no dataclass fields and stay unset until written."""
 
     __slots__ = ("rule", "conclusion", "premises", "marker", "discharges",
-                 "fresh", "position", "_size", "_redex", "_least", "_mon",
-                 "_clean")
+                 "fresh", "position", "_size", "_index", "_redex", "_least",
+                 "_mon", "_clean")
 
 
 class _Open(_Memos):
@@ -138,19 +142,111 @@ class Derivation(_Memos):
 
 
 def path_to(d: Derivation, k: int) -> Path:
-    """The root path of node number ``k`` of ``d`` (see ``nodes``), found by
-    walking down from the root past whole premises, whose sizes
-    ``node_count`` gives."""
-    path = []
+    """The root path of node number ``k`` of ``d``, read off its parents."""
+    ix, path = index(d), []
     while k:
-        k -= 1
-        for i, p in enumerate(d.premises):
-            if k < p.node_count():
-                break
-            k -= p.node_count()
-        path.append(i)
-        d = p
-    return tuple(path)
+        p = ix.parent[k]
+        path.append(ix.premises(p).index(k))
+        k = p
+    return tuple(reversed(path))
+
+
+class Index:
+    """The pre-order index of a tree: ``nodes`` by number, ``post`` the
+    numbers in post-order, the ``size`` and ``parent`` (-1 at the root) of
+    each node, and the ascending numbers of the assumptions, of each
+    marker's leaves and dischargers, and of the assumptions with premises
+    (``blocks``), which close every leaf above them."""
+
+    _free = None            # each label's leaves (``_labels``)
+
+    def __init__(self, d: Derivation):
+        self.nodes, self.post, self.size, self.parent = nodes, post, size, parent = [], [], [], []
+        self.assumptions, self.leaves, self.dischargers, self.blocks = [], {}, {}, []
+        stack = [d]             # the nodes to enter; None leaves one
+        above = [-1]            # the number of the node each is above
+        while stack:
+            n, p = stack.pop(), above.pop()
+            if n is None:
+                size[p] = len(nodes) - p
+                post.append(p)
+                continue
+            k = len(nodes)
+            nodes.append(n)
+            parent.append(p)
+            size.append(1)
+            if n.premises:
+                stack.append(None)
+                stack += n.premises[::-1]
+                above += [k] * (len(n.premises) + 1)
+            else:
+                post.append(k)
+            if n.rule == ASSUME:
+                self.assumptions.append(k)
+                if n.marker is not None:
+                    self.leaves.setdefault(n.marker, []).append(k)
+                if n.premises:
+                    self.blocks.append(k)
+            for m in n.discharges:
+                self.dischargers.setdefault(m, []).append(k)
+
+    def premises(self, k: int) -> list:
+        """The numbers of the premises of node ``k``."""
+        size, out, c = self.size, [], k + 1
+        for _ in self.nodes[k].premises:
+            out.append(c)
+            c += size[c]
+        return out
+
+    def closer(self, marker, pos: int) -> int:
+        """The deepest proper ancestor of node ``pos`` that discharges
+        ``marker`` or is an assumption, which closes a leaf there, or -1."""
+        size = self.size
+        return max((j for j in chain(self.dischargers.get(marker, ()), self.blocks)
+                    if j < pos < j + size[j]), default=-1)
+
+    def open_leaves(self, k: int, label=None) -> Iterator[int]:
+        """The numbers of the leaves open in subtree ``k``, in order; with a
+        ``label``, only those in which it is free."""
+        among = self.assumptions if label is None else self._labels()[0].get(label, ())
+        for leaf in among[bisect_left(among, k):bisect_left(among, k + self.size[k])]:
+            if self.closer(self.nodes[leaf].marker, leaf) < k:
+                yield leaf
+
+    def open_above(self, k: int, label) -> bool:
+        """Is ``label`` free in a leaf of subtree ``k`` that is open in the
+        subtree of its parent?  Counted, so closed leaves are not scanned:
+        those closed in subtree ``k`` or by the parent ``q`` have their
+        closer in ``[k, k + size)`` or equal to ``q``."""
+        free, shut = self._labels()
+        among, shut = free.get(label, ()), shut.get(label, ())
+        q, e = self.parent[k], k + self.size[k]
+        return (bisect_left(among, e) - bisect_left(among, k)
+                > bisect_left(shut, (e,)) - bisect_left(shut, (k,))
+                + bisect_left(shut, (q, e)) - bisect_left(shut, (q, k)))
+
+    def _labels(self) -> tuple:
+        """Each label's leaves, and the sorted ``(closer, number)`` of those
+        a node closes, built on first use."""
+        if self._free is None:
+            free, shut = {}, {}
+            for leaf in self.assumptions:
+                c = self.closer(self.nodes[leaf].marker, leaf)
+                for x in labels_of(self.nodes[leaf].conclusion):
+                    free.setdefault(x, []).append(leaf)
+                    if c >= 0:
+                        shut.setdefault(x, []).append((c, leaf))
+            for pairs in shut.values():
+                pairs.sort()
+            self._free = free, shut
+        return self._free
+
+
+def index(d: Derivation) -> Index:
+    """The ``Index`` of ``d``, built once and kept in its ``_index`` slot."""
+    if not hasattr(d, "_index"):
+        _Memos._index.__set__(d, Index(d))
+    return d._index
 
 
 def assume(conclusion: Conclusion, marker: Optional[int] = None) -> Derivation:
@@ -400,21 +496,18 @@ def from_json(obj: dict) -> Derivation:
     explicit stack.  A node's rule, discharges and premises are checked
     before its premises are read, its other fields after; a ``null`` field
     counts as absent, one of another name is an error.  Each distinct
-    conclusion text is parsed once, and each node's ``_size`` is written."""
+    conclusion text is parsed once."""
     from .rules import RULES
 
-    set_size = _Memos._size.__set__     # writes the slot past the frozen guard
     parsed: dict = {}
     built: list = []        # the nodes built whose parent is not yet built
-    count = 0               # the number of nodes built
     stack: list = [obj]     # a tuple is a node whose premises are built
     while stack:
         obj = stack.pop()
         if obj.__class__ is tuple:
-            obj, rule, discharges, k, start = obj
+            obj, rule, discharges, k = obj
             premises = tuple(built[-k:])
             del built[-k:]
-            size = count - start + 1
         else:
             if not isinstance(obj, dict):
                 raise ValueError(f"derivation node must be a JSON object, not {brief_repr(obj)}")
@@ -439,10 +532,10 @@ def from_json(obj: dict) -> Derivation:
             if premises is not None and premises.__class__ is not list:
                 raise _mistyped(obj, "premises")
             if premises:
-                stack.append((obj, rule, discharges, len(premises), count))
+                stack.append((obj, rule, discharges, len(premises)))
                 stack += premises[::-1]
                 continue
-            premises, size = (), 1
+            premises = ()
         text = obj.get("conclusion")
         if text is None:
             conclusion = RULES[rule].axiom_template
@@ -460,9 +553,7 @@ def from_json(obj: dict) -> Derivation:
                 and (position is None or position.__class__ is int)):
             raise _mistyped(obj, "marker", "fresh", "position")
         d = Derivation(rule, conclusion, premises, marker, discharges, fresh, position)
-        set_size(d, size)
         built.append(d)
-        count += 1
     return built[0]
 
 

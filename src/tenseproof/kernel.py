@@ -50,29 +50,19 @@ open assumption of the premise other than the hypotheses discharged.  One
 validator, ``_axiom``, serves every axiom rule; ``_VALIDATOR`` is the
 dispatch.
 
-``check`` makes two passes over the tree, neither recursive, and names a
-node by its number, its place in ``Derivation.nodes`` order.  A ``nodes``
-scan indexes each marker's leaves by number and finds markers discharged
-at two nodes.  Then ``_open_fold``, one post-order pass, computes each
-subtree's open leaves once (a leaf is closed by any ancestor naming its
-marker) and validates each node with its premises' open leaves and numbers
-in hand, so one bisect tells which premise holds a leaf; the freshness
-conditions, the stand-ins and the report's open context all read that
-result.  A derived node's template gets its own ``_open_fold``, which stops
-at the stand-ins and takes their open leaves from the premises'.  A number
-becomes a root path (``path_to``) only in a report.
+``check`` names a node by its number in the tree's index
+(``derivation.index``) and spells its root path (``path_to``) only in a
+report.  It validates the nodes in post-order and asks the index for the
+open leaves that freshness and the open context need.  A derived node's
+template gets its own index (``_Template``), whose stand-ins take their
+open leaves from the premises' ranges in the outer tree.
 
-``expand_derived`` is one ``fold`` that numbers the nodes in the same
-order, each number carried in the fold's node tag, and indexes each leaf as
-it passes it.  A leaf comes before any node that can discharge it, so each
-derived node's expander gets the leaves it discharges (``_held``), as the
-checker's stand-ins do, without a scan of its premises; their numbers
-follow from their sizes (``node_count``).  A case split that discharges a
-marker of two leaves may move some of them to a marker of their own
-(``_split``).  It rebuilds no premise, which would map the whole branch: it
-notes each move under the leaf's place in ``held``.  The checker indexes
-the stand-ins' leaves under the noted markers, and ``expand_derived``
-renames the leaves where they lie, in one pass at the end.
+``expand_derived`` builds the nodes in the index's post-order, each derived
+node's expander given the leaves it discharges (``_held``).  A case split
+may move the leaves of a marker it discharges in two places to a marker of
+their own (``_split``), noting them by number.  Each leaf of a marker a
+derived node discharges is built as an object of its own, so the moved
+ones get their marker where they lie once every node is built.
 """
 
 from __future__ import annotations
@@ -80,13 +70,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate, chain
+from itertools import chain
 from operator import attrgetter
 from typing import Callable
 
 from .derivation import (
-    Derivation, MarkerGen, all_markers, assume, fold, map_leaves, node,
-    path_to, with_premises,
+    ASSUME, Derivation, MarkerGen, all_markers, assume, index, node, path_to,
+    with_premises,
 )
 from .rules import CONNECTIVE_RULES, KL, RULES, LogicProfile
 from .syntax import (
@@ -197,13 +187,9 @@ class CheckReport:
 def open_assumptions(d: Derivation) -> ProofContext:
     """Leaf formulas whose markers are never discharged on their root path,
     split into labeled and relational parts (set semantics)."""
-    return _context(_open_fold(d))
-
-
-def _context(opens) -> ProofContext:
-    gamma, delta = set(), set()
-    for _, _, leaf in opens:
-        c = leaf.conclusion
+    ix, gamma, delta = index(d), set(), set()
+    for leaf in ix.open_leaves(0):
+        c = ix.nodes[leaf].conclusion
         (gamma if isinstance(c, Lwff) else delta).add(c)
     return ProofContext.make(gamma, delta)
 
@@ -211,46 +197,6 @@ def _context(opens) -> ProofContext:
 # rule of the node standing in for premise ``marker`` of a derived node
 # while its template is checked; no rule name can equal it
 _STANDIN = object()
-
-
-def _open_fold(d: Derivation, visit=None, standins=()) -> list:
-    """The open leaves of ``d`` as ``(d, number, leaf)`` triples.  Each
-    subtree's open leaves are computed once, in post-order;
-    ``visit(k, node, below, starts, end)`` sees node number ``k`` with the
-    open leaves and numbers of its premises and the number past its
-    subtree.  A stand-in is not entered: it counts as itself and its
-    premises, and its open leaves are ``standins[stand-in.marker]``."""
-    done: list = []         # open leaves of each finished subtree
-    firsts: list = []       # and its number
-    stack: list = [d]
-    count = 0
-    while stack:
-        n = stack.pop()
-        if n.__class__ is not tuple:
-            if n.rule == _STANDIN:
-                done.append(standins[n.marker])
-                firsts.append(count)
-                count += 1 + len(n.premises)
-            else:                           # its premises first, then it
-                stack.append((count, n))
-                count += 1
-                stack += n.premises[::-1]
-            continue
-        k, n = n
-        j = len(done) - len(n.premises)
-        below, starts = done[j:], firsts[j:]
-        del done[j:], firsts[j:]
-        if visit is not None:
-            visit(k, n, below, starts, count)
-        if n.is_assumption():
-            opens = [(d, k, n)]
-        else:
-            opens = below[0] if len(below) == 1 else list(chain.from_iterable(below))
-            if n.discharges:
-                opens = [e for e in opens if e[2].marker not in n.discharges]
-        done.append(opens)
-        firsts.append(k)
-    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,37 +257,28 @@ def mon_positions(major, minor_eq, conclusion):
 # The checker
 
 def check(d: Derivation, profile: LogicProfile = KL) -> CheckReport:
-    violations: list[Violation] = []
-    marker_leaves: dict[int, list] = {}
-    dischargers: set = set()
-    for k, n in enumerate(d.nodes()):
-        if n.is_assumption() and n.marker is not None:
-            marker_leaves.setdefault(n.marker, []).append((k, n))
-        for m in n.discharges:
-            if m in dischargers:
-                violations.append(Violation(
-                    path_to(d, k), "BadDischarge",
-                    f"marker {m} already discharged at another node"))
-            else:
-                dischargers.add(m)
-
-    top = max(chain(marker_leaves, dischargers), default=0)
-    checker = _Checker(profile, violations, d, marker_leaves, top)
-    open_ctx = _context(_open_fold(d, checker.visit))
-    ok = not violations
-    return CheckReport(tuple(violations), open_ctx, d.conclusion,
-                       ok and open_ctx.is_empty())
+    checker = _Checker(profile, d)
+    ix = checker.ix
+    for k in sorted({k for ks in ix.dischargers.values() for k in ks[1:]}):
+        for m in ix.nodes[k].discharges:
+            if ix.dischargers[m][0] != k:
+                checker.bad(k, "BadDischarge",
+                            f"marker {m} already discharged at another node")
+    for k in ix.post:
+        checker.visit(k, ix.nodes[k])
+    violations, open_ctx = tuple(checker.violations), open_assumptions(d)
+    return CheckReport(violations, open_ctx, d.conclusion,
+                       not violations and open_ctx.is_empty())
 
 
-def _held(n, k, starts, end, marker_leaves) -> list:
-    """The leaves that carry a marker ``n``, node number ``k``, discharges:
-    in each premise of ``n``, and last those outside it.  ``starts`` are
-    the premises' numbers, ``end`` the number past the subtree, and
-    ``marker_leaves`` maps each marker to its ``(number, leaf)`` pairs."""
-    held: list = [[] for _ in range(len(n.premises) + 1)]
-    for m in sorted(n.discharges):
-        for lk, leaf in marker_leaves.get(m, ()):
-            held[bisect_right(starts, lk) - 1 if k < lk < end else -1].append(leaf)
+def _held(ix, k) -> list:
+    """The numbers of the leaves that carry a marker node ``k`` of ``ix``
+    discharges: in each of its premises, and last those outside it."""
+    starts, end = ix.premises(k), k + ix.size[k]
+    held: list = [[] for _ in range(len(starts) + 1)]
+    for m in sorted(ix.nodes[k].discharges):
+        for leaf in ix.leaves.get(m, ()):
+            held[bisect_right(starts, leaf) - 1 if k < leaf < end else -1].append(leaf)
     return held
 
 
@@ -356,46 +293,40 @@ def _standin_template(n, held, mgen, moves) -> Derivation:
         n.discharges, n.fresh, n.position), mgen, held, moves)
 
 
-def _eigen_clash(z, n, opens):
-    """The first open leaf ``(tree, number, leaf)`` of ``opens`` that ``n``
-    does not discharge and in which the label ``z`` is free, or ``None``."""
-    return next((e for e in opens if e[2].marker not in n.discharges
-                 and z in labels_of(e[2].conclusion)), None)
-
-
 class _Checker:
     """Validates the nodes of ``tree`` one at a time, each named by its
-    number (see ``_open_fold``); a report turns the number into a root path.
-    ``marker_leaves`` maps each marker to the ``(number, leaf)`` pairs of its
-    leaves, number -1 for a leaf outside the tree being checked.  The
-    checker of a derived node's template reports every violation at that
-    node, number ``at`` of ``tree``; a leaf of one of the template's ``own``
-    markers that does not fit is a ``PatternMismatch``, because the node's
-    formulas do not fit its rule."""
+    number in the tree's index ``ix``; a report turns the number into a
+    root path.  ``marker_leaves`` maps each marker to its leaves' numbers."""
 
-    def __init__(self, profile, violations, tree, marker_leaves, top=0,
-                 at=None, own=frozenset()):
-        self.profile = profile
-        self.violations = violations
-        self.tree = tree
-        self.marker_leaves = marker_leaves
+    own = frozenset()       # the markers a template makes (``_Template``)
+
+    def __init__(self, profile, tree):
+        self.profile, self.tree, self.violations = profile, tree, []
+        self.ix = ix = index(tree)
+        self.marker_leaves = ix.leaves
         # the markers a template makes lie above ``top``, every marker of
         # the tree, so none closes a leaf of the tree by accident
-        self.top = top
-        self.at = at
-        self.own = own
-        self.below = ()      # open leaves of each premise of the node at hand
+        self.top = max(chain(ix.leaves, ix.dischargers), default=0)
         self.clean: set = set()     # keys whose template checked clean
 
     def bad(self, k, kind, message):
-        if self.at is not None:
-            k, message = self.at, f"in the core expansion: {message}"
         self.violations.append(Violation(path_to(self.tree, k), kind, message))
+
+    def _clash(self, z, n, p):
+        """The first leaf ``(tree, number, leaf)`` of premise ``p`` of ``n``
+        that is open in the subtree of ``n`` and in which ``z`` is free, or
+        ``None``.  The index counts them first, so no leaf is scanned where
+        there is none."""
+        ix = self.ix
+        if not ix.open_above(p, z):
+            return None
+        return next(((self.tree, k, ix.nodes[k]) for k in ix.open_leaves(ix.parent[p], z)
+                     if p <= k < p + ix.size[p]), None)
 
     # -- traversal -----------------------------------------------------
 
-    def visit(self, k, n, below, starts, end) -> None:
-        """Validate node number ``k``; the rest as ``_open_fold`` gives."""
+    def visit(self, k, n) -> None:
+        """Validate node ``n``, number ``k``."""
         if n.is_assumption():
             if n.premises:
                 self.bad(k, "StructuralError", "assumption with premises")
@@ -427,36 +358,35 @@ class _Checker:
                      f"{n.rule} needs profile extra '{schema.requires}'")
 
         if schema.kind != "derived":
-            self.core(k, n, below, starts, end)
+            self.core(k, n)
             return
         # a missing fresh label is reported above and leaves no template
         checked = ((n.fresh is not None or not schema.fresh)
-                   and self._template(k, n, below, starts, end))
+                   and self._template(k, n))
         if not (checked and schema.discharging):
             # no template discharges the markers this node names
-            self._check_discharges(k, n, {}, starts, end)
+            self._check_discharges(k, n, {})
 
-    def core(self, k, n, below, starts, end) -> None:
+    def core(self, k, n) -> None:
         """Validate a core node (or a leaf) against its rule."""
-        self.below = below
         validator = _VALIDATOR.get(n.rule)
         allowed = validator(self, k, n) if validator is not None else None
-        self._check_discharges(k, n, allowed or {}, starts, end)
+        self._check_discharges(k, n, allowed or {})
 
-    def _template(self, k, n, below, starts, end) -> bool:
+    def _template(self, k, n) -> bool:
         """Check derived node ``n`` through its core template (``_expand``)
         unless it is known clean, on ``n`` (``_clean``) or on a node of its
         key (``_key``); never so while ``n`` discharges a leaf outside it.
         False when ``n`` lacks the shape its rule needs."""
-        held = _held(n, k, starts, end, self.marker_leaves)
+        held = [[self.ix.nodes[j] for j in h] for h in _held(self.ix, k)]
         if held[-1]:
-            return self._expand(k, n, held, below)
+            return self._expand(k, n, held)
         if getattr(n, "_clean", False):
             return True
         key, count = self._key(n, held), len(self.violations)
-        if not (key in self.clean and (
-                n.fresh is None or not _eigen_clash(n.fresh, n, below[-1]))
-                or self._expand(k, n, held, below)):
+        if not (key in self.clean and (n.fresh is None or not self._clash(
+                n.fresh, n, self.ix.premises(k)[-1]))
+                or self._expand(k, n, held)):
             return False
         if len(self.violations) == count:
             self.clean.add(key)
@@ -483,7 +413,7 @@ class _Checker:
         eigenlabel condition of the template's ``g_i``, ``h_i`` or ``all_i``
         reads the minor premise's open leaves that ``n`` does not discharge,
         which the key leaves out: so once a node of its key checked clean,
-        ``n`` checks clean if and only if ``_eigen_clash`` finds none.  The
+        ``n`` checks clean if and only if ``_clash`` finds none.  The
         ``_clean`` slot needs no such test: the template check reads only
         ``n``'s immutable subtree, once no leaf of a marker ``n`` discharges
         lies outside it, which ``_template`` tests first on every call."""
@@ -498,49 +428,35 @@ class _Checker:
         first: dict = {}
         return key + (tuple([first.setdefault(x, len(first)) for x in labels]),)
 
-    def _expand(self, k, n, held, below) -> bool:
-        """Check the core template of derived node number ``k`` over
-        stand-ins for its premises, which carry their conclusions and, as
-        premises, the ``held`` leaves (see ``_held``), each indexed under
-        the marker a split moves it to, if any."""
+    def _expand(self, k, n, held) -> bool:
+        """Check derived node number ``k`` through its core template over
+        stand-ins that carry the ``held`` leaves (``_Template``)."""
         moves: dict = {}
         try:
             template = _standin_template(n, held, MarkerGen((self.top,)), moves)
         except _Mismatch as exc:
             self.bad(k, "PatternMismatch", f"{n.rule} needs {exc}")
             return False
-        index: dict = {}
-        for leaf in held[-1]:
-            index.setdefault(leaf.marker, []).append((-1, leaf))
-        own, moved = set(), {}      # the number of each moved leaf -> marker
-        for tk, t in enumerate(template.nodes()):
-            if t.is_assumption() and t.marker is not None:
-                index.setdefault(moved.get(tk, t.marker), []).append((tk, t))
-            elif t.rule == _STANDIN and moves:
-                lk = tk + 1
-                for j, leaf in enumerate(t.premises):
-                    if (t.marker, j) in moves:
-                        moved[lk] = moves[t.marker, j]
-                    lk += leaf.node_count()
-            own |= t.discharges
-        sub = _Checker(self.profile, self.violations, self.tree, index, at=k,
-                       own=own - n.discharges - set(moves.values()))
-        _open_fold(template, sub.core, below)
+        _Template(self, k, n, template, held, moves)
         return True
 
-    def _check_discharges(self, k, n, allowed, starts, end) -> None:
+    def _check_discharges(self, k, n, allowed) -> None:
         """Every leaf carrying a marker ``n`` discharges must lie in a
         premise ``allowed`` names and have one of its shapes."""
+        if not n.discharges:
+            return
+        nodes, starts, end = self.ix.nodes, self.ix.premises(k), k + self.ix.size[k]
         for m in sorted(n.discharges):
             kind = "PatternMismatch" if m in self.own else "BadDischarge"
-            for lk, leaf in self.marker_leaves.get(m, ()):
+            for lk in self.marker_leaves.get(m, ()):
                 patterns = (allowed.get(bisect_right(starts, lk) - 1)
                             if k < lk < end else None)
                 if patterns is None:
                     self.bad(k, kind,
                              f"marker {m} leaf lies outside the premise "
                              f"{n.rule} may discharge from")
-                elif not any(core_eq(leaf.conclusion, pat) for pat in patterns):
+                elif not any(core_eq(nodes[lk].conclusion, pat)
+                             for pat in patterns):
                     self.bad(k, kind,
                              f"marker {m} leaf does not match the "
                              f"dischargeable shape of {n.rule}")
@@ -598,7 +514,7 @@ class _Checker:
             self.bad(k, "FreshnessViolation",
                      f"fresh label {z} occurs in the conclusion")
             return
-        clash = _eigen_clash(z, n, self.below[0])
+        clash = self._clash(z, n, k + 1)
         if clash is not None:
             tree, lk, _ = clash
             self.bad(k, "FreshnessViolation",
@@ -688,6 +604,56 @@ _VALIDATOR = {
 }
 
 
+class _Template(_Checker):
+    """Checks the template of derived node ``n``, number ``at`` of the tree
+    ``outer`` checks, and reports every violation at that node.  Its
+    stand-ins, not entered, carry the ``held`` leaves, each indexed under
+    the marker a split moves it to.  A leaf of one of the template's own
+    markers that does not fit is a ``PatternMismatch``: the node's formulas
+    do not fit its rule."""
+
+    def __init__(self, outer, at, n, template, held, moves):
+        ix = index(template)
+        nodes, parent = ix.nodes, ix.parent
+        table: dict = {}        # each marker's leaves, -1 outside the node
+        for leaf in held[-1]:
+            table.setdefault(leaf.marker, []).append(-1)
+        for m, leaves in ix.leaves.items():
+            for leaf in leaves:
+                p = parent[leaf]    # a stand-in holds leaves only
+                moved = (moves.get((nodes[p].marker, leaf - p - 1))
+                         if nodes[p].rule is _STANDIN else None)
+                table.setdefault(moved or m, []).append(leaf)
+        self.profile, self.tree, self.violations = outer.profile, outer.tree, outer.violations
+        self.ix, self.marker_leaves, self.starts = ix, table, outer.ix.premises(at)
+        self.outer, self.at, self.template = outer, at, template
+        self.own = set(ix.dischargers) - n.discharges - set(moves.values())
+        for k in ix.post:
+            t, p = nodes[k], parent[k]
+            if t.rule is not _STANDIN and (p < 0 or nodes[p].rule is not _STANDIN):
+                self.core(k, t)
+
+    def bad(self, k, kind, message):
+        super().bad(self.at, kind, f"in the core expansion: {message}")
+
+    def _clash(self, z, n, p):
+        """As ``_Checker._clash``: a stand-in gives the open leaves of its
+        premise that ``n`` and the template nodes above it do not close."""
+        ix, outer = self.ix, self.outer
+        for k in range(p, p + ix.size[p]):
+            t = ix.nodes[k]
+            if t.rule is _STANDIN:
+                for lk in outer.ix.open_leaves(self.starts[t.marker], z):
+                    m = outer.ix.nodes[lk].marker
+                    if m not in n.discharges and ix.closer(m, k) < p:
+                        return outer.tree, lk, outer.ix.nodes[lk]
+            elif (t.rule == ASSUME and ix.nodes[ix.parent[k]].rule is not _STANDIN
+                  and t.marker not in n.discharges and z in labels_of(t.conclusion)
+                  and ix.closer(t.marker, k) < p):
+                return self.template, k, t
+        return None
+
+
 # ---------------------------------------------------------------------------
 # Derived-rule expansion
 
@@ -697,39 +663,29 @@ def expand_derived(d: Derivation) -> Derivation:
     The result uses only core and axiom rules, checks valid whenever the
     input does, and has exactly the same conclusion and open assumptions.
     """
+    ix = index(d)
+    nodes, built = ix.nodes, [None] * len(ix.nodes)
     mgen = MarkerGen(all_markers(d))
-    marker_leaves: dict = {}
-    seen: set = set()       # the ids of the marked leaves met
-    renamed: dict = {}      # the id of each leaf a split moves -> marker
-    count = 0
-
-    def number(t: Derivation) -> tuple:
-        nonlocal count
-        if t.marker is not None and t.is_assumption():
-            if id(t) in seen:       # one leaf object to each occurrence
-                t = Derivation(t.rule, t.conclusion, (), t.marker)
-            seen.add(id(t))
-            marker_leaves.setdefault(t.marker, []).append((count, t))
-        count += 1
-        return (count - 1, t), t.premises
-
-    def expand_node(tag: tuple, premises: list) -> Derivation:
-        k, n = tag
-        if RULES[n.rule].kind != "derived":
-            return with_premises(n, premises)
-        starts = list(accumulate((p.node_count() for p in n.premises[:-1]),
-                                 initial=k + 1))
-        held, moves = _held(n, k, starts, count, marker_leaves), {}
-        t = _EXPANDERS[n.rule](with_premises(n, premises), mgen, held, moves)
-        for (i, j), m in moves.items():
-            renamed.setdefault(id(held[i][j]), m)
-        return t
-
-    d = fold(d, expand_node, number)
-    if not renamed:
-        return d
-    return map_leaves(d, lambda leaf: replace(leaf, marker=renamed[id(leaf)])
-                      if id(leaf) in renamed else leaf)
+    # the markers a derived node discharges, whose leaves a split may move
+    movable = {m for m, ks in ix.dischargers.items()
+               if any(nodes[k].rule in _EXPANDERS for k in ks)}
+    moved: dict = {}        # number of each leaf a split moves -> marker
+    for k in ix.post:
+        n, premises = nodes[k], [built[p] for p in ix.premises(k)]
+        if n.is_assumption() and n.marker in movable:   # an object of its own
+            built[k] = Derivation(n.rule, n.conclusion, tuple(premises), n.marker,
+                                  n.discharges, n.fresh, n.position)
+        elif RULES[n.rule].kind != "derived":
+            built[k] = with_premises(n, premises)
+        else:
+            held, moves = _held(ix, k), {}
+            built[k] = _EXPANDERS[n.rule](with_premises(n, premises), mgen, [
+                [nodes[j] for j in h] for h in held], moves)
+            for (i, j), m in moves.items():
+                moved.setdefault(held[i][j], m)
+    for k, m in moved.items():      # where the leaf lies, in this result only
+        object.__setattr__(built[k], "marker", m)
+    return built[0]
 
 
 class _Mismatch(Exception):

@@ -6,9 +6,10 @@ root, at a universal-falsum premise, or at a minor premise.  In a normal
 derivation every track splits into an elimination part, an atomic central
 part, and an introduction part; cross-system connections between labeled and
 relational tracks happen in exactly four ways.  ``tracks`` finds them in
-one ``derivation.fold``.  Reports name a node by its number in
-``Derivation.nodes`` order, as the checker does, and spell its root path
-(``path_to``) only in a fault: a ``StructureViolation`` or an audit
+one reverse loop over the numbers of the tree's index (``derivation.index``,
+which the checker and the audit read too), premises before their node.
+Reports name a node by its number, as the checker does, and spell its root
+path (``path_to``) only in a fault: a ``StructureViolation`` or an audit
 violation.
 
 The subformula audit justifies each occurrence by one justifier over the
@@ -16,17 +17,17 @@ sort record of :mod:`tenseproof.kernel`: clause ``i``, a subformula of its
 sort's pool; ``ii``, a refutation of a pool formula that the sort's
 reductio discharges; ``iii``, the falsum such a refutation yields; and the
 clauses only one sort has (``1iv``, ``1v``; ``2iv``, ``2v``), which
-``_CLAUSES`` lists.  One walk gathers the pools and the markers before the
-nodes are justified.  The rule names each connective has come from
-``rules.DETOUR_PAIRS`` and ``kernel._TENSE``.
+``_CLAUSES`` lists.  The pools come from the index's open leaves, axioms
+and marker tables before the nodes are justified.  The rule names each
+connective has come from ``rules.DETOUR_PAIRS`` and ``kernel._TENSE``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derivation import Derivation, fold, path_to
-from .kernel import LAB, REL, _TENSE, _sort, _xf, open_assumptions
+from .derivation import Derivation, index, path_to
+from .kernel import LAB, REL, _TENSE, _sort, _xf
 from .normalize import is_normal
 from .rules import ELIM_RULES, FALSUM_RULES, INTRO_RULES, RULES
 from .syntax import Forall, Lwff, SubformulaPool, is_atomic, match_labels
@@ -87,53 +88,43 @@ def tracks(d: Derivation) -> TrackReport:
     if not is_normal(d).normal:
         raise ValueError("tracks are defined on normal derivations only")
 
-    order: list = []        # the nodes by number
+    ix = index(d)
+    nodes = ix.nodes
     chains: list = []       # per track: its node numbers, origin first
     ends: list = []         # per track: origin, terminus, the number below
-    where: dict = {}        # node number -> its track
-    stray = []              # the numbers of the nodes on no track
-
-    def number(t: Derivation) -> tuple:
-        k = len(order)
-        order.append(t)
+    on: list = [None] * len(nodes)      # each node's track
+    for k, t in enumerate(nodes):
         origin = ("assumption" if t.is_assumption() else "axiom" if _is_axiom(t)
                   else "uf-conclusion" if t.rule in _UF else None)
         if origin:
-            where[k] = len(chains)
+            on[k] = len(chains)
             chains.append([k])
             ends.append([origin, None, None])
-        return (k, t), t.premises
-
-    def combine(tag: tuple, above: list):
-        """The track running on below node ``n``, number ``k``: the one
-        ``n`` opens, or its major premise's, which ``n`` extends; the others
-        end at ``n``."""
-        k, n = tag
-        if n.rule in _UF or not above:
-            t = where.get(k)
-            closed, terminus = above, "uf-premise"
+    # premises first: below node ``k`` runs the track it opens, or its major
+    # premise's, which it extends; the others end at it
+    stray = []              # the numbers of the nodes on no track
+    for k in range(len(nodes) - 1, -1, -1):
+        above = [on[p] for p in ix.premises(k)]
+        if nodes[k].rule in _UF or not above:
+            t, closed, terminus = on[k], above, "uf-premise"
         else:
-            t = above[0]
-            closed, terminus = above[1:], "minor-premise"
+            t, closed, terminus = above[0], above[1:], "minor-premise"
             if t is not None:
-                where[k] = t
                 chains[t].append(k)
+            on[k] = t
         for u in closed:
             if u is not None:
                 ends[u][1:] = terminus, k
         if t is None:
             stray.append(k)
-        return t
+    if on[0] is not None:
+        ends[on[0]][1] = "conclusion"
 
-    last = fold(d, combine, number)
-    if last is not None:
-        ends[last][1] = "conclusion"
-
-    out = [_decompose(d, order, chain, *end) for chain, end in zip(chains, ends)]
+    out = [_decompose(d, nodes, chain, *end) for chain, end in zip(chains, ends)]
     if stray:
         raise StructureViolation(
             f"node {path_to(d, min(stray))} belongs to no track")
-    links = _classify_links(order, out, ends, where)
+    links = _classify_links(nodes, out, ends, on)
     return TrackReport(tuple(out), tuple(links))
 
 
@@ -191,13 +182,13 @@ def _decompose(d, order, chain, origin, terminus, end) -> Track:
     return Track(tuple(chain), kind, origin, terminus, elim, central, intro)
 
 
-def _classify_links(order, track_list, ends, where):
+def _classify_links(order, track_list, ends, on):
     links = []
     for ti, (t, (_, terminus, at)) in enumerate(zip(track_list, ends)):
         if at is None:                  # the track ends at the root
             continue
         b = order[at]
-        tj = where[at]
+        tj = on[at]
         if terminus == "uf-premise":
             case = "iv" if b.rule == "uf1" else "iii"
             links.append(TrackLink(case, ti, tj, at, b.rule))
@@ -242,26 +233,19 @@ def audit_subformula(d: Derivation) -> AuditReport:
     those occurrences; without them even simple normal derivations would
     have unjustifiable atoms).
     """
-    ctx = open_assumptions(d)
-    s_l, s_r = list(ctx.gamma), list(ctx.delta)     # a pool drops labels
+    ix = index(d)
+    nodes = ix.nodes
+    # the rule of the last node that discharges each marker
+    discharged_by = {m: nodes[ks[-1]].rule for m, ks in ix.dischargers.items()}
+    s_l, s_r = [], []                   # a pool drops labels
+    for leaf in ix.open_leaves(0):
+        c = nodes[leaf].conclusion
+        (s_l if isinstance(c, Lwff) else s_r).append(c)
     (s_l if isinstance(d.conclusion, Lwff) else s_r).append(d.conclusion)
-
-    nodes: list = []
-    leaves: list = []                   # the relational assumption leaves
-    leaf_markers: set = set()
-    discharged_by: dict[int, str] = {}
-    for n in d.nodes():
-        nodes.append(n)
-        if n.is_assumption():
-            leaf_markers.add(n.marker)
-            if not isinstance(n.conclusion, Lwff):
-                leaves.append(n)
-        elif _is_axiom(n):
-            s_r.append(n.conclusion)
-        for m in n.discharges:
-            discharged_by[m] = n.rule
-    s_r += [n.conclusion for n in leaves
-            if discharged_by.get(n.marker) in _FRESH_DISCHARGERS]
+    s_r += [n.conclusion for n in nodes if _is_axiom(n)]
+    s_r += [nodes[k].conclusion for m, leaves in ix.leaves.items()
+            if discharged_by.get(m) in _FRESH_DISCHARGERS for k in leaves
+            if not isinstance(nodes[k].conclusion, Lwff)]
 
     pools = {LAB: SubformulaPool(s_l), REL: SubformulaPool(s_r)}
 
@@ -285,7 +269,7 @@ def audit_subformula(d: Derivation) -> AuditReport:
         if isinstance(_xf(n.conclusion), type(s.falsum)):
             if n.rule == s.imp_e and refutes(s, n.premises[0]):
                 return prefix + "iii"
-            if n.rule in bottoms and n.discharges.isdisjoint(leaf_markers):
+            if n.rule in bottoms and n.discharges.isdisjoint(ix.leaves):
                 return prefix + bottoms[n.rule]
         if n.rule in anything:
             return prefix + anything[n.rule]

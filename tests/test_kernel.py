@@ -1021,9 +1021,9 @@ def _by_templates(d, profile=KL):
     """``check`` with every derived node checked through its own template,
     reading and writing neither the ``_clean`` slot nor the renaming keys:
     the reference path."""
-    def template(self, k, n, below, starts, end):
-        held = kernel._held(n, k, starts, end, self.marker_leaves)
-        return self._expand(k, n, held, below)
+    def template(self, k, n):
+        held = kernel._held(self.ix, k)
+        return self._expand(k, n, [[self.ix.nodes[j] for j in h] for h in held])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel._Checker, "_template", template)
         return check(d, profile)
@@ -1240,18 +1240,23 @@ def test_merging_renamings_check_as_without_the_memo(data):
 
 def test_case_split_expansion_grows_linearly(monkeypatch):
     # a split renames the leaves it must where they lie, not by mapping the
-    # whole branch: nodes visited grow with the chain, not its square
+    # whole branch: nodes built and visited grow with the chain, not its
+    # square
     from tenseproof import derivation
     visits = [0]
-    fold = derivation.fold
+    fold, premises = derivation.fold, derivation.Index.premises
 
     def counted(root, combine, visit=derivation._own_premises):
         def seen(t):
             visits[0] += 1
             return visit(t)
         return fold(root, combine, seen)
+
+    def built(self, k):
+        visits[0] += 1
+        return premises(self, k)
     monkeypatch.setattr(derivation, "fold", counted)
-    monkeypatch.setattr(kernel, "fold", counted)
+    monkeypatch.setattr(derivation.Index, "premises", built)
     for chain in (_or_chain, _f_chain):
         counts = []
         for k in (100, 200, 400):

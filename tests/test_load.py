@@ -1,8 +1,9 @@
 """The load path, text to formula and JSON to derivation, against the
 parent's verbatim version in ``load_reference``: the same value or the same
 error, message and position included, on rendered random entities with
-edits, and on JSON trees with one field made wrong.  And the subtree sizes
-``from_json`` writes as it builds, and the node it builds: a ``Derivation``
+edits, and on JSON trees with one field made wrong.  And the pre-order index
+of a tree against the parent's open-leaf fold and root paths in
+``open_reference``, and the node ``from_json`` builds: a ``Derivation``
 behaves as the plain frozen dataclass of its seven fields."""
 
 import copy
@@ -15,14 +16,17 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import load_reference as ref
+import open_reference as oref
 from helpers import DerivationGen, random_entity
 from test_kernel import DERIVED_TREES
 from tenseproof import parser
 from tenseproof.corpus import corpus_entries
 from tenseproof.derivation import (
-    Derivation, assume, fold, from_json, node, to_json,
+    Derivation, all_labels, assume, from_json, index, node, path_to, to_json,
 )
+from tenseproof.kernel import open_assumptions
 from tenseproof.parser import ParseError, parse_lwff as pl, render
+from tenseproof.syntax import labels_of
 
 # token characters, characters that start no token, and whitespace that
 # ``\s`` matches beyond ASCII
@@ -123,22 +127,60 @@ def _chain(k: int):
     return d
 
 
-def test_from_json_writes_each_subtree_size():
-    trees = [e.derivation for e in corpus_entries()]
-    trees += [make() for _, make in DERIVED_TREES] + [_chain(3000)]
-    for d in trees:
-        loaded = from_json(to_json(d))
-        sizes = {}
-        fold(loaded, lambda t, below: sizes.setdefault(id(t), 1 + sum(below)))
-        assert len(sizes) == d.node_count()
-        for n in loaded.nodes():
-            assert n._size == sizes[id(n)]
+def _shared_trees() -> list:
+    """Trees where one leaf object sits at several places, one marker is
+    discharged at two nodes, and an assumption node has premises."""
+    leaf, q = assume(pl("x : p"), 1), assume(pl("y : q"))
+    inner = node("imp_i", pl("x : p -> p"), leaf, discharges={1})
+    both = node("and_i", pl("x : (p -> p) & p"), inner, leaf)
+    twice = node("imp_i", pl("x : p -> (p -> p) & p"), both, discharges={1})
+    held = Derivation("assume", pl("y : q"), (twice, q, leaf), 2)
+    return [both, twice, node("imp_e", pl("y : q"), held, q, leaf)]
+
+
+def test_index_agrees_with_the_open_fold_reference():
+    # the index of each tree, and of its copy loaded from JSON, against the
+    # parent's open-leaf fold and root paths: each subtree's size and open
+    # leaves in order (also those in which a label is free, and whether a
+    # label is free in one that stays open in the parent's subtree), the
+    # context, and the root path of each node; on the deep chain, of every
+    # 100th
+    dgen = DerivationGen(random.Random(30))
+    trees = [e.derivation for e in corpus_entries()] + _shared_trees()
+    trees += [make() for _, make in DERIVED_TREES]
+    trees += [dgen.derivation() for _ in range(200)]
+    trees = [t for d in trees for t in (d, from_json(to_json(d)))]
+    for t in trees + [_chain(3000)]:
+        ix, subtrees = index(t), {}
+
+        def visit(k, n, below, starts, end):
+            assert ix.nodes[k] is n and ix.size[k] == end - k
+            subtrees.update((s, [e[1] for e in b]) for s, b in zip(starts, below))
+        subtrees[0] = [e[1] for e in oref._open_fold(t, visit)]
+        assert sorted(subtrees) == list(range(t.node_count()))
+        step = 100 if len(ix.nodes) > 1000 else 1
+        labels = all_labels(t) if step == 1 else ()
+        for k, (path, n) in enumerate(t.walk()):
+            if k % step:
+                continue
+            assert ix.nodes[k] is n
+            assert path_to(t, k) == oref.path_to(t, k) == path, k
+            assert list(ix.open_leaves(k)) == subtrees[k], k
+            for x in labels:
+                assert list(ix.open_leaves(k, x)) == [
+                    leaf for leaf in subtrees[k]
+                    if x in labels_of(ix.nodes[leaf].conclusion)], (k, x)
+                assert not k or ix.open_above(k, x) == any(
+                    k <= leaf < k + ix.size[k]
+                    and x in labels_of(ix.nodes[leaf].conclusion)
+                    for leaf in subtrees[ix.parent[k]]), (k, x)
+        assert open_assumptions(t) == oref._context(oref._open_fold(t))
 
 
 _FIELDS = [("rule", str), ("conclusion", object), ("premises", tuple, ()),
            ("marker", object, None), ("discharges", frozenset, frozenset()),
            ("fresh", object, None), ("position", object, None)]
-_MEMOS = ("_size", "_redex", "_least", "_mon", "_clean")
+_MEMOS = ("_size", "_index", "_redex", "_least", "_mon", "_clean")
 
 
 def test_a_derivation_is_its_frozen_dataclass():

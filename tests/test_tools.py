@@ -1,5 +1,9 @@
 import importlib.util
 import pathlib
+import sys
+import threading
+
+import pytest
 
 
 def _tool(name):
@@ -63,3 +67,32 @@ def test_untested_lines_exit_code():
     assert exit_code(1, 0) == 1         # a test failed
     assert exit_code(2, 3) == 2         # pytest's code takes precedence
     assert exit_code(5, 0) == 5         # no tests were collected
+
+
+def test_untested_lines_reads_the_sources_before_the_run(tmp_path, monkeypatch,
+                                                         capsys):
+    # a source edited while the tests run is listed against the text that
+    # ran: the stubbed run rewrites the one source, whose two statements
+    # (as read before the run) never ran
+    tool = _tool("untested_lines")
+    src = tmp_path / "src" / "tenseproof"
+    src.mkdir(parents=True)
+    source = src / "m.py"
+    source.write_text("x = 1\ny = 2\n")
+
+    def run(args):
+        source.write_text('"""Edited during the run."""\n\n\nz = 3\n')
+        return 0
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "SRC", src)
+    monkeypatch.setattr(pytest, "main", run)
+    # keep the process's own tracer, working directory and settings
+    monkeypatch.setattr(sys, "settrace", lambda tracer: None)
+    monkeypatch.setattr(threading, "settrace", lambda tracer: None)
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setenv("HYPOTHESIS_STORAGE_DIRECTORY", "")
+    monkeypatch.chdir(tmp_path)
+    assert tool.main([]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "src/tenseproof/m.py:1: x = 1", "src/tenseproof/m.py:2: y = 2",
+        "2 statements never ran"]

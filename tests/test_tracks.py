@@ -7,12 +7,13 @@ import pytest
 
 import track_reference as ref
 from helpers import DerivationGen
+from test_kernel import _f_chain
 from test_normalize import _deep_mon, _g_reductio, _lines_run
-from tenseproof import syntax
+from tenseproof import derivation, syntax
 from tenseproof.corpus import corpus_entries
 from tenseproof.derivation import Derivation, assume, node, path_to
 from tenseproof.kernel import check
-from tenseproof.normalize import is_normal, normalize
+from tenseproof.normalize import is_normal, normalize, restrict
 from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import KL
 from tenseproof.syntax import Atom, Empty, G, Less, Lwff
@@ -364,3 +365,29 @@ def test_audit_pool_matches_grow_linearly(monkeypatch):
         assert len(calls) <= d.node_count(), k
         counts.append(len(calls))
     assert counts[1] <= 2.3 * counts[0]
+
+
+def test_open_leaf_queries_grow_linearly(monkeypatch):
+    # check and the audit of the restricted relational mon chain ask the
+    # tree's index for open leaves, which examines each leaf of the asked
+    # range once: 1 251 and 2 501 entries each at k = 250 and 500, at most
+    # x2.3 as k doubles (the open-leaf fold that concatenated and filtered
+    # whole lists grew x2.6-3.4 per doubling past k = 1000); and check of
+    # an f_e chain whose levels share one fresh label counts its freshness
+    # tests, so it scans no leaf that a level closes (807 and 1 607 entries
+    # at k = 200 and 400, where a scan of each minor premise grew x3-4)
+    entries = []
+    closer = derivation.Index.closer
+    monkeypatch.setattr(derivation.Index, "closer",
+                        lambda *args: entries.append(1) or closer(*args))
+    runs = [(check, lambda k: restrict(_deep_mon(k, False)), 250),
+            (audit_subformula, lambda k: restrict(_deep_mon(k, False)), 250),
+            (check, lambda k: _f_chain(k, one=True), 200)]
+    for fn, family, k in runs:
+        counts = []
+        for d in (family(k), family(2 * k)):
+            entries.clear()
+            assert fn(d).ok
+            assert len(entries) <= 2 * d.node_count(), fn.__name__
+            counts.append(len(entries))
+        assert 0 < counts[1] <= 2.3 * counts[0], (fn.__name__, counts)

@@ -5,9 +5,10 @@ Runs pytest in-process from the repository root (on ``tests/``, or on what
 its arguments name; every argument goes on to pytest) under a line tracer,
 ``sys.settrace`` and ``threading.settrace``, that records only the files
 under ``src/tenseproof/``.  Then prints ``file:line: text`` for each
-statement that never ran, and their count.  Exits with pytest's code when
-pytest failed, else 1 if any statement never ran, else 0, so it can serve
-as a gate.
+statement that never ran, and their count, against each file's text as it
+was read before the run started.  Exits with pytest's code when pytest
+failed, else 1 if any statement never ran, else 0, so it can serve as a
+gate.
 
 Statements are read with ``ast``.  Docstrings, ``def`` and ``class`` lines
 and what compiles to no code (``global``, ``nonlocal``, an annotation
@@ -96,6 +97,10 @@ def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     sys.dont_write_bytecode = True
     os.chdir(ROOT)
+    # each source and its statements as they are when the run starts, so a
+    # file edited during the run is listed against the code that ran
+    sources = {path: path.read_text() for path in sorted(SRC.rglob("*.py"))}
+    statements = {path: statement_lines(text) for path, text in sources.items()}
     hits: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = tmp
@@ -108,10 +113,9 @@ def main(argv=None) -> int:
             sys.settrace(None)
             threading.settrace(None)
     missed = 0
-    for path in sorted(SRC.rglob("*.py")):
-        source = path.read_text()
+    for path, source in sources.items():
         text, ran = source.splitlines(), hits.get(str(path), set())
-        for k in statement_lines(source):
+        for k in statements[path]:
             if k not in ran:
                 print(f"{path.relative_to(ROOT)}:{k}: {text[k - 1].strip()}")
                 missed += 1
