@@ -10,26 +10,20 @@ finite semantic probe (skipped for profiles without finite frames).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
-from .derivation import Derivation, from_json
+from .derivation import from_json
 from .kernel import check
 from .normalize import NonTermination, is_normal, normalize
 from .parser import parse
-from .rules import LogicProfile, parse_profile
+from .rules import parse_profile
 from .semantics import soundness_probe
-from .syntax import canon, core_eq
+from .syntax import _Record, canon, core_eq
 from .tracks import StructureViolation, audit_subformula, tracks
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    id: str
-    profile: LogicProfile
-    derivation: Derivation
-    expected_conclusion: object
-    source: str
+class CorpusEntry(_Record):
+    __slots__ = ("id", "profile", "derivation", "expected_conclusion", "source")
 
 
 def _corpus_files():
@@ -53,10 +47,9 @@ def corpus_entries(prefix: str | None = None) -> list:
     return sorted(out, key=lambda e: e.id)
 
 
-@dataclass(frozen=True)
-class EntryResult:
-    id: str
-    stages: dict          # stage name -> "PASS" | "FAIL:..." | "SKIPPED-SEMANTICS"
+class EntryResult(_Record):
+    __slots__ = ("id",
+                 "stages")    # stage name -> "PASS" | "FAIL:..." | "SKIPPED-SEMANTICS"
 
     @property
     def ok(self) -> bool:

@@ -68,11 +68,10 @@ ones get their marker where they lie once every node is built.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from itertools import chain
 from operator import attrgetter
-from typing import Callable
 
 from .derivation import (
     ASSUME, Derivation, MarkerGen, all_markers, assume, index, node, path_to,
@@ -81,8 +80,8 @@ from .derivation import (
 from .rules import CONNECTIVE_RULES, KL, RULES, LogicProfile
 from .syntax import (
     And, Atom, Empty, Eq, Exists, F, Falsum, Forall, G, H, Implies, Less,
-    Lwff, Not, Or, P, Prec, ProofContext, RAnd, RImplies, RNot, ROr, X, canon,
-    core_eq, expand, label_skeleton, labels_of, match_labels,
+    Lwff, Not, Or, P, Prec, ProofContext, RAnd, RImplies, RNot, ROr, X,
+    _Record, canon, core_eq, expand, label_skeleton, labels_of, match_labels,
     substitute_label,
 )
 
@@ -90,28 +89,24 @@ F_ = Falsum()
 E_ = Empty()
 
 
-@dataclass(frozen=True)
-class _Sort:
+class _Sort(_Record):
     """One of the two copies of the minimal propositional calculus: its
     implication and falsum, its three rules, and how it states a formula
     ``a`` at a label ``x``.  ``LAB`` states ``x : a``; ``REL`` states ``a``
     itself, and its label is ``None``.  The rules the copies share are
     written once over this record; ``at``, ``split`` and ``neg`` are plain
     callables, as cheap as the constructors they stand for."""
-    labeled: bool
-    name: str          # "a {name} formula"
-    imp: type          # Implies | RImplies
-    falsum: object     # F_ | E_
-    bottom: str        # the falsum's name in messages
-    imp_e: str
-    imp_i: str
-    raa: str
-    at: Callable       # at(x, a): ``a`` stated in this sort, at ``x`` if labeled
-    split: Callable    # split(c): the label and the formula part of ``c``
-    neg: Callable      # neg(a): ``a`` implies this sort's falsum
-    not_: type         # its derived connectives: Not | RNot,
-    and_: type         # And | RAnd
-    or_: type          # Or | ROr
+    __slots__ = ("labeled", "name",    # "a {name} formula"
+                 "imp", "falsum",      # Implies | RImplies; F_ | E_
+                 "bottom",             # the falsum's name in messages
+                 "imp_e", "imp_i", "raa",
+                 "at",     # at(x, a): ``a`` stated in this sort, at ``x`` if labeled
+                 "split",  # split(c): the label and the formula part of ``c``
+                 "neg",    # neg(a): ``a`` implies this sort's falsum
+                 "not_", "and_", "or_")    # its derived connectives: Not | RNot,
+                                           # And | RAnd, Or | ROr
+    # two singletons, compared and hashed by identity for the audit's lookups
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 LAB = _Sort(True, "labeled", Implies, F_, "falsum",
@@ -156,24 +151,18 @@ def _sort(c) -> _Sort:
     return LAB if isinstance(c, Lwff) else REL
 
 
-@dataclass(frozen=True)
-class Violation:
-    path: tuple
-    kind: str      # StructuralError | PatternMismatch | BadDischarge |
-                   # FreshnessViolation | AxiomNotInProfile
-    message: str
+class Violation(_Record):
+    __slots__ = ("path", "kind",   # StructuralError | PatternMismatch | BadDischarge |
+                                   # FreshnessViolation | AxiomNotInProfile
+                 "message")
 
     def __str__(self) -> str:
         where = "/".join(map(str, self.path)) or "root"
         return f"{self.kind} at {where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    violations: tuple
-    open: ProofContext
-    conclusion: object
-    is_theorem: bool
+class CheckReport(_Record):
+    __slots__ = ("violations", "open", "conclusion", "is_theorem")
 
     @property
     def ok(self) -> bool:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .derivation import (
     Derivation, MarkerGen, all_labels, all_markers, assume, copies, fold,
@@ -63,8 +63,8 @@ from .kernel import (
 )
 from .rules import AXIOMS, DETOUR_PAIRS, FALSUM_RULES
 from .syntax import (
-    Atom, Empty, Eq, Falsum, Forall, LabelGen, Less, Lwff, RImplies, canon,
-    core_eq, expand, grade, is_atomic, substitute_label,
+    Atom, Empty, Eq, Falsum, Forall, LabelGen, Less, Lwff, RImplies, _Record,
+    canon, core_eq, expand, grade, is_atomic, substitute_label,
 )
 
 E_ = Empty()
@@ -84,12 +84,11 @@ class NonTermination(RuntimeError):
         self.steps = steps
 
 
-@dataclass(frozen=True)
-class Redex:
-    kind: str    # MaximalFormula | MonDisorder | RedundantFalsum |
-                 # RedundantMon | UnrestrictedRAA | UnrestrictedMon
-    path: tuple
-    detail: str = ""
+class Redex(_Record):
+    __slots__ = ("kind",        # MaximalFormula | MonDisorder | RedundantFalsum |
+                                # RedundantMon | UnrestrictedRAA | UnrestrictedMon
+                 "path", "detail")
+    _defaults = ("",)
 
 
 def step_bound() -> int:
@@ -640,10 +639,8 @@ def normalize(d: Derivation, bound: int | None = None, trace=None) -> Derivation
     return _drive(expand_derived(d), bound, _NONE[0] - 1, trace)
 
 
-@dataclass(frozen=True)
-class NormalReport:
-    normal: bool
-    redexes: tuple
+class NormalReport(_Record):
+    __slots__ = ("normal", "redexes")
 
     def __bool__(self) -> bool:
         return self.normal

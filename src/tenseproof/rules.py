@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .syntax import (
     Eq, Exists, Forall, G, H, Implies, Less, RAnd, RFormula, RImplies, RNot,
-    ROr, X, _Record, _set,
+    ROr, X, _Record,
 )
 
 # ---------------------------------------------------------------------------
@@ -56,9 +56,7 @@ class LogicProfile(_Record):
     """Base system plus a set of optional relational axioms / rules."""
 
     __slots__ = ("extras",)
-
-    def __init__(self, extras: frozenset = frozenset()):
-        _set(self, "extras", extras)
+    _defaults = (frozenset(),)
 
     @staticmethod
     def make(*extras: str) -> "LogicProfile":
@@ -105,18 +103,7 @@ class RuleSchema(_Record):
 
     __slots__ = ("name", "kind", "n_premises", "discharging", "fresh",
                  "requires", "axiom_template")
-
-    def __init__(self, name: str, kind: str, n_premises: int,
-                 discharging: bool = False, fresh: bool = False,
-                 requires: str | None = None,
-                 axiom_template: RFormula | None = None):
-        _set(self, "name", name)
-        _set(self, "kind", kind)
-        _set(self, "n_premises", n_premises)
-        _set(self, "discharging", discharging)
-        _set(self, "fresh", fresh)
-        _set(self, "requires", requires)
-        _set(self, "axiom_template", axiom_template)
+    _defaults = (False, False, None, None)
 
 
 def _schema(name, kind, n, disch=False, fresh=False, requires=None):

@@ -39,7 +39,7 @@ import operator
 from .rules import AXIOMS, INFINITE_EXTRAS, KL, LogicProfile
 from .syntax import (
     Atom, Empty, Eq, Falsum, Forall, G, H, Implies, Less, Lwff, ProofContext,
-    RImplies, X, _Record, _set, expand, is_formula, labels_of, post_order,
+    RImplies, X, _Record, expand, is_formula, labels_of, post_order,
 )
 
 
@@ -63,11 +63,8 @@ class Model(_Record):
 
     __slots__ = ("n", "prec", "valuation")
 
-    def __init__(self, n: int, prec: frozenset = frozenset(),
-                 valuation: dict | None = None):
-        _set(self, "n", n)
-        _set(self, "prec", prec)
-        _set(self, "valuation", {} if valuation is None else valuation)
+    def __init__(self, n: int, prec: frozenset = frozenset(), valuation=None):
+        super().__init__(n, prec, {} if valuation is None else valuation)
 
     @staticmethod
     def chain(n: int, valuation=None) -> "Model":
@@ -139,11 +136,6 @@ class Countermodel(_Record):
     ``failing``."""
 
     __slots__ = ("model", "lam", "failing")
-
-    def __init__(self, model: Model, lam: dict, failing):
-        _set(self, "model", model)
-        _set(self, "lam", lam)
-        _set(self, "failing", failing)
 
     def to_json(self) -> dict:
         from .parser import render
@@ -449,12 +441,7 @@ class ProbeReport(_Record):
     to ``max_worlds`` worlds, and the ``countermodel`` of a failed one."""
 
     __slots__ = ("status", "max_worlds", "countermodel")
-
-    def __init__(self, status: str, max_worlds: int,
-                 countermodel: Countermodel | None = None):
-        _set(self, "status", status)
-        _set(self, "max_worlds", max_worlds)
-        _set(self, "countermodel", countermodel)
+    _defaults = (None,)
 
 
 def soundness_probe(report: CheckReport, max_worlds: int = 4,

@@ -75,31 +75,66 @@ class _Frozen:
 
 
 class _Record(_Frozen):
-    """A frozen record: its fields are its ``__slots__``, which its
-    ``__init__`` writes through ``_set``.  ``==``, ``hash`` and ``repr`` are
-    a frozen dataclass's: over the tuple of fields, between records of one
-    class."""
+    """A frozen record, the form of every record but ``Derivation``: its
+    fields are its ``__slots__``, the last ones defaulting to ``_defaults``.
+    It is built, compared, hashed and printed as a frozen dataclass is, with
+    its ``TypeError``s; one value per field by position is the fast path."""
 
     __slots__ = ()
+    _defaults = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(
+            get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+        # each slot's own setter, past the frozen guard: the cheapest store
+        cls._setters = tuple(cls.__dict__[n].__set__ for n in cls.__slots__)
+
+    def __init__(self, *args, **named):
+        if named or len(args) != len(self._setters):
+            args = self._bind(args, named)
+        for put, value in zip(self._setters, args):
+            put(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, named: dict) -> list:
+        names, call = cls.__slots__, f"{cls.__qualname__}.__init__()"
+        required = len(names) - len(cls._defaults)
+        given = dict(zip(names, args))
+        for name in named:
+            if name in given:
+                raise TypeError(f"{call} got multiple values for argument {name!r}")
+            if name not in names:
+                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+        given.update(named)
+        if len(args) > len(names):
+            takes = f"from {required + 1} to " * bool(cls._defaults)
+            raise TypeError(f"{call} takes {takes}{len(names) + 1} positional "
+                            f"arguments but {len(args) + 1} were given")
+        missing = [repr(name) for name in names[:required] if name not in given]
+        if missing:
+            *init, last = missing
+            listed = f"{', '.join(init)}{',' * (len(init) > 1)} and {last}" \
+                if init else last
+            raise TypeError(f"{call} missing {len(missing)} required positional "
+                            f"argument{'s' * bool(init)}: {listed}")
+        fields = dict(zip(names[required:], cls._defaults), **given)
+        return [fields[name] for name in names]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        fields = map("{}={!r}".format, self.__slots__, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
 
 class _Node(_Frozen):
@@ -305,11 +340,7 @@ _ATOMS = (Atom, Falsum, Less, Eq, Empty)    # each its own expansion
 
 
 class ProofContext(_Record):
-    __slots__ = ("gamma", "delta")
-
-    def __init__(self, gamma: frozenset, delta: frozenset):
-        _set(self, "gamma", gamma)      # of Lwff
-        _set(self, "delta", delta)      # of RFormula
+    __slots__ = ("gamma", "delta")     # frozensets of Lwff, of RFormula
 
     @staticmethod
     def make(gamma=(), delta=()) -> "ProofContext":

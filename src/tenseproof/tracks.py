@@ -24,13 +24,13 @@ connective has come from ``rules.DETOUR_PAIRS`` and ``kernel._TENSE``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .derivation import Derivation, index, path_to
 from .kernel import LAB, REL, _TENSE, _sort, _xf
 from .normalize import is_normal
 from .rules import ELIM_RULES, FALSUM_RULES, INTRO_RULES, RULES
-from .syntax import Forall, Lwff, SubformulaPool, is_atomic, match_labels
+from .syntax import (
+    Forall, Lwff, SubformulaPool, _Record, is_atomic, match_labels,
+)
 
 
 class StructureViolation(AssertionError):
@@ -44,30 +44,23 @@ _TENSE_ELIMS = {elim for _, elim, _ in _TENSE.values()}
 _FRESH_DISCHARGERS = {intro for _, _, intro in _TENSE.values()}
 
 
-@dataclass(frozen=True)
-class Track:
-    nodes: tuple                  # node numbers, origin first
-    kind: str                     # "labeled" | "relational"
-    origin: str                   # "assumption" | "axiom" | "uf-conclusion"
-    terminus: str                 # "conclusion" | "uf-premise" | "minor-premise"
-    elimination: tuple            # indices into nodes
-    central: tuple
-    introduction: tuple
+class Track(_Record):
+    __slots__ = ("nodes",         # node numbers, origin first
+                 "kind",          # "labeled" | "relational"
+                 "origin",        # "assumption" | "axiom" | "uf-conclusion"
+                 "terminus",      # "conclusion" | "uf-premise" | "minor-premise"
+                 "elimination", "central", "introduction")  # indices into nodes
 
 
-@dataclass(frozen=True)
-class TrackLink:
-    case: str                     # "i" | "ii" | "iii" | "iv" | "same-kind"
-    from_track: int
-    to_track: int
-    at: int                       # number of the connecting rule application
-    detail: str = ""
+class TrackLink(_Record):
+    __slots__ = ("case",          # "i" | "ii" | "iii" | "iv" | "same-kind"
+                 "from_track", "to_track",
+                 "at", "detail")  # the connecting rule application: number, rule
+    _defaults = ("",)
 
 
-@dataclass(frozen=True)
-class TrackReport:
-    tracks: tuple
-    links: tuple
+class TrackReport(_Record):
+    __slots__ = ("tracks", "links")
 
 
 def _is_axiom(n: Derivation) -> bool:
@@ -215,11 +208,9 @@ _CLAUSES = {LAB: ("1", {"raa_bot": "iv", "uf2": "v"}, {}),
             REL: ("2", {"uf1": "iv"}, {"mon": "v"})}
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    ok: bool
-    justifications: dict          # node number -> clause tag
-    violations: tuple             # root paths
+class AuditReport(_Record):
+    __slots__ = ("ok", "justifications",  # node number -> clause tag
+                 "violations")        # root paths
 
 
 def audit_subformula(d: Derivation) -> AuditReport:

@@ -1,11 +1,10 @@
 import importlib.util
 import pathlib
-from dataclasses import replace
 
 import pytest
 
 from tenseproof import corpus
-from tenseproof.corpus import corpus_entries, run_corpus, run_entry
+from tenseproof.corpus import CorpusEntry, corpus_entries, run_corpus, run_entry
 from tenseproof.derivation import assume
 from tenseproof.kernel import check, expand_derived
 from tenseproof.normalize import NonTermination, canonical_form
@@ -139,7 +138,8 @@ def _raise(exc):
 
 
 def test_a_wrong_expected_conclusion_fails_only_that_stage():
-    entry = replace(corpus_entries("g1")[0], expected_conclusion=pl("x : p"))
+    g1 = corpus_entries("g1")[0]
+    entry = CorpusEntry(g1.id, g1.profile, g1.derivation, pl("x : p"), g1.source)
     stages = run_entry(entry).stages
     assert stages["conclusion"] == "FAIL:conclusion-mismatch"
     assert all(v == "PASS" for s, v in stages.items() if s != "conclusion")

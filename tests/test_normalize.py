@@ -310,7 +310,7 @@ def test_redex_off_the_tree_is_stale():
     r = find_redexes(d)[0]
     for path in (r.path + (0, 0, 0, 0, 0, 0), (7,)):
         with pytest.raises(RedexStale):
-            reduce_step(d, replace(r, path=path))
+            reduce_step(d, Redex(r.kind, path, r.detail))
 
 
 # ---------------------------------------------------------------------------

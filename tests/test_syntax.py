@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import gc
+import importlib
+import pathlib
 import pickle
 import random
 import sys
@@ -15,6 +17,10 @@ from helpers import (
     random_formula, random_rwff,
 )
 from tenseproof import syntax
+from tenseproof.corpus import EntryResult, corpus_entries
+from tenseproof.derivation import Derivation
+from tenseproof.kernel import LAB, REL, CheckReport, Violation, _Sort
+from tenseproof.normalize import NormalReport, Redex
 from tenseproof.parser import parse_formula, parse_lwff, parse_rwff, render
 from tenseproof.rules import KL, RULES, LogicProfile
 from tenseproof.semantics import Countermodel, Model, ProbeReport, eval_entity
@@ -25,6 +31,7 @@ from tenseproof.syntax import (
     is_subformula, label_skeleton, labels_of, match_labels, subformulas,
     substitute_label, substitute_labels, SubformulaPool,
 )
+from tenseproof.tracks import AuditReport, Track, TrackLink, TrackReport
 
 
 def test_expand_negation():
@@ -568,20 +575,23 @@ def _records():
     factory)."""
     model = Model(2, frozenset({(0, 1)}), {"p": frozenset({1})})
     cm = Countermodel(model, {"x": 0}, parse_lwff("x : F p"))
+    schema = [("name", str), ("kind", str), ("n_premises", int),
+              ("discharging", bool, False), ("fresh", bool, False),
+              ("requires", object, None), ("axiom_template", object, None)]
+    violation = Violation((0, 1), "PatternMismatch", "imp_e takes 2 premises")
+    redex = Redex("MaximalFormula", (0,), "imp_i/imp_e")
+    track = Track((0, 1, 2), "labeled", "assumption", "conclusion", (0,),
+                  (1,), (2,))
+    link = TrackLink("i", 0, 1, 3, "imp_e")
+    entry = corpus_entries("g1")[0]
     return [
         (ProofContext.make([parse_lwff("x : p")], [parse_rwff("x < y")]),
          [("gamma", frozenset), ("delta", frozenset)]),
         (KL, [("extras", frozenset, frozenset())]),
         (LogicProfile.make("first", "final"),
          [("extras", frozenset, frozenset())]),
-        (RULES["g_i"], [("name", str), ("kind", str), ("n_premises", int),
-                        ("discharging", bool, False), ("fresh", bool, False),
-                        ("requires", object, None),
-                        ("axiom_template", object, None)]),
-        (RULES["first"], [("name", str), ("kind", str), ("n_premises", int),
-                          ("discharging", bool, False),
-                          ("fresh", bool, False), ("requires", object, None),
-                          ("axiom_template", object, None)]),
+        (RULES["g_i"], schema),
+        (RULES["first"], schema),
         (model, [("n", int), ("prec", frozenset, frozenset()),
                  ("valuation", dict, dataclasses.field(default_factory=dict))]),
         (cm, [("model", Model), ("lam", dict), ("failing", object)]),
@@ -589,6 +599,31 @@ def _records():
                                       ("countermodel", object, None)]),
         (ProbeReport("PASS", 3), [("status", str), ("max_worlds", int),
                                   ("countermodel", object, None)]),
+        (violation, [("path", tuple), ("kind", str), ("message", str)]),
+        (CheckReport((violation,), ProofContext.make([parse_lwff("x : p")]),
+                     parse_lwff("x : q"), False),
+         [("violations", tuple), ("open", ProofContext),
+          ("conclusion", object), ("is_theorem", bool)]),
+        (redex, [("kind", str), ("path", tuple), ("detail", str, "")]),
+        (Redex("UnrestrictedMon", (1, 0)),
+         [("kind", str), ("path", tuple), ("detail", str, "")]),
+        (NormalReport(False, (redex,)), [("normal", bool), ("redexes", tuple)]),
+        (track, [("nodes", tuple), ("kind", str), ("origin", str),
+                 ("terminus", str), ("elimination", tuple),
+                 ("central", tuple), ("introduction", tuple)]),
+        (link, [("case", str), ("from_track", int), ("to_track", int),
+                ("at", int), ("detail", str, "")]),
+        (TrackLink("same-kind", 1, 0, 4),
+         [("case", str), ("from_track", int), ("to_track", int),
+          ("at", int), ("detail", str, "")]),
+        (TrackReport((track,), (link,)), [("tracks", tuple), ("links", tuple)]),
+        (AuditReport(False, {0: "1i"}, ((1,),)),
+         [("ok", bool), ("justifications", dict), ("violations", tuple)]),
+        (entry, [("id", str), ("profile", LogicProfile),
+                 ("derivation", Derivation),
+                 ("expected_conclusion", object), ("source", str)]),
+        (EntryResult("g1", {"check": "PASS"}),
+         [("id", str), ("stages", dict)]),
     ]
 
 
@@ -596,6 +631,15 @@ def _hash_or_error(value):
     try:
         return hash(value)
     except TypeError as exc:            # a record holding a dict
+        return str(exc)
+
+
+def _made_or_error(cls, *args, **named) -> str:
+    """The repr of ``cls(*args, **named)``, or the text of its
+    ``TypeError``."""
+    try:
+        return repr(cls(*args, **named))
+    except TypeError as exc:
         return str(exc)
 
 
@@ -613,17 +657,18 @@ def test_records_compare_hash_and_print_as_their_dataclasses():
         assert cls(*values) == record and record != twin
         assert cls(**dict(zip(cls.__slots__, values))) == record
         assert _hash_or_error(record) == _hash_or_error(twin)
-        # a default, where the dataclass had one, and a changed field
-        required = sum(len(f) == 2 for f in fields)
-        assert repr(cls(*values[:required])) == repr(reference(*values[:required]))
         assert cls(*values[:-1], None) != record or values[-1] is None
-        with pytest.raises(TypeError):
-            cls(*values, None)
-        if required:
-            with pytest.raises(TypeError):
-                cls(*values[:required - 1])
-        with pytest.raises(TypeError):
-            cls(*values, **{cls.__slots__[0]: values[0]})
+        # each call, a default where the dataclass had one, builds the same
+        # record, and each faulty call raises the same TypeError
+        required = sum(len(f) == 2 for f in fields)
+        first = cls.__slots__[0]
+        for args, named in [(values[:required], {}),
+                            (values, {"no_such_field": 0}),
+                            (values[:1], {first: values[0]}),
+                            (values + (None,), {}),
+                            (values[:required - 1], {}), ((), {})]:
+            made = _made_or_error(cls, *args, **named)
+            assert made == _made_or_error(reference, *args, **named)
         for f in cls.__slots__:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, f, None)
@@ -633,3 +678,38 @@ def test_records_compare_hash_and_print_as_their_dataclasses():
                        pickle.loads(pickle.dumps(record))):
             assert type(copied) is cls and copied == record
     assert Model(1).valuation is not Model(1).valuation
+
+
+def test_a_record_names_each_faulty_call_as_a_dataclass_does():
+    assert [_made_or_error(Track, *range(n)) for n in (0, 5, 8)] == [
+        "Track.__init__() missing 7 required positional arguments: 'nodes', "
+        "'kind', 'origin', 'terminus', 'elimination', 'central', and "
+        "'introduction'",
+        "Track.__init__() missing 2 required positional arguments: 'central' "
+        "and 'introduction'",
+        "Track.__init__() takes 8 positional arguments but 9 were given"]
+    assert _made_or_error(TrackLink, "i", 0, 1, 2, "", 3) == (
+        "TrackLink.__init__() takes from 5 to 6 positional arguments but 7 "
+        "were given")
+    assert _made_or_error(Redex, "k", kind="k") == (
+        "Redex.__init__() got multiple values for argument 'kind'")
+    assert _made_or_error(Redex, "k", (), where=0) == (
+        "Redex.__init__() got an unexpected keyword argument 'where'")
+    assert _made_or_error(Redex, path=()) == (
+        "Redex.__init__() missing 1 required positional argument: 'kind'")
+
+
+def test_derivation_is_the_only_dataclass_and_the_sorts_go_by_identity():
+    package = pathlib.Path(syntax.__file__).parent
+    classes = {cls for path in package.glob("*.py")
+               for cls in vars(importlib.import_module(
+                   f"tenseproof.{path.stem}".removesuffix(".__init__"))).values()
+               if isinstance(cls, type) and cls.__module__.startswith("tenseproof")}
+    assert [cls for cls in classes if hasattr(cls, "__dataclass_fields__")] \
+        == [Derivation]
+    assert {Violation, CheckReport, Redex, Track, EntryResult} <= classes
+    twin = _Sort(*_Sort._values(LAB))
+    assert LAB == LAB and LAB != twin and LAB != REL
+    assert hash(LAB) == object.__hash__(LAB) != hash(twin)
+    assert {LAB: 1, REL: 2}[LAB] == 1 and twin not in {LAB: 1, REL: 2}
+    assert repr(twin) == repr(LAB)

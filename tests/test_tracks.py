@@ -1,7 +1,6 @@
 import importlib
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -18,7 +17,8 @@ from tenseproof.parser import parse_lwff as pl, parse_rwff as pr
 from tenseproof.rules import KL
 from tenseproof.syntax import Atom, Empty, G, Less, Lwff
 from tenseproof.tracks import (
-    AuditReport, StructureViolation, audit_subformula, tracks,
+    AuditReport, StructureViolation, Track, TrackLink, TrackReport,
+    audit_subformula, tracks,
 )
 
 tracks_module = importlib.import_module("tenseproof.tracks")
@@ -291,13 +291,15 @@ def _by_path(d, report):
     def path(k):
         return k if isinstance(k, tuple) else path_to(d, k)
     if isinstance(report, AuditReport):
-        return replace(report, justifications={
-            path(k): tag for k, tag in report.justifications.items()})
-    return replace(
-        report,
-        tracks=tuple(replace(t, nodes=tuple(map(path, t.nodes)))
-                     for t in report.tracks),
-        links=tuple(replace(link, at=path(link.at)) for link in report.links))
+        return AuditReport(report.ok, {
+            path(k): tag for k, tag in report.justifications.items()},
+            report.violations)
+    return TrackReport(
+        tuple(Track(tuple(map(path, t.nodes)), t.kind, t.origin, t.terminus,
+                    t.elimination, t.central, t.introduction)
+              for t in report.tracks),
+        tuple(TrackLink(link.case, link.from_track, link.to_track,
+                        path(link.at), link.detail) for link in report.links))
 
 
 def _outcome(fn, d):
