@@ -19,7 +19,7 @@ from .parser import parse
 from .rules import parse_profile
 from .semantics import soundness_probe
 from .syntax import _Record, canon, core_eq
-from .tracks import StructureViolation, audit_subformula, tracks
+from .tracks import StructureViolation, _tracks, audit_subformula, tracks
 
 
 class CorpusEntry(_Record):
@@ -94,9 +94,10 @@ def run_entry(entry: CorpusEntry, max_worlds: int = 4) -> EntryResult:
         stages["normalize"] = "FAIL:unchecked"
 
     if nf is not None:
-        stages["normal_form"] = "PASS" if is_normal(nf).normal else "FAIL:redexes"
+        normal = is_normal(nf).normal
+        stages["normal_form"] = "PASS" if normal else "FAIL:redexes"
         try:
-            tracks(nf)
+            (_tracks if normal else tracks)(nf)     # normality tested once
             stages["tracks"] = "PASS"
         except (StructureViolation, ValueError) as exc:
             stages["tracks"] = f"FAIL:{exc}"

@@ -651,8 +651,11 @@ def expand_derived(d: Derivation) -> Derivation:
 
     The result uses only core and axiom rules, checks valid whenever the
     input does, and has exactly the same conclusion and open assumptions.
+    A tree with no derived node is returned as it is, not rebuilt.
     """
     ix = index(d)
+    if _EXPANDERS.keys().isdisjoint(map(attrgetter("rule"), ix.nodes)):
+        return d
     nodes, built = ix.nodes, [None] * len(ix.nodes)
     mgen = MarkerGen(all_markers(d))
     # the markers a derived node discharges, whose leaves a split may move

@@ -41,6 +41,9 @@ A step that puts one derivation in several places takes the copies from
 then copies with refreshed markers.  A detour or a reductio places all its
 copies in one ``graft`` pass.
 
+A tree with no derived node reaches the driver as it is, and the markers
+and labels a step must avoid are read only when it first mints one.
+
 ``find_redexes``, ``reduce_step`` and ``is_normal`` are the full-scan
 public API: they test every node afresh and never read the memos, so they
 serve as the reference the driver is tested against and as the check of a
@@ -190,8 +193,15 @@ def reduce_step(d: Derivation, r: Redex) -> Derivation:
         raise RedexStale(r) from None
     if r not in _node_redexes(n, r.path):
         raise RedexStale(r)
-    new = _KINDS[r.kind][1](n, MarkerGen(all_markers(d)), LabelGen(all_labels(d)))
+    new = _KINDS[r.kind][1](n, _lazy(lambda: MarkerGen(all_markers(d))),
+                            _lazy(lambda: LabelGen(all_labels(d))))
     return replace_at(d, r.path, new)
+
+
+def _lazy(make):
+    """The function ``make()`` returns, made only when first called."""
+    made = []
+    return lambda *args: (made or made.append(make()) or made)[0](*args)
 
 
 def _override_conclusion(t: Derivation, conclusion) -> Derivation:
@@ -218,9 +228,9 @@ def _reduce_detour(n: Derivation, mgen, lgen) -> Derivation:
             w = n.conclusion.label
         # inner fresh labels equal to either end of the substitution would be
         # captured or merged by it; give them new names in the same pass
-        avoid = {v, w}.union(*map(all_labels, minor))
+        avoided = _lazy(lambda: {v, w}.union(*map(all_labels, minor)).__contains__)
         body = relabel(body, {v: w},
-                       lambda label: lgen() if label in avoid else None)
+                       lambda label: lgen() if avoided(label) else None)
     if minor:
         body = graft(body, dict.fromkeys(intro.discharges, copies(minor[0], mgen)))
     return _override_conclusion(body, n.conclusion)
@@ -594,12 +604,13 @@ def _drive(d: Derivation, bound: int | None, last_class: int,
            trace=None) -> Derivation:
     """Reduce the least redex of class at most ``last_class`` until none is
     left.  One marker and one label generator serve the whole run: what
-    they hand out is new to the tree at every step.  A traced step's site
-    is the root path the zipper's frames spell."""
+    they hand out is new to the tree at every step, and each reads ``d``
+    only on its first call.  A traced step's site is the root path the
+    zipper's frames spell."""
     limit = step_bound() if bound is None else bound
     tree = _Zipper(d)
-    mgen = MarkerGen(all_markers(d))
-    lgen = LabelGen(all_labels(d))
+    mgen = _lazy(lambda: MarkerGen(all_markers(d)))
+    lgen = _lazy(lambda: LabelGen(all_labels(d)))
     nodes = d.node_count() if trace is not None else 0
     steps = 0
     while True:

@@ -80,7 +80,11 @@ def tracks(d: Derivation) -> TrackReport:
     decomposition, and classify every inter-track connection."""
     if not is_normal(d).normal:
         raise ValueError("tracks are defined on normal derivations only")
+    return _tracks(d)
 
+
+def _tracks(d: Derivation) -> TrackReport:
+    """``tracks`` of ``d``, which the caller has found normal."""
     ix = index(d)
     nodes = ix.nodes
     chains: list = []       # per track: its node numbers, origin first

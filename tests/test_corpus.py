@@ -7,7 +7,7 @@ from tenseproof import corpus
 from tenseproof.corpus import CorpusEntry, corpus_entries, run_corpus, run_entry
 from tenseproof.derivation import assume
 from tenseproof.kernel import check, expand_derived
-from tenseproof.normalize import NonTermination, canonical_form
+from tenseproof.normalize import NonTermination, canonical_form, is_normal
 from tenseproof.parser import parse_lwff as pl
 from tenseproof.semantics import ProbeReport, find_countermodel
 from tenseproof.syntax import ProofContext, core_eq
@@ -161,9 +161,36 @@ def test_non_termination_is_a_failed_normalize_stage():
 
 
 def test_a_structure_violation_is_a_failed_tracks_stage():
-    stages = _stages(tracks=_raise(StructureViolation("a track bends")))
+    # entry g1 normalizes, so its tracks stage skips the public normality test
+    stages = _stages(_tracks=_raise(StructureViolation("a track bends")))
     assert stages["tracks"] == "FAIL:a track bends"
     assert all(v == "PASS" for s, v in stages.items() if s != "tracks")
+
+
+def test_run_entry_tests_normality_once():
+    tracks_module = importlib.import_module("tenseproof.tracks")
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return is_normal(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "is_normal", counted)
+        mp.setattr(tracks_module, "is_normal", counted)
+        for entry in corpus_entries():
+            calls.clear()
+            assert run_entry(entry).ok
+            assert len(calls) == 1
+
+
+def test_a_normal_form_with_a_redex_fails_the_tracks_stage():
+    # a2_fi holds a detour; left as it is, it keeps the invariants
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "normalize", lambda d: d)
+        stages = run_entry(corpus_entries("a2_fi")[0]).stages
+    assert stages["normalize"] == "PASS"
+    assert stages["normal_form"] == "FAIL:redexes"
+    assert stages["tracks"] == "FAIL:tracks are defined on normal derivations only"
 
 
 def test_a_countermodel_is_a_failed_probe_stage():

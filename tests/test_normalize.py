@@ -1081,3 +1081,94 @@ def test_detour_places_its_minor_premise_itself_first():
                for n in out.nodes()) == 2
     assert check(out, KL).ok
     assert open_assumptions(out) == open_assumptions(d)
+
+
+# ---------------------------------------------------------------------------
+# Setup passes: the avoid sets are read on first use, and a tree with no
+# derived node is not expanded
+
+def _inner_fresh_g_detour():
+    """A ``g`` detour onto ``z`` whose body holds an inner ``g_i`` with the
+    fresh label ``z``: the substitution would capture it, so it is renamed."""
+    a = node("g_e", pl("y : G p"), assume(pl("x : G G p"), 2),
+             assume(pr("x < y"), 1))
+    inner = node("g_i", pl("y : G p"),
+                 node("g_e", pl("z : p"), a, assume(pr("y < z"), 3)),
+                 discharges={3}, fresh="z")
+    outer = node("g_i", pl("x : G G p"), inner, discharges={1}, fresh="y")
+    return node("g_e", pl("z : G p"), outer, assume(pr("x < z")))
+
+
+def _differential_trees():
+    """Fresh trees of every shape the driver's steps take: the corpus, the
+    derived rules, every chain family and seeded random trees."""
+    from tenseproof.corpus import corpus_entries
+    from test_kernel import CASE_TREES, DERIVED_TREES, _f_chain, _or_chain
+    trees = [e.derivation for e in corpus_entries()]
+    trees += [tree() for _, tree in DERIVED_TREES + CASE_TREES]
+    trees += [_nested_imp(k, ["q", "q -> q", "G q"], body)
+              for k in (3, 12) for body in (True, False)]
+    trees += [_falsum_chain(k) for k in (5, 21)]
+    trees += [_mon_chain(k, dis) for k in (4, 17) for dis in (True, False)]
+    trees += [chain(k, shared) for chain in (_f_chain, _or_chain)
+              for k in (3, 12) for shared in (False, True)]
+    trees += [g_detour(), _inner_fresh_g_detour(), _g_reductio(6)]
+    trees += [_nested_temporal(k, op) for k in (3, 9) for op in ("g", "h")]
+    gen = DerivationGen(random.Random(32))
+    return trees + [gen.derivation() for _ in range(100)]
+
+
+def _outputs(d):
+    """The raw normal form, its trace and the raw restriction of ``d``."""
+    trace = []
+    nf = normalize(d, trace=trace)
+    return dv.dumps(nf), trace, dv.dumps(restrict(d))
+
+
+def test_avoid_sets_read_on_first_use_change_no_output():
+    # raw marker numbers and fresh labels included: each generator starts
+    # from the set it read up front, and each detour avoids the same labels.
+    # The reference makes every generator and avoid set up front.
+    outputs = [_outputs(d) for d in _differential_trees()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nz, "_lazy", lambda make: make())
+        expected = [_outputs(d) for d in _differential_trees()]
+    assert len(outputs) > 150
+    for got, want in zip(outputs, expected):
+        assert got == want
+
+
+def test_normalizing_without_minting_reads_no_avoid_set(monkeypatch):
+    calls = {"all_markers": 0, "all_labels": 0, "with_premises": 0}
+    kn = importlib.import_module("tenseproof.kernel")
+    for module, name in ((nz, "all_markers"), (nz, "all_labels"),
+                         (kn, "all_markers"), (kn, "with_premises")):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for d in (_nested_imp(20, ["q", "G q"], True), _nested_imp(20, ["q"], False),
+              _falsum_chain(30), _mon_chain(30, True), g_detour()):
+        assert check(d, KL).ok
+        assert expand_derived(d) is d
+        nf = normalize(d)
+        assert is_normal(nf).normal and check(nf, KL).ok
+        assert calls == dict.fromkeys(calls, 0)
+
+    # an f_e node still expands, and its expansion checks
+    from test_kernel import _f_chain
+    d = _f_chain(4)
+    expanded = expand_derived(d)
+    assert expanded is not d and check(expanded, KL).ok
+    assert calls["all_markers"] == 1 and calls["with_premises"] > 0
+
+    # an inner fresh label equal to the one substituted is still renamed:
+    # the detour reads its minor premise's labels, the generator the tree's
+    calls.update(dict.fromkeys(calls, 0))
+    d = _inner_fresh_g_detour()
+    assert check(d, KL).ok
+    nf = normalize(d)
+    assert check(nf, KL).ok and is_normal(nf).normal
+    assert [n.fresh for n in nf.nodes() if n.fresh] == ["w1"]
+    assert calls["all_labels"] == 2
